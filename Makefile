@@ -5,11 +5,13 @@
 GO ?= go
 
 # Committed benchmark baseline for the regression gate (see
-# cmd/benchjson and DESIGN.md §9). BENCH_6 adds the decision-log
-# paired benchmarks (hot path with/without auditing, DESIGN.md §16).
-BENCH_SNAPSHOT ?= BENCH_6.json
+# cmd/benchjson and DESIGN.md §9). BENCH_7 was captured after the event
+# path went allocation-free (name-free engine API, hot handlers bound
+# once), so the allocs/op gate locks that drop in; its meta records
+# the host's core count.
+BENCH_SNAPSHOT ?= BENCH_7.json
 
-.PHONY: check build vet test race bench bench-compare report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
+.PHONY: check build vet test race bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 
 check: build vet race examples blame watch attack scale scale-sweep why
 
@@ -45,6 +47,14 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -o bench.new.json < bench.new.out
 	$(GO) run ./cmd/benchjson -compare -tolerance 0.15 $(BENCH_SNAPSHOT) bench.new.json
 	@rm -f bench.new.out bench.new.json
+
+# End-to-end benchmark smoke: the bench module's own tests, then a 2 s
+# paper-spin pass. run.sh exits non-zero when the first block's
+# sim_digest misses its pin in bench/baseline.json, so any change to
+# simulated behaviour fails here.
+bench-smoke:
+	cd bench && $(GO) test -short .
+	bash bench/run.sh --workload paper-spin --seed 1 --seconds 2 --trace 0
 
 # Latency blame attribution smoke run: per-strategy p50/p99/p99.9
 # category breakdowns plus the slowest requests' critical paths.

@@ -331,6 +331,10 @@ type Host struct {
 	committed int // placed vCPUs (bookkeeping, audited)
 	sensitive int // resident sensitive VMs
 
+	// signals holds the signal handles of every VM instance booted here,
+	// in boot (= HV.VMs()) order, retired migration sources included.
+	signals []*vmSignal
+
 	// Windowed interference signal, refreshed by the monitor from the
 	// host registry's cumulative counters.
 	prevBusy, prevSteal, prevWait float64
@@ -376,6 +380,7 @@ type VMHandle struct {
 	lastMove  sim.Time
 
 	vm   *hypervisor.VM
+	sig  *vmSignal // vm's signal handles in host.Reg
 	kern *guest.Kernel
 	inst *workload.Instance
 
@@ -440,6 +445,7 @@ type Cluster struct {
 
 	arrivalRNG  *sim.RNG
 	blackoutRNG *sim.RNG
+	arrivalFn   func() // nextArrival, bound once: it re-arms per request
 
 	stats         *workload.ServerStats
 	generated     int64
@@ -705,7 +711,8 @@ func New(cfg Config) (*Cluster, error) {
 	// Cluster-wide request stream (open loop, exponential) on the
 	// control shard.
 	if cfg.Arrival > 0 && cfg.Duration > 0 {
-		c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(0)), "cluster-arrival", c.nextArrival)
+		c.arrivalFn = c.nextArrival
+		c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(0)), c.arrivalFn)
 	}
 
 	// Interference monitor (signal refresh + migration trigger): reads
@@ -879,6 +886,8 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 	cfg := c.cfg
 	saCapable := cfg.Strategy == hypervisor.StrategyIRS && cfg.IRS
 	vm := host.HV.NewVM(hd.instName(), hd.Spec.VCPUs, hd.Spec.Weight, saCapable)
+	sig := resolveSignal(host.Reg, vm)
+	host.signals = append(host.signals, sig)
 	if snap != nil {
 		if err := host.HV.RestoreVM(vm, *snap); err != nil {
 			panic("cluster: " + err.Error())
@@ -918,6 +927,7 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 		hd.inst.Start()
 	}
 	hd.vm = vm
+	hd.sig = sig
 	hd.kern = kern
 	kern.Start()
 	if host.checker != nil {

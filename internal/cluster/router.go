@@ -54,7 +54,7 @@ func (c *Cluster) nextArrival() {
 	// Admission is where the causal span is born: everything that happens
 	// to the request from here on is somebody's fault.
 	c.route(workload.Request{Arrival: now, Span: c.cfg.Spans.Start(now)})
-	c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(now)), "cluster-arrival", c.nextArrival)
+	c.ctl.After(c.arrivalRNG.Exp(c.arrivalMean(now)), c.arrivalFn)
 }
 
 // route dispatches one request stamped with its arrival time: pick a
@@ -105,7 +105,7 @@ func (c *Cluster) route(req workload.Request) {
 	host := best.host
 	gate := best.gate
 	hd := best
-	c.sh.Post(ctlShard, host.ID+1, c.lookahead, "deliver-"+hd.Spec.Name, func() {
+	c.sh.Post(ctlShard, host.ID+1, c.lookahead, func() {
 		c.deliverReq(hd, host, gate, req)
 	})
 }

@@ -13,41 +13,59 @@ import (
 // Runstate counters advance on transitions, so the reader first asks
 // the hypervisor to fold the accruing intervals in
 // (SyncRunstateAccounting); the registry then holds exact values.
+//
+// The handles are looked up once per VM instance, at boot: registry
+// entries are never replaced, so a handle found then is the one every
+// later lookup would return, and a refresh epoch reads counters without
+// rebuilding label keys.
 
-// hostCumulative sums the host's cumulative signal counters, in
-// nanoseconds (busy, steal, wait) and events (lhp).
+// vmSignal is one VM instance's interference-signal handles in its
+// host's registry; a nil handle (metric absent) reads as zero.
+type vmSignal struct {
+	wait     *obs.Histogram // hv_preempt_wait_ns
+	lhp      *obs.Counter   // hv_lhp_total
+	running  []*obs.Counter // hv_runstate_ns{kind="running"}, per vCPU
+	runnable []*obs.Counter // hv_runstate_ns{kind="runnable"}, per vCPU
+}
+
+// resolveSignal looks up vm's signal handles in reg.
+func resolveSignal(reg *obs.Registry, vm *hypervisor.VM) *vmSignal {
+	vmL := obs.Labels{Sub: "hv", VM: vm.Name}
+	s := &vmSignal{
+		wait:     reg.FindHistogram("hv_preempt_wait_ns", vmL),
+		lhp:      reg.FindCounter("hv_lhp_total", vmL),
+		running:  make([]*obs.Counter, len(vm.VCPUs)),
+		runnable: make([]*obs.Counter, len(vm.VCPUs)),
+	}
+	for i, v := range vm.VCPUs {
+		l := obs.Labels{Sub: "hv", VM: vm.Name, CPU: v.Name(), Kind: "running"}
+		s.running[i] = reg.FindCounter("hv_runstate_ns", l)
+		l.Kind = "runnable"
+		s.runnable[i] = reg.FindCounter("hv_runstate_ns", l)
+	}
+	return s
+}
+
+// hostCumulative sums the host's cumulative signal counters over every
+// VM instance it has booted, in nanoseconds (busy, steal, wait) and
+// events (lhp).
 func hostCumulative(h *Host) (busy, steal, wait, lhp float64) {
 	h.HV.SyncRunstateAccounting()
-	for _, vm := range h.HV.VMs() {
-		vmL := obs.Labels{Sub: "hv", VM: vm.Name}
-		if hist := h.Reg.FindHistogram("hv_preempt_wait_ns", vmL); hist != nil {
-			wait += float64(hist.Sum())
-		}
-		if ctr := h.Reg.FindCounter("hv_lhp_total", vmL); ctr != nil {
-			lhp += float64(ctr.Value())
-		}
-		b, s := vmCumulativeRunstates(h.Reg, vm.Name, vm.VCPUs)
+	for _, s := range h.signals {
+		wait += float64(s.wait.Sum())
+		lhp += float64(s.lhp.Value())
+		b, st := s.runstates()
 		busy += b
-		steal += s
+		steal += st
 	}
 	return busy, steal, wait, lhp
 }
 
-// vmCumulativeRunstates reads one VM's summed running/runnable
-// nanoseconds from the registry.
-func vmCumulativeRunstates(reg *obs.Registry, vmName string, vcpus []*hypervisor.VCPU) (busy, steal float64) {
-	for _, v := range vcpus {
-		base := obs.Labels{Sub: "hv", VM: vmName, CPU: v.Name()}
-		run := base
-		run.Kind = "running"
-		if ctr := reg.FindCounter("hv_runstate_ns", run); ctr != nil {
-			busy += float64(ctr.Value())
-		}
-		rq := base
-		rq.Kind = "runnable"
-		if ctr := reg.FindCounter("hv_runstate_ns", rq); ctr != nil {
-			steal += float64(ctr.Value())
-		}
+// runstates reads the VM's summed running/runnable nanoseconds.
+func (s *vmSignal) runstates() (busy, steal float64) {
+	for i, run := range s.running {
+		busy += float64(run.Value())
+		steal += float64(s.runnable[i].Value())
 	}
 	return busy, steal
 }
@@ -76,7 +94,7 @@ func (c *Cluster) refreshSignals() {
 		if !hd.admitted || hd.vm == nil {
 			continue
 		}
-		_, steal := vmCumulativeRunstates(hd.host.Reg, hd.vm.Name, hd.vm.VCPUs)
+		_, steal := hd.sig.runstates()
 		hd.stealFrac = (steal - hd.prevSteal) / (window * float64(hd.Spec.VCPUs))
 		if hd.stealFrac < 0 {
 			hd.stealFrac = 0

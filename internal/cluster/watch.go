@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/hypervisor"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/watch"
@@ -77,11 +76,8 @@ func (c *Cluster) feedWatcher(now sim.Time) {
 		if !hd.admitted || hd.vm == nil {
 			continue
 		}
-		_, steal := vmCumulativeRunstates(hd.host.Reg, hd.vm.Name, hd.vm.VCPUs)
-		var wait float64
-		if hist := hd.host.Reg.FindHistogram("hv_preempt_wait_ns", obs.Labels{Sub: "hv", VM: hd.vm.Name}); hist != nil {
-			wait = float64(hist.Sum())
-		}
+		_, steal := hd.sig.runstates()
+		wait := float64(hd.sig.wait.Sum())
 		c.watcher.FeedPain(now, hd.host.Name(), hd.Spec.Name, sim.Time(steal+wait))
 	}
 }

@@ -128,7 +128,7 @@ func migrationLatency(opt Options, nVMs int) sim.Time {
 			probe()
 			return
 		}
-		eng.After(rng.Jitter(500*sim.Microsecond, 0.5), "fig1b-poll", waitPreempted)
+		eng.After(rng.Jitter(500*sim.Microsecond, 0.5), waitPreempted)
 	}
 	probe = func() {
 		probes++
@@ -137,14 +137,14 @@ func migrationLatency(opt Options, nVMs int) sim.Time {
 			// Move it straight back from the uncontended side, then let
 			// it run on the contended vCPU long enough for the credit
 			// state to re-equilibrate before the next probe.
-			eng.After(rng.Jitter(5*sim.Millisecond, 0.4), "fig1b-back", func() {
+			eng.After(rng.Jitter(5*sim.Millisecond, 0.4), func() {
 				kern.MigrationLatencyProbe(task, kern.CPU(0), func(sim.Time) {
-					eng.After(rng.Jitter(300*sim.Millisecond, 0.4), "fig1b-next", waitPreempted)
+					eng.After(rng.Jitter(300*sim.Millisecond, 0.4), waitPreempted)
 				})
 			})
 		})
 	}
-	eng.After(500*sim.Millisecond, "fig1b-start", waitPreempted)
+	eng.After(500*sim.Millisecond, waitPreempted)
 	_ = eng.Run(120 * sim.Second)
 	return res.Mean()
 }

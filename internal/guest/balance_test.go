@@ -119,7 +119,7 @@ func TestMigrationProbeFastPathForReadyTask(t *testing.T) {
 	b.Affinity = r.kern.CPU(0)
 	r.kern.Start()
 	var lat sim.Time = -1
-	r.eng.After(50*sim.Millisecond, "probe", func() {
+	r.eng.After(50*sim.Millisecond, func() {
 		ready := a
 		if a.State() == guest.TaskRunning {
 			ready = b
@@ -154,9 +154,9 @@ func TestMigrationProbeWaitsForPreemptedVCPU(t *testing.T) {
 			})
 			return
 		}
-		eng.After(sim.Millisecond, "retry", tryProbe)
+		eng.After(sim.Millisecond, tryProbe)
 	}
-	eng.After(500*sim.Millisecond, "probe", tryProbe)
+	eng.After(500*sim.Millisecond, tryProbe)
 	_ = eng.Run(5 * sim.Second)
 	if lat < 5*sim.Millisecond {
 		t.Fatalf("migration latency %v; stopper must wait for the preempted vCPU (~30ms)", lat)
@@ -174,7 +174,7 @@ func TestTaskConservation(t *testing.T) {
 	bg.Start()
 	fg.Start()
 	violations := 0
-	eng.Every(sim.Millisecond, "audit", func() {
+	eng.Every(sim.Millisecond, func() {
 		seen := map[*guest.Task]int{}
 		for _, c := range fg.CPUs() {
 			if c.Current() != nil {

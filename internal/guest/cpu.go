@@ -29,6 +29,23 @@ type CPU struct {
 	// execGen invalidates in-flight deferred work across suspends.
 	execGen uint64
 
+	// Event callbacks bound once by bindHandlers, so the per-segment,
+	// per-interrupt and per-spin schedules allocate nothing. A segment
+	// completion and a spin-budget timeout are each at most one live
+	// event per CPU (armed only from a non-executing startCur, cancelled
+	// by the bankCur that ends the stint), so the task, completion
+	// callback and spin wait they check live in per-CPU slots set at
+	// arming time. execAfter continuations can overlap — a stale one
+	// still fires as a no-op — so each carries its own recycled token.
+	startCurFn, finishSAFn func()
+	segFn                  func()
+	segTask                *Task
+	segDone                func()
+	spinFn                 func()
+	spinTask               *Task
+	spinSW                 *spinWait
+	contFree               []*execCont
+
 	sliceUsed   sim.Time
 	lastBalance sim.Time
 	// needResched defers a wakeup/migration preemption to the next
@@ -64,6 +81,34 @@ type CPU struct {
 }
 
 var _ hypervisor.GuestContext = (*CPU)(nil)
+
+// execCont is one pending execAfter continuation: fn runs when the
+// event fires if the CPU still executes and no suspend or interrupt
+// bumped execGen in between. Tokens are recycled through their CPU's
+// free list when they fire; run is bound once per token.
+type execCont struct {
+	c   *CPU
+	gen uint64
+	fn  func()
+	run func()
+}
+
+func (x *execCont) fire() {
+	c, gen, fn := x.c, x.gen, x.fn
+	x.fn = nil
+	c.contFree = append(c.contFree, x)
+	if c.running && gen == c.execGen {
+		fn()
+	}
+}
+
+// bindHandlers builds the CPU's hot-path event callbacks.
+func (c *CPU) bindHandlers() {
+	c.startCurFn = c.startCur
+	c.finishSAFn = c.finishSAUpcall
+	c.segFn = c.segComplete
+	c.spinFn = func() { c.spinTimeout(c.spinTask, c.spinSW) }
+}
 
 // ID returns the guest CPU index.
 func (c *CPU) ID() int { return c.id }
@@ -142,7 +187,7 @@ func (c *CPU) Resume() {
 	if !c.tickArmed && (c.cur != nil || c.rq.Len() > 0) {
 		c.armTick(now)
 	}
-	c.execAfter(cost, c.startCur)
+	c.execAfter(cost, c.startCurFn)
 }
 
 // Suspend is invoked when the vCPU stops executing; it freezes the
@@ -173,11 +218,11 @@ func (c *CPU) TakeIRQ(irq hypervisor.IRQ) {
 		// SA receiver + context-switcher bottom half; the sched_op
 		// acknowledgement happens when the handler cost has elapsed.
 		c.saInFlight = true
-		c.execAfter(c.kern.cfg.IRQCost+c.kern.cfg.SAHandlerCost, c.finishSAUpcall)
+		c.execAfter(c.kern.cfg.IRQCost+c.kern.cfg.SAHandlerCost, c.finishSAFn)
 		return
 	}
 	cost := c.handleIRQ(irq)
-	c.execAfter(cost, c.startCur)
+	c.execAfter(cost, c.startCurFn)
 }
 
 // Descheduling classifies the preempted vCPU for LHP/LWP accounting.
@@ -227,18 +272,23 @@ func (c *CPU) bankCur() {
 }
 
 // execAfter runs fn after the given kernel-path cost, unless the vCPU
-// is suspended in between.
+// is suspended in between. fn must be a bound callback (startCurFn,
+// finishSAFn): a method value built per call would allocate.
 func (c *CPU) execAfter(cost sim.Time, fn func()) {
 	if cost <= 0 {
 		fn()
 		return
 	}
-	gen := c.execGen
-	c.kern.eng.After(cost, "guest-exec", func() {
-		if c.running && gen == c.execGen {
-			fn()
-		}
-	})
+	var x *execCont
+	if n := len(c.contFree); n > 0 {
+		x = c.contFree[n-1]
+		c.contFree = c.contFree[:n-1]
+	} else {
+		x = &execCont{c: c}
+		x.run = x.fire
+	}
+	x.gen, x.fn = c.execGen, fn
+	c.kern.eng.After(cost, x.run)
 }
 
 // startCur (re)starts whatever the CPU should be doing: pending
@@ -301,9 +351,8 @@ func (c *CPU) startCur() {
 		c.kern.spanSync(t)
 		c.kern.hv.SpinBegin(c.vcpu)
 		if sw.budget > 0 {
-			sw.timeoutEv = c.kern.eng.After(sw.budget-sw.spent, "spin-budget-"+t.Name, func() {
-				c.spinTimeout(t, sw)
-			})
+			c.spinTask, c.spinSW = t, sw
+			sw.timeoutEv = c.kern.eng.After(sw.budget-sw.spent, c.spinFn)
 		}
 		return
 	}
@@ -311,17 +360,8 @@ func (c *CPU) startCur() {
 		c.executing = true
 		c.curStart = c.kern.Now()
 		c.kern.spanSync(t)
-		done := t.segDone
-		c.completion = c.kern.eng.After(t.segRemaining, "seg-"+t.Name, func() {
-			if c.cur != t {
-				return
-			}
-			c.completion = sim.EventRef{}
-			c.bankCur()
-			t.segRemaining = 0
-			t.segDone = nil
-			done()
-		})
+		c.segTask, c.segDone = t, t.segDone
+		c.completion = c.kern.eng.After(t.segRemaining, c.segFn)
 		return
 	}
 	if t.segDone != nil {
@@ -336,6 +376,21 @@ func (c *CPU) startCur() {
 	// arming the next one (it blocked and was requeued elsewhere, or
 	// exited). Let the scheduler sort it out.
 	c.schedule()
+}
+
+// segComplete fires when the compute segment armed by startCur runs
+// to completion: it banks the stint and runs the segment's callback.
+func (c *CPU) segComplete() {
+	t, done := c.segTask, c.segDone
+	c.segTask, c.segDone = nil, nil
+	if c.cur != t {
+		return
+	}
+	c.completion = sim.EventRef{}
+	c.bankCur()
+	t.segRemaining = 0
+	t.segDone = nil
+	done()
 }
 
 // endSpin clears a consumed or abandoned spin wait.
@@ -402,7 +457,7 @@ func (c *CPU) dispatchTask(next *Task) {
 	if !c.tickArmed {
 		c.armTick(c.kern.Now())
 	}
-	c.execAfter(c.kern.cfg.CtxSwitchCost, c.startCur)
+	c.execAfter(c.kern.cfg.CtxSwitchCost, c.startCurFn)
 }
 
 // setNeedResched requests a reschedule of CPU c. A CPU that is actively
@@ -471,7 +526,7 @@ func (c *CPU) goIdle() {
 			for _, irq := range irqs {
 				cost += c.handleIRQ(irq)
 			}
-			c.execAfter(cost, c.startCur)
+			c.execAfter(cost, c.startCurFn)
 		}
 		return
 	}

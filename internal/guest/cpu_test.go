@@ -44,7 +44,7 @@ func TestCFSInterleavesBySlice(t *testing.T) {
 	// Track alternation: sample which task runs every ms.
 	var switches int
 	var last *guest.Task
-	r.eng.Every(sim.Millisecond, "watch", func() {
+	r.eng.Every(sim.Millisecond, func() {
 		cur := r.kern.CPU(0).Current()
 		if cur != nil && cur != last {
 			switches++

@@ -193,7 +193,7 @@ func TestMigratorRetriesLandTask(t *testing.T) {
 	w0.Affinity = fg.CPU(1)
 
 	var violations []string
-	eng.Every(sim.Millisecond, "audit", func() {
+	eng.Every(sim.Millisecond, func() {
 		fg.AuditInvariants(func(rule, detail string) {
 			violations = append(violations, fmt.Sprintf("%s: %s", rule, detail))
 		})
@@ -249,7 +249,7 @@ func TestMigratorStallDelaysButCompletes(t *testing.T) {
 	eng, _, fg, bg, in := faultRig2(t, plan, nil, nil)
 	fg.Spawn("w0", hogProg{}, 0)
 	var violations []string
-	eng.Every(sim.Millisecond, "audit", func() {
+	eng.Every(sim.Millisecond, func() {
 		fg.AuditInvariants(func(rule, detail string) {
 			violations = append(violations, fmt.Sprintf("%s: %s", rule, detail))
 		})
@@ -294,7 +294,7 @@ func TestGuestAuditCleanUnderChaos(t *testing.T) {
 	record := func(rule, detail string) {
 		violations = append(violations, fmt.Sprintf("%s: %s", rule, detail))
 	}
-	eng.Every(sim.Millisecond, "audit", func() {
+	eng.Every(sim.Millisecond, func() {
 		fg.AuditInvariants(record)
 		bg.AuditInvariants(record)
 		hv.AuditInvariants(record)

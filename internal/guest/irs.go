@@ -57,6 +57,7 @@ func (c *CPU) finishSAUpcall() {
 // not charge it a full scheduling slot).
 type migrator struct {
 	kern    *Kernel
+	runFn   func()
 	queue   []migrItem
 	waiting bool
 	busy    bool
@@ -97,10 +98,14 @@ func (m *migrator) kick() {
 	// every queued migration (drainSync is unaffected: a CPU about to
 	// idle settles its landing spot synchronously either way).
 	delay := m.kern.cfg.MigratorCost + m.kern.cfg.Faults.MigratorStall()
-	m.kern.eng.After(delay, "irs-migrator", func() {
-		m.busy = false
-		m.drain()
-	})
+	m.kern.eng.After(delay, m.runFn)
+}
+
+// run is the migrator thread's wakeup after its scan cost (bound once
+// as runFn).
+func (m *migrator) run() {
+	m.busy = false
+	m.drain()
 }
 
 // runnerCPU finds an executing vCPU for the migrator to run on.
@@ -143,7 +148,7 @@ func (m *migrator) retryLater(item migrItem) {
 		m.retrying = make(map[*Task]struct{})
 	}
 	m.retrying[item.t] = struct{}{}
-	k.eng.After(k.cfg.MigratorBackoff, "irs-migrator-retry", func() {
+	k.eng.After(k.cfg.MigratorBackoff, func() {
 		delete(m.retrying, item.t)
 		if item.t.state != TaskMigrating || item.t.exited {
 			return
@@ -281,7 +286,7 @@ func (k *Kernel) MigrationLatencyProbe(t *Task, dst *CPU, done func(sim.Time)) {
 	// actually runs; if the vCPU is (or becomes) preempted, the work
 	// waits in the stopper queue until the vCPU resumes.
 	if src.running {
-		k.eng.After(k.cfg.StopperCost, "stopper-"+t.Name, func() {
+		k.eng.After(k.cfg.StopperCost, func() {
 			if src.running {
 				work()
 				return

@@ -120,12 +120,12 @@ func TestWakerPreemptsTaggedTask(t *testing.T) {
 	a.Affinity = r.kern.CPU(1) // hold both on CPU 1 against idle pulls
 	b.Affinity = r.kern.CPU(1)
 	r.kern.Start()
-	r.eng.After(10*sim.Millisecond, "tag", func() {
+	r.eng.After(10*sim.Millisecond, func() {
 		a.MarkDisplaced(r.kern.CPU(0))
 		b.Affinity = nil // the rule, not affinity, must keep B home
 	})
 	var preempted bool
-	r.eng.Every(500*sim.Microsecond, "watch", func() {
+	r.eng.Every(500*sim.Microsecond, func() {
 		if b.State() == guest.TaskRunning && b.CPU() == r.kern.CPU(1) && a.State() == guest.TaskReady {
 			preempted = true
 			r.eng.Stop()
@@ -146,7 +146,7 @@ func TestTaggedTaskPulledHome(t *testing.T) {
 	r.kern.Start()
 	// Put A on CPU 1's queue as if the IRS migrator displaced it.
 	moved := false
-	r.eng.After(20*sim.Millisecond, "displace", func() {
+	r.eng.After(20*sim.Millisecond, func() {
 		if a.State() != guest.TaskRunning || a.CPU() != r.kern.CPU(0) {
 			return
 		}
@@ -157,7 +157,7 @@ func TestTaggedTaskPulledHome(t *testing.T) {
 		})
 	})
 	var home bool
-	r.eng.Every(sim.Millisecond, "watch", func() {
+	r.eng.Every(sim.Millisecond, func() {
 		if moved && a.CPU() == r.kern.CPU(0) && !a.MigrTag {
 			home = true
 			r.eng.Stop()
@@ -181,7 +181,7 @@ func TestSAEvictionBlocksEmptyVCPU(t *testing.T) {
 	bg.Start()
 	v0 := fg.VM().VCPUs[0]
 	var sawBlocked bool
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if v0.State() == hypervisor.StateBlocked {
 			sawBlocked = true
 			eng.Stop()

@@ -188,11 +188,13 @@ func NewKernel(hv *hypervisor.Hypervisor, vm *hypervisor.VM, cfg Config) *Kernel
 	k.mWakeRecover = reg.Counter("guest_wake_poll_recoveries_total", vmL)
 	for i, v := range vm.VCPUs {
 		c := &CPU{kern: k, id: i, vcpu: v}
+		c.bindHandlers()
 		c.mRTAvg = reg.Gauge("guest_rt_avg", obs.Labels{Sub: "guest", VM: vm.Name, CPU: fmt.Sprintf("cpu%d", i)})
 		k.cpus = append(k.cpus, c)
 		hv.RegisterGuest(v, c)
 	}
 	k.migrator = &migrator{kern: k}
+	k.migrator.runFn = k.migrator.run
 	return k
 }
 
@@ -249,7 +251,13 @@ func (k *Kernel) Spawn(name string, prog Program, cpu int) *Task {
 	k.liveTasks++
 	c := t.cpu
 	t.vruntime = c.minVruntime()
-	t.pending = func() { k.step(t) }
+	t.stepFn = func() { k.step(t) }
+	t.actFn = func() {
+		done := t.actDone
+		t.actDone = nil
+		done(t, t.stepFn)
+	}
+	t.pending = t.stepFn
 	c.rq.Enqueue(t)
 	k.kickCPU(c)
 	return t
@@ -266,14 +274,12 @@ func (k *Kernel) step(t *Task) {
 	case ActExit:
 		k.exitTask(t)
 	case ActRun:
-		done := act.Done
 		t.segRemaining = act.Dur
-		t.segDone = func() {
-			if done == nil {
-				k.step(t)
-				return
-			}
-			done(t, func() { k.step(t) })
+		if act.Done == nil {
+			t.segDone = t.stepFn
+		} else {
+			t.actDone = act.Done
+			t.segDone = t.actFn
 		}
 		t.cpu.startSegment(t)
 	default:
@@ -341,7 +347,7 @@ func (k *Kernel) traceTask(t *Task, format string, args ...any) {
 // runs cont. (The wakeup timer is modelled as an engine event rather
 // than a guest timer interrupt; see DESIGN.md.)
 func (k *Kernel) SleepTask(t *Task, d sim.Time, cont func()) {
-	k.eng.After(d, "sleep-"+t.Name, func() {
+	k.eng.After(d, func() {
 		if t.state == TaskBlocked {
 			k.WakeTask(t, cont)
 		}

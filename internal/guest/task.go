@@ -121,6 +121,13 @@ type Task struct {
 	// resuming any compute segment (continuation after a wakeup).
 	pending func()
 
+	// stepFn advances the program (it is also the resume callback handed
+	// to every Action.Done); actFn runs the current action's actDone with
+	// it. Both are bound once at Spawn so a program step allocates
+	// nothing in the kernel.
+	stepFn, actFn func()
+	actDone       func(t *Task, resume func())
+
 	spin *spinWait // non-nil while busy-waiting
 
 	// span, when non-nil, is the request this task is currently

@@ -92,7 +92,7 @@ func TestPinnedVCPUNeverStolen(t *testing.T) {
 	ov.Pin(h.PCPU(0)) // both compete on p0, p1 idles
 	h.StartVCPU(ov)
 	bad := false
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if pv.pcpu == h.PCPU(1) || ov.pcpu == h.PCPU(1) {
 			bad = true
 		}
@@ -110,7 +110,7 @@ func TestLoadSnapshotStaleness(t *testing.T) {
 	eng, h := lbRig(t, 2, 1)
 	// Snapshot refreshes only at ticks: right after a change it is stale.
 	var observed bool
-	eng.After(25*sim.Millisecond, "check", func() {
+	eng.After(25*sim.Millisecond, func() {
 		p := h.PCPU(0)
 		p.snapshotLoad()
 		before := p.loadSnapshot

@@ -234,7 +234,7 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	v.setState(StateRunning)
 	v.sliceStart = now
 	v.occSince = now
-	p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceName, p.sliceFn)
+	p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceFn)
 	if tl := h.cfg.Trace; tl != nil {
 		tl.Recordf(now, trace.KindSwitch, p.Name(), "run %s (%s)", v.Name(), v.prio)
 	}
@@ -253,7 +253,7 @@ func (h *Hypervisor) sliceExpired(p *PCPU) {
 	}
 	if p.peek(h.eng.Now()) == nil {
 		// Nothing queued: extend by a fresh slice.
-		p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceName, p.sliceFn)
+		p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceFn)
 		return
 	}
 	h.preempt(p)
@@ -279,7 +279,7 @@ func (h *Hypervisor) checkPreempt(p *PCPU) {
 	// a boost wakeup may preempt it.
 	ran := now - p.current.sliceStart
 	if ran < h.cfg.Ratelimit {
-		h.eng.After(h.cfg.Ratelimit-ran, "xen-ratelimit-"+p.Name(), func() { h.checkPreempt(p) })
+		h.eng.After(h.cfg.Ratelimit-ran, p.ratelimitFn)
 		return
 	}
 	h.preempt(p)
@@ -339,9 +339,8 @@ func (h *Hypervisor) startSA(p *PCPU, v *VCPU) {
 	h.saSent++
 	h.saPendingN++
 	v.VM.mSASent.Inc()
-	v.saDeadline = h.eng.After(h.cfg.SALimit, "xen-sa-limit-"+v.Name(), func() {
-		h.saExpire(p, v)
-	})
+	v.saPCPU = p
+	v.saDeadline = h.eng.After(h.cfg.SALimit, v.saLimitFn)
 	v.notifyObserver()
 	if tl := h.cfg.Trace; tl != nil {
 		tl.Record(now, trace.KindSA, v.Name(), "sent")
@@ -368,7 +367,7 @@ func (h *Hypervisor) startSA(p *PCPU, v *VCPU) {
 		}
 		// Late (or duplicated) delivery only lands while the handshake
 		// is still open and the vCPU still executes on its pCPU.
-		h.eng.After(d, "fault-sa-delivery-"+v.Name(), func() {
+		h.eng.After(d, func() {
 			if v.saPending && p.current == v {
 				v.ctx.TakeIRQ(IRQSAUpcall)
 			}
@@ -597,7 +596,7 @@ func (h *Hypervisor) repickVCPU(p *PCPU, v *VCPU) {
 	myLoad := p.QueueLen() + 1
 	var best *PCPU
 	bestLoad := myLoad - 1 // require a strictly better target
-	equals := make([]*PCPU, 0, len(h.pcpus))
+	equals := h.repickScratch[:0]
 	for _, q := range h.pcpus {
 		if q == p {
 			continue
@@ -609,6 +608,7 @@ func (h *Hypervisor) repickVCPU(p *PCPU, v *VCPU) {
 			equals = append(equals, q)
 		}
 	}
+	h.repickScratch = equals
 	target := best
 	if target == nil && len(equals) > 0 && h.rng.Float64() < h.cfg.RepickEpsilon {
 		target = equals[h.rng.Intn(len(equals))]

@@ -143,7 +143,7 @@ func TestStealTimeMatchesCompetitorRuntime(t *testing.T) {
 func TestBlockAndWake(t *testing.T) {
 	eng, h, _ := rig(t, DefaultConfig(1), false, 1)
 	v := h.VMs()[0].VCPUs[0]
-	eng.After(10*sim.Millisecond, "block", func() {
+	eng.After(10*sim.Millisecond, func() {
 		if !h.SchedOpBlock(v) {
 			t.Error("block failed")
 		}
@@ -151,7 +151,7 @@ func TestBlockAndWake(t *testing.T) {
 			t.Errorf("state after block = %v", v.State())
 		}
 	})
-	eng.After(50*sim.Millisecond, "wake", func() {
+	eng.After(50*sim.Millisecond, func() {
 		h.WakeVCPU(v)
 	})
 	_ = eng.Run(100 * sim.Millisecond)
@@ -170,13 +170,13 @@ func TestBoostPreemptsAfterRatelimit(t *testing.T) {
 	b := h.VMs()[1].VCPUs[0]
 	// Block A, let B hog, then wake A shortly after B's slice starts:
 	// A should preempt B within ~ratelimit, not wait a full 30ms slice.
-	eng.After(5*sim.Millisecond, "block-a", func() { h.SchedOpBlock(a) })
+	eng.After(5*sim.Millisecond, func() { h.SchedOpBlock(a) })
 	var wakeAt, runAt sim.Time
-	eng.After(100*sim.Millisecond, "wake-a", func() {
+	eng.After(100*sim.Millisecond, func() {
 		wakeAt = eng.Now()
 		h.WakeVCPU(a)
 	})
-	eng.Every(100*sim.Microsecond, "watch", func() {
+	eng.Every(100*sim.Microsecond, func() {
 		if runAt == 0 && wakeAt > 0 && a.State() == StateRunning {
 			runAt = eng.Now()
 			eng.Stop()
@@ -197,10 +197,10 @@ func TestBoostExpiresAtTick(t *testing.T) {
 	cfg := DefaultConfig(1)
 	eng, h, _ := rig(t, cfg, false, 1, 1)
 	a := h.VMs()[0].VCPUs[0]
-	eng.After(5*sim.Millisecond, "block-a", func() { h.SchedOpBlock(a) })
-	eng.After(41*sim.Millisecond, "wake-a", func() { h.WakeVCPU(a) })
+	eng.After(5*sim.Millisecond, func() { h.SchedOpBlock(a) })
+	eng.After(41*sim.Millisecond, func() { h.WakeVCPU(a) })
 	var sawBoost, sawDemote bool
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if a.prio == PrioBoost {
 			sawBoost = true
 		}
@@ -232,7 +232,7 @@ func TestPinnedVCPUStaysOnPCPU(t *testing.T) {
 func TestCreditsNeverExceedCap(t *testing.T) {
 	eng, h, _ := rig(t, DefaultConfig(1), false, 1, 1)
 	ok := true
-	eng.Every(sim.Millisecond, "check", func() {
+	eng.Every(sim.Millisecond, func() {
 		for _, vm := range h.VMs() {
 			for _, v := range vm.VCPUs {
 				if v.credits > creditCap || v.credits < creditFloor {
@@ -262,7 +262,7 @@ func TestLHPClassificationCounted(t *testing.T) {
 func TestDispatchSkipsParkedVCPU(t *testing.T) {
 	eng, h, _ := rig(t, DefaultConfig(1), false, 1, 1)
 	a := h.VMs()[0].VCPUs[0]
-	eng.After(35*sim.Millisecond, "park", func() {
+	eng.After(35*sim.Millisecond, func() {
 		a.parkedUntil = eng.Now() + 100*sim.Millisecond
 		if a.State() == StateRunning {
 			p := a.pcpu
@@ -271,7 +271,7 @@ func TestDispatchSkipsParkedVCPU(t *testing.T) {
 		}
 	})
 	var ranWhileParked bool
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if a.parkedUntil > eng.Now() && a.State() == StateRunning {
 			ranWhileParked = true
 		}
@@ -286,7 +286,7 @@ func TestYieldGoesBehindSameClass(t *testing.T) {
 	eng, h, _ := rig(t, DefaultConfig(1), false, 1, 1, 1)
 	// At some point, have vm-a yield; vm-b or vm-c should run next.
 	a := h.VMs()[0].VCPUs[0]
-	eng.After(5*sim.Millisecond, "yield", func() {
+	eng.After(5*sim.Millisecond, func() {
 		if a.State() == StateRunning {
 			h.SchedOpYield(a)
 			if a.State() != StateRunnable {
@@ -304,7 +304,7 @@ func TestYieldGoesBehindSameClass(t *testing.T) {
 func TestTimerWakesBlockedVCPU(t *testing.T) {
 	eng, h, gs := rig(t, DefaultConfig(1), false, 1)
 	v := h.VMs()[0].VCPUs[0]
-	eng.After(time10, "block", func() {
+	eng.After(time10, func() {
 		h.SetTimer(v, eng.Now()+20*sim.Millisecond)
 		h.SchedOpBlock(v)
 	})
@@ -343,20 +343,20 @@ func TestExactAccountingMatchesRunstateAtTickBoundaries(t *testing.T) {
 	cycle = func() {
 		if b.State() == StateRunning || b.State() == StateRunnable {
 			h.SchedOpBlock(b)
-			eng.After(3*sim.Millisecond, "wake-b", func() {
+			eng.After(3*sim.Millisecond, func() {
 				h.WakeVCPU(b)
-				eng.After(7*sim.Millisecond, "block-b", cycle)
+				eng.After(7*sim.Millisecond, cycle)
 			})
 		} else {
-			eng.After(7*sim.Millisecond, "retry-b", cycle)
+			eng.After(7*sim.Millisecond, cycle)
 		}
 	}
-	eng.After(7*sim.Millisecond, "block-b", cycle)
+	eng.After(7*sim.Millisecond, cycle)
 
 	owed := func(v *VCPU) int64 {
 		return int64(v.RunTime()) * creditsPerTick / int64(cfg.Tick)
 	}
-	eng.Every(sim.Millisecond, "audit", func() {
+	eng.Every(sim.Millisecond, func() {
 		for _, vm := range h.VMs() {
 			for _, v := range vm.VCPUs {
 				o := owed(v)
@@ -394,7 +394,7 @@ func TestExactAccountingMatchesRunstateAtTickBoundaries(t *testing.T) {
 func TestYieldHintOrdersBehindSamePriorityPeers(t *testing.T) {
 	eng, h, _ := rig(t, DefaultConfig(1), false, 1, 1, 1)
 	a := h.VMs()[0].VCPUs[0]
-	eng.After(5*sim.Millisecond, "yield", func() {
+	eng.After(5*sim.Millisecond, func() {
 		if a.State() != StateRunning {
 			t.Fatal("vm-a not running at 5ms")
 		}
@@ -426,8 +426,8 @@ func TestBoostReentryAfterWake(t *testing.T) {
 		}
 	}
 
-	eng.After(5*sim.Millisecond, "block-1", func() { block("block-1") })
-	eng.After(15*sim.Millisecond, "wake-1", func() {
+	eng.After(5*sim.Millisecond, func() { block("block-1") })
+	eng.After(15*sim.Millisecond, func() {
 		h.WakeVCPU(a)
 		if a.Prio() != PrioBoost {
 			t.Errorf("first wake: prio = %v, want BOOST", a.Prio())
@@ -437,13 +437,13 @@ func TestBoostReentryAfterWake(t *testing.T) {
 		}
 	})
 	// By 35ms at least two ticks have fired, expiring the boost.
-	eng.After(35*sim.Millisecond, "block-2", func() {
+	eng.After(35*sim.Millisecond, func() {
 		if a.Prio() == PrioBoost {
 			t.Error("boost did not expire at a tick")
 		}
 		block("block-2")
 	})
-	eng.After(45*sim.Millisecond, "wake-2", func() {
+	eng.After(45*sim.Millisecond, func() {
 		// Pin the credit class: re-entry is gated on UNDER, and by now
 		// the tick debits may have pushed a into OVER.
 		a.credits = 100
@@ -457,12 +457,12 @@ func TestBoostReentryAfterWake(t *testing.T) {
 		}
 	})
 	// An OVER vCPU (credits exhausted) gets no boost on wake.
-	eng.After(55*sim.Millisecond, "block-3", func() {
+	eng.After(55*sim.Millisecond, func() {
 		a.credits = -200
 		a.prio = PrioOver
 		block("block-3")
 	})
-	eng.After(58*sim.Millisecond, "wake-3", func() {
+	eng.After(58*sim.Millisecond, func() {
 		h.WakeVCPU(a)
 		if a.Prio() == PrioBoost {
 			t.Error("OVER vCPU was boosted on wake")

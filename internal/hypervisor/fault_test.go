@@ -153,15 +153,15 @@ func TestStaleRunstateServed(t *testing.T) {
 	v := h.VMs()[0].VCPUs[0]
 	var first, within Runstate
 	var firstAt, withinAt, beyondAt sim.Time
-	eng.At(100*sim.Millisecond, "probe1", func() {
+	eng.At(100*sim.Millisecond, func() {
 		first = h.GetRunstate(v)
 		firstAt = h.staleRS[v].at
 	})
-	eng.At(105*sim.Millisecond, "probe2", func() {
+	eng.At(105*sim.Millisecond, func() {
 		within = h.GetRunstate(v)
 		withinAt = h.staleRS[v].at
 	})
-	eng.At(120*sim.Millisecond, "probe3", func() {
+	eng.At(120*sim.Millisecond, func() {
 		h.GetRunstate(v)
 		beyondAt = h.staleRS[v].at
 	})
@@ -207,7 +207,7 @@ func TestAuditInvariantsCleanUnderFaults(t *testing.T) {
 			tune := func(c *Config) { c.SABreakerN = 3; c.SABreakerCooldown = 10 * sim.Millisecond }
 			eng, h, _ := faultRig(t, plan, tune, 20*sim.Microsecond, false, false)
 			var violations []string
-			eng.Every(sim.Millisecond, "audit", func() {
+			eng.Every(sim.Millisecond, func() {
 				h.AuditInvariants(func(rule, detail string) {
 					violations = append(violations, fmt.Sprintf("%s: %s", rule, detail))
 				})

@@ -63,7 +63,7 @@ func (h *Hypervisor) ackSA(v *VCPU, disposition RunState) bool {
 		return false
 	}
 	if delay > 0 {
-		h.eng.After(delay, "fault-ack-delay-"+v.Name(), func() {
+		h.eng.After(delay, func() {
 			// The hard limit may have fired meanwhile; a settled
 			// handshake swallows the late ack.
 			if v.saPending && v.pcpu != nil {
@@ -124,10 +124,7 @@ func (h *Hypervisor) SetTimer(v *VCPU, at sim.Time) {
 		at = now
 	}
 	v.timerAt = at
-	v.timer = h.eng.At(at, "xen-timer-"+v.Name(), func() {
-		v.timer = sim.EventRef{}
-		h.SendIRQ(v, IRQTimer)
-	})
+	v.timer = h.eng.At(at, v.timerFn)
 }
 
 // StopTimer cancels the pending one-shot timer, if any.

@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/decision"
 	"repro/internal/fault"
@@ -185,6 +186,10 @@ type Hypervisor struct {
 	// serves stale VCPUOP_get_runstate answers.
 	staleRS map[*VCPU]rsSnap
 
+	// repickScratch is repickVCPU's equally-loaded candidate buffer,
+	// reused so the periodic re-pick does not allocate.
+	repickScratch []*PCPU
+
 	// Metric handles; all nil (and all updates no-ops) when
 	// cfg.Metrics is nil.
 	mStealAttempts *obs.Counter
@@ -220,9 +225,9 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 	h.mVCPUMigr = reg.Counter("hv_vcpu_migrations_total", obs.Labels{Sub: "hv"})
 	h.mPLEYields = reg.Counter("hv_ple_yields_total", obs.Labels{Sub: "hv"})
 	for i := 0; i < cfg.PCPUs; i++ {
-		p := &PCPU{ID: i, hv: h}
-		p.sliceName = "xen-slice-" + p.Name()
+		p := &PCPU{ID: i, hv: h, name: "p" + strconv.Itoa(i)}
 		p.sliceFn = func() { h.sliceExpired(p) }
+		p.ratelimitFn = func() { h.checkPreempt(p) }
 		p.mSwitches = reg.Counter("hv_ctx_switches_total", obs.Labels{Sub: "hv", CPU: p.Name()})
 		reg.GaugeFunc("hv_runq_len", obs.Labels{Sub: "hv", CPU: p.Name()}, func() float64 {
 			n := p.QueueLen()
@@ -237,27 +242,24 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 			// chain whose next delay is drawn from an independent stream,
 			// so a guest cannot predict sampling instants from wall time.
 			tickRNG := h.rng.Fork(0x71c0 + uint64(i))
-			name := fmt.Sprintf("xen-tick-%s", p.Name())
-			var arm func()
-			arm = func() {
-				h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), name, func() {
-					h.tick(p)
-					arm()
-				})
+			var fire func()
+			fire = func() {
+				h.tick(p)
+				h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), fire)
 			}
-			arm()
+			h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), fire)
 		} else {
 			// All pCPU ticks share one aligned grid, as in Xen where the
 			// credit scheduler's ticks derive from a common periodic timer.
-			eng.Every(cfg.Tick, fmt.Sprintf("xen-tick-%s", p.Name()), func() { h.tick(p) })
+			eng.Every(cfg.Tick, func() { h.tick(p) })
 		}
 	}
-	eng.Every(cfg.AccountPeriod, "xen-account", h.account)
+	eng.Every(cfg.AccountPeriod, h.account)
 	if cfg.Strategy == StrategyStrictCo {
-		eng.Every(cfg.Timeslice, "xen-gang-rotate", h.strictCoRotate)
+		eng.Every(cfg.Timeslice, h.strictCoRotate)
 	}
 	if every, dur := cfg.Faults.BlackoutSchedule(); every > 0 {
-		eng.Every(every, "fault-blackout", func() { h.blackout(dur) })
+		eng.Every(every, func() { h.blackout(dur) })
 	}
 	return h
 }
@@ -335,10 +337,12 @@ func (h *Hypervisor) NewVM(name string, nvcpus, weight int, saCapable bool) *VM 
 			ID:       i,
 			VM:       vm,
 			hv:       h,
+			name:     name + "/v" + strconv.Itoa(i),
 			state:    StateOffline,
 			prio:     PrioUnder,
 			assigned: h.pcpus[i%len(h.pcpus)],
 		}
+		v.bindHandlers()
 		if reg != nil {
 			vL := obs.Labels{Sub: "hv", VM: name, CPU: v.Name()}
 			for s := StateRunning; s <= StateOffline; s++ {

@@ -1,8 +1,6 @@
 package hypervisor
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -13,17 +11,18 @@ import (
 type PCPU struct {
 	ID      int
 	hv      *Hypervisor
+	name    string
 	current *VCPU
 	runq    []*VCPU
 
 	sliceEnd sim.EventRef // end of the current 30 ms timeslice
 
-	// sliceName/sliceFn are the timeslice event's label and callback,
-	// built once at construction: re-arming happens on every context
-	// switch, and allocating a fresh string + closure there put ~9
-	// allocs/op on an otherwise allocation-free hot path.
-	sliceName string
-	sliceFn   func()
+	// sliceFn (timeslice expiry) and ratelimitFn (the deferred wakeup
+	// preemption check) are bound once at construction: both re-arm on
+	// every context switch or boosted wakeup, where a fresh closure per
+	// schedule would allocate on an otherwise allocation-free path.
+	sliceFn     func()
+	ratelimitFn func()
 
 	// saWait is set while the pCPU stalls a preemption waiting for the
 	// guest to acknowledge a scheduler activation.
@@ -51,7 +50,7 @@ func (p *PCPU) snapshotLoad() {
 }
 
 // Name returns a short identifier such as "p3".
-func (p *PCPU) Name() string { return fmt.Sprintf("p%d", p.ID) }
+func (p *PCPU) Name() string { return p.name }
 
 // Current returns the vCPU executing on this pCPU, or nil when idle.
 func (p *PCPU) Current() *VCPU { return p.current }

@@ -102,10 +102,10 @@ func TestSpinEndCancelsWindow(t *testing.T) {
 	h.StartVCPU(hv)
 
 	// Spin for less than the PLE window, then stop: no yield.
-	eng.After(sim.Millisecond, "brief-spin", func() {
+	eng.After(sim.Millisecond, func() {
 		if v.State() == StateRunning {
 			h.SpinBegin(v)
-			h.eng.After(cfg.PLEWindow/2, "stop-spin", func() { h.SpinEnd(v) })
+			h.eng.After(cfg.PLEWindow/2, func() { h.SpinEnd(v) })
 		}
 	})
 	_ = eng.Run(100 * sim.Millisecond)

@@ -103,7 +103,7 @@ func (h *Hypervisor) coPark(leader, laggard *VCPU, skew sim.Time, now sim.Time) 
 	leader.parkCatchRef = laggard
 	leader.parkCatchTarget = laggard.RunTime() + skew
 	lv := leader
-	h.eng.At(leader.parkedUntil, "co-unpark-"+leader.Name(), func() {
+	h.eng.At(leader.parkedUntil, func() {
 		h.checkPreempt(lv.assigned)
 	})
 	if leader.state == StateRunning && leader.pcpu != nil {

@@ -47,7 +47,7 @@ func TestRelaxedCoParksLeader(t *testing.T) {
 	eng, h := coRig(t, StrategyRelaxedCo)
 	leader := h.VMs()[0].VCPUs[1] // uncontended sibling leads
 	parked := false
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if leader.parkedUntil > eng.Now() {
 			parked = true
 			eng.Stop()
@@ -64,7 +64,7 @@ func TestRelaxedCoParkReleasedOnCatchUp(t *testing.T) {
 	leader := h.VMs()[0].VCPUs[1]
 	var parkStart sim.Time
 	var parkSpan sim.Time
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		now := eng.Now()
 		if leader.parkedUntil > now && parkStart == 0 {
 			parkStart = now
@@ -97,7 +97,7 @@ func TestRelaxedCoInactiveWithoutSkew(t *testing.T) {
 		h.StartVCPU(v)
 	}
 	parks := 0
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		for _, v := range vm.VCPUs {
 			if v.parkedUntil > eng.Now() {
 				parks++

@@ -24,7 +24,7 @@ func (g *saGuest) TakeIRQ(irq IRQ) {
 		return
 	}
 	g.upcalls++
-	g.h.eng.After(g.delay, "sa-ack", func() {
+	g.h.eng.After(g.delay, func() {
 		if !g.v.saPending {
 			return
 		}
@@ -107,7 +107,7 @@ func TestSAAckWithBlockTransitionsVCPU(t *testing.T) {
 	eng, h, _ := saRig(t, 15*sim.Microsecond, true, false)
 	v := h.VMs()[0].VCPUs[0]
 	blockedSeen := false
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		if v.State() == StateBlocked {
 			blockedSeen = true
 			eng.Stop()
@@ -154,7 +154,7 @@ func TestSADelaysPreemptionUntilAck(t *testing.T) {
 	v := h.VMs()[0].VCPUs[0]
 	// While an SA is pending, the vCPU must still be running.
 	violated := false
-	eng.Every(5*sim.Microsecond, "watch", func() {
+	eng.Every(5*sim.Microsecond, func() {
 		if v.saPending && v.State() != StateRunning {
 			violated = true
 			eng.Stop()

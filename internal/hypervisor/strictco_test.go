@@ -31,7 +31,7 @@ func TestStrictCoGangRunsTogether(t *testing.T) {
 	// Sample: whenever one gang vCPU runs, its sibling must be running
 	// too (both are CPU-bound and on distinct pCPUs).
 	violations := 0
-	eng.Every(sim.Millisecond, "watch", func() {
+	eng.Every(sim.Millisecond, func() {
 		a := gang.VCPUs[0].State() == StateRunning
 		b := gang.VCPUs[1].State() == StateRunning
 		if a != b {
@@ -93,7 +93,7 @@ func TestStrictCoFragmentation(t *testing.T) {
 		h.StartVCPU(v)
 	}
 	// Block gang vCPU 1 immediately and keep it blocked.
-	eng.After(sim.Millisecond, "block", func() {
+	eng.After(sim.Millisecond, func() {
 		if gang.VCPUs[1].State() == StateRunning {
 			h.SchedOpBlock(gang.VCPUs[1])
 		}

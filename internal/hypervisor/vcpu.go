@@ -119,10 +119,11 @@ func (c PreemptClass) String() string {
 
 // VCPU is one virtual CPU of a VM.
 type VCPU struct {
-	ID  int
-	VM  *VM
-	hv  *Hypervisor
-	ctx GuestContext
+	ID   int
+	VM   *VM
+	hv   *Hypervisor
+	ctx  GuestContext
+	name string // "vm1/v2", built once by NewVM
 
 	state      RunState
 	stateSince sim.Time
@@ -148,6 +149,7 @@ type VCPU struct {
 	saPending  bool         // an SA notification awaits guest acknowledgement
 	saSentAt   sim.Time     // when the pending SA was sent
 	saDeadline sim.EventRef // hard limit for SA completion
+	saPCPU     *PCPU        // pCPU whose preemption the pending SA stalls
 
 	// Circuit-breaker state (cfg.SABreakerN): consecutive hard-limit
 	// expiries without an intervening ack, and when the breaker opened.
@@ -194,13 +196,34 @@ type VCPU struct {
 	// notification free) otherwise.
 	observer func()
 
+	// Event callbacks bound once by bindHandlers: the guest one-shot
+	// timer, the PLE window and the SA hard limit re-arm millions of
+	// times per run, so scheduling them must not allocate a closure each
+	// time. The last two exist only under the strategy that arms them.
+	timerFn, pleFn, saLimitFn func()
+
 	// Metric handles (nil, hence no-op, without a registry).
 	mState   [StateOffline + 1]*obs.Counter // cumulative ns per runstate
 	mPreempt *obs.Counter
 }
 
+// bindHandlers builds the vCPU's hot-path event callbacks.
+func (v *VCPU) bindHandlers() {
+	h := v.hv
+	v.timerFn = func() {
+		v.timer = sim.EventRef{}
+		h.SendIRQ(v, IRQTimer)
+	}
+	switch h.cfg.Strategy {
+	case StrategyPLE:
+		v.pleFn = func() { h.pleExit(v) }
+	case StrategyIRS:
+		v.saLimitFn = func() { h.saExpire(v.saPCPU, v) }
+	}
+}
+
 // Name returns a short identifier such as "vm1/v2".
-func (v *VCPU) Name() string { return fmt.Sprintf("%s/v%d", v.VM.Name, v.ID) }
+func (v *VCPU) Name() string { return v.name }
 
 // State returns the current hypervisor run state.
 func (v *VCPU) State() RunState { return v.state }

@@ -79,7 +79,7 @@ func (c *Checker) Attach(eng *sim.Engine) {
 	eng.OnViolation = func(name, detail string) {
 		c.record(eng.Now(), name, detail)
 	}
-	eng.Every(c.every, "invariant-audit", func() { c.Audit() })
+	eng.Every(c.every, func() { c.Audit() })
 }
 
 // Audit runs one audit pass over every source immediately.

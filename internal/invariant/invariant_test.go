@@ -65,10 +65,10 @@ func TestEngineViolationsBridged(t *testing.T) {
 	chk := invariant.New(sim.Second)
 	chk.Attach(eng)
 	// Schedule-in-past and non-positive period are reported, not panics.
-	eng.At(5*sim.Millisecond, "later", func() {
-		eng.At(sim.Millisecond, "past", func() {})
+	eng.At(5*sim.Millisecond, func() {
+		eng.At(sim.Millisecond, func() {})
 	})
-	eng.Every(0, "bad", func() {})
+	eng.Every(0, func() {})
 	_ = eng.Run(10 * sim.Millisecond)
 	var rules []string
 	for _, v := range chk.Violations() {

@@ -138,7 +138,7 @@ func TestSamplerWithEngine(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ticks_total", Labels{Sub: "hv"})
 	eng := sim.NewEngine()
-	eng.Every(sim.Millisecond, "tick", func() { c.Inc() })
+	eng.Every(sim.Millisecond, func() { c.Inc() })
 
 	s := NewSampler(r, 10*sim.Millisecond)
 	s.Start(eng)

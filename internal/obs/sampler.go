@@ -63,7 +63,7 @@ func (s *Sampler) Start(eng *sim.Engine) {
 		return
 	}
 	s.eng = eng
-	eng.Every(s.interval, "obs-sample", s.sample)
+	eng.Every(s.interval, s.sample)
 }
 
 // Sample takes one snapshot immediately (used by tests and by callers

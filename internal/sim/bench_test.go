@@ -18,7 +18,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.After(1, "bench", fn)
+		eng.After(1, fn)
 		eng.Step()
 	}
 	b.ReportMetric(float64(eng.Fired())*1e9/float64(b.Elapsed().Nanoseconds()+1), "events/sec")
@@ -33,7 +33,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := eng.After(1, "bench", fn)
+		ev := eng.After(1, fn)
 		eng.Cancel(ev)
 	}
 }
@@ -42,7 +42,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 // accounting, audits).
 func BenchmarkPeriodicFire(b *testing.B) {
 	eng := NewEngine()
-	eng.Every(1, "tick", func() {})
+	eng.Every(1, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,13 +59,13 @@ func BenchmarkEngineChurn(b *testing.B) {
 	rng := NewRNG(1)
 	// Standing population of 256 pending one-shots.
 	for i := 0; i < 256; i++ {
-		eng.After(Time(rng.Intn(1000)+1), "pop", fn)
+		eng.After(Time(rng.Intn(1000)+1), fn)
 	}
-	eng.Every(64, "tick", func() {})
+	eng.Every(64, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := eng.After(Time(rng.Intn(1000)+1), "churn", fn)
+		ev := eng.After(Time(rng.Intn(1000)+1), fn)
 		if i%4 == 0 {
 			eng.Cancel(ev)
 		}
@@ -83,7 +83,7 @@ func BenchmarkShardedSparse(b *testing.B) {
 	sh := NewSharded(16, lookahead)
 	sh.SetWorkers(4)
 	busy := sh.Shard(1)
-	busy.Every(lookahead/4, "work", func() {})
+	busy.Every(lookahead/4, func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := Time(0)

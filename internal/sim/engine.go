@@ -74,7 +74,6 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.fn = nil
-	ev.name = ""
 	ev.period = 0
 	ev.index = -1
 	e.free = append(e.free, ev)
@@ -84,14 +83,13 @@ func (e *Engine) release(ev *Event) {
 // programming error: it would silently corrupt causality. Without an
 // OnViolation hook it panics; with one it reports the violation and
 // clamps the event to now.
-func (e *Engine) At(t Time, name string, fn func()) EventRef {
+func (e *Engine) At(t Time, fn func()) EventRef {
 	if t < e.now {
-		t = e.schedulePastViolation(t, name)
+		t = e.schedulePastViolation(t)
 	}
 	ev := e.alloc()
 	ev.at = t
 	ev.fn = fn
-	ev.name = name
 	ev.seq = e.seq
 	e.seq++
 	e.queue.push(ev)
@@ -103,8 +101,8 @@ func (e *Engine) At(t Time, name string, fn func()) EventRef {
 // off the scheduling fast path.
 //
 //go:noinline
-func (e *Engine) schedulePastViolation(t Time, name string) Time {
-	detail := fmt.Sprintf("scheduling %q at %v before now %v", name, t, e.now)
+func (e *Engine) schedulePastViolation(t Time) Time {
+	detail := fmt.Sprintf("scheduling at %v before now %v", t, e.now)
 	if e.OnViolation == nil {
 		panic("sim: " + detail)
 	}
@@ -113,30 +111,31 @@ func (e *Engine) schedulePastViolation(t Time, name string) Time {
 }
 
 // After schedules fn after delay d from now.
-func (e *Engine) After(d Time, name string, fn func()) EventRef {
-	return e.At(e.now+d, name, fn)
+func (e *Engine) After(d Time, fn func()) EventRef {
+	return e.At(e.now+d, fn)
 }
 
 // Every schedules fn to run every period d, first firing after d.
 // A non-positive period panics, or — when an OnViolation hook is set —
 // reports the violation and schedules nothing (returns a zero EventRef,
 // which Cancel accepts).
-func (e *Engine) Every(d Time, name string, fn func()) EventRef {
+func (e *Engine) Every(d Time, fn func()) EventRef {
 	if d <= 0 {
-		e.nonPositivePeriodViolation(d, name)
+		e.nonPositivePeriodViolation(d)
 		return EventRef{}
 	}
-	r := e.After(d, name, fn)
+	r := e.After(d, fn)
 	r.ev.period = d
 	return r
 }
 
 //go:noinline
-func (e *Engine) nonPositivePeriodViolation(d Time, name string) {
+func (e *Engine) nonPositivePeriodViolation(d Time) {
+	detail := fmt.Sprintf("non-positive period %v at %v", d, e.now)
 	if e.OnViolation == nil {
-		panic("sim: non-positive period for " + name)
+		panic("sim: " + detail)
 	}
-	e.OnViolation("non-positive-period", fmt.Sprintf("period %v for %q", d, name))
+	e.OnViolation("non-positive-period", detail)
 }
 
 // Cancel removes the referenced event from the queue and recycles it.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{5, 1, 3, 2, 4} {
 		d := d
-		eng.At(d, "e", func() { got = append(got, d) })
+		eng.At(d, func() { got = append(got, d) })
 	}
 	if err := eng.Run(10); err != nil && !errors.Is(err, ErrDeadlock) {
 		t.Fatal(err)
@@ -31,7 +32,7 @@ func TestSameInstantFiresInScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		eng.At(7, "e", func() { got = append(got, i) })
+		eng.At(7, func() { got = append(got, i) })
 	}
 	_ = eng.Run(10)
 	for i, v := range got {
@@ -44,8 +45,8 @@ func TestSameInstantFiresInScheduleOrder(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	eng := NewEngine()
 	fired := false
-	ev := eng.At(5, "e", func() { fired = true })
-	eng.At(1, "canceller", func() { eng.Cancel(ev) })
+	ev := eng.At(5, func() { fired = true })
+	eng.At(1, func() { eng.Cancel(ev) })
 	_ = eng.Run(10)
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -57,7 +58,7 @@ func TestCancelPreventsFiring(t *testing.T) {
 
 func TestCancelIsIdempotentAndNilSafe(t *testing.T) {
 	eng := NewEngine()
-	ev := eng.At(5, "e", func() {})
+	ev := eng.At(5, func() {})
 	eng.Cancel(ev)
 	eng.Cancel(ev)
 	eng.Cancel(EventRef{})
@@ -69,10 +70,10 @@ func TestCancelIsIdempotentAndNilSafe(t *testing.T) {
 // reused the underlying object.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	eng := NewEngine()
-	stale := eng.At(1, "first", func() {})
-	eng.Step() // fires "first"; its object returns to the free list
+	stale := eng.At(1, func() {})
+	eng.Step() // fires the first event; its object returns to the free list
 	fired := false
-	fresh := eng.At(5, "second", func() { fired = true })
+	fresh := eng.At(5, func() { fired = true })
 	if fresh.ev != stale.ev {
 		t.Skip("pool did not reuse the object; nothing to verify")
 	}
@@ -89,9 +90,9 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 func TestPeriodicEventReArmsAndCancels(t *testing.T) {
 	eng := NewEngine()
 	count := 0
-	ev := eng.Every(10, "tick", func() { count++ })
-	eng.At(55, "stop", func() { eng.Cancel(ev) })
-	eng.At(200, "end", func() {})
+	ev := eng.Every(10, func() { count++ })
+	eng.At(55, func() { eng.Cancel(ev) })
+	eng.At(200, func() {})
 	_ = eng.Run(200)
 	if count != 5 {
 		t.Fatalf("periodic fired %d times, want 5 (at 10..50)", count)
@@ -102,13 +103,13 @@ func TestPeriodicCancelFromOwnCallback(t *testing.T) {
 	eng := NewEngine()
 	count := 0
 	var ev EventRef
-	ev = eng.Every(10, "tick", func() {
+	ev = eng.Every(10, func() {
 		count++
 		if count == 3 {
 			eng.Cancel(ev)
 		}
 	})
-	eng.At(100, "end", func() {})
+	eng.At(100, func() {})
 	_ = eng.Run(100)
 	if count != 3 {
 		t.Fatalf("fired %d, want 3", count)
@@ -117,13 +118,13 @@ func TestPeriodicCancelFromOwnCallback(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	eng := NewEngine()
-	eng.At(10, "later", func() {
+	eng.At(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("no panic scheduling in the past")
 			}
 		}()
-		eng.At(5, "past", func() {})
+		eng.At(5, func() {})
 	})
 	_ = eng.Run(20)
 }
@@ -131,7 +132,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestRunStopsAtHorizon(t *testing.T) {
 	eng := NewEngine()
 	fired := false
-	eng.At(100, "late", func() { fired = true })
+	eng.At(100, func() { fired = true })
 	if err := eng.Run(50); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRunStopsAtHorizon(t *testing.T) {
 
 func TestDeadlockReported(t *testing.T) {
 	eng := NewEngine()
-	eng.At(5, "only", func() {})
+	eng.At(5, func() {})
 	err := eng.Run(100)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -162,7 +163,7 @@ func TestDeadlockReported(t *testing.T) {
 func TestStopEndsRun(t *testing.T) {
 	eng := NewEngine()
 	count := 0
-	eng.Every(1, "tick", func() {
+	eng.Every(1, func() {
 		count++
 		if count == 7 {
 			eng.Stop()
@@ -183,10 +184,10 @@ func TestEventCallbackMayScheduleMore(t *testing.T) {
 	chain = func() {
 		depth++
 		if depth < 50 {
-			eng.After(1, "chain", chain)
+			eng.After(1, chain)
 		}
 	}
-	eng.After(1, "chain", chain)
+	eng.After(1, chain)
 	_ = eng.Run(1000)
 	if depth != 50 {
 		t.Fatalf("depth = %d, want 50", depth)
@@ -207,7 +208,7 @@ func TestQuickEventOrdering(t *testing.T) {
 		for i, d := range delays {
 			i := i
 			at := Time(d)
-			eng.At(at, "e", func() {
+			eng.At(at, func() {
 				fired[i]++
 				if eng.Now() < last {
 					ok = false
@@ -242,7 +243,7 @@ func TestQuickCancelSubset(t *testing.T) {
 		fired := make([]bool, len(delays))
 		for i, d := range delays {
 			i := i
-			events[i] = eng.At(Time(d)+1, "e", func() { fired[i] = true })
+			events[i] = eng.At(Time(d)+1, func() { fired[i] = true })
 		}
 		for i := range events {
 			if i < len(mask) && mask[i] {
@@ -288,11 +289,11 @@ func TestOnViolationReportsInsteadOfPanicking(t *testing.T) {
 		details = append(details, detail)
 	}
 	fired := false
-	eng.At(10, "later", func() {
+	eng.At(10, func() {
 		// Scheduling in the past is clamped to now and still fires.
-		eng.At(5, "past", func() { fired = true })
+		eng.At(5, func() { fired = true })
 	})
-	if ev := eng.Every(0, "bad-period", func() {}); ev != (EventRef{}) {
+	if ev := eng.Every(0, func() {}); ev != (EventRef{}) {
 		t.Fatal("non-positive period returned an event")
 	}
 	eng.Cancel(EventRef{}) // the zero return must be safe to cancel
@@ -309,5 +310,9 @@ func TestOnViolationReportsInsteadOfPanicking(t *testing.T) {
 		if d == "" {
 			t.Fatal("violation with empty detail")
 		}
+	}
+	// Events carry no names: the details locate the violation by time.
+	if !strings.Contains(details[1], "5ns") || !strings.Contains(details[1], "10ns") {
+		t.Fatalf("schedule-in-past detail %q lacks the event and current times", details[1])
 	}
 }

@@ -13,7 +13,6 @@ type Event struct {
 	gen    uint64 // bumped every time the object is released for reuse
 	period Time   // if > 0 the engine re-arms the event after it fires
 	index  int32  // heap index; -1 when not queued
-	name   string // label for violation reports and debugging
 }
 
 // EventRef is a generation-stamped handle to a scheduled event. The

@@ -41,7 +41,7 @@ func FuzzEventHeapOrdering(f *testing.F) {
 		for i := 0; i < n; i++ {
 			i := i
 			at := Time(le.Uint64(data[8*i:]))
-			eng.At(at, "fuzz", func() {
+			eng.At(at, func() {
 				fired[i]++
 				order = append(order, i)
 				if eng.Now() < lastAt {

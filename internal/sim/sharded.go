@@ -63,10 +63,9 @@ type ShardedEngine struct {
 
 // mail is one cross-shard event awaiting delivery at the next barrier.
 type mail struct {
-	at   Time
-	to   int
-	name string
-	fn   func()
+	at Time
+	to int
+	fn func()
 }
 
 // barrierTask is a global synchronous event: it runs at a window
@@ -157,26 +156,26 @@ func (s *ShardedEngine) Workers() int { return s.workers }
 // contract when posted mid-window — the destination may already have
 // executed past the delivery time — so it panics (or reports through
 // OnViolation and is clamped to the lookahead).
-func (s *ShardedEngine) Post(from, to int, delay Time, name string, fn func()) {
+func (s *ShardedEngine) Post(from, to int, delay Time, fn func()) {
 	if delay < s.lookahead {
-		s.lookaheadViolation(from, to, delay, name)
+		s.lookaheadViolation(from, to, delay)
 		delay = s.lookahead
 	}
 	at := s.engines[from].Now() + delay
 	if !s.inWindow {
-		s.engines[to].At(at, name, fn)
+		s.engines[to].At(at, fn)
 		return
 	}
-	s.outboxes[from] = append(s.outboxes[from], mail{at: at, to: to, name: name, fn: fn})
+	s.outboxes[from] = append(s.outboxes[from], mail{at: at, to: to, fn: fn})
 }
 
 // lookaheadViolation is the cold path of Post: fmt work happens only
 // once the contract is already broken.
 //
 //go:noinline
-func (s *ShardedEngine) lookaheadViolation(from, to int, delay Time, name string) {
-	detail := fmt.Sprintf("cross-shard post %q from shard %d to shard %d with delay %v < lookahead %v",
-		name, from, to, delay, s.lookahead)
+func (s *ShardedEngine) lookaheadViolation(from, to int, delay Time) {
+	detail := fmt.Sprintf("cross-shard post at %v from shard %d to shard %d with delay %v < lookahead %v",
+		s.engines[from].Now(), from, to, delay, s.lookahead)
 	if s.OnViolation == nil {
 		panic("sim: " + detail)
 	}
@@ -375,7 +374,7 @@ func (s *ShardedEngine) deliver() {
 	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
 	for i := range all {
 		m := &all[i]
-		s.engines[m.to].At(m.at, m.name, m.fn)
+		s.engines[m.to].At(m.at, m.fn)
 		m.fn = nil
 	}
 	s.scratch = all[:0]

@@ -19,7 +19,7 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 	logs := make([][]string, shards)
 	var hop func(from, to, ttl int)
 	hop = func(from, to, ttl int) {
-		s.Post(from, to, lookahead+Time(from+1)*Microsecond, fmt.Sprintf("hop-%d-%d", from, to), func() {
+		s.Post(from, to, lookahead+Time(from+1)*Microsecond, func() {
 			logs[to] = append(logs[to], fmt.Sprintf("%d recv from %d at %v", to, from, s.Shard(to).Now()))
 			if ttl > 0 {
 				hop(to, (to+1)%shards, ttl-1)
@@ -28,10 +28,10 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 	}
 	for i := 0; i < shards; i++ {
 		i := i
-		s.Shard(i).Every(37*Microsecond+Time(i)*Microsecond, fmt.Sprintf("tick-%d", i), func() {
+		s.Shard(i).Every(37*Microsecond+Time(i)*Microsecond, func() {
 			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v", i, s.Shard(i).Now()))
 		})
-		s.Shard(i).After(5*Microsecond, "seed", func() { hop(i, (i+3)%shards, 40) })
+		s.Shard(i).After(5*Microsecond, func() { hop(i, (i+3)%shards, 40) })
 	}
 	barriers := 0
 	s.OnBarrier(func(now Time) { barriers++ })
@@ -91,7 +91,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedLookaheadViolation(t *testing.T) {
 	t.Run("panics", func(t *testing.T) {
 		s := NewSharded(2, 100*Microsecond)
-		s.Shard(0).After(10*Microsecond, "bad-post", func() {
+		s.Shard(0).After(10*Microsecond, func() {
 			defer func() {
 				r := recover()
 				if r == nil {
@@ -102,7 +102,7 @@ func TestShardedLookaheadViolation(t *testing.T) {
 					t.Errorf("panic %q does not mention lookahead", r)
 				}
 			}()
-			s.Post(0, 1, 5*Microsecond, "too-soon", func() {})
+			s.Post(0, 1, 5*Microsecond, func() {})
 		})
 		s.EveryBarrier(150*Microsecond, "keepalive", func() {})
 		if err := s.Run(200 * Microsecond); err != nil {
@@ -116,8 +116,8 @@ func TestShardedLookaheadViolation(t *testing.T) {
 			viols = append(viols, name+": "+detail)
 		}
 		var deliveredAt Time
-		s.Shard(0).After(10*Microsecond, "bad-post", func() {
-			s.Post(0, 1, 5*Microsecond, "too-soon", func() { deliveredAt = s.Shard(1).Now() })
+		s.Shard(0).After(10*Microsecond, func() {
+			s.Post(0, 1, 5*Microsecond, func() { deliveredAt = s.Shard(1).Now() })
 		})
 		s.EveryBarrier(150*Microsecond, "keepalive", func() {})
 		if err := s.Run(400 * Microsecond); err != nil {
@@ -125,6 +125,9 @@ func TestShardedLookaheadViolation(t *testing.T) {
 		}
 		if len(viols) != 1 || !strings.Contains(viols[0], "lookahead-violation") {
 			t.Fatalf("violations = %v, want one lookahead-violation", viols)
+		}
+		if !strings.Contains(viols[0], "from shard 0 to shard 1") {
+			t.Fatalf("violation %q does not name the shards", viols[0])
 		}
 		if want := 110 * Microsecond; deliveredAt != want {
 			t.Fatalf("clamped delivery at %v, want %v (post time + lookahead)", deliveredAt, want)
@@ -150,7 +153,7 @@ func TestShardedBarrierTasks(t *testing.T) {
 	s.EveryBarrier(100*Microsecond, "periodic", func() { every = append(every, s.Now()) })
 	// Keep the shards busy so the run isn't a deadlock.
 	for i := 0; i < 3; i++ {
-		s.Shard(i).Every(11*Microsecond, "tick", func() {})
+		s.Shard(i).Every(11*Microsecond, func() {})
 	}
 	if err := s.Run(350 * Microsecond); err != nil {
 		t.Fatalf("run: %v", err)
@@ -174,7 +177,7 @@ func TestShardedBarrierTasks(t *testing.T) {
 // ErrDeadlock rather than spinning to the horizon.
 func TestShardedDeadlock(t *testing.T) {
 	s := NewSharded(2, 50*Microsecond)
-	s.Shard(0).After(30*Microsecond, "only", func() {})
+	s.Shard(0).After(30*Microsecond, func() {})
 	err := s.Run(Millisecond)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -190,11 +193,11 @@ func TestShardedMailboxOrdering(t *testing.T) {
 	// Shard 2 posts first in wall-clock terms (lower window cost), but
 	// shard 1 is the lower source index; both deliveries land on shard
 	// 0 at the same instant and must fire in source order 1, 2.
-	s.Shard(2).After(10*Microsecond, "from-2", func() {
-		s.Post(2, 0, 100*Microsecond, "b", func() { order = append(order, 2) })
+	s.Shard(2).After(10*Microsecond, func() {
+		s.Post(2, 0, 100*Microsecond, func() { order = append(order, 2) })
 	})
-	s.Shard(1).After(10*Microsecond, "from-1", func() {
-		s.Post(1, 0, 100*Microsecond, "a", func() { order = append(order, 1) })
+	s.Shard(1).After(10*Microsecond, func() {
+		s.Post(1, 0, 100*Microsecond, func() { order = append(order, 1) })
 	})
 	s.EveryBarrier(500*Microsecond, "keepalive", func() {})
 	if err := s.Run(Millisecond); err != nil {
@@ -211,9 +214,9 @@ func TestShardedMailboxOrdering(t *testing.T) {
 func TestEngineRunWindow(t *testing.T) {
 	e := NewEngine()
 	var fired []string
-	e.At(10*Microsecond, "a", func() { fired = append(fired, "a") })
-	e.At(50*Microsecond, "b", func() { fired = append(fired, "b") })
-	e.At(80*Microsecond, "c", func() { fired = append(fired, "c") })
+	e.At(10*Microsecond, func() { fired = append(fired, "a") })
+	e.At(50*Microsecond, func() { fired = append(fired, "b") })
+	e.At(80*Microsecond, func() { fired = append(fired, "c") })
 	e.RunWindow(50 * Microsecond)
 	if got := strings.Join(fired, ","); got != "a,b" {
 		t.Fatalf("fired %q in first window, want a,b", got)

@@ -116,7 +116,7 @@ func TestWatcherRecordInvariant(t *testing.T) {
 	w.Start(eng)
 	var seen []*Incident
 	w.OnIncident = func(inc *Incident) { seen = append(seen, inc) }
-	eng.At(sim.Second, "trip", func() {
+	eng.At(sim.Second, func() {
 		w.RecordInvariant(eng.Now(), "sa-accounting", "mismatch")
 	})
 	if err := eng.Run(2 * sim.Second); err != nil {

@@ -127,14 +127,14 @@ func TestWatcherEndToEndAlertAndAttribution(t *testing.T) {
 	})
 	// Bully occupies p1 hard, mild occupies p2 a little, far is busy on
 	// another host entirely.
-	eng.Every(100*sim.Millisecond, "occ", func() {
+	eng.Every(100*sim.Millisecond, func() {
 		now := eng.Now()
 		w.AddOccupancy(now, "h0", "bully", "p1", 80*sim.Millisecond)
 		w.AddOccupancy(now, "h0", "mild", "p2", 10*sim.Millisecond)
 		w.AddOccupancy(now, "h1", "far", "p0", 100*sim.Millisecond)
 	})
 	// Requests: clean before 500ms, 30% violations after.
-	eng.Every(10*sim.Millisecond, "reqs", func() {
+	eng.Every(10*sim.Millisecond, func() {
 		now := eng.Now()
 		for i := 0; i < 10; i++ {
 			w.ObserveRequest(now, now > 500*sim.Millisecond && i < 3)

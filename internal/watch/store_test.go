@@ -204,7 +204,7 @@ func TestStoreAttachSampler(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("reqs_total", obs.Labels{Sub: "hv"})
 	eng := sim.NewEngine()
-	eng.Every(sim.Millisecond, "tick", func() { c.Inc() })
+	eng.Every(sim.Millisecond, func() { c.Inc() })
 	sampler := obs.NewSampler(reg, 10*sim.Millisecond)
 	sampler.Start(eng)
 

@@ -123,7 +123,7 @@ func (w *Watcher) Start(eng *sim.Engine) {
 		return
 	}
 	w.eng = eng
-	eng.Every(w.cfg.Interval, "watch-epoch", w.epoch)
+	eng.Every(w.cfg.Interval, w.epoch)
 }
 
 // AddFeed registers a callback run at the top of every epoch, before

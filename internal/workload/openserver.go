@@ -32,6 +32,7 @@ type openServerShared struct {
 	sleepers []openSleeper
 	kern     *guest.Kernel
 	genRNG   *sim.RNG
+	genFn    func() // generate, bound once: it re-arms on every arrival
 	Dropped  int64
 	// gate is non-nil in remote-gate mode (NewRemoteServer): arrivals
 	// are pushed in by an external router instead of generated here.
@@ -143,7 +144,7 @@ func (sh *openServerShared) generate() {
 		sh.sleepers = sh.sleepers[1:]
 		sh.kern.WakeTask(s.t, s.cont)
 	}
-	sh.kern.Engine().After(sh.genRNG.Exp(sh.spec.Arrival), "arrival-"+sh.spec.Name, sh.generate)
+	sh.kern.Engine().After(sh.genRNG.Exp(sh.spec.Arrival), sh.genFn)
 }
 
 // newOpenServer wires the open-loop variant; called from NewServer when
@@ -162,6 +163,7 @@ func newOpenServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *Serv
 			kern: kern,
 		}
 		sh.genRNG = sh.rng.Fork(999)
+		sh.genFn = sh.generate
 		if spec.LockEvery > 0 {
 			sh.mu = guestsync.NewMutex(kern)
 		}
@@ -170,9 +172,9 @@ func newOpenServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *Serv
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), w, i%len(kern.CPUs()))
 		}
 		// External clients: arrivals run on the engine, not on a vCPU.
-		kern.Engine().After(sh.genRNG.Exp(spec.Arrival), "arrival-"+spec.Name, sh.generate)
+		kern.Engine().After(sh.genRNG.Exp(spec.Arrival), sh.genFn)
 		// A final sweep at the deadline releases any sleeping workers.
-		kern.Engine().At(sh.until, "arrival-end-"+spec.Name, sh.generate)
+		kern.Engine().At(sh.until, sh.genFn)
 	}
 	return in
 }

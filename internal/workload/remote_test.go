@@ -23,7 +23,7 @@ func TestRemoteGateServesSubmissions(t *testing.T) {
 	const n = 200
 	for i := 0; i < n; i++ {
 		at := sim.Time(i) * 2 * sim.Millisecond
-		eng.At(at, "submit", func() {
+		eng.At(at, func() {
 			if !gate.Submit(eng.Now()) {
 				t.Error("submit rejected on an open gate")
 			}
@@ -47,7 +47,7 @@ func TestRemoteGateLatencyIncludesPreSubmitDelay(t *testing.T) {
 	eng, _, gate := remoteRig(t, 1, 1*sim.Millisecond)
 	var lat sim.Time
 	gate.OnServed = func(l sim.Time) { lat = l }
-	eng.At(50*sim.Millisecond, "late-submit", func() {
+	eng.At(50*sim.Millisecond, func() {
 		gate.Submit(0) // stamped at t=0, submitted at t=50ms
 	})
 	if err := eng.Run(1 * sim.Second); err != nil {
@@ -67,12 +67,12 @@ func TestRemoteGateCloseCarriesQueue(t *testing.T) {
 	eng, _, gate := remoteRig(t, 1, 10*sim.Millisecond)
 	const n = 10
 	var carried []workload.Request
-	eng.At(1*sim.Millisecond, "burst", func() {
+	eng.At(1*sim.Millisecond, func() {
 		for i := 0; i < n; i++ {
 			gate.Submit(eng.Now())
 		}
 	})
-	eng.At(5*sim.Millisecond, "close", func() {
+	eng.At(5*sim.Millisecond, func() {
 		carried = gate.Close()
 		if !gate.Closed() {
 			t.Error("gate not closed after Close")
