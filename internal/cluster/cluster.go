@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 
 	"repro/internal/decision"
 	"repro/internal/fault"
@@ -292,6 +293,13 @@ type occRec struct {
 	dur  sim.Time
 }
 
+// occKey names one occupancy series within a host: a logical VM on a
+// pCPU. Each host caches the resolved watch series under it, so the
+// barrier drain skips the store's label-key build per record.
+type occKey struct {
+	vm, pcpu string
+}
+
 // bounceRec is a request that reached its host after the target gate
 // sealed for a migration switchover; the barrier drain re-routes it.
 type bounceRec struct {
@@ -323,10 +331,14 @@ type Host struct {
 	Reg *obs.Registry
 	inj *fault.Injector
 
+	name string // "host<ID>", built once
+
 	eng     *sim.Engine        // this host's shard engine
 	checker *invariant.Checker // host-local audits (hv + resident kernels)
 	spans   *span.Tracer       // shard-local collector for finished spans
 	outbox  hostOutbox
+
+	occSeries map[occKey]*watch.Series // watchdog occupancy series, by VM and pCPU
 
 	committed int // placed vCPUs (bookkeeping, audited)
 	sensitive int // resident sensitive VMs
@@ -344,7 +356,7 @@ type Host struct {
 }
 
 // Name returns the host identifier, e.g. "host1".
-func (h *Host) Name() string { return fmt.Sprintf("host%d", h.ID) }
+func (h *Host) Name() string { return h.name }
 
 // Committed returns the number of vCPUs placed on the host.
 func (h *Host) Committed() int { return h.committed }
@@ -603,7 +615,8 @@ func New(cfg Config) (*Cluster, error) {
 		hc.Metrics = reg
 		hc.Faults = inj
 		hc.Seed = cfg.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15
-		c.decLog.Label(i+1, fmt.Sprintf("host%d", i))
+		name := "host" + strconv.Itoa(i)
+		c.decLog.Label(i+1, name)
 		hc.Decisions = c.decLog.Ring(i + 1)
 		if cfg.TuneHV != nil {
 			cfg.TuneHV(&hc)
@@ -615,11 +628,12 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		eng := sh.Shard(i + 1)
 		host := &Host{
-			ID:  i,
-			HV:  hypervisor.New(eng, hc),
-			Reg: reg,
-			inj: inj,
-			eng: eng,
+			ID:   i,
+			HV:   hypervisor.New(eng, hc),
+			Reg:  reg,
+			inj:  inj,
+			name: name,
+			eng:  eng,
 		}
 		if cfg.Spans != nil {
 			host.spans = span.NewTracer()
@@ -823,7 +837,16 @@ func (c *Cluster) drainOccupancy() {
 	}
 	for _, h := range c.hosts {
 		for _, r := range h.outbox.occ {
-			c.watcher.AddOccupancy(r.at, h.Name(), r.vm, r.pcpu, r.dur)
+			if r.dur <= 0 {
+				continue
+			}
+			key := occKey{vm: r.vm, pcpu: r.pcpu}
+			s := h.occSeries[key]
+			if s == nil {
+				s = c.watcher.OccupancySeries(h.name, r.vm, r.pcpu)
+				h.occSeries[key] = s
+			}
+			watch.ObserveOccupancy(s, r.at, r.dur)
 		}
 		h.outbox.occ = h.outbox.occ[:0]
 	}

@@ -29,6 +29,7 @@ func logicalVMName(inst string) string {
 // bundles. The observer fires during the host's window execution, so
 // it only appends to the host-local outbox.
 func (c *Cluster) wireWatchHost(host *Host, tl *trace.Log) {
+	host.occSeries = map[occKey]*watch.Series{}
 	host.HV.SetOccupancyObserver(func(vm *hypervisor.VM, p *hypervisor.PCPU, dur sim.Time) {
 		host.outbox.occ = append(host.outbox.occ, occRec{
 			at:   host.eng.Now(),

@@ -1,7 +1,5 @@
 package guest
 
-import "repro/internal/trace"
-
 // Guest-level load balancing: pull (idle + periodic) migration and
 // wakeup CPU selection. As §2.3 of the paper observes, none of this
 // machinery reacts to hypervisor preemption on its own: a preempted
@@ -106,7 +104,7 @@ func (k *Kernel) moveTask(t *Task, dst *CPU) {
 		if src != nil {
 			from = src.id
 		}
-		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindMigrate, t.Name, "cpu%d -> cpu%d", from, dst.id)
+		k.cfg.Trace.Migrate(k.eng.Now(), t.Name, from, dst.id)
 	}
 	dst.rq.Enqueue(t)
 	k.spanSync(t)

@@ -332,15 +332,10 @@ func (k *Kernel) BlockTask(t *Task) {
 	t.state = TaskBlocked
 	c.cur = nil
 	k.spanSync(t)
-	k.traceTask(t, "blocked on cpu%d", c.id)
-	c.schedule()
-}
-
-// traceTask records a task event when tracing is enabled.
-func (k *Kernel) traceTask(t *Task, format string, args ...any) {
 	if k.cfg.Trace != nil {
-		k.cfg.Trace.Recordf(k.eng.Now(), trace.KindTask, t.Name, format, args...)
+		k.cfg.Trace.TaskBlocked(k.eng.Now(), t.Name, c.id)
 	}
+	c.schedule()
 }
 
 // SleepTask blocks the current task for duration d, then wakes it and
@@ -383,7 +378,9 @@ func (k *Kernel) WakeTask(t *Task, cont func()) {
 	}
 	target.rq.Enqueue(t)
 	k.spanSync(t)
-	k.traceTask(t, "woken on cpu%d", target.id)
+	if k.cfg.Trace != nil {
+		k.cfg.Trace.TaskWoken(k.eng.Now(), t.Name, target.id)
+	}
 	k.checkWakePreempt(target, t)
 	k.kickCPU(target)
 }

@@ -236,7 +236,7 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	v.occSince = now
 	p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceFn)
 	if tl := h.cfg.Trace; tl != nil {
-		tl.Recordf(now, trace.KindSwitch, p.Name(), "run %s (%s)", v.Name(), v.prio)
+		tl.Switch(now, p.Name(), v.Name(), v.prio.String())
 	}
 	v.ctx.Resume()
 }
@@ -434,7 +434,7 @@ func (h *Hypervisor) completeSA(v *VCPU, disposition RunState) {
 	v.notifyObserver()
 	p.saWait = false
 	if tl := h.cfg.Trace; tl != nil {
-		tl.Recordf(h.eng.Now(), trace.KindSA, v.Name(), "acked after %s (%s)", delay, disposition)
+		tl.SAAcked(h.eng.Now(), v.Name(), delay, disposition.String())
 	}
 	h.deschedule(p, disposition, false)
 	h.dispatch(p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // This file holds the fault-facing hypervisor surface: vCPU blackouts
@@ -42,7 +41,7 @@ func (h *Hypervisor) PauseVCPU(v *VCPU, dur sim.Time) {
 		v.parkedUntil = until
 	}
 	if tl := h.cfg.Trace; tl != nil {
-		tl.Recordf(now, trace.KindVCPUState, v.Name(), "blackout for %s", dur)
+		tl.Blackout(now, v.Name(), dur)
 	}
 	if v.saPending {
 		h.saFail(v)

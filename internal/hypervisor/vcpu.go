@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // RunState is the hypervisor-visible state of a vCPU, mirroring Xen's
@@ -249,7 +248,7 @@ func (v *VCPU) setState(s RunState) {
 		v.windowBlocked += now - v.stateSince
 	}
 	if tl := v.hv.cfg.Trace; tl != nil && s != v.state {
-		tl.Recordf(now, trace.KindVCPUState, v.Name(), "%s -> %s", v.state, s)
+		tl.Transition(now, v.Name(), v.state.String(), s.String())
 	}
 	changed := s != v.state
 	v.state = s

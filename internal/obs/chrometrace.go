@@ -10,8 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Chrome trace_viewer / Perfetto export. The trace.Log's string-
-// formatted ring is lowered into the Trace Event Format
+// Chrome trace_viewer / Perfetto export. The trace.Log's rendered
+// events are lowered into the Trace Event Format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // vCPU runstate transitions become B/E duration slices on a per-vCPU
 // track, everything else becomes instant events, and metadata events

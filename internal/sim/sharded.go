@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -49,6 +50,13 @@ type ShardedEngine struct {
 	scratch  []mail    // merge buffer reused across barriers
 	active   []*Engine // shards with events due this window, reused
 
+	// Parallel window state, written by the coordinator before it wakes
+	// the helpers: every participant claims active shards off next and
+	// runs each to end.
+	end  Time
+	next atomic.Int64
+	pool *shardPool // helper goroutines of the Run in progress, or nil
+
 	tasks   []*barrierTask
 	taskSeq uint64
 
@@ -66,6 +74,15 @@ type mail struct {
 	at Time
 	to int
 	fn func()
+}
+
+// shardPool is the workers-1 helper goroutines of one Run. They start
+// at the first parallel window, park on wake between windows, and exit
+// when Run returns; the calling goroutine is the remaining worker.
+type shardPool struct {
+	wake chan struct{}  // one token per helper wanted this window
+	busy sync.WaitGroup // tokens of the window in progress
+	live sync.WaitGroup // helpers not yet exited
 }
 
 // barrierTask is a global synchronous event: it runs at a window
@@ -243,8 +260,10 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // min(now+lookahead, next barrier task, horizon), then the barrier
 // exchanges cross-shard mail, runs drain hooks, and runs due tasks.
 // When every shard is quiet and no mail or task is pending before the
-// horizon it returns ErrDeadlock, mirroring Engine.Run.
+// horizon it returns ErrDeadlock, mirroring Engine.Run. Helper
+// goroutines started for parallel windows never outlive the call.
 func (s *ShardedEngine) Run(horizon Time) error {
+	defer s.stopPool()
 	for s.now < horizon {
 		end := s.now + s.lookahead
 		if end > horizon {
@@ -272,9 +291,9 @@ func (s *ShardedEngine) Run(horizon Time) error {
 // with no event due in the window are skipped inline — their clock
 // just advances — so idle hosts cost no worker wakeup. With one worker
 // the active shards run sequentially in index order on the calling
-// goroutine; otherwise a bounded pool claims them off a shared
-// counter. Either way each shard's window is single-threaded and
-// isolated, so the schedule is identical.
+// goroutine; otherwise the caller and up to workers-1 parked helpers
+// claim them off a shared counter. Either way each shard's window is
+// single-threaded and isolated, so the schedule is identical.
 func (s *ShardedEngine) runWindow(end Time) {
 	if end <= s.now {
 		return
@@ -304,27 +323,66 @@ func (s *ShardedEngine) runWindow(end Time) {
 			e.RunWindow(end)
 		}
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				// Read the active set through s (stable until the
-				// barrier): capturing the reassigned local would heap-
-				// allocate a cell for it every window.
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(s.active) {
-						return
-					}
-					s.active[i].RunWindow(end)
-				}
-			}()
+		p := s.startPool()
+		s.end = end
+		s.next.Store(0)
+		p.busy.Add(n - 1)
+		for i := 1; i < n; i++ {
+			p.wake <- struct{}{}
 		}
-		wg.Wait()
+		s.claim()
+		p.busy.Wait()
 	}
 	s.inWindow = false
+}
+
+// claim runs active shards off the shared counter until none is left.
+func (s *ShardedEngine) claim() {
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= len(s.active) {
+			return
+		}
+		s.active[i].RunWindow(s.end)
+	}
+}
+
+// startPool returns the Run's helper pool, starting workers-1 helpers
+// on first use.
+func (s *ShardedEngine) startPool() *shardPool {
+	if s.pool != nil {
+		return s.pool
+	}
+	// One buffer slot per helper: a window sends at most workers-1
+	// tokens, so the coordinator never blocks handing them out.
+	p := &shardPool{wake: make(chan struct{}, s.workers-1)}
+	p.live.Add(s.workers - 1)
+	for i := 1; i < s.workers; i++ {
+		go s.help(p)
+	}
+	s.pool = p
+	return p
+}
+
+// help is a helper's loop: each wake token is one claim pass of the
+// current window.
+func (s *ShardedEngine) help(p *shardPool) {
+	defer p.live.Done()
+	for range p.wake {
+		s.claim()
+		p.busy.Done()
+	}
+}
+
+// stopPool releases the helpers and waits for them to exit.
+func (s *ShardedEngine) stopPool() {
+	p := s.pool
+	if p == nil {
+		return
+	}
+	s.pool = nil
+	close(p.wake)
+	p.live.Wait()
 }
 
 // barrier exchanges cross-shard mail, runs the drain hooks, then runs
@@ -371,7 +429,7 @@ func (s *ShardedEngine) deliver() {
 		s.scratch = all
 		return
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].at < all[j].at })
+	slices.SortStableFunc(all, func(a, b mail) int { return cmp.Compare(a.at, b.at) })
 	for i := range all {
 		m := &all[i]
 		s.engines[m.to].At(m.at, m.fn)

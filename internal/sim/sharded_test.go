@@ -3,8 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // shardedRig wires a ping-pong workload over n shards: every shard
@@ -231,5 +233,146 @@ func TestEngineRunWindow(t *testing.T) {
 	e.RunWindow(100 * Microsecond)
 	if got := strings.Join(fired, ","); got != "a,b,c" {
 		t.Fatalf("fired %q, want a,b,c", got)
+	}
+}
+
+// TestShardedPoolGoroutinesExit pins the pool's lifetime: helpers
+// start inside Run and are gone once it returns, on the normal path
+// and on the ErrDeadlock path alike. A helper's last instructions run
+// just after Run stops waiting for it, so the count gets a bounded
+// moment to settle; a helper still parked on its channel never would.
+func TestShardedPoolGoroutinesExit(t *testing.T) {
+	settled := func(want int) int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			runtime.Gosched()
+		}
+		return got
+	}
+	before := runtime.NumGoroutine()
+	shardedRig(t, 5, 4, 50*Microsecond, Millisecond)
+	if got := settled(before); got > before {
+		t.Fatalf("goroutines after Run = %d, before = %d", got, before)
+	}
+	s := NewSharded(3, 50*Microsecond)
+	s.SetWorkers(3)
+	for i := 0; i < 3; i++ {
+		s.Shard(i).After(30*Microsecond, func() {})
+	}
+	if err := s.Run(Millisecond); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	if s.pool != nil {
+		t.Fatal("pool still attached after Run returned")
+	}
+	if got := settled(before); got > before {
+		t.Fatalf("goroutines after deadlocked Run = %d, before = %d", got, before)
+	}
+}
+
+// TestShardedRunTwiceMatchesSerial runs one engine to the horizon in
+// two Run calls — the pool is torn down and rebuilt in between — and
+// requires the same log as a single serial Run. The split lands on a
+// window boundary, so both schedules see the same windows.
+func TestShardedRunTwiceMatchesSerial(t *testing.T) {
+	const shards, horizon = 4, 2 * Millisecond
+	run := func(workers int, stops ...Time) []string {
+		s := NewSharded(shards, 50*Microsecond)
+		s.SetWorkers(workers)
+		logs := make([][]string, shards)
+		for i := 0; i < shards; i++ {
+			i := i
+			s.Shard(i).Every(23*Microsecond+Time(i)*Microsecond, func() {
+				logs[i] = append(logs[i], fmt.Sprintf("tick %v", s.Shard(i).Now()))
+				s.Post(i, (i+1)%shards, 60*Microsecond, func() {
+					to := (i + 1) % shards
+					logs[to] = append(logs[to], fmt.Sprintf("recv %d at %v", i, s.Shard(to).Now()))
+				})
+			})
+		}
+		for _, h := range stops {
+			if err := s.Run(h); err != nil {
+				t.Fatalf("run to %v: %v", h, err)
+			}
+		}
+		var out []string
+		for _, l := range logs {
+			out = append(out, l...)
+		}
+		return out
+	}
+	want := strings.Join(run(1, horizon), "\n")
+	if got := strings.Join(run(2, horizon/2, horizon), "\n"); got != want {
+		t.Fatal("two pooled Runs diverged from one serial Run")
+	}
+}
+
+// TestShardedWorkersMatchSerial covers pool widths at and beyond the
+// number of active shards: with two busy shards out of six, a pool of
+// 8 never has more than two shards to claim per window.
+func TestShardedWorkersMatchSerial(t *testing.T) {
+	const shards = 6
+	rig := func(workers int) (string, uint64) {
+		s := NewSharded(shards, 50*Microsecond)
+		s.SetWorkers(workers)
+		var b [shards]strings.Builder
+		for _, i := range []int{1, 4} {
+			i := i
+			s.Shard(i).Every(17*Microsecond, func() {
+				fmt.Fprintf(&b[i], "%d at %v\n", i, s.Shard(i).Now())
+				s.Post(i, 5-i, 50*Microsecond, func() {
+					fmt.Fprintf(&b[5-i], "%d from %d at %v\n", 5-i, i, s.Shard(5-i).Now())
+				})
+			})
+		}
+		if err := s.Run(Millisecond); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var all strings.Builder
+		for i := range b {
+			all.WriteString(b[i].String())
+		}
+		return all.String(), s.Fired()
+	}
+	base, baseFired := rig(1)
+	for _, workers := range []int{2, 4, 8} {
+		got, fired := rig(workers)
+		if got != base || fired != baseFired {
+			t.Fatalf("workers=%d diverged from serial (fired %d vs %d)", workers, fired, baseFired)
+		}
+	}
+	// The wide rig too: more shards than workers and vice versa.
+	serial, serialFired := shardedRig(t, 3, 1, 50*Microsecond, Millisecond)
+	for _, workers := range []int{2, 4, 8} {
+		got, fired := shardedRig(t, 3, workers, 50*Microsecond, Millisecond)
+		if got != serial || fired != serialFired {
+			t.Fatalf("3 shards, workers=%d diverged from serial", workers)
+		}
+	}
+}
+
+// TestShardedWindowAllocs pins the steady-state cost of a parallel
+// window at zero allocations: the helpers are already parked, the
+// active set and merge buffer are reused, and waking costs a channel
+// token, not a goroutine.
+func TestShardedWindowAllocs(t *testing.T) {
+	const lookahead = 50 * Microsecond
+	s := NewSharded(2, lookahead)
+	s.SetWorkers(2)
+	s.Shard(0).Every(lookahead/3, func() {})
+	s.Shard(1).Every(lookahead/4, func() {})
+	step := func() {
+		end := s.now + lookahead
+		s.runWindow(end)
+		s.now = end
+		s.barrier()
+	}
+	step() // start the pool and size the reused buffers
+	defer s.stopPool()
+	if s.pool == nil {
+		t.Fatal("two busy shards on two workers did not start the pool")
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("steady-state 2-worker window allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -1,13 +1,15 @@
 // Package trace records scheduling events from the hypervisor and
-// guest kernels into a bounded in-memory log, for debugging scenarios
-// and for rendering execution timelines (cmd/irstrace). Tracing is
-// optional: components emit events through the Recorder interface only
-// when one is attached.
+// guest kernels into a bounded in-memory ring of typed records, for
+// debugging scenarios and for rendering execution timelines
+// (cmd/irstrace). Tracing is optional: components record into a *Log
+// only when one is attached, and a record's detail text is rendered
+// only when the log is read.
 package trace
 
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/sim"
@@ -92,7 +94,7 @@ func ParseKinds(arg string) (map[Kind]bool, error) {
 	return m, nil
 }
 
-// Event is one recorded occurrence.
+// Event is one recorded occurrence, rendered for reading.
 type Event struct {
 	At      sim.Time
 	Kind    Kind
@@ -104,40 +106,168 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12s %-8s %-12s %s", e.At, e.Kind, e.Subject, e.Detail)
 }
 
-// Log is a bounded ring of events. The zero value is unbounded until
-// SetLimit is called; NewLog sets a limit up front.
+// shape selects how a record's operands render into Event.Detail.
+type shape uint8
+
+const (
+	shapeText       shape = iota // a
+	shapeTransition              // "a -> b"
+	shapeBlackout                // "blackout for n"
+	shapeSwitch                  // "run a (b)"
+	shapeAcked                   // "acked after n (a)"
+	shapeBlocked                 // "blocked on cpun"
+	shapeWoken                   // "woken on cpun"
+	shapeMigrate                 // "cpun -> cpum"
+)
+
+// record is one retained event in typed form: the subject and name
+// operands are strings the caller already holds (cached vCPU/pCPU/task
+// names, constant state and priority names), so recording copies
+// words and never formats.
+type record struct {
+	at      sim.Time
+	subject string
+	a, b    string // name operands
+	n       int64  // duration (ns) or CPU operand
+	m       int32  // second CPU operand
+	kind    uint8  // Kind, narrowed: every declared kind fits
+	shape   shape
+}
+
+// detail renders the record's operands as its Event.Detail text.
+func (r *record) detail() string {
+	switch r.shape {
+	case shapeTransition:
+		return r.a + " -> " + r.b
+	case shapeBlackout:
+		return "blackout for " + sim.Time(r.n).String()
+	case shapeSwitch:
+		return "run " + r.a + " (" + r.b + ")"
+	case shapeAcked:
+		return "acked after " + sim.Time(r.n).String() + " (" + r.a + ")"
+	case shapeBlocked:
+		return "blocked on cpu" + strconv.FormatInt(r.n, 10)
+	case shapeWoken:
+		return "woken on cpu" + strconv.FormatInt(r.n, 10)
+	case shapeMigrate:
+		return "cpu" + strconv.FormatInt(r.n, 10) + " -> cpu" + strconv.Itoa(int(r.m))
+	}
+	return r.a
+}
+
+func (r *record) event() Event {
+	return Event{At: r.at, Kind: Kind(r.kind), Subject: r.subject, Detail: r.detail()}
+}
+
+// Log is a fixed-capacity ring of typed records: once full, each new
+// record overwrites the oldest. Details are rendered only on read
+// (Events, Tail, Filter, Dump), so recording never formats. Storage
+// grows chunkLen records at a time up to the limit and is never
+// copied, so a log allocates about what it retains and, once full,
+// nothing at all. The zero value is unbounded; NewLog sets a limit up
+// front.
 type Log struct {
 	limit   int
-	events  []Event
+	chunks  [][]record // ring storage, slot p at chunks[p/chunkLen][p%chunkLen]
+	n       int        // retained records
+	head    int        // slot of the oldest record
 	dropped uint64
 }
+
+// chunkLen is the storage growth step, in records.
+const chunkLen = 256
 
 // NewLog creates a log keeping at most limit events (0 = unbounded).
 func NewLog(limit int) *Log {
 	return &Log{limit: limit}
 }
 
-// Record appends an event, evicting the oldest past the limit.
-func (l *Log) Record(at sim.Time, kind Kind, subject, detail string) {
-	l.events = append(l.events, Event{At: at, Kind: kind, Subject: subject, Detail: detail})
-	if l.limit > 0 && len(l.events) > l.limit {
-		over := len(l.events) - l.limit
-		l.events = l.events[over:]
-		l.dropped += uint64(over)
+func (l *Log) slot(p int) *record { return &l.chunks[p/chunkLen][p%chunkLen] }
+
+// push retains r, overwriting the oldest record once the ring is full.
+func (l *Log) push(r record) {
+	if l.limit <= 0 || l.n < l.limit {
+		if l.n == len(l.chunks)*chunkLen {
+			size := chunkLen
+			if l.limit > 0 && l.limit-l.n < size {
+				size = l.limit - l.n
+			}
+			l.chunks = append(l.chunks, make([]record, size))
+		}
+		*l.slot(l.n) = r
+		l.n++
+		return
 	}
+	*l.slot(l.head) = r
+	l.head++
+	if l.head == l.n {
+		l.head = 0
+	}
+	l.dropped++
 }
 
-// Recordf formats and records an event.
-func (l *Log) Recordf(at sim.Time, kind Kind, subject, format string, args ...any) {
-	l.Record(at, kind, subject, fmt.Sprintf(format, args...))
+// Record retains an event whose detail is already a fixed string.
+func (l *Log) Record(at sim.Time, kind Kind, subject, detail string) {
+	l.push(record{at: at, kind: uint8(kind), subject: subject, a: detail})
 }
 
-// Events returns a copy of the retained events in order. Copying keeps
-// callers insulated from later recording: the ring may evict or append
-// underneath a slice handed out earlier.
-func (l *Log) Events() []Event {
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
+// Transition records a vCPU runstate change: "from -> to".
+func (l *Log) Transition(at sim.Time, vcpu, from, to string) {
+	l.push(record{at: at, kind: uint8(KindVCPUState), shape: shapeTransition, subject: vcpu, a: from, b: to})
+}
+
+// Blackout records a vCPU pause: "blackout for dur".
+func (l *Log) Blackout(at sim.Time, vcpu string, dur sim.Time) {
+	l.push(record{at: at, kind: uint8(KindVCPUState), shape: shapeBlackout, subject: vcpu, n: int64(dur)})
+}
+
+// Switch records a pCPU context switch: "run vcpu (prio)".
+func (l *Log) Switch(at sim.Time, pcpu, vcpu, prio string) {
+	l.push(record{at: at, kind: uint8(KindSwitch), shape: shapeSwitch, subject: pcpu, a: vcpu, b: prio})
+}
+
+// SAAcked records a completed scheduler activation: "acked after delay
+// (disposition)".
+func (l *Log) SAAcked(at sim.Time, vcpu string, delay sim.Time, disposition string) {
+	l.push(record{at: at, kind: uint8(KindSA), shape: shapeAcked, subject: vcpu, n: int64(delay), a: disposition})
+}
+
+// TaskBlocked records a guest task blocking: "blocked on cpuN".
+func (l *Log) TaskBlocked(at sim.Time, task string, cpu int) {
+	l.push(record{at: at, kind: uint8(KindTask), shape: shapeBlocked, subject: task, n: int64(cpu)})
+}
+
+// TaskWoken records a guest task wakeup: "woken on cpuN".
+func (l *Log) TaskWoken(at sim.Time, task string, cpu int) {
+	l.push(record{at: at, kind: uint8(KindTask), shape: shapeWoken, subject: task, n: int64(cpu)})
+}
+
+// Migrate records a guest task migration: "cpuFROM -> cpuTO".
+func (l *Log) Migrate(at sim.Time, task string, from, to int) {
+	l.push(record{at: at, kind: uint8(KindMigrate), shape: shapeMigrate, subject: task, n: int64(from), m: int32(to)})
+}
+
+// rec returns the i-th oldest retained record.
+func (l *Log) rec(i int) *record {
+	p := l.head + i
+	if p >= l.n {
+		p -= l.n
+	}
+	return l.slot(p)
+}
+
+// Events renders the retained events in order. The result is the
+// caller's: later recording cannot reach it.
+func (l *Log) Events() []Event { return l.Tail(l.n) }
+
+// Tail renders the newest n retained events (all of them when fewer
+// are retained), oldest first.
+func (l *Log) Tail(n int) []Event {
+	n = min(max(n, 0), l.n)
+	out := make([]Event, n)
+	for i, off := 0, l.n-n; i < n; i++ {
+		out[i] = l.rec(off + i).event()
+	}
 	return out
 }
 
@@ -145,19 +275,20 @@ func (l *Log) Events() []Event {
 func (l *Log) Dropped() uint64 { return l.dropped }
 
 // Len returns the number of retained events.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int { return l.n }
 
 // Filter returns events matching kind (and subject, when non-empty).
 func (l *Log) Filter(kind Kind, subject string) []Event {
 	var out []Event
-	for _, e := range l.events {
-		if e.Kind != kind {
+	for i := 0; i < l.n; i++ {
+		r := l.rec(i)
+		if Kind(r.kind) != kind {
 			continue
 		}
-		if subject != "" && e.Subject != subject {
+		if subject != "" && r.subject != subject {
 			continue
 		}
-		out = append(out, e)
+		out = append(out, r.event())
 	}
 	return out
 }
@@ -165,11 +296,12 @@ func (l *Log) Filter(kind Kind, subject string) []Event {
 // Dump writes the retained events to w, optionally restricted to a
 // time window (to == 0 means no upper bound).
 func (l *Log) Dump(w io.Writer, from, to sim.Time) error {
-	for _, e := range l.events {
-		if e.At < from || (to > 0 && e.At > to) {
+	for i := 0; i < l.n; i++ {
+		r := l.rec(i)
+		if r.at < from || (to > 0 && r.at > to) {
 			continue
 		}
-		if _, err := fmt.Fprintln(w, e); err != nil {
+		if _, err := fmt.Fprintln(w, r.event()); err != nil {
 			return err
 		}
 	}
@@ -182,9 +314,11 @@ func (l *Log) Dump(w io.Writer, from, to sim.Time) error {
 
 // Summary aggregates event counts by kind.
 func (l *Log) Summary() string {
-	counts := map[Kind]int{}
-	for _, e := range l.events {
-		counts[e.Kind]++
+	var counts [KindNote + 1]int
+	for i := 0; i < l.n; i++ {
+		if k := Kind(l.rec(i).kind); k >= KindVCPUState && k <= KindNote {
+			counts[k]++
+		}
 	}
 	var b strings.Builder
 	for k := KindVCPUState; k <= KindNote; k++ {

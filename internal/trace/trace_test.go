@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 func TestRecordAndEvents(t *testing.T) {
 	l := NewLog(0)
 	l.Record(10, KindSA, "fg/v0", "sent")
-	l.Recordf(20, KindMigrate, "task-1", "cpu%d -> cpu%d", 0, 1)
+	l.Migrate(20, "task-1", 0, 1)
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
@@ -200,5 +202,198 @@ func TestEventString(t *testing.T) {
 	s := e.String()
 	if !strings.Contains(s, "5.000ms") || !strings.Contains(s, "sa") || !strings.Contains(s, "fg/v0") {
 		t.Fatalf("event string = %q", s)
+	}
+}
+
+// TestDetailPerRecordKind pins the exact rendered text of every typed
+// record: it must match what the hypervisor and guest used to format
+// with fmt, byte for byte, so rendered dumps and incident bundles keep
+// their text.
+func TestDetailPerRecordKind(t *testing.T) {
+	l := NewLog(0)
+	l.Record(1, KindSA, "fg/v0", "sent")
+	l.Transition(2, "fg/v0", "runnable", "running")
+	l.Blackout(3, "fg/v1", 250*sim.Millisecond)
+	l.Switch(4, "p2", "fg/v0", "BOOST")
+	l.SAAcked(5, "fg/v0", 20*sim.Microsecond, "runnable")
+	l.SAAcked(6, "fg/v0", 999, "blocked")
+	l.TaskBlocked(7, "t3", 1)
+	l.TaskWoken(8, "t3", 0)
+	l.Migrate(9, "t3", -1, 2)
+	l.Migrate(10, "t4", 3, 0)
+	want := []Event{
+		{1, KindSA, "fg/v0", "sent"},
+		{2, KindVCPUState, "fg/v0", "runnable -> running"},
+		{3, KindVCPUState, "fg/v1", "blackout for 250.000ms"},
+		{4, KindSwitch, "p2", "run fg/v0 (BOOST)"},
+		{5, KindSA, "fg/v0", "acked after 20.000µs (runnable)"},
+		{6, KindSA, "fg/v0", "acked after 999ns (blocked)"},
+		{7, KindTask, "t3", "blocked on cpu1"},
+		{8, KindTask, "t3", "woken on cpu0"},
+		{9, KindMigrate, "t3", "cpu-1 -> cpu2"},
+		{10, KindMigrate, "t4", "cpu3 -> cpu0"},
+	}
+	if got := l.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("events =\n%v\nwant\n%v", got, want)
+	}
+}
+
+// refLog is the append-and-evict log the typed ring replaced, kept as
+// the oracle: it formats every detail up front and reslices past the
+// limit.
+type refLog struct {
+	limit   int
+	events  []Event
+	dropped uint64
+}
+
+func (r *refLog) add(at sim.Time, kind Kind, subject, format string, args ...any) {
+	r.events = append(r.events, Event{At: at, Kind: kind, Subject: subject, Detail: fmt.Sprintf(format, args...)})
+	if r.limit > 0 && len(r.events) > r.limit {
+		over := len(r.events) - r.limit
+		r.events = r.events[over:]
+		r.dropped += uint64(over)
+	}
+}
+
+// stringer stands in for the hypervisor's state and priority enums,
+// which the old call sites handed to fmt's %s verb.
+type stringer string
+
+func (s stringer) String() string { return string(s) }
+
+// recordBoth appends the i-th event of a fixed rotation of every
+// record kind to the ring and to the reference.
+func recordBoth(l *Log, ref *refLog, i int) {
+	at := sim.Time(i) * 7 * sim.Microsecond
+	subj := fmt.Sprintf("s%d", i%3)
+	switch i % 8 {
+	case 0:
+		l.Record(at, KindSA, subj, "sent")
+		ref.add(at, KindSA, subj, "sent")
+	case 1:
+		l.Transition(at, subj, "running", "blocked")
+		ref.add(at, KindVCPUState, subj, "%s -> %s", stringer("running"), stringer("blocked"))
+	case 2:
+		l.Blackout(at, subj, sim.Time(i)*sim.Millisecond)
+		ref.add(at, KindVCPUState, subj, "blackout for %s", sim.Time(i)*sim.Millisecond)
+	case 3:
+		l.Switch(at, "p1", subj, "UNDER")
+		ref.add(at, KindSwitch, "p1", "run %s (%s)", subj, stringer("UNDER"))
+	case 4:
+		l.SAAcked(at, subj, sim.Time(i)*sim.Microsecond, "runnable")
+		ref.add(at, KindSA, subj, "acked after %s (%s)", sim.Time(i)*sim.Microsecond, stringer("runnable"))
+	case 5:
+		l.TaskBlocked(at, subj, i%4)
+		ref.add(at, KindTask, subj, "blocked on cpu%d", i%4)
+	case 6:
+		l.TaskWoken(at, subj, i%5)
+		ref.add(at, KindTask, subj, "woken on cpu%d", i%5)
+	case 7:
+		l.Migrate(at, subj, i%3-1, i%4)
+		ref.add(at, KindMigrate, subj, "cpu%d -> cpu%d", i%3-1, i%4)
+	}
+}
+
+// TestRingMatchesAppendEvictLog drives the ring and the reference log
+// through the same stream at limits above, at, and far below the event
+// count (many wraparounds), and compares every read view.
+func TestRingMatchesAppendEvictLog(t *testing.T) {
+	cases := []struct{ limit, n int }{
+		{0, 0}, {0, 37}, {1, 5}, {3, 3}, {3, 4}, {5, 23}, {8, 64}, {16, 15}, {64, 1000},
+		// Limits spanning several storage chunks, one not a multiple
+		// of the chunk length, and an unbounded log past one chunk.
+		{300, 299}, {300, 1000}, {2 * chunkLen, 5 * chunkLen}, {0, chunkLen + 1},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("limit%d_n%d", tc.limit, tc.n), func(t *testing.T) {
+			l, ref := NewLog(tc.limit), &refLog{limit: tc.limit}
+			for i := 0; i < tc.n; i++ {
+				recordBoth(l, ref, i)
+			}
+			if l.Len() != len(ref.events) || l.Dropped() != ref.dropped {
+				t.Fatalf("len/dropped = %d/%d, want %d/%d", l.Len(), l.Dropped(), len(ref.events), ref.dropped)
+			}
+			if got := l.Events(); !reflect.DeepEqual(got, append([]Event{}, ref.events...)) {
+				t.Fatalf("events =\n%v\nwant\n%v", got, ref.events)
+			}
+			for _, n := range []int{-1, 0, 1, 2, tc.limit, tc.n + 1} {
+				want := ref.events
+				if n < 0 {
+					want = want[:0]
+				} else if n < len(want) {
+					want = want[len(want)-n:]
+				}
+				if got := l.Tail(n); !reflect.DeepEqual(got, append([]Event{}, want...)) {
+					t.Fatalf("Tail(%d) =\n%v\nwant\n%v", n, got, want)
+				}
+			}
+			for k := KindVCPUState; k <= KindNote; k++ {
+				for _, subj := range []string{"", "s1", "p1"} {
+					var want []Event
+					for _, e := range ref.events {
+						if e.Kind == k && (subj == "" || e.Subject == subj) {
+							want = append(want, e)
+						}
+					}
+					if got := l.Filter(k, subj); !reflect.DeepEqual(got, want) {
+						t.Fatalf("Filter(%v, %q) =\n%v\nwant\n%v", k, subj, got, want)
+					}
+				}
+			}
+			wantSum := map[Kind]int{}
+			for _, e := range ref.events {
+				wantSum[e.Kind]++
+			}
+			var sb strings.Builder
+			for k := KindVCPUState; k <= KindNote; k++ {
+				if wantSum[k] > 0 {
+					fmt.Fprintf(&sb, "%s=%d ", k, wantSum[k])
+				}
+			}
+			if got := l.Summary(); got != strings.TrimSpace(sb.String()) {
+				t.Fatalf("Summary = %q, want %q", got, strings.TrimSpace(sb.String()))
+			}
+			from, to := 35*sim.Microsecond, sim.Time(tc.n)*5*sim.Microsecond
+			var wantDump strings.Builder
+			for _, e := range ref.events {
+				if e.At >= from && (to == 0 || e.At <= to) {
+					fmt.Fprintln(&wantDump, e)
+				}
+			}
+			if ref.dropped > 0 {
+				fmt.Fprintf(&wantDump, "(%d earlier events dropped)\n", ref.dropped)
+			}
+			var dump strings.Builder
+			if err := l.Dump(&dump, from, to); err != nil {
+				t.Fatal(err)
+			}
+			if dump.String() != wantDump.String() {
+				t.Fatalf("Dump =\n%s\nwant\n%s", dump.String(), wantDump.String())
+			}
+		})
+	}
+}
+
+// TestRecordAllocsNothing pins the recording side at zero allocations
+// once the ring has grown to its limit: every record method copies
+// operands into a slot and formats nothing.
+func TestRecordAllocsNothing(t *testing.T) {
+	l := NewLog(16)
+	for i := 0; i < 16; i++ {
+		l.Record(0, KindNote, "warm", "")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		l.Record(1, KindSA, "fg/v0", "sent")
+		l.Transition(2, "fg/v0", "runnable", "running")
+		l.Blackout(3, "fg/v0", sim.Millisecond)
+		l.Switch(4, "p0", "fg/v0", "UNDER")
+		l.SAAcked(5, "fg/v0", sim.Microsecond, "runnable")
+		l.TaskBlocked(6, "t0", 1)
+		l.TaskWoken(7, "t0", 1)
+		l.Migrate(8, "t0", 0, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("recording allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -60,8 +60,8 @@ type Incident struct {
 	Rankings []RankedAggressor `json:"rankings,omitempty"`
 	Triples  []AggressorScore  `json:"triples,omitempty"`
 
-	Series []SeriesDump `json:"series,omitempty"`
-	Hosts  []HostEvents `json:"hosts,omitempty"`
+	Series []SeriesDump  `json:"series,omitempty"`
+	Hosts  []HostEvents  `json:"hosts,omitempty"`
 	Spans  []SpanSummary `json:"spans,omitempty"`
 
 	// spans kept aside for the Chrome-trace dump.
@@ -219,12 +219,8 @@ func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from
 	}
 
 	for _, h := range rec.hosts {
-		events := h.log.Events()
-		if len(events) > hostEventCount {
-			events = events[len(events)-hostEventCount:]
-		}
 		he := HostEvents{Host: h.name, Dropped: h.log.Dropped()}
-		for _, e := range events {
+		for _, e := range h.log.Tail(hostEventCount) {
 			he.Events = append(he.Events, e.String())
 		}
 		inc.Hosts = append(inc.Hosts, he)

@@ -242,6 +242,13 @@ func (st *Store) SketchSeries(names ...string) {
 // Observe folds a point into the series for (name, labels), creating
 // it on first use.
 func (st *Store) Observe(name string, l obs.Labels, at sim.Time, v float64) {
+	st.Resolve(name, l).Observe(at, v)
+}
+
+// Resolve returns the series for (name, labels), creating it on first
+// use. A feed that observes one identity over and over keeps the
+// result and calls Series.Observe, skipping the key build per point.
+func (st *Store) Resolve(name string, l obs.Labels) *Series {
 	key := name + l.String()
 	e := st.entries[key]
 	if e == nil {
@@ -252,7 +259,7 @@ func (st *Store) Observe(name string, l obs.Labels, at sim.Time, v float64) {
 		e = &storeEntry{name: name, labels: l, series: NewSeries(st.interval, st.depth, alpha)}
 		st.entries[key] = e
 	}
-	e.series.Observe(at, v)
+	return e.series
 }
 
 // Attach subscribes the store to a sampler: every sampled point is

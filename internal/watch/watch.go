@@ -196,7 +196,23 @@ func (w *Watcher) AddOccupancy(at sim.Time, host, vm, pcpu string, dur sim.Time)
 	if w == nil || dur <= 0 {
 		return
 	}
-	w.store.Observe(SeriesOcc, obs.Labels{Sub: host, VM: vm, CPU: pcpu}, signalTime(at), float64(dur))
+	ObserveOccupancy(w.OccupancySeries(host, vm, pcpu), at, dur)
+}
+
+// OccupancySeries resolves the SeriesOcc series of one (host, VM,
+// pCPU) triple, creating it on first use. A feed that pushes the same
+// triple every window caches the result and calls ObserveOccupancy.
+// Resolve only for a positive interval, as AddOccupancy does, so the
+// store holds no series that never saw a point.
+func (w *Watcher) OccupancySeries(host, vm, pcpu string) *Series {
+	return w.store.Resolve(SeriesOcc, obs.Labels{Sub: host, VM: vm, CPU: pcpu})
+}
+
+// ObserveOccupancy rolls one occupancy interval (dur, ending at at)
+// into a series from OccupancySeries, shifted into the window it
+// accrued in like every other accounting flush.
+func ObserveOccupancy(s *Series, at, dur sim.Time) {
+	s.Observe(signalTime(at), float64(dur))
 }
 
 // AttributeAt runs the attribution engine over the trailing window
