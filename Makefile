@@ -13,7 +13,7 @@ BENCH_SNAPSHOT ?= BENCH_7.json
 
 .PHONY: check build vet test race bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 
-check: build vet race examples blame watch attack scale scale-sweep why
+check: build vet race examples blame watch attack scale scale-sweep why report
 
 build:
 	$(GO) build ./...
@@ -70,7 +70,9 @@ blame:
 watch:
 	$(GO) run ./cmd/irswatch -scenario bully -expect-top bully -dump incident
 
-# Telemetry smoke run: summary + all three exports for vanilla vs IRS.
+# Telemetry smoke run: the registry/sampler/trace summary for vanilla
+# vs IRS (add -prom/-csv/-tracejson <file|-> for the exports; CI runs
+# all three).
 report:
 	$(GO) run ./cmd/irsreport -bench streamcluster -strategy vanilla,irs -inter 1
 

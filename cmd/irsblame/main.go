@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *csvPath != "" {
-		err := writeFileWith(*csvPath, func(w io.Writer) error {
+		err := obs.WriteFile(*csvPath, stdout, func(w io.Writer) error {
 			return obs.WriteCSVTable(w, blameCSVHeader(), csvRows)
 		})
 		if err != nil {
@@ -87,17 +87,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
+		err := obs.WriteFile(*perfetto, stdout, func(w io.Writer) error {
+			return span.WriteChromeSpans(w, sets)
+		})
 		if err != nil {
 			fmt.Fprintf(stderr, "irsblame: %v\n", err)
-			return 1
-		}
-		werr := span.WriteChromeSpans(f, sets)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "irsblame: %v\n", werr)
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote perfetto span trace to %s (open in ui.perfetto.dev)\n", *perfetto)
@@ -200,17 +194,4 @@ func blameCSVRows(strategy string, an *span.Analysis) [][]string {
 		}
 	}
 	return rows
-}
-
-// writeFileWith streams fn's output into a freshly created file.
-func writeFileWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := fn(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }

@@ -207,33 +207,21 @@ func report(stdout, stderr io.Writer, bench workload.Benchmark, benchName string
 		{csvPath, "csv", func(w io.Writer) error { return obs.WriteCSV(w, cluster.Sampler) }},
 		{traceJSON, "chrome-trace", func(w io.Writer) error { return obs.WriteChromeTrace(w, log, at, at+window) }},
 	} {
-		if exp.path == "" {
-			continue
-		}
-		if exp.path == "-" {
-			fmt.Fprintf(stdout, "--- %s (%s) ---\n", exp.label, strat)
-			if err := exp.write(stdout); err != nil {
-				return err
-			}
-			continue
-		}
 		path := exp.path
-		if multi {
+		switch {
+		case path == "":
+			continue
+		case path == "-":
+			fmt.Fprintf(stdout, "--- %s (%s) ---\n", exp.label, strat)
+		case multi:
 			path = insertSuffix(path, strat.String())
 		}
-		f, err := os.Create(path)
-		if err != nil {
+		if err := obs.WriteFile(path, stdout, exp.write); err != nil {
 			return err
 		}
-		werr := exp.write(f)
-		cerr := f.Close()
-		if werr != nil {
-			return werr
+		if path != "-" {
+			fmt.Fprintf(stderr, "irsreport: wrote %s to %s\n", exp.label, path)
 		}
-		if cerr != nil {
-			return cerr
-		}
-		fmt.Fprintf(stderr, "irsreport: wrote %s to %s\n", exp.label, path)
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/watch"
 )
@@ -123,26 +124,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 func dumpIncident(inc *watch.Incident, prefix string, stdout io.Writer) error {
 	jsonPath := prefix + ".json"
 	tracePath := prefix + ".trace.json"
-	if err := writeWith(jsonPath, inc.WriteJSON); err != nil {
+	if err := obs.WriteFile(jsonPath, stdout, inc.WriteJSON); err != nil {
 		return err
 	}
-	if err := writeWith(tracePath, inc.WriteTrace); err != nil {
+	if err := obs.WriteFile(tracePath, stdout, inc.WriteTrace); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote incident bundle to %s and %s (open the trace in ui.perfetto.dev)\n",
 		jsonPath, tracePath)
 	return nil
-}
-
-// writeWith streams fn's output into a freshly created file.
-func writeWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := fn(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }

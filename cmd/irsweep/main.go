@@ -29,7 +29,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -369,5 +369,5 @@ func sweepPoint(bench workload.Benchmark, mode workload.SyncMode, strat core.Str
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 	}
-	return metrics.Summarize(rts).Mean, nil
+	return obs.Summarize(rts).Mean, nil
 }

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/decision"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -156,27 +157,12 @@ func printRecs(w io.Writer, recs []decision.Record, limit int) {
 
 // export writes one artifact to path ('-' = stdout).
 func export(path string, stdout io.Writer, stderr io.Writer, write func(io.Writer) error) int {
-	if path == "-" {
-		if err := write(stdout); err != nil {
-			fmt.Fprintf(stderr, "irswhy: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := obs.WriteFile(path, stdout, write); err != nil {
 		fmt.Fprintf(stderr, "irswhy: %v\n", err)
 		return 1
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintf(stderr, "irswhy: %v\n", err)
-		return 1
+	if path != "-" {
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(stderr, "irswhy: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return 0
 }

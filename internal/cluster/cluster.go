@@ -36,7 +36,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/span"
@@ -583,7 +582,7 @@ func New(cfg Config) (*Cluster, error) {
 		lookahead:   cfg.Lookahead,
 		arrivalRNG:  sim.NewRNG(cfg.Seed ^ 0xc1a57e12),
 		blackoutRNG: sim.NewRNG(cfg.Seed ^ 0xb1ac0a7e),
-		stats:       &workload.ServerStats{Latency: &metrics.Reservoir{}},
+		stats:       &workload.ServerStats{Latency: &obs.Histogram{}},
 	}
 
 	if cfg.Watch != nil {
@@ -762,7 +761,7 @@ func New(cfg Config) (*Cluster, error) {
 
 // drain runs at every barrier, before due barrier tasks: it folds each
 // host's outbox into the control plane in host order — served requests
-// into the latency reservoir, SLO signal, and router bookkeeping;
+// into the latency histogram, SLO signal, and router bookkeeping;
 // occupancy intervals and invariant trips into the watchdog; finished
 // spans into the minting tracer. Host order then host-local completion
 // order is the canonical merge key, so the result is independent of
@@ -935,7 +934,7 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 			Service: cfg.Service,
 		}
 		// Each instance gets private stats (ignored); the cluster-level
-		// reservoir is fed from the served records at barrier drains so
+		// histogram is fed from the served records at barrier drains so
 		// its insertion order cannot depend on the worker pool.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
 		gate.OnServed = func(lat sim.Time) {
@@ -1066,7 +1065,7 @@ func (c *Cluster) Zones() int { return len(c.zones) }
 func (c *Cluster) ZoneCordoned(zi int) bool { return c.zones[zi].cordoned }
 
 // Stats exposes the cluster-level server statistics (latency
-// reservoir), fed at barrier drains.
+// histogram), fed at barrier drains.
 func (c *Cluster) Stats() *workload.ServerStats { return c.stats }
 
 // AuditInvariants implements invariant.Source: no logical VM may be

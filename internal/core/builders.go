@@ -2,7 +2,7 @@ package core
 
 import (
 	"repro/internal/guest"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -128,7 +128,7 @@ func MeanRuntime(scn Scenario, fgVM string, runs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return metrics.Summarize(rts).Mean, nil
+	return obs.Summarize(rts).Mean, nil
 }
 
 // Utilization returns the VM's CPU consumption relative to a fair

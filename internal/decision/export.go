@@ -6,7 +6,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/obs"
 )
 
 // Exports. The JSON bundle is the machine-readable artifact CI
@@ -77,36 +77,14 @@ func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
 	return enc.Encode(bundle)
 }
 
-// Chrome Trace Event Format types, as in span/export.go.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Cat  string            `json:"cat,omitempty"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
-
 // WriteChromeTrace renders the records as Perfetto instant events: one
 // process ("decisions"), one thread track per chooser in first-
 // appearance order, each decision a thread-scoped instant at its
 // virtual time carrying kind/subject/winner/detail args.
 func WriteChromeTrace(w io.Writer, recs []Record) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	const pid = 1
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]string{"name": "decisions"},
-	})
+	out := obs.NewChromeTrace(w)
+	out.Emit(obs.ProcessName(pid, "decisions"))
 	tids := map[string]int{}
 	for i := range recs {
 		r := &recs[i]
@@ -114,10 +92,7 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		if !ok {
 			tid = len(tids) + 1
 			tids[r.Chooser] = tid
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": r.Chooser},
-			})
+			out.Emit(obs.ThreadName(pid, tid, r.Chooser))
 		}
 		args := map[string]string{
 			"subject": r.Subject,
@@ -128,11 +103,11 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		if m, ok := r.Margin(); ok {
 			args["margin"] = fmt.Sprintf("%.3f", m)
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.Emit(obs.ChromeEvent{
 			Name: fmt.Sprintf("%s %s", r.Kind, r.Subject),
-			Ph:   "i", Ts: usec(r.At), Pid: pid, Tid: tid,
+			Ph:   "i", Ts: obs.Usec(r.At), Pid: pid, Tid: tid,
 			Cat: r.Kind.String(), S: "t", Args: args,
 		})
 	}
-	return json.NewEncoder(w).Encode(out)
+	return out.Close()
 }

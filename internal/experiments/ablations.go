@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,11 +37,11 @@ func ablationIRSPull(h *harness) Table {
 			push = append(push, pullPointJob(h, bench, core.StrategyIRS, false, lvl, seed))
 			pull = append(pull, pullPointJob(h, bench, core.StrategyIRS, true, lvl, seed))
 		}
-		v := metrics.Summarize(van).Mean
+		v := obs.Summarize(van).Mean
 		rows = append(rows, []string{
 			fmt.Sprintf("%d-inter", lvl),
-			pct(metrics.Improvement(v, metrics.Summarize(push).Mean)),
-			pct(metrics.Improvement(v, metrics.Summarize(pull).Mean)),
+			pct(Improvement(v, obs.Summarize(push).Mean)),
+			pct(Improvement(v, obs.Summarize(pull).Mean)),
 		})
 	}
 	return Table{
@@ -115,7 +115,7 @@ func ablationSALimit(h *harness) Table {
 		})
 		rows = append(rows, []string{
 			lim.String(),
-			pct(metrics.Improvement(base, out.rt)),
+			pct(Improvement(base, out.rt)),
 			fmt.Sprintf("%.0f%%", out.expired*100),
 		})
 	}
@@ -140,7 +140,7 @@ func salimitPoint(opt Options, bench workload.Benchmark, _ sim.Time, _ int) floa
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 	}
-	return metrics.Summarize(rts).Mean
+	return obs.Summarize(rts).Mean
 }
 
 func salimitPointIRS(opt Options, bench workload.Benchmark, limit sim.Time) (float64, float64) {
@@ -161,7 +161,7 @@ func salimitPointIRS(opt Options, bench workload.Benchmark, limit sim.Time) (flo
 			exp = append(exp, float64(res.SAExpired)/float64(res.SASent))
 		}
 	}
-	return metrics.Summarize(rts).Mean, metrics.Summarize(exp).Mean
+	return obs.Summarize(rts).Mean, obs.Summarize(exp).Mean
 }
 
 // AblationTicketLock compares TAS and ticket spinlocks for a
@@ -237,7 +237,7 @@ func ticketPoint(opt Options, spec workload.ParallelSpec, ticket bool, inter int
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 	}
-	return metrics.Summarize(rts).Mean
+	return obs.Summarize(rts).Mean
 }
 
 // AblationSpinBlock sweeps the adaptive pre-sleep spin budget of
@@ -255,7 +255,7 @@ func ablationSpinBlock(h *harness) Table {
 			b.String(),
 			fmt.Sprintf("%.2fs", van),
 			fmt.Sprintf("%.2fs", ple),
-			pct(metrics.Improvement(van, ple)),
+			pct(Improvement(van, ple)),
 		})
 	}
 	return Table{
@@ -290,7 +290,7 @@ func spinBlockPoint(opt Options, bench workload.Benchmark, strat core.Strategy, 
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 	}
-	return metrics.Summarize(rts).Mean
+	return obs.Summarize(rts).Mean
 }
 
 // AblationStrictCo contrasts ESX 2.x-style strict co-scheduling (§2.1)
@@ -321,8 +321,8 @@ func ablationStrictCo(h *harness) Table {
 			fmt.Sprintf("%.2fs", van),
 			fmt.Sprintf("%.2fs", co),
 			fmt.Sprintf("%.2fs", irs),
-			pct(metrics.Improvement(van, co)),
-			pct(metrics.Improvement(van, irs)),
+			pct(Improvement(van, co)),
+			pct(Improvement(van, irs)),
 		})
 	}
 	return Table{
@@ -356,5 +356,5 @@ func strictPoint(opt Options, bench workload.Benchmark, mode workload.SyncMode, 
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 	}
-	return metrics.Summarize(rts).Mean
+	return obs.Summarize(rts).Mean
 }

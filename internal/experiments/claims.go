@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -217,8 +216,8 @@ func Claims() []Claim {
 				jbb, _ := serverSpecs()
 				vanT, vanL := serverPointJob(h, jbb, core.StrategyVanilla, 2, 0)
 				irsT, irsL := serverPointJob(h, jbb, core.StrategyIRS, 2, 0)
-				latImp := metrics.Improvement(vanL, irsL)
-				thrImp := metrics.ThroughputImprovement(vanT, irsT)
+				latImp := Improvement(vanL, irsL)
+				thrImp := ThroughputImprovement(vanT, irsT)
 				return fmt.Sprintf("latency %.0f%%, throughput %.0f%%", latImp, thrImp),
 					latImp >= 10 && thrImp >= 5
 			},

@@ -11,7 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -277,11 +277,11 @@ func (h *harness) measure(s setup) point {
 	}
 	p := point{err: firstErr}
 	if len(fg) > 0 {
-		p.fgRuntime = metrics.Summarize(fg).Mean
+		p.fgRuntime = obs.Summarize(fg).Mean
 		p.err = nil
 	}
 	if len(bg) > 0 {
-		p.bgRuntime = metrics.Summarize(bg).Mean
+		p.bgRuntime = obs.Summarize(bg).Mean
 	}
 	h.cache[k] = p
 	h.opt.Logf("measured %s: fg=%.3fs bg=%.3fs err=%v", k, p.fgRuntime, p.bgRuntime, p.err)
@@ -299,7 +299,7 @@ func (h *harness) improvement(s setup, strat core.Strategy) float64 {
 	if vb.err != nil || vm.err != nil || vb.fgRuntime == 0 || vm.fgRuntime == 0 {
 		return 0
 	}
-	return metrics.Improvement(vb.fgRuntime, vm.fgRuntime)
+	return Improvement(vb.fgRuntime, vm.fgRuntime)
 }
 
 // weightedSpeedup returns the paper's §5.4 metric for a setup with a
@@ -313,15 +313,47 @@ func (h *harness) weightedSpeedup(s setup, strat core.Strategy) float64 {
 	if vb.err != nil || vm.err != nil || vm.fgRuntime == 0 || vb.fgRuntime == 0 {
 		return 0
 	}
-	fgSp := metrics.Speedup(vb.fgRuntime, vm.fgRuntime)
+	fgSp := Speedup(vb.fgRuntime, vm.fgRuntime)
 	bgSp := 1.0
 	if vb.bgRuntime > 0 && vm.bgRuntime > 0 {
-		bgSp = metrics.Speedup(vb.bgRuntime, vm.bgRuntime)
+		bgSp = Speedup(vb.bgRuntime, vm.bgRuntime)
 	}
-	return metrics.WeightedSpeedup(fgSp, bgSp)
+	return WeightedSpeedup(fgSp, bgSp)
 }
 
 func pct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }
+
+// Improvement returns the percentage improvement of measured over
+// baseline for a lower-is-better metric (runtime, latency): positive
+// means measured is faster.
+func Improvement(baseline, measured float64) float64 {
+	if baseline == 0 {
+		return 0
+	}
+	return (baseline - measured) / baseline * 100
+}
+
+// ThroughputImprovement returns the percentage improvement for a
+// higher-is-better metric.
+func ThroughputImprovement(baseline, measured float64) float64 {
+	if baseline == 0 {
+		return 0
+	}
+	return (measured - baseline) / baseline * 100
+}
+
+// Speedup returns baseline/measured for lower-is-better metrics
+// (performance normalized to vanilla, as in §5.4).
+func Speedup(baseline, measured float64) float64 {
+	if measured == 0 {
+		return 0
+	}
+	return baseline / measured
+}
+
+// WeightedSpeedup is the paper's system-efficiency metric: the average
+// of the foreground and background speedups (§5.4).
+func WeightedSpeedup(fg, bg float64) float64 { return (fg + bg) / 2 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -111,7 +111,7 @@ func migrationLatency(opt Options, nVMs int) sim.Time {
 	task := kern.Tasks()[0]
 	task.Affinity = kern.CPU(0)
 	kern.Start()
-	res := &metrics.Reservoir{}
+	res := &obs.Histogram{}
 	rng := sim.NewRNG(opt.Seed ^ 0xf191b)
 	probes := 0
 	var probe, waitPreempted func()

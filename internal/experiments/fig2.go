@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -60,7 +60,7 @@ func fig2(h *harness) Table {
 		if len(utils) == 0 {
 			return
 		}
-		rows = append(rows, []string{name, f2(metrics.Summarize(utils).Mean)})
+		rows = append(rows, []string{name, f2(obs.Summarize(utils).Mean)})
 	}
 
 	for _, n := range parsecNames {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -106,8 +106,8 @@ func fig8(h *harness) Table {
 			irsT, irsL := serverPointJob(h, c.spec, core.StrategyIRS, inter, c.pctl)
 			rows = append(rows, []string{
 				c.tag, fmt.Sprintf("%d-inter", inter),
-				pct(metrics.ThroughputImprovement(vanT, irsT)),
-				pct(metrics.Improvement(vanL, irsL)),
+				pct(ThroughputImprovement(vanT, irsT)),
+				pct(Improvement(vanL, irsL)),
 			})
 		}
 	}
@@ -165,5 +165,5 @@ func serverPoint(opt Options, spec workload.ServerSpec, strat core.Strategy, int
 			lat = append(lat, st.Latency.Mean().Seconds())
 		}
 	}
-	return metrics.Summarize(thr).Mean, metrics.Summarize(lat).Mean
+	return obs.Summarize(thr).Mean, obs.Summarize(lat).Mean
 }

@@ -169,7 +169,7 @@ func (m *migrator) migrate(item migrItem) {
 		return
 	}
 	k := m.kern
-	k.mMigrLatency.Observe(k.Now() - submitted)
+	k.mMigrLatency.Add(k.Now() - submitted)
 	src := t.homeCPU
 	var idle, leastLoaded *CPU
 	for _, c := range k.cpus {

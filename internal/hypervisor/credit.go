@@ -223,7 +223,7 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	if v.state == StateRunnable {
 		// Wait between losing (or first wanting) the pCPU and running
 		// again: the paper's preemption/scheduling delay (§2.2).
-		v.VM.mPreemptWait.Observe(now - v.stateSince)
+		v.VM.mPreemptWait.Add(now - v.stateSince)
 	}
 	p.idleTotal += now - p.idleSince
 	p.current = v
@@ -427,7 +427,7 @@ func (h *Hypervisor) completeSA(v *VCPU, disposition RunState) {
 		h.saDelayMax = delay
 	}
 	v.VM.mSAAcked.Inc()
-	v.VM.mSAAck.Observe(delay)
+	v.VM.mSAAck.Add(delay)
 	h.eng.Cancel(v.saDeadline)
 	v.saDeadline = sim.EventRef{}
 	v.saPending = false

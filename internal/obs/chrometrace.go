@@ -1,26 +1,27 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Chrome trace_viewer / Perfetto export. The trace.Log's rendered
-// events are lowered into the Trace Event Format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// vCPU runstate transitions become B/E duration slices on a per-vCPU
-// track, everything else becomes instant events, and metadata events
-// name the tracks. The output loads directly in chrome://tracing and
+// Chrome trace_viewer / Perfetto export, in the Trace Event Format
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
+// ChromeEvent and ChromeTrace are the one emitter every trace export
+// shares (runstate timelines here, request spans in span,
+// decisions in decision); each exporter keeps only its own mapping
+// onto events. The output loads directly in chrome://tracing and
 // ui.perfetto.dev.
 
-// chromeEvent is one entry of the traceEvents array. Timestamps are in
+// ChromeEvent is one entry of the traceEvents array. Timestamps are in
 // microseconds, the unit the trace viewer expects.
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string            `json:"name"`
 	Ph   string            `json:"ph"`
 	Ts   float64           `json:"ts"`
@@ -31,113 +32,128 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// Usec converts virtual time to a trace timestamp in microseconds.
+func Usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
+
+// ProcessName is the metadata event naming process pid's track group.
+func ProcessName(pid int, name string) ChromeEvent {
+	return ChromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]string{"name": name}}
 }
 
-// simPid is the single synthetic process all tracks live under.
+// ThreadName is the metadata event naming thread track tid of pid.
+func ThreadName(pid, tid int, name string) ChromeEvent {
+	return ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]string{"name": name}}
+}
+
+// ChromeTrace streams one Chrome trace JSON document, event by event,
+// so an export never holds its whole event list in memory. The bytes
+// are encoding/json's rendering of
+// {"traceEvents":[...],"displayTimeUnit":"ms"}, HTML escaping included.
+type ChromeTrace struct {
+	w   *bufio.Writer
+	buf bytes.Buffer
+	enc *json.Encoder
+	ev  ChromeEvent // staging copy, so encoding does not box each event
+	sep byte
+	err error
+}
+
+// NewChromeTrace starts a Chrome trace document on w; Close ends it.
+func NewChromeTrace(w io.Writer) *ChromeTrace {
+	t := &ChromeTrace{w: bufio.NewWriter(w), sep: '['}
+	t.enc = json.NewEncoder(&t.buf)
+	t.w.WriteString(`{"traceEvents":`)
+	return t
+}
+
+// Emit appends one event to the document.
+func (t *ChromeTrace) Emit(e ChromeEvent) {
+	if t.err != nil {
+		return
+	}
+	t.buf.Reset()
+	t.buf.WriteByte(t.sep)
+	t.sep = ','
+	t.ev = e
+	if t.err = t.enc.Encode(&t.ev); t.err == nil {
+		// Encode ends each value with a newline; array elements have none.
+		_, t.err = t.w.Write(t.buf.Bytes()[:t.buf.Len()-1])
+	}
+}
+
+// Close ends and flushes the document, returning the first error.
+func (t *ChromeTrace) Close() error {
+	if t.err != nil {
+		return t.err
+	}
+	if t.sep == '[' {
+		t.w.WriteByte('[')
+	}
+	t.w.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
+	return t.w.Flush()
+}
+
+// simPid is the single synthetic process all runstate tracks live under.
 const simPid = 1
 
-func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
-
-// WriteChromeTrace converts the events of log that fall inside
+// WriteChromeTrace converts the records of log that fall inside
 // [from, to] (to == 0 means no upper bound) to Chrome trace JSON.
+// Runstate transitions become B/E duration slices on a per-subject
+// track; every other record, blackouts included, becomes an instant
+// event carrying its rendered detail.
 func WriteChromeTrace(w io.Writer, log *trace.Log, from, to sim.Time) error {
-	var events []trace.Event
-	for _, e := range log.Events() {
-		if e.At < from || (to > 0 && e.At > to) {
-			continue
-		}
-		events = append(events, e)
-	}
+	entries := log.Window(from, to)
 
 	// Stable thread ids: one track per subject, ordered by name.
-	subjects := map[string]int{}
-	for _, e := range events {
-		subjects[e.Subject] = 0
+	tids := map[string]int{}
+	for _, e := range entries {
+		tids[e.Subject()] = 0
 	}
-	names := make([]string, 0, len(subjects))
-	for s := range subjects {
+	names := make([]string, 0, len(tids))
+	for s := range tids {
 		names = append(names, s)
 	}
 	sort.Strings(names)
+	out := NewChromeTrace(w)
+	out.Emit(ProcessName(simPid, "irs-sim"))
 	for i, s := range names {
-		subjects[s] = i + 1
+		tids[s] = i + 1
+		out.Emit(ThreadName(simPid, i+1, s))
 	}
 
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: simPid,
-		Args: map[string]string{"name": "irs-sim"},
-	})
-	for _, s := range names {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: simPid, Tid: subjects[s],
-			Args: map[string]string{"name": s},
-		})
-	}
-
-	// open tracks which vCPU subjects currently have a B slice pending.
+	// open tracks which subjects currently have a B slice pending.
 	open := map[string]string{}
 	end := to
-	for _, e := range events {
-		if end < e.At {
-			end = e.At
+	for _, e := range entries {
+		at, subject := e.At(), e.Subject()
+		end = max(end, at)
+		tid := tids[subject]
+		prev, next, ok := e.Transition()
+		if !ok {
+			ev := e.Event()
+			out.Emit(ChromeEvent{
+				Name: ev.Kind.String(), Ph: "i", Ts: Usec(at), Pid: simPid, Tid: tid,
+				Cat: ev.Kind.String(), S: "t",
+				Args: map[string]string{"subject": subject, "detail": ev.Detail},
+			})
+			continue
 		}
-		tid := subjects[e.Subject]
-		switch e.Kind {
-		case trace.KindVCPUState:
-			prev, next, ok := splitTransition(e.Detail)
-			if !ok {
-				out.TraceEvents = append(out.TraceEvents, instant(e, tid))
-				continue
-			}
-			if name, pending := open[e.Subject]; pending && name == prev {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: prev, Ph: "E", Ts: usec(e.At), Pid: simPid, Tid: tid, Cat: "vcpu",
-				})
-				delete(open, e.Subject)
-			}
-			// Only non-idle states get slices; "blocked" gaps read as
-			// idle track space, which is what a scheduler timeline wants.
-			if next == "running" || next == "runnable" {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: next, Ph: "B", Ts: usec(e.At), Pid: simPid, Tid: tid, Cat: "vcpu",
-				})
-				open[e.Subject] = next
-			}
-		default:
-			out.TraceEvents = append(out.TraceEvents, instant(e, tid))
+		if name, pending := open[subject]; pending && name == prev {
+			out.Emit(ChromeEvent{Name: prev, Ph: "E", Ts: Usec(at), Pid: simPid, Tid: tid, Cat: "vcpu"})
+			delete(open, subject)
+		}
+		// Only non-idle states get slices; "blocked" gaps read as
+		// idle track space, which is what a scheduler timeline wants.
+		if next == "running" || next == "runnable" {
+			out.Emit(ChromeEvent{Name: next, Ph: "B", Ts: Usec(at), Pid: simPid, Tid: tid, Cat: "vcpu"})
+			open[subject] = next
 		}
 	}
 	// Close any slice still open so B/E pairs balance at the window edge.
 	for _, s := range names {
 		if name, pending := open[s]; pending {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: name, Ph: "E", Ts: usec(end), Pid: simPid, Tid: subjects[s], Cat: "vcpu",
-			})
+			out.Emit(ChromeEvent{Name: name, Ph: "E", Ts: Usec(end), Pid: simPid, Tid: tids[s], Cat: "vcpu"})
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// instant renders a trace event as an instant ("i") marker.
-func instant(e trace.Event, tid int) chromeEvent {
-	return chromeEvent{
-		Name: e.Kind.String(), Ph: "i", Ts: usec(e.At), Pid: simPid, Tid: tid,
-		Cat: e.Kind.String(), S: "t",
-		Args: map[string]string{"subject": e.Subject, "detail": e.Detail},
-	}
-}
-
-// splitTransition parses a "from -> to" runstate detail.
-func splitTransition(detail string) (prev, next string, ok bool) {
-	i := strings.Index(detail, " -> ")
-	if i < 0 {
-		return "", "", false
-	}
-	return detail[:i], detail[i+4:], true
+	return out.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/sim"
@@ -35,7 +36,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram, sk *Sketch) {
+	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
 		switch {
 		case c != nil:
 			emit("%s", typeLine(name, "counter"))
@@ -51,18 +52,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			}
 			emit("%s_sum%s %d\n", name, l, int64(h.Sum()))
 			emit("%s_count%s %d\n", name, l, h.Count())
-		case sk != nil:
-			// Sketches surface the deeper tail a reservoir can't promise:
-			// p99.9 with bounded relative error, scrape after scrape.
-			emit("%s", typeLine(name, "summary"))
-			for _, q := range []struct {
-				p     float64
-				label string
-			}{{50, "0.5"}, {99, "0.99"}, {99.9, "0.999"}} {
-				emit("%s%s %d\n", name, quantileLabels(l, q.label), int64(sk.Percentile(q.p)))
-			}
-			emit("%s_sum%s %d\n", name, l, int64(sk.Sum()))
-			emit("%s_count%s %d\n", name, l, sk.Count())
 		}
 	})
 	return err
@@ -122,6 +111,24 @@ func HistogramLine(h *Histogram) string {
 	qs := h.Quantiles(50, 95, 99)
 	return fmt.Sprintf("n=%d p50=%s p95=%s p99=%s max=%s",
 		h.Count(), qs[0], qs[1], qs[2], h.Max())
+}
+
+// WriteFile streams write's output into a freshly created file at
+// path, or into stdout when path is "-". It is the one export-to-path
+// step every CLI shares; each caller prints its own confirmation.
+func WriteFile(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // CounterValue is a convenience lookup: the value of the counter

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"math"
@@ -8,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-func TestReservoirBasics(t *testing.T) {
-	var r Reservoir
+func TestHistogramBasics(t *testing.T) {
+	var r Histogram
 	if r.Count() != 0 || r.Mean() != 0 || r.Max() != 0 || r.Percentile(99) != 0 {
-		t.Fatal("empty reservoir should be all zeros")
+		t.Fatal("empty histogram should be all zeros")
 	}
 	for _, v := range []sim.Time{30, 10, 20} {
 		r.Add(v)
@@ -28,7 +28,7 @@ func TestReservoirBasics(t *testing.T) {
 }
 
 func TestPercentileNearestRank(t *testing.T) {
-	var r Reservoir
+	var r Histogram
 	for i := 1; i <= 100; i++ {
 		r.Add(sim.Time(i))
 	}
@@ -46,7 +46,7 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestPercentileAfterMoreAdds(t *testing.T) {
-	var r Reservoir
+	var r Histogram
 	r.Add(5)
 	_ = r.Percentile(50) // forces a sort
 	r.Add(1)             // invalidates it
@@ -60,7 +60,7 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		var r Reservoir
+		var r Histogram
 		min, max := sim.Time(raw[0]), sim.Time(raw[0])
 		for _, v := range raw {
 			tv := sim.Time(v)
@@ -82,7 +82,7 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 }
 
 func TestMaxAllNegative(t *testing.T) {
-	var r Reservoir
+	var r Histogram
 	for _, v := range []sim.Time{-30, -10, -20} {
 		r.Add(v)
 	}
@@ -93,7 +93,7 @@ func TestMaxAllNegative(t *testing.T) {
 }
 
 func TestSum(t *testing.T) {
-	var r Reservoir
+	var r Histogram
 	if r.Sum() != 0 {
 		t.Fatal("empty sum should be 0")
 	}
@@ -105,27 +105,8 @@ func TestSum(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	var r Reservoir
-	if r.Stddev() != 0 {
-		t.Fatal("empty stddev should be 0")
-	}
-	r.Add(5)
-	if r.Stddev() != 0 {
-		t.Fatal("single-sample stddev should be 0")
-	}
-	var r2 Reservoir
-	for _, v := range []sim.Time{2, 4, 6} {
-		r2.Add(v)
-	}
-	// Sample (Bessel-corrected) stddev of {2,4,6} is 2.
-	if got := r2.Stddev(); got != 2 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
 func TestQuantiles(t *testing.T) {
-	var r Reservoir
+	var r Histogram
 	if qs := r.Quantiles(50, 99); len(qs) != 2 || qs[0] != 0 || qs[1] != 0 {
 		t.Fatalf("empty quantiles = %v", qs)
 	}
@@ -155,55 +136,5 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 {
 		t.Fatal("nil input should summarize to zero")
-	}
-}
-
-func TestImprovementSigns(t *testing.T) {
-	if got := Improvement(10, 5); got != 50 {
-		t.Fatalf("Improvement(10,5) = %v", got)
-	}
-	if got := Improvement(10, 20); got != -100 {
-		t.Fatalf("Improvement(10,20) = %v", got)
-	}
-	if got := Improvement(0, 5); got != 0 {
-		t.Fatal("zero baseline should yield 0")
-	}
-	if got := ThroughputImprovement(100, 112); math.Abs(got-12) > 1e-9 {
-		t.Fatalf("ThroughputImprovement = %v", got)
-	}
-}
-
-func TestSpeedupAndWeighted(t *testing.T) {
-	if got := Speedup(10, 5); got != 2 {
-		t.Fatalf("Speedup = %v", got)
-	}
-	if got := WeightedSpeedup(1.4, 1.0); math.Abs(got-1.2) > 1e-9 {
-		t.Fatalf("WeightedSpeedup = %v", got)
-	}
-}
-
-func TestFairShare(t *testing.T) {
-	// One pCPU shared by 2 VMs + three exclusive pCPUs.
-	got := FairShare(sim.Second, []int{2, 1, 1, 1})
-	want := sim.Second/2 + 3*sim.Second
-	if got != want {
-		t.Fatalf("FairShare = %v, want %v", got, want)
-	}
-	if FairShare(sim.Second, []int{0}) != 0 {
-		t.Fatal("zero sharers should contribute nothing")
-	}
-}
-
-func TestQuickImprovementSpeedupConsistency(t *testing.T) {
-	// improvement > 0 <=> speedup > 1.
-	f := func(a, b uint16) bool {
-		base := float64(a) + 1
-		meas := float64(b) + 1
-		imp := Improvement(base, meas)
-		sp := Speedup(base, meas)
-		return (imp > 0) == (sp > 1) || imp == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -38,7 +38,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	c.Add(5)
 	c.AddTime(sim.Second)
 	g.Set(1.5)
-	h.Observe(sim.Millisecond)
+	h.Add(sim.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 ||
 		h.Mean() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
 		t.Fatal("nil handles must read as zero")
@@ -87,7 +87,7 @@ func TestRegistryIdentityAndValues(t *testing.T) {
 
 	h := r.Histogram("wait_ns", l)
 	for _, v := range []sim.Time{30, 10, 20} {
-		h.Observe(v)
+		h.Add(v)
 	}
 	if h.Count() != 3 || h.Sum() != 60 || h.Mean() != 20 || h.Max() != 30 {
 		t.Fatalf("histogram stats: count=%d sum=%d mean=%d max=%d",
@@ -122,7 +122,7 @@ func TestVisitDeterministicOrder(t *testing.T) {
 	r.Gauge("a_gauge", Labels{}).Set(1)
 	r.GaugeFunc("c_fn", Labels{}, func() float64 { return 7 })
 	var got []string
-	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram, sk *Sketch) {
+	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
 		got = append(got, name+l.String())
 		if name == "c_fn" && g.Value() != 7 {
 			t.Fatalf("polled gauge = %v", g.Value())
@@ -165,7 +165,7 @@ func TestSamplerHistogramDerivedSeries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("wait_ns", Labels{VM: "fg"})
 	for i := 1; i <= 100; i++ {
-		h.Observe(sim.Time(i))
+		h.Add(sim.Time(i))
 	}
 	s := NewSampler(r, sim.Millisecond)
 	s.Sample()
@@ -203,7 +203,7 @@ func TestWritePrometheusFormatAndDeterminism(t *testing.T) {
 		r.Gauge("rt_avg", Labels{Sub: "guest"}).Set(0.5)
 		h := r.Histogram("ack_ns", Labels{VM: "fg"})
 		for i := 1; i <= 10; i++ {
-			h.Observe(sim.Time(i) * sim.Microsecond)
+			h.Add(sim.Time(i) * sim.Microsecond)
 		}
 		return r
 	}
@@ -267,7 +267,7 @@ func TestHistogramLine(t *testing.T) {
 	}
 	r := NewRegistry()
 	h := r.Histogram("w", Labels{})
-	h.Observe(30 * sim.Millisecond)
+	h.Add(30 * sim.Millisecond)
 	line := HistogramLine(h)
 	if !strings.Contains(line, "n=1") || !strings.Contains(line, "30.000ms") {
 		t.Fatalf("histogram line = %q", line)
@@ -276,10 +276,10 @@ func TestHistogramLine(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	log := trace.NewLog(0)
-	log.Record(1*sim.Millisecond, trace.KindVCPUState, "fg/v0", "blocked -> runnable")
-	log.Record(2*sim.Millisecond, trace.KindVCPUState, "fg/v0", "runnable -> running")
+	log.Transition(1*sim.Millisecond, "fg/v0", "blocked", "runnable")
+	log.Transition(2*sim.Millisecond, "fg/v0", "runnable", "running")
 	log.Record(3*sim.Millisecond, trace.KindSA, "fg/v0", "sent")
-	log.Record(5*sim.Millisecond, trace.KindVCPUState, "fg/v0", "running -> blocked")
+	log.Transition(5*sim.Millisecond, "fg/v0", "running", "blocked")
 	log.Record(20*sim.Millisecond, trace.KindNote, "outside", "beyond window")
 
 	var buf bytes.Buffer
@@ -335,7 +335,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestWriteChromeTraceClosesOpenSlice(t *testing.T) {
 	log := trace.NewLog(0)
-	log.Record(1*sim.Millisecond, trace.KindVCPUState, "fg/v0", "runnable -> running")
+	log.Transition(1*sim.Millisecond, "fg/v0", "runnable", "running")
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, log, 0, 4*sim.Millisecond); err != nil {
 		t.Fatal(err)
@@ -360,5 +360,53 @@ func TestWriteChromeTraceClosesOpenSlice(t *testing.T) {
 	}
 	if !sawEnd {
 		t.Fatal("slice still open at window end must be closed")
+	}
+}
+
+// chromePhases exports log over [0, 10ms] and returns each event's
+// phase, metadata events excluded.
+func chromePhases(t *testing.T, log *trace.Log) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, log, 0, 10*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Ph   string            `json:"ph"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var phs []string
+	for _, e := range out.TraceEvents {
+		if e.Ph != "M" {
+			phs = append(phs, e.Ph+":"+e.Args["detail"])
+		}
+	}
+	return phs
+}
+
+func TestWriteChromeTraceBlackoutIsInstant(t *testing.T) {
+	// A blackout shares the runstate kind but is no transition: it must
+	// export as an instant, never open or close a slice.
+	log := trace.NewLog(0)
+	log.Blackout(1*sim.Millisecond, "fg/v0", 2*sim.Millisecond)
+	got := chromePhases(t, log)
+	if len(got) != 1 || got[0] != "i:blackout for 2.000ms" {
+		t.Fatalf("blackout exported as %q, want one instant", got)
+	}
+}
+
+func TestWriteChromeTraceTextTransitionIsInstant(t *testing.T) {
+	// Only records made by Log.Transition become slices; free text that
+	// merely reads like one stays an instant with its text intact.
+	log := trace.NewLog(0)
+	log.Record(1*sim.Millisecond, trace.KindVCPUState, "fg/v0", "runnable -> running")
+	got := chromePhases(t, log)
+	if len(got) != 1 || got[0] != "i:runnable -> running" {
+		t.Fatalf("text record exported as %q, want one instant", got)
 	}
 }

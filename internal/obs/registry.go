@@ -1,9 +1,10 @@
 // Package obs is the observability subsystem of the simulator: a typed
 // metrics registry (counters, gauges, histograms keyed by
-// subsystem/VM/CPU labels), a sim-engine-driven periodic sampler that
-// snapshots registered metrics into time series, and machine-readable
-// exporters (Prometheus text, CSV time series, Chrome trace_viewer
-// JSON).
+// subsystem/VM/CPU labels), the one exact Histogram every latency
+// distribution uses and the mergeable Sketch, a sim-engine-driven
+// periodic sampler that snapshots registered metrics into time series,
+// and machine-readable exporters (Prometheus text, CSV time series, and
+// the Chrome trace_viewer JSON emitter every trace export shares).
 //
 // Collection is opt-in and nil-safe, mirroring trace.Log: a nil
 // *Registry hands out nil metric handles, and every mutating method on
@@ -16,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -96,74 +96,6 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram accumulates a distribution of virtual-time samples with
-// constant-time count/sum and sorted-reservoir quantiles. All methods
-// are nil-safe.
-type Histogram struct {
-	res   metrics.Reservoir
-	sum   sim.Time
-	count int64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v sim.Time) {
-	if h == nil {
-		return
-	}
-	h.res.Add(v)
-	h.sum += v
-	h.count++
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() sim.Time {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Mean returns the average sample, or 0 with no samples.
-func (h *Histogram) Mean() sim.Time {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(h.count)
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() sim.Time {
-	if h == nil {
-		return 0
-	}
-	return h.res.Max()
-}
-
-// Percentile returns the p-th percentile by nearest rank (0 with no
-// samples).
-func (h *Histogram) Percentile(p float64) sim.Time {
-	if h == nil {
-		return 0
-	}
-	return h.res.Percentile(p)
-}
-
-// Quantiles returns the percentiles for each p in ps.
-func (h *Histogram) Quantiles(ps ...float64) []sim.Time {
-	if h == nil {
-		return make([]sim.Time, len(ps))
-	}
-	return h.res.Quantiles(ps...)
-}
-
 // metricKind discriminates registry entries.
 type metricKind int
 
@@ -172,7 +104,6 @@ const (
 	kindGauge
 	kindHistogram
 	kindGaugeFunc
-	kindSketch
 )
 
 func (k metricKind) String() string {
@@ -185,8 +116,6 @@ func (k metricKind) String() string {
 		return "histogram"
 	case kindGaugeFunc:
 		return "gauge"
-	case kindSketch:
-		return "sketch"
 	default:
 		return fmt.Sprintf("metricKind(%d)", int(k))
 	}
@@ -201,12 +130,8 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	sketch  *Sketch
 	fn      func() float64
 }
-
-// key is the unique identity of an entry.
-func (e *entry) key() string { return e.name + e.labels.String() }
 
 // Registry holds every registered metric of a run. The zero value is
 // not usable; call NewRegistry. A nil *Registry is a valid "collection
@@ -224,15 +149,28 @@ func NewRegistry() *Registry {
 // one of the given kind. Re-registering under a different kind is a
 // programming error and panics.
 func (r *Registry) get(name string, l Labels, k metricKind) *entry {
-	e := &entry{name: name, labels: l, kind: k}
-	if old, ok := r.byKey[e.key()]; ok {
+	key := name + l.String()
+	if old, ok := r.byKey[key]; ok {
 		if old.kind != k {
 			panic(fmt.Sprintf("obs: metric %s%s registered as %s and %s", name, l, old.kind, k))
 		}
 		return old
 	}
-	r.byKey[e.key()] = e
+	e := &entry{name: name, labels: l, kind: k}
+	r.byKey[key] = e
 	return e
+}
+
+// find returns the entry registered under (name, labels) when it is of
+// kind k, or nil. It never registers.
+func (r *Registry) find(name string, l Labels, k metricKind) *entry {
+	if r == nil {
+		return nil
+	}
+	if e := r.byKey[name+l.String()]; e != nil && e.kind == k {
+		return e
+	}
+	return nil
 }
 
 // Counter returns (registering on first use) the counter for
@@ -274,24 +212,6 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	return e.hist
 }
 
-// Sketch returns (registering on first use) the DDSketch-style
-// quantile sketch for (name, labels). Unlike Histogram's sampling
-// reservoir, a sketch keeps bounded-relative-error quantiles over the
-// whole stream and merges exactly, so scrape pipelines can aggregate
-// per-host sketches. Non-positive alpha selects DefaultSketchAlpha;
-// the alpha of the first registration wins. Returns nil on a nil
-// registry.
-func (r *Registry) Sketch(name string, l Labels, alpha float64) *Sketch {
-	if r == nil {
-		return nil
-	}
-	e := r.get(name, l, kindSketch)
-	if e.sketch == nil {
-		e.sketch = NewSketch(alpha)
-	}
-	return e.sketch
-}
-
 // GaugeFunc registers a polled gauge: fn is evaluated at sample and
 // export time. No-op on a nil registry; re-registering replaces fn.
 func (r *Registry) GaugeFunc(name string, l Labels, fn func() float64) {
@@ -329,48 +249,29 @@ func (r *Registry) sortedEntries() []*entry {
 }
 
 // Visit calls fn for every registered metric in deterministic order.
-// Exactly one of counter/gauge/hist/sketch is non-nil per call; polled
-// gauges are presented as a *Gauge holding the current fn value.
-func (r *Registry) Visit(fn func(name string, l Labels, counter *Counter, gauge *Gauge, hist *Histogram, sketch *Sketch)) {
+// Exactly one of counter/gauge/hist is non-nil per call; polled gauges
+// are presented as a *Gauge holding the current fn value.
+func (r *Registry) Visit(fn func(name string, l Labels, counter *Counter, gauge *Gauge, hist *Histogram)) {
 	for _, e := range r.sortedEntries() {
 		switch e.kind {
 		case kindCounter:
-			fn(e.name, e.labels, e.counter, nil, nil, nil)
+			fn(e.name, e.labels, e.counter, nil, nil)
 		case kindGauge:
-			fn(e.name, e.labels, nil, e.gauge, nil, nil)
+			fn(e.name, e.labels, nil, e.gauge, nil)
 		case kindGaugeFunc:
-			fn(e.name, e.labels, nil, &Gauge{v: e.fn()}, nil, nil)
+			fn(e.name, e.labels, nil, &Gauge{v: e.fn()}, nil)
 		case kindHistogram:
-			fn(e.name, e.labels, nil, nil, e.hist, nil)
-		case kindSketch:
-			fn(e.name, e.labels, nil, nil, nil, e.sketch)
+			fn(e.name, e.labels, nil, nil, e.hist)
 		}
 	}
-}
-
-// FindSketch returns the sketch registered under (name, labels), or
-// nil when absent. It never registers.
-func (r *Registry) FindSketch(name string, l Labels) *Sketch {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindSketch {
-		return old.sketch
-	}
-	return nil
 }
 
 // FindHistogram returns the histogram registered under (name, labels),
 // or nil when absent (or on a nil registry). Unlike Histogram it never
 // registers.
 func (r *Registry) FindHistogram(name string, l Labels) *Histogram {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindHistogram {
-		return old.hist
+	if e := r.find(name, l, kindHistogram); e != nil {
+		return e.hist
 	}
 	return nil
 }
@@ -378,12 +279,8 @@ func (r *Registry) FindHistogram(name string, l Labels) *Histogram {
 // FindCounter returns the counter registered under (name, labels), or
 // nil when absent. It never registers.
 func (r *Registry) FindCounter(name string, l Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	e := &entry{name: name, labels: l}
-	if old, ok := r.byKey[e.key()]; ok && old.kind == kindCounter {
-		return old.counter
+	if e := r.find(name, l, kindCounter); e != nil {
+		return e.counter
 	}
 	return nil
 }

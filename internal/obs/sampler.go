@@ -30,12 +30,6 @@ type Sampler struct {
 	eng      *sim.Engine
 	series   map[string]*Series
 	samples  int
-
-	// OnPoint, when non-nil, observes every sampled point as it is
-	// appended (after the point is stored). The online watch layer
-	// (internal/watch) subscribes here to fold sampler series into its
-	// windowed rollup store without a second registry walk.
-	OnPoint func(name string, l Labels, at sim.Time, v float64)
 }
 
 // NewSampler creates a sampler snapshotting reg every interval of
@@ -81,7 +75,7 @@ func (s *Sampler) sample() {
 		now = s.eng.Now()
 	}
 	s.samples++
-	s.reg.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram, sk *Sketch) {
+	s.reg.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
 		switch {
 		case c != nil:
 			s.append(name, l, now, float64(c.Value()))
@@ -95,13 +89,6 @@ func (s *Sampler) sample() {
 			s.append(name+".mean", l, now, float64(h.Mean()))
 			s.append(name+".p95", l, now, float64(h.Percentile(95)))
 			s.append(name+".max", l, now, float64(h.Max()))
-		case sk != nil:
-			// Sketches snapshot the tail quantiles a burn-rate monitor
-			// watches (see WritePrometheus for the scrape-shaped view).
-			s.append(name+".count", l, now, float64(sk.Count()))
-			s.append(name+".p50", l, now, float64(sk.Percentile(50)))
-			s.append(name+".p99", l, now, float64(sk.Percentile(99)))
-			s.append(name+".p999", l, now, float64(sk.Percentile(99.9)))
 		}
 	})
 }
@@ -114,9 +101,6 @@ func (s *Sampler) append(name string, l Labels, at sim.Time, v float64) {
 		s.series[key] = se
 	}
 	se.Points = append(se.Points, Point{At: at, V: v})
-	if s.OnPoint != nil {
-		s.OnPoint(name, l, at, v)
-	}
 }
 
 // AllSeries returns every series sorted by name then labels.

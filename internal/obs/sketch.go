@@ -10,12 +10,12 @@ import (
 // Sketch is a DDSketch-style streaming quantile sketch over sim.Time
 // values: logarithmically-spaced buckets sized so every quantile
 // estimate is within a bounded *relative* error of the true value,
-// regardless of how many samples stream through. Unlike the sampling
-// Reservoir in internal/metrics, a sketch never discards information
-// it needs — and two sketches merge exactly (bucket-wise counter
-// addition), so per-worker sketches built in parallel combine into the
-// same result in any merge order. That keeps tail breakdowns honest
-// under the parallel experiment harness.
+// regardless of how many samples stream through, in memory bounded by
+// the value range rather than the sample count (Histogram keeps every
+// sample for exact order statistics). Two sketches merge exactly
+// (bucket-wise counter addition), so per-worker sketches built in
+// parallel combine into the same result in any merge order. That keeps
+// tail breakdowns honest under the parallel experiment harness.
 type Sketch struct {
 	alpha    float64
 	gamma    float64 // (1+alpha)/(1-alpha)
@@ -48,9 +48,6 @@ func NewSketch(alpha float64) *Sketch {
 		counts:   make(map[int]int64),
 	}
 }
-
-// Alpha returns the sketch's relative-error bound.
-func (s *Sketch) Alpha() float64 { return s.alpha }
 
 // bucket returns the index i such that gamma^(i-1) < v <= gamma^i.
 func (s *Sketch) bucket(v sim.Time) int {
@@ -118,7 +115,7 @@ func (s *Sketch) Merge(o *Sketch) {
 }
 
 // Percentile returns the nearest-rank p-th percentile estimate
-// (p in [0,100]), mirroring metrics.Reservoir.Percentile. The returned
+// (p in [0,100]), mirroring Histogram.Percentile. The returned
 // value is within a factor (1±alpha) of the true order statistic.
 func (s *Sketch) Percentile(p float64) sim.Time {
 	if s.n == 0 {

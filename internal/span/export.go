@@ -1,39 +1,22 @@
 package span
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Perfetto-compatible nested span export, in the same Chrome Trace
-// Event Format as obs.WriteChromeTrace (B/E duration slices + metadata
-// events; loads directly in chrome://tracing and ui.perfetto.dev).
+// Perfetto-compatible nested span export through obs's shared Chrome
+// trace emitter (B/E duration slices + metadata events; loads directly
+// in chrome://tracing and ui.perfetto.dev).
 // Each request becomes one thread track; the span tree nests on it:
 // an outer request slice, phase slices inside it, and categorized leaf
 // segments inside those. Multiple TrackSets (e.g. one per scheduling
 // strategy) render as separate processes in one file, so baseline and
 // IRS timelines sit side by side.
-
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Cat  string            `json:"cat,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-func usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
 func dur(t sim.Time) string { return time.Duration(t).String() }
 
@@ -47,13 +30,13 @@ type TrackSet struct {
 // WriteChromeSpans renders the track sets as Chrome trace JSON.
 // Unfinished spans are skipped (they have no right edge to draw).
 func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	out := obs.NewChromeTrace(w)
+	slice := func(name, ph string, at sim.Time, pid, tid int, cat string, args map[string]string) {
+		out.Emit(obs.ChromeEvent{Name: name, Ph: ph, Ts: obs.Usec(at), Pid: pid, Tid: tid, Cat: cat, Args: args})
+	}
 	for si, set := range sets {
 		pid := si + 1
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]string{"name": set.Name},
-		})
+		out.Emit(obs.ProcessName(pid, set.Name))
 		tid := 0
 		for _, s := range set.Spans {
 			if s == nil || !s.Finished() {
@@ -61,38 +44,18 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 			}
 			tid++
 			req := fmt.Sprintf("req %d", s.ID)
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]string{"name": fmt.Sprintf("%s (wall %s)", req, dur(s.Wall()))},
-			})
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: req, Ph: "B", Ts: usec(s.Start), Pid: pid, Tid: tid, Cat: "request",
-				Args: map[string]string{"wall": dur(s.Wall())},
-			})
+			out.Emit(obs.ThreadName(pid, tid, fmt.Sprintf("%s (wall %s)", req, dur(s.Wall()))))
+			slice(req, "B", s.Start, pid, tid, "request", map[string]string{"wall": dur(s.Wall())})
 			for _, p := range s.Phases {
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: p.Name, Ph: "B", Ts: usec(p.Start), Pid: pid, Tid: tid, Cat: "phase",
-				})
+				slice(p.Name, "B", p.Start, pid, tid, "phase", nil)
 				for _, seg := range p.Segments {
-					out.TraceEvents = append(out.TraceEvents,
-						chromeEvent{
-							Name: seg.Cat.String(), Ph: "B", Ts: usec(seg.Start),
-							Pid: pid, Tid: tid, Cat: "segment",
-							Args: map[string]string{"dur": dur(seg.Dur())},
-						},
-						chromeEvent{
-							Name: seg.Cat.String(), Ph: "E", Ts: usec(seg.End),
-							Pid: pid, Tid: tid, Cat: "segment",
-						})
+					slice(seg.Cat.String(), "B", seg.Start, pid, tid, "segment", map[string]string{"dur": dur(seg.Dur())})
+					slice(seg.Cat.String(), "E", seg.End, pid, tid, "segment", nil)
 				}
-				out.TraceEvents = append(out.TraceEvents, chromeEvent{
-					Name: p.Name, Ph: "E", Ts: usec(p.End), Pid: pid, Tid: tid, Cat: "phase",
-				})
+				slice(p.Name, "E", p.End, pid, tid, "phase", nil)
 			}
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: req, Ph: "E", Ts: usec(s.End), Pid: pid, Tid: tid, Cat: "request",
-			})
+			slice(req, "E", s.End, pid, tid, "request", nil)
 		}
 	}
-	return json.NewEncoder(w).Encode(out)
+	return out.Close()
 }

@@ -293,15 +293,49 @@ func (l *Log) Filter(kind Kind, subject string) []Event {
 	return out
 }
 
+// Entry is a read-only view of one retained record, valid until the
+// log records again. Exporters map it by shape (Transition) instead of
+// parsing rendered detail text, and render text (Event) only for the
+// records they emit as such.
+type Entry struct{ r *record }
+
+// At returns the record's virtual time.
+func (e Entry) At() sim.Time { return e.r.at }
+
+// Subject returns the vCPU, task or pCPU the record is about.
+func (e Entry) Subject() string { return e.r.subject }
+
+// Transition returns the operands of a runstate record made by
+// Log.Transition; ok is false for every other record, including a
+// Blackout or a Record whose text reads like a transition.
+func (e Entry) Transition() (from, to string, ok bool) {
+	if e.r.shape != shapeTransition {
+		return "", "", false
+	}
+	return e.r.a, e.r.b, true
+}
+
+// Event renders the record, detail text included.
+func (e Entry) Event() Event { return e.r.event() }
+
+// Window returns the retained records inside [from, to] (to == 0
+// means no upper bound), oldest first, without rendering any text.
+func (l *Log) Window(from, to sim.Time) []Entry {
+	var out []Entry
+	for i := 0; i < l.n; i++ {
+		r := l.rec(i)
+		if r.at >= from && (to <= 0 || r.at <= to) {
+			out = append(out, Entry{r})
+		}
+	}
+	return out
+}
+
 // Dump writes the retained events to w, optionally restricted to a
 // time window (to == 0 means no upper bound).
 func (l *Log) Dump(w io.Writer, from, to sim.Time) error {
-	for i := 0; i < l.n; i++ {
-		r := l.rec(i)
-		if r.at < from || (to > 0 && r.at > to) {
-			continue
-		}
-		if _, err := fmt.Fprintln(w, r.event()); err != nil {
+	for _, e := range l.Window(from, to) {
+		if _, err := fmt.Fprintln(w, e.Event()); err != nil {
 			return err
 		}
 	}

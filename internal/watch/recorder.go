@@ -11,17 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// WindowDump is one window rendered for an incident bundle, with
-// sketch quantiles materialized (a sketch itself is not meaningfully
-// JSON-serializable for a human reader).
+// WindowDump is one window rendered for an incident bundle.
 type WindowDump struct {
 	StartNS int64   `json:"start_ns"`
 	Count   int64   `json:"count"`
 	Sum     float64 `json:"sum"`
 	Min     float64 `json:"min"`
 	Max     float64 `json:"max"`
-	P50NS   int64   `json:"p50_ns,omitempty"`
-	P99NS   int64   `json:"p99_ns,omitempty"`
 }
 
 // SeriesDump is one store series' recent windows.
@@ -87,18 +83,15 @@ func (inc *Incident) WriteTrace(w io.Writer) error {
 }
 
 // Recorder is the flight recorder: bounded rings of recent spans and
-// per-host sim events, plus the incident store. All rings are sized at
-// construction; a run that records nothing keeps only empty slices.
+// per-host sim events, plus the incident store. The zero value is an
+// empty recorder; a run that records nothing keeps only empty slices.
 type Recorder struct {
-	spanCap  int
-	spans    []*span.Span // ring, insertion order via next
+	spans    []*span.Span // ring of at most spanRing, insertion order via next
 	spanNext int
 	total    int64
 
-	hosts []recorderHost
-
-	maxIncidents int
-	incidents    []*Incident
+	hosts     []recorderHost
+	incidents []*Incident
 }
 
 type recorderHost struct {
@@ -106,31 +99,19 @@ type recorderHost struct {
 	log  *trace.Log
 }
 
-// Ring/bundle sizing defaults.
+// Ring/bundle sizing.
 const (
-	// DefaultSpanRing bounds how many recent spans the recorder keeps.
-	DefaultSpanRing = 512
-	// DefaultMaxIncidents caps stored incidents (a tripped invariant
-	// re-fires every audit; the first few bundles tell the story).
-	DefaultMaxIncidents = 8
+	// spanRing bounds how many recent spans the recorder keeps.
+	spanRing = 512
+	// maxIncidents caps stored incidents (a tripped invariant re-fires
+	// every audit; the first few bundles tell the story).
+	maxIncidents = 8
 	// traceSpanCount is how many slowest recent spans a bundle carries.
 	traceSpanCount = 32
 	// hostEventCount is how many trailing events per host a bundle
 	// carries.
 	hostEventCount = 64
 )
-
-// NewRecorder builds a recorder keeping spanCap recent spans and at
-// most maxIncidents incidents (non-positive values take the defaults).
-func NewRecorder(spanCap, maxIncidents int) *Recorder {
-	if spanCap <= 0 {
-		spanCap = DefaultSpanRing
-	}
-	if maxIncidents <= 0 {
-		maxIncidents = DefaultMaxIncidents
-	}
-	return &Recorder{spanCap: spanCap, maxIncidents: maxIncidents}
-}
 
 // ObserveSpan folds one finished span into the ring; wire it to
 // span.Tracer.OnFinish.
@@ -139,12 +120,12 @@ func (rec *Recorder) ObserveSpan(s *span.Span) {
 		return
 	}
 	rec.total++
-	if len(rec.spans) < rec.spanCap {
+	if len(rec.spans) < spanRing {
 		rec.spans = append(rec.spans, s)
 		return
 	}
 	rec.spans[rec.spanNext] = s
-	rec.spanNext = (rec.spanNext + 1) % rec.spanCap
+	rec.spanNext = (rec.spanNext + 1) % spanRing
 }
 
 // SpanCount returns how many spans the recorder has seen in total.
@@ -186,7 +167,7 @@ func dominantBlame(s *span.Span) string {
 // recent spans. It returns nil when the incident cap is reached (the
 // caller should treat that as "already told this story").
 func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from sim.Time) *Incident {
-	if len(rec.incidents) >= rec.maxIncidents {
+	if len(rec.incidents) >= maxIncidents {
 		return nil
 	}
 	inc := &Incident{
@@ -204,15 +185,10 @@ func (rec *Recorder) Capture(at sim.Time, reason, detail string, st *Store, from
 			}
 			sd := SeriesDump{Name: name, Labels: l.String()}
 			for _, w := range ws {
-				wd := WindowDump{
+				sd.Windows = append(sd.Windows, WindowDump{
 					StartNS: int64(w.Start), Count: w.Count,
 					Sum: w.Sum, Min: w.Min, Max: w.Max,
-				}
-				if w.Sketch != nil {
-					wd.P50NS = int64(w.Sketch.Percentile(50))
-					wd.P99NS = int64(w.Sketch.Percentile(99))
-				}
-				sd.Windows = append(sd.Windows, wd)
+				})
 			}
 			inc.Series = append(inc.Series, sd)
 		})

@@ -20,48 +20,53 @@ func finishedSpan(tr *span.Tracer, start, end sim.Time) *span.Span {
 }
 
 func TestRecorderSpanRingBounded(t *testing.T) {
-	rec := NewRecorder(4, 0)
+	rec := &Recorder{}
 	tr := span.NewTracer()
 	tr.OnFinish = rec.ObserveSpan
-	for i := 1; i <= 10; i++ {
-		finishedSpan(tr, sim.Time(i), sim.Time(i)+sim.Time(i)*sim.Microsecond)
+	const n = spanRing + 10
+	for i := 1; i <= n; i++ {
+		// The oldest spans are the slowest, so only eviction keeps
+		// them out of the bundle.
+		finishedSpan(tr, sim.Time(i), sim.Time(i)+sim.Time(n-i)*sim.Microsecond)
 	}
-	if rec.SpanCount() != 10 {
-		t.Fatalf("span count = %d, want 10", rec.SpanCount())
+	if rec.SpanCount() != n {
+		t.Fatalf("span count = %d, want %d", rec.SpanCount(), n)
+	}
+	if len(rec.spans) != spanRing {
+		t.Fatalf("ring holds %d spans, want cap %d", len(rec.spans), spanRing)
 	}
 	inc := rec.Capture(sim.Second, "invariant", "test", nil, 0)
 	if inc == nil {
 		t.Fatal("capture failed")
 	}
-	if len(inc.Spans) != 4 {
-		t.Fatalf("bundle spans = %d, want ring cap 4", len(inc.Spans))
+	if len(inc.Spans) != traceSpanCount {
+		t.Fatalf("bundle spans = %d, want %d", len(inc.Spans), traceSpanCount)
 	}
-	// Ring keeps the most recent spans: IDs 7..10.
+	// Ring keeps the most recent spans: IDs 11..n.
 	for _, s := range inc.Spans {
-		if s.ID < 7 {
+		if s.ID <= 10 {
 			t.Fatalf("evicted span %d still in bundle", s.ID)
 		}
 	}
 }
 
 func TestRecorderIncidentCap(t *testing.T) {
-	rec := NewRecorder(0, 2)
-	if rec.Capture(1, "invariant", "a", nil, 0) == nil {
-		t.Fatal("first capture refused")
+	rec := &Recorder{}
+	for i := 1; i <= maxIncidents; i++ {
+		if rec.Capture(sim.Time(i), "invariant", "a", nil, 0) == nil {
+			t.Fatalf("capture %d refused", i)
+		}
 	}
-	if rec.Capture(2, "invariant", "b", nil, 0) == nil {
-		t.Fatal("second capture refused")
-	}
-	if rec.Capture(3, "invariant", "c", nil, 0) != nil {
+	if rec.Capture(maxIncidents+1, "invariant", "c", nil, 0) != nil {
 		t.Fatal("cap not enforced")
 	}
-	if len(rec.Incidents()) != 2 {
+	if len(rec.Incidents()) != maxIncidents {
 		t.Fatalf("incidents = %d", len(rec.Incidents()))
 	}
 }
 
 func TestIncidentBundleJSONAndTrace(t *testing.T) {
-	rec := NewRecorder(8, 0)
+	rec := &Recorder{}
 	tr := span.NewTracer()
 	tr.OnFinish = rec.ObserveSpan
 	finishedSpan(tr, sim.Millisecond, 5*sim.Millisecond)
@@ -71,7 +76,6 @@ func TestIncidentBundleJSONAndTrace(t *testing.T) {
 	rec.AddHostLog("host0", log)
 
 	st := NewStore(sim.Millisecond, 8)
-	st.SketchSeries("lat")
 	st.Observe("lat", obs.Labels{VM: "a"}, sim.Millisecond, float64(3*sim.Millisecond))
 	st.Observe(SeriesPain, labelsFor("h0", "a"), sim.Millisecond, 7)
 
@@ -89,7 +93,7 @@ func TestIncidentBundleJSONAndTrace(t *testing.T) {
 		t.Fatalf("bundle is not valid JSON: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"slo-alert", "details here", "host0", "hello", "watch.pain", `"p50_ns"`} {
+	for _, want := range []string{"slo-alert", "details here", "host0", "hello", "watch.pain", `"lat"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("bundle JSON missing %q:\n%s", want, out)
 		}
@@ -114,14 +118,13 @@ func TestWatcherRecordInvariant(t *testing.T) {
 	eng := sim.NewEngine()
 	w := New(Config{Interval: 100 * sim.Millisecond})
 	w.Start(eng)
-	var seen []*Incident
-	w.OnIncident = func(inc *Incident) { seen = append(seen, inc) }
 	eng.At(sim.Second, func() {
 		w.RecordInvariant(eng.Now(), "sa-accounting", "mismatch")
 	})
 	if err := eng.Run(2 * sim.Second); err != nil {
 		t.Fatal(err)
 	}
+	seen := w.Recorder().Incidents()
 	if len(seen) != 1 {
 		t.Fatalf("incidents = %d, want 1", len(seen))
 	}

@@ -58,7 +58,7 @@ func NewMonitor(interval sim.Time, rules []Rule) *Monitor {
 	}
 	return &Monitor{
 		rules:  rules,
-		signal: NewSeries(interval, depth, 0),
+		signal: NewSeries(interval, depth),
 		firing: make([]bool, len(rules)),
 	}
 }

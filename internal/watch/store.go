@@ -1,8 +1,8 @@
 // Package watch is the online half of the simulator's observability:
 // where internal/obs answers questions after a run, watch answers them
 // while the run is still going. It keeps a windowed rollup store over
-// virtual time (fixed-interval ring buckets with min/max/sum/count and
-// mergeable quantile sketches), evaluates multi-window burn-rate SLO
+// virtual time (fixed-interval ring buckets with min/max/sum/count),
+// evaluates multi-window burn-rate SLO
 // rules against the router's violation stream, attributes alerts to
 // noisy neighbors by correlating victim pain against co-resident VM
 // pCPU occupancy, and snapshots a flight-recorder incident bundle when
@@ -20,16 +20,13 @@ import (
 )
 
 // Window is one fixed-interval rollup bucket: [Start, Start+interval)
-// in virtual time. Count/Sum/Min/Max are exact; Sketch (optional)
-// carries bounded-relative-error quantiles that merge exactly across
-// windows.
+// in virtual time, with exact Count/Sum/Min/Max.
 type Window struct {
-	Start  sim.Time
-	Count  int64
-	Sum    float64
-	Min    float64
-	Max    float64
-	Sketch *obs.Sketch
+	Start sim.Time
+	Count int64
+	Sum   float64
+	Min   float64
+	Max   float64
 }
 
 // Empty reports whether the window saw no observations.
@@ -44,7 +41,7 @@ func (w Window) Mean() float64 {
 }
 
 // observe folds one value into the window.
-func (w *Window) observe(v float64, alpha float64) {
+func (w *Window) observe(v float64) {
 	if w.Count == 0 || v < w.Min {
 		w.Min = v
 	}
@@ -53,21 +50,13 @@ func (w *Window) observe(v float64, alpha float64) {
 	}
 	w.Count++
 	w.Sum += v
-	if alpha > 0 {
-		if w.Sketch == nil {
-			w.Sketch = obs.NewSketch(alpha)
-		}
-		w.Sketch.Add(sim.Time(v))
-	}
 }
 
 // Rollup merges a set of windows into one aggregate window — the
 // operation behind every multi-window SLO evaluation. It is associative
-// and commutative: min/max/sum/count combine trivially and sketches
-// merge bucket-wise (see obs.Sketch.Merge), so Rollup(a, Rollup(b, c))
-// equals Rollup(Rollup(a, b), c). The result's Start is the earliest
-// non-empty window's Start; its Sketch (if any input had one) is a
-// fresh sketch, never an alias of an input's.
+// and commutative: min/max/sum/count combine trivially, so
+// Rollup(a, Rollup(b, c)) equals Rollup(Rollup(a, b), c). The result's
+// Start is the earliest non-empty window's Start.
 func Rollup(ws ...Window) Window {
 	var out Window
 	for _, w := range ws {
@@ -91,12 +80,6 @@ func Rollup(ws ...Window) Window {
 		}
 		out.Count += w.Count
 		out.Sum += w.Sum
-		if w.Sketch != nil {
-			if out.Sketch == nil {
-				out.Sketch = obs.NewSketch(w.Sketch.Alpha())
-			}
-			out.Sketch.Merge(w.Sketch)
-		}
 	}
 	return out
 }
@@ -108,13 +91,12 @@ func Rollup(ws ...Window) Window {
 // recent depth intervals that saw traffic.
 type Series struct {
 	interval sim.Time
-	alpha    float64 // >0 enables per-window sketches
 	ring     []Window
 }
 
 // NewSeries returns an empty series of depth windows of the given
-// interval. alpha > 0 attaches a quantile sketch to each window.
-func NewSeries(interval sim.Time, depth int, alpha float64) *Series {
+// interval.
+func NewSeries(interval sim.Time, depth int) *Series {
 	if interval <= 0 {
 		panic("watch: NewSeries needs a positive interval")
 	}
@@ -122,7 +104,6 @@ func NewSeries(interval sim.Time, depth int, alpha float64) *Series {
 		panic("watch: NewSeries needs a positive depth")
 	}
 	s := &Series{interval: interval, ring: make([]Window, depth)}
-	s.alpha = alpha
 	for i := range s.ring {
 		s.ring[i].Start = -1 // no window ever starts at negative time
 	}
@@ -147,7 +128,7 @@ func (s *Series) Observe(at sim.Time, v float64) {
 	if s.ring[i].Start != ws {
 		s.ring[i] = Window{Start: ws}
 	}
-	s.ring[i].observe(v, s.alpha)
+	s.ring[i].observe(v)
 }
 
 // WindowsBetween returns the non-empty windows overlapping [from, to),
@@ -191,17 +172,11 @@ func (s *Series) RollupBetween(from, to sim.Time) Window {
 
 // Store maps metric identities (name + obs labels) to windowed series,
 // all sharing one interval and depth. It is the watcher's working set:
-// sampler points, pain signals, and occupancy deltas all land here.
+// pain signals and occupancy deltas land here.
 type Store struct {
 	interval sim.Time
 	depth    int
-
-	// sketchAlpha, when > 0, is applied to series whose name is listed
-	// in sketchFor.
-	sketchAlpha float64
-	sketchFor   map[string]bool
-
-	entries map[string]*storeEntry
+	entries  map[string]*storeEntry
 }
 
 type storeEntry struct {
@@ -219,25 +194,11 @@ func NewStore(interval sim.Time, depth int) *Store {
 	if depth <= 0 {
 		panic("watch: NewStore needs a positive depth")
 	}
-	return &Store{
-		interval:    interval,
-		depth:       depth,
-		sketchAlpha: obs.DefaultSketchAlpha,
-		sketchFor:   map[string]bool{},
-		entries:     map[string]*storeEntry{},
-	}
+	return &Store{interval: interval, depth: depth, entries: map[string]*storeEntry{}}
 }
 
 // Interval returns the store's window width.
 func (st *Store) Interval() sim.Time { return st.interval }
-
-// SketchSeries marks series names whose windows should carry quantile
-// sketches (typically latency-like series; counters don't need them).
-func (st *Store) SketchSeries(names ...string) {
-	for _, n := range names {
-		st.sketchFor[n] = true
-	}
-}
 
 // Observe folds a point into the series for (name, labels), creating
 // it on first use.
@@ -252,25 +213,10 @@ func (st *Store) Resolve(name string, l obs.Labels) *Series {
 	key := name + l.String()
 	e := st.entries[key]
 	if e == nil {
-		alpha := 0.0
-		if st.sketchFor[name] {
-			alpha = st.sketchAlpha
-		}
-		e = &storeEntry{name: name, labels: l, series: NewSeries(st.interval, st.depth, alpha)}
+		e = &storeEntry{name: name, labels: l, series: NewSeries(st.interval, st.depth)}
 		st.entries[key] = e
 	}
 	return e.series
-}
-
-// Attach subscribes the store to a sampler: every sampled point is
-// folded into the matching windowed series as it lands.
-func (st *Store) Attach(s *obs.Sampler) {
-	if s == nil {
-		return
-	}
-	s.OnPoint = func(name string, l obs.Labels, at sim.Time, v float64) {
-		st.Observe(name, l, at, v)
-	}
 }
 
 // Series returns the series for (name, labels), or nil.

@@ -1,7 +1,6 @@
 package watch
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 )
 
 func TestSeriesObserveAndRollup(t *testing.T) {
-	s := NewSeries(10*sim.Millisecond, 8, 0)
+	s := NewSeries(10*sim.Millisecond, 8)
 	s.Observe(1*sim.Millisecond, 5)
 	s.Observe(9*sim.Millisecond, 3)
 	s.Observe(15*sim.Millisecond, 7)
@@ -43,7 +42,7 @@ func TestSeriesObserveAndRollup(t *testing.T) {
 }
 
 func TestSeriesRingEviction(t *testing.T) {
-	s := NewSeries(sim.Millisecond, 4, 0)
+	s := NewSeries(sim.Millisecond, 4)
 	for i := 0; i < 10; i++ {
 		s.Observe(sim.Time(i)*sim.Millisecond, float64(i))
 	}
@@ -62,32 +61,13 @@ func TestSeriesRingEviction(t *testing.T) {
 	}
 }
 
-func TestSeriesSketchWindows(t *testing.T) {
-	s := NewSeries(sim.Millisecond, 4, obs.DefaultSketchAlpha)
-	for i := 1; i <= 100; i++ {
-		s.Observe(sim.Time(i), float64(i)) // all in window 0
-	}
-	w, ok := s.WindowAt(0)
-	if !ok || w.Sketch == nil {
-		t.Fatal("sketch window missing")
-	}
-	p50 := float64(w.Sketch.Percentile(50))
-	if math.Abs(p50-50) > 2 {
-		t.Fatalf("p50 = %v, want ~50", p50)
-	}
-}
-
-// randomWindow builds a window with nw values, optionally sketched —
-// the generator behind the associativity property test.
-func randomWindow(rng *rand.Rand, start sim.Time, sketched bool) Window {
-	alpha := 0.0
-	if sketched {
-		alpha = obs.DefaultSketchAlpha
-	}
+// randomWindow builds a window with up to 20 values — the generator
+// behind the associativity property test.
+func randomWindow(rng *rand.Rand, start sim.Time) Window {
 	w := Window{Start: start}
 	n := rng.Intn(20)
 	for i := 0; i < n; i++ {
-		w.observe(float64(rng.Intn(1_000_000)), alpha)
+		w.observe(float64(rng.Intn(1_000_000)))
 	}
 	return w
 }
@@ -98,84 +78,54 @@ func windowsEqual(t *testing.T, a, b Window) {
 		a.Min != b.Min || a.Max != b.Max {
 		t.Fatalf("windows differ: %+v vs %+v", a, b)
 	}
-	if (a.Sketch == nil) != (b.Sketch == nil) {
-		t.Fatalf("sketch presence differs")
-	}
-	if a.Sketch != nil {
-		for _, p := range []float64{50, 90, 99, 99.9} {
-			if a.Sketch.Percentile(p) != b.Sketch.Percentile(p) {
-				t.Fatalf("p%v differs: %v vs %v", p, a.Sketch.Percentile(p), b.Sketch.Percentile(p))
-			}
-		}
-		if a.Sketch.Count() != b.Sketch.Count() || a.Sketch.Sum() != b.Sketch.Sum() {
-			t.Fatalf("sketch count/sum differ")
-		}
-	}
 }
 
 // TestRollupAssociativeProperty checks the property the multi-window
 // SLO math relies on: Rollup over any parenthesization and order of
-// the same windows yields identical rollups — including the quantile
-// sketches, which merge bucket-wise.
+// the same windows yields identical count/sum/min/max.
 func TestRollupAssociativeProperty(t *testing.T) {
-	for _, sketched := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(42))
-		for trial := 0; trial < 50; trial++ {
-			n := 2 + rng.Intn(5)
-			ws := make([]Window, n)
-			for i := range ws {
-				ws[i] = randomWindow(rng, sim.Time(i)*sim.Millisecond, sketched)
-			}
-
-			flat := Rollup(ws...)
-
-			// Left fold: ((w0+w1)+w2)+...
-			left := ws[0]
-			for _, w := range ws[1:] {
-				left = Rollup(left, w)
-			}
-			windowsEqual(t, flat, left)
-
-			// Right fold: w0+(w1+(w2+...)).
-			right := ws[n-1]
-			for i := n - 2; i >= 0; i-- {
-				right = Rollup(ws[i], right)
-			}
-			windowsEqual(t, flat, right)
-
-			// Shuffled order (commutativity); Start differs when the
-			// earliest window is empty, so compare aggregates only on
-			// non-empty-first trials.
-			perm := rng.Perm(n)
-			shuffled := make([]Window, n)
-			for i, p := range perm {
-				shuffled[i] = ws[p]
-			}
-			sh := Rollup(shuffled...)
-			if sh.Count != flat.Count || sh.Sum != flat.Sum ||
-				(flat.Count > 0 && (sh.Min != flat.Min || sh.Max != flat.Max || sh.Start != flat.Start)) {
-				t.Fatalf("shuffled rollup differs: %+v vs %+v", sh, flat)
-			}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(5)
+		ws := make([]Window, n)
+		for i := range ws {
+			ws[i] = randomWindow(rng, sim.Time(i)*sim.Millisecond)
 		}
-	}
-}
 
-// TestRollupDoesNotAliasInputs guards the subtle bug class where a
-// rollup's sketch shares state with a ring window's sketch.
-func TestRollupDoesNotAliasInputs(t *testing.T) {
-	a := Window{}
-	a.observe(10, obs.DefaultSketchAlpha)
-	before := a.Sketch.Count()
-	r := Rollup(a)
-	r.Sketch.Add(99)
-	if a.Sketch.Count() != before {
-		t.Fatal("Rollup aliased an input sketch")
+		flat := Rollup(ws...)
+
+		// Left fold: ((w0+w1)+w2)+...
+		left := ws[0]
+		for _, w := range ws[1:] {
+			left = Rollup(left, w)
+		}
+		windowsEqual(t, flat, left)
+
+		// Right fold: w0+(w1+(w2+...)).
+		right := ws[n-1]
+		for i := n - 2; i >= 0; i-- {
+			right = Rollup(ws[i], right)
+		}
+		windowsEqual(t, flat, right)
+
+		// Shuffled order (commutativity); Start differs when the
+		// earliest window is empty, so compare aggregates only on
+		// non-empty-first trials.
+		perm := rng.Perm(n)
+		shuffled := make([]Window, n)
+		for i, p := range perm {
+			shuffled[i] = ws[p]
+		}
+		sh := Rollup(shuffled...)
+		if sh.Count != flat.Count || sh.Sum != flat.Sum ||
+			(flat.Count > 0 && (sh.Min != flat.Min || sh.Max != flat.Max || sh.Start != flat.Start)) {
+			t.Fatalf("shuffled rollup differs: %+v vs %+v", sh, flat)
+		}
 	}
 }
 
 func TestStoreObserveAndVisit(t *testing.T) {
 	st := NewStore(sim.Millisecond, 8)
-	st.SketchSeries("lat")
 	st.Observe("lat", obs.Labels{VM: "a"}, 100, 5)
 	st.Observe("lat", obs.Labels{VM: "a"}, 200, 7)
 	st.Observe("cnt", obs.Labels{}, 100, 1)
@@ -190,34 +140,10 @@ func TestStoreObserveAndVisit(t *testing.T) {
 	}
 	lat := st.Series("lat", obs.Labels{VM: "a"})
 	w, ok := lat.WindowAt(0)
-	if !ok || w.Count != 2 || w.Sketch == nil {
+	if !ok || w.Count != 2 || w.Sum != 12 {
 		t.Fatalf("lat window = %+v ok=%v", w, ok)
 	}
-	cnt := st.Series("cnt", obs.Labels{})
-	w, _ = cnt.WindowAt(0)
-	if w.Sketch != nil {
-		t.Fatal("unsketchable series grew a sketch")
-	}
-}
-
-func TestStoreAttachSampler(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("reqs_total", obs.Labels{Sub: "hv"})
-	eng := sim.NewEngine()
-	eng.Every(sim.Millisecond, func() { c.Inc() })
-	sampler := obs.NewSampler(reg, 10*sim.Millisecond)
-	sampler.Start(eng)
-
-	st := NewStore(10*sim.Millisecond, 16)
-	st.Attach(sampler)
-	if err := eng.Run(50 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	s := st.Series("reqs_total", obs.Labels{Sub: "hv"})
-	if s == nil {
-		t.Fatal("sampler points did not reach the store")
-	}
-	if got := len(s.WindowsBetween(0, 60*sim.Millisecond)); got == 0 {
-		t.Fatal("no windows recorded")
+	if st.Series("missing", obs.Labels{}) != nil {
+		t.Fatal("absent series resolved")
 	}
 }

@@ -7,28 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Config sizes a Watcher. The zero value is usable: every field has a
-// default.
+// Config configures a Watcher. The zero value is usable.
 type Config struct {
 	// Interval is the epoch cadence and window width (default 100ms).
 	Interval sim.Time
-	// Depth is the store's ring depth in windows (default 64).
-	Depth int
 	// Rules are the burn-rate alert rules to evaluate each epoch.
 	Rules []Rule
-	// SpanRing bounds the flight recorder's recent-span ring
-	// (default DefaultSpanRing).
-	SpanRing int
-	// MaxIncidents caps stored incident bundles
-	// (default DefaultMaxIncidents).
-	MaxIncidents int
-	// SketchSeries names sampler series whose windows should carry
-	// quantile sketches.
-	SketchSeries []string
 }
 
-// DefaultInterval and DefaultDepth size the windowed store when the
-// config leaves them zero.
+// DefaultInterval is the window width when the config leaves it zero;
+// DefaultDepth is the store's ring depth in windows, grown to cover the
+// longest rule slow window.
 const (
 	DefaultInterval = 100 * sim.Millisecond
 	DefaultDepth    = 64
@@ -65,8 +54,6 @@ type Watcher struct {
 	// OnAlert, when non-nil, observes each alert with the aggressor
 	// ranking computed for it (live CLI output hooks in here).
 	OnAlert func(Alert, []RankedAggressor)
-	// OnIncident, when non-nil, observes each captured incident bundle.
-	OnIncident func(*Incident)
 }
 
 // New builds a watcher from cfg, applying defaults for zero fields.
@@ -74,22 +61,16 @@ func New(cfg Config) *Watcher {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = DefaultDepth
-	}
 	// The store must retain at least the longest slow window.
+	depth := DefaultDepth
 	for _, r := range cfg.Rules {
-		if need := int(r.Slow/cfg.Interval) + 2; need > cfg.Depth {
-			cfg.Depth = need
-		}
+		depth = max(depth, int(r.Slow/cfg.Interval)+2)
 	}
-	st := NewStore(cfg.Interval, cfg.Depth)
-	st.SketchSeries(cfg.SketchSeries...)
 	return &Watcher{
 		cfg:      cfg,
-		store:    st,
+		store:    NewStore(cfg.Interval, depth),
 		monitor:  NewMonitor(cfg.Interval, cfg.Rules),
-		recorder: NewRecorder(cfg.SpanRing, cfg.MaxIncidents),
+		recorder: &Recorder{},
 		vms:      map[string]VMInfo{},
 		lastPain: map[string]sim.Time{},
 	}
@@ -241,9 +222,6 @@ func (w *Watcher) RecordInvariant(at sim.Time, rule, detail string) {
 	}
 	inc.Rankings = ranked
 	inc.Triples = triples
-	if w.OnIncident != nil {
-		w.OnIncident(inc)
-	}
 }
 
 // maxSlow returns the longest slow window among the rules, or ten
@@ -288,9 +266,6 @@ func (w *Watcher) RunEpoch(now sim.Time) {
 			inc.Alert = &a
 			inc.Rankings = ranked
 			inc.Triples = triples
-			if w.OnIncident != nil {
-				w.OnIncident(inc)
-			}
 		}
 		if w.OnAlert != nil {
 			w.OnAlert(a, ranked)

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/guestsync"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/span"
 )
@@ -119,7 +119,7 @@ func NewRemoteServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *Se
 		spec.Threads = len(kern.CPUs())
 	}
 	if stats == nil {
-		stats = &ServerStats{Latency: &metrics.Reservoir{}}
+		stats = &ServerStats{Latency: &obs.Histogram{}}
 	}
 	in := &Instance{Name: spec.Name, kern: kern, Endless: true}
 	gate := &RemoteGate{}

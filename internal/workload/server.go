@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/guestsync"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -39,7 +39,7 @@ type ServerSpec struct {
 // ServerStats captures the paper's server metrics.
 type ServerStats struct {
 	Requests int64
-	Latency  *metrics.Reservoir
+	Latency  *obs.Histogram
 	Elapsed  sim.Time
 }
 
@@ -108,7 +108,7 @@ func NewServer(kern *guest.Kernel, spec ServerSpec, seed uint64) (*Instance, *Se
 	if spec.Threads <= 0 {
 		spec.Threads = len(kern.CPUs())
 	}
-	stats := &ServerStats{Latency: &metrics.Reservoir{}}
+	stats := &ServerStats{Latency: &obs.Histogram{}}
 	if spec.Arrival > 0 {
 		return newOpenServer(kern, spec, seed, stats), stats
 	}

@@ -170,7 +170,7 @@ func TestServerRecordsLatencies(t *testing.T) {
 	if stats.Requests < 100 {
 		t.Fatalf("requests = %d, want many", stats.Requests)
 	}
-	if stats.Latency.Count() != int(stats.Requests) {
+	if stats.Latency.Count() != stats.Requests {
 		t.Fatalf("latency samples %d != requests %d", stats.Latency.Count(), stats.Requests)
 	}
 	if stats.Throughput() <= 0 {
