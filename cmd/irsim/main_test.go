@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -106,4 +111,36 @@ func TestAttackRejectsBadSpec(t *testing.T) {
 	if code, _, _ := runCmd(t, "-attack", "tick-evade", "fig1a"); code != 2 {
 		t.Fatalf("spec+ids: exit = %d, want 2", code)
 	}
+}
+
+// checkGolden compares got against path, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestAttackGateGolden pins the CI gate's table byte for byte.
+// Regenerate with: go test ./cmd/irsim -run Golden -update
+func TestAttackGateGolden(t *testing.T) {
+	code, out, errOut := runCmd(t, "-attack", "tick-evade", "-expect-overshoot", "1.05")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "testdata/attack.golden", out)
 }

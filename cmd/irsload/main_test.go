@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -117,4 +120,36 @@ func TestSpecFileAndDeterminism(t *testing.T) {
 	if results(serial) != results(out) {
 		t.Fatalf("serial run differs from auto-sharded:\n%s\n%s", serial, out)
 	}
+}
+
+// checkGolden compares got against path, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestOutageVariantGolden pins the acceptance rig's report byte for
+// byte. Regenerate with: go test ./cmd/irsload -run Golden -update
+func TestOutageVariantGolden(t *testing.T) {
+	code, out, errOut := runCmd(t, "-variant", "2z8h-outage")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "testdata/2z8h-outage.golden", out)
 }

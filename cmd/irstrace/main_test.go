@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -49,4 +54,38 @@ func TestTraceDumpsWindowDeterministically(t *testing.T) {
 	if code2 != 0 || out2 != out {
 		t.Fatalf("rerun differs (exit %d)", code2)
 	}
+}
+
+// checkGolden compares got against path, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestTimelineGolden pins the window's bytes — every line above the
+// closing runtime line — in the file irsreport's timeline test reads.
+// Regenerate with: go test ./cmd/irstrace -run TestTimelineGolden -update
+func TestTimelineGolden(t *testing.T) {
+	code, out, errOut := runCmd(t, "-strategy", "irs", "-inter", "1", "-seed", "1",
+		"-at", "1s", "-window", "50ms", "-kinds", "sa,switch")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "../irsreport/testdata/timeline.golden", out[:strings.LastIndex(out, "runtime=")])
 }

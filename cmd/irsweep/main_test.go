@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -112,4 +117,37 @@ func TestAttackSweepRejectsBadSpecs(t *testing.T) {
 	if code, _, _ := runCmd(t, "-attack", "none;off"); code != 2 {
 		t.Fatalf("all-zero specs: exit = %d, want 2", code)
 	}
+}
+
+// checkGolden compares got against path, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestAttackSweepGolden pins the two-spec attack sweep's table in the
+// file irsim's attack tests read.
+// Regenerate with: go test ./cmd/irsweep -run Golden -update
+func TestAttackSweepGolden(t *testing.T) {
+	code, out, errOut := runCmd(t, "-attack", "tick-evade;boost-game,run=2ms")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "../irsim/testdata/attack-sweep.golden", out)
 }

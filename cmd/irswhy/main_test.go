@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -140,4 +143,36 @@ func TestPerfettoExportIsValid(t *testing.T) {
 	if instants != 10 {
 		t.Fatalf("%d instant events, want 10 (one per placement)", instants)
 	}
+}
+
+// checkGolden compares got against path, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestDefaultTrailGolden pins the default invocation's output byte for
+// byte. Regenerate with: go test ./cmd/irswhy -run Golden -update
+func TestDefaultTrailGolden(t *testing.T) {
+	code, out, errOut := runCmd(t)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "testdata/default.golden", out)
 }
