@@ -20,9 +20,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -47,54 +49,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var variants []experiments.BlameVariant
+	var strats []core.Strategy
 	for _, name := range strings.Split(*strategies, ",") {
-		v, ok := experiments.BlameVariantByName(strings.TrimSpace(name))
-		if !ok {
+		s, ok := core.StrategyByName(strings.TrimSpace(name))
+		if !ok || !slices.Contains(experiments.BlameStrategies(), s) {
 			fmt.Fprintf(stderr, "irsblame: unknown strategy %q (valid: vanilla, ple, irs)\n", name)
 			return 2
 		}
-		variants = append(variants, v)
-	}
-	if len(variants) == 0 {
-		fmt.Fprintln(stderr, "irsblame: no strategies selected")
-		return 2
+		strats = append(strats, s)
 	}
 
 	var sets []span.TrackSet
 	var csvRows [][]string
-	for _, v := range variants {
-		spans, err := experiments.BlameRun(v.Strat, *seed, sim.Duration(*duration), sim.Duration(*arrival))
+	for _, strat := range strats {
+		spans, err := experiments.BlameRun(strat, *seed, sim.Duration(*duration), sim.Duration(*arrival))
 		if err != nil {
-			fmt.Fprintf(stderr, "irsblame: %s: %v\n", v.Name, err)
+			fmt.Fprintf(stderr, "irsblame: %s: %v\n", strat, err)
 			return 1
 		}
+		name := strat.String()
 		an := span.Analyze(spans, obs.DefaultSketchAlpha)
-		printAnalysis(stdout, v.Name, an, *top)
-		sets = append(sets, span.TrackSet{Name: v.Name, Spans: an.Slowest(*top)})
-		csvRows = append(csvRows, blameCSVRows(v.Name, an)...)
+		printAnalysis(stdout, name, an, *top)
+		sets = append(sets, span.TrackSet{Name: name, Spans: an.Slowest(*top)})
+		csvRows = append(csvRows, blameCSVRows(name, an)...)
 	}
 
-	if *csvPath != "" {
-		err := obs.WriteFile(*csvPath, stdout, func(w io.Writer) error {
-			return obs.WriteCSVTable(w, blameCSVHeader(), csvRows)
-		})
-		if err != nil {
+	for _, exp := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{*csvPath, "blame breakdown CSV", func(w io.Writer) error { return obs.WriteCSVTable(w, blameCSVHeader(), csvRows) }},
+		{*perfetto, "perfetto span trace", func(w io.Writer) error { return span.WriteChromeSpans(w, sets) }},
+	} {
+		if exp.path == "" {
+			continue
+		}
+		if err := obs.WriteFile(exp.path, stdout, exp.write); err != nil {
 			fmt.Fprintf(stderr, "irsblame: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote blame breakdown CSV to %s\n", *csvPath)
-	}
-
-	if *perfetto != "" {
-		err := obs.WriteFile(*perfetto, stdout, func(w io.Writer) error {
-			return span.WriteChromeSpans(w, sets)
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "irsblame: %v\n", err)
-			return 1
+		// A "-" export is the payload itself; a confirmation would
+		// corrupt it.
+		if exp.path != "-" {
+			fmt.Fprintf(stdout, "wrote %s to %s\n", exp.what, exp.path)
 		}
-		fmt.Fprintf(stdout, "wrote perfetto span trace to %s (open in ui.perfetto.dev)\n", *perfetto)
 	}
 	return 0
 }

@@ -132,3 +132,19 @@ func TestCSVUnwritablePath(t *testing.T) {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
 	}
 }
+
+// TestStdoutExportsEndWithPayload pins that "-" exports are the last
+// bytes on stdout: the file confirmations must not trail the payload.
+func TestStdoutExportsEndWithPayload(t *testing.T) {
+	for flag, tail := range map[string]string{"-csv": ",", "-perfetto": "}"} {
+		var out, errb bytes.Buffer
+		args := []string{"-strategy", "irs", "-duration", "100ms", "-top", "0", flag, "-"}
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%s -: exit = %d, stderr: %s", flag, code, errb.String())
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if last := lines[len(lines)-1]; strings.Contains(last, "wrote ") || !strings.Contains(last, tail) {
+			t.Errorf("%s -: stdout ends with %q, want the payload's last line", flag, last)
+		}
+	}
+}

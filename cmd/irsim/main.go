@@ -3,16 +3,15 @@
 //
 // Usage:
 //
-//	irsim [-runs N] [-seed S] [-parallel] [-workers N] [-v] list
+//	irsim [-runs N] [-seed S] [-workers N] [-v] list
 //	irsim [-runs N] [-seed S] [-v] all
 //	irsim [-runs N] [-seed S] [-v] fig5 fig6 ...
-//	irsim [-experiment cluster] [-runs N] [-seed S]
 //	irsim [-cpuprofile cpu.pprof] [-memprofile mem.pprof] all
-//	irsim -attack tick-evade [-expect-overshoot 1.05] [-seed S]
+//	irsim -attack "tick-evade;boost-game,run=2ms" [-expect-overshoot 1.05] [-seed S]
 //
-// Tables go to stdout and are byte-identical for a given seed (wall
-// times and progress go to stderr), so output can be diffed across
-// runs and against the golden corpus.
+// Tables go to stdout and are byte-identical for a given seed at any
+// -workers setting (wall times and progress go to stderr), so output
+// can be diffed across runs and against the golden corpus.
 package main
 
 import (
@@ -20,11 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -40,71 +38,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runs := fs.Int("runs", 3, "simulated runs per data point (paper: 5)")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	verbose := fs.Bool("v", false, "log each measurement")
-	parallel := fs.Bool("parallel", true, "fan each figure's simulation matrix across worker goroutines")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	shards := fs.Int("shards", 0, "per-host engine shards inside cluster-backed experiments (0 = auto, 1 = serial; output is identical at any setting)")
 	lookahead := fs.Duration("lookahead", 0, "conservative window width for sharded cluster runs (0 = default 250µs; changing it changes results)")
-	experiment := fs.String("experiment", "", "experiment id to run (alias for the positional form)")
-	attack := fs.String("attack", "", "attacker spec (e.g. tick-evade,margin=500us); runs it against every accounting defense")
+	attack := fs.String("attack", "", "';'-separated attacker specs (e.g. tick-evade,margin=500us); runs each against every accounting defense")
 	expectOvershoot := fs.Float64("expect-overshoot", 0,
-		"with -attack: exit nonzero unless the fully-defended row keeps the attacker at or below this fair-share ratio")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+		"with -attack: exit nonzero unless every spec's fully-defended row keeps the attacker at or below this fair-share ratio")
+	prof := cli.AddProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	ids := fs.Args()
-	if *experiment != "" {
-		ids = append([]string{*experiment}, ids...)
+	if *attack != "" && len(ids) > 0 {
+		fmt.Fprintln(stderr, "irsim: -attack does not combine with experiment ids")
+		return 2
 	}
-	if *attack != "" {
-		if len(ids) > 0 {
-			fmt.Fprintln(stderr, "irsim: -attack does not combine with experiment ids")
-			return 2
-		}
-		return attackGate(*attack, *expectOvershoot, *seed, stdout, stderr)
-	}
-	if len(ids) == 0 {
-		usage(fs, stderr)
+	if *attack == "" && len(ids) == 0 {
+		fmt.Fprintln(stderr, "usage: irsim [flags] list | all | <experiment-id>...")
+		fs.PrintDefaults()
 		return 2
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "irsim: -cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "irsim: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := prof.Start(stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsim: %v\n", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderr, "irsim: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "irsim: -memprofile: %v\n", err)
-			}
-			f.Close()
-		}()
+	defer stop()
+	if *attack != "" {
+		return attackGate(*attack, *expectOvershoot, *seed, *workers, stdout, stderr)
 	}
 
 	opt := experiments.Options{
 		Runs: *runs, Seed: *seed, Workers: *workers,
 		Shards: *shards, Lookahead: sim.Duration(*lookahead),
-	}
-	if !*parallel {
-		opt.Workers = 1
 	}
 	if *verbose {
 		opt.Logf = func(format string, a ...any) {
@@ -143,68 +110,70 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func usage(fs *flag.FlagSet, stderr io.Writer) {
-	fmt.Fprintln(stderr, "usage: irsim [flags] list | all | <experiment-id>...")
-	fs.PrintDefaults()
-}
-
-// attackGate runs one attacker spec against every accounting defense
-// and prints the resulting table. With a positive expect threshold it
-// doubles as the CI smoke gate: the fully-defended ("both") row must
-// keep the attacker's obtained/fair ratio at or below the threshold.
-func attackGate(spec string, expect float64, seed uint64, stdout, stderr io.Writer) int {
-	as, err := workload.ParseAttack(spec)
-	if err != nil {
-		fmt.Fprintf(stderr, "irsim: -attack: %v\n", err)
-		return 2
+// attackGate runs each ';'-separated attacker spec against every
+// accounting defense across the worker pool and prints one table: a
+// row per (spec, defense) cell, in spec then defense order. With a
+// positive expect threshold it doubles as the CI smoke gate: every
+// spec's fully-defended ("both") row must keep the attacker's
+// obtained/fair ratio at or below the threshold.
+func attackGate(list string, expect float64, seed uint64, workers int, stdout, stderr io.Writer) int {
+	var specs []workload.AttackSpec
+	for _, part := range strings.Split(list, ";") {
+		s, err := workload.ParseAttack(part)
+		if err != nil {
+			fmt.Fprintf(stderr, "irsim: -attack %q: %v\n", part, err)
+			return 2
+		}
+		if !s.Zero() {
+			specs = append(specs, s)
+		}
 	}
-	if as.Zero() {
-		fmt.Fprintln(stderr, "irsim: -attack: spec names no attack kind")
+	if len(specs) == 0 {
+		fmt.Fprintf(stderr, "irsim: -attack %q names no attack kind\n", list)
 		return 2
 	}
 	defenses := experiments.AttackDefenses()
-	outs := make([]experiments.AttackOutcome, len(defenses))
-	errs := make([]error, len(defenses))
-	var fns []func()
-	for i, d := range defenses {
-		i, d := i, d
-		fns = append(fns, func() {
-			outs[i], errs[i] = experiments.RunAttack(as, d, seed)
-		})
+	outs := make([]experiments.AttackOutcome, len(specs)*len(defenses))
+	errs := make([]error, len(outs))
+	fns := make([]func(), len(outs))
+	for i := range fns {
+		i, spec, d := i, specs[i/len(defenses)], defenses[i%len(defenses)]
+		fns[i] = func() { outs[i], errs[i] = experiments.RunAttack(spec, d, seed) }
 	}
-	experiments.ParallelDo(len(fns), fns)
+	experiments.ParallelDo(workers, fns)
 
 	tb := experiments.Table{
 		ID:      "attack",
-		Title:   fmt.Sprintf("attacker %q vs accounting defenses", as),
+		Title:   fmt.Sprintf("attacker %q vs accounting defenses", list),
 		Columns: experiments.AttackColumns(),
 	}
-	var defended *experiments.AttackOutcome
-	for i, d := range defenses {
+	code := 0
+	for i, out := range outs {
 		if errs[i] != nil {
-			fmt.Fprintf(stderr, "irsim: attack %s/%s: %v\n", as.Kind, d.Name, errs[i])
-			return 1
+			fmt.Fprintf(stderr, "irsim: attack %s/%s: %v\n", specs[i/len(defenses)], defenses[i%len(defenses)].Name, errs[i])
+			code = 1
+			continue
 		}
-		tb.Rows = append(tb.Rows, experiments.AttackRow(outs[i]))
-		if d.Name == "both" {
-			defended = &outs[i]
-		}
+		tb.Rows = append(tb.Rows, experiments.AttackRow(out))
 	}
 	fmt.Fprint(stdout, tb)
 	fmt.Fprintln(stdout)
+	if expect <= 0 || code != 0 {
+		return code
+	}
 
-	if expect > 0 {
-		if defended == nil {
-			fmt.Fprintln(stderr, "irsim: attack gate: no fully-defended row")
-			return 1
+	for _, out := range outs {
+		if out.Defense != "both" {
+			continue
 		}
-		if defended.FairRatio > expect {
+		if out.FairRatio > expect {
 			fmt.Fprintf(stderr, "irsim: attack gate FAILED: defended %s still obtains %.3fx fair share (cap %.2fx)\n",
-				as.Kind, defended.FairRatio, expect)
-			return 1
+				out.Attacker, out.FairRatio, expect)
+			code = 1
+			continue
 		}
 		fmt.Fprintf(stderr, "irsim: attack gate ok: defended %s held to %.3fx fair share (cap %.2fx)\n",
-			as.Kind, defended.FairRatio, expect)
+			out.Attacker, out.FairRatio, expect)
 	}
-	return 0
+	return code
 }

@@ -57,22 +57,18 @@ func TestUnknownExperimentFails(t *testing.T) {
 }
 
 func TestClusterExperimentDeterministic(t *testing.T) {
-	// The -experiment alias, and the headline property: same seed ⇒
-	// byte-identical stdout, with and without -parallel.
-	code, out, errOut := runCmd(t, "-experiment", "cluster", "-runs", "1", "-seed", "1")
+	// The headline property: same seed ⇒ byte-identical stdout, across
+	// the worker pool and serially.
+	code, out, errOut := runCmd(t, "-runs", "1", "-seed", "1", "cluster")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
 	if !strings.Contains(out, "first-fit") || !strings.Contains(out, "ia+irs") {
 		t.Fatalf("cluster table missing variants:\n%s", out)
 	}
-	code2, out2, _ := runCmd(t, "-runs", "1", "-seed", "1", "cluster")
+	code2, out2, _ := runCmd(t, "-workers", "1", "-runs", "1", "-seed", "1", "cluster")
 	if code2 != 0 || out2 != out {
-		t.Fatalf("positional rerun differs (exit %d)", code2)
-	}
-	code3, out3, _ := runCmd(t, "-parallel=false", "-runs", "1", "-seed", "1", "cluster")
-	if code3 != 0 || out3 != out {
-		t.Fatalf("serial run differs from parallel (exit %d)", code3)
+		t.Fatalf("serial run differs from parallel (exit %d)", code2)
 	}
 }
 
@@ -102,14 +98,49 @@ func TestAttackGateFailsOnImpossibleCap(t *testing.T) {
 }
 
 func TestAttackRejectsBadSpec(t *testing.T) {
-	if code, _, _ := runCmd(t, "-attack", "frobnicate"); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+	for _, args := range [][]string{
+		{"-attack", "frobnicate"},
+		{"-attack", "tick-evade;frobnicate"},
+		{"-attack", "none"},
+		{"-attack", "none;off"}, // every spec zero
+		{"-attack", "tick-evade", "fig1a"},
+	} {
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
 	}
-	if code, _, _ := runCmd(t, "-attack", "none"); code != 2 {
-		t.Fatalf("zero spec: exit = %d, want 2", code)
+}
+
+// TestAttackSpecListMatrix runs two specs through the one attack path:
+// every spec × defense row must reappear exactly as the golden sweep
+// pinned it (only the title line names the spec list), the same seed
+// must give the same bytes serially and across the pool, and the gate
+// must judge each spec's fully-defended row.
+func TestAttackSpecListMatrix(t *testing.T) {
+	const list = "tick-evade;boost-game,run=2ms"
+	code, out, errOut := runCmd(t, "-attack", list, "-seed", "1")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
-	if code, _, _ := runCmd(t, "-attack", "tick-evade", "fig1a"); code != 2 {
-		t.Fatalf("spec+ids: exit = %d, want 2", code)
+	want, err := os.ReadFile("testdata/attack-sweep.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	title, rows, _ := strings.Cut(out, "\n")
+	_, wantRows, _ := strings.Cut(string(want), "\n")
+	if title != `== attack: attacker "tick-evade;boost-game,run=2ms" vs accounting defenses ==` {
+		t.Errorf("title = %q", title)
+	}
+	if rows != wantRows+"\n" {
+		t.Fatalf("rows differ from the pinned sweep:\n%s", out)
+	}
+	code2, out2, _ := runCmd(t, "-attack", list, "-seed", "1", "-workers", "1")
+	if code2 != 0 || out2 != out {
+		t.Fatalf("serial attack matrix differs from parallel (exit %d)", code2)
+	}
+	code, _, errOut = runCmd(t, "-attack", list, "-expect-overshoot", "1.05")
+	if code != 0 || strings.Count(errOut, "attack gate ok") != 2 {
+		t.Fatalf("gate did not pass both specs (exit %d): %s", code, errOut)
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -34,31 +33,19 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	variant := fs.String("variant", "", "built-in load spec by name (see -list)")
-	specFlag := fs.String("spec", "", "inline load spec (topology.ParseLoadSpec syntax)")
-	file := fs.String("file", "", "read the load spec from a file")
-	list := fs.Bool("list", false, "list built-in variants and exit")
-	seed := fs.Uint64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window override (0 = default)")
+	src := cli.AddLoadSpec(fs, "")
 	expect := fs.Float64("expect", -1, "fail unless the post-recovery SLO-violation rate is below this percentage")
 	verbose := fs.Bool("v", false, "echo the parsed spec before running")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *list {
-		for _, v := range experiments.ScaleVariants() {
-			fmt.Fprintf(stdout, "%-14s %s\n", v.Name, v.Spec)
-		}
+	if *src.List {
+		cli.PrintVariants(stdout)
 		return 0
 	}
 
-	text, name, code := specText(*variant, *specFlag, *file, stderr)
-	if code != 0 {
-		return code
-	}
-	spec, err := topology.ParseLoadSpec(text)
+	name, spec, cfg, err := src.Resolve()
 	if err != nil {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
 		return 2
@@ -67,15 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "spec: %s\n", spec.String())
 	}
 
-	cfg, err := experiments.ScaleConfig(spec, *seed)
-	if err != nil {
-		fmt.Fprintf(stderr, "irsload: %v\n", err)
-		return 2
-	}
-	cfg.Shards = *shards
-	if *lookahead > 0 {
-		cfg.Lookahead = sim.Duration(*lookahead)
-	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
@@ -98,11 +76,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *expect >= 0 {
-		rate, ok := recoveryRate(res)
-		if !ok {
+		if len(res.Phases) != 3 {
 			fmt.Fprintln(stderr, "irsload: -expect set but the spec has no outage (no recovery phase to gate)")
 			return 1
 		}
+		rate := res.Phases[2].Rate
 		if rate*100 >= *expect {
 			fmt.Fprintf(stderr, "irsload: recovery SLO-violation rate %.2f%% is not below the -expect gate %.2f%%\n",
 				rate*100, *expect)
@@ -111,38 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "expect gate: recovery slo-viol %.2f%% < %.2f%% — ok\n", rate*100, *expect)
 	}
 	return 0
-}
-
-// specText resolves the one allowed spec source into its text.
-func specText(variant, spec, file string, stderr io.Writer) (text, name string, code int) {
-	set := 0
-	for _, s := range []string{variant, spec, file} {
-		if s != "" {
-			set++
-		}
-	}
-	if set != 1 {
-		fmt.Fprintln(stderr, "irsload: exactly one of -variant, -spec, -file must be given")
-		return "", "", 2
-	}
-	switch {
-	case variant != "":
-		v, ok := experiments.ScaleVariantByName(variant)
-		if !ok {
-			fmt.Fprintf(stderr, "irsload: unknown variant %q (try -list)\n", variant)
-			return "", "", 2
-		}
-		return v.Spec, v.Name, 0
-	case spec != "":
-		return spec, "spec", 0
-	default:
-		b, err := os.ReadFile(file)
-		if err != nil {
-			fmt.Fprintf(stderr, "irsload: %v\n", err)
-			return "", "", 2
-		}
-		return string(b), file, 0
-	}
 }
 
 // report prints the run outcome: headline latency/SLO numbers, the
@@ -164,13 +110,4 @@ func report(w io.Writer, name string, spec topology.LoadSpec, res *cluster.Resul
 				labels[i], p.Served, p.Violations, p.Rate*100)
 		}
 	}
-}
-
-// recoveryRate returns the SLO-violation rate of the post-recovery
-// phase, when the run had the three-phase outage layout.
-func recoveryRate(res *cluster.Result) (float64, bool) {
-	if len(res.Phases) != 3 {
-		return 0, false
-	}
-	return res.Phases[2].Rate, true
 }

@@ -3,8 +3,11 @@
 // sampler, and the scheduling trace — and emits a report: a summary
 // table on stdout (per-vCPU steal time, preemption-wait and SA
 // ack-latency histograms, LHP/LWP counts, migration counters) plus
-// optional machine-readable exports (Prometheus text, CSV time series,
-// Chrome trace_viewer JSON for chrome://tracing / Perfetto).
+// optional exports: Prometheus text, CSV time series, Chrome
+// trace_viewer JSON for chrome://tracing / Perfetto, and the plain-text
+// scheduling timeline (vCPU transitions, context switches, scheduler
+// activations, guest migrations) of the -at/-window slice, filtered by
+// -kinds.
 //
 // Output is fully deterministic: the same seed produces byte-identical
 // summaries and exports.
@@ -13,9 +16,9 @@
 //
 //	irsreport [-bench streamcluster] [-strategy vanilla,irs] [-inter 1]
 //	          [-seed 1] [-sample 10ms] [-prom out.prom] [-csv out.csv]
-//	          [-tracejson out.json] [-at 1s] [-window 100ms]
-//	          [-faults drop-sa=0.1,dup-sa=0.05] [-fault-seed 0]
-//	          [-parallel] [-workers N]
+//	          [-tracejson out.json] [-timeline out.txt] [-kinds sa,migrate]
+//	          [-at 1s] [-window 100ms]
+//	          [-faults drop-sa=0.1,dup-sa=0.05] [-fault-seed 0] [-workers N]
 //
 // With -faults, the spec (see fault.ParsePlan) is injected into every
 // run, the runtime invariant checker is attached, and the summary
@@ -30,7 +33,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -49,6 +51,19 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// reportConfig is one invocation's settings, shared by every
+// strategy's run.
+type reportConfig struct {
+	bench                                  workload.Benchmark
+	inter                                  int
+	seed, faultSeed                        uint64
+	sample, at, window                     sim.Time
+	promPath, csvPath, traceJSON, timeline string
+	kinds                                  map[trace.Kind]bool
+	plan                                   fault.Plan
+	multi                                  bool
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -59,13 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sample := fs.Duration("sample", 10*time.Millisecond, "sampler cadence (virtual time)")
 	promPath := fs.String("prom", "", "write Prometheus text export to this file (- for stdout)")
 	csvPath := fs.String("csv", "", "write CSV time-series export to this file (- for stdout)")
-	traceJSON := fs.String("tracejson", "", "write Chrome trace JSON to this file (- for stdout)")
-	at := fs.Duration("at", time.Second, "start of the Chrome trace window (virtual time)")
-	window := fs.Duration("window", 100*time.Millisecond, "length of the Chrome trace window")
+	traceJSON := fs.String("tracejson", "", "write Chrome trace JSON of the -at/-window slice to this file (- for stdout)")
+	timeline := fs.String("timeline", "", "write the text timeline of the -at/-window slice to this file (- for stdout)")
+	kindsArg := fs.String("kinds", "", "-timeline filter, comma-separated: vcpu,switch,sa,task,migrate,note (default all)")
+	at := fs.Duration("at", time.Second, "start of the -tracejson/-timeline window (virtual time)")
+	window := fs.Duration("window", 100*time.Millisecond, "length of the -tracejson/-timeline window")
 	faultSpec := fs.String("faults", "", "fault plan, e.g. drop-sa=0.1,dup-sa=0.05 (see fault.ParsePlan; \"none\" disables)")
 	faultSeed := fs.Uint64("fault-seed", 0, "fault injector seed (0 derives from -seed)")
-	parallel := fs.Bool("parallel", true, "run the per-strategy reports across worker goroutines")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker goroutines for the per-strategy runs (0 = GOMAXPROCS, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,36 +91,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsreport: -faults: %v\n", err)
 		return 2
 	}
-
+	kinds, err := trace.ParseKinds(*kindsArg)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsreport: -kinds: %v\n", err)
+		return 2
+	}
 	bench, ok := workload.ByName(*benchName)
 	if !ok {
 		fmt.Fprintf(stderr, "irsreport: unknown benchmark %q\n", *benchName)
-		return 1
+		return 2
 	}
 	var strategies []core.Strategy
 	for _, name := range strings.Split(*stratArg, ",") {
-		s, ok := strategyByName(strings.TrimSpace(name))
+		s, ok := core.StrategyByName(strings.TrimSpace(name))
 		if !ok {
 			fmt.Fprintf(stderr, "irsreport: unknown strategy %q (valid: vanilla, ple, relaxed-co, irs, strict-co)\n", name)
 			return 2
 		}
 		strategies = append(strategies, s)
 	}
-	if len(strategies) == 0 {
-		fmt.Fprintln(stderr, "irsreport: no strategy given")
-		return 2
+	cfg := reportConfig{
+		bench: bench, inter: *inter, seed: *seed, faultSeed: *faultSeed,
+		sample: sim.Duration(*sample), at: sim.Duration(*at), window: sim.Duration(*window),
+		promPath: *promPath, csvPath: *csvPath, traceJSON: *traceJSON, timeline: *timeline,
+		kinds: kinds, plan: plan, multi: len(strategies) > 1,
 	}
 
 	// Each strategy's run is an isolated simulation: fan them out and
 	// buffer the output so stdout/stderr stay in strategy order and the
 	// emitted report is byte-identical to a serial run.
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	if !*parallel {
-		nWorkers = 1
-	}
 	type reportOut struct {
 		out, errOut bytes.Buffer
 		err         error
@@ -113,15 +128,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fns := make([]func(), len(strategies))
 	for i, strat := range strategies {
 		i, strat := i, strat
-		fns[i] = func() {
-			outs[i].err = report(&outs[i].out, &outs[i].errOut, bench, *benchName,
-				strat, *inter, *seed, sim.Duration(*sample),
-				*promPath, *csvPath, *traceJSON,
-				sim.Duration(*at), sim.Duration(*window), len(strategies) > 1,
-				plan, *faultSeed)
-		}
+		fns[i] = func() { outs[i].err = report(&outs[i].out, &outs[i].errOut, &cfg, strat) }
 	}
-	experiments.ParallelDo(nWorkers, fns)
+	experiments.ParallelDo(*workers, fns)
 	for i := range outs {
 		io.Copy(stdout, &outs[i].out)
 		io.Copy(stderr, &outs[i].errOut)
@@ -133,47 +142,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func strategyByName(name string) (core.Strategy, bool) {
-	switch name {
-	case "vanilla":
-		return core.StrategyVanilla, true
-	case "ple":
-		return core.StrategyPLE, true
-	case "relaxed-co":
-		return core.StrategyRelaxedCo, true
-	case "irs":
-		return core.StrategyIRS, true
-	case "strict-co":
-		return core.StrategyStrictCo, true
-	}
-	return 0, false
-}
-
 // report runs one strategy with telemetry attached and emits its
 // summary and exports.
-func report(stdout, stderr io.Writer, bench workload.Benchmark, benchName string,
-	strat core.Strategy, inter int, seed uint64, sample sim.Time,
-	promPath, csvPath, traceJSON string, at, window sim.Time, multi bool,
-	plan fault.Plan, faultSeed uint64) error {
-
+func report(stdout, stderr io.Writer, cfg *reportConfig, strat core.Strategy) error {
 	reg := obs.NewRegistry()
 	log := trace.NewLog(500000)
-	fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
+	fg := core.BenchmarkVM("fg", cfg.bench, 0, 4, core.SeqPins(0, 4))
 	fg.IRS = strat == core.StrategyIRS
 	vms := []core.VMSpec{fg}
-	if inter > 0 {
-		vms = append(vms, core.HogVM("bg", inter, core.SeqPins(0, inter)))
+	if cfg.inter > 0 {
+		vms = append(vms, core.HogVM("bg", cfg.inter, core.SeqPins(0, cfg.inter)))
 	}
 	scn := core.Scenario{
 		PCPUs:          4,
 		Strategy:       strat,
-		Seed:           seed,
+		Seed:           cfg.seed,
 		VMs:            vms,
 		Metrics:        reg,
-		SampleInterval: sample,
-		Faults:         plan,
-		FaultSeed:      faultSeed,
-		Invariants:     !plan.Zero(),
+		SampleInterval: cfg.sample,
+		Faults:         cfg.plan,
+		FaultSeed:      cfg.faultSeed,
+		Invariants:     !cfg.plan.Zero(),
 		TuneHV:         func(c *hypervisor.Config) { c.Trace = log },
 		TuneGuest: func(name string, c *guest.Config) {
 			if name == "fg" {
@@ -196,16 +185,17 @@ func report(stdout, stderr io.Writer, bench workload.Benchmark, benchName string
 	// One final snapshot so the series include the end-of-run state.
 	cluster.Sampler.Sample()
 
-	writeSummary(stdout, reg, cluster.Sampler, res, benchName, strat, inter, seed, plan)
+	writeSummary(stdout, reg, cluster.Sampler, res, cfg, strat)
 
 	for _, exp := range []struct {
 		path  string
 		label string
 		write func(io.Writer) error
 	}{
-		{promPath, "prometheus", func(w io.Writer) error { return obs.WritePrometheus(w, reg) }},
-		{csvPath, "csv", func(w io.Writer) error { return obs.WriteCSV(w, cluster.Sampler) }},
-		{traceJSON, "chrome-trace", func(w io.Writer) error { return obs.WriteChromeTrace(w, log, at, at+window) }},
+		{cfg.promPath, "prometheus", func(w io.Writer) error { return obs.WritePrometheus(w, reg) }},
+		{cfg.csvPath, "csv", func(w io.Writer) error { return obs.WriteCSV(w, cluster.Sampler) }},
+		{cfg.traceJSON, "chrome-trace", func(w io.Writer) error { return obs.WriteChromeTrace(w, log, cfg.at, cfg.at+cfg.window) }},
+		{cfg.timeline, "timeline", func(w io.Writer) error { return log.Dump(w, cfg.at, cfg.at+cfg.window, cfg.kinds) }},
 	} {
 		path := exp.path
 		switch {
@@ -213,7 +203,7 @@ func report(stdout, stderr io.Writer, bench workload.Benchmark, benchName string
 			continue
 		case path == "-":
 			fmt.Fprintf(stdout, "--- %s (%s) ---\n", exp.label, strat)
-		case multi:
+		case cfg.multi:
 			path = insertSuffix(path, strat.String())
 		}
 		if err := obs.WriteFile(path, stdout, exp.write); err != nil {
@@ -234,10 +224,10 @@ func insertSuffix(path, suffix string) string {
 
 // writeSummary renders the human-readable telemetry digest.
 func writeSummary(w io.Writer, reg *obs.Registry, smp *obs.Sampler, res *core.Result,
-	benchName string, strat core.Strategy, inter int, seed uint64, plan fault.Plan) {
+	cfg *reportConfig, strat core.Strategy) {
 
 	fmt.Fprintf(w, "== irsreport: bench=%s inter=%d strategy=%s seed=%d ==\n",
-		benchName, inter, strat, seed)
+		cfg.bench.Name, cfg.inter, strat, cfg.seed)
 	fgRes := res.VM("fg")
 	fmt.Fprintf(w, "runtime            %s (elapsed %s, %d sim events)\n",
 		fgRes.Runtime, res.Elapsed, res.Events)
@@ -262,8 +252,8 @@ func writeSummary(w io.Writer, reg *obs.Registry, smp *obs.Sampler, res *core.Re
 		obs.CounterValue(reg, "hv_sa_acked_total", fgL),
 		obs.CounterValue(reg, "hv_sa_expired_total", fgL),
 		res.SAPending, res.SAFallbacks)
-	if !plan.Zero() {
-		fmt.Fprintf(w, "faults injected    %d (plan %s)\n", res.FaultsInjected, plan)
+	if !cfg.plan.Zero() {
+		fmt.Fprintf(w, "faults injected    %d (plan %s)\n", res.FaultsInjected, cfg.plan)
 		fmt.Fprintf(w, "invariants         %d violations\n", res.Violations)
 	}
 	fmt.Fprintf(w, "LHP/LWP (fg)       %d/%d\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,7 +24,8 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-faults", "bogus=1"}, 2},
 		{[]string{"-strategy", "fifo"}, 2},
 		{[]string{"-strategy", ""}, 2},
-		{[]string{"-bench", "nosuchbench"}, 1},
+		{[]string{"-kinds", "bogus"}, 2},
+		{[]string{"-bench", "nosuchbench"}, 2},
 	}
 	for _, tc := range cases {
 		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
@@ -59,5 +61,46 @@ func TestReportRunsAndIsDeterministic(t *testing.T) {
 	code2, out2, _ := runCmd(t, args...)
 	if code2 != 0 || out2 != out {
 		t.Fatalf("rerun differs (exit %d)", code2)
+	}
+}
+
+// TestTimelineMatchesGolden pins the -timeline window byte for byte:
+// the SA and context-switch lines of IRS's reaction to a hog at 1s,
+// then the shown/dropped/totals line. The same seed must reproduce
+// the file exactly, and the drop counter must be present so a reader
+// can tell a complete window from a truncated one.
+func TestTimelineMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/timeline.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		path := filepath.Join(t.TempDir(), "t.txt")
+		code, _, errOut := runCmd(t, "-strategy", "irs", "-inter", "1", "-seed", "1",
+			"-at", "1s", "-window", "50ms", "-kinds", "sa,switch", "-timeline", path)
+		if code != 0 {
+			t.Fatalf("exit = %d, stderr: %s", code, errOut)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("run %d: timeline differs from golden:\n%s", i, got)
+		}
+	}
+	if !strings.Contains(string(want), "dropped at capacity") {
+		t.Fatal("timeline does not surface the dropped-event count")
+	}
+}
+
+func TestTimelineToStdout(t *testing.T) {
+	code, out, errOut := runCmd(t, "-strategy", "irs", "-kinds", "migrate", "-timeline", "-")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	_, timeline, ok := strings.Cut(out, "--- timeline (irs) ---\n")
+	if !ok || !strings.Contains(timeline, "events shown") || strings.Contains(timeline, " sa ") {
+		t.Fatalf("timeline section missing or unfiltered:\n%s", out)
 	}
 }

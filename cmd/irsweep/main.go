@@ -4,15 +4,14 @@
 // placement variants (first-fit, least-loaded, interference-aware ±
 // IRS) across rack sizes. Every cell is an isolated deterministic
 // simulation fanned out across worker goroutines, so the printed table
-// is identical with and without -parallel.
+// is identical at any -workers setting.
 //
 // Usage:
 //
 //	irsweep -bench streamcluster -inter 0,1,2,4 [-mode spin|block] [-vcpus 4]
-//	        [-unpinned] [-seed S] [-runs N] [-parallel] [-workers N]
+//	        [-unpinned] [-seed S] [-runs N] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-lookahead 250us] [-seed S] [-parallel] [-workers N]
-//	irsweep -attack "tick-evade;boost-game,run=2ms" [-seed S] [-parallel] [-workers N]
+//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-lookahead 250us] [-seed S] [-workers N]
 //	irsweep -list
 package main
 
@@ -21,11 +20,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -55,11 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	zones := fs.Int("zones", 1, "zone count for -cluster: >1 runs each rack size under the two-level zone scheduler")
 	shards := fs.Int("shards", 0, "per-host engine shards inside each -cluster cell (0 = auto, 1 = serial; output is identical at any setting)")
 	lookahead := fs.Duration("lookahead", 0, "conservative window width for sharded -cluster cells (0 = default 250µs; changing it changes results)")
-	attackList := fs.String("attack", "", "semicolon-separated attacker specs to sweep against every accounting defense")
-	parallel := fs.Bool("parallel", true, "fan sweep cells across worker goroutines")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
+	prof := cli.AddProfile(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -70,43 +65,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "irsweep: -cpuprofile: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "irsweep: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := prof.Start(stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsweep: %v\n", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderr, "irsweep: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "irsweep: -memprofile: %v\n", err)
-			}
-			f.Close()
-		}()
-	}
-
-	nWorkers := *workers
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
-	if !*parallel {
-		nWorkers = 1
-	}
+	defer stop()
 
 	if *clusterSweep {
 		hosts, ok := parseIntList(*hostsList)
@@ -118,33 +82,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, nWorkers, *shards, sim.Duration(*lookahead))
-	}
-
-	if *attackList != "" {
-		var specs []workload.AttackSpec
-		for _, part := range strings.Split(*attackList, ";") {
-			s, err := workload.ParseAttack(part)
-			if err != nil {
-				fmt.Fprintf(stderr, "irsweep: bad -attack spec %q: %v\n", part, err)
-				return 2
-			}
-			if s.Zero() {
-				continue
-			}
-			specs = append(specs, s)
-		}
-		if len(specs) == 0 {
-			fmt.Fprintf(stderr, "irsweep: -attack %q names no attackers\n", *attackList)
-			return 2
-		}
-		return attackMatrix(stdout, stderr, specs, *seed, nWorkers)
+		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, *workers, *shards, sim.Duration(*lookahead))
 	}
 
 	bench, ok := workload.ByName(*benchName)
 	if !ok {
 		fmt.Fprintf(stderr, "irsweep: unknown benchmark %q (try -list)\n", *benchName)
-		return 1
+		return 2
 	}
 	var mode workload.SyncMode
 	switch *modeName {
@@ -161,6 +105,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	levels, ok := parseIntList(*interList)
 	if !ok {
 		fmt.Fprintf(stderr, "irsweep: bad -inter %q\n", *interList)
+		return 2
+	}
+	if *runs < 1 {
+		fmt.Fprintf(stderr, "irsweep: bad -runs %d (want >= 1)\n", *runs)
 		return 2
 	}
 
@@ -182,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			})
 		}
 	}
-	experiments.ParallelDo(nWorkers, fns)
+	experiments.ParallelDo(*workers, fns)
 
 	fmt.Fprintf(stdout, "%-10s", "inter")
 	for _, st := range strats {
@@ -222,7 +170,7 @@ func parseIntList(s string) ([]int, bool) {
 // rate) per variant. With zones > 1 each rack size is per zone and
 // every cell runs under the two-level zone scheduler and partitioned
 // router.
-func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, nWorkers, shards int, lookahead sim.Time) int {
+func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int, lookahead sim.Time) int {
 	variants := experiments.ClusterVariants()
 	type cell struct {
 		p99  sim.Time
@@ -242,9 +190,7 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 					cfg.Topology = topology.Uniform(zones, n)
 				}
 				cfg.Shards = shards
-				if lookahead > 0 {
-					cfg.Lookahead = lookahead
-				}
+				cfg.Lookahead = lookahead
 				c, err := cluster.New(cfg)
 				if err != nil {
 					cells[hi*len(variants)+vi] = cell{err: err}
@@ -259,7 +205,7 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 			})
 		}
 	}
-	experiments.ParallelDo(nWorkers, fns)
+	experiments.ParallelDo(workers, fns)
 
 	hdr := "hosts"
 	if zones > 1 {
@@ -286,56 +232,6 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 		}
 		fmt.Fprintln(stdout)
 	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
-// attackMatrix sweeps attacker specs against every accounting defense:
-// one row per (attacker, defense) cell, in spec order then defense
-// order, each cell an isolated deterministic simulation.
-func attackMatrix(stdout, stderr io.Writer, specs []workload.AttackSpec, seed uint64, nWorkers int) int {
-	defenses := experiments.AttackDefenses()
-	type cell struct {
-		out experiments.AttackOutcome
-		err error
-	}
-	cells := make([]cell, len(specs)*len(defenses))
-	var fns []func()
-	for si, spec := range specs {
-		for di, d := range defenses {
-			si, di, spec, d := si, di, spec, d
-			fns = append(fns, func() {
-				out, err := experiments.RunAttack(spec, d, seed)
-				cells[si*len(defenses)+di] = cell{out: out, err: err}
-			})
-		}
-	}
-	experiments.ParallelDo(nWorkers, fns)
-
-	tb := experiments.Table{
-		ID:      "attack-sweep",
-		Title:   "attacker specs vs accounting defenses",
-		Columns: experiments.AttackColumns(),
-	}
-	bad := 0
-	for si, spec := range specs {
-		for di, d := range defenses {
-			c := cells[si*len(defenses)+di]
-			if c.err != nil {
-				fmt.Fprintf(stderr, "irsweep: attack %q/%s: %v\n", spec, d.Name, c.err)
-				bad++
-				continue
-			}
-			row := experiments.AttackRow(c.out)
-			// The sweep may carry several variants of one attack kind;
-			// show the full spec so rows stay distinguishable.
-			row[0] = spec.String()
-			tb.Rows = append(tb.Rows, row)
-		}
-	}
-	fmt.Fprint(stdout, tb)
 	if bad > 0 {
 		return 1
 	}

@@ -2,14 +2,9 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -38,7 +33,8 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-inter", "-3"}, 2},
 		{[]string{"-mode", "busy"}, 2},
 		{[]string{"-cluster", "-hosts", "two"}, 2},
-		{[]string{"-bench", "nosuchbench"}, 1},
+		{[]string{"-bench", "nosuchbench"}, 2},
+		{[]string{"-runs", "0"}, 2},
 	}
 	for _, tc := range cases {
 		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
@@ -66,7 +62,7 @@ func TestClusterSweepDeterministic(t *testing.T) {
 			t.Fatalf("sweep output missing %q:\n%s", want, out)
 		}
 	}
-	code2, out2, _ := runCmd(t, "-cluster", "-hosts", "3", "-seed", "1", "-parallel=false")
+	code2, out2, _ := runCmd(t, "-cluster", "-hosts", "3", "-seed", "1", "-workers", "1")
 	if code2 != 0 || out2 != out {
 		t.Fatalf("serial sweep differs from parallel (exit %d)", code2)
 	}
@@ -91,63 +87,4 @@ func TestClusterSweepZones(t *testing.T) {
 	if code, _, _ := runCmd(t, "-cluster", "-zones", "0"); code != 2 {
 		t.Fatal("-zones 0 accepted")
 	}
-}
-
-func TestAttackSweepMatrix(t *testing.T) {
-	code, out, errOut := runCmd(t, "-attack", "tick-evade;boost-game,run=2ms", "-seed", "1")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errOut)
-	}
-	for _, want := range []string{"tick-evade", "boost-game,run=2ms", "vanilla", "jitter", "exact", "both"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("attack matrix missing %q:\n%s", want, out)
-		}
-	}
-	// Same seed ⇒ byte-identical, serial vs parallel.
-	code2, out2, _ := runCmd(t, "-attack", "tick-evade;boost-game,run=2ms", "-seed", "1", "-parallel=false")
-	if code2 != 0 || out2 != out {
-		t.Fatalf("serial attack sweep differs from parallel (exit %d)", code2)
-	}
-}
-
-func TestAttackSweepRejectsBadSpecs(t *testing.T) {
-	if code, _, _ := runCmd(t, "-attack", "frobnicate"); code != 2 {
-		t.Fatalf("bad spec: exit = %d, want 2", code)
-	}
-	if code, _, _ := runCmd(t, "-attack", "none;off"); code != 2 {
-		t.Fatalf("all-zero specs: exit = %d, want 2", code)
-	}
-}
-
-// checkGolden compares got against path, or rewrites the file under
-// -update.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-	}
-}
-
-// TestAttackSweepGolden pins the two-spec attack sweep's table in the
-// file irsim's attack tests read.
-// Regenerate with: go test ./cmd/irsweep -run Golden -update
-func TestAttackSweepGolden(t *testing.T) {
-	code, out, errOut := runCmd(t, "-attack", "tick-evade;boost-game,run=2ms")
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr: %s", code, errOut)
-	}
-	checkGolden(t, "../irsim/testdata/attack-sweep.golden", out)
 }

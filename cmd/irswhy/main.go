@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	irswhy [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-kinds ctl]
+//	irswhy [-variant 2z8h-outage | -spec 'topo:zones=2,...' | -file spec.load] [-kinds ctl]
 //	       [-seed 1] [-shards 0] [-lookahead 250us]
 //	       [-q 'kind=place vm=srv0 t>6s'] [-limit 20] [-top 5]
 //	       [-expect cordon,failover,scale-up,scale-up,drain,drain]
@@ -22,10 +22,10 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -35,12 +35,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irswhy", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	variant := fs.String("variant", "2z8h-outage", "built-in load spec by name (see -list)")
-	specFlag := fs.String("spec", "", "inline load spec instead of -variant (topology.ParseLoadSpec syntax)")
-	list := fs.Bool("list", false, "list built-in variants and exit")
-	seed := fs.Uint64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window override (0 = default)")
+	src := cli.AddLoadSpec(fs, "2z8h-outage")
 	kindsFlag := fs.String("kinds", "ctl", "decision kinds to record: ctl, all, or a comma list (e.g. place,route)")
 	query := fs.String("q", "", "print records matching this filter query (e.g. 'kind=place vm=srv0 t>6s')")
 	limit := fs.Int("limit", 20, "cap on printed query records (0 = all)")
@@ -52,21 +47,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *list {
-		for _, v := range experiments.ScaleVariants() {
-			fmt.Fprintf(stdout, "%-14s %s\n", v.Name, v.Spec)
-		}
+	if *src.List {
+		cli.PrintVariants(stdout)
 		return 0
 	}
 
-	text, name := *specFlag, "spec"
-	if text == "" {
-		v, ok := experiments.ScaleVariantByName(*variant)
-		if !ok {
-			fmt.Fprintf(stderr, "irswhy: unknown variant %q (try -list)\n", *variant)
-			return 2
-		}
-		text, name = v.Spec, v.Name
+	name, _, cfg, err := src.Resolve()
+	if err != nil {
+		fmt.Fprintf(stderr, "irswhy: %v\n", err)
+		return 2
 	}
 	kinds, err := decision.ParseKinds(*kindsFlag)
 	if err != nil {
@@ -79,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	c, err := experiments.RunWhy(text, kinds, *seed, *shards, sim.Duration(*lookahead))
+	c, err := experiments.RunWhy(cfg, kinds)
 	if err != nil {
 		fmt.Fprintf(stderr, "irswhy: %v\n", err)
 		return 1
@@ -94,29 +83,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trail %-9s %s\n", step.Label, recLine(&step.Rec))
 	}
 
+	matched := decision.Filter(recs, q)
 	if *query != "" {
-		matched := decision.Filter(recs, q)
 		fmt.Fprintf(stdout, "query %q: %d of %d records\n", q.String(), len(matched), len(recs))
 		printRecs(stdout, matched, *limit)
 	}
 	if *top > 0 {
-		calls := decision.ClosestCalls(decision.Filter(recs, q), *top)
 		fmt.Fprintf(stdout, "closest calls (top %d by winning margin):\n", *top)
-		printRecs(stdout, calls, 0)
+		printRecs(stdout, decision.ClosestCalls(matched, *top), 0)
 	}
 
-	if *jsonOut != "" {
-		if code := export(*jsonOut, stdout, stderr, func(w io.Writer) error {
-			return decision.WriteJSON(w, decision.Filter(recs, q), log.Dropped())
-		}); code != 0 {
-			return code
+	for _, exp := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{
+		{*jsonOut, func(w io.Writer) error { return decision.WriteJSON(w, matched, log.Dropped()) }},
+		{*perfetto, func(w io.Writer) error { return decision.WriteChromeTrace(w, matched) }},
+	} {
+		if exp.path == "" {
+			continue
 		}
-	}
-	if *perfetto != "" {
-		if code := export(*perfetto, stdout, stderr, func(w io.Writer) error {
-			return decision.WriteChromeTrace(w, decision.Filter(recs, q))
-		}); code != 0 {
-			return code
+		if err := obs.WriteFile(exp.path, stdout, exp.write); err != nil {
+			fmt.Fprintf(stderr, "irswhy: %v\n", err)
+			return 1
+		}
+		if exp.path != "-" {
+			fmt.Fprintf(stdout, "wrote %s\n", exp.path)
 		}
 	}
 
@@ -153,16 +145,4 @@ func printRecs(w io.Writer, recs []decision.Record, limit int) {
 	if n < len(recs) {
 		fmt.Fprintf(w, "  … and %d more (raise -limit)\n", len(recs)-n)
 	}
-}
-
-// export writes one artifact to path ('-' = stdout).
-func export(path string, stdout io.Writer, stderr io.Writer, write func(io.Writer) error) int {
-	if err := obs.WriteFile(path, stdout, write); err != nil {
-		fmt.Fprintf(stderr, "irswhy: %v\n", err)
-		return 1
-	}
-	if path != "-" {
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-	}
-	return 0
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the CLI golden files")
@@ -38,9 +40,11 @@ func TestBadInputs(t *testing.T) {
 	}{
 		{[]string{"-nonsense"}, 2},
 		{[]string{"-variant", "nosuchrig"}, 2},
-		{[]string{"-spec", "topo:zones=0"}, 1},   // invalid spec fails at run time
-		{[]string{"-kinds", "bogus"}, 2},         // unknown decision kind
-		{[]string{"-q", "kind=place kind=x"}, 2}, // malformed query
+		{[]string{"-spec", "topo:zones=0"}, 2}, // invalid spec is bad input
+		{[]string{"-file", "/nonexistent.load"}, 2},
+		{[]string{"-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, 2}, // two sources
+		{[]string{"-kinds", "bogus"}, 2},                                   // unknown decision kind
+		{[]string{"-q", "kind=place kind=x"}, 2},                           // malformed query
 	}
 	for _, tc := range cases {
 		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
@@ -164,6 +168,29 @@ func checkGolden(t *testing.T, path, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestSpecFileMatchesVariant runs the default rig from a spec file:
+// every line after the header, which names the source, must match the
+// golden of the built-in variant.
+func TestSpecFileMatchesVariant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outage.load")
+	if err := os.WriteFile(path, []byte(experiments.ScaleOutageSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCmd(t, "-file", path)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	want, err := os.ReadFile("testdata/default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gotBody, _ := strings.Cut(out, "\n")
+	_, wantBody, _ := strings.Cut(string(want), "\n")
+	if gotBody != wantBody {
+		t.Fatalf("-file run differs from the variant:\n%s", out)
 	}
 }
 

@@ -1,0 +1,100 @@
+package cli
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+)
+
+func parse(t *testing.T, defVariant string, args ...string) *LoadSpec {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	l := AddLoadSpec(fs, defVariant)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestResolveSources(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rig.load")
+	if err := os.WriteFile(path, []byte(experiments.ScaleOutageSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		def      string
+		args     []string
+		wantName string // "" = error
+	}{
+		{"", nil, ""},
+		{"", []string{"-variant", "1z4h"}, "1z4h"},
+		{"", []string{"-variant", "nosuchrig"}, ""},
+		{"", []string{"-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, ""},
+		{"", []string{"-spec", "topo:zones=0"}, ""},
+		{"", []string{"-file", "/nonexistent.load"}, ""},
+		{"2z8h-outage", nil, "2z8h-outage"},
+		{"2z8h-outage", []string{"-file", path}, path}, // an explicit source replaces the default
+		{"2z8h-outage", []string{"-spec", "topo:zones=1,hosts=2", "-file", path}, ""},
+	}
+	for _, tc := range cases {
+		name, _, _, err := parse(t, tc.def, tc.args...).Resolve()
+		if tc.wantName == "" && err == nil || tc.wantName != "" && (err != nil || name != tc.wantName) {
+			t.Errorf("default %q, %v: name %q, err %v; want name %q", tc.def, tc.args, name, err, tc.wantName)
+		}
+	}
+}
+
+func TestResolveAppliesRunFlags(t *testing.T) {
+	_, spec, cfg, err := parse(t, "", "-variant", "2z8h-outage",
+		"-seed", "7", "-shards", "3", "-lookahead", "100us").Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Zones != 2 || cfg.Seed != 7 || cfg.Shards != 3 || cfg.Lookahead.Std().String() != "100µs" {
+		t.Fatalf("zones %d seed %d shards %d lookahead %v", spec.Zones, cfg.Seed, cfg.Shards, cfg.Lookahead)
+	}
+}
+
+func TestPrintVariants(t *testing.T) {
+	var b bytes.Buffer
+	PrintVariants(&b)
+	if !strings.Contains(b.String(), "2z8h-outage") {
+		t.Fatalf("variants = %q", b.String())
+	}
+}
+
+func TestProfileWritesBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	p := AddProfile(fs)
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	stop, err := p.Start(&stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", path, err)
+		}
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("stderr = %q", stderr.String())
+	}
+
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	p = AddProfile(fs)
+	fs.Parse([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")})
+	if _, err := p.Start(&stderr); err == nil {
+		t.Error("unwritable -cpuprofile accepted")
+	}
+}

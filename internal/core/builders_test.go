@@ -165,6 +165,17 @@ func TestStrategiesOrder(t *testing.T) {
 	}
 }
 
+func TestStrategyByNameRoundTrips(t *testing.T) {
+	for _, s := range append(core.Strategies(), core.StrategyStrictCo) {
+		if got, ok := core.StrategyByName(s.String()); !ok || got != s {
+			t.Errorf("StrategyByName(%q) = %v, %v", s.String(), got, ok)
+		}
+	}
+	if _, ok := core.StrategyByName("fifo"); ok {
+		t.Error("StrategyByName accepted an unknown name")
+	}
+}
+
 func TestUtilizationHelper(t *testing.T) {
 	bench, _ := workload.ByName("EP")
 	res, err := core.Run(core.Scenario{

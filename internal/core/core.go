@@ -50,6 +50,17 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyVanilla, StrategyPLE, StrategyRelaxedCo, StrategyIRS}
 }
 
+// StrategyByName resolves a strategy by its String() name: one of the
+// four evaluated strategies or strict-co.
+func StrategyByName(name string) (Strategy, bool) {
+	for _, s := range append(Strategies(), StrategyStrictCo) {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
 // VMSpec describes one virtual machine of a scenario.
 type VMSpec struct {
 	Name   string

@@ -54,16 +54,6 @@ func AttackDefenses() []AttackDefense {
 	}
 }
 
-// AttackDefenseByName resolves a defense row by its table name.
-func AttackDefenseByName(name string) (AttackDefense, bool) {
-	for _, d := range AttackDefenses() {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return AttackDefense{}, false
-}
-
 // AttackAttackers lists the attacker specs the attack table sweeps.
 func AttackAttackers() []workload.AttackSpec {
 	return []workload.AttackSpec{
@@ -73,6 +63,8 @@ func AttackAttackers() []workload.AttackSpec {
 }
 
 // AttackOutcome is the measured result of one attacker × defense cell.
+// Attacker is the full spec (kind plus any non-default knobs), so
+// variants of one kind stay distinguishable.
 type AttackOutcome struct {
 	Attacker string
 	Defense  string
@@ -167,7 +159,7 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 	c.HV.SyncCreditAccounting()
 
 	out := AttackOutcome{
-		Attacker:   spec.Kind.String(),
+		Attacker:   spec.String(),
 		Defense:    d.Name,
 		Violations: res.Violations,
 	}

@@ -13,10 +13,7 @@ import (
 func TestAttackAcceptance(t *testing.T) {
 	evade := workload.AttackSpec{Kind: workload.AttackTickEvade}
 
-	vanilla, ok := AttackDefenseByName("vanilla")
-	if !ok {
-		t.Fatal("no vanilla defense row")
-	}
+	vanilla := attackDefense(t, "vanilla")
 	o, err := RunAttack(evade, vanilla, 1)
 	if err != nil {
 		t.Fatalf("vanilla: %v", err)
@@ -34,10 +31,7 @@ func TestAttackAcceptance(t *testing.T) {
 		t.Errorf("vanilla cell has %d invariant violations", o.Violations)
 	}
 
-	both, ok := AttackDefenseByName("both")
-	if !ok {
-		t.Fatal("no both defense row")
-	}
+	both := attackDefense(t, "both")
 	d, err := RunAttack(evade, both, 1)
 	if err != nil {
 		t.Fatalf("both: %v", err)
@@ -58,12 +52,23 @@ func TestAttackAcceptance(t *testing.T) {
 	}
 }
 
+// attackDefense picks a defense row by its table name.
+func attackDefense(t *testing.T, name string) AttackDefense {
+	t.Helper()
+	for _, d := range AttackDefenses() {
+		if d.Name == name {
+			return d
+		}
+	}
+	t.Fatalf("no %s defense row", name)
+	return AttackDefense{}
+}
+
 // The boost-gamer's theft channel (wake boosts) is also capped by the
 // defenses.
 func TestAttackBoostGamerCapped(t *testing.T) {
 	game := workload.AttackSpec{Kind: workload.AttackBoostGame}
-	vanilla, _ := AttackDefenseByName("vanilla")
-	both, _ := AttackDefenseByName("both")
+	vanilla, both := attackDefense(t, "vanilla"), attackDefense(t, "both")
 	o, err := RunAttack(game, vanilla, 1)
 	if err != nil {
 		t.Fatalf("vanilla: %v", err)

@@ -26,29 +26,9 @@ const (
 	DefaultBlameArrival  = 500 * sim.Microsecond
 )
 
-// BlameVariant is one strategy row of the blame table.
-type BlameVariant struct {
-	Name  string
-	Strat core.Strategy
-}
-
-// BlameVariants lists the comparison rows in table order.
-func BlameVariants() []BlameVariant {
-	return []BlameVariant{
-		{Name: "vanilla", Strat: core.StrategyVanilla},
-		{Name: "ple", Strat: core.StrategyPLE},
-		{Name: "irs", Strat: core.StrategyIRS},
-	}
-}
-
-// BlameVariantByName resolves a variant by its table name.
-func BlameVariantByName(name string) (BlameVariant, bool) {
-	for _, v := range BlameVariants() {
-		if v.Name == name {
-			return v, true
-		}
-	}
-	return BlameVariant{}, false
+// BlameStrategies lists the blame table's strategy rows in order.
+func BlameStrategies() []core.Strategy {
+	return []core.Strategy{core.StrategyVanilla, core.StrategyPLE, core.StrategyIRS}
 }
 
 // BlameScenario builds the bully rig: a 4-vCPU open-loop server VM
@@ -113,13 +93,13 @@ func blameTable(h *harness) Table {
 			"svc%(p99)", "preempt%(p99)", "lhp%(p99)", "top p99 blame", "viol"},
 	}
 	seed, runs := h.opt.Seed, h.opt.Runs
-	for _, v := range BlameVariants() {
-		v := v
-		out := jobAs(h, "blame|"+v.Name, func() blameRowOut {
-			return blameCell(v, seed, runs)
+	for _, strat := range BlameStrategies() {
+		strat := strat
+		out := jobAs(h, "blame|"+strat.String(), func() blameRowOut {
+			return blameCell(strat, seed, runs)
 		})
 		if out.errStr != "" {
-			h.opt.Logf("blame: %s: %s", v.Name, out.errStr)
+			h.opt.Logf("blame: %s: %s", strat, out.errStr)
 			continue
 		}
 		if out.row != nil {
@@ -133,11 +113,11 @@ func blameTable(h *harness) Table {
 // sketches (the mergeable-quantile path a scrape pipeline would use),
 // and analyzes the pooled spans. Pure function of its arguments; safe
 // on worker goroutines.
-func blameCell(v BlameVariant, seed uint64, runs int) blameRowOut {
+func blameCell(strat core.Strategy, seed uint64, runs int) blameRowOut {
 	var all []*span.Span
 	wall := obs.NewSketch(obs.DefaultSketchAlpha)
 	for i := 0; i < runs; i++ {
-		spans, err := BlameRun(v.Strat, seed+uint64(i)*7919, DefaultBlameDuration, DefaultBlameArrival)
+		spans, err := BlameRun(strat, seed+uint64(i)*7919, DefaultBlameDuration, DefaultBlameArrival)
 		if err != nil {
 			return blameRowOut{errStr: err.Error()}
 		}
@@ -159,7 +139,7 @@ func blameCell(v BlameVariant, seed uint64, runs int) blameRowOut {
 		top = fmt.Sprintf("%s %.1f%%", s.Cat, s.Share*100)
 	}
 	return blameRowOut{row: []string{
-		v.Name,
+		strat.String(),
 		fmt.Sprintf("%d", an.Requests),
 		fmtLatency(wall.Percentile(50)),
 		fmtLatency(wall.Percentile(99)),

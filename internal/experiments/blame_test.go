@@ -14,10 +14,10 @@ import (
 // segments must sum to its wall latency within one tick (they are exact
 // by construction; the tolerance only documents the acceptance bound).
 func TestBlameConservation(t *testing.T) {
-	for _, v := range BlameVariants() {
-		v := v
-		t.Run(v.Name, func(t *testing.T) {
-			spans, err := BlameRun(v.Strat, 1, DefaultBlameDuration/4, DefaultBlameArrival)
+	for _, strat := range BlameStrategies() {
+		strat := strat
+		t.Run(strat.String(), func(t *testing.T) {
+			spans, err := BlameRun(strat, 1, DefaultBlameDuration/4, DefaultBlameArrival)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -112,9 +112,7 @@ func clusterTable(h *harness) Table {
 func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) clusterRowOut {
 	cfg := ClusterConfig(v, seed)
 	cfg.Shards = shards
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
-	}
+	cfg.Lookahead = lookahead
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return clusterRowOut{errStr: err.Error()}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"sync"
 )
 
@@ -137,10 +138,14 @@ func runFigure(opt Options, build func(*harness) Table) Table {
 }
 
 // ParallelDo runs the given independent functions across at most
-// workers goroutines and returns when all have completed. It is the
-// fan-out primitive cmd/irsweep shares with the harness for ad-hoc
-// sweeps that do not go through figure tables.
+// workers goroutines (0 = GOMAXPROCS, as for Options.Workers) and
+// returns when all have completed. It is the fan-out primitive the
+// commands share with the harness for ad-hoc sweeps that do not go
+// through figure tables.
 func ParallelDo(workers int, fns []func()) {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > len(fns) {
 		workers = len(fns)
 	}

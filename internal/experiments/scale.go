@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/hypervisor"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/watch"
@@ -86,19 +86,12 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	default:
 		return cluster.Config{}, fmt.Errorf("experiments: scale: unknown policy %q", spec.Policy)
 	}
-	switch spec.Strategy {
-	case "vanilla":
-		cfg.Strategy = hypervisor.StrategyVanilla
-	case "ple":
-		cfg.Strategy = hypervisor.StrategyPLE
-	case "relaxed-co":
-		cfg.Strategy = hypervisor.StrategyRelaxedCo
-	case "irs":
-		cfg.Strategy = hypervisor.StrategyIRS
-		cfg.IRS = true
-	default:
+	strat, ok := core.StrategyByName(spec.Strategy)
+	if !ok {
 		return cluster.Config{}, fmt.Errorf("experiments: scale: unknown strategy %q", spec.Strategy)
 	}
+	cfg.Strategy = strat
+	cfg.IRS = strat == core.StrategyIRS
 
 	cfg.Overcommit = spec.Overcommit
 	cfg.Migration = spec.Migrate
@@ -156,6 +149,23 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	return cfg, nil
 }
 
+// ScaleRig parses load-spec text and compiles it with ScaleConfig,
+// setting the engine pool width (0 = auto, 1 = serial) and lookahead
+// (0 = cluster.DefaultLookahead).
+func ScaleRig(text string, seed uint64, shards int, lookahead sim.Time) (topology.LoadSpec, cluster.Config, error) {
+	spec, err := topology.ParseLoadSpec(text)
+	if err != nil {
+		return spec, cluster.Config{}, err
+	}
+	cfg, err := ScaleConfig(spec, seed)
+	if err != nil {
+		return spec, cfg, err
+	}
+	cfg.Shards = shards
+	cfg.Lookahead = lookahead
+	return spec, cfg, nil
+}
+
 // Scale runs the cluster-load rigs and reports tail latency, SLO
 // burn, failover traffic, and autoscaler activity per topology.
 func Scale(opt Options) Table { return runFigure(opt, scaleTable) }
@@ -193,17 +203,9 @@ func scaleTable(h *harness) Table {
 // scaleCell executes one load spec and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
 func scaleCell(v ScaleVariant, seed uint64, shards int, lookahead sim.Time) scaleRowOut {
-	spec, err := topology.ParseLoadSpec(v.Spec)
+	spec, cfg, err := ScaleRig(v.Spec, seed, shards, lookahead)
 	if err != nil {
 		return scaleRowOut{errStr: err.Error()}
-	}
-	cfg, err := ScaleConfig(spec, seed)
-	if err != nil {
-		return scaleRowOut{errStr: err.Error()}
-	}
-	cfg.Shards = shards
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {

@@ -158,9 +158,7 @@ func watchTable(h *harness) Table {
 func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) watchRowOut {
 	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
 	cfg.Shards = shards
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
-	}
+	cfg.Lookahead = lookahead
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return watchRowOut{errStr: err.Error()}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decision"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // The why experiment answers the observability question the other
@@ -19,22 +18,10 @@ import (
 // summary row counting every recorded decision. The trail is exact
 // and byte-identical at any shard count; cmd/irswhy gates CI on it.
 
-// RunWhy executes a cluster load spec with the decision log attached
+// RunWhy runs a cluster config with the decision log attached
 // (recording the given kinds) and returns the finished cluster.
 // Shared by the why table and cmd/irswhy.
-func RunWhy(specText string, kinds []decision.Kind, seed uint64, shards int, lookahead sim.Time) (*cluster.Cluster, error) {
-	spec, err := topology.ParseLoadSpec(specText)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := ScaleConfig(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Shards = shards
-	if lookahead > 0 {
-		cfg.Lookahead = lookahead
-	}
+func RunWhy(cfg cluster.Config, kinds []decision.Kind) (*cluster.Cluster, error) {
 	cfg.Decisions = &decision.Options{Kinds: kinds}
 	c, err := cluster.New(cfg)
 	if err != nil {
@@ -76,7 +63,11 @@ func whyTable(h *harness) Table {
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
 func whyCell(seed uint64, shards int, lookahead sim.Time) whyOut {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), seed, shards, lookahead)
+	_, cfg, err := ScaleRig(ScaleOutageSpec, seed, shards, lookahead)
+	if err != nil {
+		return whyOut{errStr: err.Error()}
+	}
+	c, err := RunWhy(cfg, decision.ControlKinds())
 	if err != nil {
 		return whyOut{errStr: err.Error()}
 	}

@@ -12,7 +12,11 @@ import (
 // two drains after recovery. Anything more (a spurious scale event, a
 // failover before the cordon) or less (a missed record) fails here.
 func TestWhyTrailExactSequence(t *testing.T) {
-	c, err := RunWhy(ScaleOutageSpec, decision.ControlKinds(), 1, 1, 0)
+	_, cfg, err := ScaleRig(ScaleOutageSpec, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := RunWhy(cfg, decision.ControlKinds())
 	if err != nil {
 		t.Fatalf("RunWhy: %v", err)
 	}

@@ -331,19 +331,24 @@ func (l *Log) Window(from, to sim.Time) []Entry {
 	return out
 }
 
-// Dump writes the retained events to w, optionally restricted to a
-// time window (to == 0 means no upper bound).
-func (l *Log) Dump(w io.Writer, from, to sim.Time) error {
+// Dump writes the timeline of the window [from, to] (to == 0 means no
+// upper bound): one line per retained event whose kind is in kinds
+// (nil = every kind), then a closing line with the shown count, the
+// evictions at capacity and the whole log's per-kind totals.
+func (l *Log) Dump(w io.Writer, from, to sim.Time, kinds map[Kind]bool) error {
+	shown := 0
 	for _, e := range l.Window(from, to) {
+		if kinds != nil && !kinds[Kind(e.r.kind)] {
+			continue
+		}
 		if _, err := fmt.Fprintln(w, e.Event()); err != nil {
 			return err
 		}
+		shown++
 	}
-	if l.dropped > 0 {
-		_, err := fmt.Fprintf(w, "(%d earlier events dropped)\n", l.dropped)
-		return err
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "\n%d events shown (window %v..%v, %d dropped at capacity); totals: %s\n",
+		shown, from, to, l.dropped, l.Summary())
+	return err
 }
 
 // Summary aggregates event counts by kind.

@@ -63,12 +63,33 @@ func TestDumpWindow(t *testing.T) {
 		l.Record(sim.Time(i)*sim.Millisecond, KindNote, "s", "x")
 	}
 	var b strings.Builder
-	if err := l.Dump(&b, 3*sim.Millisecond, 5*sim.Millisecond); err != nil {
+	if err := l.Dump(&b, 3*sim.Millisecond, 5*sim.Millisecond, nil); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(b.String(), "\n")
-	if lines != 3 {
-		t.Fatalf("dumped %d lines, want 3 (t=3,4,5ms)", lines)
+	events, closing, _ := strings.Cut(b.String(), "\n\n")
+	if lines := strings.Count(events+"\n", "\n"); lines != 3 {
+		t.Fatalf("dumped %d event lines, want 3 (t=3,4,5ms):\n%s", lines, b.String())
+	}
+	want := "3 events shown (window 3.000ms..5.000ms, 0 dropped at capacity); totals: note=10\n"
+	if closing != want {
+		t.Fatalf("closing line = %q, want %q", closing, want)
+	}
+}
+
+func TestDumpFiltersKinds(t *testing.T) {
+	l := NewLog(0)
+	l.Record(1, KindSA, "fg/v0", "sent")
+	l.Record(2, KindSwitch, "p0", "run fg/v0")
+	l.Record(3, KindNote, "s", "x")
+	var b strings.Builder
+	if err := l.Dump(&b, 0, 0, map[Kind]bool{KindSA: true, KindNote: true}); err != nil {
+		t.Fatal(err)
+	}
+	want := "         1ns sa       fg/v0        sent\n" +
+		"         3ns note     s            x\n" +
+		"\n2 events shown (window 0ns..0ns, 0 dropped at capacity); totals: switch=1 sa=1 note=1\n"
+	if got := b.String(); got != want {
+		t.Fatalf("dump =\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -130,11 +151,11 @@ func TestDumpWindowUnbounded(t *testing.T) {
 	}
 	// to == 0 means no upper bound: everything from 2 ms on.
 	var b strings.Builder
-	if err := l.Dump(&b, 2*sim.Millisecond, 0); err != nil {
+	if err := l.Dump(&b, 2*sim.Millisecond, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(b.String(), "\n"); lines != 2 {
-		t.Fatalf("dumped %d lines, want 2 (t=2,3ms)", lines)
+	if !strings.Contains(b.String(), "\n2 events shown") {
+		t.Fatalf("dump = %q, want 2 events (t=2,3ms)", b.String())
 	}
 }
 
@@ -143,10 +164,10 @@ func TestDumpReportsDropped(t *testing.T) {
 	l.Record(1, KindNote, "s", "")
 	l.Record(2, KindNote, "s", "")
 	var b strings.Builder
-	if err := l.Dump(&b, 0, 0); err != nil {
+	if err := l.Dump(&b, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "1 earlier events dropped") {
+	if !strings.Contains(b.String(), "1 events shown (window 0ns..0ns, 1 dropped at capacity)") {
 		t.Fatalf("dump = %q", b.String())
 	}
 }
@@ -356,16 +377,21 @@ func TestRingMatchesAppendEvictLog(t *testing.T) {
 			}
 			from, to := 35*sim.Microsecond, sim.Time(tc.n)*5*sim.Microsecond
 			var wantDump strings.Builder
+			shown := 0
 			for _, e := range ref.events {
-				if e.At >= from && (to == 0 || e.At <= to) {
+				if e.At >= from && (to == 0 || e.At <= to) && e.Kind != KindNote {
 					fmt.Fprintln(&wantDump, e)
+					shown++
 				}
 			}
-			if ref.dropped > 0 {
-				fmt.Fprintf(&wantDump, "(%d earlier events dropped)\n", ref.dropped)
+			fmt.Fprintf(&wantDump, "\n%d events shown (window %v..%v, %d dropped at capacity); totals: %s\n",
+				shown, from, to, ref.dropped, strings.TrimSpace(sb.String()))
+			notNote := map[Kind]bool{}
+			for k := KindVCPUState; k < KindNote; k++ {
+				notNote[k] = true
 			}
 			var dump strings.Builder
-			if err := l.Dump(&dump, from, to); err != nil {
+			if err := l.Dump(&dump, from, to, notNote); err != nil {
 				t.Fatal(err)
 			}
 			if dump.String() != wantDump.String() {
