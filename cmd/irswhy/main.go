@@ -83,8 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trail %-9s %s\n", step.Label, recLine(&step.Rec))
 	}
 
-	matched := decision.Filter(recs, q)
+	matched := recs
 	if *query != "" {
+		matched = decision.Filter(recs, q)
 		fmt.Fprintf(stdout, "query %q: %d of %d records\n", q.String(), len(matched), len(recs))
 		printRecs(stdout, matched, *limit)
 	}

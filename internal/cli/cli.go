@@ -3,10 +3,11 @@
 // resolves flags only; running, reporting and gating stay in the
 // commands.
 //
-// Every command follows one exit-code rule: 2 = bad input (a flag that
+// The commands share one exit-code rule: 2 = bad input (a flag that
 // does not parse, an unknown name, a malformed spec or query), 1 = the
 // run failed (a simulation error, an unwritable output, a gate that did
-// not hold), 0 = success.
+// not hold), 0 = success. The one exception is an unknown irsim
+// experiment id: the other ids still run, and the exit is 1.
 package cli
 
 import (
