@@ -100,13 +100,21 @@ func TestAttackGateFailsOnImpossibleCap(t *testing.T) {
 func TestAttackRejectsBadSpec(t *testing.T) {
 	for _, args := range [][]string{
 		{"-attack", "frobnicate"},
-		{"-attack", "tick-evade;frobnicate"},
 		{"-attack", "none"},
-		{"-attack", "none;off"}, // every spec zero
 		{"-attack", "tick-evade", "fig1a"},
 	} {
 		if code, _, _ := runCmd(t, args...); code != 2 {
 			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+	}
+}
+
+// TestAttackSpecListRejectsBadSpecs checks that a ';'-separated spec
+// list is refused whole when any spec is bad or every spec is zero.
+func TestAttackSpecListRejectsBadSpecs(t *testing.T) {
+	for _, list := range []string{"tick-evade;frobnicate", "frobnicate;tick-evade", "none;off"} {
+		if code, out, _ := runCmd(t, "-attack", list); code != 2 || out != "" {
+			t.Errorf("%q: exit = %d, want 2 with no output; stdout:\n%s", list, code, out)
 		}
 	}
 }

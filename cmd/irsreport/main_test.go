@@ -24,12 +24,32 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-faults", "bogus=1"}, 2},
 		{[]string{"-strategy", "fifo"}, 2},
 		{[]string{"-strategy", ""}, 2},
-		{[]string{"-kinds", "bogus"}, 2},
 		{[]string{"-bench", "nosuchbench"}, 2},
 	}
 	for _, tc := range cases {
 		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
 			t.Errorf("%v: exit = %d, want %d", tc.args, code, tc.want)
+		}
+	}
+}
+
+// TestTimelineBadInputs checks that -timeline rejects bad flags,
+// strategies, event kinds and benchmarks as usage errors, and writes
+// no file for them.
+func TestTimelineBadInputs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nonsense"},
+		{"-strategy", "fifo"},
+		{"-kinds", "bogus"},
+		{"-bench", "nosuchbench"},
+	} {
+		path := filepath.Join(t.TempDir(), "t.txt")
+		args = append(args, "-timeline", path)
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%v: timeline file written for a usage error", args)
 		}
 	}
 }
