@@ -49,14 +49,16 @@ bench-compare:
 	@rm -f bench.new.out bench.new.json
 
 # End-to-end benchmark smoke: the bench module's own tests, then 2 s
-# paper-spin and rack-outage passes. run.sh exits non-zero when the
-# first block's sim_digest misses its pin in bench/baseline.json, so
-# any change to simulated behaviour fails here; the rack-outage pin
-# also covers the sharded coordinator's worker pool and the hosts'
-# flight-recorder rings.
+# paper-spin, paper-block and rack-outage passes. run.sh exits non-zero
+# when the first block's sim_digest misses its pin in
+# bench/baseline.json, so any change to simulated behaviour fails here.
+# The paper-block pin covers block/wake same-instant event ordering;
+# the rack-outage pin also covers the sharded coordinator's worker pool
+# and the hosts' flight-recorder rings.
 bench-smoke:
 	cd bench && $(GO) test -short .
 	bash bench/run.sh --workload paper-spin --seed 1 --seconds 2 --trace 0
+	bash bench/run.sh --workload paper-block --seed 1 --seconds 2 --trace 0
 	bash bench/run.sh --workload rack-outage --seed 1 --seconds 2 --trace 0
 
 # Latency blame attribution smoke run: per-strategy p50/p99/p99.9

@@ -851,9 +851,6 @@ func (c *Cluster) drainOccupancy() {
 	}
 }
 
-// Sharded exposes the coordinator (tests, benchmarks).
-func (c *Cluster) Sharded() *sim.ShardedEngine { return c.sh }
-
 // Engine exposes the control shard's engine (for tests).
 func (c *Cluster) Engine() *sim.Engine { return c.ctl }
 
@@ -1060,9 +1057,6 @@ func (c *Cluster) result() *Result {
 
 // Zones returns the zone count (1 for a flat topology).
 func (c *Cluster) Zones() int { return len(c.zones) }
-
-// ZoneCordoned reports whether zone zi is currently cordoned.
-func (c *Cluster) ZoneCordoned(zi int) bool { return c.zones[zi].cordoned }
 
 // Stats exposes the cluster-level server statistics (latency
 // histogram), fed at barrier drains.

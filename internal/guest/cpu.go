@@ -122,9 +122,6 @@ func (c *CPU) Current() *Task { return c.cur }
 // QueueLen returns the number of ready tasks waiting on this CPU.
 func (c *CPU) QueueLen() int { return c.rq.Len() }
 
-// Running reports whether the backing vCPU currently executes.
-func (c *CPU) Running() bool { return c.running }
-
 // RTAvg returns the current runqueue load estimate.
 func (c *CPU) RTAvg() float64 { return c.rtAvg }
 

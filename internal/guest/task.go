@@ -164,9 +164,6 @@ func (t *Task) State() TaskState { return t.state }
 // CPU returns the CPU the task is currently assigned to.
 func (t *Task) CPU() *CPU { return t.cpu }
 
-// Spinning reports whether the task is busy-waiting.
-func (t *Task) Spinning() bool { return t.spin != nil }
-
 // Span returns the request span bound to this task, if any.
 func (t *Task) Span() *span.Span { return t.span }
 

@@ -36,9 +36,6 @@ func NewMutex(kern *guest.Kernel) *Mutex {
 	return &Mutex{kern: kern}
 }
 
-// Owner returns the current lock holder, or nil.
-func (m *Mutex) Owner() *guest.Task { return m.owner }
-
 // Lock acquires m for t, invoking cont once the lock is held. Must be
 // called from task context. Contended callers spin briefly, then block.
 func (m *Mutex) Lock(t *guest.Task, cont func()) {

@@ -36,9 +36,6 @@ func NewTicketLock(kern *guest.Kernel) *SpinLock {
 	return &SpinLock{kern: kern, FIFO: true}
 }
 
-// Owner returns the current holder, or nil.
-func (l *SpinLock) Owner() *guest.Task { return l.owner }
-
 // Lock acquires l for t, spinning while contended; cont runs once held.
 func (l *SpinLock) Lock(t *guest.Task, cont func()) {
 	l.Acquires++

@@ -449,7 +449,6 @@ func (h *Hypervisor) deschedule(p *PCPU, disposition RunState, involuntary bool)
 	}
 	now := h.eng.Now()
 	if involuntary {
-		v.preemptions++
 		v.mPreempt.Inc()
 		pc := v.ctx.Descheduling()
 		switch pc {
@@ -631,13 +630,4 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// RunnableWait returns how long vCPU v has been waiting in a runqueue,
-// or zero if it is not waiting.
-func (v *VCPU) RunnableWait(now sim.Time) sim.Time {
-	if v.state != StateRunnable {
-		return 0
-	}
-	return now - v.stateSince
 }

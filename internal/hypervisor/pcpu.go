@@ -58,10 +58,6 @@ func (p *PCPU) Current() *VCPU { return p.current }
 // QueueLen returns the number of queued (not running) vCPUs.
 func (p *PCPU) QueueLen() int { return len(p.runq) }
 
-// Queued returns the runqueue contents in order. The caller must not
-// mutate the returned slice.
-func (p *PCPU) Queued() []*VCPU { return p.runq }
-
 // Switches reports the number of context switches performed.
 func (p *PCPU) Switches() int64 { return p.switches }
 

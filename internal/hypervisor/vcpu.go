@@ -185,8 +185,7 @@ type VCPU struct {
 	windowBlocked      sim.Time
 	windowLastProgress sim.Time
 
-	preemptions int64
-	wakeups     int64
+	wakeups int64
 
 	// observer, when set, is called after every externally visible
 	// scheduling transition of this vCPU: a runstate change or an SA
@@ -232,9 +231,6 @@ func (v *VCPU) Pin(p *PCPU) {
 	v.pinned = p
 	v.assigned = p
 }
-
-// Pinned returns the pCPU this vCPU is pinned to, or nil.
-func (v *VCPU) Pinned() *PCPU { return v.pinned }
 
 // setState moves the vCPU to state s, folding the elapsed interval into
 // the runstate accounting that backs steal-time reporting.
@@ -289,15 +285,6 @@ func (v *VCPU) StealTime() sim.Time { return v.StateTime(StateRunnable) }
 
 // RunTime reports the total time the vCPU has executed.
 func (v *VCPU) RunTime() sim.Time { return v.StateTime(StateRunning) }
-
-// Runnable reports whether the vCPU wants CPU (running or queued).
-func (v *VCPU) Runnable() bool {
-	return v.state == StateRunning || v.state == StateRunnable
-}
-
-// Preemptions reports how many involuntary preemptions this vCPU has
-// suffered.
-func (v *VCPU) Preemptions() int64 { return v.preemptions }
 
 // VM is an SMP virtual machine.
 type VM struct {

@@ -86,6 +86,3 @@ func (h *Hypervisor) ClaimPendingIRQs(v *VCPU) []IRQ {
 	v.pendingIRQ = nil
 	return irqs
 }
-
-// HasPendingIRQ reports whether any interrupt is pending on v.
-func (h *Hypervisor) HasPendingIRQ(v *VCPU) bool { return len(v.pendingIRQ) > 0 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -70,6 +71,36 @@ func BenchmarkEngineChurn(b *testing.B) {
 			eng.Cancel(ev)
 		}
 		eng.Step()
+	}
+}
+
+// BenchmarkEngineDepth holds the queue at a standing depth while it
+// schedules one-shots at uniformly random delays, cancels and replaces
+// every fourth, and fires the earliest. Uniform delays land new events
+// anywhere in the queue, the worst case for an insertion scan; shipped
+// experiments keep under ~50 events pending per engine. The sweep
+// records where the sorted pending slice stops beating a heap.
+func BenchmarkEngineDepth(b *testing.B) {
+	for _, depth := range []int{16, 48, 256, 1024} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			eng := NewEngine()
+			fn := func() {}
+			rng := NewRNG(1)
+			span := 64 * depth
+			for i := 0; i < depth; i++ {
+				eng.After(Time(rng.Intn(span)+1), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := eng.After(Time(rng.Intn(span)+1), fn)
+				if i%4 == 0 {
+					eng.Cancel(ev)
+					eng.After(Time(rng.Intn(span)+1), fn)
+				}
+				eng.Step()
+			}
+		})
 	}
 }
 

@@ -10,11 +10,6 @@ import (
 // quiet, so an empty queue usually means every actor blocked.
 var ErrDeadlock = errors.New("sim: event queue empty before horizon")
 
-// ErrHorizonCap is returned by RunUntilQuiet when the hard cap is hit
-// before the queue drains. Callers match it with errors.Is rather than
-// string comparison.
-var ErrHorizonCap = errors.New("sim: horizon cap exceeded")
-
 // Engine is a single-threaded discrete-event simulation loop.
 // The zero value is not usable; call NewEngine.
 //
@@ -75,7 +70,6 @@ func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.fn = nil
 	ev.period = 0
-	ev.index = -1
 	e.free = append(e.free, ev)
 }
 
@@ -141,14 +135,17 @@ func (e *Engine) nonPositivePeriodViolation(d Time) {
 // Cancel removes the referenced event from the queue and recycles it.
 // It is safe to cancel a zero, already fired, or already cancelled
 // handle.
+//
+// The generation stamp alone decides: a handle whose gen matches is
+// always queued, because no user code runs while an event is off the
+// queue. Step releases a one-shot (bumping gen) and re-arms a periodic
+// event before it calls the callback.
 func (e *Engine) Cancel(r EventRef) {
 	ev := r.ev
 	if ev == nil || ev.gen != r.gen {
 		return
 	}
-	if ev.index >= 0 {
-		e.queue.remove(int(ev.index))
-	}
+	e.queue.remove(ev)
 	e.release(ev)
 }
 
@@ -233,25 +230,4 @@ func (e *Engine) SkipTo(end Time) {
 	if end > e.now {
 		e.now = end
 	}
-}
-
-// RunUntilQuiet dispatches events until the queue drains or until the
-// hard cap is hit, whichever comes first; hitting the cap returns
-// ErrHorizonCap (wrapped with the times involved). Workload-completion
-// driven simulations use this; periodic timers must be cancelled by the
-// caller when the workload finishes, otherwise the cap applies.
-func (e *Engine) RunUntilQuiet(cap Time) error {
-	e.stopped = false
-	for !e.stopped {
-		next := e.queue.min()
-		if next == nil {
-			return nil
-		}
-		if next.at > cap {
-			e.now = cap
-			return fmt.Errorf("%w: cap %v", ErrHorizonCap, cap)
-		}
-		e.Step()
-	}
-	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Differential test: the inlined 4-ary eventQueue must produce a
+// Differential test: the sorted-slice eventQueue must produce a
 // bit-identical pop sequence to the original container/heap binary
 // min-heap under any interleaving of push, pop, and remove. The
 // reference implementation below is the pre-overhaul heap, kept
@@ -110,11 +110,18 @@ func runDifferential(t *testing.T, ops []heapOp) {
 			}
 			id := liveIDs[op.pick%uint64(len(liveIDs))]
 			ne, re := newLive[id], refLive[id]
-			newQ.remove(int(ne.index))
+			newQ.remove(ne)
 			heap.Remove(&refQ, re.index)
 			removeID(&liveIDs, id)
 			delete(newLive, id)
 			delete(refLive, id)
+		}
+		// The slice must stay sorted, earliest last, through the churn.
+		for i := 1; i < len(newQ.a); i++ {
+			if !eventLess(newQ.a[i], newQ.a[i-1]) {
+				t.Fatalf("queue unsorted at slot %d: (%v, %d) before (%v, %d)",
+					i, newQ.a[i-1].at, newQ.a[i-1].seq, newQ.a[i].at, newQ.a[i].seq)
+			}
 		}
 	}
 	// Drain both completely.
@@ -134,12 +141,6 @@ func runDifferential(t *testing.T, ops []heapOp) {
 	for i := range popsNew {
 		if popsNew[i] != popsRef[i] {
 			t.Fatalf("pop %d differs: new id %d, ref id %d", i, popsNew[i], popsRef[i])
-		}
-	}
-	// Index bookkeeping must survive the churn.
-	for i, ev := range newQ.a {
-		if int(ev.index) != i {
-			t.Fatalf("event at slot %d carries index %d", i, ev.index)
 		}
 	}
 }

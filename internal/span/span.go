@@ -85,15 +85,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// Categories lists all categories in canonical (render) order.
-func Categories() []Category {
-	out := make([]Category, NumCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
-}
-
 // Segment is one leaf interval of a span: [Start, End) blamed on Cat.
 type Segment struct {
 	Start, End sim.Time

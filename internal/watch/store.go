@@ -113,9 +113,6 @@ func NewSeries(interval sim.Time, depth int) *Series {
 // Interval returns the window width.
 func (s *Series) Interval() sim.Time { return s.interval }
 
-// Depth returns the ring capacity in windows.
-func (s *Series) Depth() int { return len(s.ring) }
-
 // slot returns the ring position for the window starting at ws.
 func (s *Series) slot(ws sim.Time) int {
 	return int((ws / s.interval) % sim.Time(len(s.ring)))
