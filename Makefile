@@ -87,6 +87,8 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseAttack -fuzztime 5s
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
+	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzWriteJSON -fuzztime 5s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzChromeEmit -fuzztime 5s
 
 # Adversarial-tenant smoke run: the tick-evader vs every accounting
 # defense; the gate fails unless jittered ticks + exact accounting

@@ -433,7 +433,7 @@ func (hd *VMHandle) instName() string {
 	if hd.gen == 0 {
 		return hd.Spec.Name
 	}
-	return fmt.Sprintf("%s#%d", hd.Spec.Name, hd.gen)
+	return hd.Spec.Name + "#" + strconv.Itoa(hd.gen)
 }
 
 // Cluster ties the rack, the placement policy, the router, and the

@@ -90,30 +90,42 @@ func (c *Cluster) recordPlace(hd *VMHandle, hosts []*Host, best *Host, cap int) 
 // ranking). The zone-level comparison is an input, not a candidate —
 // zone scores and replica loads are different units.
 func (c *Cluster) recordRoute(req workload.Request, z *zoneState, best *VMHandle, failover bool) {
-	var cands []decision.Candidate
+	cands := make([]decision.Candidate, 0, len(z.servers))
 	for _, hd := range z.servers {
 		if !routable(hd) {
 			continue
 		}
+		out := hd.routed - hd.servedSeen
 		cands = append(cands, decision.Candidate{
 			Name:   hd.instName(),
-			Score:  float64(hd.routed - hd.servedSeen),
-			Reason: fmt.Sprintf("out=%d", hd.routed-hd.servedSeen),
+			Score:  float64(out),
+			Reason: "out=" + strconv.FormatInt(out, 10),
 		})
 	}
 	inputs := []decision.KV{{Key: "zone", Val: z.name}}
 	if failover {
 		inputs = append(inputs, decision.KV{Key: "failover", Val: "1"})
 	}
+	name := best.instName()
 	c.decCtl.Add(decision.Record{
 		At:         c.ctl.Now(),
 		Kind:       decision.KindRoute,
-		Subject:    best.instName(),
-		Winner:     best.instName(),
-		Detail:     fmt.Sprintf("req@%v to %s in %s", req.Arrival, best.instName(), z.name),
+		Subject:    name,
+		Winner:     name,
+		Detail:     reqDetail(req, " to ", name, " in ", z.name),
 		Candidates: cands,
 		Inputs:     inputs,
 	})
+}
+
+// reqDetail renders "req@<arrival>" followed by parts, the detail line
+// of a route record.
+func reqDetail(req workload.Request, parts ...string) string {
+	b := req.Arrival.Append(append(make([]byte, 0, 64), "req@"...))
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return string(b)
 }
 
 // recordRouteBuffered audits a request the router had to hold back:
@@ -124,7 +136,7 @@ func (c *Cluster) recordRouteBuffered(req workload.Request, why string) {
 		Kind:    decision.KindRoute,
 		Subject: "-",
 		Winner:  "-",
-		Detail:  fmt.Sprintf("req@%v held back: %s", req.Arrival, why),
+		Detail:  reqDetail(req, " held back: ", why),
 		Inputs:  []decision.KV{{Key: "buffered", Val: "1"}},
 	})
 }

@@ -1,6 +1,8 @@
 package decision
 
 import (
+	"io"
+	"strconv"
 	"testing"
 
 	"repro/internal/sim"
@@ -49,6 +51,42 @@ func BenchmarkLogMerge(b *testing.B) {
 		l.Merge()
 		if len(l.merged) >= 1<<10 {
 			l.merged = l.merged[:0] // keep the bound from dominating
+		}
+	}
+}
+
+// routeRecords builds n route decisions shaped like the outage rig's:
+// four scored replicas and a zone input, every tenth a failover.
+func routeRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		at := sim.Time(i) * 250 * sim.Microsecond
+		var cands []Candidate
+		for j := 0; j < 4; j++ {
+			out := (i + j) % 7
+			cands = append(cands, Candidate{Name: "srv" + strconv.Itoa(j), Score: float64(out), Reason: "out=" + strconv.Itoa(out)})
+		}
+		inputs := []KV{{Key: "zone", Val: "z" + strconv.Itoa(i%2)}}
+		if i%10 == 0 {
+			inputs = append(inputs, KV{Key: "failover", Val: "1"})
+		}
+		recs[i] = Record{
+			At: at, Seq: uint64(i), Kind: KindRoute, Chooser: "ctl",
+			Subject: "srv0", Winner: "srv0", Detail: "req@" + at.String() + " to srv0 in z0",
+			Candidates: cands, Inputs: inputs,
+		}
+	}
+	return recs
+}
+
+// BenchmarkWriteJSON is the JSON bundle export of 4096 route decisions.
+func BenchmarkWriteJSON(b *testing.B) {
+	recs := routeRecords(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteJSON(io.Discard, recs, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

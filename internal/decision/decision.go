@@ -21,10 +21,14 @@
 package decision
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -146,10 +150,10 @@ type Candidate struct {
 
 // KV is one named scalar input a decision read (headroom,
 // interference, burn-rate state, credits...). A slice of pairs keeps
-// record rendering deterministic where a map would not be.
-type KV struct {
-	Key, Val string
-}
+// record rendering deterministic where a map would not be. It is the
+// exporters' argument pair, so WriteJSON orders inputs with
+// obs.NextArg.
+type KV = obs.Arg
 
 // Record is one audited decision.
 type Record struct {
@@ -222,12 +226,17 @@ func (r *Record) Margin() (float64, bool) {
 // is off. A Ring is single-shard state: written only by its shard's
 // window execution (or barrier context) and drained only at barriers,
 // the same discipline as the cluster's host outboxes.
+//
+// The buffer grows on demand, doubling up to limit records, so a log
+// whose shards see a few decisions per barrier never allocates the
+// full bound.
 type Ring struct {
 	mask    uint32
 	chooser string
 	shard   int
 	seq     uint64
 	buf     []Record
+	limit   int // capacity bound (Options.PerShard)
 	start   int // index of the oldest record
 	n       int
 	dropped uint64
@@ -244,7 +253,7 @@ func (r *Ring) Wants(k Kind) bool {
 // sequence number. When the ring is full the oldest record is dropped
 // (and counted).
 func (r *Ring) Add(rec Record) {
-	if r == nil || len(r.buf) == 0 {
+	if r == nil {
 		return
 	}
 	rec.Shard = r.shard
@@ -252,9 +261,17 @@ func (r *Ring) Add(rec Record) {
 	rec.Seq = r.seq
 	r.seq++
 	if r.n == len(r.buf) {
-		r.start = (r.start + 1) % len(r.buf)
-		r.n--
-		r.dropped++
+		if len(r.buf) < r.limit {
+			// Full but below the bound: grow. start is 0 here, since
+			// it moves only once the ring has reached its bound.
+			grown := make([]Record, min(max(2*len(r.buf), 8), r.limit))
+			copy(grown, r.buf)
+			r.buf = grown
+		} else {
+			r.start = (r.start + 1) % len(r.buf)
+			r.n--
+			r.dropped++
+		}
 	}
 	r.buf[(r.start+r.n)%len(r.buf)] = rec
 	r.n++
@@ -320,8 +337,8 @@ func NewLog(shards int, opt Options) *Log {
 		l.rings = append(l.rings, &Ring{
 			mask:    mask,
 			shard:   i,
-			chooser: fmt.Sprintf("shard%d", i),
-			buf:     make([]Record, opt.PerShard),
+			chooser: "shard" + strconv.Itoa(i),
+			limit:   opt.PerShard,
 		})
 	}
 	return l
@@ -358,7 +375,7 @@ func (l *Log) Merge() {
 		l.dropped += r.dropped
 		r.dropped = 0
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].At < batch[j].At })
+	slices.SortStableFunc(batch, func(a, b Record) int { return cmp.Compare(a.At, b.At) })
 	l.merged = append(l.merged, batch...)
 	l.batch = batch[:0]
 	if over := len(l.merged) - l.total; over > 0 {

@@ -1,6 +1,7 @@
 package decision
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,6 +108,64 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 	if l.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", l.Dropped())
+	}
+}
+
+// TestLazyRingMatchesEagerRing overfills a lazily grown ring across
+// several growth steps and merges, and checks Records and Dropped
+// against a model of the eagerly allocated ring: a queue of at most
+// PerShard records that drops its oldest when full.
+func TestLazyRingMatchesEagerRing(t *testing.T) {
+	const perShard = 20
+	l := NewLog(1, Options{PerShard: perShard})
+	r := l.Ring(0)
+	var merged, pending []Record
+	var dropped uint64
+	at := sim.Time(0)
+	for _, burst := range []int{3, 9, 20, 21, 57, 0, 8, 45} {
+		for i := 0; i < burst; i++ {
+			at++
+			r.Add(rec(at, KindRoute, "x"))
+			pending = append(pending, Record{At: at, Seq: uint64(at - 1)})
+			if len(pending) > perShard {
+				pending = pending[1:]
+				dropped++
+			}
+		}
+		l.Merge()
+		merged, pending = append(merged, pending...), nil
+		got := l.Records()
+		if len(got) != len(merged) || l.Dropped() != dropped {
+			t.Fatalf("after burst %d: %d records, dropped %d; want %d, dropped %d",
+				burst, len(got), l.Dropped(), len(merged), dropped)
+		}
+		for i := range got {
+			if got[i].At != merged[i].At || got[i].Seq != merged[i].Seq {
+				t.Fatalf("after burst %d: record %d at %v seq %d, want at %v seq %d",
+					burst, i, got[i].At, got[i].Seq, merged[i].At, merged[i].Seq)
+			}
+		}
+	}
+	if len(r.buf) != perShard {
+		t.Fatalf("ring grew to %d records, bound is %d", len(r.buf), perShard)
+	}
+}
+
+// TestNewLogAllocatesLazily bounds what a default 17-shard log (the
+// 2z8h rig's control shard plus 16 hosts) costs before any decision is
+// recorded. Eager rings cost 17 × 4096 records, about 10 MB.
+func TestNewLogAllocatesLazily(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if NewLog(17, Options{}) == nil {
+			t.Fatal("nil log")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Fatalf("NewLog(17, Options{}) allocates %d B, want at most 16 KiB", per)
 	}
 }
 

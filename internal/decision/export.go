@@ -1,9 +1,9 @@
 package decision
 
 import (
-	"encoding/json"
-	"fmt"
+	"bufio"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -16,65 +16,100 @@ import (
 // into one Perfetto session and the decision that routed a request
 // lines up under the request's span.
 
-// jsonCandidate mirrors Candidate with stable JSON keys.
-type jsonCandidate struct {
-	Name   string  `json:"name"`
-	Score  float64 `json:"score"`
-	Reason string  `json:"reason,omitempty"`
-}
-
-// jsonRecord is one exported decision.
-type jsonRecord struct {
-	T          string            `json:"t"`  // human time, e.g. "6.000s"
-	Ns         int64             `json:"ns"` // virtual nanoseconds (span correlation key)
-	Shard      int               `json:"shard"`
-	Seq        uint64            `json:"seq"`
-	Kind       string            `json:"kind"`
-	Chooser    string            `json:"chooser"`
-	Subject    string            `json:"subject,omitempty"`
-	Winner     string            `json:"winner,omitempty"`
-	Detail     string            `json:"detail,omitempty"`
-	Candidates []jsonCandidate   `json:"candidates,omitempty"`
-	Inputs     map[string]string `json:"inputs,omitempty"`
-}
-
-// jsonBundle is the export envelope.
-type jsonBundle struct {
-	Count   int          `json:"count"`
-	Dropped uint64       `json:"dropped"`
-	Records []jsonRecord `json:"records"`
-}
-
-// WriteJSON writes the records as one indented JSON bundle.
+// WriteJSON writes the records as one indented JSON bundle,
+// {"count","dropped","records":[...]}, streaming one record at a time.
+// The bytes are encoding/json's two-space indented rendering, with
+// empty subject, winner, detail, candidate reason, candidates and
+// inputs omitted and inputs written as a key-sorted object. A score of
+// NaN or ±Inf has no JSON form: WriteJSON stops there and returns the
+// error, leaving the output truncated.
 func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
-	bundle := jsonBundle{Count: len(recs), Dropped: dropped, Records: []jsonRecord{}}
+	bw := bufio.NewWriter(w)
+	b := make([]byte, 0, 1024)
+	b = append(b, "{\n  \"count\": "...)
+	b = strconv.AppendInt(b, int64(len(recs)), 10)
+	b = append(b, ",\n  \"dropped\": "...)
+	b = strconv.AppendUint(b, dropped, 10)
+	b = append(b, ",\n  \"records\": ["...)
 	for i := range recs {
-		r := &recs[i]
-		jr := jsonRecord{
-			T:       r.At.String(),
-			Ns:      int64(r.At),
-			Shard:   r.Shard,
-			Seq:     r.Seq,
-			Kind:    r.Kind.String(),
-			Chooser: r.Chooser,
-			Subject: r.Subject,
-			Winner:  r.Winner,
-			Detail:  r.Detail,
+		if i > 0 {
+			b = append(b, ',')
 		}
-		for _, c := range r.Candidates {
-			jr.Candidates = append(jr.Candidates, jsonCandidate{Name: c.Name, Score: c.Score, Reason: c.Reason})
+		var err error
+		if b, err = appendRecord(b, &recs[i]); err != nil {
+			return err
 		}
-		if len(r.Inputs) > 0 {
-			jr.Inputs = make(map[string]string, len(r.Inputs))
-			for _, kv := range r.Inputs {
-				jr.Inputs[kv.Key] = kv.Val
-			}
+		if _, err := bw.Write(b); err != nil {
+			return err
 		}
-		bundle.Records = append(bundle.Records, jr)
+		b = b[:0]
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(bundle)
+	if len(recs) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "]\n}\n"...)
+	if _, err := bw.Write(b); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// appendRecord appends one element of the records array, indented at
+// depth 2, starting with its line break.
+func appendRecord(b []byte, r *Record) ([]byte, error) {
+	field := func(b []byte, key string) []byte {
+		b = append(b, ",\n      \""...)
+		b = append(b, key...)
+		return append(b, "\": "...)
+	}
+	b = append(b, "\n    {\n      \"t\": \""...)
+	b = r.At.Append(b) // sign, digits, '.', unit: nothing to escape
+	b = append(b, "\",\n      \"ns\": "...)
+	b = strconv.AppendInt(b, int64(r.At), 10)
+	b = strconv.AppendInt(field(b, "shard"), int64(r.Shard), 10)
+	b = strconv.AppendUint(field(b, "seq"), r.Seq, 10)
+	b = obs.AppendJSONString(field(b, "kind"), r.Kind.String())
+	b = obs.AppendJSONString(field(b, "chooser"), r.Chooser)
+	for _, f := range [...]struct{ key, val string }{{"subject", r.Subject}, {"winner", r.Winner}, {"detail", r.Detail}} {
+		if f.val != "" {
+			b = obs.AppendJSONString(field(b, f.key), f.val)
+		}
+	}
+	if len(r.Candidates) > 0 {
+		b = append(field(b, "candidates"), '[')
+		for i, c := range r.Candidates {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n        {\n          \"name\": "...)
+			b = obs.AppendJSONString(b, c.Name)
+			b = append(b, ",\n          \"score\": "...)
+			var err error
+			if b, err = obs.AppendJSONFloat(b, c.Score); err != nil {
+				return b, err
+			}
+			if c.Reason != "" {
+				b = append(b, ",\n          \"reason\": "...)
+				b = obs.AppendJSONString(b, c.Reason)
+			}
+			b = append(b, "\n        }"...)
+		}
+		b = append(b, "\n      ]"...)
+	}
+	if len(r.Inputs) > 0 {
+		b = append(field(b, "inputs"), '{')
+		sep := ""
+		for i := obs.NextArg(r.Inputs, -1); i >= 0; i = obs.NextArg(r.Inputs, i) {
+			b = append(b, sep...)
+			sep = ","
+			b = append(b, "\n        "...)
+			b = obs.AppendJSONString(b, r.Inputs[i].Key)
+			b = append(b, ": "...)
+			b = obs.AppendJSONString(b, r.Inputs[i].Val)
+		}
+		b = append(b, "\n      }"...)
+	}
+	return append(b, "\n    }"...), nil
 }
 
 // WriteChromeTrace renders the records as Perfetto instant events: one
@@ -94,17 +129,17 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 			tids[r.Chooser] = tid
 			out.Emit(obs.ThreadName(pid, tid, r.Chooser))
 		}
-		args := map[string]string{
-			"subject": r.Subject,
-			"winner":  r.Winner,
-			"detail":  r.Detail,
-			"vtime":   time.Duration(r.At).String(),
-		}
+		// Args in key order (the emitter would sort them anyway).
+		args := append(make([]obs.Arg, 0, 5), obs.Arg{Key: "detail", Val: r.Detail})
 		if m, ok := r.Margin(); ok {
-			args["margin"] = fmt.Sprintf("%.3f", m)
+			args = append(args, obs.Arg{Key: "margin", Val: strconv.FormatFloat(m, 'f', 3, 64)})
 		}
+		args = append(args,
+			obs.Arg{Key: "subject", Val: r.Subject},
+			obs.Arg{Key: "vtime", Val: time.Duration(r.At).String()},
+			obs.Arg{Key: "winner", Val: r.Winner})
 		out.Emit(obs.ChromeEvent{
-			Name: fmt.Sprintf("%s %s", r.Kind, r.Subject),
+			Name: r.Kind.String() + " " + r.Subject,
 			Ph:   "i", Ts: obs.Usec(r.At), Pid: pid, Tid: tid,
 			Cat: r.Kind.String(), S: "t", Args: args,
 		})

@@ -2,10 +2,9 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -20,16 +19,17 @@ import (
 // ui.perfetto.dev.
 
 // ChromeEvent is one entry of the traceEvents array. Timestamps are in
-// microseconds, the unit the trace viewer expects.
+// microseconds, the unit the trace viewer expects. Cat, S and Args are
+// omitted from the output when empty.
 type ChromeEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Cat  string            `json:"cat,omitempty"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
+	Name string
+	Ph   string
+	Ts   float64
+	Pid  int
+	Tid  int
+	Cat  string
+	S    string
+	Args []Arg // written as one object, keys sorted (see NextArg)
 }
 
 // Usec converts virtual time to a trace timestamp in microseconds.
@@ -37,23 +37,23 @@ func Usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
 
 // ProcessName is the metadata event naming process pid's track group.
 func ProcessName(pid int, name string) ChromeEvent {
-	return ChromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: map[string]string{"name": name}}
+	return ChromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: []Arg{{"name", name}}}
 }
 
 // ThreadName is the metadata event naming thread track tid of pid.
 func ThreadName(pid, tid int, name string) ChromeEvent {
-	return ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]string{"name": name}}
+	return ChromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: []Arg{{"name", name}}}
 }
 
 // ChromeTrace streams one Chrome trace JSON document, event by event,
 // so an export never holds its whole event list in memory. The bytes
 // are encoding/json's rendering of
-// {"traceEvents":[...],"displayTimeUnit":"ms"}, HTML escaping included.
+// {"traceEvents":[...],"displayTimeUnit":"ms"} with each event a
+// struct of the fields above in order and Args a map[string]string,
+// HTML escaping included.
 type ChromeTrace struct {
 	w   *bufio.Writer
-	buf bytes.Buffer
-	enc *json.Encoder
-	ev  ChromeEvent // staging copy, so encoding does not box each event
+	buf []byte // one encoded event, reused
 	sep byte
 	err error
 }
@@ -61,24 +61,52 @@ type ChromeTrace struct {
 // NewChromeTrace starts a Chrome trace document on w; Close ends it.
 func NewChromeTrace(w io.Writer) *ChromeTrace {
 	t := &ChromeTrace{w: bufio.NewWriter(w), sep: '['}
-	t.enc = json.NewEncoder(&t.buf)
 	t.w.WriteString(`{"traceEvents":`)
 	return t
 }
 
-// Emit appends one event to the document.
+// Emit appends one event to the document. An event whose Ts has no
+// JSON form (NaN, ±Inf) is not written; Close reports the error.
 func (t *ChromeTrace) Emit(e ChromeEvent) {
 	if t.err != nil {
 		return
 	}
-	t.buf.Reset()
-	t.buf.WriteByte(t.sep)
+	b := append(t.buf[:0], t.sep)
 	t.sep = ','
-	t.ev = e
-	if t.err = t.enc.Encode(&t.ev); t.err == nil {
-		// Encode ends each value with a newline; array elements have none.
-		_, t.err = t.w.Write(t.buf.Bytes()[:t.buf.Len()-1])
+	b = append(b, `{"name":`...)
+	b = AppendJSONString(b, e.Name)
+	b = append(b, `,"ph":`...)
+	b = AppendJSONString(b, e.Ph)
+	b = append(b, `,"ts":`...)
+	if b, t.err = AppendJSONFloat(b, e.Ts); t.err != nil {
+		return
 	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(e.Pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(e.Tid), 10)
+	if e.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = AppendJSONString(b, e.Cat)
+	}
+	if e.S != "" {
+		b = append(b, `,"s":`...)
+		b = AppendJSONString(b, e.S)
+	}
+	if len(e.Args) > 0 {
+		b = append(b, `,"args":`...)
+		sep := byte('{')
+		for i := NextArg(e.Args, -1); i >= 0; i = NextArg(e.Args, i) {
+			b = append(b, sep)
+			sep = ','
+			b = AppendJSONString(b, e.Args[i].Key)
+			b = append(b, ':')
+			b = AppendJSONString(b, e.Args[i].Val)
+		}
+		b = append(b, '}')
+	}
+	t.buf = append(b, '}')
+	_, t.err = t.w.Write(t.buf)
 }
 
 // Close ends and flushes the document, returning the first error.
@@ -134,7 +162,7 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, from, to sim.Time) error {
 			out.Emit(ChromeEvent{
 				Name: ev.Kind.String(), Ph: "i", Ts: Usec(at), Pid: simPid, Tid: tid,
 				Cat: ev.Kind.String(), S: "t",
-				Args: map[string]string{"subject": subject, "detail": ev.Detail},
+				Args: []Arg{{"subject", subject}, {"detail", ev.Detail}},
 			})
 			continue
 		}

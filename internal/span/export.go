@@ -1,8 +1,8 @@
 package span
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -31,7 +31,7 @@ type TrackSet struct {
 // Unfinished spans are skipped (they have no right edge to draw).
 func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 	out := obs.NewChromeTrace(w)
-	slice := func(name, ph string, at sim.Time, pid, tid int, cat string, args map[string]string) {
+	slice := func(name, ph string, at sim.Time, pid, tid int, cat string, args []obs.Arg) {
 		out.Emit(obs.ChromeEvent{Name: name, Ph: ph, Ts: obs.Usec(at), Pid: pid, Tid: tid, Cat: cat, Args: args})
 	}
 	for si, set := range sets {
@@ -43,14 +43,16 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 				continue
 			}
 			tid++
-			req := fmt.Sprintf("req %d", s.ID)
-			out.Emit(obs.ThreadName(pid, tid, fmt.Sprintf("%s (wall %s)", req, dur(s.Wall()))))
-			slice(req, "B", s.Start, pid, tid, "request", map[string]string{"wall": dur(s.Wall())})
+			req := "req " + strconv.FormatInt(s.ID, 10)
+			wall := dur(s.Wall())
+			out.Emit(obs.ThreadName(pid, tid, req+" (wall "+wall+")"))
+			slice(req, "B", s.Start, pid, tid, "request", []obs.Arg{{Key: "wall", Val: wall}})
 			for _, p := range s.Phases {
 				slice(p.Name, "B", p.Start, pid, tid, "phase", nil)
 				for _, seg := range p.Segments {
-					slice(seg.Cat.String(), "B", seg.Start, pid, tid, "segment", map[string]string{"dur": dur(seg.Dur())})
-					slice(seg.Cat.String(), "E", seg.End, pid, tid, "segment", nil)
+					cat := seg.Cat.String()
+					slice(cat, "B", seg.Start, pid, tid, "segment", []obs.Arg{{Key: "dur", Val: dur(seg.Dur())}})
+					slice(cat, "E", seg.End, pid, tid, "segment", nil)
 				}
 				slice(p.Name, "E", p.End, pid, tid, "phase", nil)
 			}
