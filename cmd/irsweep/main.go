@@ -111,6 +111,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsweep: bad -runs %d (want >= 1)\n", *runs)
 		return 2
 	}
+	if *vcpus < 1 {
+		fmt.Fprintf(stderr, "irsweep: bad -vcpus %d (want >= 1)\n", *vcpus)
+		return 2
+	}
 
 	// Compute every (level, strategy) cell up front — each is an
 	// isolated simulation — then print the matrix serially.
@@ -137,17 +141,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  %-12s", st)
 	}
 	fmt.Fprintln(stdout)
+	bad := 0
 	for li, lvl := range levels {
 		fmt.Fprintf(stdout, "%-10d", lvl)
-		for si := range strats {
+		for si, st := range strats {
 			c := cells[li*len(strats)+si]
 			if c.err != nil {
 				fmt.Fprintf(stdout, "  %-12s", "ERR")
+				fmt.Fprintf(stderr, "irsweep: inter %d, %s: %v\n", lvl, st, c.err)
+				bad++
 				continue
 			}
 			fmt.Fprintf(stdout, "  %-12s", fmt.Sprintf("%.3fs", c.mean))
 		}
 		fmt.Fprintln(stdout)
+	}
+	if bad > 0 {
+		return 1
 	}
 	return 0
 }

@@ -35,11 +35,28 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-cluster", "-hosts", "two"}, 2},
 		{[]string{"-bench", "nosuchbench"}, 2},
 		{[]string{"-runs", "0"}, 2},
+		{[]string{"-vcpus", "0", "-inter", "0", "-runs", "1"}, 2},
 	}
 	for _, tc := range cases {
 		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
 			t.Errorf("%v: exit = %d, want %d", tc.args, code, tc.want)
 		}
+	}
+}
+
+// A cell whose simulation fails prints ERR, names its error on stderr,
+// and makes the sweep exit 1: here the hogs ask for more pinned pCPUs
+// than the host has.
+func TestFailedCellExitsOne(t *testing.T) {
+	code, out, errOut := runCmd(t, "-bench", "streamcluster", "-inter", "5", "-vcpus", "4", "-runs", "1")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1; stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "ERR") {
+		t.Fatalf("stdout has no ERR cell:\n%s", out)
+	}
+	if n := strings.Count(errOut, "irsweep: inter 5, "); n != 4 {
+		t.Fatalf("stderr names %d failed cells, want one per strategy:\n%s", n, errOut)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// The query grammar is a space-separated clause list, mirroring
-// fault.ParsePlan and topology.ParseLoadSpec:
+// The query grammar is a space-separated clause list with t>/t<
+// bounds, not the comma-separated kv grammar of the other specs:
 //
 //	kind=place,route vm=srv0 chooser=ctl winner=host3 t>40ms t<6s
 //

@@ -150,7 +150,7 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 			w.FeedPain(now, "h0", vm.Name, pain)
 		}
 	})
-	w.Start(c.Engine)
+	c.Engine.Every(w.Interval(), func() { w.RunEpoch(c.Engine.Now()) })
 
 	res, err := c.Run()
 	if err != nil {

@@ -120,7 +120,7 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	if a := spec.Alert; a != nil {
 		cfg.Watch = &watch.Config{
 			Interval: DefaultWatchInterval,
-			Rules:    []watch.Rule{{Name: "slo-burn", Budget: a.Budget, Fast: a.Fast, Slow: a.Slow, Burn: a.Burn}},
+			Rules:    []watch.Rule{*a},
 		}
 	}
 	if as := spec.Autoscale; as != nil {

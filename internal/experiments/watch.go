@@ -111,13 +111,6 @@ func DefaultWatchRuleSet() []watch.Rule {
 	return rules
 }
 
-// NewWatchCluster builds the watchdog rig for one variant with the
-// default knobs. cmd/irswatch layers its flag overrides on top of
-// WatchConfig directly.
-func NewWatchCluster(v WatchVariant, seed uint64) (*cluster.Cluster, error) {
-	return cluster.New(WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval))
-}
-
 // Watch runs the watchdog rig under each variant and reports what the
 // watchdog saw: alert count, detection latency after the bully lands,
 // and the attribution ranking's top two aggressors.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/watch"
 )
@@ -15,7 +16,7 @@ func runWatchVariant(t *testing.T, name string) *watch.Watcher {
 	if !ok {
 		t.Fatalf("unknown watch variant %q", name)
 	}
-	c, err := NewWatchCluster(v, 1)
+	c, err := cluster.New(WatchConfig(v, 1, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,9 @@ package fault
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -75,35 +74,40 @@ type Plan struct {
 // Zero reports whether the plan injects no faults at all.
 func (p Plan) Zero() bool { return p == Plan{} }
 
+// fields is the plan's key=value table, in render order. Float keys
+// are probabilities, duration keys virtual-time spans.
+func (p *Plan) fields() kv.Table {
+	return kv.Table{
+		kv.Bind("drop-sa", &p.DropSA),
+		kv.Bind("dup-sa", &p.DupSA),
+		kv.Bind("delay-sa", &p.DelaySA),
+		kv.Bind("drop-wake", &p.DropWake),
+		kv.Bind("dup-wake", &p.DupWake),
+		kv.Bind("delay-wake", &p.DelayWake),
+		kv.Bind("ack-loss", &p.AckLoss),
+		kv.Bind("ack-delay", &p.AckDelay),
+		kv.Bind("stale-runstate", &p.StaleRunstate),
+		kv.Bind("tick-jitter", &p.TickJitter),
+		kv.Bind("stall-p", &p.StallProb),
+		kv.Bind("stall-for", &p.StallFor),
+		kv.Bind("blackout-every", &p.BlackoutEvery),
+		kv.Bind("blackout-for", &p.BlackoutFor),
+	}
+}
+
 // Validate rejects plans with probabilities outside [0, 1] or negative
 // durations.
 func (p Plan) Validate() error {
-	probs := []struct {
-		name string
-		v    float64
-	}{
-		{"drop-sa", p.DropSA}, {"dup-sa", p.DupSA},
-		{"drop-wake", p.DropWake}, {"dup-wake", p.DupWake},
-		{"ack-loss", p.AckLoss}, {"tick-jitter", p.TickJitter},
-		{"stall-p", p.StallProb},
-	}
-	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 {
-			return fmt.Errorf("fault: %s=%v outside [0,1]", pr.name, pr.v)
-		}
-	}
-	durs := []struct {
-		name string
-		v    sim.Time
-	}{
-		{"delay-sa", p.DelaySA}, {"delay-wake", p.DelayWake},
-		{"ack-delay", p.AckDelay}, {"stale-runstate", p.StaleRunstate},
-		{"stall-for", p.StallFor}, {"blackout-every", p.BlackoutEvery},
-		{"blackout-for", p.BlackoutFor},
-	}
-	for _, d := range durs {
-		if d.v < 0 {
-			return fmt.Errorf("fault: %s=%v negative", d.name, d.v)
+	for _, f := range p.fields() {
+		switch v := f.Dst().(type) {
+		case *float64:
+			if !(*v >= 0 && *v <= 1) {
+				return fmt.Errorf("fault: %s=%v outside [0,1]", f.Key, *v)
+			}
+		case *sim.Time:
+			if *v < 0 {
+				return fmt.Errorf("fault: %s=%v negative", f.Key, *v)
+			}
 		}
 	}
 	if p.BlackoutEvery > 0 && p.BlackoutFor <= 0 {
@@ -119,101 +123,26 @@ func (p Plan) Validate() error {
 }
 
 // String renders the plan as a canonical spec that ParsePlan accepts:
-// comma-separated key=value pairs in fixed order, zero fields omitted.
-// The zero plan renders as "none".
+// its non-zero fields in fixed order. The zero plan renders as "none".
 func (p Plan) String() string {
-	var parts []string
-	prob := func(key string, v float64) {
-		if v != 0 {
-			parts = append(parts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
+	if s := p.fields().NonZero(); s != "" {
+		return s
 	}
-	dur := func(key string, v sim.Time) {
-		if v != 0 {
-			parts = append(parts, key+"="+v.Std().String())
-		}
-	}
-	prob("drop-sa", p.DropSA)
-	prob("dup-sa", p.DupSA)
-	dur("delay-sa", p.DelaySA)
-	prob("drop-wake", p.DropWake)
-	prob("dup-wake", p.DupWake)
-	dur("delay-wake", p.DelayWake)
-	prob("ack-loss", p.AckLoss)
-	dur("ack-delay", p.AckDelay)
-	dur("stale-runstate", p.StaleRunstate)
-	prob("tick-jitter", p.TickJitter)
-	prob("stall-p", p.StallProb)
-	dur("stall-for", p.StallFor)
-	dur("blackout-every", p.BlackoutEvery)
-	dur("blackout-for", p.BlackoutFor)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
+	return "none"
 }
 
-// ParsePlan parses a fault-plan spec: comma-separated key=value pairs
-// where probability keys take floats in [0,1] and duration keys take Go
+// ParsePlan parses a fault-plan spec in the kv grammar, where
+// probability keys take floats in [0,1] and duration keys take Go
 // durations ("50us", "2ms"). "", "none" and "off" parse as the zero
 // plan. The result of Plan.String always round-trips.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	spec = strings.TrimSpace(spec)
-	switch strings.ToLower(spec) {
+	switch strings.ToLower(strings.TrimSpace(spec)) {
 	case "", "none", "off":
 		return p, nil
 	}
-	probFields := map[string]*float64{
-		"drop-sa":     &p.DropSA,
-		"dup-sa":      &p.DupSA,
-		"drop-wake":   &p.DropWake,
-		"dup-wake":    &p.DupWake,
-		"ack-loss":    &p.AckLoss,
-		"tick-jitter": &p.TickJitter,
-		"stall-p":     &p.StallProb,
-	}
-	durFields := map[string]*sim.Time{
-		"delay-sa":       &p.DelaySA,
-		"delay-wake":     &p.DelayWake,
-		"ack-delay":      &p.AckDelay,
-		"stale-runstate": &p.StaleRunstate,
-		"stall-for":      &p.StallFor,
-		"blackout-every": &p.BlackoutEvery,
-		"blackout-for":   &p.BlackoutFor,
-	}
-	seen := map[string]bool{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: %q is not key=value", part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return Plan{}, fmt.Errorf("fault: duplicate key %q", key)
-		}
-		seen[key] = true
-		switch {
-		case probFields[key] != nil:
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: %s: %v", key, err)
-			}
-			*probFields[key] = f
-		case durFields[key] != nil:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: %s: %v", key, err)
-			}
-			*durFields[key] = sim.Duration(d)
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown key %q", key)
-		}
+	if err := p.fields().Parse(spec); err != nil {
+		return Plan{}, fmt.Errorf("fault: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -56,6 +56,8 @@ func TestParsePlanErrors(t *testing.T) {
 		"drop-sa=0.1,drop-sa=0.2", // duplicate key
 		"blackout-every=1ms",      // blackout period without duration
 		"stall-p=0.5",             // stall probability without duration
+		"drop-sa=NaN",             // non-finite probability
+		"drop-sa=0.1,",            // empty field
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", spec)

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
+	"repro/internal/watch"
 )
 
 // LoadSpec is the declarative cluster-load specification driving the
@@ -16,14 +17,16 @@ import (
 // text blob describes the rack shape, the scheduling stack, the
 // request load curve (flat, staged ramp, or diurnal), the tenant mix,
 // injected zone outages, the burn-rate alert rule, and the replica
-// autoscaler. Specs parse from strings (ParseLoadSpec) in the same
-// section:key=value idiom as fault.ParsePlan and workload.ParseAttack,
-// round-trip through String, and validate strictly, so a spec can live
-// in a Makefile line, a CI job, or a file without drifting from what
-// the simulator actually runs.
+// autoscaler. Specs parse from strings (ParseLoadSpec), round-trip
+// through String, and validate strictly, so a spec can live in a
+// Makefile line, a CI job, or a file without drifting from what the
+// simulator actually runs.
 //
-// Syntax: sections separated by ';' or newlines, each
-// "name:key=value,...". '#' starts a line comment. Example:
+// Syntax: sections separated by ';' or newlines, each "name:body".
+// '#' starts a line comment. Every body but ramp's is a field list in
+// the kv grammar (package kv), the one fault plans, attacker specs and
+// watch rules use; the alert section is a watch.Rule without its name.
+// Example:
 //
 //	topo:zones=2,hosts=8,pcpus=4
 //	sched:policy=ia,strategy=irs,migrate=on
@@ -73,8 +76,8 @@ type LoadSpec struct {
 	Outages []OutageSpec
 
 	// Alert is the burn-rate rule the SLO watchdog evaluates (alert
-	// section); required when Autoscale is set.
-	Alert *AlertSpec
+	// section, named "slo-burn"); required when Autoscale is set.
+	Alert *watch.Rule
 	// Autoscale bounds the replica autoscaler (autoscale section).
 	Autoscale *AutoscaleSpec
 }
@@ -98,13 +101,6 @@ type DiurnalSpec struct {
 type OutageSpec struct {
 	Zone    int
 	At, For sim.Time
-}
-
-// AlertSpec is the burn-rate rule in watch.Rule shape.
-type AlertSpec struct {
-	Budget     float64
-	Fast, Slow sim.Time
-	Burn       float64
 }
 
 // AutoscaleSpec bounds the replica autoscaler. Min 0 means "the
@@ -178,6 +174,9 @@ func (s LoadSpec) withDefaults() LoadSpec {
 	}
 	if a := s.Alert; a != nil {
 		cp := *a
+		if cp.Name == "" {
+			cp.Name = "slo-burn"
+		}
 		if cp.Budget == 0 {
 			cp.Budget = 0.02
 		}
@@ -359,65 +358,76 @@ func (s LoadSpec) Stages() []Stage {
 	return out
 }
 
-// fmtDur renders a sim.Time in the Go duration syntax ParseLoadSpec
-// reads back.
-func fmtDur(t sim.Time) string { return time.Duration(t).String() }
+// fields returns the key=value table of the fixed section name, bound
+// to s, or nil when name is not one.
+func (s *LoadSpec) fields(name string) kv.Table {
+	switch name {
+	case "topo":
+		return kv.Table{kv.Bind("zones", &s.Zones), kv.Bind("hosts", &s.HostsPerZone), kv.Bind("pcpus", &s.PCPUs)}
+	case "sched":
+		return kv.Table{kv.Bind("policy", &s.Policy), kv.Bind("strategy", &s.Strategy),
+			kv.Bind("overcommit", &s.Overcommit), kv.Bind("migrate", &s.Migrate)}
+	case "load":
+		return kv.Table{kv.Bind("arrival", &s.Arrival), kv.Bind("service", &s.Service),
+			kv.Bind("slo", &s.SLO), kv.Bind("duration", &s.Duration), kv.Bind("drain", &s.Drain)}
+	case "tenants":
+		return kv.Table{kv.Bind("servers", &s.ServersPerZone), kv.Bind("server-vcpus", &s.ServerVCPUs),
+			kv.Bind("server-threads", &s.ServerThreads), kv.Bind("ants", &s.AntsPerZone),
+			kv.Bind("ant-vcpus", &s.AntVCPUs), kv.Bind("spacing", &s.Spacing)}
+	}
+	return nil
+}
 
-func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+func (d *DiurnalSpec) fields() kv.Table {
+	return kv.Table{kv.Bind("period", &d.Period), kv.Bind("swing", &d.Swing), kv.Bind("steps", &d.Steps)}
+}
+
+func (o *OutageSpec) fields() kv.Table {
+	return kv.Table{kv.Bind("zone", &o.Zone), kv.Bind("at", &o.At), kv.Bind("for", &o.For)}
+}
+
+func (as *AutoscaleSpec) fields() kv.Table {
+	return kv.Table{kv.Bind("min", &as.Min), kv.Bind("max", &as.Max), kv.Bind("step", &as.Step),
+		kv.Bind("cooldown", &as.Cooldown), kv.Bind("down-after", &as.DownAfter), kv.Bind("interval", &as.Interval)}
+}
 
 // String renders the spec in the exact syntax ParseLoadSpec accepts,
 // with every field explicit; ParseLoadSpec(s.String()) round-trips to
 // an equal spec.
 func (s LoadSpec) String() string {
 	s = s.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "topo:zones=%d,hosts=%d,pcpus=%d", s.Zones, s.HostsPerZone, s.PCPUs)
-	fmt.Fprintf(&b, "; sched:policy=%s,strategy=%s,overcommit=%s,migrate=%s",
-		s.Policy, s.Strategy, fmtFloat(s.Overcommit), onOff(s.Migrate))
-	fmt.Fprintf(&b, "; load:arrival=%s,service=%s,slo=%s,duration=%s,drain=%s",
-		fmtDur(s.Arrival), fmtDur(s.Service), fmtDur(s.SLO), fmtDur(s.Duration), fmtDur(s.Drain))
+	secs := []string{"topo:" + s.fields("topo").String(), "sched:" + s.fields("sched").String(),
+		"load:" + s.fields("load").String()}
 	if len(s.Ramp) > 0 {
 		parts := make([]string, len(s.Ramp))
 		for i, st := range s.Ramp {
-			parts[i] = fmtDur(st.Arrival) + "@" + fmtDur(st.At)
+			parts[i] = st.Arrival.Std().String() + "@" + st.At.Std().String()
 		}
-		fmt.Fprintf(&b, "; ramp:%s", strings.Join(parts, ","))
+		secs = append(secs, "ramp:"+strings.Join(parts, ","))
 	}
 	if d := s.Diurnal; d != nil {
-		fmt.Fprintf(&b, "; diurnal:period=%s,swing=%s,steps=%d", fmtDur(d.Period), fmtFloat(d.Swing), d.Steps)
+		secs = append(secs, "diurnal:"+d.fields().String())
 	}
-	fmt.Fprintf(&b, "; tenants:servers=%d,server-vcpus=%d,server-threads=%d,ants=%d,ant-vcpus=%d,spacing=%s",
-		s.ServersPerZone, s.ServerVCPUs, s.ServerThreads, s.AntsPerZone, s.AntVCPUs, fmtDur(s.Spacing))
-	for _, o := range s.Outages {
-		fmt.Fprintf(&b, "; outage:zone=%d,at=%s,for=%s", o.Zone, fmtDur(o.At), fmtDur(o.For))
+	secs = append(secs, "tenants:"+s.fields("tenants").String())
+	for i := range s.Outages {
+		secs = append(secs, "outage:"+s.Outages[i].fields().String())
 	}
 	if a := s.Alert; a != nil {
-		fmt.Fprintf(&b, "; alert:budget=%s,fast=%s,slow=%s,burn=%s",
-			fmtFloat(a.Budget), fmtDur(a.Fast), fmtDur(a.Slow), fmtFloat(a.Burn))
+		secs = append(secs, "alert:"+a.Fields().String())
 	}
 	if as := s.Autoscale; as != nil {
-		fmt.Fprintf(&b, "; autoscale:min=%d,max=%d,step=%d,cooldown=%s,down-after=%s,interval=%s",
-			as.Min, as.Max, as.Step, fmtDur(as.Cooldown), fmtDur(as.DownAfter), fmtDur(as.Interval))
+		secs = append(secs, "autoscale:"+as.fields().String())
 	}
-	return b.String()
+	return strings.Join(secs, "; ")
 }
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// fieldParser decodes one key=value pair into the spec under
-// construction.
-type fieldParser func(s *LoadSpec, key, val string) (bool, error)
 
 // ParseLoadSpec parses a declarative cluster-load spec (see the
 // LoadSpec syntax above), applies defaults to omitted fields, and
 // validates the result.
 func ParseLoadSpec(text string) (LoadSpec, error) {
-	var s LoadSpec
+	// Parsing starts from the defaults so that parseSection can tell an
+	// explicit zero from an omitted field.
+	s := LoadSpec{}.withDefaults()
 	seen := map[string]bool{}
 	for _, line := range strings.Split(text, "\n") {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -449,148 +459,48 @@ func ParseLoadSpec(text string) (LoadSpec, error) {
 	return s, nil
 }
 
-// parseSection dispatches one section body.
+// parseSection parses one section body into s.
 func parseSection(s *LoadSpec, name, body string) error {
+	var t kv.Table
 	switch name {
-	case "topo":
-		return parseFields(s, name, body, parseTopoField)
-	case "sched":
-		return parseFields(s, name, body, parseSchedField)
-	case "load":
-		return parseFields(s, name, body, parseLoadField)
 	case "ramp":
 		return parseRamp(s, body)
 	case "diurnal":
 		s.Diurnal = &DiurnalSpec{}
-		return parseFields(s, name, body, parseDiurnalField)
-	case "tenants":
-		return parseFields(s, name, body, parseTenantsField)
+		t = s.Diurnal.fields()
 	case "outage":
 		s.Outages = append(s.Outages, OutageSpec{Zone: -1})
-		return parseFields(s, name, body, parseOutageField)
+		t = s.Outages[len(s.Outages)-1].fields()
 	case "alert":
-		s.Alert = &AlertSpec{}
-		return parseFields(s, name, body, parseAlertField)
+		s.Alert = &watch.Rule{}
+		t = s.Alert.Fields()
 	case "autoscale":
 		s.Autoscale = &AutoscaleSpec{}
-		return parseFields(s, name, body, parseAutoscaleField)
+		t = s.Autoscale.fields()
 	default:
-		return fmt.Errorf("topology: unknown section %q", name)
+		if t = s.fields(name); t == nil {
+			return fmt.Errorf("topology: unknown section %q", name)
+		}
 	}
-}
-
-// parseFields walks a comma-separated key=value list, rejecting
-// duplicates and unknown keys.
-func parseFields(s *LoadSpec, section, body string, fp fieldParser) error {
-	seen := map[string]bool{}
-	for _, field := range strings.Split(body, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return fmt.Errorf("topology: %s: empty field", section)
+	if err := t.Parse(body); err != nil {
+		return fmt.Errorf("topology: %s: %w", name, err)
+	}
+	// The topo and tenants fields held their defaults before parsing, so
+	// a non-positive value here was given explicitly: an error, not a
+	// request for the default that withDefaults would silently apply.
+	switch name {
+	case "topo":
+		for _, f := range t {
+			if n := *f.Dst().(*int); n <= 0 {
+				return fmt.Errorf("topology: topo: %s must be positive, got %d", f.Key, n)
+			}
 		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return fmt.Errorf("topology: %s: field %q is not key=value", section, field)
-		}
-		key, val = strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val)
-		if seen[key] {
-			return fmt.Errorf("topology: %s: duplicate field %q", section, key)
-		}
-		seen[key] = true
-		known, err := fp(s, key, val)
-		if err != nil {
-			return fmt.Errorf("topology: %s: %s: %v", section, key, err)
-		}
-		if !known {
-			return fmt.Errorf("topology: %s: unknown field %q", section, key)
+	case "tenants":
+		if s.ServersPerZone <= 0 {
+			return fmt.Errorf("topology: tenants: spec places no server VMs (servers=%d)", s.ServersPerZone)
 		}
 	}
 	return nil
-}
-
-func parseInt(val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func parseDur(val string) (sim.Time, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d), nil
-}
-
-func parseOnOff(val string) (bool, error) {
-	switch strings.ToLower(val) {
-	case "on", "true", "yes", "1":
-		return true, nil
-	case "off", "false", "no", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("want on/off, got %q", val)
-}
-
-func parseTopoField(s *LoadSpec, key, val string) (bool, error) {
-	n, err := parseInt(val)
-	switch key {
-	case "zones":
-		s.Zones = n
-	case "hosts":
-		s.HostsPerZone = n
-	case "pcpus":
-		s.PCPUs = n
-	default:
-		return false, nil
-	}
-	if err == nil && n <= 0 {
-		// An explicit non-positive dimension is an error, not a request
-		// for the default (which withDefaults would silently apply).
-		return true, fmt.Errorf("%s must be positive, got %d", key, n)
-	}
-	return true, err
-}
-
-func parseSchedField(s *LoadSpec, key, val string) (bool, error) {
-	switch key {
-	case "policy":
-		s.Policy = strings.ToLower(val)
-	case "strategy":
-		s.Strategy = strings.ToLower(val)
-	case "overcommit":
-		f, err := strconv.ParseFloat(val, 64)
-		s.Overcommit = f
-		return true, err
-	case "migrate":
-		b, err := parseOnOff(val)
-		s.Migrate = b
-		return true, err
-	default:
-		return false, nil
-	}
-	return true, nil
-}
-
-func parseLoadField(s *LoadSpec, key, val string) (bool, error) {
-	d, err := parseDur(val)
-	switch key {
-	case "arrival":
-		s.Arrival = d
-	case "service":
-		s.Service = d
-	case "slo":
-		s.SLO = d
-	case "duration":
-		s.Duration = d
-	case "drain":
-		s.Drain = d
-	default:
-		return false, nil
-	}
-	return true, err
 }
 
 // parseRamp reads the "arrival@at,arrival@at,..." stage list.
@@ -604,136 +514,16 @@ func parseRamp(s *LoadSpec, body string) error {
 		if !ok {
 			return fmt.Errorf("topology: ramp: stage %q is not arrival@at", part)
 		}
-		arr, err := parseDur(strings.TrimSpace(arrS))
+		arr, err := time.ParseDuration(strings.TrimSpace(arrS))
 		if err != nil {
 			return fmt.Errorf("topology: ramp: %q: %v", part, err)
 		}
-		at, err := parseDur(strings.TrimSpace(atS))
+		at, err := time.ParseDuration(strings.TrimSpace(atS))
 		if err != nil {
 			return fmt.Errorf("topology: ramp: %q: %v", part, err)
 		}
-		s.Ramp = append(s.Ramp, Stage{Arrival: arr, At: at})
+		s.Ramp = append(s.Ramp, Stage{Arrival: sim.Duration(arr), At: sim.Duration(at)})
 	}
 	sort.SliceStable(s.Ramp, func(a, b int) bool { return s.Ramp[a].At < s.Ramp[b].At })
 	return nil
-}
-
-func parseDiurnalField(s *LoadSpec, key, val string) (bool, error) {
-	d := s.Diurnal
-	switch key {
-	case "period":
-		t, err := parseDur(val)
-		d.Period = t
-		return true, err
-	case "swing":
-		f, err := strconv.ParseFloat(val, 64)
-		d.Swing = f
-		return true, err
-	case "steps":
-		n, err := parseInt(val)
-		d.Steps = n
-		return true, err
-	}
-	return false, nil
-}
-
-func parseTenantsField(s *LoadSpec, key, val string) (bool, error) {
-	switch key {
-	case "spacing":
-		d, err := parseDur(val)
-		s.Spacing = d
-		return true, err
-	}
-	n, err := parseInt(val)
-	switch key {
-	case "servers":
-		if err == nil && n <= 0 {
-			// 0 would be indistinguishable from "defaulted" — and a
-			// spec with no server VMs has nothing to route to anyway.
-			return true, fmt.Errorf("spec places no server VMs (servers=%d)", n)
-		}
-		s.ServersPerZone = n
-	case "server-vcpus":
-		s.ServerVCPUs = n
-	case "server-threads":
-		s.ServerThreads = n
-	case "ants":
-		s.AntsPerZone = n
-	case "ant-vcpus":
-		s.AntVCPUs = n
-	default:
-		return false, nil
-	}
-	return true, err
-}
-
-func parseOutageField(s *LoadSpec, key, val string) (bool, error) {
-	o := &s.Outages[len(s.Outages)-1]
-	switch key {
-	case "zone":
-		n, err := parseInt(val)
-		o.Zone = n
-		return true, err
-	case "at":
-		d, err := parseDur(val)
-		o.At = d
-		return true, err
-	case "for":
-		d, err := parseDur(val)
-		o.For = d
-		return true, err
-	}
-	return false, nil
-}
-
-func parseAlertField(s *LoadSpec, key, val string) (bool, error) {
-	a := s.Alert
-	switch key {
-	case "budget", "burn":
-		f, err := strconv.ParseFloat(val, 64)
-		if key == "budget" {
-			a.Budget = f
-		} else {
-			a.Burn = f
-		}
-		return true, err
-	case "fast", "slow":
-		d, err := parseDur(val)
-		if key == "fast" {
-			a.Fast = d
-		} else {
-			a.Slow = d
-		}
-		return true, err
-	}
-	return false, nil
-}
-
-func parseAutoscaleField(s *LoadSpec, key, val string) (bool, error) {
-	as := s.Autoscale
-	switch key {
-	case "min", "max", "step":
-		n, err := parseInt(val)
-		switch key {
-		case "min":
-			as.Min = n
-		case "max":
-			as.Max = n
-		default:
-			as.Step = n
-		}
-		return true, err
-	case "cooldown", "down-after", "interval":
-		d, err := parseDur(val)
-		switch key {
-		case "cooldown":
-			as.Cooldown = d
-		case "down-after":
-			as.DownAfter = d
-		default:
-			as.Interval = d
-		}
-		return true, err
-	}
-	return false, nil
 }

@@ -99,6 +99,8 @@ func TestParseLoadSpecErrors(t *testing.T) {
 		{"autoscale-max-low", "alert:budget=0.02; autoscale:min=4,max=2", "below floor"},
 		{"alert-windows", "alert:fast=2s,slow=1s", "incoherent"},
 		{"no-servers", "tenants:servers=0,ants=1", "no server VMs"},
+		{"explicit-zero-dim", "topo:zones=0", "zones must be positive"},
+		{"empty-field", "load:arrival=1ms,", "empty field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -117,7 +117,7 @@ func TestIncidentBundleJSONAndTrace(t *testing.T) {
 func TestWatcherRecordInvariant(t *testing.T) {
 	eng := sim.NewEngine()
 	w := New(Config{Interval: 100 * sim.Millisecond})
-	w.Start(eng)
+	eng.Every(w.Interval(), func() { w.RunEpoch(eng.Now()) })
 	eng.At(sim.Second, func() {
 		w.RecordInvariant(eng.Now(), "sa-accounting", "mismatch")
 	})

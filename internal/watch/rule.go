@@ -2,10 +2,11 @@ package watch
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"time"
 
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -38,17 +39,21 @@ const (
 	DefaultBurn       = 2.0
 )
 
+// Fields is the rule's key=value table, in render order; the load
+// spec's alert section parses through it too.
+func (r *Rule) Fields() kv.Table {
+	return kv.Table{
+		kv.Bind("budget", &r.Budget),
+		kv.Bind("fast", &r.Fast),
+		kv.Bind("slow", &r.Slow),
+		kv.Bind("burn", &r.Burn),
+	}
+}
+
 // String renders the rule in the exact syntax ParseRule accepts, with
 // every field explicit: "name:budget=0.02,fast=500ms,slow=2s,burn=4".
 // ParseRule(r.String()) round-trips to an equal rule.
-func (r Rule) String() string {
-	return fmt.Sprintf("%s:budget=%s,fast=%s,slow=%s,burn=%s",
-		r.Name,
-		strconv.FormatFloat(r.Budget, 'g', -1, 64),
-		time.Duration(r.Fast),
-		time.Duration(r.Slow),
-		strconv.FormatFloat(r.Burn, 'g', -1, 64))
-}
+func (r Rule) String() string { return r.Name + ":" + r.Fields().String() }
 
 // Validate reports whether the rule's fields are coherent.
 func (r Rule) Validate() error {
@@ -77,7 +82,8 @@ func (r Rule) Validate() error {
 //
 //	name:budget=0.02[,fast=500ms][,slow=2s][,burn=4]
 //
-// budget is required; fast, slow and burn fall back to
+// where the fields after the colon follow the kv grammar. budget is
+// required; fast, slow and burn fall back to
 // DefaultFastWindow/DefaultSlowWindow/DefaultBurn. Durations use Go
 // syntax ("500ms", "2s"). Whitespace around the rule is ignored.
 func ParseRule(s string) (Rule, error) {
@@ -86,53 +92,19 @@ func ParseRule(s string) (Rule, error) {
 	if !ok {
 		return Rule{}, fmt.Errorf("watch: rule %q: want name:key=value,...", s)
 	}
+	// The grammar never yields NaN, so a NaN budget after parsing
+	// means the field was omitted.
 	r := Rule{
-		Name: strings.TrimSpace(name),
-		Fast: DefaultFastWindow,
-		Slow: DefaultSlowWindow,
-		Burn: DefaultBurn,
+		Name:   strings.TrimSpace(name),
+		Budget: math.NaN(),
+		Fast:   DefaultFastWindow,
+		Slow:   DefaultSlowWindow,
+		Burn:   DefaultBurn,
 	}
-	seen := map[string]bool{}
-	for _, field := range strings.Split(rest, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return Rule{}, fmt.Errorf("watch: rule %q: empty field", s)
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return Rule{}, fmt.Errorf("watch: rule %q: field %q is not key=value", s, field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		if seen[key] {
-			return Rule{}, fmt.Errorf("watch: rule %q: duplicate field %q", s, key)
-		}
-		seen[key] = true
-		switch key {
-		case "budget", "burn":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Rule{}, fmt.Errorf("watch: rule %q: %s: %v", s, key, err)
-			}
-			if key == "budget" {
-				r.Budget = f
-			} else {
-				r.Burn = f
-			}
-		case "fast", "slow":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Rule{}, fmt.Errorf("watch: rule %q: %s: %v", s, key, err)
-			}
-			if key == "fast" {
-				r.Fast = sim.Time(d)
-			} else {
-				r.Slow = sim.Time(d)
-			}
-		default:
-			return Rule{}, fmt.Errorf("watch: rule %q: unknown field %q", s, key)
-		}
+	if err := r.Fields().Parse(rest); err != nil {
+		return Rule{}, fmt.Errorf("watch: rule %q: %w", s, err)
 	}
-	if !seen["budget"] {
+	if math.IsNaN(r.Budget) {
 		return Rule{}, fmt.Errorf("watch: rule %q: budget is required", s)
 	}
 	if err := r.Validate(); err != nil {

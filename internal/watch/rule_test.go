@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestParseRuleFull(t *testing.T) {
 }
 
 func TestParseRuleDefaults(t *testing.T) {
-	r, err := ParseRule("slo:budget=0.1")
+	r, err := ParseRule("slo: BUDGET=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,21 +31,22 @@ func TestParseRuleDefaults(t *testing.T) {
 
 func TestParseRuleErrors(t *testing.T) {
 	cases := []string{
-		"",                              // no colon
-		"noname",                        // no colon
-		":budget=0.1",                   // empty name
-		"x:fast=1s",                     // budget missing
-		"x:budget=0",                    // budget out of range
-		"x:budget=1",                    // budget out of range
-		"x:budget=0.1,budget=0.2",       // duplicate field
-		"x:budget=0.1,fast=0s",          // fast not positive
-		"x:budget=0.1,fast=2s,slow=1s",  // slow < fast
-		"x:budget=0.1,burn=0",           // burn not positive
-		"x:budget=0.1,bogus=3",          // unknown field
-		"x:budget=abc",                  // bad float
-		"x:budget=0.1,fast=xyz",         // bad duration
-		"x:budget=0.1,",                 // empty field
-		"a b:budget=0.1",                // reserved char in name
+		"",                             // no colon
+		"noname",                       // no colon
+		":budget=0.1",                  // empty name
+		"x:fast=1s",                    // budget missing
+		"x:budget=0",                   // budget out of range
+		"x:budget=1",                   // budget out of range
+		"x:budget=0.1,budget=0.2",      // duplicate field
+		"x:budget=0.1,fast=0s",         // fast not positive
+		"x:budget=0.1,fast=2s,slow=1s", // slow < fast
+		"x:budget=0.1,burn=0",          // burn not positive
+		"x:budget=0.1,bogus=3",         // unknown field
+		"x:budget=abc",                 // bad float
+		"x:budget=0.1,fast=xyz",        // bad duration
+		"x:budget=0.1,",                // empty field
+		"a b:budget=0.1",               // reserved char in name
+		"x:budget=0.1,burn=+Inf",       // non-finite burn
 	}
 	for _, c := range cases {
 		if _, err := ParseRule(c); err == nil {
@@ -109,6 +111,9 @@ func FuzzParseRule(f *testing.F) {
 		}
 		if verr := r.Validate(); verr != nil {
 			t.Fatalf("parsed rule fails validation: %q -> %+v: %v", s, r, verr)
+		}
+		if math.IsInf(r.Budget, 0) || math.IsInf(r.Burn, 0) {
+			t.Fatalf("parsed rule has an infinite threshold: %q -> %+v", s, r)
 		}
 		r2, err := ParseRule(r.String())
 		if err != nil {

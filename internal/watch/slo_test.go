@@ -110,7 +110,7 @@ func TestWatcherEndToEndAlertAndAttribution(t *testing.T) {
 		Interval: 100 * sim.Millisecond,
 		Rules:    []Rule{testRule()},
 	})
-	w.Start(eng)
+	eng.Every(w.Interval(), func() { w.RunEpoch(eng.Now()) })
 
 	w.RegisterVM(VMInfo{Name: "victim", Host: "h0", VCPUs: 2, Sensitive: true})
 	w.RegisterVM(VMInfo{Name: "bully", Host: "h0", VCPUs: 4})

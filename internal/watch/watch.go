@@ -30,7 +30,6 @@ const (
 // cluster layer multiplexes all hosts into it).
 type Watcher struct {
 	cfg      Config
-	eng      *sim.Engine
 	store    *Store
 	monitor  *Monitor
 	recorder *Recorder
@@ -95,16 +94,6 @@ func (w *Watcher) Alerts() []Alert { return w.monitor.Alerts() }
 // the most recent alert, or the latest on-demand attribution.
 func (w *Watcher) Rankings() ([]RankedAggressor, []AggressorScore) {
 	return w.lastRankings, w.lastTriples
-}
-
-// Start arms the epoch event on eng. A nil *Watcher is a no-op so the
-// cluster can wire an optional watcher unconditionally.
-func (w *Watcher) Start(eng *sim.Engine) {
-	if w == nil {
-		return
-	}
-	w.eng = eng
-	eng.Every(w.cfg.Interval, w.epoch)
 }
 
 // AddFeed registers a callback run at the top of every epoch, before
@@ -239,14 +228,12 @@ func (w *Watcher) maxSlow() sim.Time {
 	return max
 }
 
-// epoch is the engine-attached heartbeat (Start).
-func (w *Watcher) epoch() { w.RunEpoch(w.eng.Now()) }
-
 // RunEpoch runs one watchdog epoch at the given virtual time: sync
 // feeds, evaluate rules, and on a rising alert run attribution and
-// capture an incident bundle. The sharded cluster drives this from a
-// coordinator barrier task instead of Start, so the watcher reads
-// every host with all shards parked at now. A nil *Watcher is a no-op.
+// capture an incident bundle. The owner drives it every Interval: the
+// cluster from a coordinator barrier task (EveryBarrier), so the
+// watcher reads every host with all shards parked at now, and a
+// single-host rig from eng.Every. A nil *Watcher is a no-op.
 func (w *Watcher) RunEpoch(now sim.Time) {
 	if w == nil {
 		return

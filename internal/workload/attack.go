@@ -2,11 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/guest"
+	"repro/internal/kv"
 	"repro/internal/sim"
 )
 
@@ -126,22 +125,15 @@ func (s AttackSpec) Validate() error {
 	if s.Kind != AttackTickEvade && s.Kind != AttackBoostGame {
 		return fmt.Errorf("workload: unknown attack kind %d", int(s.Kind))
 	}
-	durs := []struct {
-		name string
-		v    sim.Time
-	}{
-		{"period", s.Period}, {"margin", s.Margin}, {"resume", s.Resume},
-		{"run", s.Run}, {"sleep", s.Sleep},
-	}
-	for _, d := range durs {
-		if d.v < 0 {
-			return fmt.Errorf("workload: attack %s=%v negative", d.name, d.v)
+	for _, f := range s.fields() {
+		if d, ok := f.Dst().(*sim.Time); ok && *d < 0 {
+			return fmt.Errorf("workload: attack %s=%v negative", f.Key, *d)
 		}
 	}
 	if s.Threads < 0 {
 		return fmt.Errorf("workload: attack threads=%d negative", s.Threads)
 	}
-	if s.Jitter < 0 || s.Jitter >= 1 {
+	if !(s.Jitter >= 0 && s.Jitter < 1) {
 		return fmt.Errorf("workload: attack jitter=%v outside [0, 1)", s.Jitter)
 	}
 	d := s.withDefaults()
@@ -152,98 +144,57 @@ func (s AttackSpec) Validate() error {
 	return nil
 }
 
+// fields is the spec's knob table, in render order.
+func (s *AttackSpec) fields() kv.Table {
+	return kv.Table{
+		kv.Bind("period", &s.Period),
+		kv.Bind("margin", &s.Margin),
+		kv.Bind("resume", &s.Resume),
+		kv.Bind("run", &s.Run),
+		kv.Bind("sleep", &s.Sleep),
+		kv.Bind("threads", &s.Threads),
+		kv.Bind("jitter", &s.Jitter),
+	}
+}
+
 // String renders the spec as a canonical string ParseAttack accepts:
-// the kind followed by comma-separated key=value pairs in fixed order,
-// zero (defaulted) fields omitted. The zero spec renders as "none".
+// the kind followed by its non-zero (not defaulted) knobs in fixed
+// order. The zero spec renders as "none".
 func (s AttackSpec) String() string {
 	if s.Kind == AttackNone {
 		return "none"
 	}
-	parts := []string{s.Kind.String()}
-	dur := func(key string, v sim.Time) {
-		if v != 0 {
-			parts = append(parts, key+"="+v.Std().String())
-		}
+	if knobs := s.fields().NonZero(); knobs != "" {
+		return s.Kind.String() + "," + knobs
 	}
-	dur("period", s.Period)
-	dur("margin", s.Margin)
-	dur("resume", s.Resume)
-	dur("run", s.Run)
-	dur("sleep", s.Sleep)
-	if s.Threads != 0 {
-		parts = append(parts, "threads="+strconv.Itoa(s.Threads))
-	}
-	if s.Jitter != 0 {
-		parts = append(parts, "jitter="+strconv.FormatFloat(s.Jitter, 'g', -1, 64))
-	}
-	return strings.Join(parts, ",")
+	return s.Kind.String()
 }
 
 // ParseAttack parses an attacker spec: a kind ("tick-evade" or
-// "boost-game") optionally followed by comma-separated key=value pairs
-// (period, margin, resume, run, sleep as Go durations; threads as an
-// int; jitter as a float in [0,1)). "", "none" and "off" parse as the
-// zero spec. The result of AttackSpec.String always round-trips.
+// "boost-game") optionally followed by a comma and knobs in the kv
+// grammar (period, margin, resume, run, sleep as Go durations; threads
+// as an int; jitter as a float in [0,1)). "", "none" and "off" parse
+// as the zero spec. The result of AttackSpec.String always round-trips.
 func ParseAttack(spec string) (AttackSpec, error) {
 	var s AttackSpec
-	spec = strings.TrimSpace(spec)
-	switch strings.ToLower(spec) {
-	case "", "none", "off":
-		return s, nil
-	}
-	fields := strings.Split(spec, ",")
-	switch strings.ToLower(strings.TrimSpace(fields[0])) {
+	kind, knobs, hasKnobs := strings.Cut(spec, ",")
+	kind = strings.TrimSpace(kind)
+	switch strings.ToLower(kind) {
 	case "tick-evade":
 		s.Kind = AttackTickEvade
 	case "boost-game":
 		s.Kind = AttackBoostGame
+	case "", "none", "off":
+		if !hasKnobs {
+			return s, nil
+		}
+		fallthrough
 	default:
-		return AttackSpec{}, fmt.Errorf("workload: unknown attack kind %q (want tick-evade or boost-game)", strings.TrimSpace(fields[0]))
+		return AttackSpec{}, fmt.Errorf("workload: unknown attack kind %q (want tick-evade or boost-game)", kind)
 	}
-	durFields := map[string]*sim.Time{
-		"period": &s.Period,
-		"margin": &s.Margin,
-		"resume": &s.Resume,
-		"run":    &s.Run,
-		"sleep":  &s.Sleep,
-	}
-	seen := map[string]bool{}
-	for _, part := range fields[1:] {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return AttackSpec{}, fmt.Errorf("workload: attack %q is not key=value", part)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return AttackSpec{}, fmt.Errorf("workload: duplicate attack key %q", key)
-		}
-		seen[key] = true
-		switch {
-		case durFields[key] != nil:
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack %s: %v", key, err)
-			}
-			*durFields[key] = sim.Duration(d)
-		case key == "threads":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack threads: %v", err)
-			}
-			s.Threads = n
-		case key == "jitter":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("workload: attack jitter: %v", err)
-			}
-			s.Jitter = f
-		default:
-			return AttackSpec{}, fmt.Errorf("workload: unknown attack key %q", key)
+	if hasKnobs {
+		if err := s.fields().Parse(knobs); err != nil {
+			return AttackSpec{}, fmt.Errorf("workload: attack: %w", err)
 		}
 	}
 	if err := s.Validate(); err != nil {

@@ -70,6 +70,8 @@ func TestParseAttackRejectsMalformedSpecs(t *testing.T) {
 		"tick-evade,jitter=1.5",
 		"tick-evade,margin=9ms,resume=2ms", // window swallows the period
 		"boost-game,period=1ms,margin=2ms",
+		"tick-evade,jitter=NaN",
+		"tick-evade,",
 	}
 	for _, spec := range bad {
 		if _, err := workload.ParseAttack(spec); err == nil {
