@@ -103,10 +103,13 @@ chaos:
 
 # Sharded-simulation gate: the per-host engine pool must be data-race
 # free and byte-identical to the serial coordinator at every shard
-# width (DESIGN.md §14).
+# width (DESIGN.md §14). Plain builds run light windows inline, so the
+# race build, whose window gate is zero, repeats the cluster-level
+# oracle against truly concurrent host windows.
 scale:
 	$(GO) test -race ./internal/sim ./internal/cluster
 	$(GO) test ./internal/experiments -run TestShardedMatchesSerial
+	$(GO) test -race ./internal/experiments -run TestShardedMatchesSerial
 
 # Multi-rack control-plane smoke run: the 2-zone × 8-host acceptance
 # rig with a zone outage mid-ramp. The gate fails unless the router

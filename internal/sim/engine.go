@@ -223,6 +223,18 @@ func (e *Engine) NextAt() (Time, bool) {
 	return 0, false
 }
 
+// dueBy counts the pending events at or before end, stopping at limit.
+// The queue is sorted earliest last, so the scan walks in from the
+// tail and stops at the first event beyond end.
+func (e *Engine) dueBy(end Time, limit int) int {
+	a := e.queue.a
+	n := 0
+	for i := len(a) - 1; i >= 0 && n < limit && a[i].at <= end; i-- {
+		n++
+	}
+	return n
+}
+
 // SkipTo advances the clock to end without dispatching — the
 // empty-window fast path of RunWindow. The caller must know no event
 // is due at or before end (see NextAt).

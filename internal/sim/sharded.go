@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,9 @@ import (
 //     into the destination engines single-threaded, so the destination
 //     sequence numbers (and hence same-instant tie-breaks) are
 //     identical for any worker count.
+//   - Whether a window runs inline or on the pool depends only on the
+//     work it carries (see windowGate), never on what the shards
+//     compute, and a shard's window is single-threaded either way.
 //   - Global synchronous work (control planes that legitimately read or
 //     mutate many shards at one instant) runs as barrier tasks
 //     (AtBarrier/EveryBarrier): windows truncate so a barrier lands
@@ -45,17 +49,23 @@ type ShardedEngine struct {
 	now       Time
 	workers   int
 
-	inWindow bool      // set while shard goroutines may be running
-	outboxes [][]mail  // per-source-shard cross-shard posts this window
-	scratch  []mail    // merge buffer reused across barriers
-	active   []*Engine // shards with events due this window, reused
+	inWindow bool     // set while shard goroutines may be running
+	outboxes [][]mail // per-source-shard cross-shard posts this window
+	scratch  []mail   // merge buffer reused across barriers
+	active   []int    // indices of the shards with events due this window, reused
+	gate     int      // windowGate; benchmarks lower it to force the pool
 
-	// Parallel window state, written by the coordinator before it wakes
-	// the helpers: every participant claims active shards off next and
-	// runs each to end.
+	// Window state, written by the coordinator before any shard runs:
+	// every participant claims active shards off next and runs each to
+	// end.
 	end  Time
 	next atomic.Int64
 	pool *shardPool // helper goroutines of the Run in progress, or nil
+
+	faultMu sync.Mutex
+	fault   *ShardPanic // lowest-indexed shard that panicked this window
+
+	stats ShardedStats
 
 	tasks   []*barrierTask
 	taskSeq uint64
@@ -85,6 +95,33 @@ type shardPool struct {
 	live sync.WaitGroup // helpers not yet exited
 }
 
+// ShardedStats counts what the coordinator did. Every counter is
+// written on the coordinator goroutine only and accumulates over the
+// engine's lifetime.
+type ShardedStats struct {
+	Windows         uint64 // windows run, idle ones included
+	InlineWindows   uint64 // windows whose active shards ran on the calling goroutine
+	ParallelWindows uint64 // windows that woke the helper pool
+	ActiveShards    uint64 // shard-windows with at least one event due
+	Mail            uint64 // cross-shard events merged and delivered at barriers
+}
+
+// ShardPanic is the error Run returns when an event callback panics
+// inside a shard window. The other active shards still finish that
+// window, and the error names the lowest-indexed shard that panicked,
+// so it is the same for every worker count. The engine must not be run
+// again afterwards.
+type ShardPanic struct {
+	Shard int    // shard whose callback panicked
+	At    Time   // that shard's virtual time when it panicked
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (p *ShardPanic) Error() string {
+	return fmt.Sprintf("sim: shard %d panicked at %v: %v", p.Shard, p.At, p.Value)
+}
+
 // barrierTask is a global synchronous event: it runs at a window
 // boundary with every shard parked at exactly its due time.
 type barrierTask struct {
@@ -111,6 +148,7 @@ func NewSharded(shards int, lookahead Time) *ShardedEngine {
 		outboxes:  make([][]mail, shards),
 		lookahead: lookahead,
 		workers:   1,
+		gate:      windowGate,
 	}
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
@@ -142,19 +180,15 @@ func (s *ShardedEngine) Fired() uint64 {
 	return n
 }
 
-// Pending sums the queued events across all shards.
-func (s *ShardedEngine) Pending() int {
-	n := 0
-	for _, e := range s.engines {
-		n += e.Pending()
-	}
-	return n
-}
+// Stats returns the coordinator's counters so far.
+func (s *ShardedEngine) Stats() ShardedStats { return s.stats }
 
 // SetWorkers bounds the goroutine pool that executes shard windows.
 // One worker (the default) runs shards sequentially on the caller's
-// goroutine — the serial mode. The output is identical either way; the
-// worker count is invisible to the simulation by construction.
+// goroutine — the serial mode. More workers are woken only for windows
+// heavy enough to pay for it (windowGate). The output is identical
+// either way; the worker count is invisible to the simulation by
+// construction.
 func (s *ShardedEngine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -260,8 +294,10 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // min(now+lookahead, next barrier task, horizon), then the barrier
 // exchanges cross-shard mail, runs drain hooks, and runs due tasks.
 // When every shard is quiet and no mail or task is pending before the
-// horizon it returns ErrDeadlock, mirroring Engine.Run. Helper
-// goroutines started for parallel windows never outlive the call.
+// horizon it returns ErrDeadlock, mirroring Engine.Run. A callback that
+// panics inside a shard window ends the run with a *ShardPanic once the
+// window is over. Helper goroutines started for parallel windows never
+// outlive the call.
 func (s *ShardedEngine) Run(horizon Time) error {
 	defer s.stopPool()
 	for s.now < horizon {
@@ -269,63 +305,85 @@ func (s *ShardedEngine) Run(horizon Time) error {
 		if end > horizon {
 			end = horizon
 		}
-		if bt, _ := s.nextTask(); bt != nil && bt.at < end {
+		bt, _ := s.nextTask()
+		if bt != nil && bt.at < end {
 			end = bt.at
 		}
-		if s.Pending() == 0 {
-			if bt, _ := s.nextTask(); bt == nil {
-				return fmt.Errorf("%w at %v (horizon %v)", ErrDeadlock, s.now, horizon)
+		// Every shard empty is a deadlock unless a barrier task is
+		// pending; then, like an engine whose next event is beyond the
+		// horizon, the idle windows just advance the clock.
+		if !s.runWindow(end) && bt == nil {
+			for _, e := range s.engines {
+				e.now = s.now // undo the partition's clock advance
 			}
-			// Only barrier tasks remain; like an engine whose next event
-			// is beyond the horizon, the idle windows just advance the
-			// clock.
+			return fmt.Errorf("%w at %v (horizon %v)", ErrDeadlock, s.now, horizon)
 		}
-		s.runWindow(end)
+		if s.fault != nil {
+			return s.fault
+		}
 		s.now = end
 		s.barrier()
 	}
 	return nil
 }
 
-// runWindow executes every shard from its current time to end. Shards
-// with no event due in the window are skipped inline — their clock
-// just advances — so idle hosts cost no worker wakeup. With one worker
-// the active shards run sequentially in index order on the calling
-// goroutine; otherwise the caller and up to workers-1 parked helpers
-// claim them off a shared counter. Either way each shard's window is
-// single-threaded and isolated, so the schedule is identical.
-func (s *ShardedEngine) runWindow(end Time) {
+// runWindow executes every shard from its current time to end and
+// reports false when every shard's queue was empty. Shards with no event
+// due in the window are skipped inline — their clock just advances —
+// so idle hosts cost no worker wakeup. Light windows (see windowGate)
+// run their active shards sequentially in index order on the calling
+// goroutine, as one worker always does; heavy ones are claimed off a
+// shared counter by the caller and up to workers-1 parked helpers.
+// Either way each shard's window is single-threaded and isolated, so
+// the schedule is identical.
+func (s *ShardedEngine) runWindow(end Time) bool {
 	if end <= s.now {
-		return
+		return true
 	}
+	s.stats.Windows++
 	// Partition: an engine whose next event lies beyond the window
 	// would only execute `now = end` — doing that here skips the
 	// wake/park round-trip that dominates when most shards are idle.
+	// With a pool, also weigh the window: the due events of every
+	// active shard, each count capped at the gate (which cannot change
+	// the verdict below).
+	gated := s.workers > 1 && s.gate > 0
+	queued := false
+	due, busiest := 0, 0
 	active := s.active[:0]
-	for _, e := range s.engines {
-		if at, ok := e.NextAt(); ok && at <= end {
-			active = append(active, e)
-		} else {
+	for i, e := range s.engines {
+		at, ok := e.NextAt()
+		queued = queued || ok
+		if !ok || at > end {
 			e.SkipTo(end)
+			continue
+		}
+		active = append(active, i)
+		if gated {
+			n := e.dueBy(end, s.gate)
+			due += n
+			busiest = max(busiest, n)
 		}
 	}
 	s.active = active
 	if len(active) == 0 {
-		return
+		return queued
 	}
+	s.stats.ActiveShards += uint64(len(active))
 	s.inWindow = true
-	n := s.workers
-	if n > len(active) {
-		n = len(active)
-	}
-	if n <= 1 {
-		for _, e := range active {
-			e.RunWindow(end)
+	s.end = end
+	// The busiest shard runs on one worker whatever happens; the pool
+	// pays off only when the rest of the window is worth a wakeup.
+	n := min(s.workers, len(active))
+	if n <= 1 || due-busiest < s.gate {
+		s.stats.InlineWindows++
+		for _, i := range active {
+			s.runShard(i)
 		}
 	} else {
-		p := s.startPool()
-		s.end = end
+		s.stats.ParallelWindows++
 		s.next.Store(0)
+		p := s.startPool()
 		p.busy.Add(n - 1)
 		for i := 1; i < n; i++ {
 			p.wake <- struct{}{}
@@ -334,6 +392,7 @@ func (s *ShardedEngine) runWindow(end Time) {
 		p.busy.Wait()
 	}
 	s.inWindow = false
+	return true
 }
 
 // claim runs active shards off the shared counter until none is left.
@@ -343,7 +402,32 @@ func (s *ShardedEngine) claim() {
 		if i >= len(s.active) {
 			return
 		}
-		s.active[i].RunWindow(s.end)
+		s.runShard(s.active[i])
+	}
+}
+
+// runShard runs shard i's window, turning a panic in one of its
+// callbacks into the window's fault rather than letting it unwind the
+// goroutine that happened to claim the shard.
+func (s *ShardedEngine) runShard(i int) {
+	e := s.engines[i]
+	defer func() {
+		if v := recover(); v != nil {
+			s.recordPanic(i, e.Now(), v)
+		}
+	}()
+	e.RunWindow(s.end)
+}
+
+// recordPanic keeps the lowest-indexed shard's panic of the window.
+//
+//go:noinline
+func (s *ShardedEngine) recordPanic(shard int, at Time, v any) {
+	stack := debug.Stack()
+	s.faultMu.Lock()
+	defer s.faultMu.Unlock()
+	if s.fault == nil || shard < s.fault.Shard {
+		s.fault = &ShardPanic{Shard: shard, At: at, Value: v, Stack: stack}
 	}
 }
 
@@ -422,13 +506,16 @@ func (s *ShardedEngine) barrier() {
 func (s *ShardedEngine) deliver() {
 	all := s.scratch[:0]
 	for i, ob := range s.outboxes {
-		all = append(all, ob...)
-		s.outboxes[i] = ob[:0]
+		if len(ob) > 0 {
+			all = append(all, ob...)
+			s.outboxes[i] = ob[:0]
+		}
 	}
 	if len(all) == 0 {
 		s.scratch = all
 		return
 	}
+	s.stats.Mail += uint64(len(all))
 	slices.SortStableFunc(all, func(a, b mail) int { return cmp.Compare(a.at, b.at) })
 	for i := range all {
 		m := &all[i]

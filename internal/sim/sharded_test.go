@@ -9,16 +9,37 @@ import (
 	"time"
 )
 
+// weigh queues n periodic events of period d on e, each running fn, so
+// every window that reaches their due time carries n more due events.
+// Rigs that must exercise the helper pool weigh their shards until the
+// due events outside the busiest one reach windowGate; lighter windows
+// run inline. Under -race the gate is zero and so is the extra load.
+func weigh(e *Engine, n int, d Time, fn func()) {
+	for j := 0; j < n; j++ {
+		e.Every(d, fn)
+	}
+}
+
+// gateShare is the load per shard that, spread over every shard of a
+// rig, puts windowGate due events outside the busiest one.
+func gateShare(shards int) int {
+	return (windowGate + shards - 2) / (shards - 1)
+}
+
 // shardedRig wires a ping-pong workload over n shards: every shard
 // runs a local periodic event and posts cross-shard messages that
 // re-post on arrival, exercising mailbox delivery, ordering, and the
 // window/barrier machinery. Each shard appends to its own log
-// (single-writer mid-window); logs are concatenated at the end.
-func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (string, uint64) {
+// (single-writer mid-window); logs are concatenated at the end. Every
+// shard also carries its gateShare of events per lookahead, counted
+// into its tick lines, so the windows are heavy enough to wake the
+// pool.
+func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (string, *ShardedEngine) {
 	t.Helper()
 	s := NewSharded(shards, lookahead)
 	s.SetWorkers(workers)
 	logs := make([][]string, shards)
+	load := make([]int, shards)
 	var hop func(from, to, ttl int)
 	hop = func(from, to, ttl int) {
 		s.Post(from, to, lookahead+Time(from+1)*Microsecond, func() {
@@ -31,9 +52,10 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 	for i := 0; i < shards; i++ {
 		i := i
 		s.Shard(i).Every(37*Microsecond+Time(i)*Microsecond, func() {
-			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v", i, s.Shard(i).Now()))
+			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v after %d loads", i, s.Shard(i).Now(), load[i]))
 		})
 		s.Shard(i).After(5*Microsecond, func() { hop(i, (i+3)%shards, 40) })
+		weigh(s.Shard(i), gateShare(shards), lookahead, func() { load[i]++ })
 	}
 	barriers := 0
 	s.OnBarrier(func(now Time) { barriers++ })
@@ -63,7 +85,17 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 			b.WriteByte('\n')
 		}
 	}
-	return b.String(), s.Fired()
+	return b.String(), s
+}
+
+// requirePool fails unless a multi-worker run sent windows through the
+// helper pool, so a serial = sharded comparison never silently turns
+// serial vs serial.
+func requirePool(t *testing.T, s *ShardedEngine) {
+	t.Helper()
+	if st := s.Stats(); s.Workers() > 1 && st.ParallelWindows == 0 {
+		t.Fatalf("workers=%d ran no parallel window (stats %+v)", s.Workers(), st)
+	}
 }
 
 // TestShardedDeterministicAcrossWorkers is the core guarantee: the
@@ -71,18 +103,22 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 // and the total fired count must be byte-identical for any pool size.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	const shards = 5
-	base, baseFired := shardedRig(t, shards, 1, 50*Microsecond, 3*Millisecond)
+	base, serial := shardedRig(t, shards, 1, 50*Microsecond, 3*Millisecond)
 	if !strings.Contains(base, "recv") || !strings.Contains(base, "tick") {
 		t.Fatalf("rig produced no traffic:\n%s", base)
 	}
+	if st := serial.Stats(); st.ParallelWindows != 0 || st.InlineWindows == 0 {
+		t.Fatalf("serial run stats %+v, want inline windows only", st)
+	}
 	for _, workers := range []int{2, 4, 8} {
-		got, fired := shardedRig(t, shards, workers, 50*Microsecond, 3*Millisecond)
+		got, s := shardedRig(t, shards, workers, 50*Microsecond, 3*Millisecond)
 		if got != base {
 			t.Fatalf("workers=%d diverged from serial log", workers)
 		}
-		if fired != baseFired {
-			t.Fatalf("workers=%d fired %d events, serial fired %d", workers, fired, baseFired)
+		if s.Fired() != serial.Fired() {
+			t.Fatalf("workers=%d fired %d events, serial fired %d", workers, s.Fired(), serial.Fired())
 		}
+		requirePool(t, s)
 	}
 }
 
@@ -236,31 +272,43 @@ func TestEngineRunWindow(t *testing.T) {
 	}
 }
 
+// settled returns the goroutine count once it falls to want, or after
+// a second. A helper's last instructions run just after Run stops
+// waiting for it, so the count gets a bounded moment to settle; a
+// helper still parked on its channel never would.
+func settled(want int) int {
+	got := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return got
+}
+
 // TestShardedPoolGoroutinesExit pins the pool's lifetime: helpers
 // start inside Run and are gone once it returns, on the normal path
-// and on the ErrDeadlock path alike. A helper's last instructions run
-// just after Run stops waiting for it, so the count gets a bounded
-// moment to settle; a helper still parked on its channel never would.
+// and on the ErrDeadlock path alike.
 func TestShardedPoolGoroutinesExit(t *testing.T) {
-	settled := func(want int) int {
-		got := runtime.NumGoroutine()
-		for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
-			runtime.Gosched()
-		}
-		return got
-	}
 	before := runtime.NumGoroutine()
-	shardedRig(t, 5, 4, 50*Microsecond, Millisecond)
+	_, rig := shardedRig(t, 5, 4, 50*Microsecond, Millisecond)
+	requirePool(t, rig)
 	if got := settled(before); got > before {
 		t.Fatalf("goroutines after Run = %d, before = %d", got, before)
 	}
 	s := NewSharded(3, 50*Microsecond)
 	s.SetWorkers(3)
 	for i := 0; i < 3; i++ {
-		s.Shard(i).After(30*Microsecond, func() {})
+		for j := 0; j <= windowGate; j++ {
+			s.Shard(i).After(30*Microsecond, func() {})
+		}
 	}
 	if err := s.Run(Millisecond); !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	requirePool(t, s)
+	for i := 0; i < 3; i++ {
+		if got := s.Shard(i).Now(); got != 50*Microsecond {
+			t.Fatalf("shard %d at %v after deadlock, want the last barrier 50µs", i, got)
+		}
 	}
 	if s.pool != nil {
 		t.Fatal("pool still attached after Run returned")
@@ -280,10 +328,12 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 		s := NewSharded(shards, 50*Microsecond)
 		s.SetWorkers(workers)
 		logs := make([][]string, shards)
+		load := make([]int, shards)
 		for i := 0; i < shards; i++ {
 			i := i
+			weigh(s.Shard(i), gateShare(shards), 50*Microsecond, func() { load[i]++ })
 			s.Shard(i).Every(23*Microsecond+Time(i)*Microsecond, func() {
-				logs[i] = append(logs[i], fmt.Sprintf("tick %v", s.Shard(i).Now()))
+				logs[i] = append(logs[i], fmt.Sprintf("tick %v after %d loads", s.Shard(i).Now(), load[i]))
 				s.Post(i, (i+1)%shards, 60*Microsecond, func() {
 					to := (i + 1) % shards
 					logs[to] = append(logs[to], fmt.Sprintf("recv %d at %v", i, s.Shard(to).Now()))
@@ -294,6 +344,7 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 			if err := s.Run(h); err != nil {
 				t.Fatalf("run to %v: %v", h, err)
 			}
+			requirePool(t, s)
 		}
 		var out []string
 		for _, l := range logs {
@@ -316,10 +367,12 @@ func TestShardedWorkersMatchSerial(t *testing.T) {
 		s := NewSharded(shards, 50*Microsecond)
 		s.SetWorkers(workers)
 		var b [shards]strings.Builder
+		var load [shards]int
 		for _, i := range []int{1, 4} {
 			i := i
+			weigh(s.Shard(i), windowGate, 50*Microsecond, func() { load[i]++ })
 			s.Shard(i).Every(17*Microsecond, func() {
-				fmt.Fprintf(&b[i], "%d at %v\n", i, s.Shard(i).Now())
+				fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])
 				s.Post(i, 5-i, 50*Microsecond, func() {
 					fmt.Fprintf(&b[5-i], "%d from %d at %v\n", 5-i, i, s.Shard(5-i).Now())
 				})
@@ -328,6 +381,7 @@ func TestShardedWorkersMatchSerial(t *testing.T) {
 		if err := s.Run(Millisecond); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		requirePool(t, s)
 		var all strings.Builder
 		for i := range b {
 			all.WriteString(b[i].String())
@@ -342,12 +396,13 @@ func TestShardedWorkersMatchSerial(t *testing.T) {
 		}
 	}
 	// The wide rig too: more shards than workers and vice versa.
-	serial, serialFired := shardedRig(t, 3, 1, 50*Microsecond, Millisecond)
+	serial, one := shardedRig(t, 3, 1, 50*Microsecond, Millisecond)
 	for _, workers := range []int{2, 4, 8} {
-		got, fired := shardedRig(t, 3, workers, 50*Microsecond, Millisecond)
-		if got != serial || fired != serialFired {
+		got, s := shardedRig(t, 3, workers, 50*Microsecond, Millisecond)
+		if got != serial || s.Fired() != one.Fired() {
 			t.Fatalf("3 shards, workers=%d diverged from serial", workers)
 		}
+		requirePool(t, s)
 	}
 }
 
@@ -361,6 +416,9 @@ func TestShardedWindowAllocs(t *testing.T) {
 	s.SetWorkers(2)
 	s.Shard(0).Every(lookahead/3, func() {})
 	s.Shard(1).Every(lookahead/4, func() {})
+	for i := 0; i < 2; i++ {
+		weigh(s.Shard(i), windowGate, lookahead, func() {})
+	}
 	step := func() {
 		end := s.now + lookahead
 		s.runWindow(end)
@@ -374,5 +432,113 @@ func TestShardedWindowAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("steady-state 2-worker window allocates %.1f/op, want 0", allocs)
+	}
+	if st := s.Stats(); st.ParallelWindows != st.Windows {
+		t.Fatalf("%d of %d windows ran on the pool, want all", st.ParallelWindows, st.Windows)
+	}
+}
+
+// gateRig runs two busy shards out of 17, each with perShard due
+// events per window plus a tick that logs its load count, and reports
+// the log and whether any barrier saw the helper pool running.
+func gateRig(t *testing.T, workers, perShard int) (string, *ShardedEngine, bool) {
+	t.Helper()
+	const lookahead = 50 * Microsecond
+	s := NewSharded(17, lookahead)
+	s.SetWorkers(workers)
+	var b [17]strings.Builder
+	var load [17]int
+	for _, i := range []int{3, 11} {
+		i := i
+		weigh(s.Shard(i), perShard, lookahead, func() { load[i]++ })
+		s.Shard(i).Every(lookahead/2, func() {
+			fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])
+		})
+	}
+	pooled := false
+	s.OnBarrier(func(Time) { pooled = pooled || s.pool != nil })
+	if err := s.Run(Millisecond); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	var all strings.Builder
+	for i := range b {
+		all.WriteString(b[i].String())
+	}
+	return all.String(), s, pooled
+}
+
+// TestShardedLightWindowsStayInline pins the gate's cheap side: two
+// active shards with a handful of due events each never wake a helper,
+// however many workers the engine may use.
+func TestShardedLightWindowsStayInline(t *testing.T) {
+	if windowGate == 0 {
+		t.Skip("race builds send every multi-shard window through the pool")
+	}
+	for _, workers := range []int{2, 8} {
+		_, s, pooled := gateRig(t, workers, 2)
+		st := s.Stats()
+		if pooled || st.ParallelWindows != 0 {
+			t.Fatalf("workers=%d: light windows started the pool (stats %+v)", workers, st)
+		}
+		if st.InlineWindows != st.Windows || st.ActiveShards != 2*st.Windows {
+			t.Fatalf("workers=%d: stats %+v, want every window inline with two active shards", workers, st)
+		}
+	}
+}
+
+// TestShardedHeavyWindowsUsePool pins the other side: the same rig
+// with windowGate due events per busy shard wakes the pool on every
+// window and still matches the serial log at every width.
+func TestShardedHeavyWindowsUsePool(t *testing.T) {
+	base, serial, _ := gateRig(t, 1, windowGate)
+	for _, workers := range []int{2, 4, 8} {
+		got, s, pooled := gateRig(t, workers, windowGate)
+		if got != base || s.Fired() != serial.Fired() {
+			t.Fatalf("workers=%d diverged from serial (fired %d vs %d)", workers, s.Fired(), serial.Fired())
+		}
+		if st := s.Stats(); !pooled || st.ParallelWindows != st.Windows {
+			t.Fatalf("workers=%d: stats %+v, want every window on the pool", workers, st)
+		}
+	}
+}
+
+// TestShardedPanicIsError pins the failure mode of a panicking
+// callback: whichever goroutine ran the shard, Run returns the same
+// *ShardPanic naming the lowest-indexed shard that panicked in the
+// window, and no helper outlives the call.
+func TestShardedPanicIsError(t *testing.T) {
+	const lookahead = 50 * Microsecond
+	run := func(workers int) (*ShardPanic, ShardedStats) {
+		s := NewSharded(4, lookahead)
+		s.SetWorkers(workers)
+		for _, i := range []int{1, 3} {
+			weigh(s.Shard(i), windowGate, lookahead, func() {})
+		}
+		s.Shard(3).At(110*Microsecond, func() { panic("boom 3") })
+		s.Shard(1).At(120*Microsecond, func() { panic(fmt.Errorf("boom %d", 1)) })
+		err := s.Run(Millisecond)
+		var p *ShardPanic
+		if !errors.As(err, &p) {
+			t.Fatalf("workers=%d: err = %v, want *ShardPanic", workers, err)
+		}
+		return p, s.Stats()
+	}
+	before := runtime.NumGoroutine()
+	want, _ := run(1)
+	if want.Shard != 1 || want.At != 120*Microsecond || want.Error() != "sim: shard 1 panicked at 120.000µs: boom 1" {
+		t.Fatalf("serial panic = %+v (%q), want shard 1 at 120µs", want, want.Error())
+	}
+	if len(want.Stack) == 0 {
+		t.Fatal("panic error carries no stack")
+	}
+	got, st := run(2)
+	if got.Error() != want.Error() || got.Shard != want.Shard || got.At != want.At || fmt.Sprint(got.Value) != fmt.Sprint(want.Value) {
+		t.Fatalf("workers=2 panic %q, serial %q", got.Error(), want.Error())
+	}
+	if st.InlineWindows != 0 || st.ParallelWindows == 0 {
+		t.Fatalf("workers=2 stats %+v, want every busy window up to the panic on the pool", st)
+	}
+	if got := settled(before); got > before {
+		t.Fatalf("goroutines after panicked Runs = %d, before = %d", got, before)
 	}
 }
