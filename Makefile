@@ -5,11 +5,12 @@
 GO ?= go
 
 # Committed benchmark baseline for the regression gate (see
-# cmd/benchjson and DESIGN.md §9). BENCH_7 was captured after the event
-# path went allocation-free (name-free engine API, hot handlers bound
-# once), so the allocs/op gate locks that drop in; its meta records
-# the host's core count.
-BENCH_SNAPSHOT ?= BENCH_7.json
+# cmd/benchjson and DESIGN.md §9). BENCH_8 was captured after the
+# synchronisation path went allocation-free (state-machine workload
+# programs, task-parameterised spin API, reused wait lists), so the
+# allocs/op gate locks that drop in; its meta records the host's core
+# count.
+BENCH_SNAPSHOT ?= BENCH_8.json
 
 .PHONY: check build vet test race bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 

@@ -34,8 +34,8 @@ type CPU struct {
 	// completion and a spin-budget timeout are each at most one live
 	// event per CPU (armed only from a non-executing startCur, cancelled
 	// by the bankCur that ends the stint), so the task, completion
-	// callback and spin wait they check live in per-CPU slots set at
-	// arming time. execAfter continuations can overlap — a stale one
+	// callback and spin generation they check live in per-CPU slots set
+	// at arming time. execAfter continuations can overlap — a stale one
 	// still fires as a no-op — so each carries its own recycled token.
 	startCurFn, finishSAFn func()
 	segFn                  func()
@@ -43,7 +43,7 @@ type CPU struct {
 	segDone                func()
 	spinFn                 func()
 	spinTask               *Task
-	spinSW                 *spinWait
+	spinGen                uint64
 	contFree               []*execCont
 
 	sliceUsed   sim.Time
@@ -82,6 +82,11 @@ type CPU struct {
 
 var _ hypervisor.GuestContext = (*CPU)(nil)
 
+// irqLines sizes the on-stack buffer pending interrupts are claimed
+// into: the hypervisor collapses duplicates, so at most one per line
+// (timer, SA upcall, kick) is ever pending.
+const irqLines = 3
+
 // execCont is one pending execAfter continuation: fn runs when the
 // event fires if the CPU still executes and no suspend or interrupt
 // bumped execGen in between. Tokens are recycled through their CPU's
@@ -107,7 +112,7 @@ func (c *CPU) bindHandlers() {
 	c.startCurFn = c.startCur
 	c.finishSAFn = c.finishSAUpcall
 	c.segFn = c.segComplete
-	c.spinFn = func() { c.spinTimeout(c.spinTask, c.spinSW) }
+	c.spinFn = func() { c.spinTimeout(c.spinTask, c.spinGen) }
 }
 
 // ID returns the guest CPU index.
@@ -148,7 +153,8 @@ func (c *CPU) Resume() {
 	c.running = true
 	now := c.kern.Now()
 	var cost sim.Time
-	irqs := c.kern.hv.ClaimPendingIRQs(c.vcpu)
+	var buf [irqLines]hypervisor.IRQ
+	irqs := c.kern.hv.ClaimPendingIRQs(c.vcpu, buf[:0])
 	if c.wakePollArmed {
 		// The idle loop armed a wakeup-loss recovery timer before
 		// blocking. If we wake up with queued work but no kick among the
@@ -323,9 +329,10 @@ func (c *CPU) startCur() {
 	}
 	if t.spin != nil {
 		sw := t.spin
-		if sw.granted || (sw.poll != nil && sw.poll()) {
+		if sw.granted || (sw.poll != nil && sw.poll(t)) {
+			resume := sw.resume
 			c.endSpin(t, sw)
-			sw.resume()
+			resume()
 			if c.cur != t {
 				return
 			}
@@ -334,8 +341,9 @@ func (c *CPU) startCur() {
 		}
 		if sw.budget > 0 && sw.spent >= sw.budget {
 			// Adaptive-spin budget exhausted: fall back (usually sleep).
+			onTimeout, resume := sw.onTimeout, sw.resume
 			c.endSpin(t, sw)
-			sw.onTimeout()
+			onTimeout(t, resume)
 			if c.cur != t {
 				return
 			}
@@ -348,7 +356,7 @@ func (c *CPU) startCur() {
 		c.kern.spanSync(t)
 		c.kern.hv.SpinBegin(c.vcpu)
 		if sw.budget > 0 {
-			c.spinTask, c.spinSW = t, sw
+			c.spinTask, c.spinGen = t, t.spinGen
 			sw.timeoutEv = c.kern.eng.After(sw.budget-sw.spent, c.spinFn)
 		}
 		return
@@ -390,26 +398,33 @@ func (c *CPU) segComplete() {
 	done()
 }
 
-// endSpin clears a consumed or abandoned spin wait.
+// endSpin clears a consumed or abandoned spin wait. The record stays
+// in the task for its next wait; its callbacks are dropped here, so
+// callers read what they still need before ending the spin.
 func (c *CPU) endSpin(t *Task, sw *spinWait) {
 	c.kern.eng.Cancel(sw.timeoutEv)
-	sw.timeoutEv = sim.EventRef{}
+	*sw = spinWait{}
 	t.spin = nil
 	t.spinHolder = nil
 	t.WaitingLock = false
 	c.kern.hv.SpinEnd(c.vcpu)
 }
 
-// spinTimeout fires when a bounded spin exhausts its budget while
-// actually executing.
-func (c *CPU) spinTimeout(t *Task, sw *spinWait) {
-	if c.cur != t || t.spin != sw || !c.running || !c.executing {
+// spinTimeout fires when the bounded spin numbered gen exhausts its
+// budget while actually executing. Every stint that ends the spin or
+// stops its execution cancels the timeout first, so a stale fire never
+// happens; the generation check keeps that guarantee explicit, since a
+// task's next spin reuses the same record.
+func (c *CPU) spinTimeout(t *Task, gen uint64) {
+	if c.cur != t || t.spin == nil || t.spinGen != gen || !c.running || !c.executing {
 		return
 	}
+	sw := t.spin
+	onTimeout, resume := sw.onTimeout, sw.resume
 	c.bankCur()
 	c.execGen++
 	c.endSpin(t, sw)
-	sw.onTimeout()
+	onTimeout(t, resume)
 	if c.cur == t {
 		c.startCur()
 	}
@@ -518,7 +533,8 @@ func (c *CPU) goIdle() {
 		// next Resume. Stay in the (running) idle loop.
 		c.wakePollArmed = false
 		if c.running {
-			irqs := c.kern.hv.ClaimPendingIRQs(c.vcpu)
+			var buf [irqLines]hypervisor.IRQ
+			irqs := c.kern.hv.ClaimPendingIRQs(c.vcpu, buf[:0])
 			var cost sim.Time
 			for _, irq := range irqs {
 				cost += c.handleIRQ(irq)

@@ -342,12 +342,22 @@ func (k *Kernel) BlockTask(t *Task) {
 // runs cont. (The wakeup timer is modelled as an engine event rather
 // than a guest timer interrupt; see DESIGN.md.)
 func (k *Kernel) SleepTask(t *Task, d sim.Time, cont func()) {
-	k.eng.After(d, func() {
-		if t.state == TaskBlocked {
-			k.WakeTask(t, cont)
-		}
-	})
+	if t.sleepFn == nil {
+		t.sleepFn = func() { k.sleepWake(t) }
+	}
+	t.sleepCont = cont
+	k.eng.After(d, t.sleepFn)
 	k.BlockTask(t)
+}
+
+// sleepWake ends a SleepTask. Only the task's own timer wakes a
+// sleeping task, so one continuation slot per task suffices.
+func (k *Kernel) sleepWake(t *Task) {
+	if t.state == TaskBlocked {
+		cont := t.sleepCont
+		t.sleepCont = nil
+		k.WakeTask(t, cont)
+	}
 }
 
 // WakeTask makes a blocked task ready, running wakeup load balancing to

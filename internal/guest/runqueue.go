@@ -1,10 +1,15 @@
 package guest
 
-import "repro/internal/sim"
+import (
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // runQueue is a CFS-like ready queue ordered by task vruntime. Sizes
 // here are tiny (a handful of tasks), so an ordered slice is both
-// simple and fast.
+// simple and fast. Removals shift the tail down and clear the freed
+// slot, so the backing array is reused for the queue's lifetime.
 type runQueue struct {
 	tasks       []*Task
 	minVruntime sim.Time
@@ -33,7 +38,7 @@ func (rq *runQueue) PickNext() *Task {
 		return nil
 	}
 	t := rq.tasks[0]
-	rq.tasks = rq.tasks[1:]
+	rq.tasks = slices.Delete(rq.tasks, 0, 1)
 	rq.updateMin(t.vruntime)
 	return t
 }
@@ -50,7 +55,7 @@ func (rq *runQueue) Peek() *Task {
 func (rq *runQueue) Remove(t *Task) bool {
 	for i, q := range rq.tasks {
 		if q == t {
-			rq.tasks = append(rq.tasks[:i], rq.tasks[i+1:]...)
+			rq.tasks = slices.Delete(rq.tasks, i, i+1)
 			return true
 		}
 	}

@@ -10,22 +10,26 @@ import "repro/internal/sim"
 const spinGrantCost = 1 * sim.Microsecond
 
 // SpinTask puts the current task into a busy-wait. poll, if non-nil, is
-// re-evaluated whenever the spinner (re)gains the CPU and should
+// re-evaluated with the spinner whenever it (re)gains the CPU and should
 // attempt the acquisition, returning success. resume runs once the wait
 // ends. Must be called from task context.
-func (k *Kernel) SpinTask(t *Task, poll func() bool, resume func()) {
+func (k *Kernel) SpinTask(t *Task, poll func(t *Task) bool, resume func()) {
 	k.SpinTaskBounded(t, 0, poll, resume, nil)
 }
 
 // SpinTaskBounded is SpinTask with a CPU-time budget: once the task has
-// burned budget of actual spinning, onTimeout runs in task context
-// (typically putting the task to sleep). budget 0 spins forever.
-func (k *Kernel) SpinTaskBounded(t *Task, budget sim.Time, poll func() bool, resume func(), onTimeout func()) {
+// burned budget of actual spinning, onTimeout(t, resume) runs in task
+// context (typically putting the task to sleep with resume as its
+// wakeup continuation). budget 0 spins forever. The wait lives in a
+// record inside t, so a spin allocates nothing.
+func (k *Kernel) SpinTaskBounded(t *Task, budget sim.Time, poll func(t *Task) bool, resume func(), onTimeout func(t *Task, resume func())) {
 	c := t.cpu
 	if c.cur != t {
 		panic("guest: SpinTask on non-current task " + t.Name)
 	}
-	t.spin = &spinWait{poll: poll, resume: resume, budget: budget, onTimeout: onTimeout}
+	t.spinGen++
+	t.spinRec = spinWait{poll: poll, resume: resume, budget: budget, onTimeout: onTimeout}
+	t.spin = &t.spinRec
 	t.WaitingLock = true
 	k.mSpinWaits.Inc()
 	if c.running && !c.executing {

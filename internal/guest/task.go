@@ -87,17 +87,18 @@ func Exit() Action { return Action{Kind: ActExit} }
 // spinWait tracks a task busy-waiting on a condition. The wait ends
 // when granted is set (direct handoff) or poll succeeds (test-and-set
 // re-acquire); resume then continues the program. A bounded wait
-// (budget > 0) falls back to onTimeout — running in task context —
-// once spent reaches the budget (adaptive mutex / futex pre-sleep
-// spinning).
+// (budget > 0) falls back to onTimeout — running in task context with
+// the wait's resume callback — once spent reaches the budget (adaptive
+// mutex / futex pre-sleep spinning). poll and onTimeout take the task,
+// so a lock binds them once per primitive rather than once per wait.
 type spinWait struct {
 	granted bool
-	poll    func() bool
+	poll    func(t *Task) bool
 	resume  func()
 
 	budget    sim.Time
 	spent     sim.Time
-	onTimeout func()
+	onTimeout func(t *Task, resume func())
 	timeoutEv sim.EventRef
 }
 
@@ -127,8 +128,16 @@ type Task struct {
 	// nothing in the kernel.
 	stepFn, actFn func()
 	actDone       func(t *Task, resume func())
+	// sleepFn is SleepTask's timer callback, bound on the task's first
+	// sleep; sleepCont is the continuation of the sleep in progress.
+	sleepFn, sleepCont func()
 
-	spin *spinWait // non-nil while busy-waiting
+	// spin points at spinRec while the task busy-waits and is nil
+	// otherwise. Each wait reuses the record, so spinGen numbers the
+	// waits: a budget timeout armed for one wait can never end the next.
+	spin    *spinWait
+	spinRec spinWait
+	spinGen uint64
 
 	// span, when non-nil, is the request this task is currently
 	// serving; every scheduling transition re-blames it (see span.go).

@@ -11,8 +11,10 @@ type Barrier struct {
 	kern     *guest.Kernel
 	n        int
 	arrivals int
-	sleepers []mutexWaiter
-	spinners []*guest.Task
+	sleepers waitList[mutexWaiter]
+	spinners waitList[*guest.Task]
+
+	spinTimeoutFn func(t *guest.Task, cont func()) // bound once
 
 	// Generations counts completed barrier episodes.
 	Generations int64
@@ -23,7 +25,9 @@ func NewBarrier(kern *guest.Kernel, n int) *Barrier {
 	if n <= 0 {
 		panic("guestsync: barrier size must be positive")
 	}
-	return &Barrier{kern: kern, n: n}
+	b := &Barrier{kern: kern, n: n}
+	b.spinTimeoutFn = b.spinTimeout
+	return b
 }
 
 // N returns the party size.
@@ -36,38 +40,34 @@ func (b *Barrier) Wait(t *guest.Task, cont func()) {
 	if b.arrivals == b.n {
 		b.arrivals = 0
 		b.Generations++
-		sleepers, spinners := b.sleepers, b.spinners
-		b.sleepers, b.spinners = nil, nil
+		sleepers, spinners := b.sleepers.take(), b.spinners.take()
 		for _, w := range sleepers {
 			b.kern.WakeTask(w.t, w.cont)
 		}
 		for _, s := range spinners {
 			b.kern.GrantSpin(s)
 		}
+		b.sleepers.recycle(sleepers)
+		b.spinners.recycle(spinners)
 		cont()
 		return
 	}
 	budget := b.kern.Config().SpinBeforeBlock
 	if budget <= 0 {
-		b.sleepers = append(b.sleepers, mutexWaiter{t: t, cont: cont})
+		b.sleepers.push(mutexWaiter{t: t, cont: cont})
 		b.kern.BlockTask(t)
 		return
 	}
-	b.spinners = append(b.spinners, t)
-	b.kern.SpinTaskBounded(t, budget, nil, cont, func() {
-		b.removeSpinner(t)
-		b.sleepers = append(b.sleepers, mutexWaiter{t: t, cont: cont})
-		b.kern.BlockTask(t)
-	})
+	b.spinners.push(t)
+	b.kern.SpinTaskBounded(t, budget, nil, cont, b.spinTimeoutFn)
 }
 
-func (b *Barrier) removeSpinner(t *guest.Task) {
-	for i, s := range b.spinners {
-		if s == t {
-			b.spinners = append(b.spinners[:i], b.spinners[i+1:]...)
-			return
-		}
-	}
+// spinTimeout is the pre-sleep spin's fallback: stop spinning and sleep
+// until the generation completes.
+func (b *Barrier) spinTimeout(t *guest.Task, cont func()) {
+	b.spinners.items = removeTask(b.spinners.items, t)
+	b.sleepers.push(mutexWaiter{t: t, cont: cont})
+	b.kern.BlockTask(t)
 }
 
 // SpinBarrier is an OpenMP-style barrier with an active wait policy:
@@ -76,7 +76,7 @@ func (b *Barrier) removeSpinner(t *guest.Task) {
 type SpinBarrier struct {
 	kern     *guest.Kernel
 	n        int
-	waiting  []*guest.Task
+	waiting  waitList[*guest.Task]
 	arrivals int
 
 	Generations int64
@@ -98,17 +98,17 @@ func (b *SpinBarrier) N() int { return b.n }
 func (b *SpinBarrier) Wait(t *guest.Task, cont func()) {
 	b.arrivals++
 	if b.arrivals < b.n {
-		b.waiting = append(b.waiting, t)
+		b.waiting.push(t)
 		b.kern.SpinTask(t, nil, cont)
 		return
 	}
 	// Last arriver: release the generation.
 	b.arrivals = 0
 	b.Generations++
-	ws := b.waiting
-	b.waiting = nil
+	ws := b.waiting.take()
 	for _, w := range ws {
 		b.kern.GrantSpin(w)
 	}
+	b.waiting.recycle(ws)
 	cont()
 }

@@ -5,6 +5,10 @@
 // set or ticket spinlocks. All primitives operate on simulated guest
 // tasks and exhibit the lock-holder- and lock-waiter-preemption
 // behaviour the paper studies.
+//
+// Every primitive binds its spin callbacks once, at construction, and
+// reuses its wait lists' storage, so a steady-state lock, wait or wake
+// allocates nothing.
 package guestsync
 
 import (
@@ -18,8 +22,14 @@ import (
 type Mutex struct {
 	kern     *guest.Kernel
 	owner    *guest.Task
-	waiters  []mutexWaiter
+	waiters  waitList[mutexWaiter]
 	spinners []*guest.Task
+
+	// Spin callbacks bound once: the holder report for blame
+	// attribution, the acquisition poll and the budget fallback.
+	ownerFn       func() *guest.Task
+	tryAcquireFn  func(t *guest.Task) bool
+	spinTimeoutFn func(t *guest.Task, cont func())
 
 	// Contentions counts lock attempts that had to wait.
 	Contentions int64
@@ -33,14 +43,18 @@ type mutexWaiter struct {
 
 // NewMutex creates a mutex for tasks of kern.
 func NewMutex(kern *guest.Kernel) *Mutex {
-	return &Mutex{kern: kern}
+	m := &Mutex{kern: kern}
+	m.ownerFn = func() *guest.Task { return m.owner }
+	m.tryAcquireFn = m.tryAcquire
+	m.spinTimeoutFn = m.spinTimeout
+	return m
 }
 
 // Lock acquires m for t, invoking cont once the lock is held. Must be
 // called from task context. Contended callers spin briefly, then block.
 func (m *Mutex) Lock(t *guest.Task, cont func()) {
 	m.Acquires++
-	if m.owner == nil && len(m.waiters) == 0 {
+	if m.owner == nil && m.waiters.len() == 0 {
 		m.owner = t
 		t.LocksHeld++
 		cont()
@@ -55,40 +69,31 @@ func (m *Mutex) Lock(t *guest.Task, cont func()) {
 	m.spinners = append(m.spinners, t)
 	// Let blame attribution see who we are spinning on: LHP when the
 	// holder is itself off-CPU, plain contention otherwise.
-	t.SetSpinHolder(func() *guest.Task { return m.owner })
-	m.kern.SpinTaskBounded(t, budget,
-		func() bool { return m.tryAcquire(t) },
-		cont,
-		func() {
-			m.removeSpinner(t)
-			m.sleepLock(t, cont)
-		})
+	t.SetSpinHolder(m.ownerFn)
+	m.kern.SpinTaskBounded(t, budget, m.tryAcquireFn, cont, m.spinTimeoutFn)
+}
+
+// spinTimeout is the adaptive spin's fallback: stop spinning and sleep.
+func (m *Mutex) spinTimeout(t *guest.Task, cont func()) {
+	m.spinners = removeTask(m.spinners, t)
+	m.sleepLock(t, cont)
 }
 
 func (m *Mutex) sleepLock(t *guest.Task, cont func()) {
-	m.waiters = append(m.waiters, mutexWaiter{t: t, cont: cont})
+	m.waiters.push(mutexWaiter{t: t, cont: cont})
 	m.kern.BlockTask(t)
 }
 
 func (m *Mutex) tryAcquire(t *guest.Task) bool {
 	// Sleepers have handoff priority; spinners only grab a truly free
 	// lock.
-	if m.owner != nil || len(m.waiters) > 0 {
+	if m.owner != nil || m.waiters.len() > 0 {
 		return false
 	}
 	m.owner = t
 	t.LocksHeld++
-	m.removeSpinner(t)
+	m.spinners = removeTask(m.spinners, t)
 	return true
-}
-
-func (m *Mutex) removeSpinner(t *guest.Task) {
-	for i, s := range m.spinners {
-		if s == t {
-			m.spinners = append(m.spinners[:i], m.spinners[i+1:]...)
-			return
-		}
-	}
 }
 
 // Unlock releases m, handing ownership to the first sleeping waiter
@@ -98,9 +103,8 @@ func (m *Mutex) Unlock(t *guest.Task) {
 		panic("guestsync: unlock of mutex not held by " + t.Name)
 	}
 	t.LocksHeld--
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+	if m.waiters.len() > 0 {
+		w := m.waiters.pop()
 		m.owner = w.t
 		w.t.LocksHeld++
 		m.kern.WakeTask(w.t, w.cont)
@@ -115,7 +119,27 @@ func (m *Mutex) Unlock(t *guest.Task) {
 // Cond is a pthread-style condition variable used with a Mutex.
 type Cond struct {
 	kern    *guest.Kernel
-	waiters []mutexWaiter
+	waiters waitList[*condWaiter]
+	free    []*condWaiter
+}
+
+// condWaiter is one task blocked in Cond.Wait. Its relock callback,
+// bound once per record, re-acquires the mutex when the task is woken;
+// records return to their Cond's free list as they fire, so a wait
+// allocates nothing in steady state.
+type condWaiter struct {
+	c      *Cond
+	t      *guest.Task
+	m      *Mutex
+	cont   func()
+	relock func()
+}
+
+func (w *condWaiter) fire() {
+	t, m, cont := w.t, w.m, w.cont
+	w.t, w.m, w.cont = nil, nil, nil
+	w.c.free = append(w.c.free, w)
+	m.Lock(t, cont)
 }
 
 // NewCond creates a condition variable for tasks of kern.
@@ -126,28 +150,35 @@ func NewCond(kern *guest.Kernel) *Cond {
 // Wait atomically releases m and blocks t; once signalled, the lock is
 // re-acquired before cont runs.
 func (c *Cond) Wait(t *guest.Task, m *Mutex, cont func()) {
-	c.waiters = append(c.waiters, mutexWaiter{t: t, cont: func() {
-		m.Lock(t, cont)
-	}})
+	var w *condWaiter
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		w = &condWaiter{c: c}
+		w.relock = w.fire
+	}
+	w.t, w.m, w.cont = t, m, cont
+	c.waiters.push(w)
 	m.Unlock(t)
 	m.kern.BlockTask(t)
 }
 
 // Signal wakes one waiter.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
+	if c.waiters.len() == 0 {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.kern.WakeTask(w.t, w.cont)
+	w := c.waiters.pop()
+	c.kern.WakeTask(w.t, w.relock)
 }
 
 // Broadcast wakes all waiters.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
+	ws := c.waiters.take()
 	for _, w := range ws {
-		c.kern.WakeTask(w.t, w.cont)
+		c.kern.WakeTask(w.t, w.relock)
 	}
+	c.waiters.recycle(ws)
 }

@@ -6,18 +6,21 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/guestsync"
+	"repro/internal/hypervisor"
 	"repro/internal/sim"
 )
 
 // randomLockProg performs a random sequence of critical sections with
-// random durations drawn from the seed, tracking invariants.
+// random durations drawn from the seed, tracking invariants. Each
+// section takes one of the locks at random: the adaptive mutex, the
+// test-and-set spinlock or the ticket lock.
 type randomLockProg struct {
 	mu      *guestsync.Mutex
-	sl      *guestsync.SpinLock
+	sl, tl  *guestsync.SpinLock
 	rng     *sim.RNG
 	steps   int
-	inCS    *[2]int
-	maxCS   *[2]int
+	inCS    *[3]int
+	maxCS   *[3]int
 	entries *int
 }
 
@@ -28,14 +31,10 @@ func (p *randomLockProg) Step(t *guest.Task) guest.Action {
 	p.steps--
 	outside := sim.Time(p.rng.Intn(2000)+1) * sim.Microsecond
 	inside := sim.Time(p.rng.Intn(500)+1) * sim.Microsecond
-	useSpin := p.sl != nil && p.rng.Intn(2) == 0
+	// Each lock guards its own critical-section counter; inCS and
+	// maxCS are indexed by lock.
+	idx := p.rng.Intn(3)
 	return guest.RunThen(outside, func(tk *guest.Task, resume func()) {
-		// Each lock guards its own critical-section counter; inCS and
-		// maxCS are two-element arrays indexed by lock.
-		idx := 0
-		if useSpin {
-			idx = 1
-		}
 		enter := func(unlock func(*guest.Task)) {
 			(*p.inCS)[idx]++
 			*p.entries++
@@ -48,30 +47,71 @@ func (p *randomLockProg) Step(t *guest.Task) guest.Action {
 				resume()
 			})
 		}
-		if useSpin {
-			p.sl.Lock(tk, func() { enter(p.sl.Unlock) })
-		} else {
+		switch idx {
+		case 0:
 			p.mu.Lock(tk, func() { enter(p.mu.Unlock) })
+		case 1:
+			p.sl.Lock(tk, func() { enter(p.sl.Unlock) })
+		default:
+			p.tl.Lock(tk, func() { enter(p.tl.Unlock) })
 		}
 	})
 }
 
+// hogProg computes forever: the interfering VM's threads.
+type hogProg struct{}
+
+func (hogProg) Step(*guest.Task) guest.Action { return guest.Run(sim.Millisecond) }
+
+// interferedRig is rig with hogs CPU-hog vCPUs of a second VM pinned
+// onto the first pCPUs, so the guest's vCPUs are preempted mid-spin
+// and mid-critical-section, and with the guest's adaptive-spin budget
+// set to spin (0 makes every blocking wait sleep at once).
+func interferedRig(t *testing.T, nvcpus, hogs int, spin sim.Time) (*sim.Engine, *guest.Kernel) {
+	t.Helper()
+	eng := sim.NewEngine()
+	hv := hypervisor.New(eng, hypervisor.DefaultConfig(nvcpus))
+	vm := hv.NewVM("vm", nvcpus, 256, false)
+	for i, v := range vm.VCPUs {
+		v.Pin(hv.PCPU(i))
+	}
+	cfg := guest.DefaultConfig()
+	cfg.SpinBeforeBlock = spin
+	kern := guest.NewKernel(hv, vm, cfg)
+	if hogs > 0 {
+		bg := hv.NewVM("bg", hogs, 256, false)
+		hk := guest.NewKernel(hv, bg, guest.DefaultConfig())
+		for i, v := range bg.VCPUs {
+			v.Pin(hv.PCPU(i))
+			hk.Spawn("hog", hogProg{}, i)
+		}
+		hk.Start()
+	}
+	return eng, kern
+}
+
 // TestQuickMutualExclusionUnderRandomSchedules drives random mixes of
-// blocking mutexes and spinlocks across random interference patterns
-// and checks mutual exclusion plus completion.
+// blocking mutexes, test-and-set spinlocks and ticket locks across
+// random interference patterns and adaptive-spin budgets, and checks
+// mutual exclusion plus completion.
 func TestQuickMutualExclusionUnderRandomSchedules(t *testing.T) {
-	f := func(seed uint64, nTasksRaw, stepsRaw uint8) bool {
+	f := func(seed uint64, nTasksRaw, stepsRaw, hogsRaw uint8, sleepNow bool) bool {
 		nTasks := int(nTasksRaw%4) + 2 // 2..5
 		steps := int(stepsRaw%30) + 5  // 5..34
-		eng, kern := rig(t, 2)
+		spin := guest.DefaultConfig().SpinBeforeBlock
+		if sleepNow {
+			spin = 0
+		}
+		eng, kern := interferedRig(t, 2, int(hogsRaw%3), spin)
 		mu := guestsync.NewMutex(kern)
 		sl := guestsync.NewSpinLock(kern)
+		tl := guestsync.NewTicketLock(kern)
 		rng := sim.NewRNG(seed | 1)
-		var inCS, maxCS [2]int
+		var inCS, maxCS [3]int
 		entries := 0
 		for i := 0; i < nTasks; i++ {
 			p := &randomLockProg{
-				mu: mu, sl: sl, rng: rng.Fork(uint64(i)),
+				mu: mu, sl: sl, tl: tl, rng: rng.Fork(uint64(i)),
 				steps: steps, inCS: &inCS, maxCS: &maxCS, entries: &entries,
 			}
 			kern.Spawn("r", p, i%2)
@@ -82,19 +122,24 @@ func TestQuickMutualExclusionUnderRandomSchedules(t *testing.T) {
 		if err := eng.Run(120 * sim.Second); err != nil {
 			return false
 		}
-		return done && maxCS[0] <= 1 && maxCS[1] <= 1 && entries == nTasks*steps
+		return done && max(maxCS[0], maxCS[1], maxCS[2]) <= 1 && inCS == [3]int{} && entries == nTasks*steps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickBarrierGenerations drives random barrier parties and rounds.
+// TestQuickBarrierGenerations drives random barrier parties and rounds
+// under random interference and adaptive-spin budgets.
 func TestQuickBarrierGenerations(t *testing.T) {
-	f := func(seed uint64, partyRaw, roundsRaw uint8) bool {
+	f := func(seed uint64, partyRaw, roundsRaw, hogsRaw uint8, sleepNow bool) bool {
 		party := int(partyRaw%4) + 2 // 2..5
 		rounds := int(roundsRaw%20) + 1
-		eng, kern := rig(t, party)
+		spin := guest.DefaultConfig().SpinBeforeBlock
+		if sleepNow {
+			spin = 0
+		}
+		eng, kern := interferedRig(t, party, int(hogsRaw%3), spin)
 		bar := guestsync.NewBarrier(kern, party)
 		rng := sim.NewRNG(seed | 1)
 		for i := 0; i < party; i++ {

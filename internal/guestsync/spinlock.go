@@ -1,6 +1,10 @@
 package guestsync
 
-import "repro/internal/guest"
+import (
+	"slices"
+
+	"repro/internal/guest"
+)
 
 // SpinLock is a busy-waiting lock. In TAS mode (default) the lock is a
 // test-and-set loop: whichever actively-running spinner notices the
@@ -15,25 +19,26 @@ type SpinLock struct {
 	FIFO bool
 
 	owner    *guest.Task
-	spinners []spinEntry
+	spinners []*guest.Task // ticket order in FIFO mode
+
+	pollFn func(t *guest.Task) bool // tryAcquire or ticketReady, bound once
 
 	Acquires    int64
 	Contentions int64
 }
 
-type spinEntry struct {
-	t    *guest.Task
-	cont func()
-}
-
 // NewSpinLock creates a test-and-set spinlock.
 func NewSpinLock(kern *guest.Kernel) *SpinLock {
-	return &SpinLock{kern: kern}
+	l := &SpinLock{kern: kern}
+	l.pollFn = l.tryAcquire
+	return l
 }
 
 // NewTicketLock creates a FIFO ticket spinlock.
 func NewTicketLock(kern *guest.Kernel) *SpinLock {
-	return &SpinLock{kern: kern, FIFO: true}
+	l := &SpinLock{kern: kern, FIFO: true}
+	l.pollFn = l.ticketReady
+	return l
 }
 
 // Lock acquires l for t, spinning while contended; cont runs once held.
@@ -46,19 +51,10 @@ func (l *SpinLock) Lock(t *guest.Task, cont func()) {
 		return
 	}
 	l.Contentions++
-	l.spinners = append(l.spinners, spinEntry{t: t, cont: cont})
-	if l.FIFO {
-		// Ticket holders wait for an explicit handoff.
-		l.kern.SpinTask(t, nil, func() {
-			t.LocksHeld++
-			cont()
-		})
-		return
-	}
-	// TAS: re-try the acquire whenever the spinner runs.
-	l.kern.SpinTask(t, func() bool { return l.tryAcquire(t) }, func() {
-		cont()
-	})
+	l.spinners = append(l.spinners, t)
+	// TAS spinners re-try the acquire whenever they run; ticket holders
+	// wait for Unlock to hand them the lock.
+	l.kern.SpinTask(t, l.pollFn, cont)
 }
 
 // tryAcquire is the TAS poll: grab the lock if free.
@@ -68,7 +64,17 @@ func (l *SpinLock) tryAcquire(t *guest.Task) bool {
 	}
 	l.owner = t
 	t.LocksHeld++
-	l.removeSpinner(t)
+	l.spinners = removeTask(l.spinners, t)
+	return true
+}
+
+// ticketReady is the ticket poll: the wait ends once Unlock has made t
+// the owner.
+func (l *SpinLock) ticketReady(t *guest.Task) bool {
+	if l.owner != t {
+		return false
+	}
+	t.LocksHeld++
 	return true
 }
 
@@ -85,23 +91,14 @@ func (l *SpinLock) Unlock(t *guest.Task) {
 	}
 	if l.FIFO {
 		next := l.spinners[0]
-		l.spinners = l.spinners[1:]
-		l.owner = next.t
-		l.kern.GrantSpin(next.t)
+		l.spinners = slices.Delete(l.spinners, 0, 1)
+		l.owner = next
+		l.kern.PollSpinner(next)
 		return
 	}
 	// TAS: poke running spinners; the first poll that runs wins. A
 	// preempted spinner retries when its vCPU is scheduled again.
-	for _, e := range l.spinners {
-		l.kern.PollSpinner(e.t)
-	}
-}
-
-func (l *SpinLock) removeSpinner(t *guest.Task) {
-	for i, e := range l.spinners {
-		if e.t == t {
-			l.spinners = append(l.spinners[:i], l.spinners[i+1:]...)
-			return
-		}
+	for _, s := range l.spinners {
+		l.kern.PollSpinner(s)
 	}
 }

@@ -79,10 +79,13 @@ func (h *Hypervisor) pendIRQ(v *VCPU, irq IRQ) {
 	v.pendingIRQ = append(v.pendingIRQ, irq)
 }
 
-// ClaimPendingIRQs returns and clears the interrupts that arrived while
-// the vCPU was descheduled. The guest calls this first thing on resume.
-func (h *Hypervisor) ClaimPendingIRQs(v *VCPU) []IRQ {
-	irqs := v.pendingIRQ
-	v.pendingIRQ = nil
-	return irqs
+// ClaimPendingIRQs appends the interrupts that arrived while the vCPU
+// was descheduled to dst and clears them. The guest calls this first
+// thing on resume. The claimed list is the caller's copy, so interrupts
+// raised while it is being handled pend afresh in v's list, whose
+// backing array is reused from claim to claim.
+func (h *Hypervisor) ClaimPendingIRQs(v *VCPU, dst []IRQ) []IRQ {
+	dst = append(dst, v.pendingIRQ...)
+	v.pendingIRQ = v.pendingIRQ[:0]
+	return dst
 }

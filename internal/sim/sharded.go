@@ -106,20 +106,31 @@ type ShardedStats struct {
 	Mail            uint64 // cross-shard events merged and delivered at barriers
 }
 
-// ShardPanic is the error Run returns when an event callback panics
-// inside a shard window. The other active shards still finish that
-// window, and the error names the lowest-indexed shard that panicked,
-// so it is the same for every worker count. The engine must not be run
-// again afterwards.
+// ShardPanic is the error Run returns when a callback panics. Inside a
+// shard window the other active shards still finish that window, and
+// the error names the lowest-indexed shard that panicked. In the
+// barrier phase the panic ends the phase, and the error names the
+// barrier task's label or marks an OnBarrier hook. Either way it is the
+// same for every worker count. The engine must not be run again
+// afterwards.
 type ShardPanic struct {
-	Shard int    // shard whose callback panicked
-	At    Time   // that shard's virtual time when it panicked
+	Shard int    // shard whose callback panicked; -1 in the barrier phase
+	Task  string // barrier phase: the panicking barrier task's label
+	Hook  bool   // barrier phase: an OnBarrier hook panicked
+	At    Time   // the shard's (or the barrier's) virtual time at the panic
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack
 }
 
 func (p *ShardPanic) Error() string {
-	return fmt.Sprintf("sim: shard %d panicked at %v: %v", p.Shard, p.At, p.Value)
+	switch {
+	case p.Hook:
+		return fmt.Sprintf("sim: OnBarrier hook panicked at %v: %v", p.At, p.Value)
+	case p.Shard < 0:
+		return fmt.Sprintf("sim: barrier task %q panicked at %v: %v", p.Task, p.At, p.Value)
+	default:
+		return fmt.Sprintf("sim: shard %d panicked at %v: %v", p.Shard, p.At, p.Value)
+	}
 }
 
 // barrierTask is a global synchronous event: it runs at a window
@@ -296,8 +307,9 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // When every shard is quiet and no mail or task is pending before the
 // horizon it returns ErrDeadlock, mirroring Engine.Run. A callback that
 // panics inside a shard window ends the run with a *ShardPanic once the
-// window is over. Helper goroutines started for parallel windows never
-// outlive the call.
+// window is over; one that panics in the barrier phase (a drain hook or
+// a barrier task) ends it at once with a *ShardPanic naming it. Helper
+// goroutines started for parallel windows never outlive the call.
 func (s *ShardedEngine) Run(horizon Time) error {
 	defer s.stopPool()
 	for s.now < horizon {
@@ -323,6 +335,9 @@ func (s *ShardedEngine) Run(horizon Time) error {
 		}
 		s.now = end
 		s.barrier()
+		if s.fault != nil {
+			return s.fault
+		}
 	}
 	return nil
 }
@@ -471,12 +486,21 @@ func (s *ShardedEngine) stopPool() {
 
 // barrier exchanges cross-shard mail, runs the drain hooks, then runs
 // every barrier task due at the current time. All of it is
-// single-threaded: the shards are parked.
+// single-threaded: the shards are parked. A panicking hook or task ends
+// the phase and becomes the run's fault; one recover covers the whole
+// phase, with hook and task tracking what is running.
 func (s *ShardedEngine) barrier() {
 	s.deliver()
+	task, hook := "", true
+	defer func() {
+		if v := recover(); v != nil {
+			s.fault = &ShardPanic{Shard: -1, Task: task, Hook: hook, At: s.now, Value: v, Stack: debug.Stack()}
+		}
+	}()
 	for _, fn := range s.onBarrier {
 		fn(s.now)
 	}
+	hook = false
 	for {
 		bt, idx := s.nextTask()
 		if bt == nil || bt.at > s.now {
@@ -492,6 +516,7 @@ func (s *ShardedEngine) barrier() {
 			s.tasks[last] = nil
 			s.tasks = s.tasks[:last]
 		}
+		task = bt.name
 		bt.fn()
 	}
 }

@@ -542,3 +542,65 @@ func TestShardedPanicIsError(t *testing.T) {
 		t.Fatalf("goroutines after panicked Runs = %d, before = %d", got, before)
 	}
 }
+
+// TestShardedBarrierPanicIsError pins the barrier phase's failure
+// mode: a panicking barrier task or OnBarrier hook ends Run with a
+// *ShardPanic that names the task or marks the hook, the same at one
+// and two workers, and no helper outlives the call.
+func TestShardedBarrierPanicIsError(t *testing.T) {
+	const lookahead = 50 * Microsecond
+	run := func(workers int, hook bool) *ShardPanic {
+		s := NewSharded(4, lookahead)
+		s.SetWorkers(workers)
+		for _, i := range []int{1, 3} {
+			weigh(s.Shard(i), windowGate, lookahead, func() {})
+			s.Shard(i).Every(lookahead/3, func() {})
+		}
+		ran := 0
+		s.EveryBarrier(lookahead, "tick", func() { ran++ })
+		if hook {
+			s.OnBarrier(func(now Time) {
+				if now == 150*Microsecond {
+					panic("hook boom")
+				}
+			})
+		} else {
+			s.AtBarrier(120*Microsecond, "rebalance", func() { panic(fmt.Errorf("task boom")) })
+		}
+		err := s.Run(Millisecond)
+		var p *ShardPanic
+		if !errors.As(err, &p) {
+			t.Fatalf("workers=%d hook=%v: err = %v, want *ShardPanic", workers, hook, err)
+		}
+		if len(p.Stack) == 0 {
+			t.Fatalf("workers=%d hook=%v: panic error carries no stack", workers, hook)
+		}
+		if hook && ran != 2 {
+			t.Fatalf("workers=%d: the hook's barrier ran tasks after it panicked (%d ticks)", workers, ran)
+		}
+		if st := s.Stats(); workers > 1 && st.ParallelWindows == 0 {
+			t.Fatalf("workers=%d: stats %+v, want the helper pool running", workers, st)
+		}
+		return p
+	}
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		hook bool
+		want string
+	}{
+		{false, `sim: barrier task "rebalance" panicked at 120.000µs: task boom`},
+		{true, "sim: OnBarrier hook panicked at 150.000µs: hook boom"},
+	} {
+		serial := run(1, tc.hook)
+		if serial.Error() != tc.want || serial.Shard != -1 || serial.Hook != tc.hook {
+			t.Fatalf("serial barrier panic = %+v (%q), want %q", serial, serial.Error(), tc.want)
+		}
+		pooled := run(2, tc.hook)
+		if pooled.Error() != serial.Error() || pooled.Task != serial.Task || pooled.At != serial.At {
+			t.Fatalf("workers=2 barrier panic %q, serial %q", pooled.Error(), serial.Error())
+		}
+	}
+	if got := settled(before); got > before {
+		t.Fatalf("goroutines after panicked Runs = %d, before = %d", got, before)
+	}
+}

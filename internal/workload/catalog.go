@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/guest"
@@ -140,22 +141,28 @@ func NPB() []Benchmark {
 	}
 }
 
+// catalog indexes the combined PARSEC and NPB catalog by name, and
+// catalogNames lists it sorted. Both are built once; lookups copy
+// entries out, so no caller can mutate them.
+var catalog, catalogNames = buildCatalog()
+
+func buildCatalog() (map[string]Benchmark, []string) {
+	all := append(PARSEC(), NPB()...)
+	idx := make(map[string]Benchmark, len(all))
+	names := make([]string, 0, len(all))
+	for _, b := range all {
+		idx[b.Name] = b
+		names = append(names, b.Name)
+	}
+	sort.Strings(names)
+	return idx, names
+}
+
 // ByName finds a benchmark in the combined catalog.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range append(PARSEC(), NPB()...) {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
+	b, ok := catalog[name]
+	return b, ok
 }
 
 // Names lists all catalog benchmark names, sorted.
-func Names() []string {
-	var ns []string
-	for _, b := range append(PARSEC(), NPB()...) {
-		ns = append(ns, b.Name)
-	}
-	sort.Strings(ns)
-	return ns
-}
+func Names() []string { return slices.Clone(catalogNames) }

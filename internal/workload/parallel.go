@@ -85,57 +85,95 @@ type parallelShared struct {
 	rng  *sim.RNG
 }
 
-// parallelProg is one thread of a ParallelSpec instance.
+// parallelProg is one thread of a ParallelSpec instance. It is a
+// state machine over one iteration: compute a chunk, then lock → CS →
+// unlock → next chunk for each critical section, then the barrier. Its
+// callbacks are bound once at construction and the iteration's state
+// lives in fields, so an iteration allocates nothing.
 type parallelProg struct {
 	sh   *parallelShared
 	iter int
 	rng  *sim.RNG
+
+	// The iteration in progress. t and resume are the task and the
+	// kernel's step callback handed to Action.Done.
+	t           *guest.Task
+	resume      func()
+	chunk       sim.Time
+	remaining   int
+	needBarrier bool
+
+	chunkDoneFn   func(t *guest.Task, resume func()) // Action.Done: first chunk computed
+	barrierDoneFn func(t *guest.Task, resume func()) // Action.Done: lock-free iteration computed
+	lockedFn      func()                             // lock held: run the CS
+	csDoneFn      func()                             // CS done: unlock, then chunk or finish
+	nextChunkFn   func()                             // chunk computed: lock again
+}
+
+func newParallelProg(sh *parallelShared, rng *sim.RNG) *parallelProg {
+	p := &parallelProg{sh: sh, rng: rng}
+	p.chunkDoneFn = p.chunkDone
+	p.barrierDoneFn = p.barrierDone
+	p.lockedFn = p.locked
+	p.csDoneFn = p.csDone
+	p.nextChunkFn = p.lock
+	return p
 }
 
 // Step implements guest.Program.
 func (p *parallelProg) Step(t *guest.Task) guest.Action {
-	sp := p.sh.spec
+	sp := &p.sh.spec
 	if p.iter >= sp.Iterations {
 		return guest.Exit()
 	}
 	p.iter++
 	work := p.rng.Jitter(sp.Work, sp.Imbalance)
-	needBarrier := sp.BarrierEvery > 0 && p.iter%sp.BarrierEvery == 0
+	p.needBarrier = sp.BarrierEvery > 0 && p.iter%sp.BarrierEvery == 0
 
 	if sp.LocksPerIter <= 0 {
-		if !needBarrier {
+		if !p.needBarrier {
 			return guest.Run(work)
 		}
-		return guest.RunThen(work, func(t *guest.Task, resume func()) {
-			p.sh.bar.Wait(t, resume)
-		})
+		return guest.RunThen(work, p.barrierDoneFn)
 	}
 
 	// Interleave critical sections within the compute: split the work
 	// into LocksPerIter chunks, each followed by lock; CS; unlock.
-	chunk := work / sim.Time(sp.LocksPerIter)
-	remaining := sp.LocksPerIter
-	var doChunk func(t *guest.Task, resume func())
-	doChunk = func(t *guest.Task, resume func()) {
-		p.sh.lk.Lock(t, func() {
-			t.Kernel().RunInTask(t, sp.CSLen, func() {
-				p.sh.lk.Unlock(t)
-				remaining--
-				if remaining == 0 {
-					if needBarrier {
-						p.sh.bar.Wait(t, resume)
-					} else {
-						resume()
-					}
-					return
-				}
-				t.Kernel().RunInTask(t, chunk, func() {
-					doChunk(t, resume)
-				})
-			})
-		})
+	p.chunk = work / sim.Time(sp.LocksPerIter)
+	p.remaining = sp.LocksPerIter
+	return guest.RunThen(p.chunk, p.chunkDoneFn)
+}
+
+func (p *parallelProg) barrierDone(t *guest.Task, resume func()) {
+	p.sh.bar.Wait(t, resume)
+}
+
+func (p *parallelProg) chunkDone(t *guest.Task, resume func()) {
+	p.t, p.resume = t, resume
+	p.lock()
+}
+
+func (p *parallelProg) lock() { p.sh.lk.Lock(p.t, p.lockedFn) }
+
+func (p *parallelProg) locked() {
+	p.t.Kernel().RunInTask(p.t, p.sh.spec.CSLen, p.csDoneFn)
+}
+
+func (p *parallelProg) csDone() {
+	t := p.t
+	p.sh.lk.Unlock(t)
+	p.remaining--
+	if p.remaining > 0 {
+		t.Kernel().RunInTask(t, p.chunk, p.nextChunkFn)
+		return
 	}
-	return guest.RunThen(chunk, doChunk)
+	// The iteration is over: the next Step may run synchronously from
+	// here and overwrite every field above.
+	if p.needBarrier {
+		p.sh.bar.Wait(t, p.resume)
+	} else {
+		p.resume()
+	}
 }
 
 // Instance is one running workload attached to a guest kernel.
@@ -230,7 +268,7 @@ func NewParallel(kern *guest.Kernel, spec ParallelSpec, seed uint64) *Instance {
 			sh.lk = guestsync.NewMutex(kern)
 		}
 		for i := 0; i < threads; i++ {
-			p := &parallelProg{sh: sh, rng: sh.rng.Fork(uint64(i))}
+			p := newParallelProg(sh, sh.rng.Fork(uint64(i)))
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), p, i%len(kern.CPUs()))
 		}
 	}

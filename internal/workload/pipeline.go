@@ -30,9 +30,10 @@ func (s PipelineSpec) TotalWork() sim.Time {
 	return sim.Time(s.Items*s.Stages) * s.WorkPerStage
 }
 
-// pipeQueue is a bounded blocking queue of work items.
+// pipeQueue is a bounded blocking queue of work items. The push, pop
+// and close protocols (lock the mutex, wait on a condition while full
+// or empty, signal the other side, unlock) run as pipeWorker states.
 type pipeQueue struct {
-	kern     *guest.Kernel
 	mu       *guestsync.Mutex
 	notEmpty *guestsync.Cond
 	notFull  *guestsync.Cond
@@ -43,60 +44,11 @@ type pipeQueue struct {
 
 func newPipeQueue(kern *guest.Kernel, cap int) *pipeQueue {
 	return &pipeQueue{
-		kern:     kern,
 		mu:       guestsync.NewMutex(kern),
 		notEmpty: guestsync.NewCond(kern),
 		notFull:  guestsync.NewCond(kern),
 		cap:      cap,
 	}
-}
-
-// push adds an item, blocking while full.
-func (q *pipeQueue) push(t *guest.Task, cont func()) {
-	q.mu.Lock(t, func() { q.pushLocked(t, cont) })
-}
-
-func (q *pipeQueue) pushLocked(t *guest.Task, cont func()) {
-	if q.items >= q.cap {
-		q.notFull.Wait(t, q.mu, func() { q.pushLocked(t, cont) })
-		return
-	}
-	q.items++
-	q.notEmpty.Signal()
-	q.mu.Unlock(t)
-	cont()
-}
-
-// pop removes an item, blocking while empty; cont receives ok=false
-// when the queue is closed and drained.
-func (q *pipeQueue) pop(t *guest.Task, cont func(ok bool)) {
-	q.mu.Lock(t, func() { q.popLocked(t, cont) })
-}
-
-func (q *pipeQueue) popLocked(t *guest.Task, cont func(ok bool)) {
-	if q.items == 0 {
-		if q.closed {
-			q.mu.Unlock(t)
-			cont(false)
-			return
-		}
-		q.notEmpty.Wait(t, q.mu, func() { q.popLocked(t, cont) })
-		return
-	}
-	q.items--
-	q.notFull.Signal()
-	q.mu.Unlock(t)
-	cont(true)
-}
-
-// close marks the queue finished; blocked poppers drain then stop.
-func (q *pipeQueue) close(t *guest.Task, cont func()) {
-	q.mu.Lock(t, func() {
-		q.closed = true
-		q.notEmpty.Broadcast()
-		q.mu.Unlock(t)
-		cont()
-	})
 }
 
 // pipeShared is per-instance pipeline state.
@@ -109,7 +61,9 @@ type pipeShared struct {
 	rng           *sim.RNG
 }
 
-// pipeWorker is one thread of one pipeline stage.
+// pipeWorker is one thread of one pipeline stage: a state machine
+// whose callbacks are bound once at construction, so moving an item
+// through a stage allocates nothing.
 type pipeWorker struct {
 	sh    *pipeShared
 	stage int
@@ -117,6 +71,45 @@ type pipeWorker struct {
 	toGen int
 	done  bool
 	rng   *sim.RNG
+
+	// The item in progress. t and resume are the task and the kernel's
+	// step callback handed to Action.Done; in and out are the queues
+	// the stage pops from and pushes to (nil at the pipeline's ends).
+	t       *guest.Task
+	resume  func()
+	work    sim.Time
+	in, out *pipeQueue
+
+	pushFn, popFn, finishFn                  func(t *guest.Task, resume func()) // Action.Done states
+	pushLockedFn, popLockedFn, closeLockedFn func()                             // out.mu / in.mu held
+	computedFn                               func()                             // popped item computed
+}
+
+func newPipeWorker(sh *pipeShared, stage int, rng *sim.RNG) *pipeWorker {
+	w := &pipeWorker{sh: sh, stage: stage, rng: rng}
+	if stage > 0 {
+		w.in = sh.queues[stage]
+	}
+	if stage < sh.spec.Stages-1 {
+		w.out = sh.queues[stage+1]
+	}
+	w.pushFn = w.bindThen(w.push)
+	w.popFn = w.bindThen(w.pop)
+	w.finishFn = w.bindThen(w.finishStage)
+	w.pushLockedFn = w.pushLocked
+	w.popLockedFn = w.popLocked
+	w.closeLockedFn = w.closeLocked
+	w.computedFn = w.computed
+	return w
+}
+
+// bindThen adapts a state to Action.Done: it records the task and its
+// step callback, then enters the state.
+func (w *pipeWorker) bindThen(state func()) func(t *guest.Task, resume func()) {
+	return func(t *guest.Task, resume func()) {
+		w.t, w.resume = t, resume
+		state()
+	}
 }
 
 // Step implements guest.Program. Stage 0 generates items; later stages
@@ -130,44 +123,80 @@ func (w *pipeWorker) Step(t *guest.Task) guest.Action {
 	if w.stage == 0 {
 		if w.toGen == 0 {
 			w.done = true
-			return guest.RunThen(0, func(t *guest.Task, resume func()) {
-				w.finishStage(t, resume)
-			})
+			return guest.RunThen(0, w.finishFn)
 		}
 		w.toGen--
-		return guest.RunThen(work, func(t *guest.Task, resume func()) {
-			sh.queues[1].push(t, resume)
-		})
+		return guest.RunThen(work, w.pushFn)
 	}
 	// Later stage: pop an item, compute, pass on.
-	return guest.RunThen(0, func(t *guest.Task, resume func()) {
-		sh.queues[w.stage].pop(t, func(ok bool) {
-			if !ok {
-				w.done = true
-				w.finishStage(t, resume)
-				return
-			}
-			t.Kernel().RunInTask(t, work, func() {
-				if w.stage == sh.spec.Stages-1 {
-					resume()
-					return
-				}
-				sh.queues[w.stage+1].push(t, resume)
-			})
-		})
-	})
+	w.work = work
+	return guest.RunThen(0, w.popFn)
+}
+
+// push adds an item to out, blocking while full, then resumes.
+func (w *pipeWorker) push() { w.out.mu.Lock(w.t, w.pushLockedFn) }
+
+func (w *pipeWorker) pushLocked() {
+	q := w.out
+	if q.items >= q.cap {
+		q.notFull.Wait(w.t, q.mu, w.pushLockedFn)
+		return
+	}
+	q.items++
+	q.notEmpty.Signal()
+	q.mu.Unlock(w.t)
+	w.resume()
+}
+
+// pop removes an item from in, blocking while empty, and computes it;
+// a closed, drained queue finishes the stage instead.
+func (w *pipeWorker) pop() { w.in.mu.Lock(w.t, w.popLockedFn) }
+
+func (w *pipeWorker) popLocked() {
+	q := w.in
+	if q.items == 0 {
+		if q.closed {
+			q.mu.Unlock(w.t)
+			w.done = true
+			w.finishStage()
+			return
+		}
+		q.notEmpty.Wait(w.t, q.mu, w.popLockedFn)
+		return
+	}
+	q.items--
+	q.notFull.Signal()
+	q.mu.Unlock(w.t)
+	w.t.Kernel().RunInTask(w.t, w.work, w.computedFn)
+}
+
+func (w *pipeWorker) computed() {
+	if w.out == nil {
+		w.resume()
+		return
+	}
+	w.push()
 }
 
 // finishStage decrements the live count of this stage and closes the
 // downstream queue when the stage has fully drained.
-func (w *pipeWorker) finishStage(t *guest.Task, cont func()) {
+func (w *pipeWorker) finishStage() {
 	sh := w.sh
 	sh.producersLeft[w.stage]--
-	if sh.producersLeft[w.stage] == 0 && w.stage < sh.spec.Stages-1 {
-		sh.queues[w.stage+1].close(t, cont)
+	if sh.producersLeft[w.stage] == 0 && w.out != nil {
+		w.out.mu.Lock(w.t, w.closeLockedFn)
 		return
 	}
-	cont()
+	w.resume()
+}
+
+// closeLocked marks out finished; blocked poppers drain then stop.
+func (w *pipeWorker) closeLocked() {
+	q := w.out
+	q.closed = true
+	q.notEmpty.Broadcast()
+	q.mu.Unlock(w.t)
+	w.resume()
 }
 
 // NewPipeline instantiates a pipeline benchmark on kern.
@@ -194,7 +223,7 @@ func NewPipeline(kern *guest.Kernel, spec PipelineSpec, seed uint64) *Instance {
 		for s := 0; s < spec.Stages; s++ {
 			sh.producersLeft[s] = spec.ThreadsPerStage
 			for i := 0; i < spec.ThreadsPerStage; i++ {
-				w := &pipeWorker{sh: sh, stage: s, rng: sh.rng.Fork(uint64(s*100 + i))}
+				w := newPipeWorker(sh, s, sh.rng.Fork(uint64(s*100+i)))
 				if s == 0 {
 					w.toGen = spec.Items / spec.ThreadsPerStage
 					if i < spec.Items%spec.ThreadsPerStage {

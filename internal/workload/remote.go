@@ -53,12 +53,8 @@ func (g *RemoteGate) SubmitReq(req Request) bool {
 	// the opening queue-wait segment; for a carried one it closes the
 	// vm-migr segment opened by Close.
 	req.Span.Transition(sh.kern.Now(), span.CatQueueWait)
-	sh.queue = append(sh.queue, req)
-	if len(sh.sleepers) > 0 {
-		s := sh.sleepers[0]
-		sh.sleepers = sh.sleepers[1:]
-		sh.kern.WakeTask(s.t, s.cont)
-	}
+	sh.queue.push(req)
+	sh.wakeOne()
 	return true
 }
 
@@ -72,19 +68,14 @@ func (g *RemoteGate) Close() []Request {
 	}
 	g.closed = true
 	sh := g.sh
-	carried := sh.queue
-	sh.queue = nil
+	carried := sh.queue.drain()
 	// From here until re-submission on the destination replica, the
 	// requests' waiting is the migration's fault, not the queue's.
 	for _, req := range carried {
 		req.Span.Transition(sh.kern.Now(), span.CatVMMigr)
 	}
 	sh.until = sh.kern.Now() // workers observe the deadline and exit
-	sl := sh.sleepers
-	sh.sleepers = nil
-	for _, s := range sl {
-		sh.kern.WakeTask(s.t, s.cont)
-	}
+	sh.wakeAll()
 	return carried
 }
 
@@ -96,7 +87,7 @@ func (g *RemoteGate) QueueLen() int {
 	if g.sh == nil || g.closed {
 		return 0
 	}
-	return len(g.sh.queue)
+	return g.sh.queue.len()
 }
 
 // InFlight is the number of requests currently being serviced.
@@ -140,7 +131,7 @@ func NewRemoteServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *Se
 			sh.mu = guestsync.NewMutex(kern)
 		}
 		for i := 0; i < spec.Threads; i++ {
-			w := &openWorker{sh: sh, rng: sh.rng.Fork(uint64(i))}
+			w := newOpenWorker(sh, sh.rng.Fork(uint64(i)))
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), w, i%len(kern.CPUs()))
 		}
 	}

@@ -60,10 +60,31 @@ type serverShared struct {
 	until     sim.Time
 }
 
+// serverWorker is one closed-loop server thread: a state machine
+// (service → optional lock → CS → unlock → record → think) whose
+// callbacks are bound once at construction.
 type serverWorker struct {
 	sh   *serverShared
 	rng  *sim.RNG
 	reqs int
+
+	// The request in progress. t and resume are the task and the
+	// kernel's step callback handed to Action.Done.
+	t      *guest.Task
+	resume func()
+	start  sim.Time
+	locked bool
+
+	servedFn           func(t *guest.Task, resume func()) // Action.Done
+	lockedFn, csDoneFn func()
+}
+
+func newServerWorker(sh *serverShared, rng *sim.RNG) *serverWorker {
+	w := &serverWorker{sh: sh, rng: rng}
+	w.servedFn = w.served
+	w.lockedFn = w.lockHeld
+	w.csDoneFn = w.csDone
+	return w
 }
 
 // Step implements guest.Program: one request per step.
@@ -74,32 +95,42 @@ func (w *serverWorker) Step(t *guest.Task) guest.Action {
 	}
 	w.reqs++
 	service := w.rng.Exp(sh.spec.Service)
-	start := t.Kernel().Now()
-	finish := func(resume func()) {
-		sh.stats.Requests++
-		sh.stats.Latency.Add(t.Kernel().Now() - start)
-		if el := t.Kernel().Now() - sh.startedAt; el > sh.stats.Elapsed {
-			sh.stats.Elapsed = el
-		}
-		if sh.spec.Think > 0 {
-			t.Kernel().SleepTask(t, w.rng.Exp(sh.spec.Think), resume)
-			return
-		}
-		resume()
+	w.start = t.Kernel().Now()
+	w.locked = sh.spec.LockEvery > 0 && w.reqs%sh.spec.LockEvery == 0
+	return guest.RunThen(service, w.servedFn)
+}
+
+func (w *serverWorker) served(t *guest.Task, resume func()) {
+	w.t, w.resume = t, resume
+	if !w.locked {
+		w.finish()
+		return
 	}
-	locked := sh.spec.LockEvery > 0 && w.reqs%sh.spec.LockEvery == 0
-	return guest.RunThen(service, func(t *guest.Task, resume func()) {
-		if !locked {
-			finish(resume)
-			return
-		}
-		sh.mu.Lock(t, func() {
-			t.Kernel().RunInTask(t, sh.spec.LockCS, func() {
-				sh.mu.Unlock(t)
-				finish(resume)
-			})
-		})
-	})
+	w.sh.mu.Lock(t, w.lockedFn)
+}
+
+func (w *serverWorker) lockHeld() {
+	w.t.Kernel().RunInTask(w.t, w.sh.spec.LockCS, w.csDoneFn)
+}
+
+func (w *serverWorker) csDone() {
+	w.sh.mu.Unlock(w.t)
+	w.finish()
+}
+
+// finish records the request, then thinks (sleeps) or resumes at once.
+func (w *serverWorker) finish() {
+	sh, k := w.sh, w.t.Kernel()
+	sh.stats.Requests++
+	sh.stats.Latency.Add(k.Now() - w.start)
+	if el := k.Now() - sh.startedAt; el > sh.stats.Elapsed {
+		sh.stats.Elapsed = el
+	}
+	if sh.spec.Think > 0 {
+		k.SleepTask(w.t, w.rng.Exp(sh.spec.Think), w.resume)
+		return
+	}
+	w.resume()
 }
 
 // NewServer instantiates a server benchmark on kern. Stats gives access
@@ -123,7 +154,7 @@ func NewServer(kern *guest.Kernel, spec ServerSpec, seed uint64) (*Instance, *Se
 			until:     kern.Now() + spec.Duration,
 		}
 		for i := 0; i < spec.Threads; i++ {
-			w := &serverWorker{sh: sh, rng: sh.rng.Fork(uint64(i))}
+			w := newServerWorker(sh, sh.rng.Fork(uint64(i)))
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), w, i%len(kern.CPUs()))
 		}
 	}

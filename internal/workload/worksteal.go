@@ -35,10 +35,30 @@ type stealShared struct {
 	rng  *sim.RNG
 }
 
+// stealWorker is one thread of a work-stealing instance: a state
+// machine (lock → grab CS → unlock → chunk) whose callbacks are bound
+// once at construction.
 type stealWorker struct {
 	sh   *stealShared
 	done bool
 	rng  *sim.RNG
+
+	// The grab in progress; t and resume are the task and the kernel's
+	// step callback handed to Action.Done.
+	t      *guest.Task
+	resume func()
+	got    bool
+
+	grabFn              func(t *guest.Task, resume func()) // Action.Done
+	lockedFn, grabbedFn func()
+}
+
+func newStealWorker(sh *stealShared, rng *sim.RNG) *stealWorker {
+	w := &stealWorker{sh: sh, rng: rng}
+	w.grabFn = w.grab
+	w.lockedFn = w.locked
+	w.grabbedFn = w.grabbed
+	return w
 }
 
 // Step implements guest.Program: grab a chunk (short spinlock CS),
@@ -47,25 +67,33 @@ func (w *stealWorker) Step(t *guest.Task) guest.Action {
 	if w.done {
 		return guest.Exit()
 	}
+	return guest.RunThen(0, w.grabFn)
+}
+
+func (w *stealWorker) grab(t *guest.Task, resume func()) {
+	w.t, w.resume = t, resume
+	w.sh.lk.Lock(t, w.lockedFn)
+}
+
+func (w *stealWorker) locked() {
 	sh := w.sh
-	return guest.RunThen(0, func(t *guest.Task, resume func()) {
-		sh.lk.Lock(t, func() {
-			got := sh.pool > 0
-			if got {
-				sh.pool--
-			}
-			t.Kernel().RunInTask(t, sh.spec.GrabCS, func() {
-				sh.lk.Unlock(t)
-				if !got {
-					w.done = true
-					resume()
-					return
-				}
-				work := w.rng.Jitter(sh.spec.ChunkWork, sh.spec.Imbalance)
-				t.Kernel().RunInTask(t, work, resume)
-			})
-		})
-	})
+	w.got = sh.pool > 0
+	if w.got {
+		sh.pool--
+	}
+	w.t.Kernel().RunInTask(w.t, sh.spec.GrabCS, w.grabbedFn)
+}
+
+func (w *stealWorker) grabbed() {
+	sh := w.sh
+	sh.lk.Unlock(w.t)
+	if !w.got {
+		w.done = true
+		w.resume()
+		return
+	}
+	work := w.rng.Jitter(sh.spec.ChunkWork, sh.spec.Imbalance)
+	w.t.Kernel().RunInTask(w.t, work, w.resume)
 }
 
 // NewWorkSteal instantiates a work-stealing benchmark on kern.
@@ -83,7 +111,7 @@ func NewWorkSteal(kern *guest.Kernel, spec WorkStealSpec, seed uint64) *Instance
 			rng:  sim.NewRNG(seed ^ 0x57ea1),
 		}
 		for i := 0; i < threads; i++ {
-			w := &stealWorker{sh: sh, rng: sh.rng.Fork(uint64(i))}
+			w := newStealWorker(sh, sh.rng.Fork(uint64(i)))
 			kern.Spawn(fmt.Sprintf("%s-%d", spec.Name, i), w, i%len(kern.CPUs()))
 		}
 	}
