@@ -12,9 +12,9 @@ GO ?= go
 # count.
 BENCH_SNAPSHOT ?= BENCH_8.json
 
-.PHONY: check build vet test race bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
+.PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 
-check: build vet race examples blame watch attack scale scale-sweep why report
+check: build vet race determinism examples blame watch attack scale scale-sweep why report
 
 build:
 	$(GO) build ./...
@@ -25,10 +25,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# The expensive experiments.All determinism sweep skips under -short;
-# the race job still covers the per-figure determinism subtests.
+# -short skips the slowest oracles (claims, the sharded-vs-serial
+# tables); the race job still covers the harness's per-figure
+# serial-vs-parallel subtests and the parallel golden pass.
 race:
 	$(GO) test -race -short ./...
+
+# Full determinism oracle: experiments.All rendered serially and on 4
+# workers must match byte for byte. Too slow for tier-1, where every
+# table's parallel rendering is diffed against its serial golden
+# instead, so it sits behind the determinism build tag.
+determinism:
+	$(GO) test -tags determinism ./internal/experiments -run TestAllParallelMatchesSerial
 
 # Benchmark snapshot: the per-figure evaluation benchmarks (root
 # package) plus the engine microbenchmarks, captured as JSON for the

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// The golden corpus pins the rendered output of the cheap, fully
-// deterministic experiment tables at Runs=1, Seed=1. Any change to the
-// simulator, the scheduling strategies, the cluster layer, or the table
-// rendering that shifts a single byte fails here; when the change is
-// intentional, regenerate with:
+// The golden corpus pins the rendered output of every experiment table
+// at Runs=1, Seed=1. Any change to the simulator, the scheduling
+// strategies, the cluster layer, or the table rendering that shifts a
+// single byte fails here; when the change is intentional, regenerate
+// with:
 //
 //	go test ./internal/experiments -run TestGolden -update
 
@@ -21,15 +21,19 @@ func goldenOptions() Options {
 	return Options{Runs: 1, Seed: 1, Workers: 1}
 }
 
-func goldenIDs() []string {
-	return []string{"fig1a", "fig1b", "claims", "chaos", "cluster", "blame", "watch", "attack", "scale", "why"}
-}
-
+// TestGoldenTables renders every table once on the parallel harness
+// and diffs it against the golden, which -update writes serially: one
+// pass checks both drift and serial = parallel. The full serial-vs-
+// parallel sweep at the determinism oracle's seed runs under the
+// determinism build tag (`make determinism`).
 func TestGoldenTables(t *testing.T) {
-	for _, id := range goldenIDs() {
-		id := id
+	opt := goldenOptions()
+	if !*update {
+		opt.Workers = 4
+	}
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			tb, ok := ByID(id, goldenOptions())
+			tb, ok := ByID(id, opt)
 			if !ok {
 				t.Fatalf("unknown experiment %q", id)
 			}
@@ -55,33 +59,19 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
-func TestGoldenMatchesParallelHarness(t *testing.T) {
-	// The goldens are generated serially; the parallel harness must
-	// produce the identical bytes.
-	opt := goldenOptions()
-	opt.Workers = 4
-	for _, id := range []string{"fig1a", "cluster", "attack"} {
-		tb, _ := ByID(id, opt)
+func TestGoldenDetectsPerturbation(t *testing.T) {
+	// Sanity on the corpus itself: the pinned bytes really do depend on
+	// the simulation, not just the headers — a different seed must not
+	// match the seed-1 golden, for the cluster layer and for a paper
+	// figure alike.
+	for _, id := range []string{"cluster", "fig1a"} {
 		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 		if err != nil {
 			t.Skipf("no golden: %v", err)
 		}
-		if tb.String() != string(want) {
-			t.Errorf("%s: parallel harness output differs from serial golden", id)
+		tb, _ := ByID(id, Options{Runs: 1, Seed: 99, Workers: 1})
+		if tb.String() == string(want) {
+			t.Fatalf("seed-99 %s table matches the seed-1 golden; corpus pins nothing", id)
 		}
-	}
-}
-
-func TestGoldenDetectsPerturbation(t *testing.T) {
-	// Sanity on the corpus itself: the pinned bytes really do depend on
-	// the simulation, not just the headers — a different seed must not
-	// match the seed-1 golden.
-	want, err := os.ReadFile(filepath.Join("testdata", "cluster.golden"))
-	if err != nil {
-		t.Skipf("no golden: %v", err)
-	}
-	tb, _ := ByID("cluster", Options{Runs: 1, Seed: 99, Workers: 1})
-	if tb.String() == string(want) {
-		t.Fatal("seed-99 cluster table matches the seed-1 golden; corpus pins nothing")
 	}
 }

@@ -59,25 +59,3 @@ func TestParallelMatchesSerial(t *testing.T) {
 		})
 	}
 }
-
-// TestAllParallelMatchesSerial runs the full paper-figure set both ways
-// and compares the concatenated renderings byte for byte. Expensive
-// (about two serial `irsim -runs 1 all` passes), so -short skips it;
-// the subset test above covers every job shape on every run.
-func TestAllParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping full experiments.All determinism sweep in -short mode")
-	}
-	render := func(tables []Table) string {
-		var s string
-		for _, tb := range tables {
-			s += tb.String() + "\n"
-		}
-		return s
-	}
-	serial := render(All(detOpt(1)))
-	par := render(All(detOpt(4)))
-	if par != serial {
-		t.Errorf("experiments.All parallel output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
-	}
-}
