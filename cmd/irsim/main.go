@@ -137,7 +137,7 @@ func attackGate(list string, expect float64, seed uint64, workers int, stdout, s
 	errs := make([]error, len(outs))
 	fns := make([]func(), len(outs))
 	for i := range fns {
-		i, spec, d := i, specs[i/len(defenses)], defenses[i%len(defenses)]
+		spec, d := specs[i/len(defenses)], defenses[i%len(defenses)]
 		fns[i] = func() { outs[i], errs[i] = experiments.RunAttack(spec, d, seed) }
 	}
 	experiments.ParallelDo(workers, fns)

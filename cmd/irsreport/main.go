@@ -127,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outs := make([]reportOut, len(strategies))
 	fns := make([]func(), len(strategies))
 	for i, strat := range strategies {
-		i, strat := i, strat
 		fns[i] = func() { outs[i].err = report(&outs[i].out, &outs[i].errOut, &cfg, strat) }
 	}
 	experiments.ParallelDo(*workers, fns)

@@ -98,10 +98,9 @@ const DefaultLookahead = 250 * sim.Microsecond
 type Config struct {
 	Hosts        int
 	PCPUsPerHost int
-	// Strategy is the per-host hypervisor scheduling strategy.
+	// Strategy is the per-host hypervisor scheduling strategy. Under
+	// StrategyIRS every guest is SA-capable.
 	Strategy hypervisor.Strategy
-	// IRS makes guests SA-capable (effective with StrategyIRS).
-	IRS bool
 	// Policy selects the placement policy.
 	Policy Policy
 	// Overcommit bounds committed vCPUs per host at
@@ -678,7 +677,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.checker.AuditAt(c.sh.Now())
 		})
 		for _, h := range c.hosts {
-			h := h
 			h.checker = invariant.New(cfg.AuditInterval)
 			h.checker.Observe(h.HV)
 			h.checker.Attach(h.eng)
@@ -713,7 +711,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	sort.SliceStable(handles, func(a, b int) bool { return handles[a].Spec.ArriveAt < handles[b].Spec.ArriveAt })
 	for _, hd := range handles {
-		hd := hd
 		c.vms = append(c.vms, hd)
 		if hd.Spec.Kind == KindServer {
 			c.servers = append(c.servers, hd)
@@ -741,7 +738,6 @@ func New(cfg Config) (*Cluster, error) {
 	// without them keep the exact barrier-task sequence (and therefore
 	// byte-identical output) of the pre-zone cluster.
 	for _, o := range cfg.ZoneOutages {
-		o := o
 		z := c.zones[o.Zone]
 		c.sh.AtBarrier(o.At, "zone-outage-"+z.name, func() { c.startZoneOutage(z, o.For) })
 		c.sh.AtBarrier(o.At+o.For, "zone-restore-"+z.name, func() { c.endZoneOutage(z) })
@@ -903,7 +899,7 @@ func (c *Cluster) admit(hd *VMHandle) {
 // new VM's scheduler state (migration restore path). Barrier context.
 func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 	cfg := c.cfg
-	saCapable := cfg.Strategy == hypervisor.StrategyIRS && cfg.IRS
+	saCapable := cfg.Strategy == hypervisor.StrategyIRS
 	vm := host.HV.NewVM(hd.instName(), hd.Spec.VCPUs, hd.Spec.Weight, saCapable)
 	sig := resolveSignal(host.Reg, vm)
 	host.signals = append(host.signals, sig)

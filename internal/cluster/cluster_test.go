@@ -70,7 +70,6 @@ func TestInterferenceAwarePlusIRSBeatsFirstFit(t *testing.T) {
 	ia := shortConfig()
 	ia.Policy = InterferenceAware
 	ia.Strategy = hypervisor.StrategyIRS
-	ia.IRS = true
 	ia.Migration = true
 	full := mustRun(t, ia)
 
@@ -126,7 +125,6 @@ func TestClusterChaosMigratesWithoutViolations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = InterferenceAware
 	cfg.Strategy = hypervisor.StrategyIRS
-	cfg.IRS = true
 	cfg.Migration = true
 	cfg.Invariants = true
 	cfg.Faults = fault.LossPlan(0.10)

@@ -18,7 +18,6 @@ func TestClusterSpansConserveAcrossMigrations(t *testing.T) {
 	cfg.Duration = 4 * sim.Second
 	cfg.Drain = 1 * sim.Second
 	cfg.Strategy = hypervisor.StrategyIRS
-	cfg.IRS = true
 	cfg.Policy = InterferenceAware
 	cfg.Migration = true
 	cfg.Invariants = true

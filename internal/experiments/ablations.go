@@ -22,10 +22,8 @@ import (
 //                   how acquisition-order guarantees amplify LWP.
 //   - ab-spinblock: the adaptive pre-sleep spin budget vs PLE.
 
-// AblationIRSPull compares IRS with and without the §6 pull mechanism
+// ablationIRSPull compares IRS with and without the §6 pull mechanism
 // on a blocking, barrier-heavy workload.
-func AblationIRSPull(opt Options) Table { return runFigure(opt, ablationIRSPull) }
-
 func ablationIRSPull(h *harness) Table {
 	bench, _ := workload.ByName("streamcluster")
 	rows := [][]string{}
@@ -85,17 +83,15 @@ func pullPoint(bench workload.Benchmark, strat core.Strategy, irsPull bool, inte
 	return res.VM("fg").Runtime.Seconds()
 }
 
-// AblationSALimit sweeps the SA completion hard limit. Too small and
-// activations expire before the guest can respond (IRS degrades to
-// vanilla); the paper's 20-26µs handling cost suggests anything beyond
-// ~50µs suffices.
-func AblationSALimit(opt Options) Table { return runFigure(opt, ablationSALimit) }
-
 // salimitOut is one IRS data point of the SA-limit sweep.
 type salimitOut struct {
 	rt, expired float64
 }
 
+// ablationSALimit sweeps the SA completion hard limit. Too small and
+// activations expire before the guest can respond (IRS degrades to
+// vanilla); the paper's 20-26µs handling cost suggests anything beyond
+// ~50µs suffices.
 func ablationSALimit(h *harness) Table {
 	opt := h.opt
 	bench, _ := workload.ByName("streamcluster")
@@ -104,11 +100,10 @@ func ablationSALimit(h *harness) Table {
 		100 * sim.Microsecond, 1 * sim.Millisecond,
 	}
 	base := jobAs(h, "absalimit|vanilla", func() float64 {
-		return salimitPoint(opt, bench, 0, 0) // vanilla baseline
+		return salimitPoint(opt, bench) // vanilla baseline
 	})
 	rows := [][]string{}
 	for _, lim := range limits {
-		lim := lim
 		out := jobAs(h, fmt.Sprintf("absalimit|%s", lim), func() salimitOut {
 			rt, expired := salimitPointIRS(opt, bench, lim)
 			return salimitOut{rt: rt, expired: expired}
@@ -127,7 +122,7 @@ func ablationSALimit(h *harness) Table {
 	}
 }
 
-func salimitPoint(opt Options, bench workload.Benchmark, _ sim.Time, _ int) float64 {
+func salimitPoint(opt Options, bench workload.Benchmark) float64 {
 	var rts []float64
 	for i := 0; i < opt.Runs; i++ {
 		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
@@ -164,12 +159,10 @@ func salimitPointIRS(opt Options, bench workload.Benchmark, limit sim.Time) (flo
 	return obs.Summarize(rts).Mean, obs.Summarize(exp).Mean
 }
 
-// AblationTicketLock compares TAS and ticket spinlocks for a
+// ablationTicketLock compares TAS and ticket spinlocks for a
 // lock-heavy spinning workload under interference: FIFO handoff to a
 // preempted waiter stalls the lock for everyone (the LWP pathology the
 // preemptable-ticket-spinlock literature attacks [24]).
-func AblationTicketLock(opt Options) Table { return runFigure(opt, ablationTicketLock) }
-
 func ablationTicketLock(h *harness) Table {
 	rows := [][]string{}
 	// A lock-bound kernel: critical sections cover roughly half the
@@ -240,10 +233,8 @@ func ticketPoint(opt Options, spec workload.ParallelSpec, ticket bool, inter int
 	return obs.Summarize(rts).Mean
 }
 
-// AblationSpinBlock sweeps the adaptive pre-sleep spin budget of
+// ablationSpinBlock sweeps the adaptive pre-sleep spin budget of
 // blocking primitives and shows its interaction with PLE.
-func AblationSpinBlock(opt Options) Table { return runFigure(opt, ablationSpinBlock) }
-
 func ablationSpinBlock(h *harness) Table {
 	bench, _ := workload.ByName("vips")
 	budgets := []sim.Time{0, 20 * sim.Microsecond, 40 * sim.Microsecond, 120 * sim.Microsecond}
@@ -293,12 +284,10 @@ func spinBlockPoint(opt Options, bench workload.Benchmark, strat core.Strategy, 
 	return obs.Summarize(rts).Mean
 }
 
-// AblationStrictCo contrasts ESX 2.x-style strict co-scheduling (§2.1)
+// ablationStrictCo contrasts ESX 2.x-style strict co-scheduling (§2.1)
 // with vanilla and IRS: gang slots eliminate LHP/LWP entirely, but a
 // blocking workload's idle waiters waste their reserved pCPUs (CPU
 // fragmentation), and the rigid rotation caps the VM at its slot share.
-func AblationStrictCo(opt Options) Table { return runFigure(opt, ablationStrictCo) }
-
 func ablationStrictCo(h *harness) Table {
 	rows := [][]string{}
 	for _, c := range []struct {

@@ -225,16 +225,8 @@ func AttackRow(o AttackOutcome) []string {
 	}
 }
 
-// attackCellOut is one rendered cell (or its error).
-type attackCellOut struct {
-	row    []string
-	errStr string
-}
-
-// Attack runs the attacker × defense matrix and reports the theft and
+// attackTable runs the attacker × defense matrix and reports the theft and
 // defense table (the adversarial-tenant experiment).
-func Attack(opt Options) Table { return runFigure(opt, attackTable) }
-
 func attackTable(h *harness) Table {
 	t := Table{
 		ID:      "attack",
@@ -244,21 +236,16 @@ func attackTable(h *harness) Table {
 	seed := h.opt.Seed
 	for _, spec := range AttackAttackers() {
 		for _, d := range AttackDefenses() {
-			spec, d := spec, d
 			key := fmt.Sprintf("attack|%s|%s", spec.String(), d.Name)
-			out := jobAs(h, key, func() attackCellOut {
+			row, err := tryJob(h, key, func() ([]string, error) {
 				o, err := RunAttack(spec, d, seed)
 				if err != nil {
-					return attackCellOut{errStr: err.Error()}
+					return nil, err
 				}
-				return attackCellOut{row: AttackRow(o)}
+				return AttackRow(o), nil
 			})
-			if out.errStr != "" {
-				h.opt.Logf("attack: %s/%s: %s", spec.Kind, d.Name, out.errStr)
-				continue
-			}
-			if out.row != nil {
-				t.Rows = append(t.Rows, out.row)
+			if err == nil {
+				t.Rows = append(t.Rows, row)
 			}
 		}
 	}

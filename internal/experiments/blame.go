@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -75,16 +76,8 @@ func BlameRun(strat core.Strategy, seed uint64, duration, arrival sim.Time) ([]*
 	return tr.Finished(), nil
 }
 
-// Blame runs the bully workload under each strategy and reports the
+// blameTable runs the bully workload under each strategy and reports the
 // p99-cohort latency blame breakdown.
-func Blame(opt Options) Table { return runFigure(opt, blameTable) }
-
-// blameRowOut is one rendered strategy cell.
-type blameRowOut struct {
-	row    []string
-	errStr string
-}
-
 func blameTable(h *harness) Table {
 	t := Table{
 		ID:    "blame",
@@ -94,16 +87,11 @@ func blameTable(h *harness) Table {
 	}
 	seed, runs := h.opt.Seed, h.opt.Runs
 	for _, strat := range BlameStrategies() {
-		strat := strat
-		out := jobAs(h, "blame|"+strat.String(), func() blameRowOut {
+		row, err := tryJob(h, "blame|"+strat.String(), func() ([]string, error) {
 			return blameCell(strat, seed, runs)
 		})
-		if out.errStr != "" {
-			h.opt.Logf("blame: %s: %s", strat, out.errStr)
-			continue
-		}
-		if out.row != nil {
-			t.Rows = append(t.Rows, out.row)
+		if err == nil {
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
@@ -113,13 +101,13 @@ func blameTable(h *harness) Table {
 // sketches (the mergeable-quantile path a scrape pipeline would use),
 // and analyzes the pooled spans. Pure function of its arguments; safe
 // on worker goroutines.
-func blameCell(strat core.Strategy, seed uint64, runs int) blameRowOut {
+func blameCell(strat core.Strategy, seed uint64, runs int) ([]string, error) {
 	var all []*span.Span
 	wall := obs.NewSketch(obs.DefaultSketchAlpha)
 	for i := 0; i < runs; i++ {
 		spans, err := BlameRun(strat, seed+uint64(i)*7919, DefaultBlameDuration, DefaultBlameArrival)
 		if err != nil {
-			return blameRowOut{errStr: err.Error()}
+			return nil, err
 		}
 		runWall := obs.NewSketch(obs.DefaultSketchAlpha)
 		for _, sp := range spans {
@@ -131,14 +119,14 @@ func blameCell(strat core.Strategy, seed uint64, runs int) blameRowOut {
 	an := span.Analyze(all, obs.DefaultSketchAlpha)
 	p99 := an.Band("p99")
 	if p99 == nil {
-		return blameRowOut{errStr: "no finished requests"}
+		return nil, errors.New("no finished requests")
 	}
 	top := "-"
 	if len(p99.Shares) > 0 {
 		s := p99.Shares[0]
 		top = fmt.Sprintf("%s %.1f%%", s.Cat, s.Share*100)
 	}
-	return blameRowOut{row: []string{
+	return []string{
 		strat.String(),
 		fmt.Sprintf("%d", an.Requests),
 		fmtLatency(wall.Percentile(50)),
@@ -149,7 +137,7 @@ func blameCell(strat core.Strategy, seed uint64, runs int) blameRowOut {
 		fmtShare(p99.Share(span.CatLHPSpin)),
 		top,
 		fmt.Sprintf("%d", an.Violations),
-	}}
+	}, nil
 }
 
 // fmtShare renders a [0,1] fraction as a percentage.

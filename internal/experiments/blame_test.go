@@ -15,7 +15,6 @@ import (
 // by construction; the tolerance only documents the acceptance bound).
 func TestBlameConservation(t *testing.T) {
 	for _, strat := range BlameStrategies() {
-		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			spans, err := BlameRun(strat, 1, DefaultBlameDuration/4, DefaultBlameArrival)
 			if err != nil {

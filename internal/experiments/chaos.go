@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -81,22 +82,13 @@ func chaosScenario(seed uint64, rate float64, v chaosVariant, reg *obs.Registry)
 	return scn, true
 }
 
-// Chaos sweeps vIRQ/hypercall fault rates across the scheduling
+// chaos sweeps vIRQ/hypercall fault rates across the scheduling
 // strategies and reports what each run injected, recovered, and — per
 // the invariant checker — whether consistency ever broke. The
 // robustness claim the table supports: faults cost hardened IRS
 // throughput, never correctness, while unhardened runs stall outright
 // once wakeup loss strands an idle vCPU ("stalled" rows hit the
 // horizon with the benchmark unfinished).
-func Chaos(opt Options) Table { return runFigure(opt, chaos) }
-
-// chaosRowOut is one rate×variant cell, rendered on the worker; errStr
-// is set when the run produced no result at all.
-type chaosRowOut struct {
-	row    []string
-	errStr string
-}
-
 func chaos(h *harness) Table {
 	t := Table{
 		ID:    "chaos",
@@ -110,33 +102,29 @@ func chaos(h *harness) Table {
 	seed := h.opt.Seed
 	for _, rate := range chaosRates() {
 		for _, v := range chaosVariants() {
-			rate, v := rate, v
-			out := jobAs(h, fmt.Sprintf("chaos|%.2f|%s", rate, v.name), func() chaosRowOut {
+			row, err := tryJob(h, fmt.Sprintf("chaos|%.2f|%s", rate, v.name), func() ([]string, error) {
 				return chaosCell(seed, rate, v)
 			})
-			if out.errStr != "" {
-				h.opt.Logf("chaos: %s @ %.0f%%: %s", v.name, rate*100, out.errStr)
-				continue
-			}
-			if out.row != nil {
-				t.Rows = append(t.Rows, out.row)
+			if err == nil {
+				t.Rows = append(t.Rows, row)
 			}
 		}
 	}
 	return t
 }
 
-// chaosCell executes one rate×variant run and renders its row. Pure
-// function of its arguments; safe on worker goroutines.
-func chaosCell(seed uint64, rate float64, v chaosVariant) chaosRowOut {
+// chaosCell executes one rate×variant run and renders its row; it fails
+// only when the run produced no result at all (a stalled run still
+// renders). Pure function of its arguments; safe on worker goroutines.
+func chaosCell(seed uint64, rate float64, v chaosVariant) ([]string, error) {
 	reg := obs.NewRegistry()
 	scn, ok := chaosScenario(seed, rate, v, reg)
 	if !ok {
-		return chaosRowOut{errStr: "benchmark unavailable"}
+		return nil, errors.New("benchmark unavailable")
 	}
 	res, err := core.Run(scn)
 	if res == nil {
-		return chaosRowOut{errStr: fmt.Sprintf("%v", err)}
+		return nil, err
 	}
 	runtime := "stalled"
 	if err == nil {
@@ -144,7 +132,7 @@ func chaosCell(seed uint64, rate float64, v chaosVariant) chaosRowOut {
 	}
 	k := res.VM("fg").Kernel
 	recovered := k.SADupSuppressed + k.MigratorRetried + k.WakePollRecoveries
-	return chaosRowOut{row: []string{
+	return []string{
 		fmt.Sprintf("%.0f%%", rate*100),
 		v.name,
 		runtime,
@@ -153,5 +141,5 @@ func chaosCell(seed uint64, rate float64, v chaosVariant) chaosRowOut {
 		fmt.Sprintf("%d", recovered),
 		fmt.Sprintf("%d", res.FaultsInjected),
 		fmt.Sprintf("%d", res.Violations),
-	}}
+	}, nil
 }

@@ -23,6 +23,7 @@ func chaosRunOne(t *testing.T, idx int, rate float64) (*core.Result, error) {
 // Identical seed + plan must reproduce byte-identical exports: the
 // injector's forked RNG streams keep chaos runs fully deterministic.
 func TestChaosDeterministicExports(t *testing.T) {
+	t.Parallel()
 	run := func() (string, string) {
 		reg := obs.NewRegistry()
 		scn, ok := chaosScenario(1, 0.10, chaosVariants()[4], reg) // irs-hardened

@@ -61,8 +61,10 @@ func Claims() []Claim {
 			Section:   "§2.3 Fig 2",
 			Statement: "Under interference, blocking workloads use well below their fair CPU share (deceptive idleness); raytrace stays near full share.",
 			Check: func(h *harness) (string, bool) {
-				sc := utilizationOfJob(h, "streamcluster", 0)
-				rt := utilizationOfJob(h, "raytrace", 0)
+				scb, _ := workload.ByName("streamcluster")
+				rtb, _ := workload.ByName("raytrace")
+				sc, _ := fig2Run(h, scb, 0, 0)
+				rt, _ := fig2Run(h, rtb, 0, 0)
 				return fmt.Sprintf("streamcluster %.2f, raytrace %.2f", sc, rt),
 					sc < 0.75 && rt > 0.8
 			},
@@ -161,7 +163,7 @@ func Claims() []Claim {
 			Statement: "SA processing adds only 20-26µs to each hypervisor preemption — negligible against ms-scale scheduling quanta.",
 			Check: func(h *harness) (string, bool) {
 				seed := h.opt.Seed
-				out := jobAs(h, "c12", func() claimRunOut {
+				us, err := tryJob(h, "c12", func() (float64, error) {
 					b, _ := workload.ByName("streamcluster")
 					fg := core.BenchmarkVM("fg", b, 0, 4, core.SeqPins(0, 4))
 					fg.IRS = true
@@ -170,14 +172,13 @@ func Claims() []Claim {
 						VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
 					})
 					if err != nil {
-						return claimRunOut{errStr: err.Error()}
+						return 0, err
 					}
-					return claimRunOut{val: res.SAMeanDelay.Microseconds()}
+					return res.SAMeanDelay.Microseconds(), nil
 				})
-				if out.errStr != "" {
-					return out.errStr, false
+				if err != nil {
+					return err.Error(), false
 				}
-				us := out.val
 				return fmt.Sprintf("mean %.0fµs", us), us >= 10 && us <= 40
 			},
 		},
@@ -187,7 +188,7 @@ func Claims() []Claim {
 			Statement: "IRS does not compromise fairness: the foreground VM's CPU consumption never exceeds its fair share.",
 			Check: func(h *harness) (string, bool) {
 				seed := h.opt.Seed
-				out := jobAs(h, "c13", func() claimRunOut {
+				util, err := tryJob(h, "c13", func() (float64, error) {
 					b, _ := workload.ByName("UA")
 					fg := core.BenchmarkVM("fg", b, workload.SyncSpinning, 4, core.SeqPins(0, 4))
 					fg.IRS = true
@@ -196,16 +197,16 @@ func Claims() []Claim {
 						VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
 					})
 					if err != nil {
-						return claimRunOut{errStr: err.Error()}
+						return 0, err
 					}
 					// Fair share: 2 shared pCPUs (1/2 each) + 2 exclusive.
 					fair := res.Elapsed + 2*res.Elapsed
-					return claimRunOut{val: core.Utilization(res, "fg", fair)}
+					return core.Utilization(res, "fg", fair), nil
 				})
-				if out.errStr != "" {
-					return out.errStr, false
+				if err != nil {
+					return err.Error(), false
 				}
-				return fmt.Sprintf("utilization %.2f of fair share", out.val), out.val <= 1.02
+				return fmt.Sprintf("utilization %.2f of fair share", util), util <= 1.02
 			},
 		},
 		{
@@ -301,42 +302,10 @@ func slowdownOf(h *harness, name string, mode workload.SyncMode) float64 {
 	return inter.fgRuntime / alone.fgRuntime
 }
 
-// claimRunOut carries one claim measurement out of a worker; errStr is
-// non-empty when the underlying run failed (job results must be plain
-// data — Logf and error rendering happen during assembly).
-type claimRunOut struct {
-	val    float64
-	errStr string
-}
-
-// utilizationOfJob wraps utilizationOf as a harness job.
-func utilizationOfJob(h *harness, name string, mode workload.SyncMode) float64 {
-	opt := h.opt
-	return jobAs(h, fmt.Sprintf("util|%s|%d", name, mode), func() float64 {
-		return utilizationOf(opt, name, mode)
-	})
-}
-
-// utilizationOf measures fair-share utilization with one hog.
-func utilizationOf(opt Options, name string, mode workload.SyncMode) float64 {
-	b, ok := workload.ByName(name)
-	if !ok {
-		return 0
-	}
-	res, err := core.Run(fig2Scenario(b, mode, opt.Seed))
-	if err != nil {
-		return 0
-	}
-	fair := res.Elapsed/2 + 3*res.Elapsed
-	return core.Utilization(res, "fg", fair)
-}
-
-// EvaluateClaims runs every claim and renders the verdict table. Claim
+// evaluateClaims runs every claim and renders the verdict table. Claim
 // checks are deterministic builders: the set of simulations they request
 // never depends on measured values, so the parallel harness can collect
 // the full job matrix up front and fan it out.
-func EvaluateClaims(opt Options) Table { return runFigure(opt, evaluateClaims) }
-
 func evaluateClaims(h *harness) Table {
 	var rows [][]string
 	for _, c := range Claims() {

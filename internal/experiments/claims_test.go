@@ -11,7 +11,6 @@ func TestPaperClaims(t *testing.T) {
 	}
 	h := newHarness(Options{Runs: 1, Seed: 1})
 	for _, c := range Claims() {
-		c := c
 		t.Run(c.ID, func(t *testing.T) {
 			got, ok := c.Check(h)
 			if !ok {

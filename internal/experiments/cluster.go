@@ -19,7 +19,6 @@ type ClusterVariant struct {
 	Name      string
 	Policy    cluster.Policy
 	Strategy  hypervisor.Strategy
-	IRS       bool
 	Migration bool
 	Chaos     bool
 }
@@ -33,8 +32,8 @@ func ClusterVariants() []ClusterVariant {
 		{Name: "first-fit", Policy: cluster.FirstFit, Strategy: hypervisor.StrategyVanilla},
 		{Name: "least-loaded", Policy: cluster.LeastLoaded, Strategy: hypervisor.StrategyVanilla},
 		{Name: "ia", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyVanilla, Migration: true},
-		{Name: "ia+irs", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, IRS: true, Migration: true},
-		{Name: "ia+irs+chaos", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, IRS: true, Migration: true, Chaos: true},
+		{Name: "ia+irs", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, Migration: true},
+		{Name: "ia+irs+chaos", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, Migration: true, Chaos: true},
 	}
 }
 
@@ -46,7 +45,6 @@ func ClusterConfig(v ClusterVariant, seed uint64) cluster.Config {
 	cfg.Seed = seed
 	cfg.Policy = v.Policy
 	cfg.Strategy = v.Strategy
-	cfg.IRS = v.IRS
 	cfg.Migration = v.Migration
 	cfg.Invariants = true
 	if v.Chaos {
@@ -70,19 +68,11 @@ func ClusterConfig(v ClusterVariant, seed uint64) cluster.Config {
 	return cfg
 }
 
-// Cluster runs the multi-host consolidation experiment: the same VM
+// clusterTable runs the multi-host consolidation experiment: the same VM
 // arrival mix and request stream under each placement/scheduling
 // variant. The claim the table supports: interference-aware placement
 // plus IRS beats first-fit on tail latency and SLO-violation rate, and
 // stays invariant-clean even while live-migrating under chaos.
-func Cluster(opt Options) Table { return runFigure(opt, clusterTable) }
-
-// clusterRowOut is one rendered variant cell.
-type clusterRowOut struct {
-	row    []string
-	errStr string
-}
-
 func clusterTable(h *harness) Table {
 	t := Table{
 		ID:    "cluster",
@@ -92,16 +82,11 @@ func clusterTable(h *harness) Table {
 	}
 	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
 	for _, v := range ClusterVariants() {
-		v := v
-		out := jobAs(h, "cluster|"+v.Name, func() clusterRowOut {
+		row, err := tryJob(h, "cluster|"+v.Name, func() ([]string, error) {
 			return clusterCell(v, seed, shards, la)
 		})
-		if out.errStr != "" {
-			h.opt.Logf("cluster: %s: %s", v.Name, out.errStr)
-			continue
-		}
-		if out.row != nil {
-			t.Rows = append(t.Rows, out.row)
+		if err == nil {
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
@@ -109,19 +94,19 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) clusterRowOut {
+func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
 	cfg := ClusterConfig(v, seed)
 	cfg.Shards = shards
 	cfg.Lookahead = lookahead
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return clusterRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	res, err := c.Run()
 	if err != nil {
-		return clusterRowOut{errStr: err.Error()}
+		return nil, err
 	}
-	return clusterRowOut{row: []string{
+	return []string{
 		v.Name,
 		fmt.Sprintf("%d/%d", res.Served, res.Generated),
 		fmtLatency(res.P50),
@@ -132,7 +117,7 @@ func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) 
 		fmt.Sprintf("%d", res.Blackouts),
 		fmt.Sprintf("%d", res.FaultsInjected),
 		fmt.Sprintf("%d", res.Violations),
-	}}
+	}, nil
 }
 
 // fmtLatency renders a latency in milliseconds.

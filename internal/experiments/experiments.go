@@ -1,13 +1,14 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (§5). Each FigNN function runs the corresponding
-// scenario matrix on the simulator and returns a Table with the same
-// rows/series the paper plots. EXPERIMENTS.md records paper-vs-measured
+// paper's evaluation (§5). Each registered experiment (ByID, IDs) runs
+// the corresponding scenario matrix on the simulator and returns a
+// Table with the same rows/series the paper plots. EXPERIMENTS.md records paper-vs-measured
 // values.
 package experiments
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -204,16 +205,9 @@ func newHarness(opt Options) *harness {
 }
 
 func (h *harness) key(s setup) string {
-	return fmt.Sprintf("%d|%d|%s|%d|%s|%d|%d|%d|%d|%v",
+	return fmt.Sprintf("%d|%d|%s|%d|%s|%d|%s|%d|%d|%v",
 		s.pcpus, s.fgVCPUs, s.bench.Name, s.mode, s.strat,
-		s.inter.kind, interName(s.inter), s.inter.level, s.inter.vms, s.unpinned)
-}
-
-func interName(i interference) int {
-	if i.kind == interBench {
-		return int(i.bench.Name[0])<<8 | int(i.bench.Name[len(i.bench.Name)-1])
-	}
-	return 0
+		s.inter.kind, s.inter.bench.Name, s.inter.level, s.inter.vms, s.unpinned)
 }
 
 // runOutcome is the raw result of one simulated run of a setup; it is
@@ -357,83 +351,76 @@ func WeightedSpeedup(fg, bg float64) float64 { return (fg + bg) / 2 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// All runs every experiment and returns the tables in paper order.
+// experiment is one registered table: its canonical ID, the aliases
+// ByID also accepts, and the builder the harness runs.
+type experiment struct {
+	id      string
+	aliases []string
+	build   func(*harness) Table
+}
+
+// registry lists every experiment in `irsim list` order: the paper's
+// figures, fig1a through sadelay (what All runs), then the ablations
+// and the tables this reproduction adds.
+var registry = []experiment{
+	{id: "fig1a", build: fig1a},
+	{id: "fig1b", build: fig1b},
+	{id: "fig2", build: fig2},
+	{id: "fig5", build: fig5},
+	{id: "fig6", build: fig6},
+	{id: "fig7", build: fig7},
+	{id: "fig8", build: fig8},
+	{id: "fig9", build: fig9},
+	{id: "fig10", build: fig10},
+	{id: "fig11", build: fig11},
+	{id: "fig12", build: fig12},
+	{id: "fig13", build: fig13},
+	{id: "sadelay", aliases: []string{"sa", "tab-sa"}, build: saDelay},
+	{id: "ab-pull", build: ablationIRSPull},
+	{id: "ab-salimit", build: ablationSALimit},
+	{id: "ab-ticket", build: ablationTicketLock},
+	{id: "ab-spinblock", build: ablationSpinBlock},
+	{id: "ab-strictco", build: ablationStrictCo},
+	{id: "claims", build: evaluateClaims},
+	{id: "obs", aliases: []string{"obs-counters"}, build: obsCounters},
+	{id: "chaos", build: chaos},
+	{id: "cluster", build: clusterTable},
+	{id: "blame", build: blameTable},
+	{id: "watch", build: watchTable},
+	{id: "attack", build: attackTable},
+	{id: "scale", build: scaleTable},
+	{id: "why", build: whyTable},
+}
+
+// All runs the paper's figures, fig1a through sadelay, in paper order.
 func All(opt Options) []Table {
-	return []Table{
-		Fig1a(opt), Fig1b(opt), Fig2(opt),
-		Fig5(opt), Fig6(opt), Fig7(opt), Fig8(opt), Fig9(opt),
-		Fig10(opt), Fig11(opt), Fig12(opt), Fig13(opt),
-		SADelay(opt),
+	var tables []Table
+	for _, e := range registry {
+		tables = append(tables, runFigure(opt, e.build))
+		if e.id == "sadelay" {
+			break
+		}
 	}
+	return tables
 }
 
-// ByID runs a single experiment by its table ID.
+// ByID runs a single experiment by its table ID or one of its aliases
+// (case-insensitive).
 func ByID(id string, opt Options) (Table, bool) {
-	switch strings.ToLower(id) {
-	case "fig1a":
-		return Fig1a(opt), true
-	case "fig1b":
-		return Fig1b(opt), true
-	case "fig2":
-		return Fig2(opt), true
-	case "fig5":
-		return Fig5(opt), true
-	case "fig6":
-		return Fig6(opt), true
-	case "fig7":
-		return Fig7(opt), true
-	case "fig8":
-		return Fig8(opt), true
-	case "fig9":
-		return Fig9(opt), true
-	case "fig10":
-		return Fig10(opt), true
-	case "fig11":
-		return Fig11(opt), true
-	case "fig12":
-		return Fig12(opt), true
-	case "fig13":
-		return Fig13(opt), true
-	case "sa", "tab-sa", "sadelay":
-		return SADelay(opt), true
-	case "ab-pull":
-		return AblationIRSPull(opt), true
-	case "ab-salimit":
-		return AblationSALimit(opt), true
-	case "ab-ticket":
-		return AblationTicketLock(opt), true
-	case "ab-spinblock":
-		return AblationSpinBlock(opt), true
-	case "ab-strictco":
-		return AblationStrictCo(opt), true
-	case "claims":
-		return EvaluateClaims(opt), true
-	case "obs", "obs-counters":
-		return ObsCounters(opt), true
-	case "chaos":
-		return Chaos(opt), true
-	case "cluster":
-		return Cluster(opt), true
-	case "blame":
-		return Blame(opt), true
-	case "watch":
-		return Watch(opt), true
-	case "attack":
-		return Attack(opt), true
-	case "scale":
-		return Scale(opt), true
-	case "why":
-		return Why(opt), true
-	default:
-		return Table{}, false
+	id = strings.ToLower(id)
+	for _, e := range registry {
+		if e.id == id || slices.Contains(e.aliases, id) {
+			return runFigure(opt, e.build), true
+		}
 	}
+	return Table{}, false
 }
 
-// IDs lists all experiment identifiers (paper figures first, then the
-// ablations this reproduction adds).
+// IDs lists every experiment's canonical ID in registry order.
 func IDs() []string {
-	return []string{"fig1a", "fig1b", "fig2", "fig5", "fig6", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "sadelay",
-		"ab-pull", "ab-salimit", "ab-ticket", "ab-spinblock", "ab-strictco",
-		"claims", "obs", "chaos", "cluster", "blame", "watch", "attack", "scale", "why"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }

@@ -32,21 +32,38 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// mustTable runs one registered experiment.
+func mustTable(t *testing.T, id string, opt Options) Table {
+	t.Helper()
+	tb, ok := ByID(id, opt)
+	if !ok {
+		t.Fatalf("unknown experiment %q", id)
+	}
+	return tb
+}
+
 func TestIDsAllResolve(t *testing.T) {
-	// Only checks registration, not execution (the heavy figures run in
-	// the bench harness).
-	for _, id := range IDs() {
-		if id == "" {
-			t.Fatal("empty id")
+	// Only checks registration, not execution (TestGoldenTables runs
+	// every table).
+	seen := map[string]bool{}
+	for _, e := range registry {
+		for _, id := range append([]string{e.id}, e.aliases...) {
+			if id == "" || seen[id] {
+				t.Fatalf("empty or duplicate id %q", id)
+			}
+			seen[id] = true
 		}
 	}
 	if _, ok := ByID("nope", fastOpts()); ok {
 		t.Fatal("bogus id resolved")
 	}
+	if tb, ok := ByID("TAB-SA", fastOpts()); !ok || tb.ID != "sadelay" {
+		t.Fatalf("alias TAB-SA resolved to %q (ok %v), want sadelay", tb.ID, ok)
+	}
 }
 
 func TestFig1aShape(t *testing.T) {
-	tb := Fig1a(fastOpts())
+	tb := mustTable(t, "fig1a", fastOpts())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("fig1a rows = %d, want 3", len(tb.Rows))
 	}
@@ -75,7 +92,7 @@ func TestFig1aShape(t *testing.T) {
 }
 
 func TestFig1bStaircase(t *testing.T) {
-	tb := Fig1b(fastOpts())
+	tb := mustTable(t, "fig1b", fastOpts())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("fig1b rows = %d", len(tb.Rows))
 	}
@@ -103,7 +120,7 @@ func TestFig1bStaircase(t *testing.T) {
 }
 
 func TestSADelayInPaperRange(t *testing.T) {
-	tb := SADelay(fastOpts())
+	tb := mustTable(t, "sadelay", fastOpts())
 	var mean string
 	for _, r := range tb.Rows {
 		if r[0] == "mean SA delay" {

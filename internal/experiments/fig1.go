@@ -10,11 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig1a reproduces Figure 1(a): the slowdown of ua (spinning),
+// fig1a reproduces Figure 1(a): the slowdown of ua (spinning),
 // raytrace (user-level work stealing) and fluidanimate (blocking) in a
 // 4-vCPU VM with one interfered vCPU, relative to running alone.
-func Fig1a(opt Options) Table { return runFigure(opt, fig1a) }
-
 func fig1a(h *harness) Table {
 	rows := [][]string{}
 	cases := []struct {
@@ -48,12 +46,10 @@ func fig1a(h *harness) Table {
 	}
 }
 
-// Fig1b reproduces Figure 1(b): the latency of migrating a process off
+// fig1b reproduces Figure 1(b): the latency of migrating a process off
 // a vCPU that suffers preemptions, as a function of how many
 // compute-bound VMs share the source pCPU (paper: 1 ms alone, then
 // 26.4/53.2/79.8 ms — one Xen scheduling delay per added VM).
-func Fig1b(opt Options) Table { return runFigure(opt, fig1b) }
-
 func fig1b(h *harness) Table {
 	rows := [][]string{}
 	for nVMs := 0; nVMs <= 3; nVMs++ {

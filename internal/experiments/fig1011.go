@@ -31,9 +31,7 @@ func fig10Cases() []fig10Case {
 	}
 }
 
-// Fig10 reproduces Figure 10 (IRS only, as plotted in the paper).
-func Fig10(opt Options) Table { return runFigure(opt, fig10) }
-
+// fig10 reproduces Figure 10 (IRS only, as plotted in the paper).
 func fig10(h *harness) Table {
 	cols := []string{"benchmark", "interference"}
 	for n := 1; n <= 8; n++ {
@@ -79,11 +77,9 @@ func fig10(h *harness) Table {
 	}
 }
 
-// Fig11 reproduces Figure 11: IRS improvement with a varying number of
+// fig11 reproduces Figure 11: IRS improvement with a varying number of
 // stacked interfering VMs (1-3) on each interfered pCPU, for a 4-vCPU
 // foreground VM at 1-, 2- and 4-vCPU interference levels.
-func Fig11(opt Options) Table { return runFigure(opt, fig11) }
-
 func fig11(h *harness) Table {
 	cols := []string{"benchmark", "interference level", "1 VM", "2 VMs", "3 VMs"}
 	var rows [][]string

@@ -36,11 +36,9 @@ func stackingPanel(h *harness, id, title string, suite []workload.Benchmark, mod
 	return Table{ID: id, Title: title, Columns: cols, Rows: rows}
 }
 
-// Fig12 reproduces Figure 12: NPB performance in response to CPU
+// fig12 reproduces Figure 12: NPB performance in response to CPU
 // stacking (spinning, unpinned, 4 hogs), plus the two real-application
 // interference panels.
-func Fig12(opt Options) Table { return runFigure(opt, fig12) }
-
 func fig12(h *harness) Table {
 	lu, _ := workload.ByName("LU")
 	ua, _ := workload.ByName("UA")
@@ -54,10 +52,8 @@ func fig12(h *harness) Table {
 	return mergePanels("fig12", "NPB performance under CPU stacking (unpinned)", panels)
 }
 
-// Fig13 reproduces Figure 13: PARSEC performance under CPU stacking
+// fig13 reproduces Figure 13: PARSEC performance under CPU stacking
 // (blocking, deceptive idleness).
-func Fig13(opt Options) Table { return runFigure(opt, fig13) }
-
 func fig13(h *harness) Table {
 	stream, _ := workload.ByName("streamcluster")
 	fluid, _ := workload.ByName("fluidanimate")
@@ -71,21 +67,18 @@ func fig13(h *harness) Table {
 	return mergePanels("fig13", "PARSEC performance under CPU stacking (unpinned)", panels)
 }
 
-// SADelay reproduces the §3.1/§4.1 micro-measurement: the delay IRS
-// adds to each hypervisor preemption (paper: 20-26 µs), plus SA channel
-// statistics.
-func SADelay(opt Options) Table { return runFigure(opt, saDelay) }
-
 // saDelayOut carries the SA channel statistics of the one §3.1 run.
 type saDelayOut struct {
 	sent, acked, expired int64
 	mean, max            sim.Time
-	ok                   bool
 }
 
+// saDelay reproduces the §3.1/§4.1 micro-measurement: the delay IRS
+// adds to each hypervisor preemption (paper: 20-26 µs), plus SA channel
+// statistics.
 func saDelay(h *harness) Table {
 	seed := h.opt.Seed
-	out := jobAs(h, "sadelay", func() saDelayOut {
+	out, err := tryJob(h, "sadelay", func() (saDelayOut, error) {
 		bench, _ := workload.ByName("streamcluster")
 		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
 		fg.IRS = true
@@ -100,13 +93,13 @@ func saDelay(h *harness) Table {
 		}
 		res, err := core.Run(scn)
 		if err != nil {
-			return saDelayOut{}
+			return saDelayOut{}, err
 		}
 		return saDelayOut{sent: res.SASent, acked: res.SAAcked, expired: res.SAExpired,
-			mean: res.SAMeanDelay, max: res.SAMaxDelay, ok: true}
+			mean: res.SAMeanDelay, max: res.SAMaxDelay}, nil
 	})
 	rows := [][]string{}
-	if out.ok {
+	if err == nil {
 		rows = append(rows,
 			[]string{"SA sent", itoa(out.sent)},
 			[]string{"SA acked", itoa(out.acked)},

@@ -8,38 +8,30 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig2 reproduces Figure 2: CPU utilization of the parallel VM relative
-// to its fair share under one interfering CPU hog, with all benchmarks
-// using blocking synchronization (NPB compiled with
-// OMP_WAIT_POLICY=passive). Blocking workloads idle their vCPUs on
-// LHP/LWP and fall short of the fair share; raytrace's user-level load
-// balancing keeps utilization near 1.
-func Fig2(opt Options) Table { return runFigure(opt, fig2) }
-
-// utilOut is one fair-share utilization measurement (ok false when the
-// run failed or was only collected).
-type utilOut struct {
-	util float64
-	ok   bool
-}
-
-// fig2Run measures run i of the Figure 2 scenario for one benchmark as
-// a harness job. Claim C4 shares run 0 through the same key.
-func fig2Run(h *harness, bench workload.Benchmark, mode workload.SyncMode, i int) utilOut {
+// fig2Run measures the fair-share utilization of run i of the Figure 2
+// scenario for one benchmark as a harness job. Claim C4 shares run 0
+// through the same key.
+func fig2Run(h *harness, bench workload.Benchmark, mode workload.SyncMode, i int) (float64, error) {
 	seed := h.opt.Seed + uint64(i)*7919
-	return jobAs(h, fmt.Sprintf("fig2|%s|%d|%d", bench.Name, mode, i), func() utilOut {
+	return tryJob(h, fmt.Sprintf("fig2|%s|%d|%d", bench.Name, mode, i), func() (float64, error) {
 		res, err := core.Run(fig2Scenario(bench, mode, seed))
 		if err != nil {
-			return utilOut{}
+			return 0, err
 		}
 		elapsed := res.Elapsed
 		// Fair share: pCPU 0 is shared with the hog (1/2 each);
 		// pCPUs 1-3 belong to the parallel VM alone.
 		fair := elapsed/2 + 3*elapsed
-		return utilOut{util: core.Utilization(res, "fg", fair), ok: true}
+		return core.Utilization(res, "fg", fair), nil
 	})
 }
 
+// fig2 reproduces Figure 2: CPU utilization of the parallel VM relative
+// to its fair share under one interfering CPU hog, with all benchmarks
+// using blocking synchronization (NPB compiled with
+// OMP_WAIT_POLICY=passive). Blocking workloads idle their vCPUs on
+// LHP/LWP and fall short of the fair share; raytrace's user-level load
+// balancing keeps utilization near 1.
 func fig2(h *harness) Table {
 	rows := [][]string{}
 
@@ -53,8 +45,8 @@ func fig2(h *harness) Table {
 		}
 		var utils []float64
 		for i := 0; i < h.opt.Runs; i++ {
-			if out := fig2Run(h, bench, mode, i); out.ok {
-				utils = append(utils, out.util)
+			if util, err := fig2Run(h, bench, mode, i); err == nil {
+				utils = append(utils, util)
 			}
 		}
 		if len(utils) == 0 {

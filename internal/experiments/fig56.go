@@ -40,10 +40,8 @@ func improvementPanel(h *harness, id, title string, suite []workload.Benchmark, 
 	return Table{ID: id, Title: title, Columns: cols, Rows: rows}
 }
 
-// Fig5 reproduces Figure 5: PARSEC (blocking) improvement under
+// fig5 reproduces Figure 5: PARSEC (blocking) improvement under
 // (a) CPU hogs, (b) streamcluster, (c) fluidanimate interference.
-func Fig5(opt Options) Table { return runFigure(opt, fig5) }
-
 func fig5(h *harness) Table {
 	stream, _ := workload.ByName("streamcluster")
 	fluid, _ := workload.ByName("fluidanimate")
@@ -57,10 +55,8 @@ func fig5(h *harness) Table {
 	return mergePanels("fig5", "Improvement on PARSEC performance (blocking)", panels)
 }
 
-// Fig6 reproduces Figure 6: NPB (spinning) improvement under
+// fig6 reproduces Figure 6: NPB (spinning) improvement under
 // (a) CPU hogs, (b) UA, (c) LU interference.
-func Fig6(opt Options) Table { return runFigure(opt, fig6) }
-
 func fig6(h *harness) Table {
 	ua, _ := workload.ByName("UA")
 	lu, _ := workload.ByName("LU")

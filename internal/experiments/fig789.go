@@ -37,10 +37,8 @@ func weightedPanel(h *harness, id, title string, suite []workload.Benchmark, mod
 	return Table{ID: id, Title: title, Columns: cols, Rows: rows}
 }
 
-// Fig7 reproduces Figure 7: weighted speedup of two consolidated
+// fig7 reproduces Figure 7: weighted speedup of two consolidated
 // PARSEC applications (higher is better, 1.0 = vanilla).
-func Fig7(opt Options) Table { return runFigure(opt, fig7) }
-
 func fig7(h *harness) Table {
 	fluid, _ := workload.ByName("fluidanimate")
 	stream, _ := workload.ByName("streamcluster")
@@ -51,9 +49,7 @@ func fig7(h *harness) Table {
 	return mergePanels("fig7", "Weighted speedup of two PARSEC applications (blocking)", panels)
 }
 
-// Fig9 reproduces Figure 9: weighted speedup for NPB applications.
-func Fig9(opt Options) Table { return runFigure(opt, fig9) }
-
+// fig9 reproduces Figure 9: weighted speedup for NPB applications.
 func fig9(h *harness) Table {
 	lu, _ := workload.ByName("LU")
 	ua, _ := workload.ByName("UA")
@@ -85,11 +81,9 @@ func serverSpecs() (jbb, ab workload.ServerSpec) {
 	return jbb, ab
 }
 
-// Fig8 reproduces Figure 8: throughput and latency improvement of
+// fig8 reproduces Figure 8: throughput and latency improvement of
 // SPECjbb (mean new-order latency) and ab (99th percentile) under IRS
 // with 1-4 CPU hogs.
-func Fig8(opt Options) Table { return runFigure(opt, fig8) }
-
 func fig8(h *harness) Table {
 	jbbSpec, abSpec := serverSpecs()
 	var rows [][]string
@@ -152,12 +146,10 @@ func serverPoint(opt Options, spec workload.ServerSpec, strat core.Strategy, int
 				core.HogVM("bg", inter, core.SeqPins(0, inter)),
 			},
 		}
-		res, err := core.Run(scn)
-		if err != nil || *statsPtr == nil {
+		if _, err := core.Run(scn); err != nil || *statsPtr == nil {
 			continue
 		}
 		st := *statsPtr
-		_ = res
 		thr = append(thr, st.Throughput())
 		if pctl > 0 {
 			lat = append(lat, st.Latency.Percentile(pctl).Seconds())

@@ -27,12 +27,14 @@ func goldenOptions() Options {
 // parallel sweep at the determinism oracle's seed runs under the
 // determinism build tag (`make determinism`).
 func TestGoldenTables(t *testing.T) {
+	t.Parallel()
 	opt := goldenOptions()
 	if !*update {
 		opt.Workers = 4
 	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			tb, ok := ByID(id, opt)
 			if !ok {
 				t.Fatalf("unknown experiment %q", id)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-// ObsCounters reports the simulator-measured scheduling-pathology
+// obsCounters reports the simulator-measured scheduling-pathology
 // counters behind the end-to-end numbers of §5: instead of inferring
 // behaviour from runtimes alone, each strategy's row cites what the
 // hypervisor and guest actually observed — steal time, the
@@ -16,16 +16,6 @@ import (
 // trips, LHP/LWP events, and IRS migrations. The scenario is the §5.1
 // single-benchmark setup: streamcluster on 4 pinned vCPUs against one
 // CPU hog on pCPU 0.
-func ObsCounters(opt Options) Table { return runFigure(opt, obsCounters) }
-
-// obsRowOut is one strategy's fully-rendered counter row; errStr is set
-// when the run failed. Workers hand back plain data so Logf stays on
-// the assembling goroutine.
-type obsRowOut struct {
-	row    []string
-	errStr string
-}
-
 func obsCounters(h *harness) Table {
 	t := Table{
 		ID:    "obs",
@@ -39,16 +29,11 @@ func obsCounters(h *harness) Table {
 	}
 	seed := h.opt.Seed
 	for _, strat := range append(core.Strategies(), core.StrategyStrictCo) {
-		strat := strat
-		out := jobAs(h, fmt.Sprintf("obs|%s", strat), func() obsRowOut {
+		row, err := tryJob(h, fmt.Sprintf("obs|%s", strat), func() ([]string, error) {
 			return obsRow(bench, strat, seed)
 		})
-		if out.errStr != "" {
-			h.opt.Logf("obs: %s failed: %s", strat, out.errStr)
-			continue
-		}
-		if out.row != nil {
-			t.Rows = append(t.Rows, out.row)
+		if err == nil {
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
@@ -56,7 +41,7 @@ func obsCounters(h *harness) Table {
 
 // obsRow executes one strategy's instrumented run and renders its row.
 // Pure function of its arguments; safe on worker goroutines.
-func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) obsRowOut {
+func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) ([]string, error) {
 	reg := obs.NewRegistry()
 	fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
 	fg.IRS = strat == core.StrategyIRS
@@ -69,7 +54,7 @@ func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) obsRowOu
 	}
 	res, err := core.Run(scn)
 	if err != nil {
-		return obsRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	fgL := obs.Labels{Sub: "hv", VM: "fg"}
 	wait := reg.FindHistogram("hv_preempt_wait_ns", fgL)
@@ -79,7 +64,7 @@ func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) obsRowOu
 		preempts += obs.CounterValue(reg, "hv_preemptions_total",
 			obs.Labels{Sub: "hv", VM: "fg", CPU: v.Name()})
 	}
-	return obsRowOut{row: []string{
+	return []string{
 		strat.String(),
 		fmt.Sprintf("%.3fs", res.VM("fg").Runtime.Seconds()),
 		fmt.Sprintf("%.3fs", res.VM("fg").StealTime.Seconds()),
@@ -94,5 +79,5 @@ func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) obsRowOu
 		fmt.Sprintf("%d", obs.CounterValue(reg, "hv_lwp_total", fgL)),
 		fmt.Sprintf("%d", obs.CounterValue(reg, "guest_task_migrations_total",
 			obs.Labels{Sub: "guest", VM: "fg"})),
-	}}
+	}, nil
 }

@@ -17,10 +17,10 @@ import (
 //     deterministic and never branch on measured values when deciding
 //     *what* to measure, so this pass discovers the complete job set.
 //  2. execute: the recorded jobs fan out across Options.Workers
-//     goroutines. Completed results stream through a bounded channel
-//     and are merged under their canonical keys, so memory stays
-//     bounded by the number of distinct points plus the worker count,
-//     and completion order cannot influence anything.
+//     goroutines through ParallelDo, the package's one worker pool.
+//     Each result lands in its job's slot and is merged under the
+//     job's canonical key, so completion order cannot influence
+//     anything.
 //  3. replay: the build function runs again. Every job request now
 //     hits the memoized result, and the table is assembled by exactly
 //     the code the serial harness runs — byte-identical output.
@@ -45,81 +45,60 @@ type pendingJob struct {
 	fn  func() any
 }
 
-// job returns the memoized result for key, computing it with fn on the
-// first request. In collect mode it records the job for the parallel
-// phase and returns nil.
-func (h *harness) job(key string, fn func() any) any {
+// jobAs returns the memoized result for key, computing it with fn on
+// the first request. In collect mode it records the job for the
+// parallel phase and returns the zero value.
+func jobAs[T any](h *harness, key string, fn func() T) T {
 	if h.mode == modeCollect {
 		if !h.seen[key] {
 			h.seen[key] = true
-			h.pending = append(h.pending, pendingJob{key: key, fn: fn})
+			h.pending = append(h.pending, pendingJob{key: key, fn: func() any { return fn() }})
 		}
-		return nil
-	}
-	if v, ok := h.results[key]; ok {
-		return v
-	}
-	v := fn()
-	h.results[key] = v
-	return v
-}
-
-// jobAs is job with a typed result; collect mode yields the zero value.
-func jobAs[T any](h *harness, key string, fn func() T) T {
-	v := h.job(key, func() any { return fn() })
-	if v == nil {
 		var zero T
 		return zero
+	}
+	v, ok := h.results[key]
+	if !ok {
+		v = fn()
+		h.results[key] = v
 	}
 	return v.(T)
 }
 
-// runPending executes every collected job across the worker pool and
-// merges the streamed results under their canonical keys.
+// tryOut is a fallible job's result: its value or the error instead.
+type tryOut[T any] struct {
+	v   T
+	err error
+}
+
+// tryJob is jobAs for work that can fail, such as a table row whose
+// simulation errors out. A failed job is logged as "<key>: <err>" and
+// its error returned so the caller can skip the cell; in collect mode
+// it returns the zero value and a nil error.
+func tryJob[T any](h *harness, key string, fn func() (T, error)) (T, error) {
+	out := jobAs(h, key, func() tryOut[T] {
+		v, err := fn()
+		return tryOut[T]{v, err}
+	})
+	if out.err != nil {
+		h.opt.Logf("%s: %v", key, out.err)
+	}
+	return out.v, out.err
+}
+
+// runPending executes every collected job on the ParallelDo pool and
+// merges the results under their canonical keys.
 func (h *harness) runPending() {
 	jobs := h.pending
 	h.pending = nil
-	workers := h.opt.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	out := make([]any, len(jobs))
+	fns := make([]func(), len(jobs))
+	for i, j := range jobs {
+		fns[i] = func() { out[i] = j.fn() }
 	}
-	if len(jobs) == 0 {
-		return
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			h.results[j.key] = j.fn()
-		}
-		return
-	}
-	type jobResult struct {
-		i int
-		v any
-	}
-	feed := make(chan int)
-	done := make(chan jobResult, workers) // bounded result stream
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				done <- jobResult{i: i, v: jobs[i].fn()}
-			}
-		}()
-	}
-	go func() {
-		for i := range jobs {
-			feed <- i
-		}
-		close(feed)
-		wg.Wait()
-		close(done)
-	}()
-	// Merge in completion order; the canonical key makes the merge
-	// order irrelevant to the replayed assembly.
-	for r := range done {
-		h.results[jobs[r.i].key] = r.v
+	ParallelDo(h.opt.Workers, fns)
+	for i, j := range jobs {
+		h.results[j.key] = out[i]
 	}
 }
 
@@ -139,9 +118,9 @@ func runFigure(opt Options, build func(*harness) Table) Table {
 
 // ParallelDo runs the given independent functions across at most
 // workers goroutines (0 = GOMAXPROCS, as for Options.Workers) and
-// returns when all have completed. It is the fan-out primitive the
-// commands share with the harness for ad-hoc sweeps that do not go
-// through figure tables.
+// returns when all have completed. It is the harness's worker pool,
+// and the commands use it for ad-hoc sweeps that do not go through
+// figure tables.
 func ParallelDo(workers int, fns []func()) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)

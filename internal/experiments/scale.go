@@ -91,7 +91,6 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 		return cluster.Config{}, fmt.Errorf("experiments: scale: unknown strategy %q", spec.Strategy)
 	}
 	cfg.Strategy = strat
-	cfg.IRS = strat == core.StrategyIRS
 
 	cfg.Overcommit = spec.Overcommit
 	cfg.Migration = spec.Migrate
@@ -166,16 +165,8 @@ func ScaleRig(text string, seed uint64, shards int, lookahead sim.Time) (topolog
 	return spec, cfg, nil
 }
 
-// Scale runs the cluster-load rigs and reports tail latency, SLO
+// scaleTable runs the cluster-load rigs and reports tail latency, SLO
 // burn, failover traffic, and autoscaler activity per topology.
-func Scale(opt Options) Table { return runFigure(opt, scaleTable) }
-
-// scaleRowOut is one rendered variant cell.
-type scaleRowOut struct {
-	row    []string
-	errStr string
-}
-
 func scaleTable(h *harness) Table {
 	t := Table{
 		ID:    "scale",
@@ -185,16 +176,11 @@ func scaleTable(h *harness) Table {
 	}
 	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
 	for _, v := range ScaleVariants() {
-		v := v
-		out := jobAs(h, "scale|"+v.Name, func() scaleRowOut {
+		row, err := tryJob(h, "scale|"+v.Name, func() ([]string, error) {
 			return scaleCell(v, seed, shards, la)
 		})
-		if out.errStr != "" {
-			h.opt.Logf("scale: %s: %s", v.Name, out.errStr)
-			continue
-		}
-		if out.row != nil {
-			t.Rows = append(t.Rows, out.row)
+		if err == nil {
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
@@ -202,25 +188,25 @@ func scaleTable(h *harness) Table {
 
 // scaleCell executes one load spec and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func scaleCell(v ScaleVariant, seed uint64, shards int, lookahead sim.Time) scaleRowOut {
+func scaleCell(v ScaleVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
 	spec, cfg, err := ScaleRig(v.Spec, seed, shards, lookahead)
 	if err != nil {
-		return scaleRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return scaleRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	res, err := c.Run()
 	if err != nil {
-		return scaleRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	start := spec.ServersPerZone * spec.Zones
 	recov := "-"
 	if len(res.Phases) == 3 {
 		recov = fmt.Sprintf("%.2f%%", res.Phases[2].Rate*100)
 	}
-	return scaleRowOut{row: []string{
+	return []string{
 		v.Name,
 		fmt.Sprintf("%dz×%dh", spec.Zones, spec.HostsPerZone),
 		fmt.Sprintf("%d/%d", res.Served, res.Generated),
@@ -233,5 +219,5 @@ func scaleCell(v ScaleVariant, seed uint64, shards int, lookahead sim.Time) scal
 		fmt.Sprintf("%d", res.Alerts),
 		fmt.Sprintf("%d", res.Migrations),
 		fmt.Sprintf("%d", res.Violations),
-	}}
+	}, nil
 }

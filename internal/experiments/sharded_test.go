@@ -23,6 +23,7 @@ func shardedTable(t *testing.T, id string, seed uint64, shards int) string {
 }
 
 func TestShardedMatchesSerial(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full rack matrix at three shard widths")
 	}
@@ -38,6 +39,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 }
 
 func TestShardedMatchesSerialWatch(t *testing.T) {
+	t.Parallel()
 	// The watch rig layers span tracing, the SLO watchdog, and
 	// attribution on top of the cluster — the richest cross-shard
 	// observation surface. One seed keeps the runtime sane.
@@ -54,6 +56,7 @@ func TestShardedMatchesSerialWatch(t *testing.T) {
 }
 
 func TestShardedMatchesSerialScale(t *testing.T) {
+	t.Parallel()
 	// The scale rig exercises the multi-zone control plane: two-level
 	// placement, the partitioned router with outage failover, and the
 	// autoscaler admitting and retiring replicas mid-run — every one of

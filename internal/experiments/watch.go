@@ -111,17 +111,9 @@ func DefaultWatchRuleSet() []watch.Rule {
 	return rules
 }
 
-// Watch runs the watchdog rig under each variant and reports what the
+// watchTable runs the watchdog rig under each variant and reports what the
 // watchdog saw: alert count, detection latency after the bully lands,
 // and the attribution ranking's top two aggressors.
-func Watch(opt Options) Table { return runFigure(opt, watchTable) }
-
-// watchRowOut is one rendered variant cell.
-type watchRowOut struct {
-	row    []string
-	errStr string
-}
-
 func watchTable(h *harness) Table {
 	t := Table{
 		ID:    "watch",
@@ -131,16 +123,11 @@ func watchTable(h *harness) Table {
 	}
 	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
 	for _, v := range WatchVariants() {
-		v := v
-		out := jobAs(h, "watch|"+v.Name, func() watchRowOut {
+		row, err := tryJob(h, "watch|"+v.Name, func() ([]string, error) {
 			return watchCell(v, seed, shards, la)
 		})
-		if out.errStr != "" {
-			h.opt.Logf("watch: %s: %s", v.Name, out.errStr)
-			continue
-		}
-		if out.row != nil {
-			t.Rows = append(t.Rows, out.row)
+		if err == nil {
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
@@ -148,17 +135,17 @@ func watchTable(h *harness) Table {
 
 // watchCell executes one variant and renders its row. Pure function of
 // its arguments; safe on worker goroutines.
-func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) watchRowOut {
+func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
 	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
 	cfg.Shards = shards
 	cfg.Lookahead = lookahead
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return watchRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	res, err := c.Run()
 	if err != nil {
-		return watchRowOut{errStr: err.Error()}
+		return nil, err
 	}
 	w := c.Watcher()
 	alerts := w.Alerts()
@@ -179,7 +166,7 @@ func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) watc
 			}
 		}
 	}
-	return watchRowOut{row: []string{
+	return []string{
 		v.Name,
 		fmt.Sprintf("%d/%d", res.Served, res.Generated),
 		fmt.Sprintf("%d (%.2f%%)", res.SLOViolations, res.SLORate*100),
@@ -191,5 +178,5 @@ func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) watc
 		runner,
 		ratio,
 		fmt.Sprintf("%d", len(w.Recorder().Incidents())),
-	}}
+	}, nil
 }

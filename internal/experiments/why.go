@@ -33,15 +33,8 @@ func RunWhy(cfg cluster.Config, kinds []decision.Kind) (*cluster.Cluster, error)
 	return c, nil
 }
 
-// Why runs the outage rig with the decision log and renders its
+// whyTable runs the outage rig with the decision log and renders its
 // decision trail.
-func Why(opt Options) Table { return runFigure(opt, whyTable) }
-
-type whyOut struct {
-	rows   [][]string
-	errStr string
-}
-
 func whyTable(h *harness) Table {
 	t := Table{
 		ID:      "why",
@@ -49,27 +42,22 @@ func whyTable(h *harness) Table {
 		Columns: []string{"step", "t", "kind", "chooser", "subject", "winner", "margin", "why"},
 	}
 	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
-	out := jobAs(h, "why|2z8h-outage", func() whyOut {
+	t.Rows, _ = tryJob(h, "why|2z8h-outage", func() ([][]string, error) {
 		return whyCell(seed, shards, la)
 	})
-	if out.errStr != "" {
-		h.opt.Logf("why: %s", out.errStr)
-		return t
-	}
-	t.Rows = out.rows
 	return t
 }
 
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
-func whyCell(seed uint64, shards int, lookahead sim.Time) whyOut {
+func whyCell(seed uint64, shards int, lookahead sim.Time) ([][]string, error) {
 	_, cfg, err := ScaleRig(ScaleOutageSpec, seed, shards, lookahead)
 	if err != nil {
-		return whyOut{errStr: err.Error()}
+		return nil, err
 	}
 	c, err := RunWhy(cfg, decision.ControlKinds())
 	if err != nil {
-		return whyOut{errStr: err.Error()}
+		return nil, err
 	}
 	log := c.Decisions()
 	recs := log.Records()
@@ -95,5 +83,5 @@ func whyCell(seed uint64, shards int, lookahead sim.Time) whyOut {
 		"Σ", "-", "-", "-", "-", "-", "-",
 		fmt.Sprintf("%s (dropped %d)", decision.CountsString(recs), log.Dropped()),
 	})
-	return whyOut{rows: rows}
+	return rows, nil
 }

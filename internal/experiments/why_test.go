@@ -20,6 +20,7 @@ import (
 // differential check of the hand-written export encoders: both
 // decision exports and the span export must be encoding/json's bytes.
 func TestWhyTrailExactSequence(t *testing.T) {
+	t.Parallel()
 	_, cfg, err := ScaleRig(ScaleOutageSpec, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +112,7 @@ func checkExportsMatchEncodingJSON(t *testing.T, recs []decision.Record, dropped
 // and the Σ counts of every recorded decision — must be byte-identical
 // whether the rig runs serially or across per-host engine shards.
 func TestShardedMatchesSerialWhy(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("outage rig at three shard widths")
 	}

@@ -49,7 +49,6 @@ func (k *Kernel) ensureSpanObservers() {
 	}
 	k.spanObs = true
 	for _, c := range k.cpus {
-		c := c
 		c.vcpu.SetObserver(c.spanSyncAll)
 	}
 }

@@ -242,7 +242,6 @@ func (w *Watcher) RunEpoch(now sim.Time) {
 		f(now)
 	}
 	for _, a := range w.monitor.Evaluate(now) {
-		a := a
 		// Rank aggressors over the fast window — the interval whose burn
 		// actually tripped the rule. The slow window (used below for the
 		// flight-recorder context) reaches back far enough that a steady
