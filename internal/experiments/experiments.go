@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§5). Each registered experiment (ByID, IDs) runs
 // the corresponding scenario matrix on the simulator and returns a
-// Table with the same rows/series the paper plots. EXPERIMENTS.md records paper-vs-measured
-// values.
+// Table with the same rows/series the paper plots. EXPERIMENTS.md
+// records paper-vs-measured values.
 package experiments
 
 import (

@@ -35,11 +35,7 @@ func TestGoldenTables(t *testing.T) {
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			tb, ok := ByID(id, opt)
-			if !ok {
-				t.Fatalf("unknown experiment %q", id)
-			}
-			got := tb.String()
+			got := mustTable(t, id, opt).String()
 			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
