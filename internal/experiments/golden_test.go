@@ -57,6 +57,24 @@ func TestGoldenTables(t *testing.T) {
 	}
 }
 
+func TestGoldenMatchesParallelHarness(t *testing.T) {
+	// The goldens are generated serially; the parallel harness must
+	// produce the identical bytes at a pool size that does not divide
+	// the job lists evenly, too (TestGoldenTables uses 4 workers).
+	t.Parallel()
+	opt := goldenOptions()
+	opt.Workers = 3
+	for _, id := range []string{"fig1a", "cluster", "attack"} {
+		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatalf("no golden (run with -update to create): %v", err)
+		}
+		if mustTable(t, id, opt).String() != string(want) {
+			t.Errorf("%s: 3-worker harness output differs from serial golden", id)
+		}
+	}
+}
+
 func TestGoldenDetectsPerturbation(t *testing.T) {
 	// Sanity on the corpus itself: the pinned bytes really do depend on
 	// the simulation, not just the headers — a different seed must not
