@@ -26,8 +26,10 @@ test:
 	$(GO) test ./...
 
 # -short skips the slowest oracles (claims, the sharded-vs-serial
-# tables); the race job still covers the harness's per-figure
-# serial-vs-parallel subtests and the parallel golden pass.
+# tables) and the four largest figure matrices (fig5, fig6, fig9,
+# fig12) in the golden pass; the race job still covers the harness's
+# per-figure serial-vs-parallel subtests and the parallel golden pass
+# over every other table.
 race:
 	$(GO) test -race -short ./...
 
@@ -132,7 +134,7 @@ scale-sweep:
 # failover route, +2 replicas, then the two drains). The full log lands
 # next to the repo root as decisions.json.
 why:
-	$(GO) run ./cmd/irswhy -expect cordon,failover,scale-up,scale-up,drain,drain -json decisions.json
+	$(GO) run ./cmd/irsload -variant 2z8h-outage -why ctl -trail cordon,failover,scale-up,scale-up,drain,drain -json decisions.json
 
 # Compile and run every example end to end (each also has a unit test
 # exercising its run() body, picked up by `make test`).

@@ -5,10 +5,22 @@
 // latency, SLO burn per phase, failover traffic, scale events — and
 // with -expect gates the post-recovery SLO-violation rate for CI.
 //
+// -why attaches the decision audit log and answers "why did the
+// scheduler do that?": after the report it prints the incident's
+// decision trail, then lets you interrogate the full log with a filter
+// query (-q), rank the closest calls (-top: smallest winning margins,
+// where the schedule nearly went the other way), and export the
+// matched records as JSON or a Perfetto trace that lines up with the
+// span tracer's timeline. -trail gates CI on the exact trail. The
+// decision flags need -why.
+//
 // Usage:
 //
 //	irsload [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-file spec.load]
-//	        [-seed 1] [-shards 0] [-lookahead 250us] [-expect 1.0] [-v]
+//	        [-seed 1] [-shards 0] [-expect 1.0] [-v]
+//	        [-why ctl] [-q 'kind=place vm=srv0 t>6s'] [-limit 20] [-top 5]
+//	        [-trail cordon,failover,scale-up,scale-up,drain,drain]
+//	        [-json decisions.json] [-perfetto decisions.trace]
 //
 // Exactly one of -variant, -spec, -file selects the load spec;
 // -variant names a built-in rig (irsload -list shows them).
@@ -23,6 +35,8 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
+	"repro/internal/decision"
+	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
@@ -33,9 +47,16 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	src := cli.AddLoadSpec(fs, "")
+	src := cli.AddLoadSpec(fs)
 	expect := fs.Float64("expect", -1, "fail unless the post-recovery SLO-violation rate is below this percentage")
 	verbose := fs.Bool("v", false, "echo the parsed spec before running")
+	why := fs.String("why", "", "attach the decision log recording these kinds: ctl, all, or a comma list (e.g. place,route)")
+	query := fs.String("q", "", "with -why: print records matching this filter query (e.g. 'kind=place vm=srv0 t>6s')")
+	limit := fs.Int("limit", 20, "with -why: cap on printed query records (0 = all)")
+	top := fs.Int("top", 0, "with -why: print the N closest calls: scored decisions with the smallest winning margin")
+	trail := fs.String("trail", "", "with -why: fail unless the decision trail is exactly this comma-separated step list")
+	jsonOut := fs.String("json", "", "with -why: write the matched records as a JSON bundle to this file ('-' = stdout)")
+	perfetto := fs.String("perfetto", "", "with -why: write the matched records as a Perfetto/Chrome trace to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -49,6 +70,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
 		return 2
+	}
+	var q decision.Query
+	if *why != "" {
+		kinds, err := decision.ParseKinds(*why)
+		if err == nil {
+			q, err = decision.ParseQuery(*query)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "irsload: %v\n", err)
+			return 2
+		}
+		cfg.Decisions = &decision.Options{Kinds: kinds}
+	} else {
+		bad := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "q", "limit", "top", "trail", "json", "perfetto":
+				bad = f.Name
+			}
+		})
+		if bad != "" {
+			fmt.Fprintf(stderr, "irsload: -%s needs -why\n", bad)
+			return 2
+		}
 	}
 	if *verbose {
 		fmt.Fprintf(stdout, "spec: %s\n", spec.String())
@@ -66,6 +111,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	report(stdout, name, spec, res)
+
+	if log := c.Decisions(); log != nil {
+		matched := explain(stdout, log, q, *query != "", *limit, *top)
+		for _, exp := range []struct {
+			path  string
+			write func(io.Writer) error
+		}{
+			{*jsonOut, func(w io.Writer) error { return decision.WriteJSON(w, matched, log.Dropped()) }},
+			{*perfetto, func(w io.Writer) error { return decision.WriteChromeTrace(w, matched) }},
+		} {
+			if exp.path == "" {
+				continue
+			}
+			if err := obs.WriteFile(exp.path, stdout, exp.write); err != nil {
+				fmt.Fprintf(stderr, "irsload: %v\n", err)
+				return 1
+			}
+			if exp.path != "-" {
+				fmt.Fprintf(stdout, "wrote %s\n", exp.path)
+			}
+		}
+	}
 
 	if res.Unserved != 0 {
 		fmt.Fprintf(stderr, "irsload: %d of %d requests unserved\n", res.Unserved, res.Generated)
@@ -88,6 +155,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "expect gate: recovery slo-viol %.2f%% < %.2f%% — ok\n", rate*100, *expect)
 	}
+	if *trail != "" {
+		got := decision.TrailString(decision.Trail(c.Decisions().Records()))
+		if got != *trail {
+			fmt.Fprintf(stderr, "irsload: decision trail %q does not match -trail %q\n", got, *trail)
+			return 1
+		}
+		fmt.Fprintf(stdout, "expect gate: trail %s — ok\n", got)
+	}
 	return 0
 }
 
@@ -109,5 +184,52 @@ func report(w io.Writer, name string, spec topology.LoadSpec, res *cluster.Resul
 			fmt.Fprintf(w, "phase %-13s served %6d  slo-viol %5d (%.2f%%)\n",
 				labels[i], p.Served, p.Violations, p.Rate*100)
 		}
+	}
+}
+
+// explain prints the decision section: a header counting the log, the
+// incident trail, then the records matching q (when queried) and the
+// top closest calls among them. It returns the matched records.
+func explain(w io.Writer, log *decision.Log, q decision.Query, queried bool, limit, top int) []decision.Record {
+	recs := log.Records()
+	fmt.Fprintf(w, "== why: %d decisions (%s, dropped %d) ==\n",
+		len(recs), decision.CountsString(recs), log.Dropped())
+	for _, step := range decision.Trail(recs) {
+		fmt.Fprintf(w, "trail %-9s %s\n", step.Label, recLine(&step.Rec))
+	}
+	matched := recs
+	if queried {
+		matched = decision.Filter(recs, q)
+		fmt.Fprintf(w, "query %q: %d of %d records\n", q.String(), len(matched), len(recs))
+		printRecs(w, matched, limit)
+	}
+	if top > 0 {
+		fmt.Fprintf(w, "closest calls (top %d by winning margin):\n", top)
+		printRecs(w, decision.ClosestCalls(matched, top), 0)
+	}
+	return matched
+}
+
+// recLine renders one decision record as a single line.
+func recLine(r *decision.Record) string {
+	margin := ""
+	if m, ok := r.Margin(); ok {
+		margin = fmt.Sprintf(" margin=%.3f", m)
+	}
+	return fmt.Sprintf("t=%-9s %-9s %-5s %s -> %s%s  %s",
+		r.At, r.Kind, r.Chooser, r.Subject, r.Winner, margin, r.Detail)
+}
+
+// printRecs prints up to limit records (0 = all), noting any overflow.
+func printRecs(w io.Writer, recs []decision.Record, limit int) {
+	n := len(recs)
+	if limit > 0 && n > limit {
+		n = limit
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(w, "  %s\n", recLine(&recs[i]))
+	}
+	if n < len(recs) {
+		fmt.Fprintf(w, "  … and %d more (raise -limit)\n", len(recs)-n)
 	}
 }

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the CLI golden files")
@@ -31,20 +34,23 @@ func TestListPrintsVariants(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	cases := []struct {
-		args []string
-		want int
-	}{
-		{[]string{"-nonsense"}, 2},
-		{[]string{}, 2}, // no spec source
-		{[]string{"-variant", "x", "-spec", "topo:zones=1,hosts=1"}, 2}, // two sources
-		{[]string{"-variant", "nosuchrig"}, 2},
-		{[]string{"-spec", "topo:zones=0"}, 2}, // invalid spec
-		{[]string{"-file", "/nonexistent.load"}, 2},
+	cases := [][]string{
+		{"-nonsense"},
+		{}, // no spec source
+		{"-variant", "x", "-spec", "topo:zones=1,hosts=1"}, // two sources
+		{"-variant", "nosuchrig"},
+		{"-spec", "topo:zones=0"}, // invalid spec
+		{"-file", "/nonexistent.load"},
+		{"-variant", "2z8h-outage", "-why", "bogus"},                          // unknown decision kind
+		{"-variant", "2z8h-outage", "-why", "ctl", "-q", "kind=place kind=x"}, // malformed query
 	}
-	for _, tc := range cases {
-		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
-			t.Errorf("%v: exit = %d, want %d", tc.args, code, tc.want)
+	// A decision flag without -why is bad input, even at its default.
+	for _, f := range []string{"-q=kind=place", "-limit=20", "-top=3", "-trail=cordon", "-json=-", "-perfetto=x.trace"} {
+		cases = append(cases, []string{"-variant", "2z8h-outage", f})
+	}
+	for _, args := range cases {
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
 		}
 	}
 }
@@ -152,4 +158,139 @@ func TestOutageVariantGolden(t *testing.T) {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
 	checkGolden(t, "testdata/2z8h-outage.golden", out)
+}
+
+// outageWhy runs the acceptance rig with the control-plane decision log
+// attached, plus any extra flags.
+func outageWhy(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	return runCmd(t, append([]string{"-variant", "2z8h-outage", "-why", "ctl"}, args...)...)
+}
+
+// TestOutageWhyGolden pins the decision section: the report exactly as
+// TestOutageVariantGolden pins it, then the decision header and trail.
+// Regenerate with: go test ./cmd/irsload -run Golden -update
+func TestOutageWhyGolden(t *testing.T) {
+	code, out, errOut := outageWhy(t)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	checkGolden(t, "testdata/2z8h-outage-why.golden", out)
+}
+
+// TestSpecFileMatchesVariant runs the acceptance rig from a spec file
+// with the decision log attached: every line after the header, which
+// names the source, must match the built-in variant's golden.
+func TestSpecFileMatchesVariant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outage.load")
+	if err := os.WriteFile(path, []byte(experiments.ScaleOutageSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCmd(t, "-file", path, "-why", "ctl")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	want, err := os.ReadFile("testdata/2z8h-outage-why.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gotBody, _ := strings.Cut(out, "\n")
+	_, wantBody, _ := strings.Cut(string(want), "\n")
+	if gotBody != wantBody {
+		t.Fatalf("-file run differs from the variant:\n%s", out)
+	}
+}
+
+// TestTrailGatePassesOnOutageTrail is the CI acceptance path: the
+// outage rig's decision trail is exactly the elasticity story.
+func TestTrailGatePassesOnOutageTrail(t *testing.T) {
+	code, out, errOut := outageWhy(t, "-shards", "1",
+		"-trail", "cordon,failover,scale-up,scale-up,drain,drain")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	for _, want := range []string{"trail cordon", "trail failover", "expect gate: trail", "— ok"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestTrailGateFailsOnWrongTrail(t *testing.T) {
+	code, _, errOut := outageWhy(t, "-shards", "1", "-trail", "cordon,drain")
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errOut)
+	}
+	if !strings.Contains(errOut, "does not match -trail") {
+		t.Fatalf("stderr missing trail mismatch: %s", errOut)
+	}
+}
+
+// TestQueryAndTopAreDeterministic pins the whole pipeline: the query,
+// closest calls and trail must be byte-identical regardless of the
+// engine pool width.
+func TestQueryAndTopAreDeterministic(t *testing.T) {
+	args := []string{"-q", "kind=autoscale", "-top", "3"}
+	_, serial, _ := outageWhy(t, append([]string{"-shards", "1"}, args...)...)
+	_, pooled, _ := outageWhy(t, append([]string{"-shards", "0"}, args...)...)
+	if serial != pooled {
+		t.Fatalf("output differs between serial and pooled runs:\n--- serial ---\n%s--- pooled ---\n%s", serial, pooled)
+	}
+	if !strings.Contains(serial, "query \"kind=autoscale\": 4 of") {
+		t.Fatalf("query did not match the 4 autoscale decisions:\n%s", serial)
+	}
+}
+
+func TestJSONExportIsValid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decisions.json")
+	code, _, errOut := outageWhy(t, "-shards", "1", "-q", "kind=cordon,uncordon,autoscale", "-json", path)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle struct {
+		Count   int `json:"count"`
+		Records []struct {
+			Kind string `json:"kind"`
+		} `json:"records"`
+	}
+	if err := json.Unmarshal(b, &bundle); err != nil {
+		t.Fatalf("exported bundle is not valid JSON: %v", err)
+	}
+	// 1 cordon + 1 uncordon + 4 autoscale actions.
+	if bundle.Count != 6 || len(bundle.Records) != 6 {
+		t.Fatalf("bundle has %d records, want 6", bundle.Count)
+	}
+}
+
+func TestPerfettoExportIsValid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decisions.trace")
+	code, _, errOut := outageWhy(t, "-shards", "1", "-q", "kind=place", "-perfetto", path)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &trace); err != nil {
+		t.Fatalf("exported trace is not valid JSON: %v", err)
+	}
+	var instants int
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "i" {
+			instants++
+		}
+	}
+	if instants != 10 {
+		t.Fatalf("%d instant events, want 10 (one per placement)", instants)
+	}
 }

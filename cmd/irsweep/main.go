@@ -11,7 +11,7 @@
 //	irsweep -bench streamcluster -inter 0,1,2,4 [-mode spin|block] [-vcpus 4]
 //	        [-unpinned] [-seed S] [-runs N] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-lookahead 250us] [-seed S] [-workers N]
+//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-seed S] [-workers N]
 //	irsweep -list
 package main
 
@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hostsList := fs.String("hosts", "2,3,4", "comma-separated host counts for -cluster (per zone when -zones > 1)")
 	zones := fs.Int("zones", 1, "zone count for -cluster: >1 runs each rack size under the two-level zone scheduler")
 	shards := fs.Int("shards", 0, "per-host engine shards inside each -cluster cell (0 = auto, 1 = serial; output is identical at any setting)")
-	lookahead := fs.Duration("lookahead", 0, "conservative window width for sharded -cluster cells (0 = default 250µs; changing it changes results)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	prof := cli.AddProfile(fs)
 	if err := fs.Parse(args); err != nil {
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, *workers, *shards, sim.Duration(*lookahead))
+		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, *workers, *shards)
 	}
 
 	bench, ok := workload.ByName(*benchName)
@@ -127,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var fns []func()
 	for li, lvl := range levels {
 		for si, st := range strats {
-			li, si, lvl, st := li, si, lvl, st
 			fns = append(fns, func() {
 				mean, err := sweepPoint(bench, mode, st, lvl, *vcpus, *unpinned, *seed, *runs)
 				cells[li*len(strats)+si] = cell{mean: mean, err: err}
@@ -180,7 +178,7 @@ func parseIntList(s string) ([]int, bool) {
 // rate) per variant. With zones > 1 each rack size is per zone and
 // every cell runs under the two-level zone scheduler and partitioned
 // router.
-func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int, lookahead sim.Time) int {
+func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int) int {
 	variants := experiments.ClusterVariants()
 	type cell struct {
 		p99  sim.Time
@@ -192,7 +190,6 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 	var fns []func()
 	for hi, n := range hosts {
 		for vi, v := range variants {
-			hi, vi, n, v := hi, vi, n, v
 			fns = append(fns, func() {
 				cfg := experiments.ClusterConfig(v, seed)
 				cfg.Hosts = zones * n
@@ -200,7 +197,6 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 					cfg.Topology = topology.Uniform(zones, n)
 				}
 				cfg.Shards = shards
-				cfg.Lookahead = lookahead
 				c, err := cluster.New(cfg)
 				if err != nil {
 					cells[hi*len(variants)+vi] = cell{err: err}

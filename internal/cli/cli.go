@@ -1,13 +1,13 @@
-// Package cli holds the flag sets the irs* commands share: the
-// cluster load-spec source and pprof profiling. It registers and
-// resolves flags only; running, reporting and gating stay in the
-// commands.
+// Package cli holds the irs* commands' flag sets: the cluster
+// load-spec source and pprof profiling. It registers and resolves
+// flags only; running, reporting and gating stay in the commands.
 //
 // The commands share one exit-code rule: 2 = bad input (a flag that
-// does not parse, an unknown name, a malformed spec or query), 1 = the
-// run failed (a simulation error, an unwritable output, a gate that did
-// not hold), 0 = success. The one exception is an unknown irsim
-// experiment id: the other ids still run, and the exit is 1.
+// does not parse, an unknown name, a malformed spec or query, a flag
+// given without the flag it qualifies), 1 = the run failed (a
+// simulation error, an unwritable output, a gate that did not hold),
+// 0 = success. The one exception is an unknown irsim experiment id:
+// the other ids still run, and the exit is 1.
 package cli
 
 import (
@@ -18,40 +18,32 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 // LoadSpec is the load-spec flag set: one of -variant, -spec or -file
-// picks the spec, -list asks for the built-in variants, and -seed,
-// -shards and -lookahead shape the compiled cluster config.
+// picks the spec, -list asks for the built-in variants, and -seed and
+// -shards shape the compiled cluster config.
 type LoadSpec struct {
 	List *bool
 
-	defVariant          string
 	variant, spec, file *string
 	seed                *uint64
 	shards              *int
-	lookahead           *time.Duration
 }
 
-// AddLoadSpec registers the load-spec flags on fs. defVariant is the
-// built-in variant run when neither -spec nor -file is given; "" makes
-// a source mandatory.
-func AddLoadSpec(fs *flag.FlagSet, defVariant string) *LoadSpec {
+// AddLoadSpec registers the load-spec flags on fs.
+func AddLoadSpec(fs *flag.FlagSet) *LoadSpec {
 	return &LoadSpec{
-		defVariant: defVariant,
-		variant:    fs.String("variant", defVariant, "built-in load spec by name (see -list)"),
-		spec:       fs.String("spec", "", "inline load spec (topology.ParseLoadSpec syntax)"),
-		file:       fs.String("file", "", "read the load spec from a file"),
-		List:       fs.Bool("list", false, "list built-in variants and exit"),
-		seed:       fs.Uint64("seed", 1, "random seed"),
-		shards:     fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)"),
-		lookahead:  fs.Duration("lookahead", 0, "conservative window override (0 = default)"),
+		variant: fs.String("variant", "", "built-in load spec by name (see -list)"),
+		spec:    fs.String("spec", "", "inline load spec (topology.ParseLoadSpec syntax)"),
+		file:    fs.String("file", "", "read the load spec from a file"),
+		List:    fs.Bool("list", false, "list built-in variants and exit"),
+		seed:    fs.Uint64("seed", 1, "random seed"),
+		shards:  fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)"),
 	}
 }
 
@@ -66,12 +58,8 @@ func PrintVariants(w io.Writer) {
 // experiments.ScaleRig. name labels the source in reports: the variant
 // name, "spec", or the file path. Every error is bad input.
 func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.Config, err error) {
-	variant := *l.variant
-	if variant == l.defVariant && (*l.spec != "" || *l.file != "") {
-		variant = "" // an explicit source replaces the default variant
-	}
 	set := 0
-	for _, s := range []string{variant, *l.spec, *l.file} {
+	for _, s := range []string{*l.variant, *l.spec, *l.file} {
 		if s != "" {
 			set++
 		}
@@ -80,10 +68,10 @@ func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.C
 	switch {
 	case set != 1:
 		err = errors.New("exactly one of -variant, -spec, -file must be given")
-	case variant != "":
-		v, ok := experiments.ScaleVariantByName(variant)
+	case *l.variant != "":
+		v, ok := experiments.ScaleVariantByName(*l.variant)
 		if !ok {
-			err = fmt.Errorf("unknown variant %q (try -list)", variant)
+			err = fmt.Errorf("unknown variant %q (try -list)", *l.variant)
 		}
 		text, name = []byte(v.Spec), v.Name
 	case *l.spec != "":
@@ -95,7 +83,7 @@ func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.C
 	if err != nil {
 		return "", spec, cfg, err
 	}
-	spec, cfg, err = experiments.ScaleRig(string(text), *l.seed, *l.shards, sim.Duration(*l.lookahead))
+	spec, cfg, err = experiments.ScaleRig(string(text), *l.seed, *l.shards)
 	return name, spec, cfg, err
 }
 

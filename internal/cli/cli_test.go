@@ -11,10 +11,10 @@ import (
 	"repro/internal/experiments"
 )
 
-func parse(t *testing.T, defVariant string, args ...string) *LoadSpec {
+func parse(t *testing.T, args ...string) *LoadSpec {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	l := AddLoadSpec(fs, defVariant)
+	l := AddLoadSpec(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -27,36 +27,35 @@ func TestResolveSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		def      string
 		args     []string
 		wantName string // "" = error
 	}{
-		{"", nil, ""},
-		{"", []string{"-variant", "1z4h"}, "1z4h"},
-		{"", []string{"-variant", "nosuchrig"}, ""},
-		{"", []string{"-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, ""},
-		{"", []string{"-spec", "topo:zones=0"}, ""},
-		{"", []string{"-file", "/nonexistent.load"}, ""},
-		{"2z8h-outage", nil, "2z8h-outage"},
-		{"2z8h-outage", []string{"-file", path}, path}, // an explicit source replaces the default
-		{"2z8h-outage", []string{"-spec", "topo:zones=1,hosts=2", "-file", path}, ""},
+		{nil, ""},
+		{[]string{"-variant", "1z4h"}, "1z4h"},
+		{[]string{"-variant", "nosuchrig"}, ""},
+		{[]string{"-variant", "1z4h", "-spec", "topo:zones=1,hosts=1"}, ""},
+		{[]string{"-spec", "topo:zones=0"}, ""},
+		{[]string{"-file", "/nonexistent.load"}, ""},
+		{[]string{"-spec", "topo:zones=1,hosts=2"}, "spec"},
+		{[]string{"-file", path}, path},
+		{[]string{"-spec", "topo:zones=1,hosts=2", "-file", path}, ""},
 	}
 	for _, tc := range cases {
-		name, _, _, err := parse(t, tc.def, tc.args...).Resolve()
+		name, _, _, err := parse(t, tc.args...).Resolve()
 		if tc.wantName == "" && err == nil || tc.wantName != "" && (err != nil || name != tc.wantName) {
-			t.Errorf("default %q, %v: name %q, err %v; want name %q", tc.def, tc.args, name, err, tc.wantName)
+			t.Errorf("%v: name %q, err %v; want name %q", tc.args, name, err, tc.wantName)
 		}
 	}
 }
 
 func TestResolveAppliesRunFlags(t *testing.T) {
-	_, spec, cfg, err := parse(t, "", "-variant", "2z8h-outage",
-		"-seed", "7", "-shards", "3", "-lookahead", "100us").Resolve()
+	_, spec, cfg, err := parse(t, "-variant", "2z8h-outage",
+		"-seed", "7", "-shards", "3").Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Zones != 2 || cfg.Seed != 7 || cfg.Shards != 3 || cfg.Lookahead.Std().String() != "100µs" {
-		t.Fatalf("zones %d seed %d shards %d lookahead %v", spec.Zones, cfg.Seed, cfg.Shards, cfg.Lookahead)
+	if spec.Zones != 2 || cfg.Seed != 7 || cfg.Shards != 3 {
+		t.Fatalf("zones %d seed %d shards %d", spec.Zones, cfg.Seed, cfg.Shards)
 	}
 }
 

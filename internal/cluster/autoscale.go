@@ -140,7 +140,7 @@ func (c *Cluster) beginDrain(hd *VMHandle) {
 		c.recordScale("down", hd, c.liveReplicas())
 	}
 	hd.draining = true
-	c.sh.AtBarrier(c.sh.Now()+c.lookahead, "drain-"+hd.Spec.Name, func() { c.drainCheck(hd) })
+	c.sh.AtBarrier(c.sh.Now()+lookahead, "drain-"+hd.Spec.Name, func() { c.drainCheck(hd) })
 }
 
 // drainCheck retires hd once every routed request has landed and
@@ -156,7 +156,7 @@ func (c *Cluster) drainCheck(hd *VMHandle) {
 		c.retire(hd)
 		return
 	}
-	c.sh.AtBarrier(c.sh.Now()+c.lookahead, "drain-"+hd.Spec.Name, func() { c.drainCheck(hd) })
+	c.sh.AtBarrier(c.sh.Now()+lookahead, "drain-"+hd.Spec.Name, func() { c.drainCheck(hd) })
 }
 
 // retire seals the drained replica's gate (empty by construction — the

@@ -89,10 +89,33 @@ type VMSpec struct {
 	Sensitive bool
 }
 
-// DefaultLookahead is the router's transit latency and therefore the
-// conservative sync window: a quarter millisecond of simulated network
-// hop, comfortably under every control-plane cadence.
-const DefaultLookahead = 250 * sim.Microsecond
+// Control-plane constants. No rig varies them, so they are not
+// configuration.
+const (
+	// lookahead is the router's transit latency and therefore the
+	// conservative sync window: a quarter millisecond of simulated
+	// network hop, comfortably under every control-plane cadence.
+	lookahead = 250 * sim.Microsecond
+	// monitorInterval is how often the interference signal is
+	// refreshed (and migrations considered).
+	monitorInterval = 500 * sim.Millisecond
+	// stealTrigger is the per-vCPU steal fraction (time runnable but
+	// not running, over the monitor window) above which a server VM is
+	// considered to be suffering and becomes a migration victim.
+	stealTrigger = 0.09
+	// hotThreshold adds hysteresis: the victim's host must show more
+	// than hotThreshold× the destination's interference score.
+	hotThreshold = 1.3
+	// migrationPause is the switchover downtime; copyPerVCPU the
+	// pre-copy duration per vCPU (the VM keeps serving during the
+	// copy); migrationCooldown the minimum gap between migrations of
+	// one VM.
+	migrationPause    = 25 * sim.Millisecond
+	copyPerVCPU       = 40 * sim.Millisecond
+	migrationCooldown = 3 * sim.Second
+	// auditInterval is the invariant checkers' audit cadence.
+	auditInterval = 50 * sim.Millisecond
+)
 
 // Config parameterizes a cluster run.
 type Config struct {
@@ -112,10 +135,6 @@ type Config struct {
 	// The pool size is invisible to the simulation — output is
 	// byte-identical at any value.
 	Shards int
-	// Lookahead is the conservative sync window and the router's
-	// transit latency (the minimum delay of any cross-host event).
-	// Zero means DefaultLookahead.
-	Lookahead sim.Time
 
 	Seed uint64
 	// Duration is how long the request stream runs; Drain is the extra
@@ -135,22 +154,6 @@ type Config struct {
 
 	// Migration enables hot-spot detection and live VM migration.
 	Migration bool
-	// MonitorInterval is how often the interference signal is
-	// refreshed (and migrations considered).
-	MonitorInterval sim.Time
-	// StealTrigger is the per-vCPU steal fraction (time runnable but
-	// not running, over the monitor window) above which a server VM is
-	// considered to be suffering and becomes a migration victim.
-	StealTrigger float64
-	// HotThreshold adds hysteresis: the victim's host must show more
-	// than HotThreshold× the destination's interference score.
-	HotThreshold float64
-	// MigrationPause is the switchover downtime; CopyPerVCPU the
-	// pre-copy duration per vCPU (VM keeps serving during the copy);
-	// MigrationCooldown the minimum gap between migrations of one VM.
-	MigrationPause    sim.Time
-	CopyPerVCPU       sim.Time
-	MigrationCooldown sim.Time
 
 	// HostBlackoutEvery, when positive, pauses every vCPU of one
 	// randomly chosen host for HostBlackoutFor at each period — the
@@ -159,13 +162,11 @@ type Config struct {
 	HostBlackoutFor   sim.Time
 	// Faults, when non-zero, attaches a per-host fault injector with a
 	// forked seed (control-plane message faults inside each host).
-	Faults    fault.Plan
-	FaultSeed uint64
+	Faults fault.Plan
 
 	// Invariants attaches the runtime invariant checker to every host
 	// hypervisor, every guest kernel, and the cluster itself.
-	Invariants    bool
-	AuditInterval sim.Time
+	Invariants bool
 
 	// TuneHV and TuneGuest, when non-nil, adjust each host's
 	// hypervisor config and each guest kernel's config after defaults
@@ -219,25 +220,18 @@ type Config struct {
 // sequence of four server VMs interleaved with four antagonists.
 func DefaultConfig() Config {
 	return Config{
-		Hosts:             3,
-		PCPUsPerHost:      4,
-		Strategy:          hypervisor.StrategyVanilla,
-		Policy:            LeastLoaded,
-		Overcommit:        1.5,
-		Seed:              1,
-		Duration:          20 * sim.Second,
-		Drain:             2 * sim.Second,
-		VMs:               StandardMix(4, 2, 4, 2, 1*sim.Second),
-		Service:           2 * sim.Millisecond,
-		Arrival:           1250 * sim.Microsecond,
-		SLO:               20 * sim.Millisecond,
-		MonitorInterval:   500 * sim.Millisecond,
-		StealTrigger:      0.09,
-		HotThreshold:      1.3,
-		MigrationPause:    25 * sim.Millisecond,
-		CopyPerVCPU:       40 * sim.Millisecond,
-		MigrationCooldown: 3 * sim.Second,
-		AuditInterval:     50 * sim.Millisecond,
+		Hosts:        3,
+		PCPUsPerHost: 4,
+		Strategy:     hypervisor.StrategyVanilla,
+		Policy:       LeastLoaded,
+		Overcommit:   1.5,
+		Seed:         1,
+		Duration:     20 * sim.Second,
+		Drain:        2 * sim.Second,
+		VMs:          StandardMix(4, 2, 4, 2, 1*sim.Second),
+		Service:      2 * sim.Millisecond,
+		Arrival:      1250 * sim.Microsecond,
+		SLO:          20 * sim.Millisecond,
 	}
 }
 
@@ -419,10 +413,6 @@ type VMHandle struct {
 	stealFrac float64
 }
 
-// Host returns the host the VM currently occupies (nil before
-// admission).
-func (hd *VMHandle) Host() *Host { return hd.host }
-
 // Migrations returns how many times the VM has moved hosts.
 func (hd *VMHandle) Migrations() int { return hd.gen }
 
@@ -438,15 +428,14 @@ func (hd *VMHandle) instName() string {
 // Cluster ties the rack, the placement policy, the router, and the
 // migration monitor together on one sharded deterministic engine.
 type Cluster struct {
-	cfg       Config
-	sh        *sim.ShardedEngine
-	ctl       *sim.Engine // shard 0: the control plane (arrivals + routing)
-	lookahead sim.Time
-	hosts     []*Host
-	vms       []*VMHandle
-	servers   []*VMHandle
-	checker   *invariant.Checker // cluster-level invariants, audited at barriers
-	watcher   *watch.Watcher
+	cfg     Config
+	sh      *sim.ShardedEngine
+	ctl     *sim.Engine // shard 0: the control plane (arrivals + routing)
+	hosts   []*Host
+	vms     []*VMHandle
+	servers []*VMHandle
+	checker *invariant.Checker // cluster-level invariants, audited at barriers
+	watcher *watch.Watcher
 
 	// Decision audit log (nil when Config.Decisions is nil). decCtl is
 	// the control shard's ring, where every cluster-level choice lands.
@@ -510,24 +499,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Overcommit <= 0 {
 		cfg.Overcommit = 1.5
 	}
-	if cfg.MonitorInterval <= 0 {
-		cfg.MonitorInterval = 500 * sim.Millisecond
-	}
-	if cfg.StealTrigger <= 0 {
-		cfg.StealTrigger = 0.1
-	}
-	if cfg.HotThreshold <= 0 {
-		cfg.HotThreshold = 1.3
-	}
-	if cfg.AuditInterval <= 0 {
-		cfg.AuditInterval = 50 * sim.Millisecond
-	}
-	if cfg.Lookahead < 0 {
-		return nil, fmt.Errorf("cluster: negative lookahead %v", cfg.Lookahead)
-	}
-	if cfg.Lookahead == 0 {
-		cfg.Lookahead = DefaultLookahead
-	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard pool %d", cfg.Shards)
 	}
@@ -564,7 +535,7 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Autoscale = &as
 	}
 
-	sh := sim.NewSharded(cfg.Hosts+1, cfg.Lookahead)
+	sh := sim.NewSharded(cfg.Hosts+1, lookahead)
 	workers := cfg.Shards
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -578,7 +549,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:         cfg,
 		sh:          sh,
 		ctl:         sh.Shard(ctlShard),
-		lookahead:   cfg.Lookahead,
 		arrivalRNG:  sim.NewRNG(cfg.Seed ^ 0xc1a57e12),
 		blackoutRNG: sim.NewRNG(cfg.Seed ^ 0xb1ac0a7e),
 		stats:       &workload.ServerStats{Latency: &obs.Histogram{}},
@@ -601,11 +571,7 @@ func New(cfg Config) (*Cluster, error) {
 		reg := obs.NewRegistry()
 		var inj *fault.Injector
 		if !cfg.Faults.Zero() {
-			seed := cfg.FaultSeed
-			if seed == 0 {
-				seed = cfg.Seed ^ 0xfa017eed
-			}
-			inj = fault.NewInjector(cfg.Faults, seed^uint64(i+1)*0x9e3779b97f4a7c15, reg)
+			inj = fault.NewInjector(cfg.Faults, cfg.Seed^0xfa017eed^uint64(i+1)*0x9e3779b97f4a7c15, reg)
 		}
 		hc := hypervisor.DefaultConfig(cfg.PCPUsPerHost)
 		hc.Strategy = cfg.Strategy
@@ -662,7 +628,7 @@ func New(cfg Config) (*Cluster, error) {
 		// Cluster-level invariants audit at barriers (they read every
 		// shard); each host additionally runs its own checker over its
 		// hypervisor and resident kernels, on its own engine.
-		c.checker = invariant.New(cfg.AuditInterval)
+		c.checker = invariant.New(auditInterval)
 		c.checker.Observe(c)
 		c.checker.OnViolation = func(v invariant.Violation) {
 			c.pendingViols = append(c.pendingViols, v)
@@ -673,11 +639,11 @@ func New(cfg Config) (*Cluster, error) {
 		c.sh.OnViolation = func(name, detail string) {
 			c.checker.Record(c.sh.Now(), name, detail)
 		}
-		c.sh.EveryBarrier(cfg.AuditInterval, "invariant-audit", func() {
+		c.sh.EveryBarrier(auditInterval, "invariant-audit", func() {
 			c.checker.AuditAt(c.sh.Now())
 		})
 		for _, h := range c.hosts {
-			h.checker = invariant.New(cfg.AuditInterval)
+			h.checker = invariant.New(auditInterval)
 			h.checker.Observe(h.HV)
 			h.checker.Attach(h.eng)
 			h.checker.OnViolation = func(v invariant.Violation) {
@@ -727,7 +693,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Interference monitor (signal refresh + migration trigger): reads
 	// every host's registry, so it runs at barriers.
-	c.sh.EveryBarrier(cfg.MonitorInterval, "cluster-monitor", c.monitor)
+	c.sh.EveryBarrier(monitorInterval, "cluster-monitor", c.monitor)
 
 	// Cluster-level host blackouts.
 	if cfg.HostBlackoutEvery > 0 && cfg.HostBlackoutFor > 0 {
@@ -962,13 +928,6 @@ func (c *Cluster) Run() (*Result, error) {
 	return c.result(), nil
 }
 
-// HostLoad is the per-host slice of a Result.
-type HostLoad struct {
-	ID        int
-	Committed int
-	VMs       int
-}
-
 // PhaseStats is the SLO accounting for one Config.SLOPhases bucket.
 type PhaseStats struct {
 	Served, Violations int64
@@ -979,7 +938,6 @@ type PhaseStats struct {
 type Result struct {
 	Generated, Served, Unserved int64
 	P50, P99, P999              sim.Time
-	MeanLatency                 sim.Time
 	SLOViolations               int64
 	SLORate                     float64 // violations / served
 	Migrations                  int64
@@ -987,7 +945,6 @@ type Result struct {
 	FaultsInjected              int64
 	Violations                  int64
 	Events                      uint64 // engine events dispatched, all shards
-	Hosts                       []HostLoad
 
 	// Zone / control-plane outputs (zero without a multi-zone topology
 	// or the respective feature).
@@ -1009,7 +966,6 @@ func (c *Cluster) result() *Result {
 		P50:           c.stats.Latency.Percentile(50),
 		P99:           c.stats.Latency.Percentile(99),
 		P999:          c.stats.Latency.Percentile(99.9),
-		MeanLatency:   c.stats.Latency.Mean(),
 		SLOViolations: c.sloViolations,
 		Migrations:    c.migrations,
 		Blackouts:     c.blackouts,
@@ -1022,7 +978,6 @@ func (c *Cluster) result() *Result {
 		if h.inj != nil {
 			res.FaultsInjected += h.inj.Total()
 		}
-		res.Hosts = append(res.Hosts, HostLoad{ID: h.ID, Committed: h.committed, VMs: len(h.HV.VMs())})
 	}
 	if c.checker != nil {
 		res.Violations = c.checker.Count()

@@ -174,14 +174,14 @@ func (c *Cluster) recordMigrate(victim *VMHandle, hot, cool *Host, cands []decis
 		Subject: victim.instName(),
 		Winner:  cool.Name(),
 		Detail: fmt.Sprintf("migrate %s: %s -> %s (steal %.3f > %.3f)",
-			victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, c.cfg.StealTrigger),
+			victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, stealTrigger),
 		Candidates: cands,
 		Inputs: []decision.KV{
 			{Key: "from", Val: hot.Name()},
 			{Key: "steal", Val: strconv.FormatFloat(victim.stealFrac, 'f', 3, 64)},
-			{Key: "trigger", Val: strconv.FormatFloat(c.cfg.StealTrigger, 'f', 3, 64)},
+			{Key: "trigger", Val: strconv.FormatFloat(stealTrigger, 'f', 3, 64)},
 			{Key: "hot-score", Val: strconv.FormatFloat(hot.Score(), 'f', 3, 64)},
-			{Key: "threshold", Val: strconv.FormatFloat(c.cfg.HotThreshold, 'f', 2, 64)},
+			{Key: "threshold", Val: strconv.FormatFloat(hotThreshold, 'f', 2, 64)},
 		},
 	})
 }

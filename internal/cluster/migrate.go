@@ -10,8 +10,8 @@ import (
 
 // Live migration follows the classic pre-copy shape: while the VM keeps
 // serving on the source (and the router cordons it so its queue
-// drains), state is copied for CopyPerVCPU×vCPUs; then the VM pauses
-// for MigrationPause (switchover), its scheduler state is snapshotted,
+// drains), state is copied for copyPerVCPU×vCPUs; then the VM pauses
+// for migrationPause (switchover), its scheduler state is snapshotted,
 // its not-yet-started requests are carried over, and a successor
 // instance boots on the destination seeded with the snapshot. Carried
 // requests keep their original arrival stamps, so the downtime is paid
@@ -33,9 +33,9 @@ func (c *Cluster) monitor() {
 
 // maybeMigrate moves the worst-suffering server VM — the one whose
 // measured per-vCPU steal fraction over the last window exceeds
-// StealTrigger — to the least-interfering host with capacity. One
+// stealTrigger — to the least-interfering host with capacity. One
 // migration is in flight at a time, each VM has a cooldown, and
-// HotThreshold hysteresis stops ping-ponging between near-equal hosts.
+// hotThreshold hysteresis stops ping-ponging between near-equal hosts.
 func (c *Cluster) maybeMigrate() {
 	for _, hd := range c.servers {
 		if hd.migrating {
@@ -61,10 +61,10 @@ func (c *Cluster) maybeMigrate() {
 		if hd.draining || (len(c.zones) > 1 && c.zoneOf(hd.host).cordoned) {
 			continue
 		}
-		// Residency: a VM is not movable until MigrationCooldown after
+		// Residency: a VM is not movable until migrationCooldown after
 		// its admission or last move, so transient balancer noise right
 		// after placement cannot evict it.
-		if now-hd.lastMove < c.cfg.MigrationCooldown {
+		if now-hd.lastMove < migrationCooldown {
 			continue
 		}
 		// Never cordon the only live replica: with nowhere to route,
@@ -72,7 +72,7 @@ func (c *Cluster) maybeMigrate() {
 		if open <= 1 {
 			continue
 		}
-		if hd.stealFrac < c.cfg.StealTrigger {
+		if hd.stealFrac < stealTrigger {
 			continue
 		}
 		if victim == nil || hd.stealFrac > victim.stealFrac {
@@ -120,7 +120,7 @@ func (c *Cluster) maybeMigrate() {
 	}
 	// Hysteresis: the move must be a clear win (the epsilon keeps a
 	// cold rack from dividing near-zero scores).
-	if hot.Score() <= c.cfg.HotThreshold*coolScore+0.02 {
+	if hot.Score() <= hotThreshold*coolScore+0.02 {
 		return
 	}
 	if rec {
@@ -130,22 +130,19 @@ func (c *Cluster) maybeMigrate() {
 }
 
 // startMigration runs the pre-copy phase, then the switchover. The copy
-// runs for at least one transit latency so every request routed before
-// the cordon has landed (or bounced) by the time the gate seals.
+// (copyPerVCPU per vCPU) outlasts a transit latency many times over, so
+// every request routed before the cordon has landed (or bounced) by the
+// time the gate seals.
 func (c *Cluster) startMigration(hd *VMHandle, dest *Host) {
 	hd.migrating = true // cordons the VM: router stops feeding it
 	now := c.sh.Now()
 	hd.lastMove = now
-	copyTime := c.cfg.CopyPerVCPU * sim.Time(hd.Spec.VCPUs)
-	if copyTime < c.lookahead {
-		copyTime = c.lookahead
-	}
-	c.sh.AtBarrier(now+copyTime, "migrate-copy-"+hd.Spec.Name, func() {
+	c.sh.AtBarrier(now+copyPerVCPU*sim.Time(hd.Spec.VCPUs), "migrate-copy-"+hd.Spec.Name, func() {
 		// Switchover: freeze scheduler state, seal the gate, carry the
 		// requests no worker has started.
 		snap := hd.host.HV.SnapshotVM(hd.vm)
 		hd.carried = append(hd.carried, hd.gate.Close()...)
-		c.sh.AtBarrier(c.sh.Now()+c.cfg.MigrationPause, "migrate-switch-"+hd.Spec.Name, func() {
+		c.sh.AtBarrier(c.sh.Now()+migrationPause, "migrate-switch-"+hd.Spec.Name, func() {
 			c.completeMigration(hd, dest, snap)
 		})
 	})

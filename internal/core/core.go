@@ -113,12 +113,10 @@ type Scenario struct {
 	Faults    fault.Plan
 	FaultSeed uint64
 	// Invariants attaches a runtime invariant checker that audits the
-	// hypervisor and every guest kernel at AuditInterval (default 1 ms
-	// of virtual time) and bridges engine scheduling violations. The
-	// checker is exposed as Cluster.Checker; its violation count as
-	// Result.Violations.
-	Invariants    bool
-	AuditInterval sim.Time
+	// hypervisor and every guest kernel every 1 ms of virtual time and
+	// bridges engine scheduling violations. The checker is exposed as
+	// Cluster.Checker; its violation count as Result.Violations.
+	Invariants bool
 }
 
 // VMResult holds per-VM measurements.
@@ -239,7 +237,7 @@ func Build(scn Scenario) (*Cluster, error) {
 
 	c := &Cluster{Scenario: scn, Engine: eng, HV: hv, Faults: inj}
 	if scn.Invariants {
-		c.Checker = invariant.New(scn.AuditInterval)
+		c.Checker = invariant.New(sim.Millisecond)
 		c.Checker.Observe(hv)
 	}
 	if scn.Metrics != nil && scn.SampleInterval > 0 {

@@ -107,7 +107,7 @@ func AllKinds() []Kind {
 // ControlKinds lists the cluster control-plane kinds — everything but
 // the per-vCPU boost/preempt stream, whose volume (one record per
 // scheduler event on every host) swamps a cluster-length log. This is
-// the default recording set for the why experiment and cmd/irswhy.
+// the default recording set for the why experiment and `irsload -why`.
 func ControlKinds() []Kind {
 	return []Kind{KindZonePick, KindPlace, KindRoute, KindAutoscale,
 		KindMigrate, KindCordon, KindUncordon}
@@ -475,7 +475,7 @@ func Trail(recs []Record) []TrailStep {
 }
 
 // TrailString renders a trail as its comma-separated step labels —
-// the form cmd/irswhy's -expect gate compares.
+// the form the `irsload -trail` gate compares.
 func TrailString(steps []TrailStep) string {
 	var b strings.Builder
 	for i, s := range steps {

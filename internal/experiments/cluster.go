@@ -80,10 +80,10 @@ func clusterTable(h *harness) Table {
 		Columns: []string{"variant", "served", "p50", "p99", "p99.9", "slo-viol",
 			"migr", "blackouts", "injected", "violations"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, shards := h.opt.Seed, h.opt.Shards
 	for _, v := range ClusterVariants() {
 		row, err := tryJob(h, "cluster|"+v.Name, func() ([]string, error) {
-			return clusterCell(v, seed, shards, la)
+			return clusterCell(v, seed, shards)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -94,15 +94,10 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
+func clusterCell(v ClusterVariant, seed uint64, shards int) ([]string, error) {
 	cfg := ClusterConfig(v, seed)
 	cfg.Shards = shards
-	cfg.Lookahead = lookahead
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run()
+	_, res, err := runCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,6 +113,16 @@ func clusterCell(v ClusterVariant, seed uint64, shards int, lookahead sim.Time) 
 		fmt.Sprintf("%d", res.FaultsInjected),
 		fmt.Sprintf("%d", res.Violations),
 	}, nil
+}
+
+// runCluster builds and runs one cluster-backed simulation.
+func runCluster(cfg cluster.Config) (*cluster.Cluster, *cluster.Result, error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := c.Run()
+	return c, res, err
 }
 
 // fmtLatency renders a latency in milliseconds.

@@ -21,6 +21,12 @@ func goldenOptions() Options {
 	return Options{Runs: 1, Seed: 1, Workers: 1}
 }
 
+// shortSkip names the four largest figure matrices, the slowest tables
+// by far. -short runs (`make race`) skip them in TestGoldenTables:
+// their jobs take the same measure path as the paper figures that
+// still run.
+var shortSkip = map[string]bool{"fig5": true, "fig6": true, "fig9": true, "fig12": true}
+
 // TestGoldenTables renders every table once on the parallel harness
 // and diffs it against the golden, which -update writes serially: one
 // pass checks both drift and serial = parallel. The full serial-vs-
@@ -34,6 +40,9 @@ func TestGoldenTables(t *testing.T) {
 	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
+			if testing.Short() && !*update && shortSkip[id] {
+				t.Skip("large figure matrix; skipped in -short")
+			}
 			t.Parallel()
 			got := mustTable(t, id, opt).String()
 			path := filepath.Join("testdata", id+".golden")

@@ -149,9 +149,8 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 }
 
 // ScaleRig parses load-spec text and compiles it with ScaleConfig,
-// setting the engine pool width (0 = auto, 1 = serial) and lookahead
-// (0 = cluster.DefaultLookahead).
-func ScaleRig(text string, seed uint64, shards int, lookahead sim.Time) (topology.LoadSpec, cluster.Config, error) {
+// setting the engine pool width (0 = auto, 1 = serial).
+func ScaleRig(text string, seed uint64, shards int) (topology.LoadSpec, cluster.Config, error) {
 	spec, err := topology.ParseLoadSpec(text)
 	if err != nil {
 		return spec, cluster.Config{}, err
@@ -161,7 +160,6 @@ func ScaleRig(text string, seed uint64, shards int, lookahead sim.Time) (topolog
 		return spec, cfg, err
 	}
 	cfg.Shards = shards
-	cfg.Lookahead = lookahead
 	return spec, cfg, nil
 }
 
@@ -174,10 +172,10 @@ func scaleTable(h *harness) Table {
 		Columns: []string{"variant", "topo", "served", "p99", "slo-viol", "recov-slo",
 			"replicas", "scale", "failover", "alerts", "migr", "viol"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, shards := h.opt.Seed, h.opt.Shards
 	for _, v := range ScaleVariants() {
 		row, err := tryJob(h, "scale|"+v.Name, func() ([]string, error) {
-			return scaleCell(v, seed, shards, la)
+			return scaleCell(v, seed, shards)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -188,16 +186,12 @@ func scaleTable(h *harness) Table {
 
 // scaleCell executes one load spec and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func scaleCell(v ScaleVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
-	spec, cfg, err := ScaleRig(v.Spec, seed, shards, lookahead)
+func scaleCell(v ScaleVariant, seed uint64, shards int) ([]string, error) {
+	spec, cfg, err := ScaleRig(v.Spec, seed, shards)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run()
+	_, res, err := runCluster(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -121,10 +121,10 @@ func watchTable(h *harness) Table {
 		Columns: []string{"variant", "served", "slo-viol", "alerts", "detect",
 			"victim", "top aggressor", "score", "runner-up", "ratio", "incidents"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, shards := h.opt.Seed, h.opt.Shards
 	for _, v := range WatchVariants() {
 		row, err := tryJob(h, "watch|"+v.Name, func() ([]string, error) {
-			return watchCell(v, seed, shards, la)
+			return watchCell(v, seed, shards)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -135,15 +135,10 @@ func watchTable(h *harness) Table {
 
 // watchCell executes one variant and renders its row. Pure function of
 // its arguments; safe on worker goroutines.
-func watchCell(v WatchVariant, seed uint64, shards int, lookahead sim.Time) ([]string, error) {
+func watchCell(v WatchVariant, seed uint64, shards int) ([]string, error) {
 	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
 	cfg.Shards = shards
-	cfg.Lookahead = lookahead
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run()
+	c, res, err := runCluster(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/decision"
-	"repro/internal/sim"
 )
 
 // The why experiment answers the observability question the other
@@ -16,22 +14,8 @@ import (
 // first failover route, each autoscaler action — with the inputs and
 // winning margins each choice had at the instant it was made, plus a
 // summary row counting every recorded decision. The trail is exact
-// and byte-identical at any shard count; cmd/irswhy gates CI on it.
-
-// RunWhy runs a cluster config with the decision log attached
-// (recording the given kinds) and returns the finished cluster.
-// Shared by the why table and cmd/irswhy.
-func RunWhy(cfg cluster.Config, kinds []decision.Kind) (*cluster.Cluster, error) {
-	cfg.Decisions = &decision.Options{Kinds: kinds}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Run(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
+// and byte-identical at any shard count; `irsload -why ctl` gates CI
+// on it.
 
 // whyTable runs the outage rig with the decision log and renders its
 // decision trail.
@@ -41,21 +25,22 @@ func whyTable(h *harness) Table {
 		Title:   "Decision provenance: the 2z8h outage rig's audit trail (cordon -> failover -> autoscale), from the cluster-wide decision log",
 		Columns: []string{"step", "t", "kind", "chooser", "subject", "winner", "margin", "why"},
 	}
-	seed, shards, la := h.opt.Seed, h.opt.Shards, h.opt.Lookahead
+	seed, shards := h.opt.Seed, h.opt.Shards
 	t.Rows, _ = tryJob(h, "why|2z8h-outage", func() ([][]string, error) {
-		return whyCell(seed, shards, la)
+		return whyCell(seed, shards)
 	})
 	return t
 }
 
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
-func whyCell(seed uint64, shards int, lookahead sim.Time) ([][]string, error) {
-	_, cfg, err := ScaleRig(ScaleOutageSpec, seed, shards, lookahead)
+func whyCell(seed uint64, shards int) ([][]string, error) {
+	_, cfg, err := ScaleRig(ScaleOutageSpec, seed, shards)
 	if err != nil {
 		return nil, err
 	}
-	c, err := RunWhy(cfg, decision.ControlKinds())
+	cfg.Decisions = &decision.Options{Kinds: decision.ControlKinds()}
+	c, _, err := runCluster(cfg)
 	if err != nil {
 		return nil, err
 	}

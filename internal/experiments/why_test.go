@@ -21,15 +21,16 @@ import (
 // decision exports and the span export must be encoding/json's bytes.
 func TestWhyTrailExactSequence(t *testing.T) {
 	t.Parallel()
-	_, cfg, err := ScaleRig(ScaleOutageSpec, 1, 1, 0)
+	_, cfg, err := ScaleRig(ScaleOutageSpec, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := span.NewTracer()
 	cfg.Spans = tr
-	c, err := RunWhy(cfg, decision.ControlKinds())
+	cfg.Decisions = &decision.Options{Kinds: decision.ControlKinds()}
+	c, _, err := runCluster(cfg)
 	if err != nil {
-		t.Fatalf("RunWhy: %v", err)
+		t.Fatal(err)
 	}
 	recs := c.Decisions().Records()
 	checkExportsMatchEncodingJSON(t, recs, c.Decisions().Dropped(), tr.Finished())

@@ -217,7 +217,6 @@ func TestQuickTicketLockFIFOOrder(t *testing.T) {
 		base := 2 * sim.Millisecond
 		for i := 1; i < n; i++ {
 			delays[i] = base + sim.Time(i)*sim.Millisecond + sim.Time(rng.Intn(300))*sim.Microsecond
-			i := i
 			w := &scripted{gap: delays[i], ops: []func(*guest.Task, func()){
 				func(tk *guest.Task, resume func()) {
 					l.Lock(tk, func() {

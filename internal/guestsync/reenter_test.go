@@ -38,7 +38,6 @@ func TestBarrierSurvivesSynchronousReentry(t *testing.T) {
 		fromRelease := 0
 		seen := make([][]int64, n)
 		for i := 0; i < n; i++ {
-			i := i
 			ops := make([]func(*guest.Task, func()), rounds)
 			for j := range ops {
 				ops[j] = func(tk *guest.Task, resume func()) {

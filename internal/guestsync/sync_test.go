@@ -99,7 +99,6 @@ func TestMutexHandoffIsFIFOForSleepers(t *testing.T) {
 	}}
 	kern.Spawn("holder", holder, 0)
 	for i := 1; i < 4; i++ {
-		i := i
 		w := &scripted{gap: sim.Time(i) * 2 * sim.Millisecond, ops: []func(*guest.Task, func()){
 			func(tk *guest.Task, resume func()) {
 				mu.Lock(tk, func() {
@@ -298,7 +297,6 @@ func TestTicketLockIsFIFO(t *testing.T) {
 	}}
 	kern.Spawn("holder", holder, 0)
 	for i := 1; i < 4; i++ {
-		i := i
 		w := &scripted{gap: sim.Time(i) * 2 * sim.Millisecond, ops: []func(*guest.Task, func()){
 			func(tk *guest.Task, resume func()) {
 				l.Lock(tk, func() {

@@ -53,14 +53,9 @@ type Checker struct {
 	OnViolation func(Violation)
 }
 
-// New creates a checker auditing at the given cadence once attached.
-// A non-positive cadence defaults to 1 ms of virtual time.
-func New(every sim.Time) *Checker {
-	if every <= 0 {
-		every = sim.Millisecond
-	}
-	return &Checker{every: every}
-}
+// New creates a checker auditing at the given (positive) cadence once
+// attached.
+func New(every sim.Time) *Checker { return &Checker{every: every} }
 
 // Observe registers sources to audit. Call before Attach.
 func (c *Checker) Observe(srcs ...Source) {

@@ -11,7 +11,6 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	eng := NewEngine()
 	var got []Time
 	for _, d := range []Time{5, 1, 3, 2, 4} {
-		d := d
 		eng.At(d, func() { got = append(got, d) })
 	}
 	if err := eng.Run(10); err != nil && !errors.Is(err, ErrDeadlock) {
@@ -31,7 +30,6 @@ func TestSameInstantFiresInScheduleOrder(t *testing.T) {
 	eng := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		eng.At(7, func() { got = append(got, i) })
 	}
 	_ = eng.Run(10)
@@ -206,7 +204,6 @@ func TestQuickEventOrdering(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for i, d := range delays {
-			i := i
 			at := Time(d)
 			eng.At(at, func() {
 				fired[i]++
@@ -242,7 +239,6 @@ func TestQuickCancelSubset(t *testing.T) {
 		events := make([]EventRef, len(delays))
 		fired := make([]bool, len(delays))
 		for i, d := range delays {
-			i := i
 			events[i] = eng.At(Time(d)+1, func() { fired[i] = true })
 		}
 		for i := range events {

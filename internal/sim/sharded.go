@@ -174,9 +174,6 @@ func (s *ShardedEngine) Shard(i int) *Engine { return s.engines[i] }
 // Shards returns the number of shards.
 func (s *ShardedEngine) Shards() int { return len(s.engines) }
 
-// Lookahead returns the minimum cross-shard event delay.
-func (s *ShardedEngine) Lookahead() Time { return s.lookahead }
-
 // Now returns the coordinator's clock: the last barrier time. Shard
 // engines run ahead of it mid-window (each by at most the lookahead).
 func (s *ShardedEngine) Now() Time { return s.now }

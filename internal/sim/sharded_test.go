@@ -50,7 +50,6 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 		})
 	}
 	for i := 0; i < shards; i++ {
-		i := i
 		s.Shard(i).Every(37*Microsecond+Time(i)*Microsecond, func() {
 			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v after %d loads", i, s.Shard(i).Now(), load[i]))
 		})
@@ -330,7 +329,6 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 		logs := make([][]string, shards)
 		load := make([]int, shards)
 		for i := 0; i < shards; i++ {
-			i := i
 			weigh(s.Shard(i), gateShare(shards), 50*Microsecond, func() { load[i]++ })
 			s.Shard(i).Every(23*Microsecond+Time(i)*Microsecond, func() {
 				logs[i] = append(logs[i], fmt.Sprintf("tick %v after %d loads", s.Shard(i).Now(), load[i]))
@@ -369,7 +367,6 @@ func TestShardedWorkersMatchSerial(t *testing.T) {
 		var b [shards]strings.Builder
 		var load [shards]int
 		for _, i := range []int{1, 4} {
-			i := i
 			weigh(s.Shard(i), windowGate, 50*Microsecond, func() { load[i]++ })
 			s.Shard(i).Every(17*Microsecond, func() {
 				fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])
@@ -449,7 +446,6 @@ func gateRig(t *testing.T, workers, perShard int) (string, *ShardedEngine, bool)
 	var b [17]strings.Builder
 	var load [17]int
 	for _, i := range []int{3, 11} {
-		i := i
 		weigh(s.Shard(i), perShard, lookahead, func() { load[i]++ })
 		s.Shard(i).Every(lookahead/2, func() {
 			fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])

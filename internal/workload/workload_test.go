@@ -68,7 +68,6 @@ func TestByNameAndNames(t *testing.T) {
 
 func TestEveryCatalogBenchmarkCompletesAlone(t *testing.T) {
 	for _, b := range append(workload.PARSEC(), workload.NPB()...) {
-		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			eng, kern := rig(t, 4)
 			in := b.Instantiate(kern, 0, 1)
