@@ -41,6 +41,16 @@ func TestBadInputs(t *testing.T) {
 		{"-variant", "nosuchrig"},
 		{"-spec", "topo:zones=0"}, // invalid spec
 		{"-file", "/nonexistent.load"},
+	}
+	for _, args := range cases {
+		if code, _, _ := runCmd(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
+	}
+}
+
+func TestWhyBadInputs(t *testing.T) {
+	cases := [][]string{
 		{"-variant", "2z8h-outage", "-why", "bogus"},                          // unknown decision kind
 		{"-variant", "2z8h-outage", "-why", "ctl", "-q", "kind=place kind=x"}, // malformed query
 	}
