@@ -9,7 +9,7 @@
 //
 //	irswatch [-scenario bully|quiet] [-seed 1] [-duration 10s]
 //	         [-rules 'page:budget=0.02,fast=500ms,slow=2500ms,burn=3']
-//	         [-interval 100ms] [-dump incident] [-expect-top bully]
+//	         [-dump incident] [-expect-top bully]
 package main
 
 import (
@@ -37,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "random seed")
 	duration := fs.Duration("duration", time.Duration(experiments.DefaultWatchDuration), "request-stream duration (virtual time)")
 	rulesFlag := fs.String("rules", experiments.DefaultWatchRules, "burn-rate alert rules (';'-separated name:budget=F,fast=D,slow=D,burn=F)")
-	interval := fs.Duration("interval", time.Duration(experiments.DefaultWatchInterval), "watch epoch cadence / window width")
 	dump := fs.String("dump", "", "write the first incident bundle to <prefix>.json and <prefix>.trace.json")
 	expectTop := fs.String("expect-top", "", "exit nonzero unless this VM is the top-ranked aggressor (CI smoke)")
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := experiments.WatchConfig(v, *seed, sim.Duration(*duration), rules, sim.Duration(*interval))
+	cfg := experiments.WatchConfig(v, *seed, sim.Duration(*duration), rules)
 	c, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "irswatch: %v\n", err)

@@ -34,23 +34,6 @@ type AutoscaleConfig struct {
 	Interval, Cooldown, DownAfter sim.Time
 }
 
-// withDefaults fills unset autoscaler knobs.
-func (a AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if a.Step <= 0 {
-		a.Step = 1
-	}
-	if a.Interval <= 0 {
-		a.Interval = 250 * sim.Millisecond
-	}
-	if a.Cooldown <= 0 {
-		a.Cooldown = 2 * sim.Second
-	}
-	if a.DownAfter <= 0 {
-		a.DownAfter = 3 * sim.Second
-	}
-	return a
-}
-
 // liveReplicas counts server replicas the router could feed or start
 // feeding (admitted and not on their way out; a mid-migration replica
 // still counts — it resumes after the switchover).

@@ -493,11 +493,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Hosts <= 0 || cfg.PCPUsPerHost <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one host and one pCPU (got %d×%d)", cfg.Hosts, cfg.PCPUsPerHost)
 	}
-	if cfg.Policy == 0 {
-		cfg.Policy = LeastLoaded
+	if cfg.Policy < FirstFit || cfg.Policy > InterferenceAware {
+		return nil, fmt.Errorf("cluster: unknown placement policy %v", cfg.Policy)
 	}
-	if cfg.Overcommit <= 0 {
-		cfg.Overcommit = 1.5
+	if !(cfg.Overcommit > 0) {
+		return nil, fmt.Errorf("cluster: overcommit %v not positive", cfg.Overcommit)
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: negative shard pool %d", cfg.Shards)
@@ -528,11 +528,14 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.Autoscale.Template.Kind != KindServer || cfg.Autoscale.Template.VCPUs <= 0 {
 			return nil, fmt.Errorf("cluster: autoscaler template must be a server spec with vCPUs")
 		}
-		if cfg.Autoscale.Max < 1 {
-			return nil, fmt.Errorf("cluster: autoscaler max %d < 1", cfg.Autoscale.Max)
+		as := cfg.Autoscale
+		if as.Max < 1 || as.Step < 1 {
+			return nil, fmt.Errorf("cluster: autoscaler max %d / step %d < 1", as.Max, as.Step)
 		}
-		as := cfg.Autoscale.withDefaults()
-		cfg.Autoscale = &as
+		if as.Interval <= 0 || as.Cooldown <= 0 || as.DownAfter <= 0 {
+			return nil, fmt.Errorf("cluster: autoscaler interval %v / cooldown %v / down-after %v not positive",
+				as.Interval, as.Cooldown, as.DownAfter)
+		}
 	}
 
 	sh := sim.NewSharded(cfg.Hosts+1, lookahead)
@@ -556,7 +559,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	if cfg.Watch != nil {
 		c.watcher = watch.New(*cfg.Watch)
-		c.sh.EveryBarrier(c.watcher.Interval(), "watch-epoch", func() {
+		c.sh.EveryBarrier(watch.Interval, "watch-epoch", func() {
 			c.watcher.RunEpoch(c.sh.Now())
 		})
 	}

@@ -192,18 +192,6 @@ func TestPlacementPoliciesSpreadAndPack(t *testing.T) {
 	}
 }
 
-func TestPolicyByName(t *testing.T) {
-	for _, p := range Policies() {
-		got, ok := PolicyByName(p.String())
-		if !ok || got != p {
-			t.Fatalf("PolicyByName(%q) = %v, %v", p.String(), got, ok)
-		}
-	}
-	if _, ok := PolicyByName("round-robin"); ok {
-		t.Fatal("PolicyByName accepted an unknown policy")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -214,6 +202,8 @@ func TestConfigValidation(t *testing.T) {
 		{"no vms", func(c *Config) { c.VMs = nil }},
 		{"kindless vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", VCPUs: 1}} }},
 		{"zero-vcpu vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", Kind: KindServer}} }},
+		{"zero policy", func(c *Config) { c.Policy = 0 }},
+		{"zero overcommit", func(c *Config) { c.Overcommit = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

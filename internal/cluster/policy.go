@@ -35,19 +35,6 @@ func (p Policy) String() string {
 	}
 }
 
-// Policies lists the placement policies in comparison order.
-func Policies() []Policy { return []Policy{FirstFit, LeastLoaded, InterferenceAware} }
-
-// PolicyByName resolves a policy from its String form.
-func PolicyByName(name string) (Policy, bool) {
-	for _, p := range Policies() {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // overfullPenalty soft-forbids exceeding the committed-vCPU capacity:
 // an over-capacity host is chosen only when every host is over.
 const overfullPenalty = 1000.0

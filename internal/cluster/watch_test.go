@@ -26,10 +26,7 @@ func watchConfig() Config {
 	}
 	rule, _ := watch.ParseRule("page:budget=0.05,fast=500ms,slow=2s,burn=2")
 	cfg.Spans = span.NewTracer()
-	cfg.Watch = &watch.Config{
-		Interval: 100 * sim.Millisecond,
-		Rules:    []watch.Rule{rule},
-	}
+	cfg.Watch = &watch.Config{Rules: []watch.Rule{rule}}
 	return cfg
 }
 

@@ -147,7 +147,7 @@ func autoscaleConfig() Config {
 	cfg.SLO = 25 * sim.Millisecond
 	cfg.VMs = StandardMix(2, 2, 2, 2, 400*sim.Millisecond)
 	cfg.ZoneOutages = []ZoneOutage{{Zone: 1, At: 3 * sim.Second, For: 1 * sim.Second}}
-	cfg.Watch = &watch.Config{Interval: 100 * sim.Millisecond, Rules: []watch.Rule{burnRule()}}
+	cfg.Watch = &watch.Config{Rules: []watch.Rule{burnRule()}}
 	cfg.Autoscale = &AutoscaleConfig{
 		Template:  serverTemplate(),
 		Max:       6,
@@ -217,12 +217,14 @@ func TestAutoscalerNeverDrainsLastReplica(t *testing.T) {
 	cfg.Invariants = true
 	cfg.Arrival = 2 * sim.Millisecond
 	cfg.VMs = StandardMix(1, 2, 1, 2, 400*sim.Millisecond)
-	cfg.Watch = &watch.Config{Interval: 100 * sim.Millisecond, Rules: []watch.Rule{burnRule()}}
+	cfg.Watch = &watch.Config{Rules: []watch.Rule{burnRule()}}
 	cfg.Autoscale = &AutoscaleConfig{
 		Template:  serverTemplate(),
 		Min:       0, // even an explicit zero must floor at one replica
 		Max:       4,
+		Step:      1,
 		Interval:  250 * sim.Millisecond,
+		Cooldown:  2 * sim.Second,
 		DownAfter: 500 * sim.Millisecond,
 	}
 	res := mustRun(t, cfg)
@@ -286,6 +288,10 @@ func TestAutoscaleConfigValidation(t *testing.T) {
 		{"non-server template", func(c *Config) { c.Autoscale.Template.Kind = KindAntagonist }},
 		{"zero-vcpu template", func(c *Config) { c.Autoscale.Template.VCPUs = 0 }},
 		{"zero max", func(c *Config) { c.Autoscale.Max = 0 }},
+		{"zero step", func(c *Config) { c.Autoscale.Step = 0 }},
+		{"zero interval", func(c *Config) { c.Autoscale.Interval = 0 }},
+		{"zero cooldown", func(c *Config) { c.Autoscale.Cooldown = 0 }},
+		{"zero down-after", func(c *Config) { c.Autoscale.DownAfter = 0 }},
 	}
 	for _, tc := range cases {
 		cfg := autoscaleConfig()

@@ -129,7 +129,7 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 	// Wire the single-host watchdog by hand (the cluster layer does the
 	// same dance per host): occupancy intervals stream in for
 	// attribution, per-VM pain is pushed each epoch.
-	w := watch.New(watch.Config{Interval: DefaultWatchInterval})
+	w := watch.New(watch.Config{})
 	for _, vmSpec := range scn.VMs {
 		w.RegisterVM(watch.VMInfo{
 			Name: vmSpec.Name, Host: "h0", VCPUs: vmSpec.VCPUs,
@@ -150,7 +150,7 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 			w.FeedPain(now, "h0", vm.Name, pain)
 		}
 	})
-	c.Engine.Every(w.Interval(), func() { w.RunEpoch(c.Engine.Now()) })
+	c.Engine.Every(watch.Interval, func() { w.RunEpoch(c.Engine.Now()) })
 
 	res, err := c.Run()
 	if err != nil {

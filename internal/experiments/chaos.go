@@ -65,21 +65,31 @@ func chaosScenario(seed uint64, rate float64, v chaosVariant, reg *obs.Registry)
 		scn.Faults = fault.LossPlan(rate)
 	}
 	if v.hardened {
-		scn.TuneHV = func(c *hypervisor.Config) {
-			c.SABreakerN = 5
-			c.SABreakerCooldown = 50 * sim.Millisecond
-		}
+		scn.TuneHV = hardenHV
 		scn.TuneGuest = func(name string, c *guest.Config) {
-			if name != "fg" {
-				return
+			if name == "fg" {
+				hardenGuest(c)
 			}
-			c.HardenDupSA = true
-			c.MigratorRetries = 3
-			c.MigratorBackoff = 200 * sim.Microsecond
-			c.WakePoll = 5 * sim.Millisecond
 		}
 	}
 	return scn, true
+}
+
+// hardenHV and hardenGuest apply the hardened IRS profile shared by the
+// chaos and cluster experiments: an SA circuit breaker that trips after
+// 5 consecutive expiries and re-probes every 50 ms, duplicate-upcall
+// suppression, 3 migrator retries 200 µs apart, and a 5 ms
+// wakeup-loss poll.
+func hardenHV(c *hypervisor.Config) {
+	c.SABreakerN = 5
+	c.SABreakerCooldown = 50 * sim.Millisecond
+}
+
+func hardenGuest(c *guest.Config) {
+	c.HardenDupSA = true
+	c.MigratorRetries = 3
+	c.MigratorBackoff = 200 * sim.Microsecond
+	c.WakePoll = 5 * sim.Millisecond
 }
 
 // chaos sweeps vIRQ/hypercall fault rates across the scheduling

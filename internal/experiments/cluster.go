@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
-	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
 )
@@ -54,16 +53,8 @@ func ClusterConfig(v ClusterVariant, seed uint64) cluster.Config {
 		// Chaos rides on the hardened profile (same defenses as the
 		// chaos experiment's irs-hardened row): without wakeup-loss
 		// polling, a lost wakeup strands an idle server worker for good.
-		cfg.TuneHV = func(c *hypervisor.Config) {
-			c.SABreakerN = 5
-			c.SABreakerCooldown = 50 * sim.Millisecond
-		}
-		cfg.TuneGuest = func(c *guest.Config) {
-			c.HardenDupSA = true
-			c.MigratorRetries = 3
-			c.MigratorBackoff = 200 * sim.Microsecond
-			c.WakePoll = 5 * sim.Millisecond
-		}
+		cfg.TuneHV = hardenHV
+		cfg.TuneGuest = hardenGuest
 	}
 	return cfg
 }

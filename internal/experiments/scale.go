@@ -117,10 +117,7 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 		cfg.ZoneOutages = append(cfg.ZoneOutages, cluster.ZoneOutage{Zone: o.Zone, At: o.At, For: o.For})
 	}
 	if a := spec.Alert; a != nil {
-		cfg.Watch = &watch.Config{
-			Interval: DefaultWatchInterval,
-			Rules:    []watch.Rule{*a},
-		}
+		cfg.Watch = &watch.Config{Rules: []watch.Rule{*a}}
 	}
 	if as := spec.Autoscale; as != nil {
 		tmpl := cluster.VMSpec{

@@ -31,8 +31,6 @@ const (
 	// when >3x the 2% violation budget burns over both the 500ms fast
 	// window and the 2.5s slow window.
 	DefaultWatchRules = "page:budget=0.02,fast=500ms,slow=2500ms,burn=3"
-	// DefaultWatchInterval is the watch epoch cadence / window width.
-	DefaultWatchInterval = 100 * sim.Millisecond
 )
 
 // WatchVariant is one row of the watch table.
@@ -67,7 +65,7 @@ func WatchVariantByName(name string) (WatchVariant, bool) {
 // (3 vCPUs) -> h1, ant-near (1 vCPU) -> h0; the bully (4 vCPUs) then
 // ties 3=3 and lands on h0 next to the victim. rules comes from
 // ParseRules format; duration lets the CLI shorten the run.
-func WatchConfig(v WatchVariant, seed uint64, duration sim.Time, rules []watch.Rule, interval sim.Time) cluster.Config {
+func WatchConfig(v WatchVariant, seed uint64, duration sim.Time, rules []watch.Rule) cluster.Config {
 	cfg := cluster.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Hosts = 2
@@ -97,7 +95,7 @@ func WatchConfig(v WatchVariant, seed uint64, duration sim.Time, rules []watch.R
 		})
 	}
 	cfg.Spans = span.NewTracer()
-	cfg.Watch = &watch.Config{Interval: interval, Rules: rules}
+	cfg.Watch = &watch.Config{Rules: rules}
 	return cfg
 }
 
@@ -136,7 +134,7 @@ func watchTable(h *harness) Table {
 // watchCell executes one variant and renders its row. Pure function of
 // its arguments; safe on worker goroutines.
 func watchCell(v WatchVariant, seed uint64, shards int) ([]string, error) {
-	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval)
+	cfg := WatchConfig(v, seed, DefaultWatchDuration, DefaultWatchRuleSet())
 	cfg.Shards = shards
 	c, res, err := runCluster(cfg)
 	if err != nil {

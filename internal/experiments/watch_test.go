@@ -16,7 +16,7 @@ func runWatchVariant(t *testing.T, name string) *watch.Watcher {
 	if !ok {
 		t.Fatalf("unknown watch variant %q", name)
 	}
-	c, err := cluster.New(WatchConfig(v, 1, DefaultWatchDuration, DefaultWatchRuleSet(), DefaultWatchInterval))
+	c, err := cluster.New(WatchConfig(v, 1, DefaultWatchDuration, DefaultWatchRuleSet()))
 	if err != nil {
 		t.Fatal(err)
 	}

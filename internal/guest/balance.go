@@ -66,7 +66,7 @@ func (c *CPU) pickPullTask(src *CPU) *Task {
 		if t.MigrTag && t.homeCPU == c {
 			return t
 		}
-		if now-t.lastRun < c.kern.cfg.CacheHot {
+		if now-t.lastRun < cacheHot {
 			if fallback == nil {
 				fallback = t
 			}

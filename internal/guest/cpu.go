@@ -183,7 +183,7 @@ func (c *CPU) Resume() {
 	}
 	for _, w := range c.stoppers {
 		w()
-		cost += c.kern.cfg.StopperCost
+		cost += stopperCost
 	}
 	c.stoppers = nil
 	c.kern.migrator.kick()
@@ -566,7 +566,7 @@ func (c *CPU) handleIRQ(irq hypervisor.IRQ) sim.Time {
 // injected tick-jitter fault pushes the expiry late.
 func (c *CPU) armTick(now sim.Time) {
 	c.tickArmed = true
-	c.kern.hv.SetTimer(c.vcpu, now+c.kern.cfg.Tick+c.kern.cfg.Faults.TickDelay(c.kern.cfg.Tick))
+	c.kern.hv.SetTimer(c.vcpu, now+tickPeriod+c.kern.cfg.Faults.TickDelay(tickPeriod))
 }
 
 func (c *CPU) stopTick() {
@@ -580,24 +580,24 @@ func (c *CPU) stopTick() {
 // update, periodic load balancing, and re-arming the timer.
 func (c *CPU) tick() sim.Time {
 	c.TicksRun++
-	cost := c.kern.cfg.TickCost
+	cost := tickCost
 	now := c.kern.Now()
 	c.updateRTAvg(now)
 
 	if c.cur != nil && c.rq.Len() > 0 {
 		nr := c.rq.Len() + 1
-		slice := c.kern.cfg.SchedLatency / sim.Time(nr)
-		if slice < c.kern.cfg.MinGranularity {
-			slice = c.kern.cfg.MinGranularity
+		slice := schedLatency / sim.Time(nr)
+		if slice < minGranularity {
+			slice = minGranularity
 		}
 		if c.sliceUsed >= slice {
 			c.preemptLocalDeferred()
 		}
 	}
-	if now-c.lastBalance >= c.kern.cfg.BalanceInterval {
+	if now-c.lastBalance >= balanceInterval {
 		c.lastBalance = now
 		if c.pullBalance(false) {
-			cost += c.kern.cfg.MigratorCost
+			cost += migratorCost
 		}
 	}
 	// NOHZ idle balancing: a busy CPU with queued work kicks an idle

@@ -97,7 +97,7 @@ func (m *migrator) kick() {
 	// An injected fault can stall the migrator kthread here, delaying
 	// every queued migration (drainSync is unaffected: a CPU about to
 	// idle settles its landing spot synchronously either way).
-	delay := m.kern.cfg.MigratorCost + m.kern.cfg.Faults.MigratorStall()
+	delay := migratorCost + m.kern.cfg.Faults.MigratorStall()
 	m.kern.eng.After(delay, m.runFn)
 }
 
@@ -238,7 +238,7 @@ func (k *Kernel) checkMigratePreempt(c *CPU, t *Task) {
 	if cur == nil {
 		return
 	}
-	if t.vruntime < cur.vruntime-k.cfg.WakeupGranularity {
+	if t.vruntime < cur.vruntime-wakeupGranularity {
 		c.setNeedResched()
 	}
 }
@@ -286,7 +286,7 @@ func (k *Kernel) MigrationLatencyProbe(t *Task, dst *CPU, done func(sim.Time)) {
 	// actually runs; if the vCPU is (or becomes) preempted, the work
 	// waits in the stopper queue until the vCPU resumes.
 	if src.running {
-		k.eng.After(k.cfg.StopperCost, func() {
+		k.eng.After(stopperCost, func() {
 			if src.running {
 				work()
 				return

@@ -11,23 +11,33 @@ import (
 	"repro/internal/trace"
 )
 
-// Config holds guest-kernel tunables. Defaults mirror a Linux 3.18-era
-// CFS setup (250 Hz tick, ~6 ms effective slices with two runnable
-// tasks) plus the measured costs of the IRS paths (§3.1: SA handling
-// takes 20–26 µs end to end).
-type Config struct {
-	// Tick is the timer-interrupt period (Linux: 4 ms at 250 Hz).
-	Tick sim.Time
-	// SchedLatency is the CFS scheduling period; each of n runnable
-	// tasks gets SchedLatency/n, floored at MinGranularity.
-	SchedLatency   sim.Time
-	MinGranularity sim.Time
-	// WakeupGranularity limits wakeup preemption: a waking task preempts
+// The Linux 3.18-era CFS setup the paper's guests run at its stock
+// defaults (250 Hz tick, ~6 ms effective slices with two runnable
+// tasks), and the costs of the kernel paths no study varies. They are
+// properties of the modelled system, so they are fixed.
+const (
+	// tickPeriod is the timer-interrupt period (Linux: 4 ms at 250 Hz).
+	tickPeriod = 4 * sim.Millisecond
+	// schedLatency is the CFS scheduling period; each of n runnable
+	// tasks gets schedLatency/n, floored at minGranularity.
+	schedLatency   = 12 * sim.Millisecond
+	minGranularity = 2 * sim.Millisecond
+	// wakeupGranularity limits wakeup preemption: a waking task preempts
 	// only when its vruntime lags the current task's by more than this.
-	WakeupGranularity sim.Time
-	// BalanceInterval is the periodic load-balancing period per CPU.
-	BalanceInterval sim.Time
+	wakeupGranularity = 1 * sim.Millisecond
+	// balanceInterval is the periodic load-balancing period per CPU.
+	balanceInterval = 20 * sim.Millisecond
 
+	tickCost     = 1 * sim.Microsecond   // timer-interrupt handler
+	migratorCost = 4 * sim.Microsecond   // migrator scan + __migrate_task
+	stopperCost  = 5 * sim.Microsecond   // migration_cpu_stop on the source CPU
+	cacheHot     = 500 * sim.Microsecond // tasks that ran more recently are not pulled
+)
+
+// Config holds guest-kernel tunables. Defaults add the measured costs of
+// the IRS paths (§3.1: SA handling takes 20–26 µs end to end) to the
+// fixed CFS setup above.
+type Config struct {
 	// IRS enables the guest half of interference-resilient scheduling:
 	// the VIRQ_SA_UPCALL handler, context switcher, and migrator.
 	IRS bool
@@ -37,8 +47,9 @@ type Config struct {
 	// frozen current task of a preempted sibling vCPU.
 	IRSPull bool
 
-	// Protocol-hardening toggles, each independently ablatable. All off
-	// by default, reproducing the paper's unhardened protocol.
+	// Protocol-hardening toggles, each settable alone so the fault tests
+	// can isolate it. All off by default, reproducing the paper's
+	// unhardened protocol.
 
 	// HardenDupSA suppresses duplicate SA upcalls: an upcall arriving
 	// while the context switcher is already in flight is dropped
@@ -82,12 +93,8 @@ type Config struct {
 
 	// Costs of kernel paths, charged as virtual time.
 	CtxSwitchCost sim.Time // task context switch
-	TickCost      sim.Time // timer-interrupt handler
 	IRQCost       sim.Time // generic interrupt entry/exit
 	SAHandlerCost sim.Time // SA receiver + context switcher bottom half
-	MigratorCost  sim.Time // migrator scan + __migrate_task
-	StopperCost   sim.Time // migration_cpu_stop on the source CPU
-	CacheHot      sim.Time // tasks that ran more recently are not pulled
 
 	Seed uint64
 }
@@ -96,21 +103,11 @@ type Config struct {
 // evaluation.
 func DefaultConfig() Config {
 	return Config{
-		Tick:              4 * sim.Millisecond,
-		SchedLatency:      12 * sim.Millisecond,
-		MinGranularity:    2 * sim.Millisecond,
-		WakeupGranularity: 1 * sim.Millisecond,
-		BalanceInterval:   20 * sim.Millisecond,
-		IRS:               false,
-		SpinBeforeBlock:   40 * sim.Microsecond,
-		CtxSwitchCost:     3 * sim.Microsecond,
-		TickCost:          1 * sim.Microsecond,
-		IRQCost:           2 * sim.Microsecond,
-		SAHandlerCost:     18 * sim.Microsecond,
-		MigratorCost:      4 * sim.Microsecond,
-		StopperCost:       5 * sim.Microsecond,
-		CacheHot:          500 * sim.Microsecond,
-		Seed:              1,
+		SpinBeforeBlock: 40 * sim.Microsecond,
+		CtxSwitchCost:   3 * sim.Microsecond,
+		IRQCost:         2 * sim.Microsecond,
+		SAHandlerCost:   18 * sim.Microsecond,
+		Seed:            1,
 	}
 }
 
@@ -382,7 +379,7 @@ func (k *Kernel) WakeTask(t *Task, cont func()) {
 	t.cpu = target
 	t.state = TaskReady
 	// Sleeper fairness: never let a long sleeper hoard vruntime credit.
-	base := target.minVruntime() - k.cfg.SchedLatency/2
+	base := target.minVruntime() - schedLatency/2
 	if t.vruntime < base {
 		t.vruntime = base
 	}
@@ -406,7 +403,7 @@ func (k *Kernel) checkWakePreempt(c *CPU, woken *Task) {
 		return
 	}
 	tagPreempt := k.cfg.IRS && cur.MigrTag
-	if !tagPreempt && woken.vruntime >= cur.vruntime-k.cfg.WakeupGranularity {
+	if !tagPreempt && woken.vruntime >= cur.vruntime-wakeupGranularity {
 		return
 	}
 	c.setNeedResched()

@@ -46,7 +46,7 @@ func TestPLERearmZeroAllocs(t *testing.T) {
 	if v.pleEvent.Cancelled() {
 		t.Fatal("no PLE window armed for a running spinner")
 	}
-	assertNoAllocs(t, "PLE re-arm", func() { runFor(t, eng, 10*cfg.PLEWindow) })
+	assertNoAllocs(t, "PLE re-arm", func() { runFor(t, eng, 10*pleWindow) })
 	if h.PLEYields() != 0 {
 		t.Fatalf("%d PLE yields with nobody to yield to", h.PLEYields())
 	}

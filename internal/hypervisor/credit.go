@@ -16,7 +16,7 @@ const (
 	creditCap      = 300
 )
 
-// tick runs every cfg.Tick on each pCPU: it burns the running vCPU's
+// tick runs every CreditTick on each pCPU: it burns the running vCPU's
 // credits and preempts it when it has gone OVER while higher-priority
 // vCPUs wait.
 func (h *Hypervisor) tick(p *PCPU) {
@@ -57,8 +57,8 @@ func (h *Hypervisor) tick(p *PCPU) {
 	// Stacked vCPUs accrue runtime slowly, so they re-pick rarely —
 	// which is why stacking persists (§5.6).
 	if h.cfg.LoadBalance {
-		v.acctRun += h.cfg.Tick
-		if v.acctRun >= h.cfg.AccountPeriod {
+		v.acctRun += CreditTick
+		if v.acctRun >= accountPeriod {
 			v.acctRun = 0
 			h.repickVCPU(p, v)
 			if p.current != v {
@@ -82,7 +82,7 @@ func (h *Hypervisor) tick(p *PCPU) {
 	}
 }
 
-// account runs every cfg.AccountPeriod: it refills credits
+// account runs every accountPeriod: it refills credits
 // proportionally to VM weight and lets the relaxed co-scheduler examine
 // execution skew.
 func (h *Hypervisor) account() {
@@ -96,7 +96,7 @@ func (h *Hypervisor) account() {
 	if totalWeight > 0 {
 		// Credits available per period: one tick's worth per pCPU per
 		// tick interval, i.e. capacity of the whole machine.
-		total := int(int64(len(h.pcpus)) * int64(h.cfg.AccountPeriod/h.cfg.Tick) * creditsPerTick)
+		total := int(int64(len(h.pcpus)) * int64(accountPeriod/CreditTick) * creditsPerTick)
 		for _, vm := range h.vms {
 			if !vmActive(vm) {
 				continue
@@ -140,7 +140,7 @@ func (h *Hypervisor) account() {
 
 // debitExact settles v's credit debt under exact accounting: the
 // credits owed grow with cumulative runtime (creditsPerTick per
-// cfg.Tick of execution, integer-floored), and each settlement charges
+// CreditTick of execution, integer-floored), and each settlement charges
 // only the still-unpaid difference. Called at every tick for the
 // running vCPU and at every deschedule, so no run interval escapes
 // charging and none is charged twice. Any vCPU that accrues a charge is
@@ -148,7 +148,7 @@ func (h *Hypervisor) account() {
 // must come from runstates, or a tick-evader is "forgiven" its debt at
 // each account instant as if it had idled through the window.
 func (h *Hypervisor) debitExact(v *VCPU) {
-	owed := int64(v.RunTime()) * creditsPerTick / int64(h.cfg.Tick)
+	owed := int64(v.RunTime()) * creditsPerTick / int64(CreditTick)
 	delta := owed - v.debited
 	if delta <= 0 {
 		return
@@ -234,7 +234,7 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	v.setState(StateRunning)
 	v.sliceStart = now
 	v.occSince = now
-	p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceFn)
+	p.sliceEnd = h.eng.After(timeslice, p.sliceFn)
 	if tl := h.cfg.Trace; tl != nil {
 		tl.Switch(now, p.Name(), v.Name(), v.prio.String())
 	}
@@ -253,7 +253,7 @@ func (h *Hypervisor) sliceExpired(p *PCPU) {
 	}
 	if p.peek(h.eng.Now()) == nil {
 		// Nothing queued: extend by a fresh slice.
-		p.sliceEnd = h.eng.After(h.cfg.Timeslice, p.sliceFn)
+		p.sliceEnd = h.eng.After(timeslice, p.sliceFn)
 		return
 	}
 	h.preempt(p)
@@ -275,11 +275,11 @@ func (h *Hypervisor) checkPreempt(p *PCPU) {
 	if next == nil || next.prio >= p.current.prio {
 		return
 	}
-	// Respect the ratelimit: a vCPU runs at least cfg.Ratelimit before
+	// Respect the ratelimit: a vCPU runs at least ratelimit before
 	// a boost wakeup may preempt it.
 	ran := now - p.current.sliceStart
-	if ran < h.cfg.Ratelimit {
-		h.eng.After(h.cfg.Ratelimit-ran, p.ratelimitFn)
+	if ran < ratelimit {
+		h.eng.After(ratelimit-ran, p.ratelimitFn)
 		return
 	}
 	h.preempt(p)

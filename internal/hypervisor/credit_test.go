@@ -187,7 +187,7 @@ func TestBoostPreemptsAfterRatelimit(t *testing.T) {
 		t.Fatal("A never ran after wake")
 	}
 	delay := runAt - wakeAt
-	if delay > cfg.Ratelimit+2*sim.Millisecond {
+	if delay > ratelimit+2*sim.Millisecond {
 		t.Fatalf("boost wake delay %v, want <= ratelimit+eps", delay)
 	}
 	_ = b
@@ -354,7 +354,7 @@ func TestExactAccountingMatchesRunstateAtTickBoundaries(t *testing.T) {
 	eng.After(7*sim.Millisecond, cycle)
 
 	owed := func(v *VCPU) int64 {
-		return int64(v.RunTime()) * creditsPerTick / int64(cfg.Tick)
+		return int64(v.RunTime()) * creditsPerTick / int64(CreditTick)
 	}
 	eng.Every(sim.Millisecond, func() {
 		for _, vm := range h.VMs() {

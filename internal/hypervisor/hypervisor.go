@@ -50,21 +50,31 @@ func (s Strategy) String() string {
 	}
 }
 
+// The paper's Xen 4.5 credit-scheduler setup. These are properties of
+// the modelled system, not variables of the study, so they are fixed.
+const (
+	// timeslice is the scheduling quantum (Xen credit: 30 ms).
+	timeslice = 30 * sim.Millisecond
+	// CreditTick is the credit-burn tick (Xen credit: 10 ms).
+	CreditTick = 10 * sim.Millisecond
+	// accountPeriod is the credit refill / accounting period (30 ms).
+	accountPeriod = 30 * sim.Millisecond
+	// ratelimit is the minimum uninterrupted run before a wakeup may
+	// preempt (Xen sched_ratelimit_us = 1000).
+	ratelimit = 1 * sim.Millisecond
+	// pleWindow is how long continuous spinning runs before the
+	// pause-loop exit fires and the vCPU is forced to yield.
+	pleWindow = 25 * sim.Microsecond
+	// coSkewThreshold is the execution-skew bound for relaxed
+	// co-scheduling; beyond it the leader is parked (see coPark).
+	coSkewThreshold = 15 * sim.Millisecond
+)
+
 // Config holds hypervisor tunables. DefaultConfig matches the paper's
 // Xen 4.5 credit-scheduler setup.
 type Config struct {
 	PCPUs    int
 	Strategy Strategy
-
-	// Timeslice is the scheduling quantum (Xen credit: 30 ms).
-	Timeslice sim.Time
-	// Tick is the credit-burn tick (Xen credit: 10 ms).
-	Tick sim.Time
-	// AccountPeriod is the credit refill / accounting period (30 ms).
-	AccountPeriod sim.Time
-	// Ratelimit is the minimum uninterrupted run before a wakeup may
-	// preempt (Xen sched_ratelimit_us = 1000).
-	Ratelimit sim.Time
 
 	// SALimit is the hard deadline for a guest to acknowledge a
 	// scheduler activation before the hypervisor preempts anyway.
@@ -83,15 +93,6 @@ type Config struct {
 	// snapshots, vCPU blackouts). Nil injects nothing.
 	Faults *fault.Injector
 
-	// PLEWindow is how long continuous spinning runs before the
-	// pause-loop exit fires and the vCPU is forced to yield.
-	PLEWindow sim.Time
-
-	// CoSkewThreshold is the execution-skew bound for relaxed
-	// co-scheduling; beyond it the leader is stopped for CoParkTime.
-	CoSkewThreshold sim.Time
-	CoParkTime      sim.Time
-
 	// LoadBalance enables hypervisor-level vCPU balancing (wake
 	// placement, idle stealing, periodic re-pick) for unpinned vCPUs.
 	LoadBalance bool
@@ -101,7 +102,7 @@ type Config struct {
 	RepickEpsilon float64
 
 	// TickJitter, when positive, randomizes credit-tick sampling: each
-	// pCPU re-arms its next tick after Tick scaled by a uniform factor
+	// pCPU re-arms its next tick after CreditTick scaled by a uniform factor
 	// in [1-TickJitter, 1+TickJitter], drawn from a per-pCPU stream
 	// forked from Seed (mean period, and hence total debit rate, is
 	// preserved). 0 keeps credit1's aligned tick grid — whose
@@ -111,15 +112,12 @@ type Config struct {
 
 	// ExactAccounting replaces tick-sampled debiting with exact
 	// runstate-based charging: a vCPU owes credits for the nanoseconds
-	// it actually ran (creditsPerTick per Tick of runtime), settled at
+	// it actually ran (creditsPerTick per CreditTick of runtime), settled at
 	// every tick and every deschedule. This closes the theft channel of
 	// a vCPU that arranges never to be on-CPU when the tick fires, and
 	// also fixes the converse misattribution (paying a full tick after
 	// a mid-tick dispatch).
 	ExactAccounting bool
-
-	// IRQCost is the hypervisor-side cost of injecting an interrupt.
-	IRQCost sim.Time
 
 	// Trace, when non-nil, records scheduling events.
 	Trace *trace.Log
@@ -144,20 +142,11 @@ type Config struct {
 // DefaultConfig returns the paper's Xen-like parameters for n pCPUs.
 func DefaultConfig(n int) Config {
 	return Config{
-		PCPUs:           n,
-		Strategy:        StrategyVanilla,
-		Timeslice:       30 * sim.Millisecond,
-		Tick:            10 * sim.Millisecond,
-		AccountPeriod:   30 * sim.Millisecond,
-		Ratelimit:       1 * sim.Millisecond,
-		SALimit:         100 * sim.Microsecond,
-		PLEWindow:       25 * sim.Microsecond,
-		CoSkewThreshold: 15 * sim.Millisecond,
-		CoParkTime:      0,
-		LoadBalance:     false,
-		RepickEpsilon:   0.15,
-		IRQCost:         1 * sim.Microsecond,
-		Seed:            1,
+		PCPUs:         n,
+		Strategy:      StrategyVanilla,
+		SALimit:       100 * sim.Microsecond,
+		RepickEpsilon: 0.15,
+		Seed:          1,
 	}
 }
 
@@ -245,18 +234,18 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 			var fire func()
 			fire = func() {
 				h.tick(p)
-				h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), fire)
+				h.eng.After(tickRNG.Jitter(CreditTick, cfg.TickJitter), fire)
 			}
-			h.eng.After(tickRNG.Jitter(cfg.Tick, cfg.TickJitter), fire)
+			h.eng.After(tickRNG.Jitter(CreditTick, cfg.TickJitter), fire)
 		} else {
 			// All pCPU ticks share one aligned grid, as in Xen where the
 			// credit scheduler's ticks derive from a common periodic timer.
-			eng.Every(cfg.Tick, func() { h.tick(p) })
+			eng.Every(CreditTick, func() { h.tick(p) })
 		}
 	}
-	eng.Every(cfg.AccountPeriod, h.account)
+	eng.Every(accountPeriod, h.account)
 	if cfg.Strategy == StrategyStrictCo {
-		eng.Every(cfg.Timeslice, h.strictCoRotate)
+		eng.Every(timeslice, h.strictCoRotate)
 	}
 	if every, dur := cfg.Faults.BlackoutSchedule(); every > 0 {
 		eng.Every(every, func() { h.blackout(dur) })

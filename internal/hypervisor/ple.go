@@ -20,7 +20,7 @@ func (h *Hypervisor) SpinBegin(v *VCPU) {
 		return
 	}
 	v.spinningSince = h.eng.Now()
-	v.pleEvent = h.eng.After(h.cfg.PLEWindow, v.pleFn)
+	v.pleEvent = h.eng.After(pleWindow, v.pleFn)
 }
 
 // SpinEnd tells the hypervisor the vCPU stopped spinning (lock acquired
@@ -54,7 +54,7 @@ func (h *Hypervisor) pleExit(v *VCPU) {
 	}
 	if p.peek(h.eng.Now()) == nil {
 		// Nobody to yield to; keep spinning and re-arm the window.
-		v.pleEvent = h.eng.After(h.cfg.PLEWindow, v.pleFn)
+		v.pleEvent = h.eng.After(pleWindow, v.pleFn)
 		return
 	}
 	v.spinningSince = 0

@@ -105,7 +105,7 @@ func TestSpinEndCancelsWindow(t *testing.T) {
 	eng.After(sim.Millisecond, func() {
 		if v.State() == StateRunning {
 			h.SpinBegin(v)
-			h.eng.After(cfg.PLEWindow/2, func() { h.SpinEnd(v) })
+			h.eng.After(pleWindow/2, func() { h.SpinEnd(v) })
 		}
 	})
 	_ = eng.Run(100 * sim.Millisecond)

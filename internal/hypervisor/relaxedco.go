@@ -43,7 +43,7 @@ func (h *Hypervisor) relaxedCoAccount() {
 			continue
 		}
 		skew := maxP - minP
-		if skew <= h.cfg.CoSkewThreshold {
+		if skew <= coSkewThreshold {
 			continue
 		}
 		// Only act when the laggard is actually starving in a runqueue;
@@ -57,7 +57,7 @@ func (h *Hypervisor) relaxedCoAccount() {
 		var firstParked *VCPU
 		for _, v := range vm.VCPUs {
 			lead := v.windowLastProgress - minP
-			if v == laggard || v.state == StateOffline || lead <= h.cfg.CoSkewThreshold {
+			if v == laggard || v.state == StateOffline || lead <= coSkewThreshold {
 				continue
 			}
 			h.coPark(v, laggard, skew, now)
@@ -91,15 +91,12 @@ func (h *Hypervisor) relaxedCoAccount() {
 }
 
 // coPark stops a leading vCPU until the laggard catches up (by running
-// the observed skew) or the park cap elapses.
+// the observed skew) or the park cap, one accounting period plus one
+// credit tick, elapses.
 func (h *Hypervisor) coPark(leader, laggard *VCPU, skew sim.Time, now sim.Time) {
-	maxPark := h.cfg.CoParkTime
-	if maxPark <= 0 {
-		maxPark = h.cfg.AccountPeriod + h.cfg.Tick
-	}
 	// Mark the park before descheduling so the dispatcher cannot
 	// immediately re-run the leader.
-	leader.parkedUntil = now + maxPark
+	leader.parkedUntil = now + accountPeriod + CreditTick
 	leader.parkCatchRef = laggard
 	leader.parkCatchTarget = laggard.RunTime() + skew
 	lv := leader

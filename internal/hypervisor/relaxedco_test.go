@@ -78,7 +78,7 @@ func TestRelaxedCoParkReleasedOnCatchUp(t *testing.T) {
 	if parkStart == 0 {
 		t.Skip("no park observed")
 	}
-	maxPark := h.Config().AccountPeriod + 2*h.Config().Tick
+	maxPark := accountPeriod + 2*CreditTick
 	if parkSpan > maxPark+2*sim.Millisecond {
 		t.Fatalf("park lasted %v, want <= %v", parkSpan, maxPark)
 	}

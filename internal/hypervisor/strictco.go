@@ -28,7 +28,7 @@ func (h *Hypervisor) strictCoRotate() {
 	}
 	h.gangActive = active
 
-	until := now + h.cfg.Timeslice + sim.Microsecond
+	until := now + timeslice + sim.Microsecond
 	for _, vm := range h.vms {
 		gang := len(vm.VCPUs) >= 2
 		for _, v := range vm.VCPUs {

@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite the golden incident files")
 func TestGoldenIncident(t *testing.T) {
 	v, _ := experiments.WatchVariantByName("bully")
 	c, err := cluster.New(experiments.WatchConfig(v, 1, 5*sim.Second,
-		experiments.DefaultWatchRuleSet(), experiments.DefaultWatchInterval))
+		experiments.DefaultWatchRuleSet()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,8 +116,8 @@ func TestIncidentBundleJSONAndTrace(t *testing.T) {
 
 func TestWatcherRecordInvariant(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(Config{Interval: 100 * sim.Millisecond})
-	eng.Every(w.Interval(), func() { w.RunEpoch(eng.Now()) })
+	w := New(Config{})
+	eng.Every(Interval, func() { w.RunEpoch(eng.Now()) })
 	eng.At(sim.Second, func() {
 		w.RecordInvariant(eng.Now(), "sa-accounting", "mismatch")
 	})

@@ -106,11 +106,8 @@ func TestMonitorAlertsOnSustainedBurn(t *testing.T) {
 
 func TestWatcherEndToEndAlertAndAttribution(t *testing.T) {
 	eng := sim.NewEngine()
-	w := New(Config{
-		Interval: 100 * sim.Millisecond,
-		Rules:    []Rule{testRule()},
-	})
-	eng.Every(w.Interval(), func() { w.RunEpoch(eng.Now()) })
+	w := New(Config{Rules: []Rule{testRule()}})
+	eng.Every(Interval, func() { w.RunEpoch(eng.Now()) })
 
 	w.RegisterVM(VMInfo{Name: "victim", Host: "h0", VCPUs: 2, Sensitive: true})
 	w.RegisterVM(VMInfo{Name: "bully", Host: "h0", VCPUs: 4})
@@ -189,7 +186,7 @@ func TestWatcherEndToEndAlertAndAttribution(t *testing.T) {
 }
 
 func TestWatcherPainCounterReset(t *testing.T) {
-	w := New(Config{Interval: 100 * sim.Millisecond})
+	w := New(Config{})
 	w.FeedPain(100*sim.Millisecond, "h0", "vm", 50*sim.Millisecond)
 	w.FeedPain(200*sim.Millisecond, "h0", "vm", 10*sim.Millisecond) // reset: clamp to 0
 	w.FeedPain(300*sim.Millisecond, "h0", "vm", 30*sim.Millisecond)

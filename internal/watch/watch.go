@@ -9,18 +9,16 @@ import (
 
 // Config configures a Watcher. The zero value is usable.
 type Config struct {
-	// Interval is the epoch cadence and window width (default 100ms).
-	Interval sim.Time
 	// Rules are the burn-rate alert rules to evaluate each epoch.
 	Rules []Rule
 }
 
-// DefaultInterval is the window width when the config leaves it zero;
-// DefaultDepth is the store's ring depth in windows, grown to cover the
-// longest rule slow window.
+// Interval is the epoch cadence and window width; DefaultDepth is the
+// store's ring depth in windows, grown to cover the longest rule slow
+// window.
 const (
-	DefaultInterval = 100 * sim.Millisecond
-	DefaultDepth    = 64
+	Interval     = 100 * sim.Millisecond
+	DefaultDepth = 64
 )
 
 // Watcher is the online SLO watchdog: it rolls telemetry into windows,
@@ -55,20 +53,17 @@ type Watcher struct {
 	OnAlert func(Alert, []RankedAggressor)
 }
 
-// New builds a watcher from cfg, applying defaults for zero fields.
+// New builds a watcher from cfg.
 func New(cfg Config) *Watcher {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
-	}
 	// The store must retain at least the longest slow window.
 	depth := DefaultDepth
 	for _, r := range cfg.Rules {
-		depth = max(depth, int(r.Slow/cfg.Interval)+2)
+		depth = max(depth, int(r.Slow/Interval)+2)
 	}
 	return &Watcher{
 		cfg:      cfg,
-		store:    NewStore(cfg.Interval, depth),
-		monitor:  NewMonitor(cfg.Interval, cfg.Rules),
+		store:    NewStore(Interval, depth),
+		monitor:  NewMonitor(Interval, cfg.Rules),
 		recorder: &Recorder{},
 		vms:      map[string]VMInfo{},
 		lastPain: map[string]sim.Time{},
@@ -83,9 +78,6 @@ func (w *Watcher) Monitor() *Monitor { return w.monitor }
 
 // Recorder returns the flight recorder.
 func (w *Watcher) Recorder() *Recorder { return w.recorder }
-
-// Interval returns the epoch cadence.
-func (w *Watcher) Interval() sim.Time { return w.cfg.Interval }
 
 // Alerts returns every alert fired so far.
 func (w *Watcher) Alerts() []Alert { return w.monitor.Alerts() }
@@ -223,7 +215,7 @@ func (w *Watcher) maxSlow() sim.Time {
 		}
 	}
 	if max == 0 {
-		max = 10 * w.cfg.Interval
+		max = 10 * Interval
 	}
 	return max
 }

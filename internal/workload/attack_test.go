@@ -149,7 +149,7 @@ func TestExactAccountingChargesTickEvader(t *testing.T) {
 	}
 	hv.SyncCreditAccounting()
 
-	wantAtk := int64(atkVM.TotalRunTime()) * 100 / int64(cfg.Tick)
+	wantAtk := int64(atkVM.TotalRunTime()) * 100 / int64(hypervisor.CreditTick)
 	if atkVM.CreditsDebited != wantAtk {
 		t.Fatalf("attacker debited %d credits, want %d (exact for %v run)",
 			atkVM.CreditsDebited, wantAtk, atkVM.TotalRunTime())
