@@ -64,17 +64,19 @@ bench-compare:
 	@rm -f bench.new.out bench.new.json
 
 # End-to-end benchmark smoke: the bench module's own tests, then 2 s
-# paper-spin, paper-block and rack-outage passes. run.sh exits non-zero
-# when the first block's sim_digest misses its pin in
+# paper-spin, paper-block, rack-outage and rack-audit passes. run.sh
+# exits non-zero when the first block's sim_digest misses its pin in
 # bench/baseline.json, so any change to simulated behaviour fails here.
 # The paper-block pin covers block/wake same-instant event ordering;
 # the rack-outage pin also covers the sharded coordinator's worker pool
-# and the hosts' flight-recorder rings.
+# and the hosts' flight-recorder rings; the rack-audit pin covers the
+# serial cluster path with the decision log and span tracer recording.
 bench-smoke:
 	cd bench && $(GO) test -short .
 	bash bench/run.sh --workload paper-spin --seed 1 --seconds 2 --trace 0
 	bash bench/run.sh --workload paper-block --seed 1 --seconds 2 --trace 0
 	bash bench/run.sh --workload rack-outage --seed 1 --seconds 2 --trace 0
+	bash bench/run.sh --workload rack-audit --seed 1 --seconds 2 --trace 0
 
 # Latency blame attribution smoke run: per-strategy p50/p99/p99.9
 # category breakdowns plus the slowest requests' critical paths.

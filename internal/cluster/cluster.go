@@ -313,14 +313,12 @@ type hostOutbox struct {
 }
 
 // Host is one simulated machine in the rack: a full hypervisor+guest
-// stack on its own engine shard, with its own metrics registry
-// (per-host metric namespaces, as per-host scrape endpoints would be),
-// its own forked fault-injector stream, its own invariant checker, and
-// an outbox carrying its observations to the control plane.
+// stack on its own engine shard, with its own forked fault-injector
+// stream, its own invariant checker, and an outbox carrying its
+// observations to the control plane.
 type Host struct {
 	ID  int
 	HV  *hypervisor.Hypervisor
-	Reg *obs.Registry
 	inj *fault.Injector
 
 	name string // "host<ID>", built once
@@ -335,12 +333,8 @@ type Host struct {
 	committed int // placed vCPUs (bookkeeping, audited)
 	sensitive int // resident sensitive VMs
 
-	// signals holds the signal handles of every VM instance booted here,
-	// in boot (= HV.VMs()) order, retired migration sources included.
-	signals []*vmSignal
-
 	// Windowed interference signal, refreshed by the monitor from the
-	// host registry's cumulative counters.
+	// hypervisor's cumulative runstate accounting.
 	prevBusy, prevSteal, prevWait float64
 	prevLHP                       float64
 	busyFrac, stealFrac, waitFrac float64
@@ -384,7 +378,6 @@ type VMHandle struct {
 	lastMove  sim.Time
 
 	vm   *hypervisor.VM
-	sig  *vmSignal // vm's signal handles in host.Reg
 	kern *guest.Kernel
 	inst *workload.Instance
 
@@ -571,15 +564,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	for i := 0; i < cfg.Hosts; i++ {
-		reg := obs.NewRegistry()
 		var inj *fault.Injector
 		if !cfg.Faults.Zero() {
-			inj = fault.NewInjector(cfg.Faults, cfg.Seed^0xfa017eed^uint64(i+1)*0x9e3779b97f4a7c15, reg)
+			inj = fault.NewInjector(cfg.Faults, cfg.Seed^0xfa017eed^uint64(i+1)*0x9e3779b97f4a7c15, nil)
 		}
 		hc := hypervisor.DefaultConfig(cfg.PCPUsPerHost)
 		hc.Strategy = cfg.Strategy
 		hc.LoadBalance = true
-		hc.Metrics = reg
 		hc.Faults = inj
 		hc.Seed = cfg.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15
 		name := "host" + strconv.Itoa(i)
@@ -597,7 +588,6 @@ func New(cfg Config) (*Cluster, error) {
 		host := &Host{
 			ID:   i,
 			HV:   hypervisor.New(eng, hc),
-			Reg:  reg,
 			inj:  inj,
 			name: name,
 			eng:  eng,
@@ -870,8 +860,6 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 	cfg := c.cfg
 	saCapable := cfg.Strategy == hypervisor.StrategyIRS
 	vm := host.HV.NewVM(hd.instName(), hd.Spec.VCPUs, hd.Spec.Weight, saCapable)
-	sig := resolveSignal(host.Reg, vm)
-	host.signals = append(host.signals, sig)
 	if snap != nil {
 		if err := host.HV.RestoreVM(vm, *snap); err != nil {
 			panic("cluster: " + err.Error())
@@ -880,7 +868,6 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 
 	gc := guest.DefaultConfig()
 	gc.IRS = saCapable
-	gc.Metrics = host.Reg
 	gc.Faults = host.inj
 	gc.Seed = cfg.Seed ^ uint64(hd.idx+1)*0x9e37 ^ uint64(hd.gen)*0x517cc1b7
 	if cfg.TuneGuest != nil {
@@ -911,7 +898,6 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 		hd.inst.Start()
 	}
 	hd.vm = vm
-	hd.sig = sig
 	hd.kern = kern
 	kern.Start()
 	if host.checker != nil {

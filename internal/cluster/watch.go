@@ -66,6 +66,8 @@ func (c *Cluster) registerWatchVM(hd *VMHandle) {
 // the reset.
 func (c *Cluster) feedWatcher(now sim.Time) {
 	for _, h := range c.hosts {
+		// Not a pure read: the fold cuts in-progress preempt waits, so
+		// removing it would move the incident goldens.
 		h.HV.SyncRunstateAccounting()
 		h.HV.SyncOccupancyAccounting()
 	}
@@ -77,8 +79,6 @@ func (c *Cluster) feedWatcher(now sim.Time) {
 		if !hd.admitted || hd.vm == nil {
 			continue
 		}
-		_, steal := hd.sig.runstates()
-		wait := float64(hd.sig.wait.Sum())
-		c.watcher.FeedPain(now, hd.host.Name(), hd.Spec.Name, sim.Time(steal+wait))
+		c.watcher.FeedPain(now, hd.host.Name(), hd.Spec.Name, hd.vm.TotalStealTime()+hd.vm.PreemptWait)
 	}
 }

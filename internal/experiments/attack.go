@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hypervisor"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/watch"
 	"repro/internal/workload"
@@ -93,7 +92,6 @@ type AttackOutcome struct {
 // "honest" (a plain CPU hog). Pure function of its arguments; safe on
 // worker goroutines.
 func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOutcome, error) {
-	reg := obs.NewRegistry()
 	// Closed-loop saturated server: the victim always wants CPU, so the
 	// weight-proportional fair share (1/3 each) is every tenant's true
 	// entitlement and per-request latency directly reflects how much of
@@ -118,7 +116,6 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 			c.TickJitter = d.Jitter
 			c.ExactAccounting = d.Exact
 		},
-		Metrics:    reg,
 		Invariants: true,
 	}
 	c, err := core.Build(scn)
@@ -140,14 +137,12 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 		w.AddOccupancy(c.Engine.Now(), "h0", vm.Name, p.Name(), dur)
 	})
 	w.AddFeed(func(now sim.Time) {
+		// Not a pure read: the fold cuts in-progress preempt waits, so
+		// removing it would move the attack goldens.
 		c.HV.SyncRunstateAccounting()
 		c.HV.SyncOccupancyAccounting()
 		for _, vm := range c.HV.VMs() {
-			pain := vm.TotalStealTime()
-			if hist := reg.FindHistogram("hv_preempt_wait_ns", obs.Labels{Sub: "hv", VM: vm.Name}); hist != nil {
-				pain += sim.Time(hist.Sum())
-			}
-			w.FeedPain(now, "h0", vm.Name, pain)
+			w.FeedPain(now, "h0", vm.Name, vm.TotalStealTime()+vm.PreemptWait)
 		}
 	})
 	c.Engine.Every(watch.Interval, func() { w.RunEpoch(c.Engine.Now()) })

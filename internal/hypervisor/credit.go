@@ -223,6 +223,7 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	if v.state == StateRunnable {
 		// Wait between losing (or first wanting) the pCPU and running
 		// again: the paper's preemption/scheduling delay (§2.2).
+		v.VM.PreemptWait += now - v.stateSince
 		v.VM.mPreemptWait.Add(now - v.stateSince)
 	}
 	p.idleTotal += now - p.idleSince

@@ -1,10 +1,6 @@
 package hypervisor
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // This file holds the hypervisor half of whole-VM migration: extracting
 // a scheduler-state snapshot of a VM on the source host and seeding a
@@ -16,41 +12,23 @@ import (
 
 // VCPUSnapshot carries one vCPU's scheduler state across a migration.
 type VCPUSnapshot struct {
-	Credits   int
-	Prio      Priority
-	RunTime   sim.Time // cumulative execution on the source at snapshot time
-	StealTime sim.Time // cumulative steal on the source at snapshot time
+	Credits int
+	Prio    Priority
 }
 
 // VMSnapshot is the migratable scheduler state of a whole VM.
 type VMSnapshot struct {
-	Name      string
-	Weight    int
-	SACapable bool
-	At        sim.Time // when the snapshot was taken
-	LHP, LWP  int64
-	VCPUs     []VCPUSnapshot
+	Weight int
+	VCPUs  []VCPUSnapshot
 }
 
 // SnapshotVM captures vm's migratable scheduler state at the current
 // instant. The VM keeps running on the source host; pre-copy rounds are
 // modeled by the caller as delay before the switchover pause.
 func (h *Hypervisor) SnapshotVM(vm *VM) VMSnapshot {
-	snap := VMSnapshot{
-		Name:      vm.Name,
-		Weight:    vm.Weight,
-		SACapable: vm.SACapable,
-		At:        h.eng.Now(),
-		LHP:       vm.LHPCount,
-		LWP:       vm.LWPCount,
-	}
+	snap := VMSnapshot{Weight: vm.Weight}
 	for _, v := range vm.VCPUs {
-		snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{
-			Credits:   v.credits,
-			Prio:      v.prio,
-			RunTime:   v.RunTime(),
-			StealTime: v.StealTime(),
-		})
+		snap.VCPUs = append(snap.VCPUs, VCPUSnapshot{Credits: v.credits, Prio: v.prio})
 	}
 	return snap
 }
@@ -58,10 +36,10 @@ func (h *Hypervisor) SnapshotVM(vm *VM) VMSnapshot {
 // RestoreVM seeds a freshly created, not-yet-started VM with the
 // scheduler state from snap. It must run before StartVCPU so the
 // restored credit balances take effect on first dispatch. The vCPU
-// count must match. Runstate clocks restart from zero: run/steal time
-// is per-host accounting and stays with the source. A BOOST priority
-// does not survive the move — the destination treats the vCPU as a
-// plain wakeup.
+// count must match. Runstate clocks, preempt wait and the LHP/LWP
+// counters restart from zero: they are per-host accounting and stay
+// with the source. A BOOST priority does not survive the move — the
+// destination treats the vCPU as a plain wakeup.
 func (h *Hypervisor) RestoreVM(vm *VM, snap VMSnapshot) error {
 	if len(vm.VCPUs) != len(snap.VCPUs) {
 		return fmt.Errorf("hypervisor: restore %s: VM has %d vCPUs, snapshot has %d",
@@ -87,17 +65,23 @@ func (h *Hypervisor) RestoreVM(vm *VM, snap VMSnapshot) error {
 		}
 	}
 	vm.Weight = snap.Weight
-	vm.LHPCount = snap.LHP
-	vm.LWPCount = snap.LWP
 	return nil
 }
 
 // SyncRunstateAccounting folds every started vCPU's currently accruing
 // runstate interval into its cumulative counters and obs metrics.
-// Runstate counters normally advance only on state transitions, so a
+// Registry counters normally advance only on state transitions, so a
 // vCPU that runs (or starves) continuously is invisible to registry
-// readers until its next transition; callers sampling the registry as a
-// load signal invoke this first to see exact values.
+// readers until its next transition; RunTime and StealTime include the
+// accruing interval either way.
+//
+// It is not a pure read: the fold restarts each vCPU's stateSince, and
+// startRunning measures a preempt-wait sample from stateSince, so a
+// runnable vCPU's next wait sample (hv_preempt_wait_ns and
+// VM.PreemptWait) loses the part accrued before the call. An extra
+// caller therefore changes later wait readings and every decision
+// taken from them, such as cluster placement. relaxedCoAccount's fold
+// every accounting period cuts waits the same way.
 func (h *Hypervisor) SyncRunstateAccounting() {
 	for _, vm := range h.vms {
 		for _, v := range vm.VCPUs {

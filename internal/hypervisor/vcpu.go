@@ -303,6 +303,10 @@ type VM struct {
 	LHPCount int64
 	LWPCount int64
 
+	// PreemptWait sums every completed runnable-to-running wait: the
+	// hv_preempt_wait_ns histogram's Sum, kept without a registry.
+	PreemptWait sim.Time
+
 	// BoostGrants counts BOOST priorities granted on wake; CreditsDebited
 	// the credits charged across all vCPUs (tick-sampled or exact).
 	// Together with TheftStats they make scheduler theft first-class:

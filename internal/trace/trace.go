@@ -1,7 +1,7 @@
 // Package trace records scheduling events from the hypervisor and
 // guest kernels into a bounded in-memory ring of typed records, for
 // debugging scenarios and for rendering execution timelines
-// (cmd/irstrace). Tracing is optional: components record into a *Log
+// (irsreport -timeline). Tracing is optional: components record into a *Log
 // only when one is attached, and a record's detail text is rendered
 // only when the log is read.
 package trace
