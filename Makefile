@@ -5,12 +5,12 @@
 GO ?= go
 
 # Committed benchmark baseline for the regression gate (see
-# cmd/benchjson and DESIGN.md §9). BENCH_8 was captured after the
-# synchronisation path went allocation-free (state-machine workload
-# programs, task-parameterised spin API, reused wait lists), so the
-# allocs/op gate locks that drop in; its meta records the host's core
-# count.
-BENCH_SNAPSHOT ?= BENCH_8.json
+# cmd/benchjson and DESIGN.md §9). BENCH_9 was captured after the audit
+# path went garbage-free (typed route records, chunked decision merge,
+# Chrome exporters rendering into reused buffers), so the allocs/op
+# gate locks in the lower BenchmarkClusterWithDecisions, LogMerge and
+# WriteChromeSpans counts; its meta records the host's core count.
+BENCH_SNAPSHOT ?= BENCH_9.json
 
 .PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 
@@ -106,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzWriteJSON -fuzztime 5s
+	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzRouteRecords -fuzztime 5s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzChromeEmit -fuzztime 5s
 
 # Adversarial-tenant smoke run: the tick-evader vs every accounting

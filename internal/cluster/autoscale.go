@@ -105,7 +105,7 @@ func (c *Cluster) scaleUp() {
 	if spec.Threads <= 0 {
 		spec.Threads = spec.VCPUs
 	}
-	hd := &VMHandle{Spec: spec, idx: len(c.vms)}
+	hd := newHandle(spec, len(c.vms))
 	c.vms = append(c.vms, hd)
 	c.servers = append(c.servers, hd)
 	c.asCreated = append(c.asCreated, hd)

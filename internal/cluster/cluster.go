@@ -375,6 +375,7 @@ type VMHandle struct {
 	migrating bool
 	host      *Host
 	gen       int
+	name      string // instName, cached per generation
 	lastMove  sim.Time
 
 	vm   *hypervisor.VM
@@ -409,13 +410,21 @@ type VMHandle struct {
 // Migrations returns how many times the VM has moved hosts.
 func (hd *VMHandle) Migrations() int { return hd.gen }
 
+// newHandle returns the handle of spec at generation 0.
+func newHandle(spec VMSpec, idx int) *VMHandle {
+	return &VMHandle{Spec: spec, idx: idx, name: spec.Name}
+}
+
 // instName returns the per-generation instance name, e.g. "srv2#1"
-// after one migration.
-func (hd *VMHandle) instName() string {
-	if hd.gen == 0 {
-		return hd.Spec.Name
-	}
-	return hd.Spec.Name + "#" + strconv.Itoa(hd.gen)
+// after one migration. It is cached per generation, so the router's
+// per-request decision records share one string.
+func (hd *VMHandle) instName() string { return hd.name }
+
+// nextGen moves hd to its next generation (a migration's successor
+// instance) and renames it. Barrier context.
+func (hd *VMHandle) nextGen() {
+	hd.gen++
+	hd.name = hd.Spec.Name + "#" + strconv.Itoa(hd.gen)
 }
 
 // Cluster ties the rack, the placement policy, the router, and the
@@ -666,7 +675,7 @@ func New(cfg Config) (*Cluster, error) {
 		if spec.Threads <= 0 {
 			spec.Threads = spec.VCPUs
 		}
-		handles[i] = &VMHandle{Spec: spec, idx: i}
+		handles[i] = newHandle(spec, i)
 	}
 	sort.SliceStable(handles, func(a, b int) bool { return handles[a].Spec.ArriveAt < handles[b].Spec.ArriveAt })
 	for _, hd := range handles {
@@ -882,9 +891,10 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 			Threads: hd.Spec.Threads,
 			Service: cfg.Service,
 		}
-		// Each instance gets private stats (ignored); the cluster-level
-		// histogram is fed from the served records at barrier drains so
-		// its insertion order cannot depend on the worker pool.
+		// Nil stats: the instance keeps no latency histogram of its own.
+		// The cluster-level histogram is fed from the served records at
+		// barrier drains so its insertion order cannot depend on the
+		// worker pool.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
 		gate.OnServed = func(lat sim.Time) {
 			host.outbox.served = append(host.outbox.served, servedRec{at: kern.Now(), lat: lat, hd: hd})

@@ -34,16 +34,18 @@ func (c *Cluster) recordZonePick(hd *VMHandle, st []topology.ZoneStats, zi int) 
 		})
 	}
 	c.decCtl.Add(decision.Record{
-		At:         c.sh.Now(),
-		Kind:       decision.KindZonePick,
-		Subject:    hd.instName(),
-		Winner:     c.zones[zi].name,
-		Detail:     fmt.Sprintf("zone for %s (%d vCPUs)", hd.instName(), hd.Spec.VCPUs),
-		Candidates: cands,
-		Inputs: []decision.KV{
-			{Key: "vcpus", Val: strconv.Itoa(hd.Spec.VCPUs)},
-			{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
-			{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
+		At:      c.sh.Now(),
+		Kind:    decision.KindZonePick,
+		Subject: hd.instName(),
+		Winner:  c.zones[zi].name,
+		Body: decision.Body{
+			Detail:     fmt.Sprintf("zone for %s (%d vCPUs)", hd.instName(), hd.Spec.VCPUs),
+			Candidates: cands,
+			Inputs: []decision.KV{
+				{Key: "vcpus", Val: strconv.Itoa(hd.Spec.VCPUs)},
+				{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
+				{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
+			},
 		},
 	})
 }
@@ -70,17 +72,19 @@ func (c *Cluster) recordPlace(hd *VMHandle, hosts []*Host, best *Host, cap int) 
 		cands = append(cands, cand)
 	}
 	c.decCtl.Add(decision.Record{
-		At:         c.sh.Now(),
-		Kind:       decision.KindPlace,
-		Subject:    hd.instName(),
-		Winner:     best.Name(),
-		Detail:     fmt.Sprintf("%s placed %s (%d vCPUs) on %s", c.cfg.Policy, hd.instName(), hd.Spec.VCPUs, best.Name()),
-		Candidates: cands,
-		Inputs: []decision.KV{
-			{Key: "policy", Val: c.cfg.Policy.String()},
-			{Key: "cap", Val: strconv.Itoa(cap)},
-			{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
-			{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
+		At:      c.sh.Now(),
+		Kind:    decision.KindPlace,
+		Subject: hd.instName(),
+		Winner:  best.Name(),
+		Body: decision.Body{
+			Detail:     fmt.Sprintf("%s placed %s (%d vCPUs) on %s", c.cfg.Policy, hd.instName(), hd.Spec.VCPUs, best.Name()),
+			Candidates: cands,
+			Inputs: []decision.KV{
+				{Key: "policy", Val: c.cfg.Policy.String()},
+				{Key: "cap", Val: strconv.Itoa(cap)},
+				{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
+				{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
+			},
 		},
 	})
 }
@@ -88,57 +92,30 @@ func (c *Cluster) recordPlace(hd *VMHandle, hosts []*Host, best *Host, cap int) 
 // recordRoute audits one dispatched request: the chosen zone's
 // routable replicas with their outstanding estimates (the JSQ
 // ranking). The zone-level comparison is an input, not a candidate —
-// zone scores and replica loads are different units.
+// zone scores and replica loads are different units. The record is
+// typed: names are the handles' cached instance names and the
+// candidates go into the ring's arena, so nothing is allocated per
+// request.
 func (c *Cluster) recordRoute(req workload.Request, z *zoneState, best *VMHandle, failover bool) {
-	cands := make([]decision.Candidate, 0, len(z.servers))
+	loads := c.decCtl.Loads(len(z.servers))
 	for _, hd := range z.servers {
-		if !routable(hd) {
-			continue
+		if routable(hd) {
+			loads = append(loads, decision.Load{Name: hd.instName(), Out: hd.routed - hd.servedSeen})
 		}
-		out := hd.routed - hd.servedSeen
-		cands = append(cands, decision.Candidate{
-			Name:   hd.instName(),
-			Score:  float64(out),
-			Reason: "out=" + strconv.FormatInt(out, 10),
-		})
 	}
-	inputs := []decision.KV{{Key: "zone", Val: z.name}}
-	if failover {
-		inputs = append(inputs, decision.KV{Key: "failover", Val: "1"})
-	}
-	name := best.instName()
-	c.decCtl.Add(decision.Record{
-		At:         c.ctl.Now(),
-		Kind:       decision.KindRoute,
-		Subject:    name,
-		Winner:     name,
-		Detail:     reqDetail(req, " to ", name, " in ", z.name),
-		Candidates: cands,
-		Inputs:     inputs,
+	c.decCtl.AddRoute(c.ctl.Now(), decision.Route{
+		Arrival: req.Arrival, Zone: z.name, Winner: best.instName(), Failover: failover, Loads: loads,
 	})
-}
-
-// reqDetail renders "req@<arrival>" followed by parts, the detail line
-// of a route record.
-func reqDetail(req workload.Request, parts ...string) string {
-	b := req.Arrival.Append(append(make([]byte, 0, 64), "req@"...))
-	for _, p := range parts {
-		b = append(b, p...)
-	}
-	return string(b)
 }
 
 // recordRouteBuffered audits a request the router had to hold back:
-// no routable zone or no live replica. Winner "-" marks the non-choice.
-func (c *Cluster) recordRouteBuffered(req workload.Request, why string) {
-	c.decCtl.Add(decision.Record{
-		At:      c.ctl.Now(),
-		Kind:    decision.KindRoute,
-		Subject: "-",
-		Winner:  "-",
-		Detail:  reqDetail(req, " held back: ", why),
-		Inputs:  []decision.KV{{Key: "buffered", Val: "1"}},
-	})
+// no routable zone (z nil) or no live replica in z.
+func (c *Cluster) recordRouteBuffered(req workload.Request, z *zoneState) {
+	rt := decision.Route{Arrival: req.Arrival}
+	if z != nil {
+		rt.Zone = z.name
+	}
+	c.decCtl.AddRoute(c.ctl.Now(), rt)
 }
 
 // recordScale audits one autoscaler action (act "up" or "down"), with
@@ -154,12 +131,14 @@ func (c *Cluster) recordScale(act string, hd *VMHandle, live int) {
 		Kind:    decision.KindAutoscale,
 		Subject: hd.Spec.Name,
 		Winner:  hd.Spec.Name,
-		Detail:  fmt.Sprintf("scale %s: %s (live %d, max %d)", act, hd.Spec.Name, live, c.cfg.Autoscale.Max),
-		Inputs: []decision.KV{
-			{Key: "act", Val: act},
-			{Key: "live", Val: strconv.Itoa(live)},
-			{Key: "max", Val: strconv.Itoa(c.cfg.Autoscale.Max)},
-			{Key: "firing", Val: firing},
+		Body: decision.Body{
+			Detail: fmt.Sprintf("scale %s: %s (live %d, max %d)", act, hd.Spec.Name, live, c.cfg.Autoscale.Max),
+			Inputs: []decision.KV{
+				{Key: "act", Val: act},
+				{Key: "live", Val: strconv.Itoa(live)},
+				{Key: "max", Val: strconv.Itoa(c.cfg.Autoscale.Max)},
+				{Key: "firing", Val: firing},
+			},
 		},
 	})
 }
@@ -173,15 +152,17 @@ func (c *Cluster) recordMigrate(victim *VMHandle, hot, cool *Host, cands []decis
 		Kind:    decision.KindMigrate,
 		Subject: victim.instName(),
 		Winner:  cool.Name(),
-		Detail: fmt.Sprintf("migrate %s: %s -> %s (steal %.3f > %.3f)",
-			victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, stealTrigger),
-		Candidates: cands,
-		Inputs: []decision.KV{
-			{Key: "from", Val: hot.Name()},
-			{Key: "steal", Val: strconv.FormatFloat(victim.stealFrac, 'f', 3, 64)},
-			{Key: "trigger", Val: strconv.FormatFloat(stealTrigger, 'f', 3, 64)},
-			{Key: "hot-score", Val: strconv.FormatFloat(hot.Score(), 'f', 3, 64)},
-			{Key: "threshold", Val: strconv.FormatFloat(hotThreshold, 'f', 2, 64)},
+		Body: decision.Body{
+			Detail: fmt.Sprintf("migrate %s: %s -> %s (steal %.3f > %.3f)",
+				victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, stealTrigger),
+			Candidates: cands,
+			Inputs: []decision.KV{
+				{Key: "from", Val: hot.Name()},
+				{Key: "steal", Val: strconv.FormatFloat(victim.stealFrac, 'f', 3, 64)},
+				{Key: "trigger", Val: strconv.FormatFloat(stealTrigger, 'f', 3, 64)},
+				{Key: "hot-score", Val: strconv.FormatFloat(hot.Score(), 'f', 3, 64)},
+				{Key: "threshold", Val: strconv.FormatFloat(hotThreshold, 'f', 2, 64)},
+			},
 		},
 	})
 }
@@ -193,10 +174,12 @@ func (c *Cluster) recordCordon(z *zoneState, dur sim.Time) {
 		Kind:    decision.KindCordon,
 		Subject: z.name,
 		Winner:  z.name,
-		Detail:  fmt.Sprintf("zone %s cordoned for %v (%d hosts dark)", z.name, dur, len(z.hosts)),
-		Inputs: []decision.KV{
-			{Key: "hosts", Val: strconv.Itoa(len(z.hosts))},
-			{Key: "for", Val: dur.String()},
+		Body: decision.Body{
+			Detail: fmt.Sprintf("zone %s cordoned for %v (%d hosts dark)", z.name, dur, len(z.hosts)),
+			Inputs: []decision.KV{
+				{Key: "hosts", Val: strconv.Itoa(len(z.hosts))},
+				{Key: "for", Val: dur.String()},
+			},
 		},
 	})
 }
@@ -207,7 +190,9 @@ func (c *Cluster) recordUncordon(z *zoneState) {
 		Kind:    decision.KindUncordon,
 		Subject: z.name,
 		Winner:  z.name,
-		Detail:  fmt.Sprintf("zone %s restored (%d hosts resume)", z.name, len(z.hosts)),
-		Inputs:  []decision.KV{{Key: "hosts", Val: strconv.Itoa(len(z.hosts))}},
+		Body: decision.Body{
+			Detail: fmt.Sprintf("zone %s restored (%d hosts resume)", z.name, len(z.hosts)),
+			Inputs: []decision.KV{{Key: "hosts", Val: strconv.Itoa(len(z.hosts))}},
+		},
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/decision"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // TestPlaceDecisionRecorded is the successor of the old debugPlace
@@ -34,11 +35,12 @@ func TestPlaceDecisionRecorded(t *testing.T) {
 		if r.Kind != decision.KindPlace || r.Chooser != "ctl" {
 			t.Fatalf("record %d: kind=%v chooser=%q", i, r.Kind, r.Chooser)
 		}
-		if len(r.Candidates) != cfg.Hosts {
-			t.Fatalf("record %d for %s has %d candidates, want %d", i, r.Subject, len(r.Candidates), cfg.Hosts)
+		cands := r.Candidates()
+		if len(cands) != cfg.Hosts {
+			t.Fatalf("record %d for %s has %d candidates, want %d", i, r.Subject, len(cands), cfg.Hosts)
 		}
-		best := r.Candidates[0]
-		for _, cand := range r.Candidates[1:] {
+		best := cands[0]
+		for _, cand := range cands[1:] {
 			if cand.Score < best.Score {
 				best = cand
 			}
@@ -136,4 +138,38 @@ func benchClusterDecisions(b *testing.B, opt *decision.Options) {
 func BenchmarkClusterNoDecisions(b *testing.B) { benchClusterDecisions(b, nil) }
 func BenchmarkClusterWithDecisions(b *testing.B) {
 	benchClusterDecisions(b, &decision.Options{Kinds: decision.ControlKinds()})
+}
+
+// TestRecordRouteAllocationFree pins the typed route record: once the
+// control ring and its candidate arena have grown, auditing a routed or
+// held-back request allocates nothing (an arena chunk every thousand
+// candidates amortizes to zero per record).
+func TestRecordRouteAllocationFree(t *testing.T) {
+	cfg := shortConfig()
+	cfg.Duration = 2 * sim.Second
+	cfg.Drain = sim.Second
+	cfg.Decisions = &decision.Options{Kinds: decision.ControlKinds()}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	z := c.zones[0]
+	if len(z.servers) == 0 {
+		t.Fatal("no servers in zone 0")
+	}
+	req := workload.Request{Arrival: c.ctl.Now()}
+	route := func() {
+		c.recordRoute(req, z, z.servers[0], true)
+		c.recordRouteBuffered(req, z)
+		c.recordRouteBuffered(req, nil)
+	}
+	for i := 0; i < 4096; i++ {
+		route() // grow the ring to its bound
+	}
+	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
+		t.Fatalf("route records allocate %v times per request, want 0", allocs)
+	}
 }

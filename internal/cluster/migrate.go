@@ -161,7 +161,7 @@ func (c *Cluster) completeMigration(hd *VMHandle, dest *Host, snap hypervisor.VM
 		src.sensitive--
 		dest.sensitive++
 	}
-	hd.gen++
+	hd.nextGen()
 	hd.host = dest
 	hd.prevSteal = 0      // successor VM's steal clock restarts on dest
 	c.registerWatchVM(hd) // attribution follows the VM to its new host

@@ -68,7 +68,7 @@ func (c *Cluster) route(req workload.Request) {
 		zi := topology.RouteZone(c.zoneRoutes())
 		if zi < 0 {
 			if c.decCtl.Wants(decision.KindRoute) {
-				c.recordRouteBuffered(req, "no routable zone")
+				c.recordRouteBuffered(req, nil)
 			}
 			c.buffered = append(c.buffered, req)
 			return
@@ -92,7 +92,7 @@ func (c *Cluster) route(req workload.Request) {
 	}
 	if best == nil {
 		if c.decCtl.Wants(decision.KindRoute) {
-			c.recordRouteBuffered(req, "no live replica in "+z.name)
+			c.recordRouteBuffered(req, z)
 		}
 		c.buffered = append(c.buffered, req)
 		return

@@ -37,7 +37,8 @@ func BenchmarkRingWantsDisabled(b *testing.B) {
 }
 
 // BenchmarkLogMerge is one barrier merge of a typical batch (16 shards,
-// a few records each).
+// a few records each), in steady state at the Total bound: each merge
+// drops as many old records as it adds.
 func BenchmarkLogMerge(b *testing.B) {
 	l := NewLog(16, Options{PerShard: 64, Total: 1 << 10})
 	rec := Record{Kind: KindRoute, Subject: "srv0"}
@@ -49,34 +50,26 @@ func BenchmarkLogMerge(b *testing.B) {
 			l.Ring(s).Add(rec)
 		}
 		l.Merge()
-		if len(l.merged) >= 1<<10 {
-			l.merged = l.merged[:0] // keep the bound from dominating
-		}
 	}
 }
 
-// routeRecords builds n route decisions shaped like the outage rig's:
-// four scored replicas and a zone input, every tenth a failover.
+// routeRecords builds n typed route decisions shaped like the outage
+// rig's: four scored replicas in one of two zones, every tenth a
+// failover.
 func routeRecords(n int) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
+	l := NewLog(1, Options{})
+	r := l.Ring(0)
+	names := []string{"srv0", "srv1", "srv2", "srv3"}
+	for i := 0; i < n; i++ {
 		at := sim.Time(i) * 250 * sim.Microsecond
-		var cands []Candidate
-		for j := 0; j < 4; j++ {
-			out := (i + j) % 7
-			cands = append(cands, Candidate{Name: "srv" + strconv.Itoa(j), Score: float64(out), Reason: "out=" + strconv.Itoa(out)})
+		loads := r.Loads(len(names))
+		for j, name := range names {
+			loads = append(loads, Load{Name: name, Out: int64((i + j) % 7)})
 		}
-		inputs := []KV{{Key: "zone", Val: "z" + strconv.Itoa(i%2)}}
-		if i%10 == 0 {
-			inputs = append(inputs, KV{Key: "failover", Val: "1"})
-		}
-		recs[i] = Record{
-			At: at, Seq: uint64(i), Kind: KindRoute, Chooser: "ctl",
-			Subject: "srv0", Winner: "srv0", Detail: "req@" + at.String() + " to srv0 in z0",
-			Candidates: cands, Inputs: inputs,
-		}
+		r.AddRoute(at, Route{Arrival: at, Zone: "z" + strconv.Itoa(i%2), Winner: "srv0", Failover: i%10 == 0, Loads: loads})
 	}
-	return recs
+	l.Merge()
+	return l.Records()
 }
 
 // BenchmarkWriteJSON is the JSON bundle export of 4096 route decisions.

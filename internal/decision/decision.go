@@ -155,23 +155,150 @@ type Candidate struct {
 // obs.NextArg.
 type KV = obs.Arg
 
-// Record is one audited decision.
-type Record struct {
-	At         sim.Time // virtual time of the choice
-	Shard      int      // origin shard (0 = control plane, i+1 = host i)
-	Seq        uint64   // per-shard sequence number (merge tie-break)
-	Kind       Kind
-	Chooser    string // who decided: "ctl", "host3", ...
-	Subject    string // what the decision is about (VM, replica, zone)
-	Winner     string // the chosen option ("-" when nothing was chosen)
+// Body is a record's operands in rendered form: a one-line detail,
+// the candidate set and the scalar inputs. Records added with Ring.Add
+// carry one; route records added with Ring.AddRoute keep typed
+// operands instead (see Route) and render them on read, so read any
+// record through Record's accessors, not through its Body.
+type Body struct {
 	Detail     string // one-line human explanation
 	Candidates []Candidate
 	Inputs     []KV
 }
 
+// Route is a request dispatch in typed form: the router hands over
+// what it already holds, and names, reasons and the detail line are
+// rendered only when the record is read or exported.
+type Route struct {
+	Arrival  sim.Time // the request's arrival stamp
+	Zone     string   // the routing zone; "" when no zone was routable
+	Winner   string   // the chosen replica's instance name; "" = held back
+	Failover bool     // the request was routed away from its home zone
+	Loads    []Load   // the ranked replicas, from Ring.Loads (none when held back)
+}
+
+// Load is one replica a route decision ranked: its instance name and
+// its outstanding request count, the JSQ score.
+type Load struct {
+	Name string
+	Out  int64
+}
+
+// Record is one audited decision.
+type Record struct {
+	At      sim.Time // virtual time of the choice
+	Shard   int      // origin shard (0 = control plane, i+1 = host i)
+	Seq     uint64   // per-shard sequence number (merge tie-break)
+	Kind    Kind
+	Chooser string // who decided: "ctl", "host3", ...
+	Subject string // what the decision is about (VM, replica, zone)
+	Winner  string // the chosen option ("-" when nothing was chosen)
+	Body    Body   // rendered operands (empty on typed route records)
+	route   route
+}
+
+// route holds a typed route record's operands; Subject and Winner hold
+// the winner's name.
+type route struct {
+	arrival  sim.Time
+	zone     string
+	loads    []Load
+	typed    bool
+	failover bool
+	held     bool
+}
+
+// Detail returns the record's one-line explanation.
+func (r *Record) Detail() string {
+	if !r.route.typed {
+		return r.Body.Detail
+	}
+	return string(r.appendDetail(make([]byte, 0, 64)))
+}
+
+// appendDetail appends the record's detail line to b, unescaped.
+func (r *Record) appendDetail(b []byte) []byte {
+	rt := &r.route
+	if !rt.typed {
+		return append(b, r.Body.Detail...)
+	}
+	b = rt.arrival.Append(append(b, "req@"...))
+	switch {
+	case !rt.held:
+		b = append(append(append(b, " to "...), r.Winner...), " in "...)
+	case rt.zone == "":
+		return append(b, " held back: no routable zone"...)
+	default:
+		b = append(b, " held back: no live replica in "...)
+	}
+	return append(b, rt.zone...)
+}
+
+// numCandidates returns the size of the candidate set.
+func (r *Record) numCandidates() int {
+	if r.route.typed {
+		return len(r.route.loads)
+	}
+	return len(r.Body.Candidates)
+}
+
+// candidateAt returns candidate i. A route candidate's reason is its
+// outstanding count, "out=N".
+func (r *Record) candidateAt(i int) Candidate {
+	if !r.route.typed {
+		return r.Body.Candidates[i]
+	}
+	l := r.route.loads[i]
+	return Candidate{Name: l.Name, Score: float64(l.Out), Reason: "out=" + strconv.FormatInt(l.Out, 10)}
+}
+
+// Candidates returns the candidate set. For a route record it is built
+// on each call.
+func (r *Record) Candidates() []Candidate {
+	if !r.route.typed {
+		return r.Body.Candidates
+	}
+	out := make([]Candidate, len(r.route.loads))
+	for i := range out {
+		out[i] = r.candidateAt(i)
+	}
+	return out
+}
+
+// candidate returns candidate i's name and score without rendering
+// its reason.
+func (r *Record) candidate(i int) (string, float64) {
+	if r.route.typed {
+		return r.route.loads[i].Name, float64(r.route.loads[i].Out)
+	}
+	return r.Body.Candidates[i].Name, r.Body.Candidates[i].Score
+}
+
+// Inputs returns the scalar inputs. A route record's are built on each
+// call: its zone and failover flag, or buffered=1 when it was held
+// back.
+func (r *Record) Inputs() []KV { return r.inputs(nil) }
+
+// inputs is Inputs building a route record's inputs into dst.
+func (r *Record) inputs(dst []KV) []KV {
+	rt := &r.route
+	switch {
+	case !rt.typed:
+		return r.Body.Inputs
+	case rt.held:
+		return append(dst, KV{Key: "buffered", Val: "1"})
+	}
+	dst = append(dst, KV{Key: "zone", Val: rt.zone})
+	if rt.failover {
+		dst = append(dst, KV{Key: "failover", Val: "1"})
+	}
+	return dst
+}
+
 // Input returns the named input value.
 func (r *Record) Input(key string) (string, bool) {
-	for _, kv := range r.Inputs {
+	var buf [2]KV
+	for _, kv := range r.inputs(buf[:0]) {
 		if kv.Key == key {
 			return kv.Val, true
 		}
@@ -182,9 +309,9 @@ func (r *Record) Input(key string) (string, bool) {
 // WinnerScore returns the winning candidate's score, when the winner
 // appears in the candidate set.
 func (r *Record) WinnerScore() (float64, bool) {
-	for _, c := range r.Candidates {
-		if c.Name == r.Winner {
-			return c.Score, true
+	for i := 0; i < r.numCandidates(); i++ {
+		if name, score := r.candidate(i); name == r.Winner {
+			return score, true
 		}
 	}
 	return 0, false
@@ -193,16 +320,23 @@ func (r *Record) WinnerScore() (float64, bool) {
 // RunnerUp returns the best-scoring losing candidate — the
 // counterfactual choice.
 func (r *Record) RunnerUp() (Candidate, bool) {
-	best, found := Candidate{}, false
-	for _, c := range r.Candidates {
-		if c.Name == r.Winner {
-			continue
-		}
-		if !found || c.Score < best.Score {
-			best, found = c, true
+	i := r.runnerUp()
+	if i < 0 {
+		return Candidate{}, false
+	}
+	return r.candidateAt(i), true
+}
+
+// runnerUp returns the index of the best-scoring losing candidate, or
+// -1 when every candidate is the winner.
+func (r *Record) runnerUp() int {
+	best, bestScore := -1, 0.0
+	for i := 0; i < r.numCandidates(); i++ {
+		if name, score := r.candidate(i); name != r.Winner && (best < 0 || score < bestScore) {
+			best, bestScore = i, score
 		}
 	}
-	return best, found
+	return best
 }
 
 // Margin is how close the call was: runner-up score minus winner score
@@ -211,14 +345,12 @@ func (r *Record) RunnerUp() (Candidate, bool) {
 // was scored against at least one alternative.
 func (r *Record) Margin() (float64, bool) {
 	ws, ok := r.WinnerScore()
-	if !ok {
+	i := r.runnerUp()
+	if !ok || i < 0 {
 		return 0, false
 	}
-	ru, ok := r.RunnerUp()
-	if !ok {
-		return 0, false
-	}
-	return ru.Score - ws, true
+	_, rs := r.candidate(i)
+	return rs - ws, true
 }
 
 // Ring is one shard's bounded decision buffer. All methods are
@@ -229,7 +361,9 @@ func (r *Record) Margin() (float64, bool) {
 //
 // The buffer grows on demand, doubling up to limit records, so a log
 // whose shards see a few decisions per barrier never allocates the
-// full bound.
+// full bound. Route candidates live in an arena of fixed-size chunks
+// that records slice into; a chunk is never reused, so a record keeps
+// its candidates after the ring drains it.
 type Ring struct {
 	mask    uint32
 	chooser string
@@ -240,7 +374,11 @@ type Ring struct {
 	start   int // index of the oldest record
 	n       int
 	dropped uint64
+	arena   []Load // current chunk of route candidates
 }
+
+// arenaChunk is the number of route candidates per arena chunk.
+const arenaChunk = 1024
 
 // Wants reports whether kind k is recorded. Hook sites call this
 // before building a Record, so disabled logs never pay for candidate
@@ -256,6 +394,39 @@ func (r *Ring) Add(rec Record) {
 	if r == nil {
 		return
 	}
+	r.add(&rec)
+}
+
+// Loads returns an empty candidate list with room for n replicas,
+// carved from the ring's arena, for the next AddRoute. Nil-safe.
+func (r *Ring) Loads(n int) []Load {
+	if r == nil {
+		return nil
+	}
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]Load, 0, max(n, arenaChunk))
+	}
+	at := len(r.arena)
+	r.arena = r.arena[:at+n]
+	return r.arena[at : at : at+n]
+}
+
+// AddRoute appends a typed route record at virtual time at. A
+// held-back request (rt.Winner "") records "-" as subject and winner.
+func (r *Ring) AddRoute(at sim.Time, rt Route) {
+	if r == nil {
+		return
+	}
+	rec := Record{At: at, Kind: KindRoute, Subject: "-", Winner: "-",
+		route: route{arrival: rt.Arrival, zone: rt.Zone, typed: true, failover: rt.Failover, held: rt.Winner == ""}}
+	if !rec.route.held {
+		rec.Subject, rec.Winner = rt.Winner, rt.Winner
+		rec.route.loads = rt.Loads
+	}
+	r.add(&rec)
+}
+
+func (r *Ring) add(rec *Record) {
 	rec.Shard = r.shard
 	rec.Chooser = r.chooser
 	rec.Seq = r.seq
@@ -273,7 +444,7 @@ func (r *Ring) Add(rec Record) {
 			r.dropped++
 		}
 	}
-	r.buf[(r.start+r.n)%len(r.buf)] = rec
+	r.buf[(r.start+r.n)%len(r.buf)] = *rec
 	r.n++
 }
 
@@ -313,11 +484,22 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// chunkLen caps the size of one merged-log chunk.
+const chunkLen = 1024
+
 // Log is the cluster-wide decision log: one Ring per shard, merged at
 // barriers into one canonically ordered record sequence.
+//
+// The merged records live in chunks that are appended to and never
+// moved, so the log is not re-copied as it grows; past Total, dropping
+// the oldest only advances head, and a chunk is recycled once all of
+// its records are dropped.
 type Log struct {
 	rings   []*Ring
-	merged  []Record
+	chunks  [][]Record // oldest first; each chunk's len is its fill
+	head    int        // records of chunks[0] already dropped
+	n       int        // records held
+	spare   []Record   // a dropped full-size chunk, for the next one
 	total   int
 	dropped uint64
 	batch   []Record // merge scratch
@@ -371,26 +553,76 @@ func (l *Log) Merge() {
 	}
 	batch := l.batch[:0]
 	for _, r := range l.rings {
-		batch = r.drain(batch)
-		l.dropped += r.dropped
-		r.dropped = 0
+		if r.n > 0 {
+			batch = r.drain(batch)
+		}
+		if r.dropped > 0 {
+			l.dropped += r.dropped
+			r.dropped = 0
+		}
 	}
-	slices.SortStableFunc(batch, func(a, b Record) int { return cmp.Compare(a.At, b.At) })
-	l.merged = append(l.merged, batch...)
+	// Most barriers merge a few records from one ring, already in time
+	// order; sort only when the batch is not.
+	for i := 1; i < len(batch); i++ {
+		if batch[i].At < batch[i-1].At {
+			slices.SortStableFunc(batch, func(a, b Record) int { return cmp.Compare(a.At, b.At) })
+			break
+		}
+	}
+	for rest := batch; len(rest) > 0; {
+		last := len(l.chunks) - 1
+		if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+			// Chunks start small and grow with the log up to chunkLen;
+			// at the Total bound the chunk just dropped is reused.
+			next := l.spare
+			if next == nil {
+				next = make([]Record, 0, min(max(l.n, 64), chunkLen))
+			}
+			l.chunks, l.spare = append(l.chunks, next[:0]), nil
+			last++
+		}
+		c := l.chunks[last]
+		k := min(len(rest), cap(c)-len(c))
+		l.chunks[last] = append(c, rest[:k]...)
+		l.n += k
+		rest = rest[k:]
+	}
 	l.batch = batch[:0]
-	if over := len(l.merged) - l.total; over > 0 {
-		l.dropped += uint64(over)
-		l.merged = append(l.merged[:0], l.merged[over:]...)
+	for l.n > l.total {
+		k := min(l.n-l.total, len(l.chunks[0])-l.head)
+		l.head += k
+		l.n -= k
+		l.dropped += uint64(k)
+		if l.head == len(l.chunks[0]) {
+			if cap(l.chunks[0]) == chunkLen {
+				l.spare = l.chunks[0]
+			}
+			l.chunks[0] = nil
+			l.chunks = l.chunks[1:]
+			l.head = 0
+		}
 	}
 }
 
 // Records returns the merged log in canonical order. The slice is the
-// log's own storage; callers must not mutate it.
+// log's own storage: callers must not mutate it, and a Merge past
+// Total may overwrite it. A log held in more than one chunk is first
+// joined into one, so repeated calls between merges copy nothing.
 func (l *Log) Records() []Record {
-	if l == nil {
+	if l == nil || l.n == 0 {
 		return nil
 	}
-	return l.merged
+	if len(l.chunks) > 1 {
+		flat := make([]Record, 0, l.n)
+		flat = append(flat, l.chunks[0][l.head:]...)
+		for _, c := range l.chunks[1:] {
+			flat = append(flat, c...)
+		}
+		l.chunks = append(l.chunks[:0], flat)
+		clear(l.chunks[1:cap(l.chunks)])
+		l.head = 0
+	}
+	return l.chunks[0][l.head:]
 }
 
 // Dropped reports how many records were lost to ring or total bounds.

@@ -2,6 +2,7 @@ package decision
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,11 +232,11 @@ func TestKindStringRoundTrip(t *testing.T) {
 func TestMarginAndRunnerUp(t *testing.T) {
 	r := Record{
 		Winner: "host1",
-		Candidates: []Candidate{
+		Body: Body{Candidates: []Candidate{
 			{Name: "host0", Score: 0.9},
 			{Name: "host1", Score: 0.2},
 			{Name: "host2", Score: 0.5},
-		},
+		}},
 	}
 	ru, ok := r.RunnerUp()
 	if !ok || ru.Name != "host2" {
@@ -253,15 +254,15 @@ func TestMarginAndRunnerUp(t *testing.T) {
 }
 
 func TestTrailSelectsElasticityStory(t *testing.T) {
-	up := Record{At: 3, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: "up"}}}
-	down := Record{At: 9, Kind: KindAutoscale, Inputs: []KV{{Key: "act", Val: "down"}}}
-	failover := Record{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: "1"}}}
+	up := Record{At: 3, Kind: KindAutoscale, Body: Body{Inputs: []KV{{Key: "act", Val: "up"}}}}
+	down := Record{At: 9, Kind: KindAutoscale, Body: Body{Inputs: []KV{{Key: "act", Val: "down"}}}}
+	failover := Record{At: 2, Kind: KindRoute, Body: Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}
 	recs := []Record{
 		rec(0, KindPlace, "srv0"),
 		rec(1, KindCordon, "z1"),
 		rec(1, KindRoute, "srv0"), // plain route: not a failover step
 		failover,
-		{At: 2, Kind: KindRoute, Inputs: []KV{{Key: "failover", Val: "1"}}}, // only the first counts
+		{At: 2, Kind: KindRoute, Body: Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}, // only the first counts
 		up,
 		rec(5, KindMigrate, "srv1"), // migrations are queryable, not trail steps
 		rec(6, KindUncordon, "z1"),
@@ -277,7 +278,7 @@ func TestClosestCalls(t *testing.T) {
 	mk := func(at sim.Time, winner float64, runner float64) Record {
 		return Record{
 			At: at, Kind: KindPlace, Winner: "w",
-			Candidates: []Candidate{{Name: "w", Score: winner}, {Name: "r", Score: runner}},
+			Body: Body{Candidates: []Candidate{{Name: "w", Score: winner}, {Name: "r", Score: runner}}},
 		}
 	}
 	recs := []Record{
@@ -305,5 +306,54 @@ func TestCountsString(t *testing.T) {
 	}
 	if got := CountsString(nil); got != "none" {
 		t.Fatalf("empty counts = %q", got)
+	}
+}
+
+// TestTypedRouteRendering pins what a typed route record reads as:
+// the detail line, "out=N" candidate reasons and the inputs the
+// router's rendered records carried, for a routed request and both
+// kinds of held-back request.
+func TestTypedRouteRendering(t *testing.T) {
+	l := NewLog(1, Options{})
+	l.Label(0, "ctl")
+	r := l.Ring(0)
+	loads := append(r.Loads(2), Load{Name: "srv0#2", Out: 3}, Load{Name: "srv1", Out: 5})
+	r.AddRoute(7*sim.Second, Route{Arrival: 6 * sim.Second, Zone: "z0", Winner: "srv0#2", Failover: true, Loads: loads})
+	r.AddRoute(8*sim.Second, Route{Arrival: 1500 * sim.Microsecond, Zone: "z1"})
+	r.AddRoute(9*sim.Second, Route{Arrival: 250})
+	l.Merge()
+	recs := l.Records()
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3", len(recs))
+	}
+	type want struct {
+		subject, winner, detail string
+		cands                   []Candidate
+		inputs                  []KV
+	}
+	for i, w := range []want{
+		{"srv0#2", "srv0#2", "req@6.000s to srv0#2 in z0",
+			[]Candidate{{Name: "srv0#2", Score: 3, Reason: "out=3"}, {Name: "srv1", Score: 5, Reason: "out=5"}},
+			[]KV{{Key: "zone", Val: "z0"}, {Key: "failover", Val: "1"}}},
+		{"-", "-", "req@1.500ms held back: no live replica in z1", nil, []KV{{Key: "buffered", Val: "1"}}},
+		{"-", "-", "req@250ns held back: no routable zone", nil, []KV{{Key: "buffered", Val: "1"}}},
+	} {
+		r := &recs[i]
+		if r.Kind != KindRoute || r.Subject != w.subject || r.Winner != w.winner || r.Detail() != w.detail {
+			t.Errorf("record %d: kind %v subject %q winner %q detail %q; want route %q %q %q",
+				i, r.Kind, r.Subject, r.Winner, r.Detail(), w.subject, w.winner, w.detail)
+		}
+		if got := r.Candidates(); !slices.Equal(got, w.cands) {
+			t.Errorf("record %d: candidates %+v, want %+v", i, got, w.cands)
+		}
+		if got := r.Inputs(); !slices.Equal(got, w.inputs) {
+			t.Errorf("record %d: inputs %+v, want %+v", i, got, w.inputs)
+		}
+	}
+	if m, ok := recs[0].Margin(); !ok || m != 2 {
+		t.Errorf("routed margin = %v, %v; want 2", m, ok)
+	}
+	if v, ok := recs[0].Input("failover"); !ok || v != "1" {
+		t.Errorf(`Input("failover") = %q, %v`, v, ok)
 	}
 }

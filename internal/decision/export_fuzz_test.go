@@ -3,6 +3,7 @@ package decision_test
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/decision"
@@ -46,14 +47,14 @@ func FuzzWriteJSON(f *testing.F) {
 		}
 		r := decision.Record{
 			At: sim.Time(at), Shard: int(shape), Seq: uint64(at) * 3, Kind: decision.Kind(shape % 12),
-			Chooser: s1, Subject: pick(0, s2), Winner: pick(1, s3), Detail: pick(2, s4),
+			Chooser: s1, Subject: pick(0, s2), Winner: pick(1, s3), Body: decision.Body{Detail: pick(2, s4)},
 		}
 		if shape&(1<<3) != 0 {
-			r.Candidates = []decision.Candidate{{Name: s1, Score: score, Reason: pick(4, s2)}, {Name: s3, Score: -score}}
+			r.Body.Candidates = []decision.Candidate{{Name: s1, Score: score, Reason: pick(4, s2)}, {Name: s3, Score: -score}}
 		}
 		if shape&(1<<5) != 0 {
 			// Repeated keys: the exported object keeps each key's last value.
-			r.Inputs = []decision.KV{{Key: s3, Val: s4}, {Key: s1, Val: s2}, {Key: s3, Val: s1}}
+			r.Body.Inputs = []decision.KV{{Key: s3, Val: s4}, {Key: s1, Val: s2}, {Key: s3, Val: s1}}
 		}
 		recs := []decision.Record{r, {At: sim.Time(at) / 2, Kind: decision.KindRoute, Chooser: s4}}
 		if shape&(1<<6) != 0 {
@@ -67,6 +68,88 @@ func FuzzWriteJSON(f *testing.F) {
 		}
 		if gotErr == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteJSON differs from encoding/json.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// FuzzRouteRecords holds both exporters to encoding/json on typed
+// route records, whose names, reasons, inputs and detail lines are
+// rendered on read: a random mix of routed requests (1-8 replicas with
+// migration generations, failovers) and held-back ones (no routable
+// zone, no live replica) goes through Ring.AddRoute and Log.Merge, and
+// WriteJSON and WriteChromeTrace must equal jsonref's rendering of the
+// records' accessor values byte for byte.
+func FuzzRouteRecords(f *testing.F) {
+	for _, s := range []struct {
+		vm, zone, chooser string
+		arrival, out      int64
+		ops               []byte
+	}{
+		{"srv", "z0", "ctl", int64(6 * sim.Second), 3, []byte{0x13, 0x42, 0x05, 0x87, 0x20}},
+		{"srv", "z1", "ctl", 0, 0, []byte{0x01, 0x02, 0x03}},
+		{`<b>&"x"\`, "\xe2\x80", "\xa8\xff", -1500, -7, []byte{0xff, 0x7e, 0x3d, 0x00}},
+		{"µs ✓", "\u2028", "", math.MaxInt64, math.MinInt64, []byte{0xf7, 0x11}},
+		{"a", "", "c", 999, 1 << 60, []byte{0x08, 0x18, 0x28}},
+	} {
+		f.Add(s.vm, s.zone, s.chooser, s.arrival, s.out, s.ops)
+	}
+	f.Fuzz(func(t *testing.T, vm, zone, chooser string, arrival, out int64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		l := decision.NewLog(2, decision.Options{})
+		l.Label(0, chooser)
+		at := sim.Time(arrival)
+		for i, op := range ops {
+			r := l.Ring(i % 2)
+			// op: bits 0-2 replica count - 1, bit 3 failover, bits 4-5
+			// held back (1: no routable zone, 2: no live replica),
+			// bits 6-7 the winner's generation.
+			rt := decision.Route{Arrival: at - sim.Time(op), Zone: zone, Failover: op&0x08 != 0}
+			switch op >> 4 & 3 {
+			case 1:
+				rt.Zone = ""
+			case 2:
+			default:
+				n := int(op&7) + 1
+				rt.Loads = r.Loads(n)
+				for j := 0; j < n; j++ {
+					name := vm + strconv.Itoa(j)
+					if gen := int(op>>6) + j%2; gen > 0 {
+						name += "#" + strconv.Itoa(gen)
+					}
+					rt.Loads = append(rt.Loads, decision.Load{Name: name, Out: out + int64(j*int(op))})
+				}
+				rt.Winner = rt.Loads[int(op)%n].Name
+			}
+			r.AddRoute(at+sim.Time(i), rt)
+			if op&0x80 != 0 {
+				l.Merge()
+			}
+		}
+		l.Merge()
+		recs := l.Records()
+
+		var got, want bytes.Buffer
+		if err := decision.WriteJSON(&got, recs, l.Dropped()); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		if err := jsonref.DecisionJSON(&want, recs, l.Dropped()); err != nil {
+			t.Fatalf("encoding/json: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("WriteJSON differs from encoding/json.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want.Bytes())
+		}
+		got.Reset()
+		if err := decision.WriteChromeTrace(&got, recs); err != nil {
+			t.Fatalf("WriteChromeTrace: %v", err)
+		}
+		ref, err := jsonref.DecisionChromeTrace(recs)
+		if err != nil {
+			t.Fatalf("encoding/json: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), ref) {
+			t.Fatalf("WriteChromeTrace differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), ref)
 		}
 	})
 }

@@ -61,7 +61,7 @@ func whyCell(seed uint64, shards int) ([][]string, error) {
 			r.Subject,
 			r.Winner,
 			margin,
-			r.Detail,
+			r.Detail(),
 		})
 	}
 	rows = append(rows, []string{

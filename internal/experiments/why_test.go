@@ -63,9 +63,9 @@ func TestWhyTrailExactSequence(t *testing.T) {
 	}
 }
 
-// checkExportsMatchEncodingJSON diffs the decision bundle against its
-// encoding/json reference, and checks that both Chrome-trace exports
-// equal their own encoding/json re-encoding. Decoding the rig's whole
+// checkExportsMatchEncodingJSON diffs both decision exports against
+// their encoding/json references, and checks that both Chrome-trace
+// exports equal their own encoding/json re-encoding. Decoding the rig's whole
 // span export (about 250k events) for the re-encoding would cost over
 // a second, so the span export is diffed over every eighth finished
 // span, which still spans the whole run.
@@ -84,6 +84,15 @@ func checkExportsMatchEncodingJSON(t *testing.T, recs []decision.Record, dropped
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("decision.WriteJSON differs from encoding/json (%d bytes, want %d)", got.Len(), want.Len())
+	}
+	got.Reset()
+	if err := decision.WriteChromeTrace(&got, recs); err != nil {
+		t.Fatal(err)
+	}
+	if ref, err := jsonref.DecisionChromeTrace(recs); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(got.Bytes(), ref) {
+		t.Errorf("decision.WriteChromeTrace differs from its encoding/json mapping (%d bytes, want %d)", got.Len(), len(ref))
 	}
 	for _, ex := range []struct {
 		name  string

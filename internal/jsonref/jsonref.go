@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"strconv"
+	"time"
 
 	"repro/internal/decision"
 	"repro/internal/obs"
@@ -33,7 +35,8 @@ type chromeEvent struct {
 func ChromeTrace(events []obs.ChromeEvent) ([]byte, error) {
 	evs := make([]chromeEvent, len(events))
 	for i, e := range events {
-		evs[i] = chromeEvent{Name: e.Name, Ph: e.Ph, Ts: e.Ts, Pid: e.Pid, Tid: e.Tid, Cat: e.Cat, S: e.S}
+		ts := float64(e.Ts) / 1e3 // virtual ns as float microseconds
+		evs[i] = chromeEvent{Name: e.Name, Ph: e.Ph, Ts: ts, Pid: e.Pid, Tid: e.Tid, Cat: e.Cat, S: e.S}
 		if len(e.Args) > 0 {
 			evs[i].Args = make(map[string]string, len(e.Args))
 			for _, a := range e.Args {
@@ -120,14 +123,14 @@ func DecisionJSON(w io.Writer, recs []decision.Record, dropped uint64) error {
 			Chooser: r.Chooser,
 			Subject: r.Subject,
 			Winner:  r.Winner,
-			Detail:  r.Detail,
+			Detail:  r.Detail(),
 		}
-		for _, c := range r.Candidates {
+		for _, c := range r.Candidates() {
 			jr.Candidates = append(jr.Candidates, jsonCandidate{Name: c.Name, Score: c.Score, Reason: c.Reason})
 		}
-		if len(r.Inputs) > 0 {
-			jr.Inputs = make(map[string]string, len(r.Inputs))
-			for _, kv := range r.Inputs {
+		if inputs := r.Inputs(); len(inputs) > 0 {
+			jr.Inputs = make(map[string]string, len(inputs))
+			for _, kv := range inputs {
 				jr.Inputs[kv.Key] = kv.Val
 			}
 		}
@@ -136,4 +139,37 @@ func DecisionJSON(w io.Writer, recs []decision.Record, dropped uint64) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(bundle)
+}
+
+// DecisionChromeTrace renders the records as decision.WriteChromeTrace
+// must: a "decisions" process, a thread per chooser in first-appearance
+// order, and one instant per record named "kind subject" with its
+// detail, margin (when scored), subject, vtime and winner as args.
+func DecisionChromeTrace(recs []decision.Record) ([]byte, error) {
+	const pid = 1
+	events := []obs.ChromeEvent{obs.ProcessName(pid, "decisions")}
+	tids := map[string]int{}
+	for i := range recs {
+		r := &recs[i]
+		tid, ok := tids[r.Chooser]
+		if !ok {
+			tid = len(tids) + 1
+			tids[r.Chooser] = tid
+			events = append(events, obs.ThreadName(pid, tid, r.Chooser))
+		}
+		args := []obs.Arg{
+			{Key: "detail", Val: r.Detail()},
+			{Key: "subject", Val: r.Subject},
+			{Key: "vtime", Val: time.Duration(r.At).String()},
+			{Key: "winner", Val: r.Winner},
+		}
+		if m, ok := r.Margin(); ok {
+			args = append(args, obs.Arg{Key: "margin", Val: strconv.FormatFloat(m, 'f', 3, 64)})
+		}
+		events = append(events, obs.ChromeEvent{
+			Name: r.Kind.String() + " " + r.Subject, Ph: "i", Ts: r.At, Pid: pid, Tid: tid,
+			Cat: r.Kind.String(), S: "t", Args: args,
+		})
+	}
+	return ChromeTrace(events)
 }

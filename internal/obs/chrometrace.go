@@ -18,22 +18,28 @@ import (
 // onto events. The output loads directly in chrome://tracing and
 // ui.perfetto.dev.
 
-// ChromeEvent is one entry of the traceEvents array. Timestamps are in
-// microseconds, the unit the trace viewer expects. Cat, S and Args are
-// omitted from the output when empty.
-type ChromeEvent struct {
-	Name string
+// Text is what an event's name and argument values may be: a string,
+// or bytes an exporter assembled in a reused buffer, so a name built
+// from parts (a kind and a subject, "req " and an id) costs no
+// allocation.
+type Text interface{ ~string | ~[]byte }
+
+// Event is one entry of the traceEvents array. Ts is virtual time,
+// written in microseconds, the unit the trace viewer expects. Cat, S
+// and Args are omitted from the output when empty.
+type Event[T Text] struct {
+	Name T
 	Ph   string
-	Ts   float64
+	Ts   sim.Time
 	Pid  int
 	Tid  int
 	Cat  string
 	S    string
-	Args []Arg // written as one object, keys sorted (see NextArg)
+	Args []KeyVal[T] // written as one object, keys sorted (see NextArg)
 }
 
-// Usec converts virtual time to a trace timestamp in microseconds.
-func Usec(t sim.Time) float64 { return float64(t) / float64(sim.Microsecond) }
+// ChromeEvent is an event whose name and argument values are strings.
+type ChromeEvent = Event[string]
 
 // ProcessName is the metadata event naming process pid's track group.
 func ProcessName(pid int, name string) ChromeEvent {
@@ -49,8 +55,8 @@ func ThreadName(pid, tid int, name string) ChromeEvent {
 // so an export never holds its whole event list in memory. The bytes
 // are encoding/json's rendering of
 // {"traceEvents":[...],"displayTimeUnit":"ms"} with each event a
-// struct of the fields above in order and Args a map[string]string,
-// HTML escaping included.
+// struct of the fields above in order, Ts a float64 of microseconds
+// and Args a map[string]string, HTML escaping included.
 type ChromeTrace struct {
 	w   *bufio.Writer
 	buf []byte // one encoded event, reused
@@ -65,9 +71,15 @@ func NewChromeTrace(w io.Writer) *ChromeTrace {
 	return t
 }
 
-// Emit appends one event to the document. An event whose Ts has no
-// JSON form (NaN, ±Inf) is not written; Close reports the error.
-func (t *ChromeTrace) Emit(e ChromeEvent) {
+// Emit appends one event to the document.
+func (t *ChromeTrace) Emit(e ChromeEvent) { emit(t, e) }
+
+// EmitBytes appends one event whose name and argument values are
+// bytes; they are copied before EmitBytes returns, so the caller may
+// reuse their buffer for the next event.
+func (t *ChromeTrace) EmitBytes(e Event[[]byte]) { emit(t, e) }
+
+func emit[T Text](t *ChromeTrace, e Event[T]) {
 	if t.err != nil {
 		return
 	}
@@ -78,9 +90,7 @@ func (t *ChromeTrace) Emit(e ChromeEvent) {
 	b = append(b, `,"ph":`...)
 	b = AppendJSONString(b, e.Ph)
 	b = append(b, `,"ts":`...)
-	if b, t.err = AppendJSONFloat(b, e.Ts); t.err != nil {
-		return
-	}
+	b = appendUsec(b, e.Ts)
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(e.Pid), 10)
 	b = append(b, `,"tid":`...)
@@ -96,7 +106,11 @@ func (t *ChromeTrace) Emit(e ChromeEvent) {
 	if len(e.Args) > 0 {
 		b = append(b, `,"args":`...)
 		sep := byte('{')
-		for i := NextArg(e.Args, -1); i >= 0; i = NextArg(e.Args, i) {
+		ordered := true
+		for i := 1; i < len(e.Args) && ordered; i++ {
+			ordered = e.Args[i-1].Key < e.Args[i].Key
+		}
+		for i := argAfter(e.Args, -1, ordered); i >= 0; i = argAfter(e.Args, i, ordered) {
 			b = append(b, sep)
 			sep = ','
 			b = AppendJSONString(b, e.Args[i].Key)
@@ -107,6 +121,51 @@ func (t *ChromeTrace) Emit(e ChromeEvent) {
 	}
 	t.buf = append(b, '}')
 	_, t.err = t.w.Write(t.buf)
+}
+
+// argAfter is NextArg with a shortcut for arguments already in
+// strictly ascending key order, as the exporters write them.
+func argAfter[T Text](args []KeyVal[T], prev int, ordered bool) int {
+	switch {
+	case !ordered:
+		return NextArg(args, prev)
+	case prev+1 < len(args):
+		return prev + 1
+	}
+	return -1
+}
+
+// exactUsec bounds the times appendUsec writes with integer
+// arithmetic: below it, float64(t)/1e3 is the nearest double to the
+// exact decimal t/1000, so the shortest decimal that round-trips it
+// is that decimal itself.
+const exactUsec = 1 << 50
+
+// appendUsec appends virtual time t as a JSON number of microseconds,
+// byte for byte as AppendJSONFloat(float64(t)/1e3) writes it: the
+// whole microseconds, then up to three fractional digits with
+// trailing zeros trimmed.
+func appendUsec(b []byte, t sim.Time) []byte {
+	if t <= -exactUsec || t >= exactUsec {
+		b, _ = AppendJSONFloat(b, float64(t)/1e3) // finite: cannot fail
+		return b
+	}
+	if t < 0 {
+		b = append(b, '-')
+		t = -t
+	}
+	b = strconv.AppendInt(b, int64(t/1000), 10)
+	frac := int(t % 1000)
+	if frac == 0 {
+		return b
+	}
+	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
+	n := 3
+	for digits[n-1] == '0' {
+		n--
+	}
+	b = append(b, '.')
+	return append(b, digits[:n]...)
 }
 
 // Close ends and flushes the document, returning the first error.
@@ -160,27 +219,27 @@ func WriteChromeTrace(w io.Writer, log *trace.Log, from, to sim.Time) error {
 		if !ok {
 			ev := e.Event()
 			out.Emit(ChromeEvent{
-				Name: ev.Kind.String(), Ph: "i", Ts: Usec(at), Pid: simPid, Tid: tid,
+				Name: ev.Kind.String(), Ph: "i", Ts: at, Pid: simPid, Tid: tid,
 				Cat: ev.Kind.String(), S: "t",
 				Args: []Arg{{"subject", subject}, {"detail", ev.Detail}},
 			})
 			continue
 		}
 		if name, pending := open[subject]; pending && name == prev {
-			out.Emit(ChromeEvent{Name: prev, Ph: "E", Ts: Usec(at), Pid: simPid, Tid: tid, Cat: "vcpu"})
+			out.Emit(ChromeEvent{Name: prev, Ph: "E", Ts: at, Pid: simPid, Tid: tid, Cat: "vcpu"})
 			delete(open, subject)
 		}
 		// Only non-idle states get slices; "blocked" gaps read as
 		// idle track space, which is what a scheduler timeline wants.
 		if next == "running" || next == "runnable" {
-			out.Emit(ChromeEvent{Name: next, Ph: "B", Ts: Usec(at), Pid: simPid, Tid: tid, Cat: "vcpu"})
+			out.Emit(ChromeEvent{Name: next, Ph: "B", Ts: at, Pid: simPid, Tid: tid, Cat: "vcpu"})
 			open[subject] = next
 		}
 	}
 	// Close any slice still open so B/E pairs balance at the window edge.
 	for _, s := range names {
 		if name, pending := open[s]; pending {
-			out.Emit(ChromeEvent{Name: name, Ph: "E", Ts: Usec(end), Pid: simPid, Tid: tids[s], Cat: "vcpu"})
+			out.Emit(ChromeEvent{Name: name, Ph: "E", Ts: end, Pid: simPid, Tid: tids[s], Cat: "vcpu"})
 		}
 	}
 	return out.Close()

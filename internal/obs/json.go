@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
@@ -27,7 +28,7 @@ var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
 // \t by name; other control bytes and the HTML-sensitive <, > and & as
 // \u00XX; each invalid UTF-8 byte as \ufffd; U+2028 and U+2029 as
 // \u2028 and \u2029.
-func AppendJSONString(dst []byte, s string) []byte {
+func AppendJSONString[T Text](dst []byte, s T) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -57,7 +58,9 @@ func AppendJSONString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		// Decode from a copy so one body serves strings and bytes.
+		var r [utf8.UTFMax]byte
+		c, size := utf8.DecodeRune(r[:copy(r[:], s[i:])])
 		switch {
 		case c == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
@@ -98,17 +101,21 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// Arg is one key/value argument of an exported event.
-type Arg struct {
-	Key, Val string
+// KeyVal is one key/value argument of an exported event.
+type KeyVal[T Text] struct {
+	Key string
+	Val T
 }
+
+// Arg is an argument whose value is a string.
+type Arg = KeyVal[string]
 
 // NextArg returns the index of the argument after args[prev] (prev < 0:
 // the first) in the order encoding/json writes the equivalent
 // map[string]string: ascending key, and for a repeated key only its
 // last entry, which is the one a map keeps. It returns -1 past the end.
 // The walk is quadratic and allocation-free; argument lists are short.
-func NextArg(args []Arg, prev int) int {
+func NextArg[T Text](args []KeyVal[T], prev int) int {
 	next := -1
 	for i := range args {
 		k := args[i].Key
@@ -117,4 +124,91 @@ func NextArg(args []Arg, prev int) int {
 		}
 	}
 	return next
+}
+
+// AppendDuration appends d as time.Duration.String renders it ("1.5s",
+// "2m0.5s", "250µs", "0s") without building the string.
+func AppendDuration(b []byte, d time.Duration) []byte {
+	var buf [32]byte
+	w := len(buf)
+	u := uint64(d)
+	if d < 0 {
+		u = -u
+	}
+	if u < uint64(time.Second) {
+		// Below a second: one unit, ns, µs or ms, with a fraction.
+		var prec int
+		w--
+		buf[w] = 's'
+		w--
+		switch {
+		case u == 0:
+			return append(b, "0s"...)
+		case u < uint64(time.Microsecond):
+			buf[w] = 'n'
+		case u < uint64(time.Millisecond):
+			prec = 3
+			w-- // U+00B5 'µ' is two bytes
+			copy(buf[w:], "µ")
+		default:
+			prec = 6
+			buf[w] = 'm'
+		}
+		w, u = fmtFrac(buf[:w], u, prec)
+		w = fmtInt(buf[:w], u)
+	} else {
+		w--
+		buf[w] = 's'
+		w, u = fmtFrac(buf[:w], u, 9)
+		w = fmtInt(buf[:w], u%60)
+		if u /= 60; u > 0 {
+			w--
+			buf[w] = 'm'
+			w = fmtInt(buf[:w], u%60)
+			if u /= 60; u > 0 {
+				w--
+				buf[w] = 'h'
+				w = fmtInt(buf[:w], u)
+			}
+		}
+	}
+	if d < 0 {
+		w--
+		buf[w] = '-'
+	}
+	return append(b, buf[w:]...)
+}
+
+// fmtFrac writes the fraction of v/10^prec right-aligned into buf,
+// omitting trailing zeros and the point when the fraction is zero, and
+// returns the start index and v/10^prec.
+func fmtFrac(buf []byte, v uint64, prec int) (int, uint64) {
+	w := len(buf)
+	print := false
+	for i := 0; i < prec; i++ {
+		digit := v % 10
+		print = print || digit != 0
+		if print {
+			w--
+			buf[w] = byte(digit) + '0'
+		}
+		v /= 10
+	}
+	if print {
+		w--
+		buf[w] = '.'
+	}
+	return w, v
+}
+
+// fmtInt writes v right-aligned into buf and returns the start index.
+func fmtInt(buf []byte, v uint64) int {
+	w := len(buf)
+	for {
+		w--
+		buf[w] = byte(v%10) + '0'
+		if v /= 10; v == 0 {
+			return w
+		}
+	}
 }

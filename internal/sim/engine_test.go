@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -273,6 +275,45 @@ func TestTimeFormatting(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.in), got, c.want)
+		}
+	}
+}
+
+// floatAppend is Time.Append as it was written before the integer
+// path: the float64 quotient in the largest unit, rounded by strconv.
+func floatAppend(t Time) string {
+	switch {
+	case t >= Second:
+		return strconv.FormatFloat(t.Seconds(), 'f', 3, 64) + "s"
+	case t >= Millisecond:
+		return strconv.FormatFloat(t.Milliseconds(), 'f', 3, 64) + "ms"
+	case t >= Microsecond:
+		return strconv.FormatFloat(t.Microseconds(), 'f', 3, 64) + "µs"
+	default:
+		return strconv.FormatInt(int64(t), 10) + "ns"
+	}
+}
+
+// TestTimeAppendMatchesFloat holds the integer rendering to the float
+// one at unit edges, on and next to every rounding tie, around the
+// switch to the float path, and on random times of every magnitude.
+func TestTimeAppendMatchesFloat(t *testing.T) {
+	cases := []Time{
+		0, 1, 999, 1000, 1001, 999_499, 999_500, 999_501, 999_999, 1_000_000,
+		999_999_499, 999_999_500, 999_999_501, 999_999_999, Second,
+		Second + 499_999, Second + 500_000, Second + 500_001, 62_500_000 + Second,
+		6*Second + 250*Microsecond, 1<<50 - 1, 1 << 50, 1<<50 + 1, math.MaxInt64,
+		-1, -Second, math.MinInt64,
+	}
+	rng := NewRNG(7)
+	for i := 0; i < 20000; i++ {
+		v := Time(rng.Uint64() >> (1 + i%63))
+		step := []Time{1, Microsecond, Millisecond}[i%3]
+		cases = append(cases, v, v/step*step+step/2)
+	}
+	for _, at := range cases {
+		if got, want := at.String(), floatAppend(at); got != want {
+			t.Errorf("%d ns renders %q, float path %q", int64(at), got, want)
 		}
 	}
 }

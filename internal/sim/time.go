@@ -41,16 +41,38 @@ func (t Time) String() string {
 }
 
 // Append appends t's String form to b: three decimals in the largest
-// unit that fits (s, ms, µs), or whole nanoseconds.
+// unit that fits (s, ms, µs), or whole nanoseconds. The decimals are
+// those of the float64 quotient (t.Seconds() and so on) rounded to
+// three places, computed in integers.
 func (t Time) Append(b []byte) []byte {
 	switch {
 	case t >= Second:
-		return append(strconv.AppendFloat(b, t.Seconds(), 'f', 3, 64), 's')
+		return append(appendMilli(b, t, Millisecond, t.Seconds()), 's')
 	case t >= Millisecond:
-		return append(strconv.AppendFloat(b, t.Milliseconds(), 'f', 3, 64), "ms"...)
+		return append(appendMilli(b, t, Microsecond, t.Milliseconds()), "ms"...)
 	case t >= Microsecond:
-		return append(strconv.AppendFloat(b, t.Microseconds(), 'f', 3, 64), "µs"...)
+		return append(appendMilli(b, t, Nanosecond, t.Microseconds()), "µs"...)
 	default:
 		return append(strconv.AppendInt(b, int64(t), 10), "ns"...)
 	}
+}
+
+// appendMilli appends f, the positive quotient of t by a unit of 1000
+// steps, with three decimals, as strconv.AppendFloat(b, f, 'f', 3, 64)
+// does. Rounding t to a whole number of steps gives the same digits
+// unless t lies exactly halfway between two steps, where the float's
+// own rounding error decides, or t is too large for the quotient's
+// error to stay below half a nanosecond's worth; those take the float
+// path.
+func appendMilli(b []byte, t, step Time, f float64) []byte {
+	q, r := t/step, t%step
+	if 2*r == step || t >= 1<<50 {
+		return strconv.AppendFloat(b, f, 'f', 3, 64)
+	}
+	if 2*r > step {
+		q++
+	}
+	b = strconv.AppendInt(b, int64(q/1000), 10)
+	frac := q % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }

@@ -1,6 +1,8 @@
 package span
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -149,11 +151,11 @@ func Analyze(spans []*Span, alpha float64) *Analysis {
 			a.PerCategory[i].Add(v)
 		}
 	}
-	sort.SliceStable(a.Sorted, func(x, y int) bool {
-		if a.Sorted[x].Wall() != a.Sorted[y].Wall() {
-			return a.Sorted[x].Wall() < a.Sorted[y].Wall()
+	slices.SortStableFunc(a.Sorted, func(x, y *Span) int {
+		if c := cmp.Compare(x.Wall(), y.Wall()); c != 0 {
+			return c
 		}
-		return a.Sorted[x].ID < a.Sorted[y].ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 
 	n := len(a.Sorted)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Perfetto-compatible nested span export through obs's shared Chrome
@@ -18,8 +17,6 @@ import (
 // strategy) render as separate processes in one file, so baseline and
 // IRS timelines sit side by side.
 
-func dur(t sim.Time) string { return time.Duration(t).String() }
-
 // TrackSet is one named group of spans exported as its own Perfetto
 // process.
 type TrackSet struct {
@@ -29,11 +26,12 @@ type TrackSet struct {
 
 // WriteChromeSpans renders the track sets as Chrome trace JSON.
 // Unfinished spans are skipped (they have no right edge to draw).
+// Request names, thread names and durations are rendered into one
+// reused buffer, so the export allocates nothing per event.
 func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 	out := obs.NewChromeTrace(w)
-	slice := func(name, ph string, at sim.Time, pid, tid int, cat string, args []obs.Arg) {
-		out.Emit(obs.ChromeEvent{Name: name, Ph: ph, Ts: obs.Usec(at), Pid: pid, Tid: tid, Cat: cat, Args: args})
-	}
+	text := make([]byte, 0, 128)
+	args := make([]obs.KeyVal[[]byte], 1)
 	for si, set := range sets {
 		pid := si + 1
 		out.Emit(obs.ProcessName(pid, set.Name))
@@ -43,21 +41,38 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 				continue
 			}
 			tid++
-			req := "req " + strconv.FormatInt(s.ID, 10)
-			wall := dur(s.Wall())
-			out.Emit(obs.ThreadName(pid, tid, req+" (wall "+wall+")"))
-			slice(req, "B", s.Start, pid, tid, "request", []obs.Arg{{Key: "wall", Val: wall}})
+			// One buffer holds "req N (wall D)": the request slice's
+			// name, the thread name, and the wall argument are views.
+			text = strconv.AppendInt(append(text[:0], "req "...), s.ID, 10)
+			req := len(text)
+			text = append(text, " (wall "...)
+			wall := len(text)
+			text = obs.AppendDuration(text, time.Duration(s.Wall()))
+			wallEnd := len(text)
+			text = append(text, ')')
+			args[0] = obs.KeyVal[[]byte]{Key: "name", Val: text}
+			out.EmitBytes(obs.Event[[]byte]{Name: threadName, Ph: "M", Pid: pid, Tid: tid, Args: args})
+			args[0] = obs.KeyVal[[]byte]{Key: "wall", Val: text[wall:wallEnd]}
+			out.EmitBytes(obs.Event[[]byte]{Name: text[:req], Ph: "B", Ts: s.Start, Pid: pid, Tid: tid, Cat: "request", Args: args})
 			for _, p := range s.Phases {
-				slice(p.Name, "B", p.Start, pid, tid, "phase", nil)
+				out.Emit(obs.ChromeEvent{Name: p.Name, Ph: "B", Ts: p.Start, Pid: pid, Tid: tid, Cat: "phase"})
 				for _, seg := range p.Segments {
 					cat := seg.Cat.String()
-					slice(cat, "B", seg.Start, pid, tid, "segment", []obs.Arg{{Key: "dur", Val: dur(seg.Dur())}})
-					slice(cat, "E", seg.End, pid, tid, "segment", nil)
+					// The segment name follows the request's text.
+					text = append(text[:wallEnd+1], cat...)
+					name := len(text)
+					text = obs.AppendDuration(text, time.Duration(seg.Dur()))
+					args[0] = obs.KeyVal[[]byte]{Key: "dur", Val: text[name:]}
+					out.EmitBytes(obs.Event[[]byte]{Name: text[wallEnd+1 : name], Ph: "B", Ts: seg.Start, Pid: pid, Tid: tid, Cat: "segment", Args: args})
+					out.Emit(obs.ChromeEvent{Name: cat, Ph: "E", Ts: seg.End, Pid: pid, Tid: tid, Cat: "segment"})
 				}
-				slice(p.Name, "E", p.End, pid, tid, "phase", nil)
+				out.Emit(obs.ChromeEvent{Name: p.Name, Ph: "E", Ts: p.End, Pid: pid, Tid: tid, Cat: "phase"})
 			}
-			slice(req, "E", s.End, pid, tid, "request", nil)
+			out.EmitBytes(obs.Event[[]byte]{Name: text[:req], Ph: "E", Ts: s.End, Pid: pid, Tid: tid, Cat: "request"})
 		}
 	}
 	return out.Close()
 }
+
+// threadName is the metadata event name of a request's thread track.
+var threadName = []byte("thread_name")

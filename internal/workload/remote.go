@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/guestsync"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/span"
 )
@@ -101,16 +100,18 @@ func (g *RemoteGate) Submitted() int64 { return g.submitted }
 
 // NewRemoteServer instantiates an externally fed open-loop server on
 // kern and returns its submission gate. stats may be shared across
-// replicas (and across the generations of a migrating VM); nil
-// allocates a private one. The instance must be Started before the
-// first Submit. Spec.Duration and Spec.Arrival are ignored: the server
-// runs until the gate is closed and arrivals come from the caller.
+// replicas (and across the generations of a migrating VM); nil keeps
+// private counters and no latency histogram, for callers that take the
+// latencies from RemoteGate.OnServed. The instance must be Started
+// before the first Submit. Spec.Duration and Spec.Arrival are ignored:
+// the server runs until the gate is closed and arrivals come from the
+// caller.
 func NewRemoteServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *ServerStats) (*Instance, *RemoteGate) {
 	if spec.Threads <= 0 {
 		spec.Threads = len(kern.CPUs())
 	}
 	if stats == nil {
-		stats = &ServerStats{Latency: &obs.Histogram{}}
+		stats = &ServerStats{} // a nil Latency histogram drops samples
 	}
 	in := &Instance{Name: spec.Name, kern: kern, Endless: true}
 	gate := &RemoteGate{}
