@@ -3,6 +3,7 @@ package decision_test
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -72,13 +73,15 @@ func FuzzWriteJSON(f *testing.F) {
 	})
 }
 
-// FuzzRouteRecords holds both exporters to encoding/json on typed
-// route records, whose names, reasons, inputs and detail lines are
-// rendered on read: a random mix of routed requests (1-8 replicas with
-// migration generations, failovers) and held-back ones (no routable
-// zone, no live replica) goes through Ring.AddRoute and Log.Merge, and
-// WriteJSON and WriteChromeTrace must equal jsonref's rendering of the
-// records' accessor values byte for byte.
+// FuzzRouteRecords holds typed route records, whose names, reasons,
+// inputs and detail lines are rendered on read, to a reference
+// rendering (routeBody): a random mix of routed requests (1-8
+// replicas with migration generations, failovers) and held-back ones
+// (no routable zone, no live replica) goes through Ring.AddRoute and
+// Log.Merge. Each merged record's Detail, Candidates and Inputs must
+// equal a Body built here from the Route operands, and WriteJSON and
+// WriteChromeTrace must equal jsonref's encoding/json rendering of
+// plain records carrying those Bodies, byte for byte.
 func FuzzRouteRecords(f *testing.F) {
 	for _, s := range []struct {
 		vm, zone, chooser string
@@ -100,6 +103,12 @@ func FuzzRouteRecords(f *testing.F) {
 		l := decision.NewLog(2, decision.Options{})
 		l.Label(0, chooser)
 		at := sim.Time(arrival)
+		// want[shard][seq] is the rendered form of each route added.
+		type rendered struct {
+			winner string
+			body   decision.Body
+		}
+		var want [2][]rendered
 		for i, op := range ops {
 			r := l.Ring(i % 2)
 			// op: bits 0-2 replica count - 1, bit 3 failover, bits 4-5
@@ -122,6 +131,11 @@ func FuzzRouteRecords(f *testing.F) {
 				}
 				rt.Winner = rt.Loads[int(op)%n].Name
 			}
+			winner := rt.Winner
+			if winner == "" {
+				winner = "-"
+			}
+			want[i%2] = append(want[i%2], rendered{winner, routeBody(rt)})
 			r.AddRoute(at+sim.Time(i), rt)
 			if op&0x80 != 0 {
 				l.Merge()
@@ -129,27 +143,75 @@ func FuzzRouteRecords(f *testing.F) {
 		}
 		l.Merge()
 		recs := l.Records()
+		plain := make([]decision.Record, len(recs))
+		for i := range recs {
+			r := &recs[i]
+			w := want[r.Shard][r.Seq]
+			b := w.body
+			if got := r.Detail(); got != b.Detail {
+				t.Fatalf("record %d: Detail() = %q, want %q", i, got, b.Detail)
+			}
+			if got := r.Candidates(); !slices.Equal(got, b.Candidates) {
+				t.Fatalf("record %d: Candidates() = %+v, want %+v", i, got, b.Candidates)
+			}
+			if got := r.Inputs(); !slices.Equal(got, b.Inputs) {
+				t.Fatalf("record %d: Inputs() = %+v, want %+v", i, got, b.Inputs)
+			}
+			if r.Subject != w.winner || r.Winner != w.winner {
+				t.Fatalf("record %d: subject %q, winner %q, want %q", i, r.Subject, r.Winner, w.winner)
+			}
+			plain[i] = decision.Record{At: r.At, Shard: r.Shard, Seq: r.Seq, Kind: r.Kind,
+				Chooser: r.Chooser, Subject: w.winner, Winner: w.winner, Body: b}
+		}
 
-		var got, want bytes.Buffer
+		var got, ref bytes.Buffer
 		if err := decision.WriteJSON(&got, recs, l.Dropped()); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
-		if err := jsonref.DecisionJSON(&want, recs, l.Dropped()); err != nil {
+		if err := jsonref.DecisionJSON(&ref, plain, l.Dropped()); err != nil {
 			t.Fatalf("encoding/json: %v", err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("WriteJSON differs from encoding/json.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want.Bytes())
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Fatalf("WriteJSON differs from encoding/json.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), ref.Bytes())
 		}
 		got.Reset()
 		if err := decision.WriteChromeTrace(&got, recs); err != nil {
 			t.Fatalf("WriteChromeTrace: %v", err)
 		}
-		ref, err := jsonref.DecisionChromeTrace(recs)
+		trace, err := jsonref.DecisionChromeTrace(plain)
 		if err != nil {
 			t.Fatalf("encoding/json: %v", err)
 		}
-		if !bytes.Equal(got.Bytes(), ref) {
-			t.Fatalf("WriteChromeTrace differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), ref)
+		if !bytes.Equal(got.Bytes(), trace) {
+			t.Fatalf("WriteChromeTrace differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), trace)
 		}
 	})
+}
+
+// routeBody is the reference rendering of a route, written apart from
+// the package's on-read renderers: "req@<arrival>" and where the
+// request went or why it was held back, every replica scored by its
+// outstanding count with reason "out=N", and the zone and failover
+// flag as inputs, or buffered=1 alone for a held-back request. A
+// route with no zone was held back for want of a routable zone.
+func routeBody(rt decision.Route) decision.Body {
+	req := "req@" + rt.Arrival.String()
+	switch {
+	case rt.Winner == "" && rt.Zone == "":
+		return decision.Body{Detail: req + " held back: no routable zone",
+			Inputs: []decision.KV{{Key: "buffered", Val: "1"}}}
+	case rt.Winner == "":
+		return decision.Body{Detail: req + " held back: no live replica in " + rt.Zone,
+			Inputs: []decision.KV{{Key: "buffered", Val: "1"}}}
+	}
+	b := decision.Body{Detail: req + " to " + rt.Winner + " in " + rt.Zone,
+		Inputs: []decision.KV{{Key: "zone", Val: rt.Zone}}}
+	for _, ld := range rt.Loads {
+		b.Candidates = append(b.Candidates, decision.Candidate{
+			Name: ld.Name, Score: float64(ld.Out), Reason: "out=" + strconv.FormatInt(ld.Out, 10)})
+	}
+	if rt.Failover {
+		b.Inputs = append(b.Inputs, decision.KV{Key: "failover", Val: "1"})
+	}
+	return b
 }

@@ -106,11 +106,7 @@ func emit[T Text](t *ChromeTrace, e Event[T]) {
 	if len(e.Args) > 0 {
 		b = append(b, `,"args":`...)
 		sep := byte('{')
-		ordered := true
-		for i := 1; i < len(e.Args) && ordered; i++ {
-			ordered = e.Args[i-1].Key < e.Args[i].Key
-		}
-		for i := argAfter(e.Args, -1, ordered); i >= 0; i = argAfter(e.Args, i, ordered) {
+		for i := NextArg(e.Args, -1); i >= 0; i = NextArg(e.Args, i) {
 			b = append(b, sep)
 			sep = ','
 			b = AppendJSONString(b, e.Args[i].Key)
@@ -121,18 +117,6 @@ func emit[T Text](t *ChromeTrace, e Event[T]) {
 	}
 	t.buf = append(b, '}')
 	_, t.err = t.w.Write(t.buf)
-}
-
-// argAfter is NextArg with a shortcut for arguments already in
-// strictly ascending key order, as the exporters write them.
-func argAfter[T Text](args []KeyVal[T], prev int, ordered bool) int {
-	switch {
-	case !ordered:
-		return NextArg(args, prev)
-	case prev+1 < len(args):
-		return prev + 1
-	}
-	return -1
 }
 
 // exactUsec bounds the times appendUsec writes with integer

@@ -41,8 +41,21 @@ func FuzzChromeEmit(f *testing.F) {
 		{"a", "", "k", "v", math.MaxInt64, 1, 1},
 		{"a", "", "k", "v", math.MinInt64, 1, 1},
 		{"a", "", "k", "v", 6000250000, 1, 1},
+		// Float bit patterns, for the AppendJSONFloat check: the
+		// exponent-form switches on both sides (1e-6, 1e21), the
+		// extremes, -0 (math.MinInt64 above) and the non-finite values.
+		{"a", "", "k", "v", int64(math.Float64bits(40123.5)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(6000250)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(1e-7)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(1e-6)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(9.999999e-7)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(1e20)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(1e21)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(5e-324)), 1, 1},
+		{"a", "", "k", "v", int64(math.Float64bits(math.MaxFloat64)), 1, 1},
 		{"nan", "", "k", "v", int64(math.Float64bits(math.NaN())), 1, 1},
 		{"inf", "", "k", "v", int64(math.Float64bits(math.Inf(1))), 1, 1},
+		{"-inf", "", "k", "v", int64(math.Float64bits(math.Inf(-1))), 1, 1},
 	} {
 		f.Add(s.name, s.cat, s.key, s.val, s.ts, s.pid, s.tid)
 	}

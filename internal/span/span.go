@@ -133,7 +133,6 @@ type Span struct {
 	cur      Category
 	curSince sim.Time
 	tracer   *Tracer
-	spare    *Phase // the next phase, preallocated with the span
 }
 
 // Wall returns the end-to-end latency of a finished span.
@@ -188,13 +187,7 @@ func (s *Span) BeginPhase(now sim.Time, name string, c Category) {
 	}
 	s.closeSegment(now)
 	s.phase().End = now
-	p := s.spare
-	if p == nil {
-		p = &Phase{}
-	}
-	s.spare = nil
-	p.Name, p.Start = name, now
-	s.Phases = append(s.Phases, p)
+	s.Phases = append(s.Phases, &Phase{Name: name, Start: now})
 	s.cur = c
 }
 
@@ -271,30 +264,14 @@ func (tr *Tracer) Start(arrival sim.Time) *Span {
 	}
 	tr.nextID++
 	tr.open++
-	b := &spanBlock{}
-	b.phases[0] = Phase{Name: "queue", Start: arrival, Segments: b.segs[:0:1]}
-	b.phases[1].Segments = b.segs[1:1:2]
-	b.ptrs[0] = &b.phases[0]
-	b.span = Span{
+	return &Span{
 		ID:       tr.nextID,
 		Start:    arrival,
-		Phases:   b.ptrs[:1],
+		Phases:   []*Phase{{Name: "queue", Start: arrival}},
 		cur:      CatQueueWait,
 		curSince: arrival,
 		tracer:   tr,
-		spare:    &b.phases[1],
 	}
-	return &b.span
-}
-
-// spanBlock is one allocation holding a span and what nearly every
-// request uses: two phases (queue, then service) with room for one
-// segment each. A phase that needs more segments grows out of it.
-type spanBlock struct {
-	span   Span
-	phases [2]Phase
-	ptrs   [2]*Phase
-	segs   [2]Segment
 }
 
 func (tr *Tracer) finish(s *Span) {
