@@ -184,7 +184,7 @@ func report(stdout, stderr io.Writer, cfg *reportConfig, strat core.Strategy) er
 	// One final snapshot so the series include the end-of-run state.
 	cluster.Sampler.Sample()
 
-	writeSummary(stdout, reg, cluster.Sampler, res, cfg, strat)
+	writeSummary(stdout, reg, cluster, res, cfg, strat)
 
 	for _, exp := range []struct {
 		path  string
@@ -222,7 +222,7 @@ func insertSuffix(path, suffix string) string {
 }
 
 // writeSummary renders the human-readable telemetry digest.
-func writeSummary(w io.Writer, reg *obs.Registry, smp *obs.Sampler, res *core.Result,
+func writeSummary(w io.Writer, reg *obs.Registry, cluster *core.Cluster, res *core.Result,
 	cfg *reportConfig, strat core.Strategy) {
 
 	fmt.Fprintf(w, "== irsreport: bench=%s inter=%d strategy=%s seed=%d ==\n",
@@ -275,12 +275,9 @@ func writeSummary(w io.Writer, reg *obs.Registry, smp *obs.Sampler, res *core.Re
 
 	hvL := obs.Labels{Sub: "hv"}
 	var switches []string
-	for i := int64(0); ; i++ {
-		c := reg.FindCounter("hv_ctx_switches_total", obs.Labels{Sub: "hv", CPU: fmt.Sprintf("p%d", i)})
-		if c == nil {
-			break
-		}
-		switches = append(switches, fmt.Sprintf("p%d=%d", i, c.Value()))
+	for _, p := range cluster.HV.PCPUs() {
+		n := obs.CounterValue(reg, "hv_ctx_switches_total", obs.Labels{Sub: "hv", CPU: p.Name()})
+		switches = append(switches, fmt.Sprintf("%s=%d", p.Name(), n))
 	}
 	fmt.Fprintf(w, "pCPU ctx switches  %s\n", strings.Join(switches, " "))
 	fmt.Fprintf(w, "vCPU migrations    %d (steal attempts=%d moves=%d, PLE yields=%d)\n",
@@ -289,5 +286,5 @@ func writeSummary(w io.Writer, reg *obs.Registry, smp *obs.Sampler, res *core.Re
 		obs.CounterValue(reg, "hv_steal_moves_total", hvL),
 		obs.CounterValue(reg, "hv_ple_yields_total", hvL))
 	fmt.Fprintf(w, "telemetry          %d metrics, %d samples, %d series\n\n",
-		reg.Len(), smp.Samples(), len(smp.AllSeries()))
+		reg.Len(), cluster.Sampler.Samples(), len(cluster.Sampler.AllSeries()))
 }

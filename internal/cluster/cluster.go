@@ -575,7 +575,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Hosts; i++ {
 		var inj *fault.Injector
 		if !cfg.Faults.Zero() {
-			inj = fault.NewInjector(cfg.Faults, cfg.Seed^0xfa017eed^uint64(i+1)*0x9e3779b97f4a7c15, nil)
+			inj = fault.NewInjector(cfg.Faults, cfg.Seed^0xfa017eed^uint64(i+1)*0x9e3779b97f4a7c15)
 		}
 		hc := hypervisor.DefaultConfig(cfg.PCPUsPerHost)
 		hc.Strategy = cfg.Strategy
@@ -694,7 +694,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Interference monitor (signal refresh + migration trigger): reads
-	// every host's registry, so it runs at barriers.
+	// every host's hypervisor accounting, so it runs at barriers.
 	c.sh.EveryBarrier(monitorInterval, "cluster-monitor", c.monitor)
 
 	// Cluster-level host blackouts.
@@ -774,9 +774,7 @@ func (c *Cluster) drain(now sim.Time) {
 			c.watcher.RecordInvariant(v.At, v.Rule, v.Detail)
 		}
 		ob.viols = ob.viols[:0]
-		if c.cfg.Spans != nil {
-			c.cfg.Spans.AbsorbFinished(h.spans.TakeFinished())
-		}
+		c.cfg.Spans.Absorb(h.spans)
 	}
 	c.drainOccupancy()
 	if len(c.pendingViols) > 0 {

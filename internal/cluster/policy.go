@@ -17,8 +17,8 @@ const (
 	LeastLoaded
 	// InterferenceAware scores hosts from the measured interference
 	// signal (busy/steal/preempt-wait fractions, LHP rate from each
-	// host's obs registry) plus the declared pressure and sensitivity
-	// of the incoming VM, and picks the minimum.
+	// host's hypervisor accounting) plus the declared pressure and
+	// sensitivity of the incoming VM, and picks the minimum.
 	InterferenceAware
 )
 

@@ -95,10 +95,10 @@ type Scenario struct {
 	TuneHV    func(*hypervisor.Config)
 	TuneGuest func(name string, c *guest.Config)
 
-	// Metrics, when non-nil, is attached to the hypervisor and every
-	// guest kernel so the run produces structured telemetry (see
-	// internal/obs). Nil (the default) disables collection; the Tune
-	// hooks can still attach per-layer registries by hand.
+	// Metrics, when non-nil, receives read-only views of the
+	// hypervisor's, every guest kernel's and the fault injector's own
+	// accounting, plus the three latency histograms (see internal/obs).
+	// Nil (the default) disables collection.
 	Metrics *obs.Registry
 	// SampleInterval, when positive and Metrics is set, starts a
 	// periodic sampler that snapshots every metric into time series at
@@ -222,13 +222,12 @@ func Build(scn Scenario) (*Cluster, error) {
 		if seed == 0 {
 			seed = scn.Seed ^ 0xfa017eed
 		}
-		inj = fault.NewInjector(scn.Faults, seed, scn.Metrics)
+		inj = fault.NewInjector(scn.Faults, seed)
 	}
 	hc := hypervisor.DefaultConfig(scn.PCPUs)
 	hc.Strategy = scn.Strategy
 	hc.LoadBalance = scn.Unpinned
 	hc.Seed = scn.Seed
-	hc.Metrics = scn.Metrics
 	hc.Faults = inj
 	if scn.TuneHV != nil {
 		scn.TuneHV(&hc)
@@ -263,7 +262,6 @@ func Build(scn Scenario) (*Cluster, error) {
 		}
 		gc := guest.DefaultConfig()
 		gc.IRS = spec.IRS
-		gc.Metrics = scn.Metrics
 		gc.Faults = inj
 		gc.Seed = scn.Seed ^ uint64(vi+1)*0x9e37
 		if scn.TuneGuest != nil {
@@ -287,6 +285,13 @@ func Build(scn Scenario) (*Cluster, error) {
 		if !spec.Repeat && !instIsEndless(inst) {
 			c.finite++
 		}
+	}
+	if scn.Metrics != nil {
+		hv.AttachMetrics(scn.Metrics)
+		for _, k := range c.Kernels {
+			k.AttachMetrics(scn.Metrics)
+		}
+		inj.AttachMetrics(scn.Metrics)
 	}
 	if c.Checker != nil {
 		c.Checker.Attach(eng)

@@ -230,15 +230,12 @@ type Injector struct {
 	blackoutRNG *sim.RNG
 
 	counts [kindMax]int64
-	mKinds [kindMax]*obs.Counter // nil without a registry
 }
 
-// NewInjector builds an injector for plan seeded with seed. reg, when
-// non-nil, receives per-channel injection counters
-// (fault_injected_total{sub="fault",kind=...}).
-func NewInjector(plan Plan, seed uint64, reg *obs.Registry) *Injector {
+// NewInjector builds an injector for plan seeded with seed.
+func NewInjector(plan Plan, seed uint64) *Injector {
 	root := sim.NewRNG(seed ^ 0xfa017eed)
-	in := &Injector{
+	return &Injector{
 		plan:        plan,
 		saRNG:       root.Fork(1),
 		wakeRNG:     root.Fork(2),
@@ -247,10 +244,18 @@ func NewInjector(plan Plan, seed uint64, reg *obs.Registry) *Injector {
 		migratorRNG: root.Fork(5),
 		blackoutRNG: root.Fork(6),
 	}
-	for k := Kind(1); k < kindMax; k++ {
-		in.mKinds[k] = reg.Counter("fault_injected_total", obs.Labels{Sub: "fault", Kind: k.String()})
+}
+
+// AttachMetrics registers a view of each channel's injection count on
+// reg (fault_injected_total{sub="fault",kind=...}). No-op on a nil
+// injector.
+func (in *Injector) AttachMetrics(reg *obs.Registry) {
+	if in == nil {
+		return
 	}
-	return in
+	for k := Kind(1); k < kindMax; k++ {
+		reg.CounterFunc("fault_injected_total", obs.Labels{Sub: "fault", Kind: k.String()}, obs.Field(&in.counts[k]))
+	}
 }
 
 // Plan returns the injector's plan (the zero plan on a nil injector).
@@ -264,7 +269,6 @@ func (in *Injector) Plan() Plan {
 // record counts one injected fault.
 func (in *Injector) record(k Kind) {
 	in.counts[k]++
-	in.mKinds[k].Inc()
 }
 
 // Count reports how many faults of kind k were injected so far.

@@ -104,11 +104,16 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 		t.Fatal("nil injector counted injections")
 	}
 	in.RecordStaleServe() // must not panic
+	reg := obs.NewRegistry()
+	in.AttachMetrics(reg)
+	if reg.Len() != 0 {
+		t.Fatal("nil injector registered metrics")
+	}
 }
 
 func TestInjectorDeterminism(t *testing.T) {
 	draw := func() []int64 {
-		in := NewInjector(LossPlan(0.3), 42, nil)
+		in := NewInjector(LossPlan(0.3), 42)
 		for i := 0; i < 1000; i++ {
 			in.SADelivery()
 			in.WakeDelivery()
@@ -132,8 +137,8 @@ func TestInjectorDeterminism(t *testing.T) {
 
 func TestInjectorStreamsIndependent(t *testing.T) {
 	// Enabling wake faults must not change the SA draws.
-	saOnly := NewInjector(Plan{DropSA: 0.5}, 7, nil)
-	both := NewInjector(Plan{DropSA: 0.5, DropWake: 0.5}, 7, nil)
+	saOnly := NewInjector(Plan{DropSA: 0.5}, 7)
+	both := NewInjector(Plan{DropSA: 0.5, DropWake: 0.5}, 7)
 	for i := 0; i < 500; i++ {
 		d1, _ := saOnly.SADelivery()
 		both.WakeDelivery()
@@ -145,7 +150,7 @@ func TestInjectorStreamsIndependent(t *testing.T) {
 }
 
 func TestInjectorRates(t *testing.T) {
-	in := NewInjector(Plan{DropSA: 0.2}, 99, nil)
+	in := NewInjector(Plan{DropSA: 0.2}, 99)
 	const n = 20000
 	drops := 0
 	for i := 0; i < n; i++ {
@@ -161,7 +166,8 @@ func TestInjectorRates(t *testing.T) {
 
 func TestInjectorCountsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	in := NewInjector(Plan{DropSA: 1}, 1, reg)
+	in := NewInjector(Plan{DropSA: 1}, 1)
+	in.AttachMetrics(reg)
 	for i := 0; i < 5; i++ {
 		if d, _ := in.SADelivery(); !d {
 			t.Fatal("drop-sa=1 did not drop")
@@ -179,7 +185,7 @@ func TestInjectorCountsAndMetrics(t *testing.T) {
 }
 
 func TestDupDeliveryOrdering(t *testing.T) {
-	in := NewInjector(Plan{DupSA: 1, DelaySA: 10 * sim.Microsecond}, 3, nil)
+	in := NewInjector(Plan{DupSA: 1, DelaySA: 10 * sim.Microsecond}, 3)
 	for i := 0; i < 100; i++ {
 		drop, delays := in.SADelivery()
 		if drop {

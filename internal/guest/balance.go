@@ -14,7 +14,6 @@ func (c *CPU) pullBalance(idle bool) bool {
 	k := c.kern
 	if idle {
 		k.idleBalanceRuns++
-		k.mIdleBalance.Inc()
 	}
 	myLoad := c.rq.Len()
 	if c.cur != nil {
@@ -49,7 +48,6 @@ func (c *CPU) pullBalance(idle bool) bool {
 	busiest.rq.Remove(t)
 	k.moveTask(t, c)
 	k.PullMigrations++
-	k.mPullMigr.Inc()
 	return true
 }
 
@@ -98,7 +96,6 @@ func (k *Kernel) moveTask(t *Task, dst *CPU) {
 	t.state = TaskReady
 	t.Migrations++
 	k.TaskMigrations++
-	k.mTaskMigr.Inc()
 	if k.cfg.Trace != nil {
 		from := -1
 		if src != nil {

@@ -2,7 +2,6 @@ package guest
 
 import (
 	"repro/internal/hypervisor"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -76,8 +75,6 @@ type CPU struct {
 	idleSince sim.Time
 	TicksRun  int64
 	Switches  int64
-
-	mRTAvg *obs.Gauge // nil without a registry
 }
 
 var _ hypervisor.GuestContext = (*CPU)(nil)
@@ -169,7 +166,6 @@ func (c *CPU) Resume() {
 		}
 		if !kicked && c.rq.Len() > 0 {
 			c.kern.WakePollRecoveries++
-			c.kern.mWakeRecover.Inc()
 		}
 	}
 	// Timer interrupts outrank everything else (TIMER_SOFTIRQ priority).
@@ -212,7 +208,6 @@ func (c *CPU) TakeIRQ(irq hypervisor.IRQ) {
 		// cancels the in-flight handler and restarts it, doubling the
 		// ack latency — enough to blow the hypervisor's hard limit.
 		c.kern.SADupSuppressed++
-		c.kern.mSADupSupp.Inc()
 		return
 	}
 	c.bankCur()
@@ -652,5 +647,4 @@ func (c *CPU) updateRTAvg(now sim.Time) {
 	sample := load + stealFrac
 	const alpha = 0.25
 	c.rtAvg = (1-alpha)*c.rtAvg + alpha*sample
-	c.mRTAvg.Set(c.rtAvg)
 }

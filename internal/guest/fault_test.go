@@ -16,7 +16,7 @@ import (
 func faultRig2(t *testing.T, plan fault.Plan, hcfg func(*hypervisor.Config), gcfg func(*guest.Config)) (*sim.Engine, *hypervisor.Hypervisor, *guest.Kernel, *guest.Kernel, *fault.Injector) {
 	t.Helper()
 	eng := sim.NewEngine()
-	in := fault.NewInjector(plan, 7, nil)
+	in := fault.NewInjector(plan, 7)
 	hc := hypervisor.DefaultConfig(2)
 	hc.Strategy = hypervisor.StrategyIRS
 	hc.Faults = in
@@ -50,7 +50,7 @@ func faultRig2(t *testing.T, plan fault.Plan, hcfg func(*hypervisor.Config), gcf
 func chaosRig(t *testing.T, plan fault.Plan, gcfg func(*guest.Config)) (*sim.Engine, *hypervisor.Hypervisor, *guest.Kernel, *guest.Kernel, *fault.Injector) {
 	t.Helper()
 	eng := sim.NewEngine()
-	in := fault.NewInjector(plan, 7, nil)
+	in := fault.NewInjector(plan, 7)
 	hc := hypervisor.DefaultConfig(2)
 	hc.Strategy = hypervisor.StrategyIRS
 	hc.Faults = in
@@ -123,7 +123,7 @@ func TestHardenDupSASuppression(t *testing.T) {
 func TestWakePollRecoversLostKick(t *testing.T) {
 	run := func(poll sim.Time) (*guest.Kernel, *guest.Task, bool) {
 		eng := sim.NewEngine()
-		in := fault.NewInjector(fault.Plan{DropWake: 1}, 7, nil)
+		in := fault.NewInjector(fault.Plan{DropWake: 1}, 7)
 		hc := hypervisor.DefaultConfig(2)
 		hc.Faults = in
 		hv := hypervisor.New(eng, hc)
@@ -162,7 +162,7 @@ func TestWakePollRecoversLostKick(t *testing.T) {
 // target; bounded retries must kick in without losing the task.
 func TestMigratorRetriesLandTask(t *testing.T) {
 	eng := sim.NewEngine()
-	in := fault.NewInjector(fault.Plan{StaleRunstate: 50 * sim.Millisecond}, 7, nil)
+	in := fault.NewInjector(fault.Plan{StaleRunstate: 50 * sim.Millisecond}, 7)
 	hc := hypervisor.DefaultConfig(3)
 	hc.Strategy = hypervisor.StrategyIRS
 	hc.Faults = in
@@ -219,7 +219,7 @@ func TestMigratorRetriesLandTask(t *testing.T) {
 // enforcement but never wedge the guest.
 func TestTickJitterKeepsProgress(t *testing.T) {
 	eng := sim.NewEngine()
-	in := fault.NewInjector(fault.Plan{TickJitter: 0.5}, 7, nil)
+	in := fault.NewInjector(fault.Plan{TickJitter: 0.5}, 7)
 	hv := hypervisor.New(eng, hypervisor.DefaultConfig(1))
 	vm := hv.NewVM("vm0", 1, 256, false)
 	vm.VCPUs[0].Pin(hv.PCPU(0))

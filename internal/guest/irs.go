@@ -143,7 +143,6 @@ func (m *migrator) retryLater(item migrItem) {
 	k := m.kern
 	item.retries++
 	k.MigratorRetried++
-	k.mMigrRetry.Inc()
 	if m.retrying == nil {
 		m.retrying = make(map[*Task]struct{})
 	}
@@ -224,7 +223,6 @@ func (m *migrator) migrate(item migrItem) {
 	// displacement, so re-tag with the original home.
 	t.MarkDisplaced(src)
 	k.IRSMigrations++
-	k.mIRSMigr.Inc()
 	k.checkMigratePreempt(target, t)
 	k.kickCPU(target)
 }

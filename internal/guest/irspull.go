@@ -41,7 +41,6 @@ func (c *CPU) irsPullSteal() bool {
 		k.moveTask(t, c)
 		t.MarkDisplaced(o)
 		k.IRSPullSteals++
-		k.mIRSPull.Inc()
 		return true
 	}
 	return false

@@ -74,12 +74,6 @@ type Config struct {
 	// Trace, when non-nil, records task scheduling events.
 	Trace *trace.Log
 
-	// Metrics, when non-nil, receives guest-kernel telemetry: task
-	// migration counts by cause, balance decisions, spin-wait entries,
-	// migrator latency, and per-CPU rt_avg gauges. Nil disables
-	// collection.
-	Metrics *obs.Registry
-
 	// Spans, when non-nil, is the tracer request-serving workloads on
 	// this kernel mint blame spans from (see internal/span). Nil
 	// disables causal tracing at zero cost.
@@ -139,24 +133,16 @@ type Kernel struct {
 	IRSMigrations   int64
 	IRSPullSteals   int64
 	idleBalanceRuns int64
+	spinWaits       int64
 
 	// Hardening statistics (see the Harden* / WakePoll config knobs).
 	SADupSuppressed    int64 // duplicate SA upcalls dropped
 	MigratorRetried    int64 // migrations re-attempted after backoff
 	WakePollRecoveries int64 // lost wakeups recovered by the idle poll
 
-	// Metric handles (nil, hence no-op, without a registry).
-	mTaskMigr    *obs.Counter
-	mWakeMigr    *obs.Counter
-	mPullMigr    *obs.Counter
-	mIRSMigr     *obs.Counter
-	mIRSPull     *obs.Counter
-	mIdleBalance *obs.Counter
-	mSpinWaits   *obs.Counter
+	// mMigrLatency is the migrator-latency histogram (nil, hence no-op,
+	// without a registry).
 	mMigrLatency *obs.Histogram
-	mSADupSupp   *obs.Counter
-	mMigrRetry   *obs.Counter
-	mWakeRecover *obs.Counter
 }
 
 // NewKernel boots a guest kernel onto vm, creating one guest CPU per
@@ -170,29 +156,37 @@ func NewKernel(hv *hypervisor.Hypervisor, vm *hypervisor.VM, cfg Config) *Kernel
 		cfg: cfg,
 		rng: sim.NewRNG(cfg.Seed ^ uint64(vm.ID)<<32 ^ 0x6e51),
 	}
-	reg := cfg.Metrics
-	vmL := obs.Labels{Sub: "guest", VM: vm.Name}
-	k.mTaskMigr = reg.Counter("guest_task_migrations_total", vmL)
-	k.mWakeMigr = reg.Counter("guest_wake_migrations_total", vmL)
-	k.mPullMigr = reg.Counter("guest_pull_migrations_total", vmL)
-	k.mIRSMigr = reg.Counter("guest_irs_migrations_total", vmL)
-	k.mIRSPull = reg.Counter("guest_irs_pull_steals_total", vmL)
-	k.mIdleBalance = reg.Counter("guest_idle_balance_total", vmL)
-	k.mSpinWaits = reg.Counter("guest_spin_waits_total", vmL)
-	k.mMigrLatency = reg.Histogram("guest_migrator_latency_ns", vmL)
-	k.mSADupSupp = reg.Counter("guest_sa_dup_suppressed_total", vmL)
-	k.mMigrRetry = reg.Counter("guest_migrator_retries_total", vmL)
-	k.mWakeRecover = reg.Counter("guest_wake_poll_recoveries_total", vmL)
 	for i, v := range vm.VCPUs {
 		c := &CPU{kern: k, id: i, vcpu: v}
 		c.bindHandlers()
-		c.mRTAvg = reg.Gauge("guest_rt_avg", obs.Labels{Sub: "guest", VM: vm.Name, CPU: fmt.Sprintf("cpu%d", i)})
 		k.cpus = append(k.cpus, c)
 		hv.RegisterGuest(v, c)
 	}
 	k.migrator = &migrator{kern: k}
 	k.migrator.runFn = k.migrator.run
 	return k
+}
+
+// AttachMetrics registers read-only views of the kernel's statistics
+// on reg: migrations by cause, idle balancing, spin waits, the
+// hardening counters and each CPU's rt_avg. The migrator-latency
+// histogram is the only pushed metric, since it needs every sample.
+func (k *Kernel) AttachMetrics(reg *obs.Registry) {
+	vmL := obs.Labels{Sub: "guest", VM: k.vm.Name}
+	reg.CounterFunc("guest_task_migrations_total", vmL, obs.Field(&k.TaskMigrations))
+	reg.CounterFunc("guest_wake_migrations_total", vmL, obs.Field(&k.WakeMigrations))
+	reg.CounterFunc("guest_pull_migrations_total", vmL, obs.Field(&k.PullMigrations))
+	reg.CounterFunc("guest_irs_migrations_total", vmL, obs.Field(&k.IRSMigrations))
+	reg.CounterFunc("guest_irs_pull_steals_total", vmL, obs.Field(&k.IRSPullSteals))
+	reg.CounterFunc("guest_idle_balance_total", vmL, obs.Field(&k.idleBalanceRuns))
+	reg.CounterFunc("guest_spin_waits_total", vmL, obs.Field(&k.spinWaits))
+	reg.CounterFunc("guest_sa_dup_suppressed_total", vmL, obs.Field(&k.SADupSuppressed))
+	reg.CounterFunc("guest_migrator_retries_total", vmL, obs.Field(&k.MigratorRetried))
+	reg.CounterFunc("guest_wake_poll_recoveries_total", vmL, obs.Field(&k.WakePollRecoveries))
+	k.mMigrLatency = reg.Histogram("guest_migrator_latency_ns", vmL)
+	for i, c := range k.cpus {
+		reg.GaugeFunc("guest_rt_avg", obs.Labels{Sub: "guest", VM: k.vm.Name, CPU: fmt.Sprintf("cpu%d", i)}, c.RTAvg)
+	}
 }
 
 // Start brings all vCPUs online.
@@ -373,7 +367,6 @@ func (k *Kernel) WakeTask(t *Task, cont func()) {
 	target := k.selectCPUForWake(t)
 	if target != t.cpu {
 		k.WakeMigrations++
-		k.mWakeMigr.Inc()
 		t.Migrations++
 	}
 	t.cpu = target

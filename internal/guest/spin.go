@@ -31,7 +31,7 @@ func (k *Kernel) SpinTaskBounded(t *Task, budget sim.Time, poll func(t *Task) bo
 	t.spinRec = spinWait{poll: poll, resume: resume, budget: budget, onTimeout: onTimeout}
 	t.spin = &t.spinRec
 	t.WaitingLock = true
-	k.mSpinWaits.Inc()
+	k.spinWaits++
 	if c.running && !c.executing {
 		c.startCur()
 	}

@@ -49,7 +49,6 @@ func (h *Hypervisor) tick(p *PCPU) {
 			v.credits = creditFloor
 		}
 		v.VM.CreditsDebited += creditsPerTick
-		v.VM.mDebited.Add(creditsPerTick)
 	}
 	v.accActive = true
 	// csched_vcpu_acct: after a full accounting period of *runtime*
@@ -122,7 +121,7 @@ func (h *Hypervisor) account() {
 					continue
 				}
 				v.credits += share
-				vm.mCredits.Add(int64(share))
+				vm.creditsGranted += int64(share)
 				if v.credits > creditCap {
 					v.credits = creditCap
 				}
@@ -167,7 +166,6 @@ func (h *Hypervisor) debitExact(v *VCPU) {
 		v.prio = PrioOver
 	}
 	v.VM.CreditsDebited += delta
-	v.VM.mDebited.Add(delta)
 }
 
 func prioForCredits(c int) Priority {
@@ -229,7 +227,6 @@ func (h *Hypervisor) startRunning(p *PCPU, v *VCPU) {
 	p.idleTotal += now - p.idleSince
 	p.current = v
 	p.switches++
-	p.mSwitches.Inc()
 	v.pcpu = p
 	v.accActive = true
 	v.setState(StateRunning)
@@ -301,8 +298,7 @@ func (h *Hypervisor) preempt(p *PCPU) {
 		}
 		// Breaker open: the guest repeatedly failed to ack in time, so
 		// skip the handshake and preempt plainly (bounded degradation).
-		h.saFallbacks++
-		v.VM.mSAFallback.Inc()
+		v.VM.saFallbacks++
 		if tl := h.cfg.Trace; tl != nil {
 			tl.Record(h.eng.Now(), trace.KindSA, v.Name(), "fallback (breaker open)")
 		}
@@ -337,9 +333,8 @@ func (h *Hypervisor) startSA(p *PCPU, v *VCPU) {
 	v.saPending = true
 	v.saSentAt = now
 	p.saWait = true
-	h.saSent++
+	v.VM.saSent++
 	h.saPendingN++
-	v.VM.mSASent.Inc()
 	v.saPCPU = p
 	v.saDeadline = h.eng.After(h.cfg.SALimit, v.saLimitFn)
 	v.notifyObserver()
@@ -401,13 +396,12 @@ func (h *Hypervisor) saExpire(p *PCPU, v *VCPU) {
 // streak, and pending-flag teardown shared by the hard limit and
 // forced teardowns (vCPU blackouts).
 func (h *Hypervisor) saFail(v *VCPU) {
-	h.saExpired++
+	v.VM.saExpired++
 	h.saPendingN--
-	v.VM.mSAExpired.Inc()
 	v.saConsecExpired++
 	if n := h.cfg.SABreakerN; n > 0 && v.saConsecExpired == n {
 		v.saBreakerOpenedAt = h.eng.Now()
-		v.VM.mSABreaker.Inc()
+		v.VM.saBreakerOpens++
 	}
 	h.eng.Cancel(v.saDeadline)
 	v.saDeadline = sim.EventRef{}
@@ -419,7 +413,7 @@ func (h *Hypervisor) saFail(v *VCPU) {
 // hypercall. disposition is the state requested by the guest.
 func (h *Hypervisor) completeSA(v *VCPU, disposition RunState) {
 	p := v.pcpu
-	h.saAcked++
+	v.VM.saAcked++
 	h.saPendingN--
 	v.saConsecExpired = 0
 	delay := h.eng.Now() - v.saSentAt
@@ -427,7 +421,6 @@ func (h *Hypervisor) completeSA(v *VCPU, disposition RunState) {
 	if delay > h.saDelayMax {
 		h.saDelayMax = delay
 	}
-	v.VM.mSAAcked.Inc()
 	v.VM.mSAAck.Add(delay)
 	h.eng.Cancel(v.saDeadline)
 	v.saDeadline = sim.EventRef{}
@@ -450,15 +443,13 @@ func (h *Hypervisor) deschedule(p *PCPU, disposition RunState, involuntary bool)
 	}
 	now := h.eng.Now()
 	if involuntary {
-		v.mPreempt.Inc()
+		v.preemptions++
 		pc := v.ctx.Descheduling()
 		switch pc {
 		case PreemptLockHolder:
 			v.VM.LHPCount++
-			v.VM.mLHP.Inc()
 		case PreemptLockWaiter:
 			v.VM.LWPCount++
-			v.VM.mLWP.Inc()
 		}
 		if d := h.cfg.Decisions; d.Wants(decision.KindPreempt) {
 			h.recordPreempt(d, now, p, v, pc, disposition)
@@ -504,7 +495,6 @@ func (h *Hypervisor) WakeVCPU(v *VCPU) {
 	if v.prio == PrioUnder || v.prio == PrioBoost {
 		v.prio = PrioBoost
 		v.VM.BoostGrants++
-		v.VM.mBoost.Inc()
 		if d := h.cfg.Decisions; d.Wants(decision.KindBoost) {
 			h.recordBoost(d, v)
 		}
@@ -512,7 +502,6 @@ func (h *Hypervisor) WakeVCPU(v *VCPU) {
 	p := h.placeVCPU(v)
 	if p != v.assigned {
 		h.vcpuMigrations++
-		h.mVCPUMigr.Inc()
 	}
 	v.assigned = p
 	p.enqueue(v)
@@ -553,7 +542,7 @@ func (h *Hypervisor) placeVCPU(v *VCPU) *PCPU {
 // stealWork lets an idle pCPU pull a runnable vCPU from the longest
 // peer runqueue (credit-scheduler work stealing).
 func (h *Hypervisor) stealWork(p *PCPU) *VCPU {
-	h.mStealAttempts.Inc()
+	h.stealAttempts++
 	now := h.eng.Now()
 	var src *PCPU
 	for _, q := range h.pcpus {
@@ -577,8 +566,7 @@ func (h *Hypervisor) stealWork(p *PCPU) *VCPU {
 		src.runq = append(src.runq[:i], src.runq[i+1:]...)
 		cand.assigned = p
 		h.vcpuMigrations++
-		h.mVCPUMigr.Inc()
-		h.mStealMoves.Inc()
+		h.stealMoves++
 		return cand
 	}
 	return nil
@@ -620,7 +608,6 @@ func (h *Hypervisor) repickVCPU(p *PCPU, v *VCPU) {
 	p.dequeue(v)
 	v.assigned = target
 	h.vcpuMigrations++
-	h.mVCPUMigr.Inc()
 	target.enqueue(v)
 	h.dispatch(p)
 	h.checkPreempt(target)

@@ -101,9 +101,9 @@ func (h *Hypervisor) AuditInvariants(report func(rule, detail string)) {
 	}
 
 	// SA ledger: every sent activation is acked, expired, or in flight.
-	if h.saSent != h.saAcked+h.saExpired+h.saPendingN || h.saPendingN < 0 {
+	if sent, acked, expired, pending, _, _ := h.SAStats(); sent != acked+expired+pending || pending < 0 {
 		report("sa-accounting", fmt.Sprintf("sent %d != acked %d + expired %d + pending %d",
-			h.saSent, h.saAcked, h.saExpired, h.saPendingN))
+			sent, acked, expired, pending))
 	}
 
 	for _, vm := range h.vms {

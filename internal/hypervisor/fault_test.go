@@ -14,7 +14,7 @@ func faultRig(t *testing.T, plan fault.Plan, tune func(*Config), delay sim.Time,
 	eng := sim.NewEngine()
 	cfg := DefaultConfig(1)
 	cfg.Strategy = StrategyIRS
-	cfg.Faults = fault.NewInjector(plan, 7, nil)
+	cfg.Faults = fault.NewInjector(plan, 7)
 	if tune != nil {
 		tune(&cfg)
 	}

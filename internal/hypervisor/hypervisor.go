@@ -122,13 +122,6 @@ type Config struct {
 	// Trace, when non-nil, records scheduling events.
 	Trace *trace.Log
 
-	// Metrics, when non-nil, receives structured runtime telemetry:
-	// per-vCPU runstate durations, preemption counts and wait
-	// histograms, SA round-trip latencies, boost/credit accounting,
-	// context switches, and work-steal activity. Nil (the default)
-	// disables collection entirely.
-	Metrics *obs.Registry
-
 	// Decisions, when non-nil, records the credit scheduler's BOOST
 	// grants and involuntary preemptions into the cluster-wide
 	// decision log (kinds boost and preempt; see internal/decision).
@@ -162,14 +155,12 @@ type Hypervisor struct {
 	gangActive *VM
 
 	pleYields      int64
-	saSent         int64
-	saAcked        int64
-	saExpired      int64
 	saPendingN     int64
-	saFallbacks    int64
 	saDelaySum     sim.Time
 	saDelayMax     sim.Time
 	vcpuMigrations int64
+	stealAttempts  int64
+	stealMoves     int64
 
 	// staleRS caches per-vCPU runstate snapshots when the fault plan
 	// serves stale VCPUOP_get_runstate answers.
@@ -178,13 +169,6 @@ type Hypervisor struct {
 	// repickScratch is repickVCPU's equally-loaded candidate buffer,
 	// reused so the periodic re-pick does not allocate.
 	repickScratch []*PCPU
-
-	// Metric handles; all nil (and all updates no-ops) when
-	// cfg.Metrics is nil.
-	mStealAttempts *obs.Counter
-	mStealMoves    *obs.Counter
-	mVCPUMigr      *obs.Counter
-	mPLEYields     *obs.Counter
 
 	// occObs, when set, observes every completed pCPU occupancy
 	// interval: VM vm held pCPU p for dur, ending now. It fires at the
@@ -208,23 +192,10 @@ func New(eng *sim.Engine, cfg Config) *Hypervisor {
 		cfg: cfg,
 		rng: sim.NewRNG(cfg.Seed ^ 0xda7a5eed),
 	}
-	reg := cfg.Metrics
-	h.mStealAttempts = reg.Counter("hv_steal_attempts_total", obs.Labels{Sub: "hv"})
-	h.mStealMoves = reg.Counter("hv_steal_moves_total", obs.Labels{Sub: "hv"})
-	h.mVCPUMigr = reg.Counter("hv_vcpu_migrations_total", obs.Labels{Sub: "hv"})
-	h.mPLEYields = reg.Counter("hv_ple_yields_total", obs.Labels{Sub: "hv"})
 	for i := 0; i < cfg.PCPUs; i++ {
 		p := &PCPU{ID: i, hv: h, name: "p" + strconv.Itoa(i)}
 		p.sliceFn = func() { h.sliceExpired(p) }
 		p.ratelimitFn = func() { h.checkPreempt(p) }
-		p.mSwitches = reg.Counter("hv_ctx_switches_total", obs.Labels{Sub: "hv", CPU: p.Name()})
-		reg.GaugeFunc("hv_runq_len", obs.Labels{Sub: "hv", CPU: p.Name()}, func() float64 {
-			n := p.QueueLen()
-			if p.current != nil {
-				n++
-			}
-			return float64(n)
-		})
 		h.pcpus = append(h.pcpus, p)
 		if cfg.TickJitter > 0 {
 			// Jittered-tick defense: each pCPU owns a self-re-arming tick
@@ -307,20 +278,6 @@ func (h *Hypervisor) NewVM(name string, nvcpus, weight int, saCapable bool) *VM 
 		hv:        h,
 		SACapable: saCapable,
 	}
-	reg := h.cfg.Metrics
-	vmL := obs.Labels{Sub: "hv", VM: name}
-	vm.mPreemptWait = reg.Histogram("hv_preempt_wait_ns", vmL)
-	vm.mSAAck = reg.Histogram("hv_sa_ack_ns", vmL)
-	vm.mSASent = reg.Counter("hv_sa_sent_total", vmL)
-	vm.mSAAcked = reg.Counter("hv_sa_acked_total", vmL)
-	vm.mSAExpired = reg.Counter("hv_sa_expired_total", vmL)
-	vm.mSAFallback = reg.Counter("hv_sa_fallback_total", vmL)
-	vm.mSABreaker = reg.Counter("hv_sa_breaker_opens_total", vmL)
-	vm.mLHP = reg.Counter("hv_lhp_total", vmL)
-	vm.mLWP = reg.Counter("hv_lwp_total", vmL)
-	vm.mBoost = reg.Counter("hv_boost_total", vmL)
-	vm.mCredits = reg.Counter("hv_credits_granted_total", vmL)
-	vm.mDebited = reg.Counter("hv_credits_debited_total", vmL)
 	for i := 0; i < nvcpus; i++ {
 		v := &VCPU{
 			ID:       i,
@@ -332,17 +289,55 @@ func (h *Hypervisor) NewVM(name string, nvcpus, weight int, saCapable bool) *VM 
 			assigned: h.pcpus[i%len(h.pcpus)],
 		}
 		v.bindHandlers()
-		if reg != nil {
-			vL := obs.Labels{Sub: "hv", VM: name, CPU: v.Name()}
-			for s := StateRunning; s <= StateOffline; s++ {
-				v.mState[s] = reg.Counter("hv_runstate_ns", obs.Labels{Sub: "hv", VM: name, CPU: v.Name(), Kind: s.String()})
-			}
-			v.mPreempt = reg.Counter("hv_preemptions_total", vL)
-		}
 		vm.VCPUs = append(vm.VCPUs, v)
 	}
 	h.vms = append(h.vms, vm)
 	return vm
+}
+
+// AttachMetrics registers read-only views of the hypervisor's own
+// accounting on reg: work stealing, vCPU migrations and PLE yields;
+// per pCPU its context switches and run-queue length; per VM its SA
+// round trips, LHP/LWP, boosts and credits; per vCPU its folded
+// runstate times and involuntary preemptions. The preempt-wait and
+// SA-ack histograms are the only pushed metrics, since they need every
+// sample. Call it once, after the last NewVM.
+func (h *Hypervisor) AttachMetrics(reg *obs.Registry) {
+	hvL := obs.Labels{Sub: "hv"}
+	reg.CounterFunc("hv_steal_attempts_total", hvL, obs.Field(&h.stealAttempts))
+	reg.CounterFunc("hv_steal_moves_total", hvL, obs.Field(&h.stealMoves))
+	reg.CounterFunc("hv_vcpu_migrations_total", hvL, obs.Field(&h.vcpuMigrations))
+	reg.CounterFunc("hv_ple_yields_total", hvL, obs.Field(&h.pleYields))
+	for _, p := range h.pcpus {
+		pL := obs.Labels{Sub: "hv", CPU: p.Name()}
+		reg.CounterFunc("hv_ctx_switches_total", pL, obs.Field(&p.switches))
+		reg.GaugeFunc("hv_runq_len", pL, func() float64 {
+			return float64(p.QueueLen() + btoi(p.current != nil))
+		})
+	}
+	for _, vm := range h.vms {
+		vmL := obs.Labels{Sub: "hv", VM: vm.Name}
+		vm.mPreemptWait = reg.Histogram("hv_preempt_wait_ns", vmL)
+		vm.mSAAck = reg.Histogram("hv_sa_ack_ns", vmL)
+		reg.CounterFunc("hv_sa_sent_total", vmL, obs.Field(&vm.saSent))
+		reg.CounterFunc("hv_sa_acked_total", vmL, obs.Field(&vm.saAcked))
+		reg.CounterFunc("hv_sa_expired_total", vmL, obs.Field(&vm.saExpired))
+		reg.CounterFunc("hv_sa_fallback_total", vmL, obs.Field(&vm.saFallbacks))
+		reg.CounterFunc("hv_sa_breaker_opens_total", vmL, obs.Field(&vm.saBreakerOpens))
+		reg.CounterFunc("hv_lhp_total", vmL, obs.Field(&vm.LHPCount))
+		reg.CounterFunc("hv_lwp_total", vmL, obs.Field(&vm.LWPCount))
+		reg.CounterFunc("hv_boost_total", vmL, obs.Field(&vm.BoostGrants))
+		reg.CounterFunc("hv_credits_granted_total", vmL, obs.Field(&vm.creditsGranted))
+		reg.CounterFunc("hv_credits_debited_total", vmL, obs.Field(&vm.CreditsDebited))
+		for _, v := range vm.VCPUs {
+			vL := obs.Labels{Sub: "hv", VM: vm.Name, CPU: v.Name()}
+			reg.CounterFunc("hv_preemptions_total", vL, obs.Field(&v.preemptions))
+			for s := StateRunning; s <= StateOffline; s++ {
+				vL.Kind = s.String()
+				reg.CounterFunc("hv_runstate_ns", vL, obs.Field(&v.stateTime[s]))
+			}
+		}
+	}
 }
 
 // RegisterGuest binds the guest-kernel context for one vCPU.
@@ -372,16 +367,26 @@ func (h *Hypervisor) StartVCPU(v *VCPU) {
 // delay. The counts obey sent == acked + expired + pending even under
 // dropped or duplicated delivery.
 func (h *Hypervisor) SAStats() (sent, acked, expired, pending int64, meanDelay, maxDelay sim.Time) {
-	mean := sim.Time(0)
-	if h.saAcked > 0 {
-		mean = h.saDelaySum / sim.Time(h.saAcked)
+	for _, vm := range h.vms {
+		sent += vm.saSent
+		acked += vm.saAcked
+		expired += vm.saExpired
 	}
-	return h.saSent, h.saAcked, h.saExpired, h.saPendingN, mean, h.saDelayMax
+	if acked > 0 {
+		meanDelay = h.saDelaySum / sim.Time(acked)
+	}
+	return sent, acked, expired, h.saPendingN, meanDelay, h.saDelayMax
 }
 
 // SAFallbacks reports how many preemptions skipped the SA handshake
 // because the per-vCPU circuit breaker was open.
-func (h *Hypervisor) SAFallbacks() int64 { return h.saFallbacks }
+func (h *Hypervisor) SAFallbacks() int64 {
+	var n int64
+	for _, vm := range h.vms {
+		n += vm.saFallbacks
+	}
+	return n
+}
 
 // PLEYields reports how many pause-loop exits forced a yield.
 func (h *Hypervisor) PLEYields() int64 { return h.pleYields }

@@ -69,11 +69,11 @@ func (h *Hypervisor) RestoreVM(vm *VM, snap VMSnapshot) error {
 }
 
 // SyncRunstateAccounting folds every started vCPU's currently accruing
-// runstate interval into its cumulative counters and obs metrics.
-// Registry counters normally advance only on state transitions, so a
-// vCPU that runs (or starves) continuously is invisible to registry
-// readers until its next transition; RunTime and StealTime include the
-// accruing interval either way.
+// runstate interval into its cumulative counters. The folded counters,
+// which the hv_runstate_ns views read, normally advance only on state
+// transitions, so a vCPU that runs (or starves) continuously is
+// invisible to registry readers until its next transition; RunTime and
+// StealTime include the accruing interval either way.
 //
 // It is not a pure read: the fold restarts each vCPU's stateSince, and
 // startRunning measures a preempt-wait sample from stateSince, so a

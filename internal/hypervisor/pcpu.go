@@ -1,9 +1,6 @@
 package hypervisor
 
-import (
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // PCPU is one physical CPU. Each pCPU has its own runqueue of vCPUs,
 // ordered by priority class (BOOST, UNDER, OVER) and FIFO within a
@@ -37,8 +34,7 @@ type PCPU struct {
 	// that produces CPU stacking (§5.6).
 	loadSnapshot int
 
-	switches  int64
-	mSwitches *obs.Counter // nil without a registry
+	switches int64
 }
 
 // snapshotLoad refreshes the stale load view.

@@ -61,7 +61,6 @@ func (h *Hypervisor) pleExit(v *VCPU) {
 	v.pleEvent = sim.EventRef{}
 	v.yieldHint = true
 	h.pleYields++
-	h.mPLEYields.Inc()
 	h.deschedule(p, StateRunnable, false)
 	h.dispatch(p)
 }

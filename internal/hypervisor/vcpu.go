@@ -200,9 +200,8 @@ type VCPU struct {
 	// time. The last two exist only under the strategy that arms them.
 	timerFn, pleFn, saLimitFn func()
 
-	// Metric handles (nil, hence no-op, without a registry).
-	mState   [StateOffline + 1]*obs.Counter // cumulative ns per runstate
-	mPreempt *obs.Counter
+	// preemptions counts involuntary deschedules.
+	preemptions int64
 }
 
 // bindHandlers builds the vCPU's hot-path event callbacks.
@@ -237,7 +236,6 @@ func (v *VCPU) Pin(p *PCPU) {
 func (v *VCPU) setState(s RunState) {
 	now := v.hv.eng.Now()
 	v.stateTime[v.state] += now - v.stateSince
-	v.mState[v.state].AddTime(now - v.stateSince)
 	if v.state == StateRunning {
 		v.windowRun += now - v.stateSince
 	} else if v.state == StateBlocked {
@@ -314,20 +312,16 @@ type VM struct {
 	// grant count.
 	BoostGrants    int64
 	CreditsDebited int64
+	creditsGranted int64
 
-	// Metric handles (nil, hence no-op, without a registry).
+	// Scheduler activations of this VM's vCPUs: upcalls sent, acked,
+	// expired at the hard limit, preemptions that skipped the handshake
+	// because the breaker was open, and breaker trips.
+	saSent, saAcked, saExpired, saFallbacks, saBreakerOpens int64
+
+	// Latency histograms (nil, hence no-op, without a registry).
 	mPreemptWait *obs.Histogram
 	mSAAck       *obs.Histogram
-	mSASent      *obs.Counter
-	mSAAcked     *obs.Counter
-	mSAExpired   *obs.Counter
-	mSAFallback  *obs.Counter
-	mSABreaker   *obs.Counter
-	mLHP         *obs.Counter
-	mLWP         *obs.Counter
-	mBoost       *obs.Counter
-	mCredits     *obs.Counter
-	mDebited     *obs.Counter
 }
 
 // TotalRunTime sums the execution time of all vCPUs.

@@ -36,15 +36,16 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
-		switch {
-		case c != nil:
+	for _, e := range r.sortedEntries() {
+		name, l, h := e.name, e.labels, e.hist
+		switch e.kind {
+		case kindCounter:
 			emit("%s", typeLine(name, "counter"))
-			emit("%s%s %d\n", name, l, c.Value())
-		case g != nil:
+			emit("%s%s %d\n", name, l, e.count())
+		case kindGauge:
 			emit("%s", typeLine(name, "gauge"))
-			emit("%s%s %s\n", name, l, formatFloat(g.Value()))
-		case h != nil:
+			emit("%s%s %s\n", name, l, formatFloat(e.gauge()))
+		case kindHistogram:
 			emit("%s", typeLine(name, "summary"))
 			qs := h.Quantiles(50, 95, 99)
 			for i, q := range []string{"0.5", "0.95", "0.99"} {
@@ -53,7 +54,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			emit("%s_sum%s %d\n", name, l, int64(h.Sum()))
 			emit("%s_count%s %d\n", name, l, h.Count())
 		}
-	})
+	}
 	return err
 }
 
@@ -134,7 +135,10 @@ func WriteFile(path string, stdout io.Writer, write func(io.Writer) error) error
 // CounterValue is a convenience lookup: the value of the counter
 // registered under (name, labels), 0 when absent.
 func CounterValue(r *Registry, name string, l Labels) int64 {
-	return r.FindCounter(name, l).Value()
+	if e := r.find(name, l, kindCounter); e != nil {
+		return e.count()
+	}
+	return 0
 }
 
 // CounterTime is CounterValue for nanosecond-accumulating counters.

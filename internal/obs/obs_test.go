@@ -26,32 +26,26 @@ func TestLabelsString(t *testing.T) {
 
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", Labels{})
-	g := r.Gauge("y", Labels{})
 	h := r.Histogram("z", Labels{})
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry must hand out nil handles")
+	if h != nil {
+		t.Fatal("nil registry must hand out nil histograms")
 	}
-	// Every mutating/reading method must be a no-op on nil handles: this
-	// is the contract that lets scheduler hot paths skip guards.
-	c.Inc()
-	c.Add(5)
-	c.AddTime(sim.Second)
-	g.Set(1.5)
+	// Every mutating/reading method must be a no-op on a nil histogram:
+	// this is the contract that lets sample sites skip guards.
 	h.Add(sim.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 ||
-		h.Mean() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
-		t.Fatal("nil handles must read as zero")
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
+		t.Fatal("nil histogram must read as zero")
 	}
 	if qs := h.Quantiles(50, 99); len(qs) != 2 || qs[0] != 0 || qs[1] != 0 {
 		t.Fatalf("nil histogram quantiles = %v", qs)
 	}
+	r.CounterFunc("x", Labels{}, func() int64 { return 1 })
 	r.GaugeFunc("f", Labels{}, func() float64 { return 1 })
 	if r.Len() != 0 {
 		t.Fatal("nil registry Len must be 0")
 	}
-	if r.FindCounter("x", Labels{}) != nil || r.FindHistogram("z", Labels{}) != nil {
-		t.Fatal("nil registry Find* must return nil")
+	if CounterValue(r, "x", Labels{}) != 0 || r.FindHistogram("z", Labels{}) != nil {
+		t.Fatal("nil registry lookups must read as absent")
 	}
 	var s *Sampler
 	s.Start(sim.NewEngine())
@@ -64,28 +58,32 @@ func TestNilRegistryAndHandles(t *testing.T) {
 func TestRegistryIdentityAndValues(t *testing.T) {
 	r := NewRegistry()
 	l := Labels{Sub: "hv", VM: "fg"}
-	c := r.Counter("events_total", l)
-	c.Inc()
-	c.Add(2)
-	if c2 := r.Counter("events_total", l); c2 != c {
-		t.Fatal("same (name, labels) must return the same counter")
+	var events, other int64
+	r.CounterFunc("events_total", l, Field(&events))
+	r.CounterFunc("events_total", Labels{Sub: "hv", VM: "bg"}, Field(&other))
+	// A view reads the model field at lookup time.
+	events = 3
+	if got := CounterValue(r, "events_total", l); got != 3 {
+		t.Fatalf("counter = %d, want 3", got)
 	}
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d", c.Value())
+	if got := CounterValue(r, "events_total", Labels{Sub: "hv", VM: "bg"}); got != 0 {
+		t.Fatalf("different labels must be a distinct view, read %d", got)
 	}
-	// Same name, different labels: a distinct instance.
-	other := r.Counter("events_total", Labels{Sub: "hv", VM: "bg"})
-	if other == c || other.Value() != 0 {
-		t.Fatal("different labels must yield a fresh counter")
+	at := 2 * sim.Millisecond
+	if r.CounterFunc("busy_ns", l, Field(&at)); CounterTime(r, "busy_ns", l) != at {
+		t.Fatal("time view must read the field in ns")
 	}
 
-	g := r.Gauge("load", l)
-	g.Set(2.5)
-	if r.Gauge("load", l).Value() != 2.5 {
-		t.Fatal("gauge identity broken")
+	load := 2.5
+	r.GaugeFunc("load", l, func() float64 { return load })
+	if e := r.find("load", l, kindGauge); e == nil || e.gauge() != 2.5 {
+		t.Fatal("gauge view broken")
 	}
 
 	h := r.Histogram("wait_ns", l)
+	if h2 := r.Histogram("wait_ns", l); h2 != h {
+		t.Fatal("same (name, labels) must return the same histogram")
+	}
 	for _, v := range []sim.Time{30, 10, 20} {
 		h.Add(v)
 	}
@@ -93,14 +91,14 @@ func TestRegistryIdentityAndValues(t *testing.T) {
 		t.Fatalf("histogram stats: count=%d sum=%d mean=%d max=%d",
 			h.Count(), h.Sum(), h.Mean(), h.Max())
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
+	if r.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", r.Len())
 	}
-	if r.FindCounter("events_total", l) != c || r.FindHistogram("wait_ns", l) != h {
-		t.Fatal("Find* must return the registered instance")
+	if r.FindHistogram("wait_ns", l) != h {
+		t.Fatal("FindHistogram must return the registered instance")
 	}
-	if r.FindCounter("missing", l) != nil || r.FindHistogram("events_total", l) != nil {
-		t.Fatal("Find* must not register and must check kind")
+	if CounterValue(r, "missing", l) != 0 || CounterValue(r, "wait_ns", l) != 0 || r.FindHistogram("events_total", l) != nil {
+		t.Fatal("lookups must not register and must check kind")
 	}
 }
 
@@ -111,24 +109,25 @@ func TestKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("m", Labels{})
-	r.Gauge("m", Labels{})
+	r.CounterFunc("m", Labels{}, func() int64 { return 0 })
+	r.GaugeFunc("m", Labels{}, func() float64 { return 0 })
 }
 
 func TestVisitDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_total", Labels{VM: "z"}).Inc()
-	r.Counter("b_total", Labels{VM: "a"}).Inc()
-	r.Gauge("a_gauge", Labels{}).Set(1)
+	one := func() int64 { return 1 }
+	r.CounterFunc("b_total", Labels{VM: "z"}, one)
+	r.CounterFunc("b_total", Labels{VM: "a"}, one)
+	r.Histogram("a_hist", Labels{})
 	r.GaugeFunc("c_fn", Labels{}, func() float64 { return 7 })
 	var got []string
-	r.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
-		got = append(got, name+l.String())
-		if name == "c_fn" && g.Value() != 7 {
-			t.Fatalf("polled gauge = %v", g.Value())
+	for _, e := range r.sortedEntries() {
+		got = append(got, e.name+e.labels.String())
+		if e.name == "c_fn" && e.gauge() != 7 {
+			t.Fatalf("polled gauge = %v", e.gauge())
 		}
-	})
-	want := []string{"a_gauge", `b_total{vm="a"}`, `b_total{vm="z"}`, "c_fn"}
+	}
+	want := []string{"a_hist", `b_total{vm="a"}`, `b_total{vm="z"}`, "c_fn"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Fatalf("visit order = %v, want %v", got, want)
 	}
@@ -136,9 +135,10 @@ func TestVisitDeterministicOrder(t *testing.T) {
 
 func TestSamplerWithEngine(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ticks_total", Labels{Sub: "hv"})
+	var ticks int64
+	r.CounterFunc("ticks_total", Labels{Sub: "hv"}, Field(&ticks))
 	eng := sim.NewEngine()
-	eng.Every(sim.Millisecond, func() { c.Inc() })
+	eng.Every(sim.Millisecond, func() { ticks++ })
 
 	s := NewSampler(r, 10*sim.Millisecond)
 	s.Start(eng)
@@ -199,8 +199,8 @@ func TestNewSamplerPanics(t *testing.T) {
 func TestWritePrometheusFormatAndDeterminism(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		r.Counter("sa_sent_total", Labels{Sub: "hv", VM: "fg"}).Add(7)
-		r.Gauge("rt_avg", Labels{Sub: "guest"}).Set(0.5)
+		r.CounterFunc("sa_sent_total", Labels{Sub: "hv", VM: "fg"}, func() int64 { return 7 })
+		r.GaugeFunc("rt_avg", Labels{Sub: "guest"}, func() float64 { return 0.5 })
 		h := r.Histogram("ack_ns", Labels{VM: "fg"})
 		for i := 1; i <= 10; i++ {
 			h.Add(sim.Time(i) * sim.Microsecond)
@@ -236,11 +236,12 @@ func TestWritePrometheusFormatAndDeterminism(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x_total", Labels{VM: "fg"})
+	var x int64
+	r.CounterFunc("x_total", Labels{VM: "fg"}, Field(&x))
 	s := NewSampler(r, sim.Millisecond)
-	c.Inc()
+	x++
 	s.Sample()
-	c.Inc()
+	x++
 	s.Sample()
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, s); err != nil {

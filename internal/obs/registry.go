@@ -1,23 +1,27 @@
-// Package obs is the observability subsystem of the simulator: a typed
-// metrics registry (counters, gauges, histograms keyed by
-// subsystem/VM/CPU labels), the one exact Histogram every latency
-// distribution uses and the mergeable Sketch, a sim-engine-driven
-// periodic sampler that snapshots registered metrics into time series,
-// and machine-readable exporters (Prometheus text, CSV time series, and
-// the Chrome trace_viewer JSON emitter every trace export shares).
+// Package obs is the observability subsystem of the simulator: a
+// metrics registry keyed by subsystem/VM/CPU labels, the one exact
+// Histogram every latency distribution uses and the mergeable Sketch,
+// a sim-engine-driven periodic sampler that snapshots registered
+// metrics into time series, and machine-readable exporters (Prometheus
+// text, CSV time series, and the Chrome trace_viewer JSON emitter every
+// trace export shares).
 //
-// Collection is opt-in and nil-safe, mirroring trace.Log: a nil
-// *Registry hands out nil metric handles, and every mutating method on
-// a nil handle is a no-op, so instrumentation sites never need a guard
-// and a run without a registry pays only a nil check.
+// The registry holds views, not counts. Each layer of the model keeps
+// its own native fields (a vCPU's folded runstate times, a VM's SA
+// round trips, a guest kernel's migration counts) and registers
+// read-only functions over them once, at attach time (CounterFunc,
+// GaugeFunc). They are evaluated only when the sampler ticks or an
+// exporter runs, so one event is counted once and the hot paths carry
+// no instrumentation. Only distributions, which need every sample,
+// are pushed: Histogram hands out a handle the event site feeds. A nil
+// *Registry hands out nil histograms, whose Add is a no-op, so a run
+// without a registry pays one nil check per sample site.
 package obs
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/sim"
 )
 
 // Labels identify one instance of a metric. Empty fields are omitted
@@ -53,49 +57,6 @@ func (l Labels) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Counter is a monotonically non-decreasing int64 (event counts,
-// cumulative nanoseconds). All methods are nil-safe.
-type Counter struct{ v int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// AddTime increments the counter by a virtual duration in nanoseconds.
-func (c *Counter) AddTime(d sim.Time) { c.Add(int64(d)) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous float64 value. All methods are nil-safe.
-type Gauge struct{ v float64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(x float64) {
-	if g != nil {
-		g.v = x
-	}
-}
-
-// Value returns the current value (0 on a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // metricKind discriminates registry entries.
 type metricKind int
 
@@ -103,7 +64,6 @@ const (
 	kindCounter metricKind = iota + 1
 	kindGauge
 	kindHistogram
-	kindGaugeFunc
 )
 
 func (k metricKind) String() string {
@@ -114,28 +74,26 @@ func (k metricKind) String() string {
 		return "gauge"
 	case kindHistogram:
 		return "histogram"
-	case kindGaugeFunc:
-		return "gauge"
 	default:
 		return fmt.Sprintf("metricKind(%d)", int(k))
 	}
 }
 
-// entry is one registered metric instance.
+// entry is one registered metric instance: a view (count or gauge)
+// read at sample and export time, or a pushed histogram.
 type entry struct {
 	name   string
 	labels Labels
 	kind   metricKind
 
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64
+	count func() int64
+	gauge func() float64
+	hist  *Histogram
 }
 
 // Registry holds every registered metric of a run. The zero value is
 // not usable; call NewRegistry. A nil *Registry is a valid "collection
-// off" registry: its getters return nil handles.
+// off" registry: it registers nothing and hands out nil histograms.
 type Registry struct {
 	byKey map[string]*entry
 }
@@ -173,32 +131,6 @@ func (r *Registry) find(name string, l Labels, k metricKind) *entry {
 	return nil
 }
 
-// Counter returns (registering on first use) the counter for
-// (name, labels). Returns nil on a nil registry.
-func (r *Registry) Counter(name string, l Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	e := r.get(name, l, kindCounter)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
-}
-
-// Gauge returns (registering on first use) the gauge for (name, labels).
-// Returns nil on a nil registry.
-func (r *Registry) Gauge(name string, l Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	e := r.get(name, l, kindGauge)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
-}
-
 // Histogram returns (registering on first use) the histogram for
 // (name, labels). Returns nil on a nil registry.
 func (r *Registry) Histogram(name string, l Labels) *Histogram {
@@ -212,14 +144,29 @@ func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	return e.hist
 }
 
-// GaugeFunc registers a polled gauge: fn is evaluated at sample and
+// CounterFunc registers a counter view: fn returns a monotonically
+// non-decreasing count (events, cumulative nanoseconds) kept by the
+// model, evaluated at sample and export time. No-op on a nil registry;
+// re-registering replaces fn.
+func (r *Registry) CounterFunc(name string, l Labels, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.get(name, l, kindCounter).count = fn
+}
+
+// GaugeFunc registers a gauge view: fn is evaluated at sample and
 // export time. No-op on a nil registry; re-registering replaces fn.
 func (r *Registry) GaugeFunc(name string, l Labels, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.get(name, l, kindGaugeFunc).fn = fn
+	r.get(name, l, kindGauge).gauge = fn
 }
+
+// Field returns a view of an integer field of the model, for
+// CounterFunc.
+func Field[T ~int64](p *T) func() int64 { return func() int64 { return int64(*p) } }
 
 // Len returns the number of registered metric instances.
 func (r *Registry) Len() int {
@@ -248,39 +195,12 @@ func (r *Registry) sortedEntries() []*entry {
 	return es
 }
 
-// Visit calls fn for every registered metric in deterministic order.
-// Exactly one of counter/gauge/hist is non-nil per call; polled gauges
-// are presented as a *Gauge holding the current fn value.
-func (r *Registry) Visit(fn func(name string, l Labels, counter *Counter, gauge *Gauge, hist *Histogram)) {
-	for _, e := range r.sortedEntries() {
-		switch e.kind {
-		case kindCounter:
-			fn(e.name, e.labels, e.counter, nil, nil)
-		case kindGauge:
-			fn(e.name, e.labels, nil, e.gauge, nil)
-		case kindGaugeFunc:
-			fn(e.name, e.labels, nil, &Gauge{v: e.fn()}, nil)
-		case kindHistogram:
-			fn(e.name, e.labels, nil, nil, e.hist)
-		}
-	}
-}
-
 // FindHistogram returns the histogram registered under (name, labels),
 // or nil when absent (or on a nil registry). Unlike Histogram it never
 // registers.
 func (r *Registry) FindHistogram(name string, l Labels) *Histogram {
 	if e := r.find(name, l, kindHistogram); e != nil {
 		return e.hist
-	}
-	return nil
-}
-
-// FindCounter returns the counter registered under (name, labels), or
-// nil when absent. It never registers.
-func (r *Registry) FindCounter(name string, l Labels) *Counter {
-	if e := r.find(name, l, kindCounter); e != nil {
-		return e.counter
 	}
 	return nil
 }

@@ -75,13 +75,14 @@ func (s *Sampler) sample() {
 		now = s.eng.Now()
 	}
 	s.samples++
-	s.reg.Visit(func(name string, l Labels, c *Counter, g *Gauge, h *Histogram) {
-		switch {
-		case c != nil:
-			s.append(name, l, now, float64(c.Value()))
-		case g != nil:
-			s.append(name, l, now, g.Value())
-		case h != nil:
+	for _, e := range s.reg.sortedEntries() {
+		name, l, h := e.name, e.labels, e.hist
+		switch e.kind {
+		case kindCounter:
+			s.append(name, l, now, float64(e.count()))
+		case kindGauge:
+			s.append(name, l, now, e.gauge())
+		case kindHistogram:
 			// A histogram contributes a small family of derived series;
 			// quantiles are snapshotted so the series shows how the
 			// distribution evolved, not just its final shape.
@@ -90,7 +91,7 @@ func (s *Sampler) sample() {
 			s.append(name+".p95", l, now, float64(h.Percentile(95)))
 			s.append(name+".max", l, now, float64(h.Max()))
 		}
-	})
+	}
 }
 
 func (s *Sampler) append(name string, l Labels, at sim.Time, v float64) {

@@ -305,9 +305,8 @@ func (tr *Tracer) Open() int {
 // the control shard is adopted by the host it is routed to (and by the
 // destination host when a migration carries it), keeping all mutation
 // shard-local; the barrier then folds finished spans back into the
-// minting tracer with AbsorbFinished. Adopt does not move open counts —
-// the minting tracer keeps the liability until AbsorbFinished settles
-// it.
+// minting tracer with Absorb. Adopt does not move open counts — the
+// minting tracer keeps the liability until Absorb settles it.
 func (tr *Tracer) Adopt(s *Span) {
 	if tr == nil || s == nil {
 		return
@@ -315,30 +314,18 @@ func (tr *Tracer) Adopt(s *Span) {
 	s.tracer = tr
 }
 
-// TakeFinished returns the collected spans and resets the collection
-// (the open count is untouched; collectors never mint).
-func (tr *Tracer) TakeFinished() []*Span {
-	if tr == nil || len(tr.finished) == 0 {
-		return nil
-	}
-	out := tr.finished
-	tr.finished = nil
-	return out
-}
-
-// AbsorbFinished folds spans finished on a collector tracer back into
-// tr, in the given order: each is appended to tr's finished list,
-// settles one open span, observes OnFinish, and is re-pointed at tr.
-func (tr *Tracer) AbsorbFinished(spans []*Span) {
-	if tr == nil {
+// Absorb folds the spans finished on collector col back into tr, in
+// col's order: each is appended to tr's finished list, settles one open
+// span, observes OnFinish, and is re-pointed at tr. col's list is then
+// truncated, keeping its capacity for the next barrier (the open count
+// of col is untouched; collectors never mint).
+func (tr *Tracer) Absorb(col *Tracer) {
+	if tr == nil || col == nil {
 		return
 	}
-	for _, s := range spans {
+	for _, s := range col.finished {
 		s.tracer = tr
-		tr.open--
-		tr.finished = append(tr.finished, s)
-		if tr.OnFinish != nil {
-			tr.OnFinish(s)
-		}
+		tr.finish(s)
 	}
+	col.finished = col.finished[:0]
 }
