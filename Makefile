@@ -5,12 +5,13 @@
 GO ?= go
 
 # Committed benchmark baseline for the regression gate (see
-# cmd/benchjson and DESIGN.md §9). BENCH_9 was captured after the audit
-# path went garbage-free (typed route records, chunked decision merge,
-# Chrome exporters rendering into reused buffers), so the allocs/op
-# gate locks in the lower BenchmarkClusterWithDecisions, LogMerge and
-# WriteChromeSpans counts; its meta records the host's core count.
-BENCH_SNAPSHOT ?= BENCH_9.json
+# cmd/benchjson and DESIGN.md §9). BENCH_10 was captured after request
+# spans became one allocation and the sampler stopped re-sorting the
+# registry per tick, so the allocs/op gate locks in
+# BenchmarkSpanLifecycle's single allocation, BenchmarkSamplerSample's
+# zero and BenchmarkAnalyze's count, and it adds
+# BenchmarkWriteChromeTrace; its meta records the host's core count.
+BENCH_SNAPSHOT ?= BENCH_10.json
 
 .PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
 

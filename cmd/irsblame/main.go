@@ -142,7 +142,8 @@ func shareLine(shares []span.CategoryShare, k int) string {
 func criticalPath(sp *span.Span, maxSegs int) string {
 	var b strings.Builder
 	segs := 0
-	for pi, ph := range sp.Phases {
+	for pi := range sp.Phases {
+		ph := &sp.Phases[pi]
 		if pi > 0 {
 			b.WriteByte(' ')
 		}

@@ -83,3 +83,16 @@ func BenchmarkWriteJSON(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteChromeTrace is the Perfetto export of 4096 route
+// decisions.
+func BenchmarkWriteChromeTrace(b *testing.B) {
+	recs := routeRecords(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

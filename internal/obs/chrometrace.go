@@ -35,7 +35,11 @@ type Event[T Text] struct {
 	Tid  int
 	Cat  string
 	S    string
-	Args []KeyVal[T] // written as one object, keys sorted (see NextArg)
+	// Args is written as one object with its keys sorted and a
+	// repeated key's last entry kept (see NextArg). Keys that already
+	// strictly ascend are written in one pass; any other order takes
+	// NextArg's quadratic walk, so exporters list arguments by key.
+	Args []KeyVal[T]
 }
 
 // ChromeEvent is an event whose name and argument values are strings.
@@ -106,17 +110,38 @@ func emit[T Text](t *ChromeTrace, e Event[T]) {
 	if len(e.Args) > 0 {
 		b = append(b, `,"args":`...)
 		sep := byte('{')
-		for i := NextArg(e.Args, -1); i >= 0; i = NextArg(e.Args, i) {
+		asc := ascending(e.Args)
+		i := 0
+		if !asc {
+			i = NextArg(e.Args, -1)
+		}
+		for i >= 0 && i < len(e.Args) {
 			b = append(b, sep)
 			sep = ','
 			b = AppendJSONString(b, e.Args[i].Key)
 			b = append(b, ':')
 			b = AppendJSONString(b, e.Args[i].Val)
+			if asc {
+				i++
+			} else {
+				i = NextArg(e.Args, i)
+			}
 		}
 		b = append(b, '}')
 	}
 	t.buf = append(b, '}')
 	_, t.err = t.w.Write(t.buf)
+}
+
+// ascending reports whether the argument keys strictly ascend, the
+// order NextArg would visit them in.
+func ascending[T Text](args []KeyVal[T]) bool {
+	for i := 1; i < len(args); i++ {
+		if args[i-1].Key >= args[i].Key {
+			return false
+		}
+	}
+	return true
 }
 
 // exactUsec bounds the times appendUsec writes with integer

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/jsonref"
@@ -15,7 +16,8 @@ import (
 // FuzzChromeEmit holds the hand-written Chrome-trace emitter, and the
 // string, float and timestamp appenders under it, to encoding/json
 // byte for byte: a document of fuzzed events (names, categories, args
-// with repeated keys, integer nanosecond timestamps) must equal
+// in strictly ascending key order and with repeated keys, integer
+// nanosecond timestamps) must equal
 // jsonref.ChromeTrace's per-event encoding/json rendering, which
 // writes each timestamp as the float64 ts/1e3. The same events emitted
 // as bytes (EmitBytes) must give the same document. The float
@@ -81,6 +83,20 @@ func FuzzChromeEmit(f *testing.F) {
 				Args: []obs.Arg{{Key: key, Val: val}, {Key: "detail", Val: name}, {Key: key, Val: cat}, {Key: cat, Val: key}}},
 			{Name: cat, Ph: "E", Ts: -at, Pid: tid, Tid: pid, Args: []obs.Arg{}},
 		}
+		// The fuzzed keys in strictly ascending order take the
+		// emitter's one-pass path; the same keys ending in an adjacent
+		// duplicate take the NextArg walk, which keeps the last entry.
+		keys := []string{key, name, cat}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+		var asc []obs.Arg
+		for i, k := range keys {
+			asc = append(asc, obs.Arg{Key: k, Val: []string{val, name, cat}[i]})
+		}
+		dup := append(slices.Clone(asc), obs.Arg{Key: keys[len(keys)-1], Val: key})
+		events = append(events,
+			obs.ChromeEvent{Name: name, Ph: "i", Ts: at, Pid: pid, Tid: tid, Args: asc},
+			obs.ChromeEvent{Name: val, Ph: "i", Ts: at, Pid: pid, Tid: tid, Args: dup})
 		var doc, byteDoc bytes.Buffer
 		tr, btr := obs.NewChromeTrace(&doc), obs.NewChromeTrace(&byteDoc)
 		for _, e := range events {

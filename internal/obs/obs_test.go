@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -177,6 +178,28 @@ func TestSamplerHistogramDerivedSeries(t *testing.T) {
 	}
 	if v := s.SeriesByName("wait_ns.p95", Labels{VM: "fg"}).Points[0].V; v != 95 {
 		t.Fatalf("p95 snapshot = %v", v)
+	}
+}
+
+// A registration between ticks must reach the sampler's cached plan:
+// the new metrics sample from the next tick on, and existing series
+// keep growing.
+func TestSamplerPicksUpLateRegistration(t *testing.T) {
+	r := NewRegistry()
+	var b, z int64 = 1, 2
+	r.CounterFunc("m_total", Labels{VM: "b"}, Field(&b))
+	s := NewSampler(r, sim.Millisecond)
+	s.Sample()
+	r.CounterFunc("m_total", Labels{VM: "z"}, Field(&z))
+	r.CounterFunc("m_total", Labels{VM: "a"}, func() int64 { return 3 })
+	s.Sample()
+	var got []string
+	for _, se := range s.AllSeries() {
+		got = append(got, fmt.Sprintf("%s%s:%d", se.Name, se.Labels, len(se.Points)))
+	}
+	want := `m_total{vm="a"}:1|m_total{vm="b"}:2|m_total{vm="z"}:1`
+	if strings.Join(got, "|") != want {
+		t.Fatalf("series = %v, want %s", got, want)
 	}
 }
 

@@ -84,6 +84,7 @@ func (k metricKind) String() string {
 type entry struct {
 	name   string
 	labels Labels
+	lstr   string // labels.String(), rendered once at registration
 	kind   metricKind
 
 	count func() int64
@@ -107,14 +108,15 @@ func NewRegistry() *Registry {
 // one of the given kind. Re-registering under a different kind is a
 // programming error and panics.
 func (r *Registry) get(name string, l Labels, k metricKind) *entry {
-	key := name + l.String()
+	lstr := l.String()
+	key := name + lstr
 	if old, ok := r.byKey[key]; ok {
 		if old.kind != k {
-			panic(fmt.Sprintf("obs: metric %s%s registered as %s and %s", name, l, old.kind, k))
+			panic(fmt.Sprintf("obs: metric %s%s registered as %s and %s", name, lstr, old.kind, k))
 		}
 		return old
 	}
-	e := &entry{name: name, labels: l, kind: k}
+	e := &entry{name: name, labels: l, lstr: lstr, kind: k}
 	r.byKey[key] = e
 	return e
 }
@@ -177,7 +179,8 @@ func (r *Registry) Len() int {
 }
 
 // sortedEntries returns the entries ordered by name then label string,
-// the deterministic iteration order behind every exporter.
+// the deterministic iteration order behind every exporter and the
+// sampler.
 func (r *Registry) sortedEntries() []*entry {
 	if r == nil {
 		return nil
@@ -190,7 +193,7 @@ func (r *Registry) sortedEntries() []*entry {
 		if es[i].name != es[j].name {
 			return es[i].name < es[j].name
 		}
-		return es[i].labels.String() < es[j].labels.String()
+		return es[i].lstr < es[j].lstr
 	})
 	return es
 }

@@ -30,6 +30,19 @@ type Sampler struct {
 	eng      *sim.Engine
 	series   map[string]*Series
 	samples  int
+
+	// plan pairs each registry entry, in sorted order, with the series
+	// it feeds. Entries are never removed, so the plan is current
+	// exactly when it covers Len entries; a registration that adds one
+	// rebuilds it at the next tick.
+	plan []planned
+}
+
+// planned is one registry entry and its series: one for a counter or
+// gauge, count/mean/p95/max for a histogram.
+type planned struct {
+	e      *entry
+	series []*Series
 }
 
 // NewSampler creates a sampler snapshotting reg every interval of
@@ -75,32 +88,61 @@ func (s *Sampler) sample() {
 		now = s.eng.Now()
 	}
 	s.samples++
-	for _, e := range s.reg.sortedEntries() {
-		name, l, h := e.name, e.labels, e.hist
-		switch e.kind {
+	if len(s.plan) != s.reg.Len() {
+		s.replan(s.reg.sortedEntries())
+	}
+	for _, p := range s.plan {
+		switch e := p.e; e.kind {
 		case kindCounter:
-			s.append(name, l, now, float64(e.count()))
+			p.series[0].add(now, float64(e.count()))
 		case kindGauge:
-			s.append(name, l, now, e.gauge())
+			p.series[0].add(now, e.gauge())
 		case kindHistogram:
 			// A histogram contributes a small family of derived series;
 			// quantiles are snapshotted so the series shows how the
 			// distribution evolved, not just its final shape.
-			s.append(name+".count", l, now, float64(h.Count()))
-			s.append(name+".mean", l, now, float64(h.Mean()))
-			s.append(name+".p95", l, now, float64(h.Percentile(95)))
-			s.append(name+".max", l, now, float64(h.Max()))
+			h := e.hist
+			p.series[0].add(now, float64(h.Count()))
+			p.series[1].add(now, float64(h.Mean()))
+			p.series[2].add(now, float64(h.Percentile(95)))
+			p.series[3].add(now, float64(h.Max()))
 		}
 	}
 }
 
-func (s *Sampler) append(name string, l Labels, at sim.Time, v float64) {
-	key := name + l.String()
+// histSuffixes name a histogram's derived series, in sampling order.
+var histSuffixes = []string{".count", ".mean", ".p95", ".max"}
+
+// replan pairs every entry with its series, creating the series of
+// entries registered since the last plan.
+func (s *Sampler) replan(es []*entry) {
+	s.plan = s.plan[:0]
+	for _, e := range es {
+		p := planned{e: e}
+		if e.kind == kindHistogram {
+			for _, suf := range histSuffixes {
+				p.series = append(p.series, s.seriesFor(e.name+suf, e))
+			}
+		} else {
+			p.series = []*Series{s.seriesFor(e.name, e)}
+		}
+		s.plan = append(s.plan, p)
+	}
+}
+
+// seriesFor returns (creating on first use) the series called name
+// under e's labels.
+func (s *Sampler) seriesFor(name string, e *entry) *Series {
+	key := name + e.lstr
 	se := s.series[key]
 	if se == nil {
-		se = &Series{Name: name, Labels: l}
+		se = &Series{Name: name, Labels: e.labels}
 		s.series[key] = se
 	}
+	return se
+}
+
+func (se *Series) add(at sim.Time, v float64) {
 	se.Points = append(se.Points, Point{At: at, V: v})
 }
 

@@ -124,18 +124,30 @@ func (a *Analysis) Slowest(k int) []*Span {
 
 // Analyze computes the blame breakdown over finished spans. alpha is
 // the sketch relative-error bound (<= 0 selects the default 1%).
+//
+// Each span's totals are computed once, and they feed the conservation
+// check, the sketches and the grand budget (which is the "all" band's).
+// The sort runs over compact (wall, ID, index) keys rather than the
+// spans: the index breaks ties exactly as a stable sort would, which
+// matters because pooled spans from several tracers repeat IDs.
 func Analyze(spans []*Span, alpha float64) *Analysis {
 	a := &Analysis{Wall: obs.NewSketch(alpha)}
 	for i := range a.PerCategory {
 		a.PerCategory[i] = obs.NewSketch(alpha)
 	}
-	for _, s := range spans {
+	type sortKey struct {
+		wall sim.Time
+		id   int64
+		i    int
+	}
+	keys := make([]sortKey, 0, len(spans))
+	for si, s := range spans {
 		if s == nil || !s.Finished() {
 			continue
 		}
-		a.Requests++
-		a.Sorted = append(a.Sorted, s)
-		if err := s.ConservationError(); err != 0 {
+		t := s.Totals()
+		wall := s.Wall()
+		if err := wall - t.Sum(); err != 0 {
 			a.Violations++
 			if err < 0 {
 				err = -err
@@ -144,24 +156,32 @@ func Analyze(spans []*Span, alpha float64) *Analysis {
 				a.MaxError = err
 			}
 		}
-		t := s.Totals()
 		a.Totals.Add(t)
-		a.Wall.Add(s.Wall())
+		a.Wall.Add(wall)
 		for i, v := range t {
 			a.PerCategory[i].Add(v)
 		}
+		keys = append(keys, sortKey{wall: wall, id: s.ID, i: si})
 	}
-	slices.SortStableFunc(a.Sorted, func(x, y *Span) int {
-		if c := cmp.Compare(x.Wall(), y.Wall()); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.ID, y.ID)
-	})
-
-	n := len(a.Sorted)
+	n := len(keys)
+	a.Requests = n
 	if n == 0 {
 		return a
 	}
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if c := cmp.Compare(x.wall, y.wall); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.id, y.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	a.Sorted = make([]*Span, n)
+	for r, k := range keys {
+		a.Sorted[r] = spans[k.i]
+	}
+
 	band := func(label string, lo, hi int) {
 		if lo < 0 {
 			lo = 0
@@ -172,9 +192,13 @@ func Analyze(spans []*Span, alpha float64) *Analysis {
 		if lo >= hi {
 			lo = hi - 1
 		}
-		b := Band{Label: label, Requests: hi - lo, Wall: a.Sorted[lo].Wall()}
-		for _, s := range a.Sorted[lo:hi] {
-			b.Totals.Add(s.Totals())
+		b := Band{Label: label, Requests: hi - lo, Wall: keys[lo].wall}
+		if lo == 0 && hi == n {
+			b.Totals = a.Totals
+		} else {
+			for _, s := range a.Sorted[lo:hi] {
+				b.Totals.Add(s.Totals())
+			}
 		}
 		b.Shares = shares(b.Totals)
 		a.Bands = append(a.Bands, b)

@@ -54,7 +54,8 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 			out.EmitBytes(obs.Event[[]byte]{Name: threadName, Ph: "M", Pid: pid, Tid: tid, Args: args})
 			args[0] = obs.KeyVal[[]byte]{Key: "wall", Val: text[wall:wallEnd]}
 			out.EmitBytes(obs.Event[[]byte]{Name: text[:req], Ph: "B", Ts: s.Start, Pid: pid, Tid: tid, Cat: "request", Args: args})
-			for _, p := range s.Phases {
+			for pi := range s.Phases {
+				p := &s.Phases[pi]
 				out.Emit(obs.ChromeEvent{Name: p.Name, Ph: "B", Ts: p.Start, Pid: pid, Tid: tid, Cat: "phase"})
 				for _, seg := range p.Segments {
 					cat := seg.Cat.String()

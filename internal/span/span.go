@@ -125,14 +125,28 @@ func (t *Totals) Add(o Totals) {
 // Span is one request's causal trace: a root interval subdivided into
 // phases, each subdivided into categorized segments. All mutation
 // happens at simulation time through Transition/BeginPhase/Finish.
+//
+// A span is one allocation: Phases starts on the inline phases array
+// and every phase carves its Segments from the inline segs array, the
+// next phase taking the room the previous one left. A span that
+// outgrows either spills to the heap the way append does. Because
+// Phases and Segments may point into the span itself, a Span must not
+// be copied by value: a copy's slices would still alias the original.
+// Pass *Span.
 type Span struct {
 	ID         int64
 	Start, End sim.Time // End is 0 while the span is open
-	Phases     []*Phase
+	Phases     []Phase
 
 	cur      Category
 	curSince sim.Time
 	tracer   *Tracer
+
+	// Inline room sized to the measured request shape: every request
+	// of the outage rig has two phases (queue, service) and about 95%
+	// have at most four segments.
+	phases [2]Phase
+	segs   [4]Segment
 }
 
 // Wall returns the end-to-end latency of a finished span.
@@ -145,7 +159,7 @@ func (s *Span) Finished() bool { return s.End != 0 }
 func (s *Span) Category() Category { return s.cur }
 
 // phase returns the open phase.
-func (s *Span) phase() *Phase { return s.Phases[len(s.Phases)-1] }
+func (s *Span) phase() *Phase { return &s.Phases[len(s.Phases)-1] }
 
 // closeSegment seals the accruing interval [curSince, now) under the
 // current category, coalescing with the previous segment when the
@@ -186,8 +200,16 @@ func (s *Span) BeginPhase(now sim.Time, name string, c Category) {
 		return
 	}
 	s.closeSegment(now)
-	s.phase().End = now
-	s.Phases = append(s.Phases, &Phase{Name: name, Start: now})
+	p := s.phase()
+	p.End = now
+	// The new phase takes the segment room the closing one left. The
+	// closing phase is capped at its length, so the two never share a
+	// slot: an append to the closed phase copies instead of writing
+	// over the new phase's segments.
+	n := len(p.Segments)
+	rest := p.Segments[n:]
+	p.Segments = p.Segments[:n:n]
+	s.Phases = append(s.Phases, Phase{Name: name, Start: now, Segments: rest})
 	s.cur = c
 }
 
@@ -213,8 +235,8 @@ func (s *Span) Finish(now sim.Time) {
 // Totals sums the span's segments per category.
 func (s *Span) Totals() Totals {
 	var t Totals
-	for _, p := range s.Phases {
-		for _, seg := range p.Segments {
+	for i := range s.Phases {
+		for _, seg := range s.Phases[i].Segments {
 			t[seg.Cat] += seg.Dur()
 		}
 	}
@@ -224,8 +246,8 @@ func (s *Span) Totals() Totals {
 // SegmentCount returns the number of leaf segments.
 func (s *Span) SegmentCount() int {
 	n := 0
-	for _, p := range s.Phases {
-		n += len(p.Segments)
+	for i := range s.Phases {
+		n += len(s.Phases[i].Segments)
 	}
 	return n
 }
@@ -264,14 +286,16 @@ func (tr *Tracer) Start(arrival sim.Time) *Span {
 	}
 	tr.nextID++
 	tr.open++
-	return &Span{
+	s := &Span{
 		ID:       tr.nextID,
 		Start:    arrival,
-		Phases:   []*Phase{{Name: "queue", Start: arrival}},
 		cur:      CatQueueWait,
 		curSince: arrival,
 		tracer:   tr,
 	}
+	s.phases[0] = Phase{Name: "queue", Start: arrival, Segments: s.segs[:0]}
+	s.Phases = s.phases[:1]
+	return s
 }
 
 func (tr *Tracer) finish(s *Span) {

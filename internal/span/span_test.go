@@ -1,6 +1,7 @@
 package span
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -151,5 +152,84 @@ func TestAbsorbFoldsCollector(t *testing.T) {
 	tr.Absorb(col)
 	if tr.Open() != 0 || len(tr.Finished()) != 3 {
 		t.Fatal("second absorb lost a span")
+	}
+}
+
+// The rig's request shape fits the span's inline room: the whole
+// lifecycle is the one allocation of the span itself.
+func TestSpanLifecycleAllocatesOnce(t *testing.T) {
+	tr := NewTracer()
+	lifecycle(tr, us(1)) // size the finished list
+	at := us(1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.finished = tr.finished[:0]
+		s := tr.Start(at)
+		s.BeginPhase(at, "service", CatKernel)
+		s.Transition(at+us(2), CatService)
+		s.Transition(at+us(30), CatPreemptWait)
+		s.Transition(at+us(50), CatService)
+		s.Finish(at + us(70))
+	})
+	if allocs != 1 {
+		t.Fatalf("span lifecycle = %v allocations, want 1", allocs)
+	}
+}
+
+// Phases carve their segments from one shared array: the next phase's
+// appends must land after the closed phase's segments, not over them.
+func TestPhaseSegmentsDoNotAlias(t *testing.T) {
+	tr := NewTracer()
+	s := tr.Start(us(0))
+	s.Transition(us(10), CatRunqWait)
+	s.BeginPhase(us(20), "service", CatService)
+	queue := append([]Segment(nil), s.Phases[0].Segments...)
+	s.Transition(us(30), CatPreemptWait)
+	s.Finish(us(40))
+	if got := s.Phases[0].Segments; !slices.Equal(got, queue) {
+		t.Fatalf("queue segments changed to %+v after the service phase appended; was %+v", got, queue)
+	}
+	if len(queue) != 2 || len(s.Phases[1].Segments) != 2 {
+		t.Fatalf("segments per phase = %d, %d; want 2, 2", len(queue), len(s.Phases[1].Segments))
+	}
+	// The closed phase is capped: appending to it must copy, not write
+	// into the service phase's slots.
+	service := slices.Clone(s.Phases[1].Segments)
+	_ = append(s.Phases[0].Segments, Segment{Start: us(60), End: us(61), Cat: CatOther})
+	if !slices.Equal(s.Phases[1].Segments, service) {
+		t.Fatalf("append to the queue phase overwrote the service phase: %+v", s.Phases[1].Segments)
+	}
+	if err := s.ConservationError(); err != 0 {
+		t.Fatalf("conservation error = %v", err)
+	}
+}
+
+// A span that outgrows the inline room (three phases, seven segments)
+// spills to the heap and still tiles its wall exactly.
+func TestSpanSpillKeepsConservation(t *testing.T) {
+	tr := NewTracer()
+	s := tr.Start(us(0))
+	s.BeginPhase(us(10), "service", CatService)
+	s.Transition(us(20), CatPreemptWait)
+	s.Transition(us(30), CatService)
+	s.Transition(us(40), CatSAWait)
+	s.BeginPhase(us(50), "reply", CatService)
+	s.Transition(us(60), CatKernel)
+	s.Finish(us(75))
+	if err := s.ConservationError(); err != 0 {
+		t.Fatalf("conservation error = %v", err)
+	}
+	want := [][]Segment{
+		{{us(0), us(10), CatQueueWait}},
+		{{us(10), us(20), CatService}, {us(20), us(30), CatPreemptWait},
+			{us(30), us(40), CatService}, {us(40), us(50), CatSAWait}},
+		{{us(50), us(60), CatService}, {us(60), us(75), CatKernel}},
+	}
+	if len(s.Phases) != len(want) || s.SegmentCount() != 7 {
+		t.Fatalf("phases = %d, segments = %d; want 3 and 7", len(s.Phases), s.SegmentCount())
+	}
+	for i, p := range s.Phases {
+		if !slices.Equal(p.Segments, want[i]) {
+			t.Fatalf("phase %s segments = %+v, want %+v", p.Name, p.Segments, want[i])
+		}
 	}
 }
