@@ -88,7 +88,7 @@ blame:
 # slow window and attribution must rank the bully first. The incident
 # bundle (JSON + Perfetto trace) lands next to the repo root.
 watch:
-	$(GO) run ./cmd/irswatch -scenario bully -expect-top bully -dump incident
+	$(GO) run ./cmd/irsload -variant bully -alerts -expect-top bully -dump incident
 
 # Telemetry smoke run: the registry/sampler/trace summary for vanilla
 # vs IRS (add -prom/-csv/-tracejson <file|-> for the exports; CI runs

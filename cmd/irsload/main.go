@@ -1,9 +1,9 @@
-// Command irsload drives the multi-rack control plane with a
-// declarative cluster-load spec: zones and hosts, arrival ramps or a
-// diurnal curve, tenant mix, zone outages, burn-rate alerting, and the
-// replica autoscaler. It prints the end-to-end outcome — tail
-// latency, SLO burn per phase, failover traffic, scale events — and
-// with -expect gates the post-recovery SLO-violation rate for CI.
+// Command irsload runs any cluster rig from its declarative load spec:
+// zones and hosts, arrival ramps or a diurnal curve, the tenant mix and
+// named VMs, faults, zone outages, burn-rate alerting, and the replica
+// autoscaler. It prints the end-to-end outcome — tail latency, SLO
+// burn per phase, failover traffic, scale events — and with -expect
+// gates the post-recovery SLO-violation rate for CI.
 //
 // -why attaches the decision audit log and answers "why did the
 // scheduler do that?": after the report it prints the incident's
@@ -14,6 +14,16 @@
 // span tracer's timeline. -trail gates CI on the exact trail. The
 // decision flags need -why.
 //
+// -alerts runs the online SLO watchdog on the spec's alert rule and
+// prints each alert as it fires, with its noisy-neighbor attribution
+// ranking, then an alert summary and the final ranking. -dump also
+// attaches the span tracer and writes the first incident bundle: a
+// self-contained JSON forensics file plus a Chrome/Perfetto trace of
+// the slowest spans around the alert. -expect-top gates CI on the top
+// aggressor. Both need -alerts. An alerts run is judged by the
+// watchdog: requests an overloaded victim leaves queued at the end of
+// the drain show in the served count but do not fail the run.
+//
 // Usage:
 //
 //	irsload [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-file spec.load]
@@ -21,6 +31,7 @@
 //	        [-why ctl] [-q 'kind=place vm=srv0 t>6s'] [-limit 20] [-top 5]
 //	        [-trail cordon,failover,scale-up,scale-up,drain,drain]
 //	        [-json decisions.json] [-perfetto decisions.trace]
+//	        [-alerts] [-dump incident] [-expect-top bully]
 //
 // Exactly one of -variant, -spec, -file selects the load spec;
 // -variant names a built-in rig (irsload -list shows them).
@@ -37,7 +48,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/decision"
 	"repro/internal/obs"
+	"repro/internal/span"
 	"repro/internal/topology"
+	"repro/internal/watch"
 )
 
 func main() {
@@ -57,7 +70,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trail := fs.String("trail", "", "with -why: fail unless the decision trail is exactly this comma-separated step list")
 	jsonOut := fs.String("json", "", "with -why: write the matched records as a JSON bundle to this file ('-' = stdout)")
 	perfetto := fs.String("perfetto", "", "with -why: write the matched records as a Perfetto/Chrome trace to this file")
+	alerts := fs.Bool("alerts", false, "print each alert with its aggressor ranking as it fires, then the alert summary")
+	dump := fs.String("dump", "", "with -alerts: write the first incident bundle to <prefix>.json and <prefix>.trace.json")
+	expectTop := fs.String("expect-top", "", "with -alerts: fail unless this VM is the top-ranked aggressor")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// A flag that qualifies -why or -alerts is bad input without it,
+	// even at its default.
+	bad := ""
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "q", "limit", "top", "trail", "json", "perfetto":
+			if *why == "" {
+				bad = "-" + f.Name + " needs -why"
+			}
+		case "dump", "expect-top":
+			if !*alerts {
+				bad = "-" + f.Name + " needs -alerts"
+			}
+		}
+	})
+	if bad != "" {
+		fmt.Fprintf(stderr, "irsload: %s\n", bad)
 		return 2
 	}
 
@@ -82,17 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cfg.Decisions = &decision.Options{Kinds: kinds}
-	} else {
-		bad := ""
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "q", "limit", "top", "trail", "json", "perfetto":
-				bad = f.Name
-			}
-		})
-		if bad != "" {
-			fmt.Fprintf(stderr, "irsload: -%s needs -why\n", bad)
+	}
+	if *alerts {
+		if cfg.Watch == nil {
+			fmt.Fprintln(stderr, "irsload: -alerts needs a spec with an alert section")
 			return 2
+		}
+		if *dump != "" {
+			cfg.Spans = span.NewTracer()
 		}
 	}
 	if *verbose {
@@ -104,6 +136,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
 		return 1
 	}
+	if *alerts {
+		c.Watcher().AddAlertHook(func(a watch.Alert, ranked []watch.RankedAggressor) {
+			fmt.Fprintf(stdout, "ALERT %s\n", a)
+			for i, r := range ranked {
+				fmt.Fprintf(stdout, "  #%d %s\n", i+1, r)
+			}
+		})
+	}
 	res, err := c.Run()
 	if err != nil {
 		fmt.Fprintf(stderr, "irsload: %v\n", err)
@@ -111,30 +151,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	report(stdout, name, spec, res)
-
+	var exports []export
 	if log := c.Decisions(); log != nil {
 		matched := explain(stdout, log, q, *query != "", *limit, *top)
-		for _, exp := range []struct {
-			path  string
-			write func(io.Writer) error
-		}{
-			{*jsonOut, func(w io.Writer) error { return decision.WriteJSON(w, matched, log.Dropped()) }},
-			{*perfetto, func(w io.Writer) error { return decision.WriteChromeTrace(w, matched) }},
-		} {
-			if exp.path == "" {
-				continue
-			}
-			if err := obs.WriteFile(exp.path, stdout, exp.write); err != nil {
-				fmt.Fprintf(stderr, "irsload: %v\n", err)
+		exports = append(exports,
+			export{*jsonOut, func(w io.Writer) error { return decision.WriteJSON(w, matched, log.Dropped()) }},
+			export{*perfetto, func(w io.Writer) error { return decision.WriteChromeTrace(w, matched) }})
+	}
+	var ranked []watch.RankedAggressor
+	if *alerts {
+		ranked = alertSummary(stdout, c.Watcher())
+		if *dump != "" {
+			incs := c.Watcher().Recorder().Incidents()
+			if len(incs) == 0 {
+				fmt.Fprintln(stderr, "irsload: -dump requested but no incident was captured")
 				return 1
 			}
-			if exp.path != "-" {
-				fmt.Fprintf(stdout, "wrote %s\n", exp.path)
-			}
+			exports = append(exports, export{*dump + ".json", incs[0].WriteJSON},
+				export{*dump + ".trace.json", incs[0].WriteTrace})
+		}
+	}
+	for _, exp := range exports {
+		if exp.path == "" {
+			continue
+		}
+		if err := obs.WriteFile(exp.path, stdout, exp.write); err != nil {
+			fmt.Fprintf(stderr, "irsload: %v\n", err)
+			return 1
+		}
+		if exp.path != "-" {
+			fmt.Fprintf(stdout, "wrote %s\n", exp.path)
 		}
 	}
 
-	if res.Unserved != 0 {
+	if res.Unserved != 0 && !*alerts {
 		fmt.Fprintf(stderr, "irsload: %d of %d requests unserved\n", res.Unserved, res.Generated)
 		return 1
 	}
@@ -163,7 +213,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "expect gate: trail %s — ok\n", got)
 	}
+	if *expectTop != "" {
+		got := "nothing"
+		if len(ranked) > 0 {
+			got = ranked[0].Aggressor
+		}
+		if got != *expectTop {
+			fmt.Fprintf(stderr, "irsload: top aggressor is %s, expected %q\n", got, *expectTop)
+			return 1
+		}
+		fmt.Fprintf(stdout, "expect gate: top aggressor %s — ok\n", got)
+	}
 	return 0
+}
+
+// export is one output file: its path ("" = not requested, "-" =
+// stdout) and its writer.
+type export struct {
+	path  string
+	write func(io.Writer) error
 }
 
 // report prints the run outcome: headline latency/SLO numbers, the
@@ -177,7 +245,7 @@ func report(w io.Writer, name string, spec topology.LoadSpec, res *cluster.Resul
 	fmt.Fprintf(w, "zones    %d  outages %d  failover %d  alerts %d  migrations %d\n",
 		res.Zones, res.ZoneOutages, res.Failover, res.Alerts, res.Migrations)
 	fmt.Fprintf(w, "replicas %d→%d  scale +%d/-%d  invariant-violations %d\n",
-		spec.ServersPerZone*spec.Zones, res.Replicas, res.ScaleUps, res.ScaleDowns, res.Violations)
+		spec.Servers(), res.Replicas, res.ScaleUps, res.ScaleDowns, res.Violations)
 	if len(res.Phases) == 3 {
 		labels := []string{"pre-outage", "outage+settle", "recovered"}
 		for i, p := range res.Phases {
@@ -185,6 +253,21 @@ func report(w io.Writer, name string, spec topology.LoadSpec, res *cluster.Resul
 				labels[i], p.Served, p.Violations, p.Rate*100)
 		}
 	}
+}
+
+// alertSummary prints the alert section — counts, the first alert's
+// time, the final aggressor ranking — and returns that ranking.
+func alertSummary(out io.Writer, w *watch.Watcher) []watch.RankedAggressor {
+	alerts := w.Alerts()
+	fmt.Fprintf(out, "== alerts: %d fired, %d incidents ==\n", len(alerts), len(w.Recorder().Incidents()))
+	if len(alerts) > 0 {
+		fmt.Fprintf(out, "first alert at %v\n", time.Duration(alerts[0].At))
+	}
+	ranked, _ := w.Rankings()
+	for i, r := range ranked {
+		fmt.Fprintf(out, "aggressor #%d: %s\n", i+1, r)
+	}
+	return ranked
 }
 
 // explain prints the decision section: a header counting the log, the

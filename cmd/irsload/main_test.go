@@ -304,3 +304,104 @@ func TestPerfettoExportIsValid(t *testing.T) {
 		t.Fatalf("%d instant events, want 10 (one per placement)", instants)
 	}
 }
+
+// The watchdog tests run the watch table's rigs with -alerts: the bully
+// rig must page and rank the bully first, the quiet rig must stay
+// silent.
+
+func TestAlertsBadInputs(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"unknown variant", []string{"-variant", "nope", "-alerts"}, 2},
+		{"bad flag", []string{"-variant", "bully", "-alerts", "-frobnicate"}, 2},
+		{"bad rules", []string{"-spec", "alert:name=page,budget=2", "-alerts"}, 2},
+		{"empty rules", []string{"-variant", "1z4h", "-alerts"}, 2},
+		{"dump without alerts", []string{"-variant", "bully", "-dump", t.TempDir() + "/x"}, 2},
+		{"expect-top without alerts", []string{"-variant", "bully", "-expect-top", "bully"}, 2},
+		{"dump without incident", []string{"-variant", "quiet", "-alerts", "-dump", t.TempDir() + "/x"}, 1},
+		{"expect-top without alert", []string{"-variant", "quiet", "-alerts", "-expect-top", "bully"}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, errOut := runCmd(t, tc.args...); code != tc.code {
+				t.Fatalf("exit = %d, want %d (stderr: %s)", code, tc.code, errOut)
+			}
+		})
+	}
+}
+
+func TestBullyScenarioAlertsAndDumps(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "incident")
+	code, text, errOut := runCmd(t, "-variant", "bully", "-alerts", "-expect-top", "bully", "-dump", prefix)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(text, "ALERT page:") {
+		t.Fatalf("no live alert line in output:\n%s", text)
+	}
+	if !strings.Contains(text, "#1 srv0<-bully") {
+		t.Fatalf("bully not top-ranked in output:\n%s", text)
+	}
+
+	raw, err := os.ReadFile(prefix + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inc struct {
+		Reason   string `json:"reason"`
+		Rankings []struct {
+			Aggressor string `json:"aggressor"`
+		} `json:"rankings"`
+		Series []json.RawMessage `json:"series"`
+		Spans  []json.RawMessage `json:"spans"`
+	}
+	if err := json.Unmarshal(raw, &inc); err != nil {
+		t.Fatalf("incident bundle is not valid JSON: %v", err)
+	}
+	if inc.Reason != "slo-alert" || len(inc.Rankings) == 0 || inc.Rankings[0].Aggressor != "bully" {
+		t.Fatalf("bundle reason=%q rankings=%+v", inc.Reason, inc.Rankings)
+	}
+	if len(inc.Series) == 0 || len(inc.Spans) == 0 {
+		t.Fatalf("bundle missing telemetry: %d series, %d spans", len(inc.Series), len(inc.Spans))
+	}
+
+	var tr struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	rawTr, err := os.ReadFile(prefix + ".trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(rawTr, &tr); err != nil {
+		t.Fatalf("trace half is not valid JSON: %v", err)
+	}
+	if len(tr.TraceEvents) == 0 {
+		t.Fatal("trace half has no events")
+	}
+}
+
+func TestQuietScenarioStaysSilent(t *testing.T) {
+	code, out, errOut := runCmd(t, "-variant", "quiet", "-alerts")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut)
+	}
+	if strings.Contains(out, "ALERT") || !strings.Contains(out, "== alerts: 0 fired, 0 incidents ==") {
+		t.Fatalf("quiet scenario alerted:\n%s", out)
+	}
+}
+
+func TestOutputDeterministic(t *testing.T) {
+	render := func() string {
+		code, out, errOut := runCmd(t, "-variant", "bully", "-alerts")
+		if code != 0 {
+			t.Fatalf("exit = %d, stderr: %s", code, errOut)
+		}
+		return out
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("same seed diverged:\n%s\n---\n%s", a, b)
+	}
+}

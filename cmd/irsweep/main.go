@@ -1,8 +1,8 @@
 // Command irsweep runs ad-hoc parameter sweeps. The default dimension
 // is one benchmark against a range of interference levels under all
-// four scheduling strategies; -cluster instead sweeps the multi-host
-// placement variants (first-fit, least-loaded, interference-aware ±
-// IRS) across rack sizes. Every cell is an isolated deterministic
+// four scheduling strategies; -cluster instead sweeps the cluster
+// table's rigs (first-fit, least-loaded, interference-aware ± IRS, and
+// chaos) across rack sizes. Every cell is an isolated deterministic
 // simulation fanned out across worker goroutines, so the printed table
 // is identical at any -workers setting.
 //
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -73,8 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *clusterSweep {
 		hosts, ok := parseIntList(*hostsList)
-		if !ok || len(hosts) == 0 {
-			fmt.Fprintf(stderr, "irsweep: bad -hosts %q\n", *hostsList)
+		if !ok || len(hosts) == 0 || slices.Min(hosts) < 1 {
+			fmt.Fprintf(stderr, "irsweep: bad -hosts %q (want host counts >= 1)\n", *hostsList)
 			return 2
 		}
 		if *zones < 1 {
@@ -173,41 +174,25 @@ func parseIntList(s string) ([]int, bool) {
 	return out, true
 }
 
-// clusterMatrix sweeps the experiment's placement variants over rack
-// sizes: one row per host count, one column pair (p99, SLO-violation
-// rate) per variant. With zones > 1 each rack size is per zone and
-// every cell runs under the two-level zone scheduler and partitioned
-// router.
+// clusterMatrix sweeps the cluster table's rigs over rack sizes: one
+// row per host count, one column triple (p99, SLO-violation rate,
+// migrations) per rig. Each cell compiles the rig's spec, then swaps
+// in the rack: zones × n hosts, so with zones > 1 each rack size is per
+// zone and every cell runs under the two-level zone scheduler and
+// partitioned router.
 func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int) int {
-	variants := experiments.ClusterVariants()
+	variants := experiments.TableRigs("cluster")
 	type cell struct {
-		p99  sim.Time
-		slo  float64
-		migr int64
-		err  error
+		res *cluster.Result
+		err error
 	}
 	cells := make([]cell, len(hosts)*len(variants))
 	var fns []func()
 	for hi, n := range hosts {
 		for vi, v := range variants {
 			fns = append(fns, func() {
-				cfg := experiments.ClusterConfig(v, seed)
-				cfg.Hosts = zones * n
-				if zones > 1 {
-					cfg.Topology = topology.Uniform(zones, n)
-				}
-				cfg.Shards = shards
-				c, err := cluster.New(cfg)
-				if err != nil {
-					cells[hi*len(variants)+vi] = cell{err: err}
-					return
-				}
-				res, err := c.Run()
-				if err != nil {
-					cells[hi*len(variants)+vi] = cell{err: err}
-					return
-				}
-				cells[hi*len(variants)+vi] = cell{p99: res.P99, slo: res.SLORate, migr: res.Migrations}
+				res, err := sweepRig(v, zones, n, seed, shards)
+				cells[hi*len(variants)+vi] = cell{res, err}
 			})
 		}
 	}
@@ -234,7 +219,7 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 				continue
 			}
 			fmt.Fprintf(stdout, "  %-24s", fmt.Sprintf("%.3fms/%.2f%%/%d",
-				float64(c.p99)/float64(sim.Millisecond), c.slo*100, c.migr))
+				float64(c.res.P99)/float64(sim.Millisecond), c.res.SLORate*100, c.res.Migrations))
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -242,6 +227,21 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 		return 1
 	}
 	return 0
+}
+
+// sweepRig runs one cluster rig on a rack of zones × n hosts.
+func sweepRig(v experiments.Rig, zones, n int, seed uint64, shards int) (*cluster.Result, error) {
+	_, cfg, err := experiments.ScaleRig(v.Spec, seed, shards)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Hosts = zones * n
+	cfg.Topology = topology.Uniform(zones, n)
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run()
 }
 
 func sweepPoint(bench workload.Benchmark, mode workload.SyncMode, strat core.Strategy, inter, vcpus int, unpinned bool, seed uint64, runs int) (float64, error) {

@@ -33,6 +33,8 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-inter", "-3"}, 2},
 		{[]string{"-mode", "busy"}, 2},
 		{[]string{"-cluster", "-hosts", "two"}, 2},
+		{[]string{"-cluster", "-hosts", "0"}, 2},
+		{[]string{"-cluster", "-hosts", "2,0"}, 2},
 		{[]string{"-bench", "nosuchbench"}, 2},
 		{[]string{"-runs", "0"}, 2},
 		{[]string{"-vcpus", "0", "-inter", "0", "-runs", "1"}, 2},

@@ -47,9 +47,9 @@ func AddLoadSpec(fs *flag.FlagSet) *LoadSpec {
 	}
 }
 
-// PrintVariants writes the built-in variants, one "name spec" line each.
+// PrintVariants writes the built-in rigs, one "name spec" line each.
 func PrintVariants(w io.Writer) {
-	for _, v := range experiments.ScaleVariants() {
+	for _, v := range experiments.Rigs() {
 		fmt.Fprintf(w, "%-14s %s\n", v.Name, v.Spec)
 	}
 }
@@ -69,7 +69,7 @@ func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.C
 	case set != 1:
 		err = errors.New("exactly one of -variant, -spec, -file must be given")
 	case *l.variant != "":
-		v, ok := experiments.ScaleVariantByName(*l.variant)
+		v, ok := experiments.RigByName(*l.variant)
 		if !ok {
 			err = fmt.Errorf("unknown variant %q (try -list)", *l.variant)
 		}

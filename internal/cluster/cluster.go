@@ -235,6 +235,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// StandardVM declares a VM the way the standard mix does: a server is
+// latency-sensitive and expects 0.4 pCPU of demand per vCPU, an
+// antagonist a whole pCPU per vCPU.
+func StandardVM(name string, kind VMKind, vcpus int, at sim.Time) VMSpec {
+	v := VMSpec{Name: name, Kind: kind, VCPUs: vcpus, ArriveAt: at, Pressure: float64(vcpus)}
+	if kind == KindServer {
+		v.Pressure, v.Sensitive = 0.4*float64(vcpus), true
+	}
+	return v
+}
+
 // StandardMix builds the default arrival sequence: servers and
 // antagonists alternating, one VM every spacing.
 func StandardMix(servers, serverVCPUs, antagonists, antagonistVCPUs int, spacing sim.Time) []VMSpec {
@@ -242,25 +253,12 @@ func StandardMix(servers, serverVCPUs, antagonists, antagonistVCPUs int, spacing
 	t := sim.Time(0)
 	for si, ai := 0, 0; si < servers || ai < antagonists; {
 		if si < servers {
-			out = append(out, VMSpec{
-				Name:      fmt.Sprintf("srv%d", si),
-				Kind:      KindServer,
-				VCPUs:     serverVCPUs,
-				Pressure:  0.4 * float64(serverVCPUs),
-				Sensitive: true,
-				ArriveAt:  t,
-			})
+			out = append(out, StandardVM(fmt.Sprintf("srv%d", si), KindServer, serverVCPUs, t))
 			si++
 			t += spacing
 		}
 		if ai < antagonists {
-			out = append(out, VMSpec{
-				Name:     fmt.Sprintf("ant%d", ai),
-				Kind:     KindAntagonist,
-				VCPUs:    antagonistVCPUs,
-				Pressure: float64(antagonistVCPUs),
-				ArriveAt: t,
-			})
+			out = append(out, StandardVM(fmt.Sprintf("ant%d", ai), KindAntagonist, antagonistVCPUs, t))
 			ai++
 			t += spacing
 		}
@@ -717,7 +715,7 @@ func New(cfg Config) (*Cluster, error) {
 		// Any rising-edge alert resets the quiet clock even if the rule
 		// clears again between ticks — a brief page still delays
 		// scale-down by a full DownAfter.
-		c.watcher.AddAlertHook(func(watch.Alert) { c.asQuietSince = c.sh.Now() })
+		c.watcher.AddAlertHook(func(watch.Alert, []watch.RankedAggressor) { c.asQuietSince = c.sh.Now() })
 	}
 
 	return c, nil

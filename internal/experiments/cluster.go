@@ -1,63 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/cluster"
-	"repro/internal/fault"
-	"repro/internal/hypervisor"
-	"repro/internal/sim"
-)
-
-// ClusterVariant is one row of the cluster experiment: a placement
-// policy paired with the per-host scheduling strategy, optional live
-// migration, and optional chaos (control-plane faults + host
-// blackouts). Exported so cmd/irsweep can sweep the same variants over
-// different rack shapes.
-type ClusterVariant struct {
-	Name      string
-	Policy    cluster.Policy
-	Strategy  hypervisor.Strategy
-	Migration bool
-	Chaos     bool
-}
-
-// ClusterVariants lists the comparison rows in table order: the two
-// placement baselines, interference-aware placement alone, the full
-// stack (interference-aware placement + IRS inside each host), and the
-// full stack under chaos.
-func ClusterVariants() []ClusterVariant {
-	return []ClusterVariant{
-		{Name: "first-fit", Policy: cluster.FirstFit, Strategy: hypervisor.StrategyVanilla},
-		{Name: "least-loaded", Policy: cluster.LeastLoaded, Strategy: hypervisor.StrategyVanilla},
-		{Name: "ia", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyVanilla, Migration: true},
-		{Name: "ia+irs", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, Migration: true},
-		{Name: "ia+irs+chaos", Policy: cluster.InterferenceAware, Strategy: hypervisor.StrategyIRS, Migration: true, Chaos: true},
-	}
-}
-
-// ClusterConfig materialises the cluster.Config for one variant and
-// seed. Every row runs the invariant checker: the "viol" column is the
-// correctness half of the table.
-func ClusterConfig(v ClusterVariant, seed uint64) cluster.Config {
-	cfg := cluster.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Policy = v.Policy
-	cfg.Strategy = v.Strategy
-	cfg.Migration = v.Migration
-	cfg.Invariants = true
-	if v.Chaos {
-		cfg.Faults = fault.LossPlan(0.10)
-		cfg.HostBlackoutEvery = 6 * sim.Second
-		cfg.HostBlackoutFor = 60 * sim.Millisecond
-		// Chaos rides on the hardened profile (same defenses as the
-		// chaos experiment's irs-hardened row): without wakeup-loss
-		// polling, a lost wakeup strands an idle server worker for good.
-		cfg.TuneHV = hardenHV
-		cfg.TuneGuest = hardenGuest
-	}
-	return cfg
-}
+import "fmt"
 
 // clusterTable runs the multi-host consolidation experiment: the same VM
 // arrival mix and request stream under each placement/scheduling
@@ -72,7 +15,7 @@ func clusterTable(h *harness) Table {
 			"migr", "blackouts", "injected", "violations"},
 	}
 	seed, shards := h.opt.Seed, h.opt.Shards
-	for _, v := range ClusterVariants() {
+	for _, v := range TableRigs("cluster") {
 		row, err := tryJob(h, "cluster|"+v.Name, func() ([]string, error) {
 			return clusterCell(v, seed, shards)
 		})
@@ -85,9 +28,11 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v ClusterVariant, seed uint64, shards int) ([]string, error) {
-	cfg := ClusterConfig(v, seed)
-	cfg.Shards = shards
+func clusterCell(v Rig, seed uint64, shards int) ([]string, error) {
+	_, cfg, err := ScaleRig(v.Spec, seed, shards)
+	if err != nil {
+		return nil, err
+	}
 	_, res, err := runCluster(cfg)
 	if err != nil {
 		return nil, err
@@ -104,19 +49,4 @@ func clusterCell(v ClusterVariant, seed uint64, shards int) ([]string, error) {
 		fmt.Sprintf("%d", res.FaultsInjected),
 		fmt.Sprintf("%d", res.Violations),
 	}, nil
-}
-
-// runCluster builds and runs one cluster-backed simulation.
-func runCluster(cfg cluster.Config) (*cluster.Cluster, *cluster.Result, error) {
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := c.Run()
-	return c, res, err
-}
-
-// fmtLatency renders a latency in milliseconds.
-func fmtLatency(t sim.Time) string {
-	return fmt.Sprintf("%.3fms", float64(t)/float64(sim.Millisecond))
 }

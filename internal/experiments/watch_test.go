@@ -5,18 +5,28 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/span"
 	"repro/internal/watch"
 )
 
-// runWatchVariant executes one watchdog rig variant at the golden seed
-// and returns the live watcher for inspection.
+// bullyArrive is when the bully rig's late interferer lands.
+const bullyArrive = 4 * sim.Second
+
+// runWatchVariant executes one watchdog rig variant at the golden seed,
+// with the span tracer attached as the watch table runs it, and
+// returns the live watcher for inspection.
 func runWatchVariant(t *testing.T, name string) *watch.Watcher {
 	t.Helper()
-	v, ok := WatchVariantByName(name)
+	v, ok := RigByName(name)
 	if !ok {
 		t.Fatalf("unknown watch variant %q", name)
 	}
-	c, err := cluster.New(WatchConfig(v, 1, DefaultWatchDuration, DefaultWatchRuleSet()))
+	_, cfg, err := ScaleRig(v.Spec, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Spans = span.NewTracer()
+	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +60,10 @@ func TestWatchBullyDetectedAndAttributed(t *testing.T) {
 		t.Fatal("bully rig fired no alerts")
 	}
 	first := alerts[0]
-	if first.At < WatchBullyArrive {
-		t.Fatalf("alert at %v predates the bully landing at %v", first.At, WatchBullyArrive)
+	if first.At < bullyArrive {
+		t.Fatalf("alert at %v predates the bully landing at %v", first.At, bullyArrive)
 	}
-	slow := DefaultWatchRuleSet()[0].Slow
-	if lat := first.At - WatchBullyArrive; lat >= slow {
+	if lat, slow := first.At-bullyArrive, first.Rule.Slow; lat >= slow {
 		t.Fatalf("detection latency %v not under one slow window (%v)", lat, slow)
 	}
 
@@ -95,7 +104,7 @@ func TestWatchDetectionWithinOneEpochOfBurn(t *testing.T) {
 	if len(w.Alerts()) == 0 {
 		t.Fatal("no alerts")
 	}
-	if lat := w.Alerts()[0].At - WatchBullyArrive; lat > 1500*sim.Millisecond {
+	if lat := w.Alerts()[0].At - bullyArrive; lat > 1500*sim.Millisecond {
 		t.Fatalf("detection latency %v, expected well under 1.5s for a saturating bully", lat)
 	}
 }

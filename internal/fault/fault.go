@@ -74,9 +74,10 @@ type Plan struct {
 // Zero reports whether the plan injects no faults at all.
 func (p Plan) Zero() bool { return p == Plan{} }
 
-// fields is the plan's key=value table, in render order. Float keys
-// are probabilities, duration keys virtual-time spans.
-func (p *Plan) fields() kv.Table {
+// Fields is the plan's key=value table, in render order; the load
+// spec's faults section parses through it too. Float keys are
+// probabilities, duration keys virtual-time spans.
+func (p *Plan) Fields() kv.Table {
 	return kv.Table{
 		kv.Bind("drop-sa", &p.DropSA),
 		kv.Bind("dup-sa", &p.DupSA),
@@ -98,7 +99,7 @@ func (p *Plan) fields() kv.Table {
 // Validate rejects plans with probabilities outside [0, 1] or negative
 // durations.
 func (p Plan) Validate() error {
-	for _, f := range p.fields() {
+	for _, f := range p.Fields() {
 		switch v := f.Dst().(type) {
 		case *float64:
 			if !(*v >= 0 && *v <= 1) {
@@ -125,7 +126,7 @@ func (p Plan) Validate() error {
 // String renders the plan as a canonical spec that ParsePlan accepts:
 // its non-zero fields in fixed order. The zero plan renders as "none".
 func (p Plan) String() string {
-	if s := p.fields().NonZero(); s != "" {
+	if s := p.Fields().NonZero(); s != "" {
 		return s
 	}
 	return "none"
@@ -141,7 +142,7 @@ func ParsePlan(spec string) (Plan, error) {
 	case "", "none", "off":
 		return p, nil
 	}
-	if err := p.fields().Parse(spec); err != nil {
+	if err := p.Fields().Parse(spec); err != nil {
 		return Plan{}, fmt.Errorf("fault: %w", err)
 	}
 	if err := p.Validate(); err != nil {

@@ -42,6 +42,17 @@ func FuzzParseLoadSpec(f *testing.F) {
 		"sched:overcommit=nan",
 		";;;",
 		"=,=,=",
+		"tenants:servers=0; vm:name=srv0,kind=server,vcpus=2; vm:name=bully,kind=ant,vcpus=4,weight=2048,at=4s",
+		"vm:name=x,kind=ant,vcpus=1; vm:name=x,kind=server,vcpus=1",
+		"vm:name=srv1,kind=server,vcpus=2",
+		"vm:name=a,kind=db,vcpus=0,weight=-1,at=-1s",
+		"faults:drop-sa=0.1,stale-runstate=200us,host-blackout-every=6s,host-blackout-for=60ms",
+		"faults:drop-sa=0",
+		"faults:drop-sa=NaN",
+		"faults:host-blackout-for=1s",
+		"alert:name=page,budget=0.02,slow=2500ms",
+		"alert:name=,budget=0.02",
+		"alert:name=a b,budget=0.02",
 	}
 	for _, s := range seeds {
 		f.Add(s)

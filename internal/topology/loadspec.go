@@ -3,10 +3,13 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/kv"
 	"repro/internal/sim"
 	"repro/internal/watch"
@@ -15,17 +18,19 @@ import (
 // LoadSpec is the declarative cluster-load specification driving the
 // scale experiment and cmd/irsload — this repo's clusterloader2: one
 // text blob describes the rack shape, the scheduling stack, the
-// request load curve (flat, staged ramp, or diurnal), the tenant mix,
-// injected zone outages, the burn-rate alert rule, and the replica
-// autoscaler. Specs parse from strings (ParseLoadSpec), round-trip
-// through String, and validate strictly, so a spec can live in a
-// Makefile line, a CI job, or a file without drifting from what the
-// simulator actually runs.
+// request load curve (flat, staged ramp, or diurnal), the tenant mix
+// and any named VMs after it, injected faults and zone outages, the
+// burn-rate alert rule, and the replica autoscaler. Every named cluster
+// rig in the repo is one. Specs parse from strings (ParseLoadSpec),
+// round-trip through String, and validate strictly, so a spec can live
+// in a Makefile line, a CI job, or a file without drifting from what
+// the simulator actually runs.
 //
 // Syntax: sections separated by ';' or newlines, each "name:body".
 // '#' starts a line comment. Every body but ramp's is a field list in
 // the kv grammar (package kv), the one fault plans, attacker specs and
-// watch rules use; the alert section is a watch.Rule without its name.
+// watch rules use; the alert section is a watch.Rule with its name as
+// a field, the faults section a fault.Plan plus host blackouts.
 // Example:
 //
 //	topo:zones=2,hosts=8,pcpus=4
@@ -33,6 +38,8 @@ import (
 //	load:arrival=1ms,service=2ms,slo=25ms,duration=12s,drain=2s
 //	ramp:1500us@0,1ms@2s,800us@4s
 //	tenants:servers=2,server-vcpus=2,ants=2,ant-vcpus=2,spacing=500ms
+//	vm:name=bully,kind=ant,vcpus=4,weight=2048,at=4s
+//	faults:drop-sa=0.1,host-blackout-every=6s,host-blackout-for=60ms
 //	outage:zone=1,at=6s,for=1200ms
 //	alert:budget=0.02,fast=500ms,slow=2s,burn=3
 //	autoscale:max=8,step=2,cooldown=1500ms,down-after=2500ms
@@ -71,12 +78,21 @@ type LoadSpec struct {
 	AntsPerZone, AntVCPUs                      int
 	Spacing                                    sim.Time
 
+	// VMs are named VMs appended after the tenant mix (vm sections,
+	// repeatable). A spec with vm sections may set servers=0.
+	VMs []VMSpec
+	// Faults injects control-plane faults inside every host and host
+	// blackouts across the rack (faults section). A spec with faults
+	// runs the hardened host profile.
+	Faults FaultSpec
+
 	// Outages are injected zone failures (outage sections, repeatable):
 	// at At the zone is cordoned and its hosts go dark for For.
 	Outages []OutageSpec
 
 	// Alert is the burn-rate rule the SLO watchdog evaluates (alert
-	// section, named "slo-burn"); required when Autoscale is set.
+	// section, named "slo-burn" unless it sets name); required
+	// when Autoscale is set.
 	Alert *watch.Rule
 	// Autoscale bounds the replica autoscaler (autoscale section).
 	Autoscale *AutoscaleSpec
@@ -96,6 +112,28 @@ type DiurnalSpec struct {
 	Swing  float64
 	Steps  int
 }
+
+// VMSpec is one named VM: Kind "server" (latency-sensitive, fed by
+// the router) or "ant" (a CPU-bound antagonist), VCPUs wide at credit
+// weight Weight (0 = the scheduler default), submitted at At. Its
+// declared pressure and QoS class follow from the kind, as they do for
+// the tenant mix.
+type VMSpec struct {
+	Name, Kind    string
+	VCPUs, Weight int
+	At            sim.Time
+}
+
+// FaultSpec is the faults section: the fault plan every host's
+// injector runs, plus a rack-level blackout that pauses one random
+// host for HostBlackoutFor every HostBlackoutEvery.
+type FaultSpec struct {
+	Plan                               fault.Plan
+	HostBlackoutEvery, HostBlackoutFor sim.Time
+}
+
+// Zero reports whether the spec injects no faults at all.
+func (f FaultSpec) Zero() bool { return f == FaultSpec{} }
 
 // OutageSpec is one injected zone failure.
 type OutageSpec struct {
@@ -117,6 +155,9 @@ const (
 	DefaultDuration = 10 * sim.Second
 	DefaultDrain    = 2 * sim.Second
 )
+
+// defaultAlertName names an alert section that sets no name.
+const defaultAlertName = "slo-burn"
 
 // withDefaults fills unset fields with the documented defaults.
 func (s LoadSpec) withDefaults() LoadSpec {
@@ -153,7 +194,7 @@ func (s LoadSpec) withDefaults() LoadSpec {
 	if s.Drain == 0 {
 		s.Drain = DefaultDrain
 	}
-	if s.ServersPerZone == 0 {
+	if s.ServersPerZone == 0 && len(s.VMs) == 0 {
 		s.ServersPerZone = 2
 	}
 	if s.ServerVCPUs == 0 {
@@ -174,9 +215,6 @@ func (s LoadSpec) withDefaults() LoadSpec {
 	}
 	if a := s.Alert; a != nil {
 		cp := *a
-		if cp.Name == "" {
-			cp.Name = "slo-burn"
-		}
 		if cp.Budget == 0 {
 			cp.Budget = 0.02
 		}
@@ -206,40 +244,61 @@ func (s LoadSpec) withDefaults() LoadSpec {
 			cp.Interval = 250 * sim.Millisecond
 		}
 		if cp.Max == 0 {
-			cp.Max = s.Zones*s.ServersPerZone + cp.Step
+			cp.Max = s.Servers() + cp.Step
 		}
 		s.Autoscale = &cp
 	}
 	return s
 }
 
-// policies and strategies a spec may name (validated here so a bad
-// spec fails at parse time, not deep inside cluster construction).
+// policies, strategies and VM kinds a spec may name (validated here so
+// a bad spec fails at parse time, not deep inside cluster construction).
 var (
 	specPolicies   = []string{"first-fit", "least-loaded", "ia"}
 	specStrategies = []string{"vanilla", "ple", "relaxed-co", "irs"}
+	specKinds      = []string{"server", "ant"}
 )
 
-func oneOf(v string, allowed []string) bool {
-	for _, a := range allowed {
-		if v == a {
-			return true
+// Servers counts the server VMs the spec starts with: the tenant mix's
+// plus the named ones.
+func (s LoadSpec) Servers() int {
+	n := s.ServersPerZone * s.Zones
+	for _, v := range s.VMs {
+		if v.Kind == "server" {
+			n++
+		}
+	}
+	return n
+}
+
+// inMix reports whether the tenant mix already names a VM name: it
+// calls its VMs srv0.. and ant0.. in arrival order.
+func (s LoadSpec) inMix(name string) bool {
+	for _, m := range []struct {
+		prefix string
+		n      int
+	}{{"srv", s.ServersPerZone * s.Zones}, {"ant", s.AntsPerZone * s.Zones}} {
+		if rest, ok := strings.CutPrefix(name, m.prefix); ok {
+			if i, err := strconv.Atoi(rest); err == nil && i >= 0 && i < m.n && strconv.Itoa(i) == rest {
+				return true
+			}
 		}
 	}
 	return false
 }
 
 // Validate rejects incoherent specs: impossible shapes, out-of-range
-// knobs, outages aimed at zones that do not exist, ramps that go
-// backwards, or an autoscaler with no alert rule to react to.
+// knobs, VMs whose names collide, outages aimed at zones that do not
+// exist, ramps that go backwards, or an autoscaler with no alert rule
+// to react to.
 func (s LoadSpec) Validate() error {
 	if s.Zones <= 0 || s.HostsPerZone <= 0 || s.PCPUs <= 0 {
 		return fmt.Errorf("topology: spec needs positive zones×hosts×pcpus (got %d×%d×%d)", s.Zones, s.HostsPerZone, s.PCPUs)
 	}
-	if !oneOf(s.Policy, specPolicies) {
+	if !slices.Contains(specPolicies, s.Policy) {
 		return fmt.Errorf("topology: spec policy %q not in %v", s.Policy, specPolicies)
 	}
-	if !oneOf(s.Strategy, specStrategies) {
+	if !slices.Contains(specStrategies, s.Strategy) {
 		return fmt.Errorf("topology: spec strategy %q not in %v", s.Strategy, specStrategies)
 	}
 	if !(s.Overcommit > 0) || math.IsInf(s.Overcommit, 0) {
@@ -278,11 +337,33 @@ func (s LoadSpec) Validate() error {
 		return fmt.Errorf("topology: bad tenant mix (servers=%d×%d ants=%d×%d threads=%d)",
 			s.ServersPerZone, s.ServerVCPUs, s.AntsPerZone, s.AntVCPUs, s.ServerThreads)
 	}
-	if s.ServersPerZone*s.Zones < 1 {
-		return fmt.Errorf("topology: spec places no server VMs")
-	}
 	if s.Spacing < 0 {
 		return fmt.Errorf("topology: spacing %v negative", s.Spacing)
+	}
+	names := map[string]bool{}
+	for i, v := range s.VMs {
+		switch {
+		case v.Name == "":
+			return fmt.Errorf("topology: vm %d needs a name", i)
+		case names[v.Name] || s.inMix(v.Name):
+			return fmt.Errorf("topology: vm %d name %q already taken", i, v.Name)
+		case !slices.Contains(specKinds, v.Kind):
+			return fmt.Errorf("topology: vm %s kind %q not in %v", v.Name, v.Kind, specKinds)
+		case v.VCPUs <= 0 || v.Weight < 0 || v.At < 0:
+			return fmt.Errorf("topology: vm %s needs vcpus > 0, weight >= 0 and at >= 0 (got %d, %d, %v)",
+				v.Name, v.VCPUs, v.Weight, v.At)
+		}
+		names[v.Name] = true
+	}
+	if s.Servers() < 1 {
+		return fmt.Errorf("topology: spec places no server VMs")
+	}
+	if err := s.Faults.Plan.Validate(); err != nil {
+		return fmt.Errorf("topology: faults: %w", err)
+	}
+	if f := s.Faults; f.HostBlackoutEvery < 0 || f.HostBlackoutFor < 0 || (f.HostBlackoutEvery > 0) != (f.HostBlackoutFor > 0) {
+		return fmt.Errorf("topology: faults: host-blackout-every=%v and host-blackout-for=%v must both be positive or both zero",
+			f.HostBlackoutEvery, f.HostBlackoutFor)
 	}
 	for i, o := range s.Outages {
 		if o.Zone < 0 || o.Zone >= s.Zones {
@@ -293,6 +374,9 @@ func (s LoadSpec) Validate() error {
 		}
 	}
 	if a := s.Alert; a != nil {
+		if a.Name == "" || strings.ContainsAny(a.Name, ":,;= \t\n") {
+			return fmt.Errorf("topology: alert name %q empty or has reserved characters", a.Name)
+		}
 		if !(a.Budget > 0 && a.Budget < 1) {
 			return fmt.Errorf("topology: alert budget %v outside (0, 1)", a.Budget)
 		}
@@ -312,7 +396,7 @@ func (s LoadSpec) Validate() error {
 		}
 		base := as.Min
 		if base == 0 {
-			base = s.ServersPerZone * s.Zones
+			base = s.Servers()
 		}
 		if as.Max < base {
 			return fmt.Errorf("topology: autoscale max %d below floor %d", as.Max, base)
@@ -374,8 +458,23 @@ func (s *LoadSpec) fields(name string) kv.Table {
 		return kv.Table{kv.Bind("servers", &s.ServersPerZone), kv.Bind("server-vcpus", &s.ServerVCPUs),
 			kv.Bind("server-threads", &s.ServerThreads), kv.Bind("ants", &s.AntsPerZone),
 			kv.Bind("ant-vcpus", &s.AntVCPUs), kv.Bind("spacing", &s.Spacing)}
+	case "faults":
+		f := &s.Faults
+		return append(f.Plan.Fields(), kv.Bind("host-blackout-every", &f.HostBlackoutEvery),
+			kv.Bind("host-blackout-for", &f.HostBlackoutFor))
 	}
 	return nil
+}
+
+func (v *VMSpec) fields() kv.Table {
+	return kv.Table{kv.Bind("name", &v.Name), kv.Bind("kind", &v.Kind), kv.Bind("vcpus", &v.VCPUs),
+		kv.Bind("weight", &v.Weight), kv.Bind("at", &v.At)}
+}
+
+// alertFields is the alert section's table: the rule's name, then its
+// fields.
+func alertFields(r *watch.Rule) kv.Table {
+	return append(kv.Table{kv.Bind("name", &r.Name)}, r.Fields()...)
 }
 
 func (d *DiurnalSpec) fields() kv.Table {
@@ -409,11 +508,17 @@ func (s LoadSpec) String() string {
 		secs = append(secs, "diurnal:"+d.fields().String())
 	}
 	secs = append(secs, "tenants:"+s.fields("tenants").String())
+	for i := range s.VMs {
+		secs = append(secs, "vm:"+s.VMs[i].fields().String())
+	}
+	if !s.Faults.Zero() {
+		secs = append(secs, "faults:"+s.fields("faults").NonZero())
+	}
 	for i := range s.Outages {
 		secs = append(secs, "outage:"+s.Outages[i].fields().String())
 	}
 	if a := s.Alert; a != nil {
-		secs = append(secs, "alert:"+a.Fields().String())
+		secs = append(secs, "alert:"+alertFields(a).String())
 	}
 	if as := s.Autoscale; as != nil {
 		secs = append(secs, "autoscale:"+as.fields().String())
@@ -443,7 +548,7 @@ func ParseLoadSpec(text string) (LoadSpec, error) {
 				return LoadSpec{}, fmt.Errorf("topology: section %q is not name:key=value,...", sec)
 			}
 			name = strings.ToLower(strings.TrimSpace(name))
-			if name != "outage" && seen[name] {
+			if name != "outage" && name != "vm" && seen[name] {
 				return LoadSpec{}, fmt.Errorf("topology: duplicate section %q", name)
 			}
 			seen[name] = true
@@ -451,6 +556,11 @@ func ParseLoadSpec(text string) (LoadSpec, error) {
 				return LoadSpec{}, err
 			}
 		}
+	}
+	// withDefaults reads servers=0 as omitted unless vm sections name
+	// the servers instead.
+	if s.ServersPerZone == 0 && len(s.VMs) == 0 {
+		return LoadSpec{}, fmt.Errorf("topology: tenants: spec places no server VMs (servers=0)")
 	}
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -471,9 +581,12 @@ func parseSection(s *LoadSpec, name, body string) error {
 	case "outage":
 		s.Outages = append(s.Outages, OutageSpec{Zone: -1})
 		t = s.Outages[len(s.Outages)-1].fields()
+	case "vm":
+		s.VMs = append(s.VMs, VMSpec{})
+		t = s.VMs[len(s.VMs)-1].fields()
 	case "alert":
-		s.Alert = &watch.Rule{}
-		t = s.Alert.Fields()
+		s.Alert = &watch.Rule{Name: defaultAlertName}
+		t = alertFields(s.Alert)
 	case "autoscale":
 		s.Autoscale = &AutoscaleSpec{}
 		t = s.Autoscale.fields()
@@ -485,19 +598,14 @@ func parseSection(s *LoadSpec, name, body string) error {
 	if err := t.Parse(body); err != nil {
 		return fmt.Errorf("topology: %s: %w", name, err)
 	}
-	// The topo and tenants fields held their defaults before parsing, so
-	// a non-positive value here was given explicitly: an error, not a
+	// The topo fields held their defaults before parsing, so a
+	// non-positive value here was given explicitly: an error, not a
 	// request for the default that withDefaults would silently apply.
-	switch name {
-	case "topo":
+	if name == "topo" {
 		for _, f := range t {
 			if n := *f.Dst().(*int); n <= 0 {
 				return fmt.Errorf("topology: topo: %s must be positive, got %d", f.Key, n)
 			}
-		}
-	case "tenants":
-		if s.ServersPerZone <= 0 {
-			return fmt.Errorf("topology: tenants: spec places no server VMs (servers=%d)", s.ServersPerZone)
 		}
 	}
 	return nil

@@ -101,6 +101,20 @@ func TestParseLoadSpecErrors(t *testing.T) {
 		{"no-servers", "tenants:servers=0,ants=1", "no server VMs"},
 		{"explicit-zero-dim", "topo:zones=0", "zones must be positive"},
 		{"empty-field", "load:arrival=1ms,", "empty field"},
+		{"vm-unknown-kind", "vm:name=x,kind=db,vcpus=1", `kind "db"`},
+		{"vm-zero-vcpus", "vm:name=x,kind=ant,vcpus=0", "vcpus > 0"},
+		{"vm-negative-weight", "vm:name=x,kind=ant,vcpus=1,weight=-1", "weight >= 0"},
+		{"vm-negative-at", "vm:name=x,kind=ant,vcpus=1,at=-1s", "at >= 0"},
+		{"vm-no-name", "vm:kind=ant,vcpus=1", "needs a name"},
+		{"vm-dup-name", "vm:name=x,kind=ant,vcpus=1; vm:name=x,kind=ant,vcpus=2", `"x" already taken`},
+		{"vm-mix-name", "vm:name=srv0,kind=server,vcpus=2", `"srv0" already taken`},
+		{"vm-no-servers", "tenants:servers=0; vm:name=x,kind=ant,vcpus=1", "no server VMs"},
+		{"faults-nan", "faults:drop-sa=NaN", "not a finite number"},
+		{"faults-probability", "faults:drop-sa=2", "outside [0,1]"},
+		{"faults-half-blackout", "faults:host-blackout-every=1s", "must both be positive"},
+		{"faults-empty", "faults:", "empty field"},
+		{"alert-empty-name", "alert:name=,budget=0.02", "alert name"},
+		{"alert-reserved-name", "alert:name=a:b,budget=0.02", "alert name"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +134,8 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 		specAcceptance,
 		"topo:zones=3,hosts=2,pcpus=8; diurnal:period=6s,swing=0.4,steps=12; tenants:servers=1,ants=0",
 		"sched:policy=first-fit,strategy=vanilla,overcommit=2,migrate=off",
+		specNamedVMs,
+		"vm:name=late,kind=server,vcpus=4,at=2s; faults:drop-sa=0.1,stale-runstate=200us",
 	}
 	for _, text := range texts {
 		s, err := ParseLoadSpec(text)
@@ -133,6 +149,38 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("round trip drifted:\n  in:  %+v\n  out: %+v\n  via: %s", s, back, s.String())
 		}
+	}
+}
+
+// specNamedVMs is a rig written as named VMs only: no tenant mix, a
+// late heavy antagonist, faults, and a named alert rule.
+const specNamedVMs = "topo:zones=1,hosts=2; tenants:servers=0; " +
+	"vm:name=victim,kind=server,vcpus=2; vm:name=bully,kind=ANT,vcpus=4,weight=2048,at=4s; " +
+	"faults:drop-wake=0.05,host-blackout-every=6s,host-blackout-for=60ms; " +
+	"alert:name=page,budget=0.02,slow=2500ms"
+
+func TestParseLoadSpecNamedVMs(t *testing.T) {
+	s, err := ParseLoadSpec(specNamedVMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []VMSpec{{Name: "victim", Kind: "server", VCPUs: 2}, {Name: "bully", Kind: "ant", VCPUs: 4, Weight: 2048, At: 4 * sim.Second}}
+	if s.ServersPerZone != 0 || !reflect.DeepEqual(s.VMs, want) || s.Servers() != 1 {
+		t.Fatalf("servers=%d vms=%+v Servers()=%d", s.ServersPerZone, s.VMs, s.Servers())
+	}
+	if s.Faults.Plan.DropWake != 0.05 || s.Faults.HostBlackoutEvery != 6*sim.Second || s.Faults.HostBlackoutFor != 60*sim.Millisecond {
+		t.Fatalf("faults: %+v", s.Faults)
+	}
+	if s.Alert.Name != "page" || s.Alert.Slow != 2500*sim.Millisecond || s.Alert.Burn != 3 {
+		t.Fatalf("alert: %+v", s.Alert)
+	}
+	// An unnamed alert keeps the name the scale rigs always had.
+	if s, err := ParseLoadSpec("alert:budget=0.02"); err != nil || s.Alert.Name != defaultAlertName {
+		t.Fatalf("unnamed alert: %+v, %v", s.Alert, err)
+	}
+	// Faults that inject nothing are no faults: not rendered, nothing to harden.
+	if s, err := ParseLoadSpec("faults:drop-sa=0"); err != nil || !s.Faults.Zero() || strings.Contains(s.String(), "faults") {
+		t.Fatalf("zero faults: %+v, %v", s, err)
 	}
 }
 

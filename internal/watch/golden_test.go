@@ -10,10 +10,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/span"
 )
 
 // The incident goldens pin the exact bytes of the first incident
-// bundle the bully rig captures, in both halves irswatch -dump writes.
+// bundle the bully rig captures, in both halves irsload -alerts -dump
+// writes, over a 5 s request stream.
 // When a change to the output is intentional, regenerate with:
 //
 //	go test ./internal/watch -run TestGoldenIncident -update
@@ -21,9 +23,14 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden incident files")
 
 func TestGoldenIncident(t *testing.T) {
-	v, _ := experiments.WatchVariantByName("bully")
-	c, err := cluster.New(experiments.WatchConfig(v, 1, 5*sim.Second,
-		experiments.DefaultWatchRuleSet()))
+	v, _ := experiments.RigByName("bully")
+	_, cfg, err := experiments.ScaleRig(v.Spec, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Duration = 5 * sim.Second
+	cfg.Spans = span.NewTracer()
+	c, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

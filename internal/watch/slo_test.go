@@ -140,10 +140,10 @@ func TestWatcherEndToEndAlertAndAttribution(t *testing.T) {
 
 	var alerted []Alert
 	var rankedAt []RankedAggressor
-	w.OnAlert = func(a Alert, ranked []RankedAggressor) {
+	w.AddAlertHook(func(a Alert, ranked []RankedAggressor) {
 		alerted = append(alerted, a)
 		rankedAt = ranked
-	}
+	})
 	if err := eng.Run(3 * sim.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -43,14 +43,9 @@ type Watcher struct {
 	lastRankings []RankedAggressor
 	lastTriples  []AggressorScore
 
-	// alertHooks observe each alert (without the ranking); unlike the
-	// single-valued OnAlert, any number may register (AddAlertHook) —
-	// the autoscaler listens here without stealing the CLI's slot.
-	alertHooks []func(Alert)
-
-	// OnAlert, when non-nil, observes each alert with the aggressor
-	// ranking computed for it (live CLI output hooks in here).
-	OnAlert func(Alert, []RankedAggressor)
+	// alertHooks observe each alert with the aggressor ranking computed
+	// for it (AddAlertHook): the autoscaler, live CLI output, tests.
+	alertHooks []func(Alert, []RankedAggressor)
 }
 
 // New builds a watcher from cfg.
@@ -245,20 +240,16 @@ func (w *Watcher) RunEpoch(now sim.Time) {
 			inc.Rankings = ranked
 			inc.Triples = triples
 		}
-		if w.OnAlert != nil {
-			w.OnAlert(a, ranked)
-		}
 		for _, h := range w.alertHooks {
-			h(a)
+			h(a, ranked)
 		}
 	}
 }
 
-// AddAlertHook registers fn to observe every alert RunEpoch fires, in
-// registration order, after attribution and OnAlert. Unlike OnAlert it
-// is additive — multiple listeners (autoscaler, tests, CLIs) coexist.
-// A nil *Watcher or nil fn is a no-op.
-func (w *Watcher) AddAlertHook(fn func(Alert)) {
+// AddAlertHook registers fn to observe every alert RunEpoch fires,
+// with the aggressor ranking attribution computed for it, in
+// registration order. A nil *Watcher or nil fn is a no-op.
+func (w *Watcher) AddAlertHook(fn func(Alert, []RankedAggressor)) {
 	if w == nil || fn == nil {
 		return
 	}
