@@ -505,12 +505,20 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.VMs) == 0 {
 		return nil, fmt.Errorf("cluster: no VMs to place")
 	}
-	for _, s := range cfg.VMs {
+	for i, s := range cfg.VMs {
 		if s.Kind != KindServer && s.Kind != KindAntagonist {
 			return nil, fmt.Errorf("cluster: VM %q has no kind", s.Name)
 		}
 		if s.VCPUs <= 0 {
 			return nil, fmt.Errorf("cluster: VM %q has %d vCPUs", s.Name, s.VCPUs)
+		}
+		// The watchdog, attribution and the decision log key VMs by
+		// name. A pairwise scan: rigs hold tens of VMs, and set-up
+		// allocates nothing for it.
+		for _, prev := range cfg.VMs[:i] {
+			if prev.Name == s.Name {
+				return nil, fmt.Errorf("cluster: two VMs named %q", s.Name)
+			}
 		}
 	}
 	for i, st := range cfg.Ramp {

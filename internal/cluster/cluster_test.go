@@ -202,6 +202,7 @@ func TestConfigValidation(t *testing.T) {
 		{"no vms", func(c *Config) { c.VMs = nil }},
 		{"kindless vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", VCPUs: 1}} }},
 		{"zero-vcpu vm", func(c *Config) { c.VMs = []VMSpec{{Name: "x", Kind: KindServer}} }},
+		{"duplicate vm name", func(c *Config) { c.VMs = append(c.VMs, c.VMs[0]) }},
 		{"zero policy", func(c *Config) { c.Policy = 0 }},
 		{"zero overcommit", func(c *Config) { c.Overcommit = 0 }},
 	}

@@ -309,12 +309,23 @@ func (r *Record) Input(key string) (string, bool) {
 // WinnerScore returns the winning candidate's score, when the winner
 // appears in the candidate set.
 func (r *Record) WinnerScore() (float64, bool) {
+	i := r.winner()
+	if i < 0 {
+		return 0, false
+	}
+	_, score := r.candidate(i)
+	return score, true
+}
+
+// winner returns the index of the first candidate named the winner,
+// or -1 when the winner is not in the candidate set.
+func (r *Record) winner() int {
 	for i := 0; i < r.numCandidates(); i++ {
-		if name, score := r.candidate(i); name == r.Winner {
-			return score, true
+		if name, _ := r.candidate(i); name == r.Winner {
+			return i
 		}
 	}
-	return 0, false
+	return -1
 }
 
 // RunnerUp returns the best-scoring losing candidate — the
@@ -344,13 +355,28 @@ func (r *Record) runnerUp() int {
 // decision nearly went the other way). Only defined when the winner
 // was scored against at least one alternative.
 func (r *Record) Margin() (float64, bool) {
-	ws, ok := r.WinnerScore()
-	i := r.runnerUp()
-	if !ok || i < 0 {
+	w, i := r.winner(), r.runnerUp()
+	if w < 0 || i < 0 {
 		return 0, false
 	}
+	_, ws := r.candidate(w)
 	_, rs := r.candidate(i)
 	return rs - ws, true
+}
+
+// exactInt bounds, in magnitude, the integers the exporters write with
+// integer formatting: below it a float64 holds an integer exactly, so
+// strconv.AppendInt gives the bytes the float formatters would.
+const exactInt = 1 << 53
+
+// intScore returns candidate i's score as an integer when it is a
+// typed route candidate's outstanding count below exactInt.
+func (r *Record) intScore(i int) (int64, bool) {
+	if !r.route.typed {
+		return 0, false
+	}
+	out := r.route.loads[i].Out
+	return out, -exactInt < out && out < exactInt
 }
 
 // Ring is one shard's bounded decision buffer. All methods are

@@ -1,9 +1,9 @@
 package decision
 
 import (
-	"bufio"
 	"io"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -20,12 +20,13 @@ import (
 // {"count","dropped","records":[...]}, streaming one record at a time.
 // The bytes are encoding/json's two-space indented rendering, with
 // empty subject, winner, detail, candidate reason, candidates and
-// inputs omitted and inputs written as a key-sorted object. A score of
-// NaN or ±Inf has no JSON form: WriteJSON stops there and returns the
-// error, leaving the output truncated.
+// inputs omitted and inputs written as a key-sorted object. Records
+// are appended into one buffer that goes to w in chunks of at least
+// obs.ChunkSize bytes. A score of NaN or ±Inf has no JSON form:
+// WriteJSON stops there and returns the error, leaving the output
+// truncated.
 func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
-	bw := bufio.NewWriter(w)
-	b := make([]byte, 0, 1024)
+	b := make([]byte, 0, 2*obs.ChunkSize)
 	text := make([]byte, 0, 128) // a route record's detail, rendered
 	b = append(b, "{\n  \"count\": "...)
 	b = strconv.AppendInt(b, int64(len(recs)), 10)
@@ -40,19 +41,16 @@ func WriteJSON(w io.Writer, recs []Record, dropped uint64) error {
 		if b, text, err = appendRecord(b, text, &recs[i]); err != nil {
 			return err
 		}
-		if _, err := bw.Write(b); err != nil {
+		if b, err = obs.FlushFull(w, b); err != nil {
 			return err
 		}
-		b = b[:0]
 	}
 	if len(recs) > 0 {
 		b = append(b, "\n  "...)
 	}
 	b = append(b, "]\n}\n"...)
-	if _, err := bw.Write(b); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
 // appendRecord appends one element of the records array, indented at
@@ -91,9 +89,13 @@ func appendRecord(b, text []byte, r *Record) ([]byte, []byte, error) {
 			b = append(b, "\n        {\n          \"name\": "...)
 			b = obs.AppendJSONString(b, name)
 			b = append(b, ",\n          \"score\": "...)
-			var err error
-			if b, err = obs.AppendJSONFloat(b, score); err != nil {
-				return b, text, err
+			if out, ok := r.intScore(i); ok {
+				b = strconv.AppendInt(b, out, 10)
+			} else {
+				var err error
+				if b, err = obs.AppendJSONFloat(b, score); err != nil {
+					return b, text, err
+				}
 			}
 			switch {
 			case r.route.typed: // "out=N": nothing to escape
@@ -128,20 +130,22 @@ func appendRecord(b, text []byte, r *Record) ([]byte, []byte, error) {
 // process ("decisions"), one thread track per chooser in first-
 // appearance order, each decision a thread-scoped instant at its
 // virtual time carrying kind/subject/winner/detail args. Each event's
-// name and argument values are rendered into one reused buffer.
+// name and argument values are rendered into one reused buffer and
+// written through its kind's shape.
 func WriteChromeTrace(w io.Writer, recs []Record) error {
 	const pid = 1
 	out := obs.NewChromeTrace(w)
 	out.Emit(obs.ProcessName(pid, "decisions"))
 	tids := map[string]int{}
+	var tracks []obs.Track
 	text := make([]byte, 0, 256)
-	args := make([]obs.KeyVal[[]byte], 0, 5)
 	for i := range recs {
 		r := &recs[i]
 		tid, ok := tids[r.Chooser]
 		if !ok {
 			tid = len(tids) + 1
 			tids[r.Chooser] = tid
+			tracks = append(tracks, obs.MakeTrack(pid, tid))
 			out.Emit(obs.ThreadName(pid, tid, r.Chooser))
 		}
 		kind := r.Kind.String()
@@ -152,10 +156,7 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		ends[0] = len(text)
 		text = r.appendDetail(text)
 		ends[1] = len(text)
-		m, hasMargin := r.Margin()
-		if hasMargin {
-			text = strconv.AppendFloat(text, m, 'f', 3, 64)
-		}
+		text, hasMargin := r.appendMargin(text)
 		ends[2] = len(text)
 		text = append(text, r.Subject...)
 		ends[3] = len(text)
@@ -163,17 +164,62 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		ends[4] = len(text)
 		text = append(text, r.Winner...)
 		ends[5] = len(text)
-		args = args[:0]
-		for j, key := range [...]string{"detail", "margin", "subject", "vtime", "winner"} {
-			if key != "margin" || hasMargin {
-				args = append(args, obs.KeyVal[[]byte]{Key: key, Val: text[ends[j]:ends[j+1]]})
-			}
+		detail, margin, subject, vtime, winner := text[ends[0]:ends[1]], text[ends[1]:ends[2]],
+			text[ends[2]:ends[3]], text[ends[3]:ends[4]], text[ends[4]:ends[5]]
+		tr, shape := &tracks[tid-1], eventShape(r.Kind, hasMargin)
+		if hasMargin {
+			obs.Put(out, shape, tr, text[:ends[0]], r.At, detail, margin, subject, vtime, winner)
+		} else {
+			obs.Put(out, shape, tr, text[:ends[0]], r.At, detail, subject, vtime, winner)
 		}
-		out.EmitBytes(obs.Event[[]byte]{
-			Name: text[:ends[0]],
-			Ph:   "i", Ts: r.At, Pid: pid, Tid: tid,
-			Cat: kind, S: "t", Args: args,
-		})
 	}
 	return out.Close()
+}
+
+// appendMargin appends Margin to three decimals, and reports whether
+// the record has one. A typed route record's margin is a difference of
+// integer scores (intScore): when that is below exactInt too, the
+// float subtraction is exact, and integer formatting gives its bytes.
+func (r *Record) appendMargin(b []byte) ([]byte, bool) {
+	w, i := r.winner(), r.runnerUp()
+	if w < 0 || i < 0 {
+		return b, false
+	}
+	ws, okw := r.intScore(w)
+	rs, okr := r.intScore(i)
+	if m := rs - ws; okw && okr && -exactInt < m && m < exactInt {
+		return append(strconv.AppendInt(b, m, 10), ".000"...), true
+	}
+	_, wf := r.candidate(w)
+	_, rf := r.candidate(i)
+	return strconv.AppendFloat(b, rf-wf, 'f', 3, 64), true
+}
+
+// eventShapes holds each kind's instant-event shape, without and with
+// a margin argument, built on first use.
+var eventShapes = sync.OnceValue(func() (shapes [kindCount][2]*obs.Shape) {
+	for k := range shapes {
+		shapes[k] = [2]*obs.Shape{newEventShape(Kind(k), false), newEventShape(Kind(k), true)}
+	}
+	return shapes
+})
+
+// eventShape returns the shape of kind's instant events.
+func eventShape(kind Kind, margin bool) *obs.Shape {
+	if kind < 0 || int(kind) >= kindCount {
+		return newEventShape(kind, margin)
+	}
+	m := 0
+	if margin {
+		m = 1
+	}
+	return eventShapes()[kind][m]
+}
+
+// newEventShape builds the shape of kind's instant events.
+func newEventShape(kind Kind, margin bool) *obs.Shape {
+	if margin {
+		return obs.MustShape("i", kind.String(), "t", "detail", "margin", "subject", "vtime", "winner")
+	}
+	return obs.MustShape("i", kind.String(), "t", "detail", "subject", "vtime", "winner")
 }

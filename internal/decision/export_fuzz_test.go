@@ -93,6 +93,16 @@ func FuzzRouteRecords(f *testing.F) {
 		{`<b>&"x"\`, "\xe2\x80", "\xa8\xff", -1500, -7, []byte{0xff, 0x7e, 0x3d, 0x00}},
 		{"µs ✓", "\u2028", "", math.MaxInt64, math.MinInt64, []byte{0xf7, 0x11}},
 		{"a", "", "c", 999, 1 << 60, []byte{0x08, 0x18, 0x28}},
+		// The integer score and margin path at its edges: counts of 0
+		// and 1, the last integer below 2^53 (larger candidates and
+		// margins cross it and take the float path), and large values.
+		{"srv", "z0", "ctl", 1, 0, []byte{0x07, 0x03, 0x47}},
+		{"srv", "z0", "ctl", 1, 1, []byte{0x07, 0x03, 0x47}},
+		{"srv", "z0", "ctl", 1, 1<<53 - 1, []byte{0x07, 0x01, 0x03, 0x47, 0xc7}},
+		{"srv", "z0", "ctl", 1, -(1<<53 - 1), []byte{0x07, 0x01, 0x03, 0x47, 0xc7}},
+		{"srv", "z0", "ctl", 1, 1 << 53, []byte{0x07, 0x01, 0x03}},
+		{"srv", "z0", "ctl", 1, 1<<62 + 3, []byte{0x07, 0x03, 0x47}},
+		{"srv", "z0", "ctl", 1, math.MaxInt64 - 2000, []byte{0x07, 0x03, 0x47}},
 	} {
 		f.Add(s.vm, s.zone, s.chooser, s.arrival, s.out, s.ops)
 	}
@@ -214,4 +224,52 @@ func routeBody(rt decision.Route) decision.Body {
 		b.Inputs = append(b.Inputs, decision.KV{Key: "failover", Val: "1"})
 	}
 	return b
+}
+
+// TestUntypedScoresTakeFloatPath holds records that carry their
+// candidates in a Body to the float formatter: scores of -0, 0.5, 2^53,
+// 2^53+2 and 1e21 (which encoding/json writes as 1e+21), and the
+// margins between them, must match jsonref's encoding/json rendering.
+// Only a typed route's integer counts take integer formatting.
+func TestUntypedScoresTakeFloatPath(t *testing.T) {
+	scores := []float64{math.Copysign(0, -1), 0.5, 1 << 53, 1<<53 + 2, 1e21}
+	var recs []decision.Record
+	for i, score := range scores {
+		for j, other := range scores {
+			if i == j {
+				continue
+			}
+			recs = append(recs, decision.Record{
+				At: sim.Time(len(recs)) * sim.Millisecond, Kind: decision.KindPlace, Chooser: "ctl",
+				Subject: "vm", Winner: "a",
+				Body: decision.Body{Candidates: []decision.Candidate{{Name: "a", Score: score}, {Name: "b", Score: other}}},
+			})
+		}
+	}
+	var got, want bytes.Buffer
+	if err := decision.WriteJSON(&got, recs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := jsonref.DecisionJSON(&want, recs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteJSON differs from encoding/json.\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want.Bytes())
+	}
+	for _, lit := range []string{"-0", "0.5", "9007199254740992", "9007199254740994", "1e+21"} {
+		if !bytes.Contains(got.Bytes(), []byte(`"score": `+lit+"\n")) {
+			t.Errorf("WriteJSON output lacks score %s", lit)
+		}
+	}
+	got.Reset()
+	if err := decision.WriteChromeTrace(&got, recs); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := jsonref.DecisionChromeTrace(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), trace) {
+		t.Fatalf("WriteChromeTrace differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", got.Bytes(), trace)
+	}
 }

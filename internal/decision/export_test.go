@@ -3,6 +3,7 @@ package decision
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -116,5 +117,31 @@ func TestWriteChromeTrace(t *testing.T) {
 	last := trace.TraceEvents[len(trace.TraceEvents)-1]
 	if last.Args["margin"] != "2.000" {
 		t.Fatalf("route margin arg = %q", last.Args["margin"])
+	}
+}
+
+// TestExportAllocsConstant pins both exporters to a constant number of
+// allocations, the same at 100 and at 10,000 route records: the output
+// buffer, the scratch text and the chooser tracks are set up once, and
+// no record allocates.
+func TestExportAllocsConstant(t *testing.T) {
+	small, large := routeRecords(100), routeRecords(10_000)
+	for _, ex := range []struct {
+		name  string
+		write func([]Record) error
+	}{
+		{"WriteJSON", func(recs []Record) error { return WriteJSON(io.Discard, recs, 0) }},
+		{"WriteChromeTrace", func(recs []Record) error { return WriteChromeTrace(io.Discard, recs) }},
+	} {
+		allocs := func(recs []Record) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if err := ex.write(recs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("%s allocates %v times for 100 records, %v for 10,000", ex.name, a, b)
+		}
 	}
 }

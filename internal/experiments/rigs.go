@@ -176,7 +176,7 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 		cfg.Watch = &watch.Config{Rules: []watch.Rule{*a}}
 	}
 	if as := spec.Autoscale; as != nil {
-		tmpl := cluster.StandardVM("srv-auto", cluster.KindServer, spec.ServerVCPUs, 0)
+		tmpl := cluster.StandardVM(topology.AutoscaleName, cluster.KindServer, spec.ServerVCPUs, 0)
 		if spec.ServerThreads > 0 {
 			tmpl.Threads = spec.ServerThreads
 		}

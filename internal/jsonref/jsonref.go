@@ -2,7 +2,8 @@
 // encode by hand, the way encoding/json rendered them before: Chrome
 // trace events encoded one by one through a json.Encoder, and the
 // decision bundle through an indenting encoder over tagged structs.
-// It is the oracle of the differential tests and fuzz targets, which
+// Request spans map to events the way span.WriteChromeSpans
+// maps them. It is the oracle of the differential tests and fuzz targets, which
 // require the hand encoders to match it byte for byte. Only tests
 // import it.
 package jsonref
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/decision"
 	"repro/internal/obs"
+	"repro/internal/span"
 )
 
 // chromeEvent is obs.ChromeEvent as encoding/json sees it, with the
@@ -170,6 +172,42 @@ func DecisionChromeTrace(recs []decision.Record) ([]byte, error) {
 			Name: r.Kind.String() + " " + r.Subject, Ph: "i", Ts: r.At, Pid: pid, Tid: tid,
 			Cat: r.Kind.String(), S: "t", Args: args,
 		})
+	}
+	return ChromeTrace(events)
+}
+
+// ChromeSpans renders the track sets as span.WriteChromeSpans must:
+// per set a process named for it; per finished span a thread track,
+// named "req N (wall D)", holding a request slice with a wall arg,
+// phase slices inside it, and one slice per segment named for its
+// category with a dur arg.
+func ChromeSpans(sets []span.TrackSet) ([]byte, error) {
+	var events []obs.ChromeEvent
+	for si, set := range sets {
+		pid := si + 1
+		events = append(events, obs.ProcessName(pid, set.Name))
+		tid := 0
+		for _, s := range set.Spans {
+			if s == nil || !s.Finished() {
+				continue
+			}
+			tid++
+			req, wall := "req "+strconv.FormatInt(s.ID, 10), time.Duration(s.Wall()).String()
+			events = append(events, obs.ThreadName(pid, tid, req+" (wall "+wall+")"),
+				obs.ChromeEvent{Name: req, Ph: "B", Ts: s.Start, Pid: pid, Tid: tid, Cat: "request",
+					Args: []obs.Arg{{Key: "wall", Val: wall}}})
+			for _, p := range s.Phases {
+				events = append(events, obs.ChromeEvent{Name: p.Name, Ph: "B", Ts: p.Start, Pid: pid, Tid: tid, Cat: "phase"})
+				for _, seg := range p.Segments {
+					events = append(events,
+						obs.ChromeEvent{Name: seg.Cat.String(), Ph: "B", Ts: seg.Start, Pid: pid, Tid: tid, Cat: "segment",
+							Args: []obs.Arg{{Key: "dur", Val: time.Duration(seg.Dur()).String()}}},
+						obs.ChromeEvent{Name: seg.Cat.String(), Ph: "E", Ts: seg.End, Pid: pid, Tid: tid, Cat: "segment"})
+				}
+				events = append(events, obs.ChromeEvent{Name: p.Name, Ph: "E", Ts: p.End, Pid: pid, Tid: tid, Cat: "phase"})
+			}
+			events = append(events, obs.ChromeEvent{Name: req, Ph: "E", Ts: s.End, Pid: pid, Tid: tid, Cat: "request"})
+		}
 	}
 	return ChromeTrace(events)
 }

@@ -58,6 +58,13 @@ func AppendJSONString[T Text](dst []byte, s T) []byte {
 			start = i
 			continue
 		}
+		// A two-byte sequence (µ, say) is valid when its lead byte is
+		// C2..DF and the next is a continuation byte, and it is never
+		// U+2028/U+2029: it stays as it is.
+		if b := s[i]; b >= 0xC2 && b < 0xE0 && i+1 < len(s) && s[i+1]&0xC0 == 0x80 {
+			i += 2
+			continue
+		}
 		// Decode from a copy so one body serves strings and bytes.
 		var r [utf8.UTFMax]byte
 		c, size := utf8.DecodeRune(r[:copy(r[:], s[i:])])

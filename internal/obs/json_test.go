@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"slices"
@@ -20,7 +21,9 @@ import (
 // nanosecond timestamps) must equal
 // jsonref.ChromeTrace's per-event encoding/json rendering, which
 // writes each timestamp as the float64 ts/1e3. The same events emitted
-// as bytes (EmitBytes) must give the same document. The float
+// as bytes (EmitBytes), and put through a Shape compiled from each
+// event (its keys in NextArg's order, the name both escaped by Put and
+// pre-quoted for PutQuoted), must give the same document. The float
 // appender is also checked on the timestamp's bit pattern read as a
 // float64, which reaches NaN and ±Inf.
 func FuzzChromeEmit(f *testing.F) {
@@ -97,8 +100,9 @@ func FuzzChromeEmit(f *testing.F) {
 		events = append(events,
 			obs.ChromeEvent{Name: name, Ph: "i", Ts: at, Pid: pid, Tid: tid, Args: asc},
 			obs.ChromeEvent{Name: val, Ph: "i", Ts: at, Pid: pid, Tid: tid, Args: dup})
-		var doc, byteDoc bytes.Buffer
+		var doc, byteDoc, shapeDoc, quotedDoc bytes.Buffer
 		tr, btr := obs.NewChromeTrace(&doc), obs.NewChromeTrace(&byteDoc)
+		str, qtr := obs.NewChromeTrace(&shapeDoc), obs.NewChromeTrace(&quotedDoc)
 		for _, e := range events {
 			tr.Emit(e)
 			be := obs.Event[[]byte]{Name: []byte(e.Name), Ph: e.Ph, Ts: e.Ts, Pid: e.Pid, Tid: e.Tid, Cat: e.Cat, S: e.S}
@@ -106,12 +110,25 @@ func FuzzChromeEmit(f *testing.F) {
 				be.Args = append(be.Args, obs.KeyVal[[]byte]{Key: a.Key, Val: []byte(a.Val)})
 			}
 			btr.EmitBytes(be)
+
+			var keys []string
+			var vals [][]byte
+			for i := obs.NextArg(e.Args, -1); i >= 0; i = obs.NextArg(e.Args, i) {
+				keys = append(keys, e.Args[i].Key)
+				vals = append(vals, []byte(e.Args[i].Val))
+			}
+			shape, err := obs.NewShape(e.Ph, e.Cat, e.S, keys...)
+			if err != nil {
+				t.Fatalf("NewShape(%q) on NextArg's order: %v", keys, err)
+			}
+			track := obs.MakeTrack(e.Pid, e.Tid)
+			obs.Put(str, shape, &track, []byte(e.Name), e.Ts, vals...)
+			obs.PutQuoted(qtr, shape, &track, obs.AppendJSONString(nil, e.Name), e.Ts, vals...)
 		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := btr.Close(); err != nil {
-			t.Fatal(err)
+		for _, w := range []*obs.ChromeTrace{tr, btr, str, qtr} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		ref, err := jsonref.ChromeTrace(events)
 		if err != nil {
@@ -122,6 +139,12 @@ func FuzzChromeEmit(f *testing.F) {
 		}
 		if !bytes.Equal(byteDoc.Bytes(), ref) {
 			t.Fatalf("EmitBytes differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", byteDoc.Bytes(), ref)
+		}
+		if !bytes.Equal(shapeDoc.Bytes(), ref) {
+			t.Fatalf("Put differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", shapeDoc.Bytes(), ref)
+		}
+		if !bytes.Equal(quotedDoc.Bytes(), ref) {
+			t.Fatalf("PutQuoted differs from encoding/json.\n--- got ---\n%s\n--- want ---\n%s", quotedDoc.Bytes(), ref)
 		}
 	})
 }
@@ -137,9 +160,99 @@ func TestChromeTraceEmptyDocument(t *testing.T) {
 	}
 }
 
+// TestShapeKeysMustAscend pins NewShape's check: keys out of order or
+// repeated are rejected, since Put writes values in the order given
+// and encoding/json writes a map's keys sorted and once.
+func TestShapeKeysMustAscend(t *testing.T) {
+	for _, keys := range [][]string{{"b", "a"}, {"a", "a"}, {"a", "c", "b"}, {"detail", "winner", "margin"}} {
+		if _, err := obs.NewShape("i", "route", "t", keys...); err == nil {
+			t.Errorf("NewShape accepted keys %q", keys)
+		}
+	}
+	for _, keys := range [][]string{nil, {"a"}, {"", "a"}, {"detail", "margin", "subject", "vtime", "winner"}} {
+		if _, err := obs.NewShape("i", "route", "t", keys...); err != nil {
+			t.Errorf("NewShape rejected ascending keys %q: %v", keys, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustShape accepted keys that do not ascend")
+		}
+	}()
+	obs.MustShape("B", "", "", "z", "a")
+}
+
+// TestChromeTraceChunks pins the flat buffer's flush rule: the writer
+// sees chunks of at least ChunkSize bytes, only the last one shorter.
+func TestChromeTraceChunks(t *testing.T) {
+	var w chunkRecorder
+	tr := obs.NewChromeTrace(&w)
+	shape := obs.MustShape("i", "cat", "t", "detail")
+	track := obs.MakeTrack(1, 2)
+	for i := 0; i < 10_000; i++ {
+		obs.Put(tr, shape, &track, "event", sim.Time(i)*1500, "some detail text")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.sizes) < 3 {
+		t.Fatalf("%d writes for %d bytes, want several chunks", len(w.sizes), w.n)
+	}
+	for i, n := range w.sizes[:len(w.sizes)-1] {
+		if n < obs.ChunkSize {
+			t.Fatalf("write %d of %d has %d bytes, below ChunkSize %d", i, len(w.sizes), n, obs.ChunkSize)
+		}
+	}
+}
+
+// TestChromeTraceWriteError pins the error path: once the writer
+// fails, the trace writes nothing more and Close returns that error.
+func TestChromeTraceWriteError(t *testing.T) {
+	w := &failingWriter{okWrites: 1}
+	tr := obs.NewChromeTrace(w)
+	shape := obs.MustShape("i", "cat", "t", "detail")
+	track := obs.MakeTrack(1, 2)
+	for i := 0; i < 10_000; i++ {
+		obs.Put(tr, shape, &track, "event", sim.Time(i), "some detail text")
+		tr.Emit(obs.ThreadName(1, 2, "track"))
+	}
+	if err := tr.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want %v", err, errDiskFull)
+	}
+	if w.calls != 2 {
+		t.Fatalf("%d writes, want the good one and the failing one", w.calls)
+	}
+}
+
+// errDiskFull is failingWriter's error.
+var errDiskFull = errors.New("disk full")
+
+// failingWriter accepts okWrites writes, then fails every one.
+type failingWriter struct{ okWrites, calls int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls > w.okWrites {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// chunkRecorder records the size of every write.
+type chunkRecorder struct {
+	sizes []int
+	n     int
+}
+
+func (w *chunkRecorder) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	w.n += len(p)
+	return len(p), nil
+}
+
 // TestChromeEmitAllocationFree pins the emitter's steady state: once
 // its buffer has grown, emitting an event allocates nothing, from
-// strings or from bytes.
+// strings or from bytes, compiled per event or through a shape.
 func TestChromeEmitAllocationFree(t *testing.T) {
 	tr := obs.NewChromeTrace(io.Discard)
 	ev := obs.ChromeEvent{
@@ -156,6 +269,15 @@ func TestChromeEmitAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { tr.EmitBytes(bev) }); allocs != 0 {
 		t.Fatalf("EmitBytes allocates %v times per event, want 0", allocs)
+	}
+	shape := obs.MustShape("i", "route", "t", "detail", "winner")
+	track := obs.MakeTrack(1, 2)
+	name, quoted, detail := []byte("route srv0"), []byte(`"route srv0"`), []byte("req@6.000s to srv0 in z0")
+	if allocs := testing.AllocsPerRun(1000, func() { obs.Put(tr, shape, &track, name, 6000250123, detail, name[6:]) }); allocs != 0 {
+		t.Fatalf("Put allocates %v times per event, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { obs.PutQuoted(tr, shape, &track, quoted, 6000250123, detail, name[6:]) }); allocs != 0 {
+		t.Fatalf("PutQuoted allocates %v times per event, want 0", allocs)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

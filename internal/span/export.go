@@ -26,12 +26,13 @@ type TrackSet struct {
 
 // WriteChromeSpans renders the track sets as Chrome trace JSON.
 // Unfinished spans are skipped (they have no right edge to draw).
-// Request names, thread names and durations are rendered into one
-// reused buffer, so the export allocates nothing per event.
+// Every event goes through one of the shapes below, on its request's
+// track, encoded once; request names, thread names and durations are
+// rendered into one reused buffer, so the export allocates nothing per
+// event.
 func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 	out := obs.NewChromeTrace(w)
 	text := make([]byte, 0, 128)
-	args := make([]obs.KeyVal[[]byte], 1)
 	for si, set := range sets {
 		pid := si + 1
 		out.Emit(obs.ProcessName(pid, set.Name))
@@ -41,39 +42,68 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 				continue
 			}
 			tid++
-			// One buffer holds "req N (wall D)": the request slice's
-			// name, the thread name, and the wall argument are views.
-			text = strconv.AppendInt(append(text[:0], "req "...), s.ID, 10)
+			tr := obs.MakeTrack(pid, tid)
+			// One buffer holds `"req N"`, the request slices' name as a
+			// JSON literal (digits need no escaping), then "req N (wall
+			// D)", the thread name, with the wall argument a view.
+			text = strconv.AppendInt(append(text[:0], `"req `...), s.ID, 10)
+			text = append(text, '"')
 			req := len(text)
+			text = append(text, text[1:req-1]...)
 			text = append(text, " (wall "...)
 			wall := len(text)
 			text = obs.AppendDuration(text, time.Duration(s.Wall()))
 			wallEnd := len(text)
 			text = append(text, ')')
-			args[0] = obs.KeyVal[[]byte]{Key: "name", Val: text}
-			out.EmitBytes(obs.Event[[]byte]{Name: threadName, Ph: "M", Pid: pid, Tid: tid, Args: args})
-			args[0] = obs.KeyVal[[]byte]{Key: "wall", Val: text[wall:wallEnd]}
-			out.EmitBytes(obs.Event[[]byte]{Name: text[:req], Ph: "B", Ts: s.Start, Pid: pid, Tid: tid, Cat: "request", Args: args})
+			obs.PutQuoted(out, threadShape, &tr, quotedThreadName, 0, text[req:])
+			obs.PutQuoted(out, requestBegin, &tr, text[:req], s.Start, text[wall:wallEnd])
 			for pi := range s.Phases {
 				p := &s.Phases[pi]
-				out.Emit(obs.ChromeEvent{Name: p.Name, Ph: "B", Ts: p.Start, Pid: pid, Tid: tid, Cat: "phase"})
+				obs.Put(out, phaseBegin, &tr, p.Name, p.Start)
 				for _, seg := range p.Segments {
-					cat := seg.Cat.String()
-					// The segment name follows the request's text.
-					text = append(text[:wallEnd+1], cat...)
-					name := len(text)
-					text = obs.AppendDuration(text, time.Duration(seg.Dur()))
-					args[0] = obs.KeyVal[[]byte]{Key: "dur", Val: text[name:]}
-					out.EmitBytes(obs.Event[[]byte]{Name: text[wallEnd+1 : name], Ph: "B", Ts: seg.Start, Pid: pid, Tid: tid, Cat: "segment", Args: args})
-					out.Emit(obs.ChromeEvent{Name: cat, Ph: "E", Ts: seg.End, Pid: pid, Tid: tid, Cat: "segment"})
+					// The duration follows the thread name.
+					text = obs.AppendDuration(text[:wallEnd+1], time.Duration(seg.Dur()))
+					cat := quotedCategory(seg.Cat)
+					obs.PutQuoted(out, segmentBegin, &tr, cat, seg.Start, text[wallEnd+1:])
+					obs.PutQuoted[[]byte](out, segmentEnd, &tr, cat, seg.End)
 				}
-				out.Emit(obs.ChromeEvent{Name: p.Name, Ph: "E", Ts: p.End, Pid: pid, Tid: tid, Cat: "phase"})
+				obs.Put(out, phaseEnd, &tr, p.Name, p.End)
 			}
-			out.EmitBytes(obs.Event[[]byte]{Name: text[:req], Ph: "E", Ts: s.End, Pid: pid, Tid: tid, Cat: "request"})
+			obs.PutQuoted[[]byte](out, requestEnd, &tr, text[:req], s.End)
 		}
 	}
 	return out.Close()
 }
 
-// threadName is the metadata event name of a request's thread track.
-var threadName = []byte("thread_name")
+// The shapes of a span export's events: a request's thread-name
+// metadata, then B and E slices of the request, its phases and their
+// segments.
+var (
+	threadShape  = obs.MustShape("M", "", "", "name")
+	requestBegin = obs.MustShape("B", "request", "", "wall")
+	requestEnd   = obs.MustShape("E", "request", "")
+	phaseBegin   = obs.MustShape("B", "phase", "")
+	phaseEnd     = obs.MustShape("E", "phase", "")
+	segmentBegin = obs.MustShape("B", "segment", "", "dur")
+	segmentEnd   = obs.MustShape("E", "segment", "")
+)
+
+// quotedThreadName is the thread-name event's name as a JSON literal.
+var quotedThreadName = obs.AppendJSONString(nil, "thread_name")
+
+// quotedCategories holds each category's name as a JSON literal, the
+// name of its segment slices.
+var quotedCategories = func() (q [NumCategories][]byte) {
+	for c := range q {
+		q[c] = obs.AppendJSONString(nil, Category(c).String())
+	}
+	return q
+}()
+
+// quotedCategory returns c's name as a JSON literal.
+func quotedCategory(c Category) []byte {
+	if c >= 0 && int(c) < NumCategories {
+		return quotedCategories[c]
+	}
+	return obs.AppendJSONString(nil, c.String())
+}

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"io"
 	"slices"
 	"testing"
 
@@ -231,5 +232,29 @@ func TestSpanSpillKeepsConservation(t *testing.T) {
 		if !slices.Equal(p.Segments, want[i]) {
 			t.Fatalf("phase %s segments = %+v, want %+v", p.Name, p.Segments, want[i])
 		}
+	}
+}
+
+// TestWriteChromeSpansAllocsConstant pins the span export to a
+// constant number of allocations, the same for 100 and for 10,000
+// requests: no event allocates.
+func TestWriteChromeSpansAllocsConstant(t *testing.T) {
+	sets := func(n int) []TrackSet {
+		tr := NewTracer()
+		for i := 0; i < n; i++ {
+			lifecycle(tr, us(100*int64(i)+1))
+		}
+		return []TrackSet{{Name: "rig", Spans: tr.Finished()}}
+	}
+	small, large := sets(100), sets(10_000)
+	allocs := func(s []TrackSet) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if err := WriteChromeSpans(io.Discard, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Errorf("WriteChromeSpans allocates %v times for 100 requests, %v for 10,000", a, b)
 	}
 }

@@ -271,6 +271,11 @@ func (s LoadSpec) Servers() int {
 	return n
 }
 
+// AutoscaleName names the autoscaler's replica template; its replicas
+// are AutoscaleName-as1, -as2, ... A vm: section may not use the
+// prefix, since the spec cannot see which replicas will exist.
+const AutoscaleName = "srv-auto"
+
 // inMix reports whether the tenant mix already names a VM name: it
 // calls its VMs srv0.. and ant0.. in arrival order.
 func (s LoadSpec) inMix(name string) bool {
@@ -347,6 +352,8 @@ func (s LoadSpec) Validate() error {
 			return fmt.Errorf("topology: vm %d needs a name", i)
 		case names[v.Name] || s.inMix(v.Name):
 			return fmt.Errorf("topology: vm %d name %q already taken", i, v.Name)
+		case strings.HasPrefix(v.Name, AutoscaleName):
+			return fmt.Errorf("topology: vm %d name %q has the autoscaler's reserved prefix %q", i, v.Name, AutoscaleName)
 		case !slices.Contains(specKinds, v.Kind):
 			return fmt.Errorf("topology: vm %s kind %q not in %v", v.Name, v.Kind, specKinds)
 		case v.VCPUs <= 0 || v.Weight < 0 || v.At < 0:

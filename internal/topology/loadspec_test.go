@@ -108,6 +108,7 @@ func TestParseLoadSpecErrors(t *testing.T) {
 		{"vm-no-name", "vm:kind=ant,vcpus=1", "needs a name"},
 		{"vm-dup-name", "vm:name=x,kind=ant,vcpus=1; vm:name=x,kind=ant,vcpus=2", `"x" already taken`},
 		{"vm-mix-name", "vm:name=srv0,kind=server,vcpus=2", `"srv0" already taken`},
+		{"vm-autoscale-prefix", "alert:budget=0.02; autoscale:max=8; vm:name=srv-auto-as1,kind=server,vcpus=2", "reserved prefix"},
 		{"vm-no-servers", "tenants:servers=0; vm:name=x,kind=ant,vcpus=1", "no server VMs"},
 		{"faults-nan", "faults:drop-sa=NaN", "not a finite number"},
 		{"faults-probability", "faults:drop-sa=2", "outside [0,1]"},

@@ -120,3 +120,19 @@ func TestOpenServerZeroAllocs(t *testing.T) {
 		t.Fatal("open server served no requests")
 	}
 }
+
+// The tick-evader runs on a 500 µs period here, so every measured
+// millisecond holds several of its steps; on the 10 ms credit tick
+// most would hold none.
+func TestTickEvadeZeroAllocs(t *testing.T) {
+	eng, kern := interferedRig(t)
+	pinZeroAllocs(t, eng, kern, workload.NewAttacker(kern, workload.AttackSpec{
+		Kind: workload.AttackTickEvade, Period: 500 * sim.Microsecond, Margin: 100 * sim.Microsecond,
+		Resume: 50 * sim.Microsecond, Threads: 2, Jitter: 0.2,
+	}, 1))
+}
+
+func TestBoostGameZeroAllocs(t *testing.T) {
+	eng, kern := interferedRig(t)
+	pinZeroAllocs(t, eng, kern, workload.NewAttacker(kern, workload.AttackSpec{Kind: workload.AttackBoostGame, Threads: 2, Jitter: 0.2}, 1))
+}

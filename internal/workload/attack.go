@@ -206,47 +206,69 @@ func ParseAttack(spec string) (AttackSpec, error) {
 // tickEvadeProg runs until just before each predicted sampling tick,
 // then sleeps across it. The phase arithmetic works on wall clock, so a
 // preemption that delays the compute segment past the danger window is
-// detected and the pointless sleep skipped.
+// detected and the pointless sleep skipped. The step's jittered margin
+// is kept on the program, so the continuation is bound once.
 type tickEvadeProg struct {
-	spec AttackSpec
-	rng  *sim.RNG
+	spec   AttackSpec
+	rng    *sim.RNG
+	margin sim.Time                           // this step's danger window
+	evade  func(t *guest.Task, resume func()) // p.dodge, bound once
+}
+
+func newTickEvade(spec AttackSpec, rng *sim.RNG) *tickEvadeProg {
+	p := &tickEvadeProg{spec: spec, rng: rng}
+	p.evade = p.dodge
+	return p
 }
 
 func (p *tickEvadeProg) Step(t *guest.Task) guest.Action {
 	now := t.Kernel().Now()
-	margin := p.rng.Jitter(p.spec.Margin, p.spec.Jitter)
+	p.margin = p.rng.Jitter(p.spec.Margin, p.spec.Jitter)
 	phase := now % p.spec.Period
-	runFor := p.spec.Period - margin - phase
+	runFor := p.spec.Period - p.margin - phase
 	if runFor < 0 {
 		runFor = 0
 	}
-	return guest.RunThen(runFor, func(t *guest.Task, resume func()) {
-		k := t.Kernel()
-		ph := k.Now() % p.spec.Period
-		if ph >= p.spec.Period-margin {
-			// Inside the danger window: hide from the imminent tick and
-			// come back just after it — with a fresh BOOST, no less.
-			k.SleepTask(t, p.spec.Period-ph+p.spec.Resume, resume)
-			return
-		}
-		// The compute segment was stretched past the tick by contention;
-		// sleeping now would only waste runnable time.
-		resume()
-	})
+	return guest.RunThen(runFor, p.evade)
+}
+
+// dodge ends a compute segment: inside the danger window it sleeps
+// across the tick.
+func (p *tickEvadeProg) dodge(t *guest.Task, resume func()) {
+	k := t.Kernel()
+	ph := k.Now() % p.spec.Period
+	if ph >= p.spec.Period-p.margin {
+		// Inside the danger window: hide from the imminent tick and
+		// come back just after it — with a fresh BOOST, no less.
+		k.SleepTask(t, p.spec.Period-ph+p.spec.Resume, resume)
+		return
+	}
+	// The compute segment was stretched past the tick by contention;
+	// sleeping now would only waste runnable time.
+	resume()
 }
 
 // boostGameProg is a plain duty cycle: run, sleep, wake boosted,
 // repeat.
 type boostGameProg struct {
-	spec AttackSpec
-	rng  *sim.RNG
+	spec  AttackSpec
+	rng   *sim.RNG
+	sleep func(t *guest.Task, resume func()) // p.nap, bound once
+}
+
+func newBoostGame(spec AttackSpec, rng *sim.RNG) *boostGameProg {
+	p := &boostGameProg{spec: spec, rng: rng}
+	p.sleep = p.nap
+	return p
 }
 
 func (p *boostGameProg) Step(t *guest.Task) guest.Action {
-	run := p.rng.Jitter(p.spec.Run, p.spec.Jitter)
-	return guest.RunThen(run, func(t *guest.Task, resume func()) {
-		t.Kernel().SleepTask(t, p.rng.Jitter(p.spec.Sleep, p.spec.Jitter), resume)
-	})
+	return guest.RunThen(p.rng.Jitter(p.spec.Run, p.spec.Jitter), p.sleep)
+}
+
+// nap sleeps for a jittered spell after each run.
+func (p *boostGameProg) nap(t *guest.Task, resume func()) {
+	t.Kernel().SleepTask(t, p.rng.Jitter(p.spec.Sleep, p.spec.Jitter), resume)
 }
 
 // NewAttacker instantiates the attacker described by spec on kern.
@@ -267,9 +289,9 @@ func NewAttacker(kern *guest.Kernel, spec AttackSpec, seed uint64) *Instance {
 			var prog guest.Program
 			switch spec.Kind {
 			case AttackTickEvade:
-				prog = &tickEvadeProg{spec: spec, rng: rng.Fork(uint64(i))}
+				prog = newTickEvade(spec, rng.Fork(uint64(i)))
 			default:
-				prog = &boostGameProg{spec: spec, rng: rng.Fork(uint64(i))}
+				prog = newBoostGame(spec, rng.Fork(uint64(i)))
 			}
 			kern.Spawn(fmt.Sprintf("atk-%d", i), prog, i%len(kern.CPUs()))
 		}
