@@ -80,9 +80,10 @@ bench-smoke:
 	bash bench/run.sh --workload rack-audit --seed 1 --seconds 2 --trace 0
 
 # Latency blame attribution smoke run: per-strategy p50/p99/p99.9
-# category breakdowns plus the slowest requests' critical paths.
+# category breakdowns plus the slowest requests' critical paths, on the
+# default bully rig (experiments.BlameRig, a 2 s request stream).
 blame:
-	$(GO) run ./cmd/irsblame -strategy vanilla,irs -duration 500ms -top 3
+	$(GO) run ./cmd/irsblame -strategy vanilla,irs -top 3
 
 # Online SLO watchdog smoke run: the bully rig must page within one
 # slow window and attribution must rank the bully first. The incident
@@ -91,10 +92,10 @@ watch:
 	$(GO) run ./cmd/irsload -variant bully -alerts -expect-top bully -dump incident
 
 # Telemetry smoke run: the registry/sampler/trace summary for vanilla
-# vs IRS (add -prom/-csv/-tracejson <file|-> for the exports; CI runs
-# all three).
+# vs IRS on the §5.1 rig, streamcluster against one hog (add
+# -prom/-csv/-tracejson <file|-> for the exports; CI runs all three).
 report:
-	$(GO) run ./cmd/irsreport -bench streamcluster -strategy vanilla,irs -inter 1
+	$(GO) run ./cmd/irsreport -strategy vanilla,irs
 
 # Short fuzz pass over the committed seed corpora plus a few seconds of
 # fresh exploration per target.
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test ./internal/watch -run '^$$' -fuzz FuzzParseRule -fuzztime 5s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParseAttack -fuzztime 5s
 	$(GO) test ./internal/topology -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseHostSpec -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzParseQuery -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzWriteJSON -fuzztime 5s
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzRouteRecords -fuzztime 5s

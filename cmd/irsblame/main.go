@@ -10,9 +10,14 @@
 //
 // Usage:
 //
-//	irsblame [-strategy vanilla,irs] [-seed 1] [-top 3]
-//	         [-duration 2s] [-arrival 500µs] [-perfetto spans.json]
-//	         [-csv blame.csv]
+//	irsblame [-spec RIG] [-strategy vanilla,irs] [-seed 1] [-top 3]
+//	         [-perfetto spans.json] [-csv blame.csv]
+//
+// -spec is the rig in core.ParseHostSpec syntax, its VM fg a server
+// whose requests are traced; the default is the bully rig
+// (experiments.BlameRig) with a 2 s request stream at a mean 500 µs
+// inter-arrival. Shorten the stream by editing the server's duration=,
+// or its arrival= to change the load.
 package main
 
 import (
@@ -20,14 +25,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/span"
 )
 
@@ -38,31 +41,30 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsblame", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	host := cli.AddHost(fs, experiments.BlameRig(experiments.DefaultBlameDuration, experiments.DefaultBlameArrival).String())
 	strategies := fs.String("strategy", "vanilla,irs", "comma-separated strategies: vanilla | ple | irs")
-	seed := fs.Uint64("seed", 1, "random seed")
 	top := fs.Int("top", 3, "slowest requests to show per strategy")
-	duration := fs.Duration("duration", time.Duration(experiments.DefaultBlameDuration), "request-stream duration (virtual time)")
-	arrival := fs.Duration("arrival", time.Duration(experiments.DefaultBlameArrival), "mean request inter-arrival time")
 	perfetto := fs.String("perfetto", "", "write the slowest requests' span trees to this file (Chrome/Perfetto trace JSON)")
 	csvPath := fs.String("csv", "", "write the per-band blame breakdown to this file as CSV")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	var strats []core.Strategy
-	for _, name := range strings.Split(*strategies, ",") {
-		s, ok := core.StrategyByName(strings.TrimSpace(name))
-		if !ok || !slices.Contains(experiments.BlameStrategies(), s) {
-			fmt.Fprintf(stderr, "irsblame: unknown strategy %q (valid: vanilla, ple, irs)\n", name)
-			return 2
-		}
-		strats = append(strats, s)
+	rig, err := host.Resolve("server")
+	if err != nil {
+		fmt.Fprintf(stderr, "irsblame: %v\n", err)
+		return 2
+	}
+	strats, err := cli.Strategies(*strategies, experiments.BlameStrategies()...)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsblame: %v\n", err)
+		return 2
 	}
 
 	var sets []span.TrackSet
 	var csvRows [][]string
 	for _, strat := range strats {
-		spans, err := experiments.BlameRun(strat, *seed, sim.Duration(*duration), sim.Duration(*arrival))
+		spans, err := experiments.BlameRun(rig, strat, *host.Seed)
 		if err != nil {
 			fmt.Fprintf(stderr, "irsblame: %s: %v\n", strat, err)
 			return 1

@@ -7,7 +7,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/sim"
 )
+
+// rig is the bully rig with a request stream of duration d.
+func rig(d sim.Time) string {
+	return experiments.BlameRig(d, experiments.DefaultBlameArrival).String()
+}
 
 func TestBadInputs(t *testing.T) {
 	cases := []struct {
@@ -18,7 +26,8 @@ func TestBadInputs(t *testing.T) {
 		{"unknown strategy", []string{"-strategy", "nope"}, 2},
 		{"empty strategy list", []string{"-strategy", ""}, 2},
 		{"bad flag", []string{"-frobnicate"}, 2},
-		{"unwritable perfetto path", []string{"-duration", "50ms", "-strategy", "vanilla", "-perfetto", "/nonexistent-dir/x.json"}, 1},
+		{"fg not a server", []string{"-spec", "host:pcpus=4; vm:name=fg,kind=hog,vcpus=1"}, 2},
+		{"unwritable perfetto path", []string{"-spec", rig(50 * sim.Millisecond), "-strategy", "vanilla", "-perfetto", "/nonexistent-dir/x.json"}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,7 +40,7 @@ func TestBadInputs(t *testing.T) {
 }
 
 func TestBlameOutputDeterministic(t *testing.T) {
-	args := []string{"-duration", "300ms", "-top", "2", "-strategy", "vanilla,irs"}
+	args := []string{"-spec", rig(300 * sim.Millisecond), "-top", "2", "-strategy", "vanilla,irs"}
 	render := func() string {
 		var out, errb bytes.Buffer
 		if code := run(args, &out, &errb); code != 0 {
@@ -57,7 +66,7 @@ func TestBlameOutputDeterministic(t *testing.T) {
 func TestPerfettoExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spans.json")
 	var out, errb bytes.Buffer
-	args := []string{"-duration", "200ms", "-top", "2", "-strategy", "vanilla,irs", "-perfetto", path}
+	args := []string{"-spec", rig(200 * sim.Millisecond), "-top", "2", "-strategy", "vanilla,irs", "-perfetto", path}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
 	}
@@ -94,7 +103,7 @@ func TestPerfettoExport(t *testing.T) {
 func TestCSVExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "blame.csv")
 	var out, errb bytes.Buffer
-	args := []string{"-duration", "200ms", "-top", "0", "-strategy", "vanilla,irs", "-csv", path}
+	args := []string{"-spec", rig(200 * sim.Millisecond), "-top", "0", "-strategy", "vanilla,irs", "-csv", path}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
 	}
@@ -127,7 +136,7 @@ func TestCSVExport(t *testing.T) {
 
 func TestCSVUnwritablePath(t *testing.T) {
 	var out, errb bytes.Buffer
-	args := []string{"-duration", "50ms", "-strategy", "vanilla", "-csv", "/nonexistent-dir/x.csv"}
+	args := []string{"-spec", rig(50 * sim.Millisecond), "-strategy", "vanilla", "-csv", "/nonexistent-dir/x.csv"}
 	if code := run(args, &out, &errb); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
 	}
@@ -138,7 +147,7 @@ func TestCSVUnwritablePath(t *testing.T) {
 func TestStdoutExportsEndWithPayload(t *testing.T) {
 	for flag, tail := range map[string]string{"-csv": ",", "-perfetto": "}"} {
 		var out, errb bytes.Buffer
-		args := []string{"-strategy", "irs", "-duration", "100ms", "-top", "0", flag, "-"}
+		args := []string{"-strategy", "irs", "-spec", rig(100 * sim.Millisecond), "-top", "0", flag, "-"}
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("%s -: exit = %d, stderr: %s", flag, code, errb.String())
 		}

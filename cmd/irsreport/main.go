@@ -14,15 +14,19 @@
 //
 // Usage:
 //
-//	irsreport [-bench streamcluster] [-strategy vanilla,irs] [-inter 1]
-//	          [-seed 1] [-sample 10ms] [-prom out.prom] [-csv out.csv]
-//	          [-tracejson out.json] [-timeline out.txt] [-kinds sa,migrate]
-//	          [-at 1s] [-window 100ms]
-//	          [-faults drop-sa=0.1,dup-sa=0.05] [-fault-seed 0] [-workers N]
+//	irsreport [-spec RIG] [-strategy vanilla,irs] [-seed 1] [-sample 10ms]
+//	          [-prom out.prom] [-csv out.csv] [-tracejson out.json]
+//	          [-timeline out.txt] [-kinds sa,migrate] [-at 1s] [-window 100ms]
+//	          [-fault-seed 0] [-workers N]
 //
-// With -faults, the spec (see fault.ParsePlan) is injected into every
-// run, the runtime invariant checker is attached, and the summary
-// gains injected-fault and violation counts.
+// -spec is the rig in core.ParseHostSpec syntax; its VM fg must run a
+// benchmark, and -strategy sets its strategy. The default rig is
+// streamcluster on a 4-vCPU VM against one hog (defaultRig).
+//
+// With a faults section in the rig, e.g. appending
+// "; faults:drop-sa=0.1,dup-sa=0.05" (see fault.ParsePlan), the plan is
+// injected into every run, the runtime invariant checker is attached,
+// and the summary gains injected-fault and violation counts.
 package main
 
 import (
@@ -36,41 +40,40 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/fault"
 	"repro/internal/guest"
 	"repro/internal/hypervisor"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// defaultRig is the §5.1 rig: streamcluster on a 4-vCPU VM pinned one
+// vCPU per pCPU against one CPU hog on pCPU 0.
+const defaultRig = "host:pcpus=4; vm:name=fg,kind=bench,bench=streamcluster,vcpus=4; vm:name=bg,kind=hog,vcpus=1"
+
 // reportConfig is one invocation's settings, shared by every
 // strategy's run.
 type reportConfig struct {
-	bench                                  workload.Benchmark
-	inter                                  int
+	rig                                    core.HostSpec
 	seed, faultSeed                        uint64
 	sample, at, window                     sim.Time
 	promPath, csvPath, traceJSON, timeline string
 	kinds                                  map[trace.Kind]bool
-	plan                                   fault.Plan
 	multi                                  bool
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsreport", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	benchName := fs.String("bench", "streamcluster", "benchmark to run")
+	host := cli.AddHost(fs, defaultRig)
 	stratArg := fs.String("strategy", "vanilla,irs", "comma-separated: vanilla,ple,relaxed-co,irs,strict-co")
-	inter := fs.Int("inter", 1, "number of interfering CPU hogs")
-	seed := fs.Uint64("seed", 1, "random seed")
 	sample := fs.Duration("sample", 10*time.Millisecond, "sampler cadence (virtual time)")
 	promPath := fs.String("prom", "", "write Prometheus text export to this file (- for stdout)")
 	csvPath := fs.String("csv", "", "write CSV time-series export to this file (- for stdout)")
@@ -79,42 +82,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	kindsArg := fs.String("kinds", "", "-timeline filter, comma-separated: vcpu,switch,sa,task,migrate,note (default all)")
 	at := fs.Duration("at", time.Second, "start of the -tracejson/-timeline window (virtual time)")
 	window := fs.Duration("window", 100*time.Millisecond, "length of the -tracejson/-timeline window")
-	faultSpec := fs.String("faults", "", "fault plan, e.g. drop-sa=0.1,dup-sa=0.05 (see fault.ParsePlan; \"none\" disables)")
-	faultSeed := fs.Uint64("fault-seed", 0, "fault injector seed (0 derives from -seed)")
+	faultSeed := fs.Uint64("fault-seed", 0, "seed of the rig's fault injector (0 derives from -seed)")
 	workers := fs.Int("workers", 0, "worker goroutines for the per-strategy runs (0 = GOMAXPROCS, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	plan, err := fault.ParsePlan(*faultSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "irsreport: -faults: %v\n", err)
-		return 2
-	}
 	kinds, err := trace.ParseKinds(*kindsArg)
 	if err != nil {
 		fmt.Fprintf(stderr, "irsreport: -kinds: %v\n", err)
 		return 2
 	}
-	bench, ok := workload.ByName(*benchName)
-	if !ok {
-		fmt.Fprintf(stderr, "irsreport: unknown benchmark %q\n", *benchName)
+	rig, err := host.Resolve("bench")
+	if err != nil {
+		fmt.Fprintf(stderr, "irsreport: %v\n", err)
 		return 2
 	}
-	var strategies []core.Strategy
-	for _, name := range strings.Split(*stratArg, ",") {
-		s, ok := core.StrategyByName(strings.TrimSpace(name))
-		if !ok {
-			fmt.Fprintf(stderr, "irsreport: unknown strategy %q (valid: vanilla, ple, relaxed-co, irs, strict-co)\n", name)
-			return 2
-		}
-		strategies = append(strategies, s)
+	strategies, err := cli.Strategies(*stratArg, append(core.Strategies(), core.StrategyStrictCo)...)
+	if err != nil {
+		fmt.Fprintf(stderr, "irsreport: %v\n", err)
+		return 2
 	}
 	cfg := reportConfig{
-		bench: bench, inter: *inter, seed: *seed, faultSeed: *faultSeed,
+		rig: rig, seed: *host.Seed, faultSeed: *faultSeed,
 		sample: sim.Duration(*sample), at: sim.Duration(*at), window: sim.Duration(*window),
 		promPath: *promPath, csvPath: *csvPath, traceJSON: *traceJSON, timeline: *timeline,
-		kinds: kinds, plan: plan, multi: len(strategies) > 1,
+		kinds: kinds, multi: len(strategies) > 1,
 	}
 
 	// Each strategy's run is an isolated simulation: fan them out and
@@ -146,28 +139,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 func report(stdout, stderr io.Writer, cfg *reportConfig, strat core.Strategy) error {
 	reg := obs.NewRegistry()
 	log := trace.NewLog(500000)
-	fg := core.BenchmarkVM("fg", cfg.bench, 0, 4, core.SeqPins(0, 4))
-	fg.IRS = strat == core.StrategyIRS
-	vms := []core.VMSpec{fg}
-	if cfg.inter > 0 {
-		vms = append(vms, core.HogVM("bg", cfg.inter, core.SeqPins(0, cfg.inter)))
-	}
-	scn := core.Scenario{
-		PCPUs:          4,
-		Strategy:       strat,
-		Seed:           cfg.seed,
-		VMs:            vms,
-		Metrics:        reg,
-		SampleInterval: cfg.sample,
-		Faults:         cfg.plan,
-		FaultSeed:      cfg.faultSeed,
-		Invariants:     !cfg.plan.Zero(),
-		TuneHV:         func(c *hypervisor.Config) { c.Trace = log },
-		TuneGuest: func(name string, c *guest.Config) {
-			if name == "fg" {
-				c.Trace = log
-			}
-		},
+	scn := cfg.rig.WithStrategy(strat).Scenario(cfg.seed)
+	scn.Metrics, scn.SampleInterval = reg, cfg.sample
+	scn.FaultSeed, scn.Invariants = cfg.faultSeed, !scn.Faults.Zero()
+	scn.TuneHV = func(c *hypervisor.Config) { c.Trace = log }
+	scn.TuneGuest = func(name string, c *guest.Config) {
+		if name == "fg" {
+			c.Trace = log
+		}
 	}
 	cluster, err := core.Build(scn)
 	if err != nil {
@@ -225,8 +204,14 @@ func insertSuffix(path, suffix string) string {
 func writeSummary(w io.Writer, reg *obs.Registry, cluster *core.Cluster, res *core.Result,
 	cfg *reportConfig, strat core.Strategy) {
 
+	inter := 0
+	for _, v := range cfg.rig.VMs {
+		if v.Kind == "hog" {
+			inter += v.VCPUs
+		}
+	}
 	fmt.Fprintf(w, "== irsreport: bench=%s inter=%d strategy=%s seed=%d ==\n",
-		cfg.bench.Name, cfg.inter, strat, cfg.seed)
+		cfg.rig.VM("fg").Bench, inter, strat, cfg.seed)
 	fgRes := res.VM("fg")
 	fmt.Fprintf(w, "runtime            %s (elapsed %s, %d sim events)\n",
 		fgRes.Runtime, res.Elapsed, res.Events)
@@ -251,8 +236,8 @@ func writeSummary(w io.Writer, reg *obs.Registry, cluster *core.Cluster, res *co
 		obs.CounterValue(reg, "hv_sa_acked_total", fgL),
 		obs.CounterValue(reg, "hv_sa_expired_total", fgL),
 		res.SAPending, res.SAFallbacks)
-	if !cfg.plan.Zero() {
-		fmt.Fprintf(w, "faults injected    %d (plan %s)\n", res.FaultsInjected, cfg.plan)
+	if plan := cfg.rig.Faults; !plan.Zero() {
+		fmt.Fprintf(w, "faults injected    %d (plan %s)\n", res.FaultsInjected, plan)
 		fmt.Fprintf(w, "invariants         %d violations\n", res.Violations)
 	}
 	fmt.Fprintf(w, "LHP/LWP (fg)       %d/%d\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,20 +16,31 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errOut.String()
 }
 
+// rigWith is the default rig with its benchmark and hog count replaced.
+func rigWith(bench string, hogs int) string {
+	return fmt.Sprintf("host:pcpus=4; vm:name=fg,kind=bench,bench=%s,vcpus=4; vm:name=bg,kind=hog,vcpus=%d", bench, hogs)
+}
+
 func TestBadInputs(t *testing.T) {
 	cases := []struct {
 		args []string
 		want int
+		msg  string // stderr must contain it, when set
 	}{
-		{[]string{"-nonsense"}, 2},
-		{[]string{"-faults", "bogus=1"}, 2},
-		{[]string{"-strategy", "fifo"}, 2},
-		{[]string{"-strategy", ""}, 2},
-		{[]string{"-bench", "nosuchbench"}, 2},
+		{[]string{"-nonsense"}, 2, ""},
+		{[]string{"-spec", rigWith("streamcluster", 1) + "; faults:bogus=1"}, 2, `unknown field "bogus"`},
+		{[]string{"-strategy", "fifo"}, 2, ""},
+		{[]string{"-strategy", ""}, 2, ""},
+		{[]string{"-spec", rigWith("nosuchbench", 1)}, 2, "unknown benchmark"},
+		{[]string{"-spec", "host:pcpus=4; vm:name=bg,kind=hog,vcpus=1"}, 2, "needs a VM fg"},
+		// Six hogs cannot be pinned on four pCPUs: a malformed rig, not
+		// a failed run.
+		{[]string{"-spec", rigWith("streamcluster", 6)}, 2, "outside the host's 4 pCPUs"},
 	}
 	for _, tc := range cases {
-		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
-			t.Errorf("%v: exit = %d, want %d", tc.args, code, tc.want)
+		code, _, errOut := runCmd(t, tc.args...)
+		if code != tc.want || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("%v: exit = %d, want %d; stderr %q, want %q", tc.args, code, tc.want, errOut, tc.msg)
 		}
 	}
 }
@@ -41,7 +53,7 @@ func TestTimelineBadInputs(t *testing.T) {
 		{"-nonsense"},
 		{"-strategy", "fifo"},
 		{"-kinds", "bogus"},
-		{"-bench", "nosuchbench"},
+		{"-spec", rigWith("nosuchbench", 1)},
 	} {
 		path := filepath.Join(t.TempDir(), "t.txt")
 		args = append(args, "-timeline", path)
@@ -65,7 +77,7 @@ func TestInsertSuffix(t *testing.T) {
 
 func TestReportRunsAndIsDeterministic(t *testing.T) {
 	prom := filepath.Join(t.TempDir(), "out.prom")
-	args := []string{"-strategy", "irs", "-inter", "1", "-seed", "1", "-prom", prom}
+	args := []string{"-strategy", "irs", "-seed", "1", "-prom", prom}
 	code, out, errOut := runCmd(t, args...)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
@@ -96,7 +108,7 @@ func TestTimelineMatchesGolden(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		path := filepath.Join(t.TempDir(), "t.txt")
-		code, _, errOut := runCmd(t, "-strategy", "irs", "-inter", "1", "-seed", "1",
+		code, _, errOut := runCmd(t, "-strategy", "irs", "-seed", "1",
 			"-at", "1s", "-window", "50ms", "-kinds", "sa,switch", "-timeline", path)
 		if code != 0 {
 			t.Fatalf("exit = %d, stderr: %s", code, errOut)

@@ -1,6 +1,11 @@
 // Command irsweep runs ad-hoc parameter sweeps. The default dimension
-// is one benchmark against a range of interference levels under all
-// four scheduling strategies; -cluster instead sweeps the cluster
+// is one rig against a range of interference levels under all four
+// scheduling strategies: -spec is the rig in core.ParseHostSpec syntax
+// (default streamcluster on a 4-vCPU VM fg, defaultRig), and each
+// -inter level n > 0 adds a VM bg of n CPU hogs pinned from pCPU 0;
+// every cell is validated before any runs. A rig with 8 pCPUs, a
+// spinning fg and floating vCPUs reads
+// "host:pcpus=8,unpinned=on,horizon=30m; vm:name=fg,kind=bench,bench=CG,mode=spin,vcpus=8"; -cluster instead sweeps the cluster
 // table's rigs (first-fit, least-loaded, interference-aware ± IRS, and
 // chaos) across rack sizes. Every cell is an isolated deterministic
 // simulation fanned out across worker goroutines, so the printed table
@@ -8,8 +13,7 @@
 //
 // Usage:
 //
-//	irsweep -bench streamcluster -inter 0,1,2,4 [-mode spin|block] [-vcpus 4]
-//	        [-unpinned] [-seed S] [-runs N] [-workers N]
+//	irsweep [-spec RIG] -inter 0,1,2,4 [-seed S] [-runs N] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-seed S] [-workers N]
 //	irsweep -list
@@ -34,6 +38,9 @@ import (
 	"repro/internal/workload"
 )
 
+// defaultRig is streamcluster on a 4-vCPU VM pinned one vCPU per pCPU.
+const defaultRig = "host:pcpus=4,horizon=30m; vm:name=fg,kind=bench,bench=streamcluster,vcpus=4"
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -41,12 +48,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("irsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	benchName := fs.String("bench", "streamcluster", "benchmark name (see -list)")
-	interList := fs.String("inter", "0,1,2,4", "comma-separated interference levels")
-	modeName := fs.String("mode", "", "override wait policy: spin or block")
-	vcpus := fs.Int("vcpus", 4, "foreground vCPUs (== pCPUs)")
-	unpinned := fs.Bool("unpinned", false, "leave vCPUs unpinned (stacking setup)")
-	seed := fs.Uint64("seed", 1, "base random seed")
+	host := cli.AddHost(fs, defaultRig)
+	interList := fs.String("inter", "0,1,2,4", "comma-separated interference levels: hog VM bg's vCPUs (0 = none)")
 	runs := fs.Int("runs", 3, "runs per data point")
 	list := fs.Bool("list", false, "list benchmark names and exit")
 	clusterSweep := fs.Bool("cluster", false, "sweep the multi-host placement variants across rack sizes")
@@ -82,26 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *seed, *workers, *shards)
+		return clusterMatrix(stdout, stderr, hosts, *zones, *host.Seed, *workers, *shards)
 	}
 
-	bench, ok := workload.ByName(*benchName)
-	if !ok {
-		fmt.Fprintf(stderr, "irsweep: unknown benchmark %q (try -list)\n", *benchName)
+	rig, err := host.Resolve("bench")
+	if err != nil {
+		fmt.Fprintf(stderr, "irsweep: %v\n", err)
 		return 2
 	}
-	var mode workload.SyncMode
-	switch *modeName {
-	case "":
-	case "spin":
-		mode = workload.SyncSpinning
-	case "block":
-		mode = workload.SyncBlocking
-	default:
-		fmt.Fprintf(stderr, "irsweep: bad -mode %q\n", *modeName)
-		return 2
-	}
-
 	levels, ok := parseIntList(*interList)
 	if !ok {
 		fmt.Fprintf(stderr, "irsweep: bad -inter %q\n", *interList)
@@ -111,54 +102,75 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "irsweep: bad -runs %d (want >= 1)\n", *runs)
 		return 2
 	}
-	if *vcpus < 1 {
-		fmt.Fprintf(stderr, "irsweep: bad -vcpus %d (want >= 1)\n", *vcpus)
-		return 2
+	// Every level's rig is checked before any cell runs: a level that
+	// cannot be pinned is bad input, not a failed run.
+	rigs := make([]core.HostSpec, len(levels))
+	for li, lvl := range levels {
+		text := rig.String()
+		if lvl > 0 {
+			text += fmt.Sprintf("; vm:name=bg,kind=hog,vcpus=%d", lvl)
+		}
+		if rigs[li], err = core.ParseHostSpec(text); err != nil {
+			fmt.Fprintf(stderr, "irsweep: -inter %d: %v\n", lvl, err)
+			return 2
+		}
 	}
 
-	// Compute every (level, strategy) cell up front — each is an
-	// isolated simulation — then print the matrix serially.
 	strats := core.Strategies()
-	type cell struct {
-		mean float64
+	names := make([]string, len(strats))
+	for i, st := range strats {
+		names[i] = st.String()
+	}
+	return printMatrix(stdout, stderr, *workers, "inter", 10, 12, levels, names, "",
+		func(lvl int) string { return fmt.Sprintf("inter %d", lvl) },
+		func(li, si int) (string, error) {
+			mean, err := sweepPoint(rigs[li], strats[si], *host.Seed, *runs)
+			return fmt.Sprintf("%.3fs", mean), err
+		})
+}
+
+// printMatrix computes every rows × cols cell up front on the worker
+// pool — each is an isolated simulation — then prints the matrix
+// serially, so it is identical at any -workers setting. A failed cell
+// prints ERR and names its error on stderr under what(row); any
+// failure makes the exit code 1.
+func printMatrix(stdout, stderr io.Writer, workers int, corner string, w, cw int, rows []int, cols []string, suffix string,
+	what func(row int) string, cell func(ri, ci int) (string, error)) int {
+	type result struct {
+		text string
 		err  error
 	}
-	cells := make([]cell, len(levels)*len(strats))
+	res := make([]result, len(rows)*len(cols))
 	var fns []func()
-	for li, lvl := range levels {
-		for si, st := range strats {
+	for ri := range rows {
+		for ci := range cols {
 			fns = append(fns, func() {
-				mean, err := sweepPoint(bench, mode, st, lvl, *vcpus, *unpinned, *seed, *runs)
-				cells[li*len(strats)+si] = cell{mean: mean, err: err}
+				text, err := cell(ri, ci)
+				res[ri*len(cols)+ci] = result{text, err}
 			})
 		}
 	}
-	experiments.ParallelDo(*workers, fns)
+	experiments.ParallelDo(workers, fns)
 
-	fmt.Fprintf(stdout, "%-10s", "inter")
-	for _, st := range strats {
-		fmt.Fprintf(stdout, "  %-12s", st)
+	fmt.Fprintf(stdout, "%-*s", w, corner)
+	for _, c := range cols {
+		fmt.Fprintf(stdout, "  %-*s", cw, c+suffix)
 	}
 	fmt.Fprintln(stdout)
-	bad := 0
-	for li, lvl := range levels {
-		fmt.Fprintf(stdout, "%-10d", lvl)
-		for si, st := range strats {
-			c := cells[li*len(strats)+si]
-			if c.err != nil {
-				fmt.Fprintf(stdout, "  %-12s", "ERR")
-				fmt.Fprintf(stderr, "irsweep: inter %d, %s: %v\n", lvl, st, c.err)
-				bad++
-				continue
+	code := 0
+	for ri, r := range rows {
+		fmt.Fprintf(stdout, "%-*d", w, r)
+		for ci, c := range cols {
+			out := res[ri*len(cols)+ci]
+			if out.err != nil {
+				out.text, code = "ERR", 1
+				fmt.Fprintf(stderr, "irsweep: %s, %s: %v\n", what(r), c, out.err)
 			}
-			fmt.Fprintf(stdout, "  %-12s", fmt.Sprintf("%.3fs", c.mean))
+			fmt.Fprintf(stdout, "  %-*s", cw, out.text)
 		}
 		fmt.Fprintln(stdout)
 	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
+	return code
 }
 
 // parseIntList parses a comma-separated list of non-negative ints.
@@ -182,51 +194,23 @@ func parseIntList(s string) ([]int, bool) {
 // partitioned router.
 func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int) int {
 	variants := experiments.TableRigs("cluster")
-	type cell struct {
-		res *cluster.Result
-		err error
+	names := make([]string, len(variants))
+	for i, v := range variants {
+		names[i] = v.Name
 	}
-	cells := make([]cell, len(hosts)*len(variants))
-	var fns []func()
-	for hi, n := range hosts {
-		for vi, v := range variants {
-			fns = append(fns, func() {
-				res, err := sweepRig(v, zones, n, seed, shards)
-				cells[hi*len(variants)+vi] = cell{res, err}
-			})
-		}
-	}
-	experiments.ParallelDo(workers, fns)
-
 	hdr := "hosts"
 	if zones > 1 {
 		hdr = fmt.Sprintf("hosts/%dz", zones)
 	}
-	fmt.Fprintf(stdout, "%-8s", hdr)
-	for _, v := range variants {
-		fmt.Fprintf(stdout, "  %-24s", v.Name+" p99/slo/migr")
-	}
-	fmt.Fprintln(stdout)
-	bad := 0
-	for hi, n := range hosts {
-		fmt.Fprintf(stdout, "%-8d", n)
-		for vi, v := range variants {
-			c := cells[hi*len(variants)+vi]
-			if c.err != nil {
-				fmt.Fprintf(stdout, "  %-24s", "ERR")
-				fmt.Fprintf(stderr, "irsweep: %d hosts, %s: %v\n", n, v.Name, c.err)
-				bad++
-				continue
+	return printMatrix(stdout, stderr, workers, hdr, 8, 24, hosts, names, " p99/slo/migr",
+		func(n int) string { return fmt.Sprintf("%d hosts", n) },
+		func(hi, vi int) (string, error) {
+			res, err := sweepRig(variants[vi], zones, hosts[hi], seed, shards)
+			if err != nil {
+				return "", err
 			}
-			fmt.Fprintf(stdout, "  %-24s", fmt.Sprintf("%.3fms/%.2f%%/%d",
-				float64(c.res.P99)/float64(sim.Millisecond), c.res.SLORate*100, c.res.Migrations))
-		}
-		fmt.Fprintln(stdout)
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
+			return fmt.Sprintf("%.3fms/%.2f%%/%d", float64(res.P99)/float64(sim.Millisecond), res.SLORate*100, res.Migrations), nil
+		})
 }
 
 // sweepRig runs one cluster rig on a rack of zones × n hosts.
@@ -244,32 +228,18 @@ func sweepRig(v experiments.Rig, zones, n int, seed uint64, shards int) (*cluste
 	return c.Run()
 }
 
-func sweepPoint(bench workload.Benchmark, mode workload.SyncMode, strat core.Strategy, inter, vcpus int, unpinned bool, seed uint64, runs int) (float64, error) {
+// sweepPoint averages fg's runtime in rig under strat over runs; the
+// first failed run fails the cell.
+func sweepPoint(rig core.HostSpec, strat core.Strategy, seed uint64, runs int) (float64, error) {
+	rig = rig.WithStrategy(strat)
 	var rts []float64
-	for i := 0; i < runs; i++ {
-		var fgPins, bgPins []int
-		if !unpinned {
-			fgPins = core.SeqPins(0, vcpus)
-			bgPins = core.SeqPins(0, inter)
-		}
-		fg := core.BenchmarkVM("fg", bench, mode, vcpus, fgPins)
-		fg.IRS = strat == core.StrategyIRS
-		vms := []core.VMSpec{fg}
-		if inter > 0 {
-			vms = append(vms, core.HogVM("bg", inter, bgPins))
-		}
-		res, err := core.Run(core.Scenario{
-			PCPUs:    vcpus,
-			Strategy: strat,
-			Seed:     seed + uint64(i)*7919,
-			Unpinned: unpinned,
-			Horizon:  1800 * sim.Second,
-			VMs:      vms,
-		})
+	err := core.Repeat(seed, runs, func(_ int, seed uint64) error {
+		res, err := core.Run(rig.Scenario(seed))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
-	}
-	return obs.Summarize(rts).Mean, nil
+		return nil
+	})
+	return obs.Summarize(rts).Mean, err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,40 +25,47 @@ func TestListPrintsBenchmarks(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
+	fg := "host:pcpus=4; vm:name=fg,kind=bench,bench=%s,mode=%s,vcpus=%d"
 	cases := []struct {
 		args []string
 		want int
+		msg  string // stderr must contain it, when set
 	}{
-		{[]string{"-nonsense"}, 2},
-		{[]string{"-inter", "1,x"}, 2},
-		{[]string{"-inter", "-3"}, 2},
-		{[]string{"-mode", "busy"}, 2},
-		{[]string{"-cluster", "-hosts", "two"}, 2},
-		{[]string{"-cluster", "-hosts", "0"}, 2},
-		{[]string{"-cluster", "-hosts", "2,0"}, 2},
-		{[]string{"-bench", "nosuchbench"}, 2},
-		{[]string{"-runs", "0"}, 2},
-		{[]string{"-vcpus", "0", "-inter", "0", "-runs", "1"}, 2},
+		{[]string{"-nonsense"}, 2, ""},
+		{[]string{"-inter", "1,x"}, 2, ""},
+		{[]string{"-inter", "-3"}, 2, ""},
+		{[]string{"-spec", fmt.Sprintf(fg, "streamcluster", "busy", 4)}, 2, "mode"},
+		{[]string{"-cluster", "-hosts", "two"}, 2, ""},
+		{[]string{"-cluster", "-hosts", "0"}, 2, ""},
+		{[]string{"-cluster", "-hosts", "2,0"}, 2, ""},
+		{[]string{"-spec", fmt.Sprintf(fg, "nosuchbench", "", 4)}, 2, "unknown benchmark"},
+		{[]string{"-runs", "0"}, 2, ""},
+		{[]string{"-spec", fmt.Sprintf(fg, "streamcluster", "", 0), "-inter", "0", "-runs", "1"}, 2, "vcpus > 0"},
+		// Five hogs cannot be pinned on four pCPUs: every cell is
+		// checked before any runs, and a malformed cell is bad input.
+		{[]string{"-inter", "0,5", "-runs", "1"}, 2, "-inter 5: core: vm bg pins 5 vCPUs"},
 	}
 	for _, tc := range cases {
-		if code, _, _ := runCmd(t, tc.args...); code != tc.want {
-			t.Errorf("%v: exit = %d, want %d", tc.args, code, tc.want)
+		code, _, errOut := runCmd(t, tc.args...)
+		if code != tc.want || !strings.Contains(errOut, tc.msg) {
+			t.Errorf("%v: exit = %d, want %d; stderr %q, want %q", tc.args, code, tc.want, errOut, tc.msg)
 		}
 	}
 }
 
 // A cell whose simulation fails prints ERR, names its error on stderr,
-// and makes the sweep exit 1: here the hogs ask for more pinned pCPUs
-// than the host has.
+// and makes the sweep exit 1: here the horizon ends every run before
+// the benchmark finishes.
 func TestFailedCellExitsOne(t *testing.T) {
-	code, out, errOut := runCmd(t, "-bench", "streamcluster", "-inter", "5", "-vcpus", "4", "-runs", "1")
+	code, out, errOut := runCmd(t, "-spec", "host:pcpus=4,horizon=1ms; vm:name=fg,kind=bench,bench=streamcluster,vcpus=4",
+		"-inter", "1", "-runs", "1")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, errOut)
 	}
 	if !strings.Contains(out, "ERR") {
 		t.Fatalf("stdout has no ERR cell:\n%s", out)
 	}
-	if n := strings.Count(errOut, "irsweep: inter 5, "); n != 4 {
+	if n := strings.Count(errOut, "irsweep: inter 1, "); n != 4 {
 		t.Fatalf("stderr names %d failed cells, want one per strategy:\n%s", n, errOut)
 	}
 }

@@ -47,9 +47,9 @@ func run(w io.Writer) error {
 		fmt.Fprintf(w, "== %s (%d threads, %v mean service) ==\n", spec.Name, spec.Threads, spec.Service)
 		for _, inter := range []int{2, 4} {
 			for _, strat := range []core.Strategy{core.StrategyVanilla, core.StrategyIRS} {
-				vmSpec, statsPtr := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
+				vmSpec := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
 				vmSpec.IRS = strat == core.StrategyIRS
-				_, err := core.Run(core.Scenario{
+				res, err := core.Run(core.Scenario{
 					PCPUs:    4,
 					Strategy: strat,
 					Seed:     3,
@@ -61,7 +61,7 @@ func run(w io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("%s: %w", spec.Name, err)
 				}
-				st := *statsPtr
+				st := res.VM("fg").Instance.Server
 				fmt.Fprintf(w, "  %d-inter %-8s throughput=%7.0f req/s  mean=%-9v p99=%v\n",
 					inter, strat, st.Throughput(), st.Latency.Mean(), st.Latency.Percentile(99))
 			}

@@ -1,6 +1,7 @@
 // Package cli holds the irs* commands' flag sets: the cluster
-// load-spec source and pprof profiling. It registers and resolves
-// flags only; running, reporting and gating stay in the commands.
+// load-spec source, the single-host rig, the strategy list and pprof
+// profiling. It registers and resolves flags only; running, reporting
+// and gating stay in the commands.
 //
 // The commands share one exit-code rule: 2 = bad input (a flag that
 // does not parse, an unknown name, a malformed spec or query, a flag
@@ -18,31 +19,45 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/topology"
 )
+
+// source is the -spec text and -seed pair every spec flag set
+// registers.
+type source struct {
+	spec *string
+	// Seed is the run's seed; repeated runs start from it.
+	Seed *uint64
+}
+
+func addSource(fs *flag.FlagSet, spec, usage string) source {
+	return source{spec: fs.String("spec", spec, usage), Seed: fs.Uint64("seed", 1, "random seed")}
+}
 
 // LoadSpec is the load-spec flag set: one of -variant, -spec or -file
 // picks the spec, -list asks for the built-in variants, and -seed and
 // -shards shape the compiled cluster config.
 type LoadSpec struct {
+	source
 	List *bool
 
-	variant, spec, file *string
-	seed                *uint64
-	shards              *int
+	variant, file *string
+	shards        *int
 }
 
 // AddLoadSpec registers the load-spec flags on fs.
 func AddLoadSpec(fs *flag.FlagSet) *LoadSpec {
 	return &LoadSpec{
+		source:  addSource(fs, "", "inline load spec (topology.ParseLoadSpec syntax)"),
 		variant: fs.String("variant", "", "built-in load spec by name (see -list)"),
-		spec:    fs.String("spec", "", "inline load spec (topology.ParseLoadSpec syntax)"),
 		file:    fs.String("file", "", "read the load spec from a file"),
 		List:    fs.Bool("list", false, "list built-in variants and exit"),
-		seed:    fs.Uint64("seed", 1, "random seed"),
 		shards:  fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)"),
 	}
 }
@@ -83,8 +98,52 @@ func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.C
 	if err != nil {
 		return "", spec, cfg, err
 	}
-	spec, cfg, err = experiments.ScaleRig(string(text), *l.seed, *l.shards)
+	spec, cfg, err = experiments.ScaleRig(string(text), *l.Seed, *l.shards)
 	return name, spec, cfg, err
+}
+
+// Host is the single-host rig flag set: -spec is the rig
+// (core.ParseHostSpec syntax; the command's own rig by default) and
+// -seed its seed.
+type Host struct{ source }
+
+// AddHost registers the host flags on fs, with rig as -spec's default.
+func AddHost(fs *flag.FlagSet, rig string) *Host {
+	return &Host{addSource(fs, rig, "single-host rig (core.ParseHostSpec syntax)")}
+}
+
+// Resolve parses -spec and checks that its VM fg, the one the
+// commands report on, is of kind fgKind. The commands run the rig
+// under each -strategy (core.HostSpec.WithStrategy), so a rig that
+// sets what that replaces — strategy, or irs on a bench or server VM —
+// is rejected rather than silently overridden. Every error is bad
+// input.
+func (h *Host) Resolve(fgKind string) (core.HostSpec, error) {
+	spec, err := core.ParseHostSpec(*h.spec)
+	if err != nil {
+		return spec, fmt.Errorf("-spec: %w", err)
+	}
+	if fg := spec.VM("fg"); fg == nil || fg.Kind != fgKind {
+		return spec, fmt.Errorf("-spec: the rig needs a VM fg of kind %s", fgKind)
+	}
+	if spec.String() != spec.WithStrategy(core.StrategyVanilla).String() {
+		return spec, errors.New("-spec: strategy and a bench or server VM's irs are set by the command's strategies")
+	}
+	return spec, nil
+}
+
+// Strategies parses a comma-separated -strategy list whose every name
+// must be one of allowed; the error names the valid choices.
+func Strategies(list string, allowed ...core.Strategy) ([]core.Strategy, error) {
+	var out []core.Strategy
+	for _, name := range strings.Split(list, ",") {
+		s, ok := core.StrategyByName(strings.TrimSpace(name))
+		if !ok || !slices.Contains(allowed, s) {
+			return nil, fmt.Errorf("unknown strategy %q (valid: %v)", name, allowed)
+		}
+		out = append(out, s)
+	}
+	return out, nil
 }
 
 // Profile is the profiling flag set: -cpuprofile and -memprofile.

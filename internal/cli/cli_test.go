@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -95,5 +96,42 @@ func TestProfileWritesBothFiles(t *testing.T) {
 	fs.Parse([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")})
 	if _, err := p.Start(&stderr); err == nil {
 		t.Error("unwritable -cpuprofile accepted")
+	}
+}
+
+func TestHostResolve(t *testing.T) {
+	rig := "host:pcpus=2,strategy=vanilla; vm:name=fg,kind=bench,bench=EP,vcpus=2"
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-spec", "host:pcpus=2; vm:name=fg,kind=hog,vcpus=1"}, false}, // fg not a bench
+		{[]string{"-spec", "host:pcpus=2; vm:name=bg,kind=hog,vcpus=1"}, false}, // no fg
+		{[]string{"-spec", rig + "; vm:name=bg,kind=hog,vcpus=3"}, false},       // pins past pCPU 1
+		{[]string{"-spec", "host:pcpus=2,strategy=irs; vm:name=fg,kind=bench,bench=EP,vcpus=2"}, false},
+		{[]string{"-spec", "host:pcpus=2; vm:name=fg,kind=bench,bench=EP,vcpus=2,irs=on"}, false},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		h := AddHost(fs, rig)
+		if err := fs.Parse(append(tc.args, "-seed", "9")); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := h.Resolve("bench")
+		if (err == nil) != tc.ok || *h.Seed != 9 || tc.ok && spec.String() != rig {
+			t.Errorf("%v: spec %q, seed %d, err %v", tc.args, spec, *h.Seed, err)
+		}
+	}
+}
+
+func TestStrategies(t *testing.T) {
+	allowed := []core.Strategy{core.StrategyVanilla, core.StrategyIRS}
+	if got, err := Strategies(" irs,vanilla", allowed...); err != nil || len(got) != 2 || got[0] != core.StrategyIRS {
+		t.Fatalf("Strategies = %v, %v", got, err)
+	}
+	for _, list := range []string{"", "irs,", "ple", "fifo"} {
+		if _, err := Strategies(list, allowed...); err == nil || !strings.Contains(err.Error(), "valid: [vanilla irs]") {
+			t.Errorf("Strategies(%q) = %v", list, err)
+		}
 	}
 }

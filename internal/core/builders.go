@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/guest"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -74,20 +73,18 @@ func AttackerVM(name string, spec workload.AttackSpec, vcpus int, pins []int) VM
 	}
 }
 
-// ServerVM builds a VM running a server workload; stats lands in the
-// returned pointer after the run.
-func ServerVM(name string, spec workload.ServerSpec, vcpus int, pins []int) (VMSpec, **workload.ServerStats) {
-	stats := new(*workload.ServerStats)
+// ServerVM builds a VM running a server workload; its statistics are
+// the run's Result.VM(name).Instance.Server.
+func ServerVM(name string, spec workload.ServerSpec, vcpus int, pins []int) VMSpec {
 	return VMSpec{
 		Name:  name,
 		VCPUs: vcpus,
 		Pin:   pins,
 		Attach: func(k *guest.Kernel, seed uint64) *workload.Instance {
-			in, st := workload.NewServer(k, spec, seed)
-			*stats = st
+			in, _ := workload.NewServer(k, spec, seed)
 			return in
 		},
-	}, stats
+	}
 }
 
 // SeqPins returns [first, first+1, ...] of length n — the standard
@@ -100,35 +97,18 @@ func SeqPins(first, n int) []int {
 	return pins
 }
 
-// RepeatRuns executes the scenario `runs` times with distinct seeds and
-// returns the foreground VM's runtimes in seconds (the paper averages
-// 5 runs).
-func RepeatRuns(scn Scenario, fgVM string, runs int) ([]float64, error) {
-	var rts []float64
+// Repeat runs a measurement runs times, calling fn with each run's
+// index and seed: seed, seed+7919, seed+2·7919, ... (the paper
+// averages repeated runs, each from its own seed). It stops at fn's
+// first error and returns it; a caller that skips failed runs returns
+// nil for them.
+func Repeat(seed uint64, runs int, fn func(i int, seed uint64) error) error {
 	for i := 0; i < runs; i++ {
-		s := scn
-		s.Seed = scn.Seed + uint64(i)*7919
-		res, err := Run(s)
-		if err != nil {
-			return rts, err
+		if err := fn(i, seed+uint64(i)*7919); err != nil {
+			return err
 		}
-		vr := res.VM(fgVM)
-		if vr == nil || vr.Runtime == 0 {
-			return rts, ErrUnfinished
-		}
-		rts = append(rts, vr.Runtime.Seconds())
 	}
-	return rts, nil
-}
-
-// MeanRuntime runs the scenario `runs` times and averages the
-// foreground runtime in seconds.
-func MeanRuntime(scn Scenario, fgVM string, runs int) (float64, error) {
-	rts, err := RepeatRuns(scn, fgVM, runs)
-	if err != nil {
-		return 0, err
-	}
-	return obs.Summarize(rts).Mean, nil
+	return nil
 }
 
 // Utilization returns the VM's CPU consumption relative to a fair

@@ -47,32 +47,42 @@ func TestBuildValidation(t *testing.T) {
 
 func TestRepeatRunsDistinctSeeds(t *testing.T) {
 	bench, _ := workload.ByName("IS")
-	scn := core.Scenario{
-		PCPUs:    4,
-		Strategy: core.StrategyVanilla,
-		Seed:     5,
-		VMs: []core.VMSpec{
-			core.BenchmarkVM("fg", bench, workload.SyncSpinning, 4, core.SeqPins(0, 4)),
-			core.HogVM("bg", 1, core.SeqPins(0, 1)),
-		},
-	}
-	rts, err := core.RepeatRuns(scn, "fg", 3)
+	var seeds []uint64
+	var rts []float64
+	err := core.Repeat(5, 3, func(i int, seed uint64) error {
+		if i != len(seeds) {
+			t.Fatalf("run %d called out of order", i)
+		}
+		seeds = append(seeds, seed)
+		res, err := core.Run(core.Scenario{
+			PCPUs:    4,
+			Strategy: core.StrategyVanilla,
+			Seed:     seed,
+			VMs: []core.VMSpec{
+				core.BenchmarkVM("fg", bench, workload.SyncSpinning, 4, core.SeqPins(0, 4)),
+				core.HogVM("bg", 1, core.SeqPins(0, 1)),
+			},
+		})
+		if err != nil {
+			return err
+		}
+		rts = append(rts, res.VM("fg").Runtime.Seconds())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rts) != 3 {
-		t.Fatalf("got %d runtimes", len(rts))
+	if len(rts) != 3 || seeds[0] != 5 || seeds[1] == seeds[0] || seeds[2] == seeds[1] {
+		t.Fatalf("runs %d, seeds %v", len(rts), seeds)
 	}
 	// Different seeds should give (slightly) different runtimes.
 	if rts[0] == rts[1] && rts[1] == rts[2] {
 		t.Fatal("all runs identical; seeds not varied")
 	}
-	mean, err := core.MeanRuntime(scn, "fg", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean <= 0 {
-		t.Fatal("zero mean runtime")
+	stop := errors.New("stop")
+	calls := 0
+	if err := core.Repeat(1, 3, func(int, uint64) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("Repeat after an error: err %v, %d calls", err, calls)
 	}
 }
 
@@ -107,20 +117,20 @@ func TestServerVMStats(t *testing.T) {
 	spec := workload.ServerSpec{
 		Name: "s", Threads: 2, Service: 2 * sim.Millisecond, Duration: sim.Second,
 	}
-	vmSpec, stats := core.ServerVM("fg", spec, 2, core.SeqPins(0, 2))
 	res, err := core.Run(core.Scenario{
-		PCPUs: 2, Strategy: core.StrategyVanilla, VMs: []core.VMSpec{vmSpec},
+		PCPUs: 2, Strategy: core.StrategyVanilla,
+		VMs: []core.VMSpec{core.ServerVM("fg", spec, 2, core.SeqPins(0, 2))},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *stats == nil {
-		t.Fatal("stats pointer never filled")
+	stats := res.VM("fg").Instance.Server
+	if stats == nil {
+		t.Fatal("result carries no server stats")
 	}
-	if (*stats).Requests == 0 {
+	if stats.Requests == 0 {
 		t.Fatal("no requests")
 	}
-	_ = res
 }
 
 func TestResultVMLookup(t *testing.T) {

@@ -5,17 +5,13 @@
 //
 // A Scenario describes physical CPUs, a scheduling strategy, and a set
 // of VMs each with a workload. Run executes it until every finite
-// (non-repeating) workload completes and returns per-VM results.
+// (non-repeating) workload completes and returns per-VM results. A
+// single-host rig is written as a HostSpec and compiled to a Scenario:
 //
-//	scn := core.Scenario{
-//	    PCPUs:    4,
-//	    Strategy: core.StrategyIRS,
-//	    VMs: []core.VMSpec{
-//	        core.BenchmarkVM("fg", bench, 0, 4),
-//	        core.HogVM("bg", 1, []int{0}),
-//	    },
-//	}
-//	res, err := core.Run(scn)
+//	spec, err := core.ParseHostSpec("host:pcpus=4,strategy=irs; " +
+//	    "vm:name=fg,kind=bench,bench=streamcluster,vcpus=4,irs=on; " +
+//	    "vm:name=bg,kind=hog,vcpus=1")
+//	res, err := core.Run(spec.Scenario(seed))
 package core
 
 import (

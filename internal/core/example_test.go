@@ -34,6 +34,31 @@ func ExampleRun() {
 	// SAs acknowledged: true
 }
 
+// ExampleParseHostSpec writes the same rig as ExampleRun in spec text,
+// one section a line, and compiles it.
+func ExampleParseHostSpec() {
+	spec, err := core.ParseHostSpec(`
+		host:pcpus=4,strategy=irs
+		vm:name=fg,kind=bench,bench=EP,mode=block,vcpus=4,irs=on  # pinned to pCPUs 0-3
+		vm:name=bg,kind=hog,vcpus=1                               # one hog on pCPU 0`)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println(spec)
+	res, err := core.Run(spec.Scenario(1))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("finished:", res.VM("fg").Runtime > 0)
+	fmt.Println("SAs acknowledged:", res.SAAcked > 0)
+	// Output:
+	// host:pcpus=4,strategy=irs; vm:name=fg,kind=bench,bench=EP,mode=block,vcpus=4,irs=on; vm:name=bg,kind=hog,vcpus=1
+	// finished: true
+	// SAs acknowledged: true
+}
+
 // ExampleScenario_baselines compares all four scheduling strategies on
 // one workload.
 func ExampleScenario_baselines() {

@@ -25,16 +25,15 @@ import (
 // ablationIRSPull compares IRS with and without the §6 pull mechanism
 // on a blocking, barrier-heavy workload.
 func ablationIRSPull(h *harness) Table {
-	bench, _ := workload.ByName("streamcluster")
 	rows := [][]string{}
 	for _, lvl := range []int{1, 2, 4} {
 		var van, push, pull []float64
-		for i := 0; i < h.opt.Runs; i++ {
-			seed := h.opt.Seed + uint64(i)*7919
-			van = append(van, pullPointJob(h, bench, core.StrategyVanilla, false, lvl, seed))
-			push = append(push, pullPointJob(h, bench, core.StrategyIRS, false, lvl, seed))
-			pull = append(pull, pullPointJob(h, bench, core.StrategyIRS, true, lvl, seed))
-		}
+		core.Repeat(h.opt.Seed, h.opt.Runs, func(_ int, seed uint64) error {
+			van = append(van, pullPointJob(h, core.StrategyVanilla, false, lvl, seed))
+			push = append(push, pullPointJob(h, core.StrategyIRS, false, lvl, seed))
+			pull = append(pull, pullPointJob(h, core.StrategyIRS, true, lvl, seed))
+			return nil
+		})
 		v := obs.Summarize(van).Mean
 		rows = append(rows, []string{
 			fmt.Sprintf("%d-inter", lvl),
@@ -50,37 +49,24 @@ func ablationIRSPull(h *harness) Table {
 	}
 }
 
-// pullPointJob wraps one pullPoint run as a harness job, one per
-// (strategy, pull?, interference, seed) cell.
-func pullPointJob(h *harness, bench workload.Benchmark, strat core.Strategy, irsPull bool, inter int, seed uint64) float64 {
+// pullPointJob runs one (strategy, pull?, interference, seed) cell of
+// ab-pull as a harness job: streamcluster against inter hogs. A failed
+// run counts as 0 s.
+func pullPointJob(h *harness, strat core.Strategy, irsPull bool, inter int, seed uint64) float64 {
 	key := fmt.Sprintf("abpull|%s|%v|%d|%d", strat, irsPull, inter, seed)
 	return jobAs(h, key, func() float64 {
-		return pullPoint(bench, strat, irsPull, inter, seed)
-	})
-}
-
-func pullPoint(bench workload.Benchmark, strat core.Strategy, irsPull bool, inter int, seed uint64) float64 {
-	fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-	fg.IRS = strat == core.StrategyIRS
-	scn := core.Scenario{
-		PCPUs:    4,
-		Strategy: strat,
-		Seed:     seed,
-		VMs: []core.VMSpec{
-			fg,
-			core.HogVM("bg", inter, core.SeqPins(0, inter)),
-		},
-		TuneGuest: func(name string, c *guest.Config) {
-			if name == "fg" {
-				c.IRSPull = irsPull
+		res, err := runRig(hogRig("streamcluster", 0, inter), strat, seed, func(scn *core.Scenario) {
+			scn.TuneGuest = func(name string, c *guest.Config) {
+				if name == "fg" {
+					c.IRSPull = irsPull
+				}
 			}
-		},
-	}
-	res, err := core.Run(scn)
-	if err != nil {
-		return 0
-	}
-	return res.VM("fg").Runtime.Seconds()
+		})
+		if err != nil {
+			return 0
+		}
+		return res.VM("fg").Runtime.Seconds()
+	})
 }
 
 // salimitOut is one IRS data point of the SA-limit sweep.
@@ -94,23 +80,21 @@ type salimitOut struct {
 // ~50µs suffices.
 func ablationSALimit(h *harness) Table {
 	opt := h.opt
-	bench, _ := workload.ByName("streamcluster")
 	limits := []sim.Time{
 		10 * sim.Microsecond, 25 * sim.Microsecond, 50 * sim.Microsecond,
 		100 * sim.Microsecond, 1 * sim.Millisecond,
 	}
-	base := jobAs(h, "absalimit|vanilla", func() float64 {
-		return salimitPoint(opt, bench) // vanilla baseline
+	base := jobAs(h, "absalimit|vanilla", func() salimitOut {
+		return salimitPoint(opt, core.StrategyVanilla, 0)
 	})
 	rows := [][]string{}
 	for _, lim := range limits {
 		out := jobAs(h, fmt.Sprintf("absalimit|%s", lim), func() salimitOut {
-			rt, expired := salimitPointIRS(opt, bench, lim)
-			return salimitOut{rt: rt, expired: expired}
+			return salimitPoint(opt, core.StrategyIRS, lim)
 		})
 		rows = append(rows, []string{
 			lim.String(),
-			pct(Improvement(base, out.rt)),
+			pct(Improvement(base.rt, out.rt)),
 			fmt.Sprintf("%.0f%%", out.expired*100),
 		})
 	}
@@ -122,41 +106,27 @@ func ablationSALimit(h *harness) Table {
 	}
 }
 
-func salimitPoint(opt Options, bench workload.Benchmark) float64 {
-	var rts []float64
-	for i := 0; i < opt.Runs; i++ {
-		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-		res, err := core.Run(core.Scenario{
-			PCPUs: 4, Strategy: core.StrategyVanilla, Seed: opt.Seed + uint64(i)*7919,
-			VMs: []core.VMSpec{fg, core.HogVM("bg", 1, core.SeqPins(0, 1))},
-		})
-		if err != nil {
-			continue
-		}
-		rts = append(rts, res.VM("fg").Runtime.Seconds())
-	}
-	return obs.Summarize(rts).Mean
-}
-
-func salimitPointIRS(opt Options, bench workload.Benchmark, limit sim.Time) (float64, float64) {
+// salimitPoint averages streamcluster against one hog over the runs,
+// with the SA hard limit set to limit when it is non-zero; failed runs
+// are skipped.
+func salimitPoint(opt Options, strat core.Strategy, limit sim.Time) salimitOut {
 	var rts, exp []float64
-	for i := 0; i < opt.Runs; i++ {
-		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-		fg.IRS = true
-		res, err := core.Run(core.Scenario{
-			PCPUs: 4, Strategy: core.StrategyIRS, Seed: opt.Seed + uint64(i)*7919,
-			VMs:    []core.VMSpec{fg, core.HogVM("bg", 1, core.SeqPins(0, 1))},
-			TuneHV: func(c *hypervisor.Config) { c.SALimit = limit },
+	core.Repeat(opt.Seed, opt.Runs, func(_ int, seed uint64) error {
+		res, err := runRig(hogRig("streamcluster", 0, 1), strat, seed, func(scn *core.Scenario) {
+			if limit > 0 {
+				scn.TuneHV = func(c *hypervisor.Config) { c.SALimit = limit }
+			}
 		})
 		if err != nil {
-			continue
+			return nil
 		}
 		rts = append(rts, res.VM("fg").Runtime.Seconds())
 		if res.SASent > 0 {
 			exp = append(exp, float64(res.SAExpired)/float64(res.SASent))
 		}
-	}
-	return obs.Summarize(rts).Mean, obs.Summarize(exp).Mean
+		return nil
+	})
+	return salimitOut{rt: obs.Summarize(rts).Mean, expired: obs.Summarize(exp).Mean}
 }
 
 // ablationTicketLock compares TAS and ticket spinlocks for a
@@ -173,10 +143,10 @@ func ablationTicketLock(h *harness) Table {
 		LocksPerIter: 6, CSLen: 150 * sim.Microsecond,
 	}
 	for _, lvl := range []int{0, 1, 2} {
-		tas := ticketPointJob(h, spec, false, lvl)
+		tas := ticketPointJob(h, spec, lvl)
 		spec2 := spec
 		spec2.TicketLock = true
-		fifo := ticketPointJob(h, spec2, true, lvl)
+		fifo := ticketPointJob(h, spec2, lvl)
 		slow := 0.0
 		if tas > 0 {
 			slow = fifo / tas
@@ -199,49 +169,38 @@ func ablationTicketLock(h *harness) Table {
 // ticketPointJob wraps one ticketPoint cell as a harness job. The key
 // carries the iteration count so ab-ticket's 600-iteration spec and
 // claim C17's 400-iteration spec never collide.
-func ticketPointJob(h *harness, spec workload.ParallelSpec, ticket bool, inter int) float64 {
+func ticketPointJob(h *harness, spec workload.ParallelSpec, inter int) float64 {
 	opt := h.opt
 	key := fmt.Sprintf("abticket|%d|%v|%d", spec.Iterations, spec.TicketLock, inter)
 	return jobAs(h, key, func() float64 {
-		return ticketPoint(opt, spec, ticket, inter)
+		return ticketPoint(opt, spec, inter)
 	})
 }
 
-func ticketPoint(opt Options, spec workload.ParallelSpec, ticket bool, inter int) float64 {
-	var rts []float64
-	for i := 0; i < opt.Runs; i++ {
-		vms := []core.VMSpec{{
-			Name:  "fg",
-			VCPUs: 4,
-			Pin:   core.SeqPins(0, 4),
-			Attach: func(k *guest.Kernel, seed uint64) *workload.Instance {
-				return workload.NewParallel(k, spec, seed)
-			},
-		}}
-		if inter > 0 {
-			vms = append(vms, core.HogVM("bg", inter, core.SeqPins(0, inter)))
-		}
-		res, err := core.Run(core.Scenario{
-			PCPUs: 4, Strategy: core.StrategyVanilla,
-			Seed: opt.Seed + uint64(i)*7919, VMs: vms,
-		})
-		if err != nil {
-			continue
-		}
-		rts = append(rts, res.VM("fg").Runtime.Seconds())
+// ticketPoint averages the lock-bound spec's runtime against inter
+// hogs under vanilla. The lock benchmark is no catalog entry, so fg
+// stays a Go VMSpec, placed before the rig's hogs.
+func ticketPoint(opt Options, spec workload.ParallelSpec, inter int) float64 {
+	rig := "host:pcpus=4"
+	if inter > 0 {
+		rig += fmt.Sprintf("; vm:name=bg,kind=hog,vcpus=%d", inter)
 	}
-	return obs.Summarize(rts).Mean
+	fg := core.VMSpec{Name: "fg", VCPUs: 4, Pin: core.SeqPins(0, 4), Attach: func(k *guest.Kernel, seed uint64) *workload.Instance {
+		return workload.NewParallel(k, spec, seed)
+	}}
+	return meanRuntime(opt, rig, core.StrategyVanilla, func(scn *core.Scenario) {
+		scn.VMs = append([]core.VMSpec{fg}, scn.VMs...)
+	})
 }
 
 // ablationSpinBlock sweeps the adaptive pre-sleep spin budget of
 // blocking primitives and shows its interaction with PLE.
 func ablationSpinBlock(h *harness) Table {
-	bench, _ := workload.ByName("vips")
 	budgets := []sim.Time{0, 20 * sim.Microsecond, 40 * sim.Microsecond, 120 * sim.Microsecond}
 	rows := [][]string{}
 	for _, b := range budgets {
-		van := spinBlockPointJob(h, bench, core.StrategyVanilla, b)
-		ple := spinBlockPointJob(h, bench, core.StrategyPLE, b)
+		van := spinBlockPointJob(h, core.StrategyVanilla, b)
+		ple := spinBlockPointJob(h, core.StrategyPLE, b)
 		rows = append(rows, []string{
 			b.String(),
 			fmt.Sprintf("%.2fs", van),
@@ -257,31 +216,17 @@ func ablationSpinBlock(h *harness) Table {
 	}
 }
 
-// spinBlockPointJob wraps one spin-budget cell as a harness job.
-func spinBlockPointJob(h *harness, bench workload.Benchmark, strat core.Strategy, budget sim.Time) float64 {
+// spinBlockPointJob runs one spin-budget cell as a harness job: vips
+// against two hogs, averaged over the runs with failed runs skipped.
+func spinBlockPointJob(h *harness, strat core.Strategy, budget sim.Time) float64 {
 	opt := h.opt
 	return jobAs(h, fmt.Sprintf("abspin|%s|%s", strat, budget), func() float64 {
-		return spinBlockPoint(opt, bench, strat, budget)
-	})
-}
-
-func spinBlockPoint(opt Options, bench workload.Benchmark, strat core.Strategy, budget sim.Time) float64 {
-	var rts []float64
-	for i := 0; i < opt.Runs; i++ {
-		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-		res, err := core.Run(core.Scenario{
-			PCPUs: 4, Strategy: strat, Seed: opt.Seed + uint64(i)*7919,
-			VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
-			TuneGuest: func(name string, c *guest.Config) {
+		return meanRuntime(opt, hogRig("vips", 0, 2), strat, func(scn *core.Scenario) {
+			scn.TuneGuest = func(name string, c *guest.Config) {
 				c.SpinBeforeBlock = budget
-			},
+			}
 		})
-		if err != nil {
-			continue
-		}
-		rts = append(rts, res.VM("fg").Runtime.Seconds())
-	}
-	return obs.Summarize(rts).Mean
+	})
 }
 
 // ablationStrictCo contrasts ESX 2.x-style strict co-scheduling (§2.1)
@@ -298,13 +243,10 @@ func ablationStrictCo(h *harness) Table {
 		{"MG", workload.SyncSpinning}, // spinning: slots fully used
 		{"EP", workload.SyncBlocking}, // coarse blocking
 	} {
-		bench, ok := workload.ByName(c.name)
-		if !ok {
-			continue
-		}
-		van := strictPointJob(h, bench, c.mode, core.StrategyVanilla)
-		co := strictPointJob(h, bench, c.mode, core.StrategyStrictCo)
-		irs := strictPointJob(h, bench, c.mode, core.StrategyIRS)
+		rig := hogRig(c.name, c.mode, 2)
+		van := strictPointJob(h, rig, core.StrategyVanilla)
+		co := strictPointJob(h, rig, core.StrategyStrictCo)
+		irs := strictPointJob(h, rig, core.StrategyIRS)
 		rows = append(rows, []string{
 			c.name,
 			fmt.Sprintf("%.2fs", van),
@@ -322,28 +264,23 @@ func ablationStrictCo(h *harness) Table {
 	}
 }
 
-// strictPointJob wraps one strict-co cell as a harness job.
-func strictPointJob(h *harness, bench workload.Benchmark, mode workload.SyncMode, strat core.Strategy) float64 {
+// strictPointJob runs one strict-co cell as a harness job.
+func strictPointJob(h *harness, rig string, strat core.Strategy) float64 {
 	opt := h.opt
-	key := fmt.Sprintf("abstrict|%s|%d|%s", bench.Name, mode, strat)
-	return jobAs(h, key, func() float64 {
-		return strictPoint(opt, bench, mode, strat)
+	return jobAs(h, "abstrict|"+strat.String()+"|"+rig, func() float64 {
+		return meanRuntime(opt, rig, strat, nil)
 	})
 }
 
-func strictPoint(opt Options, bench workload.Benchmark, mode workload.SyncMode, strat core.Strategy) float64 {
+// meanRuntime averages fg's runtime in a rig over the runs; failed runs
+// are skipped.
+func meanRuntime(opt Options, rig string, strat core.Strategy, tune func(*core.Scenario)) float64 {
 	var rts []float64
-	for i := 0; i < opt.Runs; i++ {
-		fg := core.BenchmarkVM("fg", bench, mode, 4, core.SeqPins(0, 4))
-		fg.IRS = strat == core.StrategyIRS
-		res, err := core.Run(core.Scenario{
-			PCPUs: 4, Strategy: strat, Seed: opt.Seed + uint64(i)*7919,
-			VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
-		})
-		if err != nil {
-			continue
+	core.Repeat(opt.Seed, opt.Runs, func(_ int, seed uint64) error {
+		if res, err := runRig(rig, strat, seed, tune); err == nil {
+			rts = append(rts, res.VM("fg").Runtime.Seconds())
 		}
-		rts = append(rts, res.VM("fg").Runtime.Seconds())
-	}
+		return nil
+	})
 	return obs.Summarize(rts).Mean
 }

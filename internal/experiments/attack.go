@@ -96,28 +96,18 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 	// weight-proportional fair share (1/3 each) is every tenant's true
 	// entitlement and per-request latency directly reflects how much of
 	// it the scheduler actually delivers.
-	victim, stats := core.ServerVM("victim", workload.ServerSpec{
-		Name:     "victim",
-		Threads:  1,
-		Service:  300 * sim.Microsecond,
-		Duration: DefaultAttackDuration,
-	}, 1, []int{0})
-	scn := core.Scenario{
-		PCPUs:    1,
-		Strategy: core.StrategyVanilla,
-		Seed:     seed,
-		Horizon:  DefaultAttackDuration + 10*sim.Second,
-		VMs: []core.VMSpec{
-			core.AttackerVM("attacker", spec, 1, []int{0}),
-			victim,
-			core.HogVM("honest", 1, []int{0}),
-		},
-		TuneHV: func(c *hypervisor.Config) {
-			c.TickJitter = d.Jitter
-			c.ExactAccounting = d.Exact
-		},
-		Invariants: true,
+	rig := fmt.Sprintf("host:pcpus=1,horizon=%v; vm:name=attacker,kind=attacker,vcpus=1; "+
+		"vm:name=victim,kind=server,vcpus=1,threads=1,service=300us,duration=%v; vm:name=honest,kind=hog,vcpus=1; attack:%s",
+		(DefaultAttackDuration + 10*sim.Second).Std(), DefaultAttackDuration.Std(), spec)
+	scn, err := rigScenario(rig, core.StrategyVanilla, seed)
+	if err != nil {
+		return AttackOutcome{}, err
 	}
+	scn.TuneHV = func(c *hypervisor.Config) {
+		c.TickJitter = d.Jitter
+		c.ExactAccounting = d.Exact
+	}
+	scn.Invariants = true
 	c, err := core.Build(scn)
 	if err != nil {
 		return AttackOutcome{}, err
@@ -172,7 +162,7 @@ func RunAttack(spec workload.AttackSpec, d AttackDefense, seed uint64) (AttackOu
 			out.HonestRatio = st.Ratio
 		}
 	}
-	if st := *stats; st != nil && st.Requests > 0 {
+	if st := res.VM("victim").Instance.Server; st.Requests > 0 {
 		out.VictimP99 = st.Latency.Percentile(99)
 	}
 	ranked, _ := w.AttributeAt(c.Engine.Now(), res.Elapsed)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/workload"
 )
 
 // The blame experiment answers the question the latency tables cannot:
@@ -32,45 +31,32 @@ func BlameStrategies() []core.Strategy {
 	return []core.Strategy{core.StrategyVanilla, core.StrategyPLE, core.StrategyIRS}
 }
 
-// BlameScenario builds the bully rig: a 4-vCPU open-loop server VM
-// (every third request takes a shared lock) pinned across all four
-// pCPUs, with two hogs stacked on pCPUs 0-1 so half the server's vCPUs
-// are constantly preempted mid-request. tracer, when non-nil, is
-// injected into the foreground guest so every request carries a span.
-func BlameScenario(strat core.Strategy, seed uint64, duration, arrival sim.Time, tracer *span.Tracer) core.Scenario {
-	spec := workload.ServerSpec{
-		Name:      "srv",
-		Threads:   4,
-		Service:   800 * sim.Microsecond,
-		Arrival:   arrival,
-		LockEvery: 3,
-		LockCS:    150 * sim.Microsecond,
-		Duration:  duration,
+// BlameRig is the bully rig as a host spec: a 4-vCPU open-loop server
+// VM fg (every third request takes a shared lock) pinned across all
+// four pCPUs, its request stream lasting duration at mean inter-arrival
+// arrival, with two hogs stacked on pCPUs 0-1 so half the server's
+// vCPUs are constantly preempted mid-request.
+func BlameRig(duration, arrival sim.Time) core.HostSpec {
+	spec, err := core.ParseHostSpec(fmt.Sprintf("host:pcpus=4,horizon=2m; "+
+		"vm:name=fg,kind=server,vcpus=4,threads=4,service=800us,lock-every=3,lock-cs=150us,duration=%v,arrival=%v; "+
+		"vm:name=bg,kind=hog,vcpus=2", duration.Std(), arrival.Std()))
+	if err != nil {
+		panic(err)
 	}
-	fg, _ := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
-	fg.IRS = strat == core.StrategyIRS
-	return core.Scenario{
-		PCPUs:    4,
-		Strategy: strat,
-		Seed:     seed,
-		Horizon:  120 * sim.Second,
-		VMs: []core.VMSpec{
-			fg,
-			core.HogVM("bg", 2, core.SeqPins(0, 2)),
-		},
-		TuneGuest: func(name string, c *guest.Config) {
-			if name == "fg" {
-				c.Spans = tracer
-			}
-		},
-	}
+	return spec
 }
 
-// BlameRun executes the bully scenario once under strat and returns the
-// finished request spans.
-func BlameRun(strat core.Strategy, seed uint64, duration, arrival sim.Time) ([]*span.Span, error) {
+// BlameRun runs a rig once under strat with span tracing injected into
+// the guest of its VM fg, and returns the finished request spans.
+func BlameRun(rig core.HostSpec, strat core.Strategy, seed uint64) ([]*span.Span, error) {
 	tr := span.NewTracer()
-	if _, err := core.Run(BlameScenario(strat, seed, duration, arrival, tr)); err != nil {
+	scn := rig.WithStrategy(strat).Scenario(seed)
+	scn.TuneGuest = func(name string, c *guest.Config) {
+		if name == "fg" {
+			c.Spans = tr
+		}
+	}
+	if _, err := core.Run(scn); err != nil {
 		return nil, err
 	}
 	return tr.Finished(), nil
@@ -104,10 +90,11 @@ func blameTable(h *harness) Table {
 func blameCell(strat core.Strategy, seed uint64, runs int) ([]string, error) {
 	var all []*span.Span
 	wall := obs.NewSketch(obs.DefaultSketchAlpha)
-	for i := 0; i < runs; i++ {
-		spans, err := BlameRun(strat, seed+uint64(i)*7919, DefaultBlameDuration, DefaultBlameArrival)
+	rig := BlameRig(DefaultBlameDuration, DefaultBlameArrival)
+	err := core.Repeat(seed, runs, func(_ int, seed uint64) error {
+		spans, err := BlameRun(rig, strat, seed)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		runWall := obs.NewSketch(obs.DefaultSketchAlpha)
 		for _, sp := range spans {
@@ -115,6 +102,10 @@ func blameCell(strat core.Strategy, seed uint64, runs int) ([]string, error) {
 		}
 		wall.Merge(runWall)
 		all = append(all, spans...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	an := span.Analyze(all, obs.DefaultSketchAlpha)
 	p99 := an.Band("p99")

@@ -16,7 +16,7 @@ import (
 func TestBlameConservation(t *testing.T) {
 	for _, strat := range BlameStrategies() {
 		t.Run(strat.String(), func(t *testing.T) {
-			spans, err := BlameRun(strat, 1, DefaultBlameDuration/4, DefaultBlameArrival)
+			spans, err := BlameRun(BlameRig(DefaultBlameDuration/4, DefaultBlameArrival), strat, 1)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -51,7 +51,7 @@ func TestBlameShiftsTailBlame(t *testing.T) {
 		t.Skip("full bully runs in -short mode")
 	}
 	pathology := func(strat core.Strategy) (path, svc float64) {
-		spans, err := BlameRun(strat, 1, DefaultBlameDuration, DefaultBlameArrival)
+		spans, err := BlameRun(BlameRig(DefaultBlameDuration, DefaultBlameArrival), strat, 1)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -84,8 +84,8 @@ func TestBlameShiftsTailBlame(t *testing.T) {
 func TestBlameWallSketchMatchesMergedRuns(t *testing.T) {
 	merged := obs.NewSketch(obs.DefaultSketchAlpha)
 	pooled := obs.NewSketch(obs.DefaultSketchAlpha)
-	for i := 0; i < 2; i++ {
-		spans, err := BlameRun(core.StrategyVanilla, 1+uint64(i)*7919, DefaultBlameDuration/8, DefaultBlameArrival)
+	core.Repeat(1, 2, func(_ int, seed uint64) error {
+		spans, err := BlameRun(BlameRig(DefaultBlameDuration/8, DefaultBlameArrival), core.StrategyVanilla, seed)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -95,7 +95,8 @@ func TestBlameWallSketchMatchesMergedRuns(t *testing.T) {
 			pooled.Add(sp.Wall())
 		}
 		merged.Merge(runSketch)
-	}
+		return nil
+	})
 	for _, p := range []float64{50, 99, 99.9} {
 		if merged.Percentile(p) != pooled.Percentile(p) {
 			t.Fatalf("p%v: merged %v != pooled %v", p, merged.Percentile(p), pooled.Percentile(p))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // chaosVariant pairs a scheduling strategy with an optional hardening
@@ -19,17 +17,16 @@ import (
 type chaosVariant struct {
 	name     string
 	strategy core.Strategy
-	irs      bool
 	hardened bool
 }
 
 func chaosVariants() []chaosVariant {
 	return []chaosVariant{
-		{"vanilla", core.StrategyVanilla, false, false},
-		{"ple", core.StrategyPLE, false, false},
-		{"relaxed-co", core.StrategyRelaxedCo, false, false},
-		{"irs", core.StrategyIRS, true, false},
-		{"irs-hardened", core.StrategyIRS, true, true},
+		{"vanilla", core.StrategyVanilla, false},
+		{"ple", core.StrategyPLE, false},
+		{"relaxed-co", core.StrategyRelaxedCo, false},
+		{"irs", core.StrategyIRS, false},
+		{"irs-hardened", core.StrategyIRS, true},
 	}
 }
 
@@ -43,27 +40,15 @@ func chaosRates() []float64 { return []float64{0, 0.10, 0.25} }
 // suppression, migrator retries, wakeup-loss poll, SA circuit
 // breaker). The registry is per-run so exports are comparable across
 // repeats of the same cell.
-func chaosScenario(seed uint64, rate float64, v chaosVariant, reg *obs.Registry) (core.Scenario, bool) {
-	bench, ok := workload.ByName("streamcluster")
-	if !ok {
-		return core.Scenario{}, false
-	}
-	fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-	fg.IRS = v.irs
-	scn := core.Scenario{
-		PCPUs:      4,
-		Strategy:   v.strategy,
-		Seed:       seed,
-		Horizon:    120 * sim.Second,
-		VMs:        []core.VMSpec{fg, core.HogVM("bg", 1, core.SeqPins(0, 1))},
-		Metrics:    reg,
-		Invariants: true,
-	}
+func chaosScenario(seed uint64, rate float64, v chaosVariant, reg *obs.Registry) (core.Scenario, error) {
+	rig := "host:pcpus=4,horizon=2m; vm:name=fg,kind=bench,bench=streamcluster,vcpus=4; vm:name=bg,kind=hog,vcpus=1"
 	if rate > 0 {
 		// LossPlan(0) still carries the delay/staleness terms; keep the
 		// control row genuinely injection-free.
-		scn.Faults = fault.LossPlan(rate)
+		rig += "; faults:" + fault.LossPlan(rate).String()
 	}
+	scn, err := rigScenario(rig, v.strategy, seed)
+	scn.Metrics, scn.Invariants = reg, true
 	if v.hardened {
 		scn.TuneHV = hardenHV
 		scn.TuneGuest = func(name string, c *guest.Config) {
@@ -72,7 +57,7 @@ func chaosScenario(seed uint64, rate float64, v chaosVariant, reg *obs.Registry)
 			}
 		}
 	}
-	return scn, true
+	return scn, err
 }
 
 // hardenHV and hardenGuest apply the hardened IRS profile shared by the
@@ -106,9 +91,6 @@ func chaos(h *harness) Table {
 		Columns: []string{"rate", "variant", "runtime", "SA sent/ack/exp/pend",
 			"fallbacks", "recovered", "injected", "violations"},
 	}
-	if _, ok := workload.ByName("streamcluster"); !ok {
-		return t
-	}
 	seed := h.opt.Seed
 	for _, rate := range chaosRates() {
 		for _, v := range chaosVariants() {
@@ -127,10 +109,9 @@ func chaos(h *harness) Table {
 // only when the run produced no result at all (a stalled run still
 // renders). Pure function of its arguments; safe on worker goroutines.
 func chaosCell(seed uint64, rate float64, v chaosVariant) ([]string, error) {
-	reg := obs.NewRegistry()
-	scn, ok := chaosScenario(seed, rate, v, reg)
-	if !ok {
-		return nil, errors.New("benchmark unavailable")
+	scn, err := chaosScenario(seed, rate, v, obs.NewRegistry())
+	if err != nil {
+		return nil, err
 	}
 	res, err := core.Run(scn)
 	if res == nil {

@@ -13,9 +13,9 @@ import (
 func chaosRunOne(t *testing.T, idx int, rate float64) (*core.Result, error) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	scn, ok := chaosScenario(1, rate, chaosVariants()[idx], reg)
-	if !ok {
-		t.Fatal("streamcluster benchmark missing")
+	scn, err := chaosScenario(1, rate, chaosVariants()[idx], reg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return core.Run(scn)
 }
@@ -26,9 +26,9 @@ func TestChaosDeterministicExports(t *testing.T) {
 	t.Parallel()
 	run := func() (string, string) {
 		reg := obs.NewRegistry()
-		scn, ok := chaosScenario(1, 0.10, chaosVariants()[4], reg) // irs-hardened
-		if !ok {
-			t.Fatal("streamcluster benchmark missing")
+		scn, err := chaosScenario(1, 0.10, chaosVariants()[4], reg) // irs-hardened
+		if err != nil {
+			t.Fatal(err)
 		}
 		scn.SampleInterval = 10 * sim.Millisecond
 		cl, err := core.Build(scn)

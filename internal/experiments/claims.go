@@ -63,8 +63,8 @@ func Claims() []Claim {
 			Check: func(h *harness) (string, bool) {
 				scb, _ := workload.ByName("streamcluster")
 				rtb, _ := workload.ByName("raytrace")
-				sc, _ := fig2Run(h, scb, 0, 0)
-				rt, _ := fig2Run(h, rtb, 0, 0)
+				sc, _ := fig2Run(h, scb, 0, h.opt.Seed)
+				rt, _ := fig2Run(h, rtb, 0, h.opt.Seed)
 				return fmt.Sprintf("streamcluster %.2f, raytrace %.2f", sc, rt),
 					sc < 0.75 && rt > 0.8
 			},
@@ -77,7 +77,7 @@ func Claims() []Claim {
 				best := 0.0
 				for _, n := range []string{"streamcluster", "facesim", "bodytrack"} {
 					b, _ := workload.ByName(n)
-					imp := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b, inter: hogs(1)}, core.StrategyIRS)
+					imp := h.improvement(setup{bench: b, inter: hogs(1)}, core.StrategyIRS)
 					if imp > best {
 						best = imp
 					}
@@ -91,7 +91,7 @@ func Claims() []Claim {
 			Statement: "IRS improves spinning NPB workloads substantially (paper: up to 43%): migrated lock holders reschedule at guest (ms) rather than hypervisor (30 ms) granularity.",
 			Check: func(h *harness) (string, bool) {
 				b, _ := workload.ByName("MG")
-				imp := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b,
+				imp := h.improvement(setup{bench: b,
 					mode: workload.SyncSpinning, inter: hogs(1)}, core.StrategyIRS)
 				return fmt.Sprintf("MG %.0f%%", imp), imp >= 30
 			},
@@ -102,8 +102,8 @@ func Claims() []Claim {
 			Statement: "IRS gains diminish as interference covers more vCPUs; with every vCPU interfered the gain is marginal or negative.",
 			Check: func(h *harness) (string, bool) {
 				b, _ := workload.ByName("facesim")
-				i1 := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b, inter: hogs(1)}, core.StrategyIRS)
-				i4 := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b, inter: hogs(4)}, core.StrategyIRS)
+				i1 := h.improvement(setup{bench: b, inter: hogs(1)}, core.StrategyIRS)
+				i4 := h.improvement(setup{bench: b, inter: hogs(4)}, core.StrategyIRS)
 				return fmt.Sprintf("1-inter %.0f%%, 4-inter %.0f%%", i1, i4),
 					i1 >= i4+10
 			},
@@ -114,7 +114,7 @@ func Claims() []Claim {
 			Statement: "Pipeline-parallel dedup/ferret see only marginal IRS gains: with several ready threads per vCPU the stock balancer already copes.",
 			Check: func(h *harness) (string, bool) {
 				b, _ := workload.ByName("dedup")
-				imp := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b, inter: hogs(1)}, core.StrategyIRS)
+				imp := h.improvement(setup{bench: b, inter: hogs(1)}, core.StrategyIRS)
 				return fmt.Sprintf("dedup %.0f%%", imp), imp < 30
 			},
 		},
@@ -125,9 +125,9 @@ func Claims() []Claim {
 			Check: func(h *harness) (string, bool) {
 				bt, _ := workload.ByName("BT")
 				mg, _ := workload.ByName("MG")
-				coarse := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: bt,
+				coarse := h.improvement(setup{bench: bt,
 					mode: workload.SyncSpinning, inter: hogs(2)}, core.StrategyRelaxedCo)
-				fine := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: mg,
+				fine := h.improvement(setup{bench: mg,
 					mode: workload.SyncSpinning, inter: hogs(2)}, core.StrategyRelaxedCo)
 				return fmt.Sprintf("BT %.0f%%, MG %.0f%%", coarse, fine),
 					coarse >= 20 && fine < coarse-15
@@ -139,7 +139,7 @@ func Claims() []Claim {
 			Statement: "Relaxed co-scheduling is ineffective or destructive for blocking workloads: idleness is mistaken for progress, blinding the skew monitor.",
 			Check: func(h *harness) (string, bool) {
 				b, _ := workload.ByName("streamcluster")
-				imp := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: b, inter: hogs(2)}, core.StrategyRelaxedCo)
+				imp := h.improvement(setup{bench: b, inter: hogs(2)}, core.StrategyRelaxedCo)
 				return fmt.Sprintf("streamcluster %.0f%%", imp), imp < 10
 			},
 		},
@@ -149,7 +149,7 @@ func Claims() []Claim {
 			Statement: "IRS outperforms both PLE and relaxed co-scheduling for fine-grained spinning workloads under interference.",
 			Check: func(h *harness) (string, bool) {
 				b, _ := workload.ByName("CG")
-				s := setup{pcpus: 4, fgVCPUs: 4, bench: b, mode: workload.SyncSpinning, inter: hogs(1)}
+				s := setup{bench: b, mode: workload.SyncSpinning, inter: hogs(1)}
 				irs := h.improvement(s, core.StrategyIRS)
 				ple := h.improvement(s, core.StrategyPLE)
 				co := h.improvement(s, core.StrategyRelaxedCo)
@@ -162,23 +162,11 @@ func Claims() []Claim {
 			Section:   "§3.1, §4.1",
 			Statement: "SA processing adds only 20-26µs to each hypervisor preemption — negligible against ms-scale scheduling quanta.",
 			Check: func(h *harness) (string, bool) {
-				seed := h.opt.Seed
-				us, err := tryJob(h, "c12", func() (float64, error) {
-					b, _ := workload.ByName("streamcluster")
-					fg := core.BenchmarkVM("fg", b, 0, 4, core.SeqPins(0, 4))
-					fg.IRS = true
-					res, err := core.Run(core.Scenario{
-						PCPUs: 4, Strategy: core.StrategyIRS, Seed: seed,
-						VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
-					})
-					if err != nil {
-						return 0, err
-					}
-					return res.SAMeanDelay.Microseconds(), nil
-				})
+				out, err := saDelayJob(h)
 				if err != nil {
 					return err.Error(), false
 				}
+				us := out.mean.Microseconds()
 				return fmt.Sprintf("mean %.0fµs", us), us >= 10 && us <= 40
 			},
 		},
@@ -189,13 +177,7 @@ func Claims() []Claim {
 			Check: func(h *harness) (string, bool) {
 				seed := h.opt.Seed
 				util, err := tryJob(h, "c13", func() (float64, error) {
-					b, _ := workload.ByName("UA")
-					fg := core.BenchmarkVM("fg", b, workload.SyncSpinning, 4, core.SeqPins(0, 4))
-					fg.IRS = true
-					res, err := core.Run(core.Scenario{
-						PCPUs: 4, Strategy: core.StrategyIRS, Seed: seed,
-						VMs: []core.VMSpec{fg, core.HogVM("bg", 2, core.SeqPins(0, 2))},
-					})
+					res, err := runRig(hogRig("UA", workload.SyncSpinning, 2), core.StrategyIRS, seed, nil)
 					if err != nil {
 						return 0, err
 					}
@@ -214,11 +196,10 @@ func Claims() []Claim {
 			Section:   "§5.3 Fig 8",
 			Statement: "IRS cuts multi-threaded server latency substantially (paper: up to 46%) even though such workloads have little synchronization.",
 			Check: func(h *harness) (string, bool) {
-				jbb, _ := serverSpecs()
-				vanT, vanL := serverPointJob(h, jbb, core.StrategyVanilla, 2, 0)
-				irsT, irsL := serverPointJob(h, jbb, core.StrategyIRS, 2, 0)
-				latImp := Improvement(vanL, irsL)
-				thrImp := ThroughputImprovement(vanT, irsT)
+				van := serverPointJob(h, jbbRig, core.StrategyVanilla, 2, 0)
+				irs := serverPointJob(h, jbbRig, core.StrategyIRS, 2, 0)
+				latImp := Improvement(van.lat, irs.lat)
+				thrImp := ThroughputImprovement(van.thr, irs.thr)
 				return fmt.Sprintf("latency %.0f%%, throughput %.0f%%", latImp, thrImp),
 					latImp >= 10 && thrImp >= 5
 			},
@@ -229,9 +210,9 @@ func Claims() []Claim {
 			Statement: "With all vCPUs unpinned, VM-oblivious scheduling stacks sibling vCPUs and costs parallel workloads multiples of their pinned performance.",
 			Check: func(h *harness) (string, bool) {
 				mg, _ := workload.ByName("MG")
-				pinned := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: mg,
+				pinned := h.measure(setup{bench: mg,
 					mode: workload.SyncSpinning, strat: core.StrategyVanilla, inter: hogs(4)})
-				stacked := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: mg,
+				stacked := h.measure(setup{bench: mg,
 					mode: workload.SyncSpinning, strat: core.StrategyVanilla, inter: hogs(4),
 					unpinned: true, horizon: 1800 * sim.Second})
 				r := stacked.fgRuntime / pinned.fgRuntime
@@ -244,7 +225,7 @@ func Claims() []Claim {
 			Statement: "IRS recovers a good part of the stacking penalty: in-guest balancing is resilient to oblivious vCPU placement.",
 			Check: func(h *harness) (string, bool) {
 				mg, _ := workload.ByName("MG")
-				s := setup{pcpus: 4, fgVCPUs: 4, bench: mg, mode: workload.SyncSpinning,
+				s := setup{bench: mg, mode: workload.SyncSpinning,
 					inter: hogs(4), unpinned: true, horizon: 1800 * sim.Second}
 				imp := h.improvement(s, core.StrategyIRS)
 				return fmt.Sprintf("MG %.0f%%", imp), imp >= 15
@@ -260,9 +241,9 @@ func Claims() []Claim {
 					Iterations: 400, Work: 1 * sim.Millisecond, Imbalance: 0.1,
 					LocksPerIter: 6, CSLen: 150 * sim.Microsecond,
 				}
-				tas := ticketPointJob(h, spec, false, 1)
+				tas := ticketPointJob(h, spec, 1)
 				spec.TicketLock = true
-				fifo := ticketPointJob(h, spec, true, 1)
+				fifo := ticketPointJob(h, spec, 1)
 				r := fifo / tas
 				return fmt.Sprintf("ticket/TAS %.2fx", r), r >= 1.5
 			},
@@ -274,8 +255,8 @@ func Claims() []Claim {
 			Check: func(h *harness) (string, bool) {
 				sc, _ := workload.ByName("streamcluster")
 				mg, _ := workload.ByName("MG")
-				blocking := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: sc, inter: hogs(2)}, core.StrategyStrictCo)
-				spinning := h.improvement(setup{pcpus: 4, fgVCPUs: 4, bench: mg,
+				blocking := h.improvement(setup{bench: sc, inter: hogs(2)}, core.StrategyStrictCo)
+				spinning := h.improvement(setup{bench: mg,
 					mode: workload.SyncSpinning, inter: hogs(2)}, core.StrategyStrictCo)
 				return fmt.Sprintf("streamcluster %.0f%%, MG %.0f%%", blocking, spinning),
 					blocking < -20 && spinning > blocking+20
@@ -292,9 +273,9 @@ func slowdownOf(h *harness, name string, mode workload.SyncMode) float64 {
 	if !ok {
 		return 0
 	}
-	alone := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: b, mode: mode,
+	alone := h.measure(setup{bench: b, mode: mode,
 		strat: core.StrategyVanilla, inter: hogs(0)})
-	inter := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: b, mode: mode,
+	inter := h.measure(setup{bench: b, mode: mode,
 		strat: core.StrategyVanilla, inter: hogs(1)})
 	if alone.fgRuntime == 0 {
 		return 0

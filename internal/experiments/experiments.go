@@ -122,52 +122,90 @@ func benchInter(b workload.Benchmark, mode workload.SyncMode, level int) interfe
 	return interference{kind: interBench, bench: b, mode: mode, level: level, vms: 1}
 }
 
-// setup is one simulator configuration point.
+// setup is one simulator configuration point: the §5.1 rig of a VM fg
+// running bench on pcpus (default 4) vCPUs against inter.
 type setup struct {
 	pcpus    int
-	fgVCPUs  int
 	bench    workload.Benchmark
 	mode     workload.SyncMode
 	strat    core.Strategy
 	inter    interference
 	unpinned bool
-	horizon  sim.Time
+	horizon  sim.Time // default 900 s
 }
 
-// scenario materialises the setup for one seed.
-func (s setup) scenario(seed uint64) core.Scenario {
-	var fgPins, bgPins []int
-	if !s.unpinned {
-		fgPins = core.SeqPins(0, s.fgVCPUs)
-		bgPins = core.SeqPins(0, s.inter.level)
+// spec renders the setup's rig as host-spec text: fg pinned one vCPU
+// per pCPU, then inter's VMs bg0.. of level vCPUs each, pinned from
+// pCPU 0 (every VM floats when unpinned). runSetup compiles it under
+// strat, which key adds.
+func (s setup) spec() string {
+	pcpus, horizon := s.pcpus, s.horizon
+	if pcpus == 0 {
+		pcpus = 4
 	}
-	fg := core.BenchmarkVM("fg", s.bench, s.mode, s.fgVCPUs, fgPins)
-	fg.IRS = s.strat == core.StrategyIRS
-	vms := []core.VMSpec{fg}
-	for v := 0; v < s.inter.vms; v++ {
-		name := fmt.Sprintf("bg%d", v)
-		if s.inter.level <= 0 {
-			break
-		}
-		switch s.inter.kind {
-		case interHogs:
-			vms = append(vms, core.HogVM(name, s.inter.level, bgPins))
-		case interBench:
-			vms = append(vms, core.BackgroundVM(name, s.inter.bench, s.inter.mode, s.inter.level, bgPins))
-		}
-	}
-	horizon := s.horizon
 	if horizon == 0 {
 		horizon = 900 * sim.Second
 	}
-	return core.Scenario{
-		PCPUs:    s.pcpus,
-		Strategy: s.strat,
-		Seed:     seed,
-		Unpinned: s.unpinned,
-		Horizon:  horizon,
-		VMs:      vms,
+	var b strings.Builder
+	fmt.Fprintf(&b, "host:pcpus=%d,unpinned=%v,horizon=%v; vm:name=fg,kind=bench,%s,vcpus=%d",
+		pcpus, s.unpinned, horizon.Std(), benchFields(s.bench.Name, s.mode), pcpus)
+	for v := 0; v < s.inter.vms && s.inter.level > 0; v++ {
+		if s.inter.kind == interHogs {
+			fmt.Fprintf(&b, "; vm:name=bg%d,kind=hog,vcpus=%d", v, s.inter.level)
+		} else {
+			fmt.Fprintf(&b, "; vm:name=bg%d,kind=background,%s,vcpus=%d", v, benchFields(s.inter.bench.Name, s.inter.mode), s.inter.level)
+		}
 	}
+	return b.String()
+}
+
+// key is the setup's cache key: its strategy and its rig text, so no
+// field a run reads can be missing from the key.
+func (s setup) key() string { return s.strat.String() + "|" + s.spec() }
+
+// hogRig is the rig most single-run tables share, as host-spec text:
+// the §5.1 4-pCPU host with a 4-vCPU VM fg running a catalog benchmark
+// (mode 0 keeps its native wait policy), pinned one vCPU per pCPU,
+// against a VM bg of n CPU hogs pinned from pCPU 0. runRig sets the
+// strategy.
+func hogRig(bench string, mode workload.SyncMode, n int) string {
+	return fmt.Sprintf("host:pcpus=4; vm:name=fg,kind=bench,%s,vcpus=4; vm:name=bg,kind=hog,vcpus=%d", benchFields(bench, mode), n)
+}
+
+// rigScenario parses a rig's spec text and compiles it under strat at
+// seed (see core.HostSpec.WithStrategy).
+func rigScenario(text string, strat core.Strategy, seed uint64) (core.Scenario, error) {
+	spec, err := core.ParseHostSpec(text)
+	if err != nil {
+		return core.Scenario{}, err
+	}
+	return spec.WithStrategy(strat).Scenario(seed), nil
+}
+
+// runRig runs a rig's spec text once under strat at seed. tune, when
+// non-nil, sets what the text does not describe: tuning hooks,
+// metrics, the invariant checker.
+func runRig(text string, strat core.Strategy, seed uint64, tune func(*core.Scenario)) (*core.Result, error) {
+	scn, err := rigScenario(text, strat, seed)
+	if err != nil {
+		return nil, err
+	}
+	if tune != nil {
+		tune(&scn)
+	}
+	return core.Run(scn)
+}
+
+// benchFields renders a catalog benchmark and its wait policy as vm
+// fields; the native policy (mode 0) needs no mode field.
+func benchFields(name string, mode workload.SyncMode) string {
+	switch mode {
+	case workload.SyncSpinning:
+		return "bench=" + name + ",mode=spin"
+	case workload.SyncBlocking:
+		return "bench=" + name + ",mode=block"
+	}
+	return "bench=" + name
 }
 
 // point is the measured outcome of a setup, averaged over runs.
@@ -199,12 +237,6 @@ func newHarness(opt Options) *harness {
 	}
 }
 
-func (h *harness) key(s setup) string {
-	return fmt.Sprintf("%d|%d|%s|%d|%s|%d|%s|%d|%d|%v",
-		s.pcpus, s.fgVCPUs, s.bench.Name, s.mode, s.strat,
-		s.inter.kind, s.inter.bench.Name, s.inter.level, s.inter.vms, s.unpinned)
-}
-
 // runOutcome is the raw result of one simulated run of a setup; it is
 // what workers hand back to the assembly pass.
 type runOutcome struct {
@@ -216,15 +248,17 @@ type runOutcome struct {
 // runSetup executes one isolated simulation of s. It is a pure function
 // of (s, seed) and safe to call from worker goroutines.
 func runSetup(s setup, seed uint64) runOutcome {
-	res, err := core.Run(s.scenario(seed))
+	scn, err := rigScenario(s.spec(), s.strat, seed)
+	if err != nil {
+		return runOutcome{err: err}
+	}
+	res, err := core.Run(scn)
 	if err != nil {
 		return runOutcome{err: err}
 	}
 	out := runOutcome{fg: res.VM("fg").Runtime.Seconds()}
-	if bgr := res.VM("bg0"); bgr != nil && s.inter.kind == interBench {
-		if m := bgr.MeanRuntime; m > 0 {
-			out.bg = m.Seconds()
-		}
+	if bgr := res.VM("bg0"); bgr != nil { // hogs never complete: 0
+		out.bg = bgr.MeanRuntime.Seconds()
 	}
 	return out
 }
@@ -234,19 +268,19 @@ func runSetup(s setup, seed uint64) runOutcome {
 // by the serial one — while the averaging below is always done here, in
 // run order, so both harnesses perform the identical float arithmetic.
 func (h *harness) measure(s setup) point {
-	k := h.key(s)
+	k := s.key()
 	if h.mode != modeCollect {
 		if p, ok := h.cache[k]; ok {
 			return p
 		}
 	}
 	outs := make([]runOutcome, h.opt.Runs)
-	for i := 0; i < h.opt.Runs; i++ {
-		seed := h.opt.Seed + uint64(i)*7919
+	core.Repeat(h.opt.Seed, h.opt.Runs, func(i int, seed uint64) error {
 		outs[i] = jobAs(h, fmt.Sprintf("%s#%d", k, i), func() runOutcome {
 			return runSetup(s, seed)
 		})
-	}
+		return nil
+	})
 	if h.mode == modeCollect {
 		return point{}
 	}

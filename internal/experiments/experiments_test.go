@@ -146,7 +146,7 @@ func TestSADelayInPaperRange(t *testing.T) {
 func TestHarnessCachesBaselines(t *testing.T) {
 	h := newHarness(fastOpts())
 	bench, _ := workload.ByName("EP")
-	s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: workload.SyncBlocking, inter: hogs(1)}
+	s := setup{bench: bench, mode: workload.SyncBlocking, inter: hogs(1)}
 	base := s
 	base.strat = StrategyVanillaForTest()
 	p1 := h.measure(base)
@@ -163,7 +163,7 @@ func TestImprovementSymmetry(t *testing.T) {
 	// improvement(vanilla vs vanilla) must be ~0.
 	h := newHarness(fastOpts())
 	bench, _ := workload.ByName("EP")
-	s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: workload.SyncBlocking, inter: hogs(1)}
+	s := setup{bench: bench, mode: workload.SyncBlocking, inter: hogs(1)}
 	if imp := h.improvement(s, StrategyVanillaForTest()); imp != 0 {
 		t.Fatalf("vanilla self-improvement = %.2f, want 0", imp)
 	}

@@ -28,9 +28,9 @@ func fig1a(h *harness) Table {
 		if !ok {
 			continue
 		}
-		alone := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: c.mode,
+		alone := h.measure(setup{bench: bench, mode: c.mode,
 			strat: hypervisor.StrategyVanilla, inter: hogs(0)})
-		inter := h.measure(setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: c.mode,
+		inter := h.measure(setup{bench: bench, mode: c.mode,
 			strat: hypervisor.StrategyVanilla, inter: hogs(1)})
 		slow := 0.0
 		if alone.fgRuntime > 0 {

@@ -63,7 +63,7 @@ func fig10(h *harness) Table {
 		for _, src := range sources {
 			row := []string{c.bench, src.name}
 			for n := 1; n <= 8; n++ {
-				s := setup{pcpus: 8, fgVCPUs: 8, bench: bench, mode: c.mode, inter: src.inter(n)}
+				s := setup{pcpus: 8, bench: bench, mode: c.mode, inter: src.inter(n)}
 				row = append(row, pct(h.improvement(s, core.StrategyIRS)))
 			}
 			rows = append(rows, row)
@@ -93,7 +93,7 @@ func fig11(h *harness) Table {
 			for vms := 1; vms <= 3; vms++ {
 				in := hogs(lvl)
 				in.vms = vms
-				s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: c.mode, inter: in}
+				s := setup{bench: bench, mode: c.mode, inter: in}
 				row = append(row, pct(h.improvement(s, core.StrategyIRS)))
 			}
 			rows = append(rows, row)

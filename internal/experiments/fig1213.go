@@ -27,7 +27,7 @@ func stackingPanel(h *harness, id, title string, suite []workload.Benchmark, mod
 	for _, bench := range suite {
 		row := []string{bench.Name}
 		for _, st := range improvementStrategies {
-			s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: mode,
+			s := setup{bench: bench, mode: mode,
 				inter: inter(4), unpinned: true, horizon: 1800 * sim.Second}
 			row = append(row, pct(h.improvement(s, st)))
 		}
@@ -77,27 +77,7 @@ type saDelayOut struct {
 // adds to each hypervisor preemption (paper: 20-26 µs), plus SA channel
 // statistics.
 func saDelay(h *harness) Table {
-	seed := h.opt.Seed
-	out, err := tryJob(h, "sadelay", func() (saDelayOut, error) {
-		bench, _ := workload.ByName("streamcluster")
-		fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-		fg.IRS = true
-		scn := core.Scenario{
-			PCPUs:    4,
-			Strategy: core.StrategyIRS,
-			Seed:     seed,
-			VMs: []core.VMSpec{
-				fg,
-				core.HogVM("bg", 2, core.SeqPins(0, 2)),
-			},
-		}
-		res, err := core.Run(scn)
-		if err != nil {
-			return saDelayOut{}, err
-		}
-		return saDelayOut{sent: res.SASent, acked: res.SAAcked, expired: res.SAExpired,
-			mean: res.SAMeanDelay, max: res.SAMaxDelay}, nil
-	})
+	out, err := saDelayJob(h)
 	rows := [][]string{}
 	if err == nil {
 		rows = append(rows,
@@ -114,6 +94,20 @@ func saDelay(h *harness) Table {
 		Columns: []string{"metric", "value"},
 		Rows:    rows,
 	}
+}
+
+// saDelayJob runs the §3.1 rig — streamcluster against two hogs under
+// IRS — once as a harness job; claim C12 reads the same run.
+func saDelayJob(h *harness) (saDelayOut, error) {
+	seed := h.opt.Seed
+	return tryJob(h, "sadelay", func() (saDelayOut, error) {
+		res, err := runRig(hogRig("streamcluster", 0, 2), core.StrategyIRS, seed, nil)
+		if err != nil {
+			return saDelayOut{}, err
+		}
+		return saDelayOut{sent: res.SASent, acked: res.SAAcked, expired: res.SAExpired,
+			mean: res.SAMeanDelay, max: res.SAMaxDelay}, nil
+	})
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }

@@ -8,13 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// fig2Run measures the fair-share utilization of run i of the Figure 2
-// scenario for one benchmark as a harness job. Claim C4 shares run 0
-// through the same key.
-func fig2Run(h *harness, bench workload.Benchmark, mode workload.SyncMode, i int) (float64, error) {
-	seed := h.opt.Seed + uint64(i)*7919
-	return tryJob(h, fmt.Sprintf("fig2|%s|%d|%d", bench.Name, mode, i), func() (float64, error) {
-		res, err := core.Run(fig2Scenario(bench, mode, seed))
+// fig2Run measures the fair-share utilization of the Figure 2 rig (one
+// benchmark against one hog, under vanilla) at seed as a harness job.
+// Claim C4 shares the first run through the same key.
+func fig2Run(h *harness, bench workload.Benchmark, mode workload.SyncMode, seed uint64) (float64, error) {
+	return tryJob(h, fmt.Sprintf("fig2|%s|%d|%d", bench.Name, mode, seed), func() (float64, error) {
+		res, err := runRig(hogRig(bench.Name, mode, 1), core.StrategyVanilla, seed, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -44,11 +43,12 @@ func fig2(h *harness) Table {
 			return
 		}
 		var utils []float64
-		for i := 0; i < h.opt.Runs; i++ {
-			if util, err := fig2Run(h, bench, mode, i); err == nil {
+		core.Repeat(h.opt.Seed, h.opt.Runs, func(_ int, seed uint64) error {
+			if util, err := fig2Run(h, bench, mode, seed); err == nil {
 				utils = append(utils, util)
 			}
-		}
+			return nil
+		})
 		if len(utils) == 0 {
 			return
 		}
@@ -68,18 +68,5 @@ func fig2(h *harness) Table {
 		Title:   "CPU utilization relative to fair share (blocking sync, 1 hog)",
 		Columns: []string{"benchmark", "utilization"},
 		Rows:    rows,
-	}
-}
-
-func fig2Scenario(bench workload.Benchmark, mode workload.SyncMode, seed uint64) core.Scenario {
-	fg := core.BenchmarkVM("fg", bench, mode, 4, core.SeqPins(0, 4))
-	return core.Scenario{
-		PCPUs:    4,
-		Strategy: core.StrategyVanilla,
-		Seed:     seed,
-		VMs: []core.VMSpec{
-			fg,
-			core.HogVM("bg", 1, core.SeqPins(0, 1)),
-		},
 	}
 }

@@ -31,7 +31,7 @@ func improvementPanel(h *harness, id, title string, suite []workload.Benchmark, 
 		row := []string{bench.Name}
 		for _, lvl := range improvementLevels {
 			for _, st := range improvementStrategies {
-				s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: mode, inter: inter(lvl)}
+				s := setup{bench: bench, mode: mode, inter: inter(lvl)}
 				row = append(row, pct(h.improvement(s, st)))
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -27,7 +26,7 @@ func weightedPanel(h *harness, id, title string, suite []workload.Benchmark, mod
 		row := []string{bench.Name}
 		for _, lvl := range improvementLevels {
 			for _, st := range improvementStrategies {
-				s := setup{pcpus: 4, fgVCPUs: 4, bench: bench, mode: mode,
+				s := setup{bench: bench, mode: mode,
 					inter: benchInter(bg, bgMode, lvl)}
 				row = append(row, f2(h.weightedSpeedup(s, st)))
 			}
@@ -60,48 +59,35 @@ func fig9(h *harness) Table {
 	return mergePanels("fig9", "Weighted speedup of NPB applications (spinning)", panels)
 }
 
-// serverSpecs returns the two server benchmarks of §5.3: a SPECjbb-like
-// warehouse server (one thread per vCPU) and an ab-like webserver with
-// many short-request threads.
-func serverSpecs() (jbb, ab workload.ServerSpec) {
-	jbb = workload.ServerSpec{
-		Name:      "specjbb",
-		Threads:   4,
-		Service:   3 * sim.Millisecond,
-		LockEvery: 25,
-		LockCS:    100 * sim.Microsecond,
-		Duration:  8 * sim.Second,
-	}
-	ab = workload.ServerSpec{
-		Name:     "ab",
-		Threads:  64, // 512 in the paper; scaled with the smaller service times
-		Service:  1500 * sim.Microsecond,
-		Duration: 8 * sim.Second,
-	}
-	return jbb, ab
-}
+// The two server rigs of §5.3 as host-spec text, %d the hog count: a
+// SPECjbb-like warehouse server (one thread per vCPU) and an ab-like
+// webserver with many short-request threads (512 in the paper; scaled
+// with the smaller service times).
+const (
+	jbbRig = "host:pcpus=4; vm:name=fg,kind=server,vcpus=4,threads=4,service=3ms,lock-every=25,lock-cs=100us,duration=8s; vm:name=bg,kind=hog,vcpus=%d"
+	abRig  = "host:pcpus=4; vm:name=fg,kind=server,vcpus=4,threads=64,service=1500us,duration=8s; vm:name=bg,kind=hog,vcpus=%d"
+)
 
 // fig8 reproduces Figure 8: throughput and latency improvement of
 // SPECjbb (mean new-order latency) and ab (99th percentile) under IRS
 // with 1-4 CPU hogs.
 func fig8(h *harness) Table {
-	jbbSpec, abSpec := serverSpecs()
 	var rows [][]string
 	for _, c := range []struct {
-		spec workload.ServerSpec
+		rig  string
 		pctl float64 // 0 = mean
 		tag  string
 	}{
-		{jbbSpec, 0, "specjbb"},
-		{abSpec, 99, "ab (99th)"},
+		{jbbRig, 0, "specjbb"},
+		{abRig, 99, "ab (99th)"},
 	} {
 		for inter := 1; inter <= 4; inter++ {
-			vanT, vanL := serverPointJob(h, c.spec, core.StrategyVanilla, inter, c.pctl)
-			irsT, irsL := serverPointJob(h, c.spec, core.StrategyIRS, inter, c.pctl)
+			van := serverPointJob(h, c.rig, core.StrategyVanilla, inter, c.pctl)
+			irs := serverPointJob(h, c.rig, core.StrategyIRS, inter, c.pctl)
 			rows = append(rows, []string{
 				c.tag, fmt.Sprintf("%d-inter", inter),
-				pct(ThroughputImprovement(vanT, irsT)),
-				pct(Improvement(vanL, irsL)),
+				pct(ThroughputImprovement(van.thr, irs.thr)),
+				pct(Improvement(van.lat, irs.lat)),
 			})
 		}
 	}
@@ -113,49 +99,39 @@ func fig8(h *harness) Table {
 	}
 }
 
-// serverOut carries one server data point between workers and assembly.
+// serverOut is one server data point: throughput in req/s and latency
+// in seconds (mean or percentile).
 type serverOut struct {
 	thr, lat float64
 }
 
-// serverPointJob wraps serverPoint as a harness job, one job per
-// (spec, strategy, interference, percentile) point.
-func serverPointJob(h *harness, spec workload.ServerSpec, strat core.Strategy, inter int, pctl float64) (float64, float64) {
+// serverPointJob runs serverPoint as a harness job, one job per (rig,
+// strategy, interference, percentile) point.
+func serverPointJob(h *harness, rig string, strat core.Strategy, inter int, pctl float64) serverOut {
 	opt := h.opt
-	key := fmt.Sprintf("server|%s|%s|%d|%.0f", spec.Name, strat, inter, pctl)
-	out := jobAs(h, key, func() serverOut {
-		thr, lat := serverPoint(opt, spec, strat, inter, pctl)
-		return serverOut{thr: thr, lat: lat}
+	key := fmt.Sprintf("server|%s|%s|%d|%.0f", rig, strat, inter, pctl)
+	return jobAs(h, key, func() serverOut {
+		return serverPoint(opt, fmt.Sprintf(rig, inter), strat, pctl)
 	})
-	return out.thr, out.lat
 }
 
-// serverPoint measures a server benchmark: returns (throughput req/s,
-// latency seconds — mean or percentile).
-func serverPoint(opt Options, spec workload.ServerSpec, strat core.Strategy, inter int, pctl float64) (float64, float64) {
+// serverPoint measures a server rig, averaged over the runs with failed
+// runs skipped.
+func serverPoint(opt Options, rig string, strat core.Strategy, pctl float64) serverOut {
 	var thr, lat []float64
-	for i := 0; i < opt.Runs; i++ {
-		vmSpec, statsPtr := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
-		vmSpec.IRS = strat == core.StrategyIRS
-		scn := core.Scenario{
-			PCPUs:    4,
-			Strategy: strat,
-			Seed:     opt.Seed + uint64(i)*7919,
-			VMs: []core.VMSpec{
-				vmSpec,
-				core.HogVM("bg", inter, core.SeqPins(0, inter)),
-			},
+	core.Repeat(opt.Seed, opt.Runs, func(_ int, seed uint64) error {
+		res, err := runRig(rig, strat, seed, nil)
+		if err != nil {
+			return nil
 		}
-		if _, err := core.Run(scn); err != nil || *statsPtr == nil {
-			continue
-		}
-		st := *statsPtr
+		st := res.VM("fg").Instance.Server
 		thr = append(thr, st.Throughput())
 		if pctl > 0 {
 			lat = append(lat, st.Latency.Percentile(pctl).Seconds())
 		} else {
 			lat = append(lat, st.Latency.Mean().Seconds())
 		}
-	}
-	return obs.Summarize(thr).Mean, obs.Summarize(lat).Mean
+		return nil
+	})
+	return serverOut{thr: obs.Summarize(thr).Mean, lat: obs.Summarize(lat).Mean}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // obsCounters reports the simulator-measured scheduling-pathology
@@ -23,14 +22,10 @@ func obsCounters(h *harness) Table {
 		Columns: []string{"strategy", "runtime", "steal fg", "preempt p95",
 			"preempts", "SA ack p95", "SA sent/ack/exp", "LHP", "LWP", "guest migr"},
 	}
-	bench, ok := workload.ByName("streamcluster")
-	if !ok {
-		return t
-	}
 	seed := h.opt.Seed
 	for _, strat := range append(core.Strategies(), core.StrategyStrictCo) {
 		row, err := tryJob(h, fmt.Sprintf("obs|%s", strat), func() ([]string, error) {
-			return obsRow(bench, strat, seed)
+			return obsRow(strat, seed)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -41,18 +36,9 @@ func obsCounters(h *harness) Table {
 
 // obsRow executes one strategy's instrumented run and renders its row.
 // Pure function of its arguments; safe on worker goroutines.
-func obsRow(bench workload.Benchmark, strat core.Strategy, seed uint64) ([]string, error) {
+func obsRow(strat core.Strategy, seed uint64) ([]string, error) {
 	reg := obs.NewRegistry()
-	fg := core.BenchmarkVM("fg", bench, 0, 4, core.SeqPins(0, 4))
-	fg.IRS = strat == core.StrategyIRS
-	scn := core.Scenario{
-		PCPUs:    4,
-		Strategy: strat,
-		Seed:     seed,
-		VMs:      []core.VMSpec{fg, core.HogVM("bg", 1, core.SeqPins(0, 1))},
-		Metrics:  reg,
-	}
-	res, err := core.Run(scn)
+	res, err := runRig(hogRig("streamcluster", 0, 1), strat, seed, func(scn *core.Scenario) { scn.Metrics = reg })
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 // Package kv holds the one grammar behind the simulator's text specs:
-// fault plans, attacker knobs, watch rules and every load-spec section
-// are comma-separated key=value fields read through a Table.
+// fault plans, attacker knobs, watch rules and every load-spec and
+// host-spec section are comma-separated key=value fields read through
+// a Table; the multi-section specs split into sections through
+// Sections.
 //
 // A Table binds each key to a typed destination: a finite float64, a
 // sim.Time written as a Go duration ("50us", "2ms"), an int, a bool
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -177,4 +180,43 @@ func (f Field) appendValue(b []byte) []byte {
 	default:
 		return append(b, *f.dst.(*string)...)
 	}
+}
+
+// Sections walks a multi-section spec and calls fn with each section's
+// name and body. Sections are separated by ';' or newlines, each
+// "name:body"; '#' starts a comment that runs to the end of its line.
+// Blank sections are skipped, names are trimmed and lower-cased, and
+// bodies are passed on as written. A name may appear once unless it
+// is listed in repeatable. fn's first error ends the walk and is
+// returned unwrapped.
+func Sections(text string, repeatable []string, fn func(name, body string) error) error {
+	var seenBuf [16]string
+	seen := seenBuf[:0]
+	for more := true; more; {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		line, _, _ = strings.Cut(line, "#")
+		for semi := true; semi; {
+			var sec string
+			sec, line, semi = strings.Cut(line, ";")
+			if sec = strings.TrimSpace(sec); sec == "" {
+				continue
+			}
+			name, body, ok := strings.Cut(sec, ":")
+			if !ok {
+				return fmt.Errorf("section %q is not name:key=value,...", sec)
+			}
+			name = strings.ToLower(strings.TrimSpace(name))
+			if !slices.Contains(repeatable, name) {
+				if slices.Contains(seen, name) {
+					return fmt.Errorf("duplicate section %q", name)
+				}
+				seen = append(seen, name)
+			}
+			if err := fn(name, body); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -28,7 +28,7 @@ func TestGoldenChromeSpans(t *testing.T) {
 		name  string
 		strat core.Strategy
 	}{{"vanilla", core.StrategyVanilla}, {"irs", core.StrategyIRS}} {
-		spans, err := experiments.BlameRun(v.strat, 1, 50*sim.Millisecond, experiments.DefaultBlameArrival)
+		spans, err := experiments.BlameRun(experiments.BlameRig(50*sim.Millisecond, experiments.DefaultBlameArrival), v.strat, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

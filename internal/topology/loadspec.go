@@ -540,29 +540,11 @@ func ParseLoadSpec(text string) (LoadSpec, error) {
 	// Parsing starts from the defaults so that parseSection can tell an
 	// explicit zero from an omitted field.
 	s := LoadSpec{}.withDefaults()
-	seen := map[string]bool{}
-	for _, line := range strings.Split(text, "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		for _, sec := range strings.Split(line, ";") {
-			sec = strings.TrimSpace(sec)
-			if sec == "" {
-				continue
-			}
-			name, rest, ok := strings.Cut(sec, ":")
-			if !ok {
-				return LoadSpec{}, fmt.Errorf("topology: section %q is not name:key=value,...", sec)
-			}
-			name = strings.ToLower(strings.TrimSpace(name))
-			if name != "outage" && name != "vm" && seen[name] {
-				return LoadSpec{}, fmt.Errorf("topology: duplicate section %q", name)
-			}
-			seen[name] = true
-			if err := parseSection(&s, name, rest); err != nil {
-				return LoadSpec{}, err
-			}
-		}
+	err := kv.Sections(text, []string{"outage", "vm"}, func(name, body string) error {
+		return parseSection(&s, name, body)
+	})
+	if err != nil {
+		return LoadSpec{}, fmt.Errorf("topology: %w", err)
 	}
 	// withDefaults reads servers=0 as omitted unless vm sections name
 	// the servers instead.
@@ -599,11 +581,11 @@ func parseSection(s *LoadSpec, name, body string) error {
 		t = s.Autoscale.fields()
 	default:
 		if t = s.fields(name); t == nil {
-			return fmt.Errorf("topology: unknown section %q", name)
+			return fmt.Errorf("unknown section %q", name)
 		}
 	}
 	if err := t.Parse(body); err != nil {
-		return fmt.Errorf("topology: %s: %w", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	// The topo fields held their defaults before parsing, so a
 	// non-positive value here was given explicitly: an error, not a
@@ -611,7 +593,7 @@ func parseSection(s *LoadSpec, name, body string) error {
 	if name == "topo" {
 		for _, f := range t {
 			if n := *f.Dst().(*int); n <= 0 {
-				return fmt.Errorf("topology: topo: %s must be positive, got %d", f.Key, n)
+				return fmt.Errorf("topo: %s must be positive, got %d", f.Key, n)
 			}
 		}
 	}
@@ -623,19 +605,19 @@ func parseRamp(s *LoadSpec, body string) error {
 	for _, part := range strings.Split(body, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
-			return fmt.Errorf("topology: ramp: empty stage")
+			return fmt.Errorf("ramp: empty stage")
 		}
 		arrS, atS, ok := strings.Cut(part, "@")
 		if !ok {
-			return fmt.Errorf("topology: ramp: stage %q is not arrival@at", part)
+			return fmt.Errorf("ramp: stage %q is not arrival@at", part)
 		}
 		arr, err := time.ParseDuration(strings.TrimSpace(arrS))
 		if err != nil {
-			return fmt.Errorf("topology: ramp: %q: %v", part, err)
+			return fmt.Errorf("ramp: %q: %v", part, err)
 		}
 		at, err := time.ParseDuration(strings.TrimSpace(atS))
 		if err != nil {
-			return fmt.Errorf("topology: ramp: %q: %v", part, err)
+			return fmt.Errorf("ramp: %q: %v", part, err)
 		}
 		s.Ramp = append(s.Ramp, Stage{Arrival: sim.Duration(arr), At: sim.Duration(at)})
 	}

@@ -227,7 +227,7 @@ func (sh *openServerShared) generate() {
 // newOpenServer wires the open-loop variant; called from NewServer when
 // spec.Arrival > 0.
 func newOpenServer(kern *guest.Kernel, spec ServerSpec, seed uint64, stats *ServerStats) *Instance {
-	in := &Instance{Name: spec.Name, kern: kern}
+	in := &Instance{Name: spec.Name, kern: kern, Server: stats}
 	in.spawn = func() {
 		sh := &openServerShared{
 			serverShared: &serverShared{

@@ -59,9 +59,9 @@ func TestOpenLoopTailExplodesUnderInterference(t *testing.T) {
 			Name: "tail", Threads: 4, Service: 2 * sim.Millisecond,
 			Arrival: 1500 * sim.Microsecond, Duration: 5 * sim.Second,
 		}
-		vmSpec, stats := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
+		vmSpec := core.ServerVM("fg", spec, 4, core.SeqPins(0, 4))
 		vmSpec.IRS = strat == core.StrategyIRS
-		_, err := core.Run(core.Scenario{
+		res, err := core.Run(core.Scenario{
 			PCPUs: 4, Strategy: strat, Seed: 5,
 			Horizon: 120 * sim.Second,
 			VMs: []core.VMSpec{
@@ -72,7 +72,7 @@ func TestOpenLoopTailExplodesUnderInterference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		return (*stats).Latency.Percentile(99)
+		return res.VM("fg").Instance.Server.Latency.Percentile(99)
 	}
 	van := point(core.StrategyVanilla)
 	irs := point(core.StrategyIRS)

@@ -186,6 +186,8 @@ type Instance struct {
 	Repeat bool
 	// Endless marks workloads that never complete (CPU hogs).
 	Endless bool
+	// Server holds a server workload's statistics (nil otherwise).
+	Server *ServerStats
 
 	StartedAt   sim.Time
 	FinishedAt  sim.Time // of the first completion

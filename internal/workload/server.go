@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/guestsync"
+	"repro/internal/kv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -34,6 +35,21 @@ type ServerSpec struct {
 	// latency includes queueing delay. Zero keeps the closed loop
 	// (each worker issues its next request immediately).
 	Arrival sim.Time
+}
+
+// Fields is the spec's key=value table in render order, without Name:
+// a host spec's server VM sections parse through it (see
+// core.ParseHostSpec), and the VM's name names the server.
+func (s *ServerSpec) Fields() kv.Table {
+	return kv.Table{
+		kv.Bind("threads", &s.Threads),
+		kv.Bind("service", &s.Service),
+		kv.Bind("think", &s.Think),
+		kv.Bind("lock-every", &s.LockEvery),
+		kv.Bind("lock-cs", &s.LockCS),
+		kv.Bind("duration", &s.Duration),
+		kv.Bind("arrival", &s.Arrival),
+	}
 }
 
 // ServerStats captures the paper's server metrics.
@@ -133,8 +149,9 @@ func (w *serverWorker) finish() {
 	w.resume()
 }
 
-// NewServer instantiates a server benchmark on kern. Stats gives access
-// to throughput and latency percentiles after the run.
+// NewServer instantiates a server benchmark on kern. Stats, also the
+// instance's Server field, gives access to throughput and latency
+// percentiles after the run.
 func NewServer(kern *guest.Kernel, spec ServerSpec, seed uint64) (*Instance, *ServerStats) {
 	if spec.Threads <= 0 {
 		spec.Threads = len(kern.CPUs())
@@ -143,7 +160,7 @@ func NewServer(kern *guest.Kernel, spec ServerSpec, seed uint64) (*Instance, *Se
 	if spec.Arrival > 0 {
 		return newOpenServer(kern, spec, seed, stats), stats
 	}
-	in := &Instance{Name: spec.Name, kern: kern}
+	in := &Instance{Name: spec.Name, kern: kern, Server: stats}
 	in.spawn = func() {
 		sh := &serverShared{
 			spec:      spec,
