@@ -13,9 +13,9 @@ GO ?= go
 # BenchmarkWriteChromeTrace; its meta records the host's core count.
 BENCH_SNAPSHOT ?= BENCH_10.json
 
-.PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale scale-sweep why
+.PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale-sweep why
 
-check: build vet race determinism examples blame watch attack scale scale-sweep why report
+check: build vet race determinism examples blame watch attack scale-sweep why report
 
 build:
 	$(GO) build ./...
@@ -30,11 +30,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# -short skips the slowest oracles (claims, the sharded-vs-serial
-# tables) and the four largest figure matrices (fig5, fig6, fig9,
-# fig12) in the golden pass; the race job still covers the harness's
-# per-figure serial-vs-parallel subtests and the parallel golden pass
-# over every other table.
+# -short skips the slowest oracles (claims) and the four largest figure
+# matrices (fig5, fig6, fig9, fig12) in the golden pass; the race job
+# still covers the harness's per-figure serial-vs-parallel subtests and
+# the parallel golden pass over every other table. internal/sim and
+# internal/cluster skip nothing under -short, so this also runs the
+# sharded engine's layout oracle (TestShardedMatchesOneEngine) and the
+# cluster suite under the detector (DESIGN.md §14).
 race:
 	$(GO) test -race -short ./...
 
@@ -69,9 +71,9 @@ bench-compare:
 # exits non-zero when the first block's sim_digest misses its pin in
 # bench/baseline.json, so any change to simulated behaviour fails here.
 # The paper-block pin covers block/wake same-instant event ordering;
-# the rack-outage pin also covers the sharded coordinator's worker pool
-# and the hosts' flight-recorder rings; the rack-audit pin covers the
-# serial cluster path with the decision log and span tracer recording.
+# the rack-outage pin also covers the sharded coordinator and the
+# hosts' flight-recorder rings; the rack-audit pin covers the cluster
+# path with the decision log and span tracer recording.
 bench-smoke:
 	cd bench && $(GO) test -short .
 	bash bench/run.sh --workload paper-spin --seed 1 --seconds 2 --trace 0
@@ -122,16 +124,6 @@ attack:
 # Robustness sweep: fault rates vs strategies with invariant audits.
 chaos:
 	$(GO) run ./cmd/irsim -runs 1 chaos
-
-# Sharded-simulation gate: the per-host engine pool must be data-race
-# free and byte-identical to the serial coordinator at every shard
-# width (DESIGN.md §14). Plain builds run light windows inline, so the
-# race build, whose window gate is zero, repeats the cluster-level
-# oracle against truly concurrent host windows.
-scale:
-	$(GO) test -race ./internal/sim ./internal/cluster
-	$(GO) test ./internal/experiments -run TestShardedMatchesSerial
-	$(GO) test -race ./internal/experiments -run TestShardedMatchesSerial
 
 # Multi-rack control-plane smoke run: the 2-zone × 8-host acceptance
 # rig with a zone outage mid-ramp. The gate fails unless the router

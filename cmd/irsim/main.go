@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "base random seed")
 	verbose := fs.Bool("v", false, "log each measurement")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	shards := fs.Int("shards", 0, "per-host engine shards inside cluster-backed experiments (0 = auto, 1 = serial; output is identical at any setting)")
 	attack := fs.String("attack", "", "';'-separated attacker specs (e.g. tick-evade,margin=500us); runs each against every accounting defense")
 	expectOvershoot := fs.Float64("expect-overshoot", 0,
 		"with -attack: exit nonzero unless every spec's fully-defended row keeps the attacker at or below this fair-share ratio")
@@ -68,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := experiments.Options{
-		Runs: *runs, Seed: *seed, Workers: *workers, Shards: *shards,
+		Runs: *runs, Seed: *seed, Workers: *workers,
 	}
 	if *verbose {
 		opt.Logf = func(format string, a ...any) {

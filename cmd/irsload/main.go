@@ -27,7 +27,7 @@
 // Usage:
 //
 //	irsload [-variant 2z8h-outage] [-spec 'topo:zones=2,...'] [-file spec.load]
-//	        [-seed 1] [-shards 0] [-expect 1.0] [-v]
+//	        [-seed 1] [-expect 1.0] [-v]
 //	        [-why ctl] [-q 'kind=place vm=srv0 t>6s'] [-limit 20] [-top 5]
 //	        [-trail cordon,failover,scale-up,scale-up,drain,drain]
 //	        [-json decisions.json] [-perfetto decisions.trace]

@@ -120,8 +120,7 @@ func TestSpecFileAndDeterminism(t *testing.T) {
 		t.Fatalf("-v did not echo the parsed spec:\n%s", out)
 	}
 	// Same spec inline, same seed: identical measurements (the report
-	// header names the source, so compare from the numbers on), serial
-	// or sharded.
+	// header names the source, so compare from the numbers on).
 	results := func(s string) string {
 		if i := strings.Index(s, "served"); i >= 0 {
 			return s[i:]
@@ -131,10 +130,6 @@ func TestSpecFileAndDeterminism(t *testing.T) {
 	_, inline, _ := runCmd(t, "-spec", spec, "-v")
 	if results(inline) != results(out) {
 		t.Fatalf("inline spec differs from file spec:\n%s\n%s", inline, out)
-	}
-	_, serial, _ := runCmd(t, "-spec", spec, "-v", "-shards", "1")
-	if results(serial) != results(out) {
-		t.Fatalf("serial run differs from auto-sharded:\n%s\n%s", serial, out)
 	}
 }
 
@@ -214,7 +209,7 @@ func TestSpecFileMatchesVariant(t *testing.T) {
 // TestTrailGatePassesOnOutageTrail is the CI acceptance path: the
 // outage rig's decision trail is exactly the elasticity story.
 func TestTrailGatePassesOnOutageTrail(t *testing.T) {
-	code, out, errOut := outageWhy(t, "-shards", "1",
+	code, out, errOut := outageWhy(t,
 		"-trail", "cordon,failover,scale-up,scale-up,drain,drain")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
@@ -227,7 +222,7 @@ func TestTrailGatePassesOnOutageTrail(t *testing.T) {
 }
 
 func TestTrailGateFailsOnWrongTrail(t *testing.T) {
-	code, _, errOut := outageWhy(t, "-shards", "1", "-trail", "cordon,drain")
+	code, _, errOut := outageWhy(t, "-trail", "cordon,drain")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errOut)
 	}
@@ -237,23 +232,22 @@ func TestTrailGateFailsOnWrongTrail(t *testing.T) {
 }
 
 // TestQueryAndTopAreDeterministic pins the whole pipeline: the query,
-// closest calls and trail must be byte-identical regardless of the
-// engine pool width.
+// closest calls and trail must be byte-identical across two runs.
 func TestQueryAndTopAreDeterministic(t *testing.T) {
 	args := []string{"-q", "kind=autoscale", "-top", "3"}
-	_, serial, _ := outageWhy(t, append([]string{"-shards", "1"}, args...)...)
-	_, pooled, _ := outageWhy(t, append([]string{"-shards", "0"}, args...)...)
-	if serial != pooled {
-		t.Fatalf("output differs between serial and pooled runs:\n--- serial ---\n%s--- pooled ---\n%s", serial, pooled)
+	_, first, _ := outageWhy(t, args...)
+	_, second, _ := outageWhy(t, args...)
+	if first != second {
+		t.Fatalf("output differs between two runs:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
-	if !strings.Contains(serial, "query \"kind=autoscale\": 4 of") {
-		t.Fatalf("query did not match the 4 autoscale decisions:\n%s", serial)
+	if !strings.Contains(first, "query \"kind=autoscale\": 4 of") {
+		t.Fatalf("query did not match the 4 autoscale decisions:\n%s", first)
 	}
 }
 
 func TestJSONExportIsValid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions.json")
-	code, _, errOut := outageWhy(t, "-shards", "1", "-q", "kind=cordon,uncordon,autoscale", "-json", path)
+	code, _, errOut := outageWhy(t, "-q", "kind=cordon,uncordon,autoscale", "-json", path)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}
@@ -278,7 +272,7 @@ func TestJSONExportIsValid(t *testing.T) {
 
 func TestPerfettoExportIsValid(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decisions.trace")
-	code, _, errOut := outageWhy(t, "-shards", "1", "-q", "kind=place", "-perfetto", path)
+	code, _, errOut := outageWhy(t, "-q", "kind=place", "-perfetto", path)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut)
 	}

@@ -15,7 +15,7 @@
 //
 //	irsweep [-spec RIG] -inter 0,1,2,4 [-seed S] [-runs N] [-workers N]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-shards N] [-seed S] [-workers N]
+//	irsweep -cluster [-hosts 2,3,4] [-zones 1] [-seed S] [-workers N]
 //	irsweep -list
 package main
 
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	clusterSweep := fs.Bool("cluster", false, "sweep the multi-host placement variants across rack sizes")
 	hostsList := fs.String("hosts", "2,3,4", "comma-separated host counts for -cluster (per zone when -zones > 1)")
 	zones := fs.Int("zones", 1, "zone count for -cluster: >1 runs each rack size under the two-level zone scheduler")
-	shards := fs.Int("shards", 0, "per-host engine shards inside each -cluster cell (0 = auto, 1 = serial; output is identical at any setting)")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	prof := cli.AddProfile(fs)
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "irsweep: bad -zones %d\n", *zones)
 			return 2
 		}
-		return clusterMatrix(stdout, stderr, hosts, *zones, *host.Seed, *workers, *shards)
+		return clusterMatrix(stdout, stderr, hosts, *zones, *host.Seed, *workers)
 	}
 
 	rig, err := host.Resolve("bench")
@@ -192,7 +191,7 @@ func parseIntList(s string) ([]int, bool) {
 // in the rack: zones × n hosts, so with zones > 1 each rack size is per
 // zone and every cell runs under the two-level zone scheduler and
 // partitioned router.
-func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers, shards int) int {
+func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64, workers int) int {
 	variants := experiments.TableRigs("cluster")
 	names := make([]string, len(variants))
 	for i, v := range variants {
@@ -205,7 +204,7 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 	return printMatrix(stdout, stderr, workers, hdr, 8, 24, hosts, names, " p99/slo/migr",
 		func(n int) string { return fmt.Sprintf("%d hosts", n) },
 		func(hi, vi int) (string, error) {
-			res, err := sweepRig(variants[vi], zones, hosts[hi], seed, shards)
+			res, err := sweepRig(variants[vi], zones, hosts[hi], seed)
 			if err != nil {
 				return "", err
 			}
@@ -214,8 +213,8 @@ func clusterMatrix(stdout, stderr io.Writer, hosts []int, zones int, seed uint64
 }
 
 // sweepRig runs one cluster rig on a rack of zones × n hosts.
-func sweepRig(v experiments.Rig, zones, n int, seed uint64, shards int) (*cluster.Result, error) {
-	_, cfg, err := experiments.ScaleRig(v.Spec, seed, shards)
+func sweepRig(v experiments.Rig, zones, n int, seed uint64) (*cluster.Result, error) {
+	_, cfg, err := experiments.ScaleRig(v.Spec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -41,14 +41,13 @@ func addSource(fs *flag.FlagSet, spec, usage string) source {
 }
 
 // LoadSpec is the load-spec flag set: one of -variant, -spec or -file
-// picks the spec, -list asks for the built-in variants, and -seed and
-// -shards shape the compiled cluster config.
+// picks the spec, -list asks for the built-in variants, and -seed seeds
+// the compiled cluster config.
 type LoadSpec struct {
 	source
 	List *bool
 
 	variant, file *string
-	shards        *int
 }
 
 // AddLoadSpec registers the load-spec flags on fs.
@@ -58,7 +57,6 @@ func AddLoadSpec(fs *flag.FlagSet) *LoadSpec {
 		variant: fs.String("variant", "", "built-in load spec by name (see -list)"),
 		file:    fs.String("file", "", "read the load spec from a file"),
 		List:    fs.Bool("list", false, "list built-in variants and exit"),
-		shards:  fs.Int("shards", 0, "engine pool width (0 = auto, 1 = serial)"),
 	}
 }
 
@@ -98,7 +96,7 @@ func (l *LoadSpec) Resolve() (name string, spec topology.LoadSpec, cfg cluster.C
 	if err != nil {
 		return "", spec, cfg, err
 	}
-	spec, cfg, err = experiments.ScaleRig(string(text), *l.Seed, *l.shards)
+	spec, cfg, err = experiments.ScaleRig(string(text), *l.Seed)
 	return name, spec, cfg, err
 }
 

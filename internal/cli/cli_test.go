@@ -51,12 +51,12 @@ func TestResolveSources(t *testing.T) {
 
 func TestResolveAppliesRunFlags(t *testing.T) {
 	_, spec, cfg, err := parse(t, "-variant", "2z8h-outage",
-		"-seed", "7", "-shards", "3").Resolve()
+		"-seed", "7").Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Zones != 2 || cfg.Seed != 7 || cfg.Shards != 3 {
-		t.Fatalf("zones %d seed %d shards %d", spec.Zones, cfg.Seed, cfg.Shards)
+	if spec.Zones != 2 || cfg.Seed != 7 {
+		t.Fatalf("zones %d seed %d", spec.Zones, cfg.Seed)
 	}
 }
 

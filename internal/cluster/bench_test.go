@@ -8,22 +8,17 @@ import (
 )
 
 // Simulation-throughput benchmarks: how many engine events per
-// wall-clock second the cluster dispatches, serially and on the
-// sharded coordinator. events/sec is the hardware-portable progress
-// metric the benchjson gate tracks (higher is better) — on a 1-core
-// runner the sharded run cannot beat serial by wall time, but a
-// coordinator or mailbox regression still shows up as a throughput
-// drop on either row.
+// wall-clock second the cluster dispatches on the sharded coordinator.
+// events/sec is the progress metric the benchjson gate tracks (higher
+// is better), so a coordinator or mailbox regression shows up as a
+// throughput drop.
 
-// benchCluster runs the default rig at the given shard width and
-// reports events/sec.
-func benchCluster(b *testing.B, shards int) {
-	b.Helper()
+// BenchmarkClusterSerial runs the default rig and reports events/sec.
+func BenchmarkClusterSerial(b *testing.B) {
 	var events uint64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
-		cfg.Shards = shards
 		c, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -42,12 +37,8 @@ func benchCluster(b *testing.B, shards int) {
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
 }
 
-func BenchmarkClusterSerial(b *testing.B)  { benchCluster(b, 1) }
-func BenchmarkClusterSharded(b *testing.B) { benchCluster(b, 0) }
-
-// BenchmarkClusterShardedRack scales the rig to a 16-host rack — wide
-// enough that the per-host engine pool has real parallelism to win on
-// multi-core runners.
+// BenchmarkClusterShardedRack scales the rig to a 16-host rack: 17
+// shards, most of them idle in any one window.
 func BenchmarkClusterShardedRack(b *testing.B) {
 	var events uint64
 	var wall time.Duration

@@ -6,7 +6,7 @@
 // replicas so cluster-level tail latency and SLO-violation rate become
 // first-class outputs.
 //
-// Execution is a conservative parallel discrete-event simulation
+// Execution is a conservative sharded discrete-event simulation
 // (sim.ShardedEngine): shard 0 is the control plane (arrival stream +
 // router), shards 1..Hosts are the hosts. Each round every shard runs
 // independently up to the lookahead — the router's minimum transit
@@ -14,9 +14,7 @@
 // exchanges cross-host traffic and runs the control-plane tasks
 // (placement, the migration state machine, blackouts, invariant audits,
 // watchdog epochs) with every shard parked at one instant, exactly the
-// semantics they had on a single shared engine. Host shards execute on
-// a bounded goroutine pool (Config.Shards); the output is byte-
-// identical at any pool size by construction.
+// semantics they had on a single shared engine.
 //
 // The paper fixes lock-holder preemption inside one host; this layer is
 // the deployment surface above it: the per-host steal / preempt-wait /
@@ -27,7 +25,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 
@@ -130,10 +127,9 @@ type Config struct {
 	// Overcommit×PCPUsPerHost (soft for placement fallback).
 	Overcommit float64
 
-	// Shards bounds the goroutine pool that executes host engine
-	// windows: 1 is fully serial, 0 picks min(GOMAXPROCS, Hosts+1).
-	// The pool size is invisible to the simulation — output is
-	// byte-identical at any value.
+	// Deprecated: Shards is ignored. Host engine windows always run
+	// inline on the calling goroutine; the field stays only for callers
+	// that still set it.
 	Shards int
 
 	Seed uint64
@@ -189,10 +185,11 @@ type Config struct {
 	// control-plane choice (zone pick, placement, routing, autoscale,
 	// migration, cordon) is recorded with its full candidate set and
 	// inputs, per shard, and merged at barriers under the engine's own
-	// canonical order — so the log is byte-identical at any worker
-	// pool size (see internal/decision). Runs without it pay nothing;
-	// Options.Kinds selects what is recorded (include boost/preempt to
-	// also audit the per-vCPU scheduler stream on every host).
+	// canonical order — so the log does not depend on the order in
+	// which host windows run (see internal/decision). Runs without it
+	// pay nothing; Options.Kinds selects what is recorded (include
+	// boost/preempt to also audit the per-vCPU scheduler stream on
+	// every host).
 	Decisions *decision.Options
 
 	// Topology groups the hosts into zones for the two-level control
@@ -499,9 +496,6 @@ func New(cfg Config) (*Cluster, error) {
 	if !(cfg.Overcommit > 0) {
 		return nil, fmt.Errorf("cluster: overcommit %v not positive", cfg.Overcommit)
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard pool %d", cfg.Shards)
-	}
 	if len(cfg.VMs) == 0 {
 		return nil, fmt.Errorf("cluster: no VMs to place")
 	}
@@ -547,14 +541,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	sh := sim.NewSharded(cfg.Hosts+1, lookahead)
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > cfg.Hosts+1 {
-			workers = cfg.Hosts + 1
-		}
-	}
-	sh.SetWorkers(workers)
 
 	c := &Cluster{
 		cfg:         cfg,
@@ -735,7 +721,7 @@ func New(cfg Config) (*Cluster, error) {
 // occupancy intervals and invariant trips into the watchdog; finished
 // spans into the minting tracer. Host order then host-local completion
 // order is the canonical merge key, so the result is independent of
-// the worker pool.
+// the order in which host windows run.
 func (c *Cluster) drain(now sim.Time) {
 	for _, h := range c.hosts {
 		ob := &h.outbox
@@ -898,7 +884,7 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 		// Nil stats: the instance keeps no latency histogram of its own.
 		// The cluster-level histogram is fed from the served records at
 		// barrier drains so its insertion order cannot depend on the
-		// worker pool.
+		// order in which host windows run.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
 		gate.OnServed = func(lat sim.Time) {
 			host.outbox.served = append(host.outbox.served, servedRec{at: kern.Now(), lat: lat, hd: hd})

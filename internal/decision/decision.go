@@ -10,9 +10,9 @@
 // sequence number, and the coordinator merges the rings at every
 // barrier under the same canonical (time, shard, order) key the engine
 // uses for cross-shard mail — concatenate in shard index order, then a
-// stable sort by time. The merged log is therefore byte-identical at
-// any worker-pool width, which is what makes a scheduler decision
-// trail a goldenable artifact rather than a debug dump.
+// stable sort by time. The merged log therefore does not depend on the
+// order in which the shards ran, which is what makes a scheduler
+// decision trail a goldenable artifact rather than a debug dump.
 //
 // When no log is attached, every hook site reduces to a nil/mask check
 // and zero allocations (see the paired benchmarks in

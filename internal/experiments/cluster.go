@@ -14,10 +14,10 @@ func clusterTable(h *harness) Table {
 		Columns: []string{"variant", "served", "p50", "p99", "p99.9", "slo-viol",
 			"migr", "blackouts", "injected", "violations"},
 	}
-	seed, shards := h.opt.Seed, h.opt.Shards
+	seed := h.opt.Seed
 	for _, v := range TableRigs("cluster") {
 		row, err := tryJob(h, "cluster|"+v.Name, func() ([]string, error) {
-			return clusterCell(v, seed, shards)
+			return clusterCell(v, seed)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -28,8 +28,8 @@ func clusterTable(h *harness) Table {
 
 // clusterCell executes one variant and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func clusterCell(v Rig, seed uint64, shards int) ([]string, error) {
-	_, cfg, err := ScaleRig(v.Spec, seed, shards)
+func clusterCell(v Rig, seed uint64) ([]string, error) {
+	_, cfg, err := ScaleRig(v.Spec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -32,13 +32,6 @@ type Options struct {
 	// from the goroutine that invoked the experiment, never from
 	// workers.
 	Logf func(format string, args ...any)
-	// Shards selects the per-host engine pool inside every
-	// cluster-backed table (cluster, watch, scale, why): 0 picks the
-	// cluster package's auto width, 1 forces the serial coordinator,
-	// N>1 runs N shard workers. Tables are byte-identical at any
-	// setting — the conservative-window coordinator guarantees it —
-	// so this knob only trades wall time.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {

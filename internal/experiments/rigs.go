@@ -195,19 +195,14 @@ func ScaleConfig(spec topology.LoadSpec, seed uint64) (cluster.Config, error) {
 	return cfg, nil
 }
 
-// ScaleRig parses load-spec text and compiles it with ScaleConfig,
-// setting the engine pool width (0 = auto, 1 = serial).
-func ScaleRig(text string, seed uint64, shards int) (topology.LoadSpec, cluster.Config, error) {
+// ScaleRig parses load-spec text and compiles it with ScaleConfig.
+func ScaleRig(text string, seed uint64) (topology.LoadSpec, cluster.Config, error) {
 	spec, err := topology.ParseLoadSpec(text)
 	if err != nil {
 		return spec, cluster.Config{}, err
 	}
 	cfg, err := ScaleConfig(spec, seed)
-	if err != nil {
-		return spec, cfg, err
-	}
-	cfg.Shards = shards
-	return spec, cfg, nil
+	return spec, cfg, err
 }
 
 // runCluster builds and runs one cluster-backed simulation.

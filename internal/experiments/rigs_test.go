@@ -20,7 +20,7 @@ func TestRigsParseRoundTripAndBuild(t *testing.T) {
 		}
 		seen[r.Name] = true
 		tables[r.Table]++
-		spec, cfg, err := ScaleRig(r.Spec, 1, 1)
+		spec, cfg, err := ScaleRig(r.Spec, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)
 		}

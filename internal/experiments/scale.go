@@ -22,10 +22,10 @@ func scaleTable(h *harness) Table {
 		Columns: []string{"variant", "topo", "served", "p99", "slo-viol", "recov-slo",
 			"replicas", "scale", "failover", "alerts", "migr", "viol"},
 	}
-	seed, shards := h.opt.Seed, h.opt.Shards
+	seed := h.opt.Seed
 	for _, v := range TableRigs("scale") {
 		row, err := tryJob(h, "scale|"+v.Name, func() ([]string, error) {
-			return scaleCell(v, seed, shards)
+			return scaleCell(v, seed)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -36,8 +36,8 @@ func scaleTable(h *harness) Table {
 
 // scaleCell executes one load spec and renders its row. Pure function
 // of its arguments; safe on worker goroutines.
-func scaleCell(v Rig, seed uint64, shards int) ([]string, error) {
-	spec, cfg, err := ScaleRig(v.Spec, seed, shards)
+func scaleCell(v Rig, seed uint64) ([]string, error) {
+	spec, cfg, err := ScaleRig(v.Spec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -25,10 +25,10 @@ func watchTable(h *harness) Table {
 		Columns: []string{"variant", "served", "slo-viol", "alerts", "detect",
 			"victim", "top aggressor", "score", "runner-up", "ratio", "incidents"},
 	}
-	seed, shards := h.opt.Seed, h.opt.Shards
+	seed := h.opt.Seed
 	for _, v := range TableRigs("watch") {
 		row, err := tryJob(h, "watch|"+v.Name, func() ([]string, error) {
-			return watchCell(v, seed, shards)
+			return watchCell(v, seed)
 		})
 		if err == nil {
 			t.Rows = append(t.Rows, row)
@@ -40,8 +40,8 @@ func watchTable(h *harness) Table {
 // watchCell executes one variant with the span tracer attached, as
 // the incident bundle needs, and renders its row. Pure function of its
 // arguments; safe on worker goroutines.
-func watchCell(v Rig, seed uint64, shards int) ([]string, error) {
-	_, cfg, err := ScaleRig(v.Spec, seed, shards)
+func watchCell(v Rig, seed uint64) ([]string, error) {
+	_, cfg, err := ScaleRig(v.Spec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func runWatchVariant(t *testing.T, name string) *watch.Watcher {
 	if !ok {
 		t.Fatalf("unknown watch variant %q", name)
 	}
-	_, cfg, err := ScaleRig(v.Spec, 1, 0)
+	_, cfg, err := ScaleRig(v.Spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

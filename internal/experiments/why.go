@@ -14,8 +14,7 @@ import (
 // first failover route, each autoscaler action — with the inputs and
 // winning margins each choice had at the instant it was made, plus a
 // summary row counting every recorded decision. The trail is exact
-// and byte-identical at any shard count; `irsload -why ctl` gates CI
-// on it.
+// and byte-identical on every run; `irsload -why ctl` gates CI on it.
 
 // whyTable runs the outage rig with the decision log and renders its
 // decision trail.
@@ -25,17 +24,17 @@ func whyTable(h *harness) Table {
 		Title:   "Decision provenance: the 2z8h outage rig's audit trail (cordon -> failover -> autoscale), from the cluster-wide decision log",
 		Columns: []string{"step", "t", "kind", "chooser", "subject", "winner", "margin", "why"},
 	}
-	seed, shards := h.opt.Seed, h.opt.Shards
+	seed := h.opt.Seed
 	t.Rows, _ = tryJob(h, "why|2z8h-outage", func() ([][]string, error) {
-		return whyCell(seed, shards)
+		return whyCell(seed)
 	})
 	return t
 }
 
 // whyCell runs the rig and renders the trail rows plus the Σ summary.
 // Pure function of its arguments; safe on worker goroutines.
-func whyCell(seed uint64, shards int) ([][]string, error) {
-	_, cfg, err := ScaleRig(ScaleOutageSpec, seed, shards)
+func whyCell(seed uint64) ([][]string, error) {
+	_, cfg, err := ScaleRig(ScaleOutageSpec, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 // decision exports and the span export must be encoding/json's bytes.
 func TestWhyTrailExactSequence(t *testing.T) {
 	t.Parallel()
-	_, cfg, err := ScaleRig(ScaleOutageSpec, 1, 1)
+	_, cfg, err := ScaleRig(ScaleOutageSpec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +113,6 @@ func checkExportsMatchEncodingJSON(t *testing.T, recs []decision.Record, dropped
 		}
 		if !bytes.Equal(doc.Bytes(), ref) {
 			t.Errorf("%s differs from encoding/json (%d bytes, want %d)", ex.name, doc.Len(), len(ref))
-		}
-	}
-}
-
-// TestShardedMatchesSerialWhy extends the shard-invariance matrix to
-// the decision log: the rendered why table — trail timestamps, margins,
-// and the Σ counts of every recorded decision — must be byte-identical
-// whether the rig runs serially or across per-host engine shards.
-func TestShardedMatchesSerialWhy(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("outage rig at three shard widths")
-	}
-	serial := shardedTable(t, "why", 1, 1)
-	for _, shards := range []int{2, 4} {
-		if got := shardedTable(t, "why", 1, shards); got != serial {
-			t.Errorf("why table at %d shards differs from serial.\n--- serial ---\n%s--- %d shards ---\n%s",
-				shards, serial, shards, got)
 		}
 	}
 }

@@ -215,24 +215,12 @@ func (e *Engine) RunWindow(end Time) {
 // NextAt returns the due time of the earliest pending event, or false
 // for an empty queue. The sharded coordinator uses it to tell an
 // active window (events to dispatch) from an idle one (clock advance
-// only) without paying a worker wakeup for the latter.
+// only).
 func (e *Engine) NextAt() (Time, bool) {
 	if next := e.queue.min(); next != nil {
 		return next.at, true
 	}
 	return 0, false
-}
-
-// dueBy counts the pending events at or before end, stopping at limit.
-// The queue is sorted earliest last, so the scan walks in from the
-// tail and stops at the first event beyond end.
-func (e *Engine) dueBy(end Time, limit int) int {
-	a := e.queue.a
-	n := 0
-	for i := len(a) - 1; i >= 0 && n < limit && a[i].at <= end; i-- {
-		n++
-	}
-	return n
 }
 
 // SkipTo advances the clock to end without dispatching — the

@@ -5,36 +5,31 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
-// ShardedEngine is a conservative parallel discrete-event coordinator:
-// N independent Engines (shards) advance in lockstep through time
-// windows bounded by a fixed lookahead — the known minimum latency of
-// any cross-shard interaction. Within a window every shard's events are
-// data-isolated, so shards may execute on a bounded goroutine pool; at
-// the window boundary (a barrier) all shards are parked at the same
-// virtual time and cross-shard traffic is exchanged.
+// ShardedEngine is a conservative discrete-event coordinator: N
+// independent Engines (shards) advance in lockstep through time windows
+// bounded by a fixed lookahead — the known minimum latency of any
+// cross-shard interaction. Within a window every shard's events are
+// data-isolated, and the active shards run one after another in index
+// order; at the window boundary (a barrier) all shards are parked at the
+// same virtual time and cross-shard traffic is exchanged.
 //
 // Determinism is by construction, not by luck:
 //
 //   - Cross-shard events are posted with delay >= lookahead (Post), so
 //     a message sent inside a window (T, T+W], W <= lookahead, is
 //     delivered strictly after the window ends. Shards therefore never
-//     observe each other mid-window, and the worker count cannot change
-//     what any shard computes. Posting with a shorter delay is a
-//     lookahead violation: it panics, or reports through OnViolation
-//     and is clamped to the lookahead.
+//     observe each other mid-window, and the order in which they run
+//     cannot change what any shard computes. Posting with a shorter
+//     delay is a lookahead violation: it panics, or reports through
+//     OnViolation and is clamped to the lookahead.
 //   - Mailboxes are merged at each barrier under the canonical key
 //     (delivery time, source shard, post order) — the same trick the
 //     experiment harness uses to merge parallel jobs — and inserted
-//     into the destination engines single-threaded, so the destination
-//     sequence numbers (and hence same-instant tie-breaks) are
-//     identical for any worker count.
-//   - Whether a window runs inline or on the pool depends only on the
-//     work it carries (see windowGate), never on what the shards
-//     compute, and a shard's window is single-threaded either way.
+//     into the destination engines at the barrier, so the destination
+//     sequence numbers (and hence same-instant tie-breaks) do not
+//     depend on the order in which the shards ran.
 //   - Global synchronous work (control planes that legitimately read or
 //     mutate many shards at one instant) runs as barrier tasks
 //     (AtBarrier/EveryBarrier): windows truncate so a barrier lands
@@ -47,23 +42,12 @@ type ShardedEngine struct {
 	engines   []*Engine
 	lookahead Time
 	now       Time
-	workers   int
 
-	inWindow bool     // set while shard goroutines may be running
+	inWindow bool     // set while shard windows are running
 	outboxes [][]mail // per-source-shard cross-shard posts this window
 	scratch  []mail   // merge buffer reused across barriers
-	active   []int    // indices of the shards with events due this window, reused
-	gate     int      // windowGate; benchmarks lower it to force the pool
 
-	// Window state, written by the coordinator before any shard runs:
-	// every participant claims active shards off next and runs each to
-	// end.
-	end  Time
-	next atomic.Int64
-	pool *shardPool // helper goroutines of the Run in progress, or nil
-
-	faultMu sync.Mutex
-	fault   *ShardPanic // lowest-indexed shard that panicked this window
+	fault *ShardPanic // lowest-indexed shard that panicked this window
 
 	stats ShardedStats
 
@@ -86,40 +70,27 @@ type mail struct {
 	fn func()
 }
 
-// shardPool is the workers-1 helper goroutines of one Run. They start
-// at the first parallel window, park on wake between windows, and exit
-// when Run returns; the calling goroutine is the remaining worker.
-type shardPool struct {
-	wake chan struct{}  // one token per helper wanted this window
-	busy sync.WaitGroup // tokens of the window in progress
-	live sync.WaitGroup // helpers not yet exited
-}
-
-// ShardedStats counts what the coordinator did. Every counter is
-// written on the coordinator goroutine only and accumulates over the
-// engine's lifetime.
+// ShardedStats counts what the coordinator did. Every counter
+// accumulates over the engine's lifetime.
 type ShardedStats struct {
-	Windows         uint64 // windows run, idle ones included
-	InlineWindows   uint64 // windows whose active shards ran on the calling goroutine
-	ParallelWindows uint64 // windows that woke the helper pool
-	ActiveShards    uint64 // shard-windows with at least one event due
-	Mail            uint64 // cross-shard events merged and delivered at barriers
+	Windows      uint64 // windows run, idle ones included
+	ActiveShards uint64 // shard-windows with at least one event due
+	Mail         uint64 // cross-shard events merged and delivered at barriers
 }
 
 // ShardPanic is the error Run returns when a callback panics. Inside a
 // shard window the other active shards still finish that window, and
 // the error names the lowest-indexed shard that panicked. In the
 // barrier phase the panic ends the phase, and the error names the
-// barrier task's label or marks an OnBarrier hook. Either way it is the
-// same for every worker count. The engine must not be run again
-// afterwards.
+// barrier task's label or marks an OnBarrier hook. The engine must not
+// be run again afterwards.
 type ShardPanic struct {
 	Shard int    // shard whose callback panicked; -1 in the barrier phase
 	Task  string // barrier phase: the panicking barrier task's label
 	Hook  bool   // barrier phase: an OnBarrier hook panicked
 	At    Time   // the shard's (or the barrier's) virtual time at the panic
 	Value any    // the value passed to panic
-	Stack []byte // the panicking goroutine's stack
+	Stack []byte // the stack at the panic
 }
 
 func (p *ShardPanic) Error() string {
@@ -158,8 +129,6 @@ func NewSharded(shards int, lookahead Time) *ShardedEngine {
 		engines:   make([]*Engine, shards),
 		outboxes:  make([][]mail, shards),
 		lookahead: lookahead,
-		workers:   1,
-		gate:      windowGate,
 	}
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
@@ -190,22 +159,6 @@ func (s *ShardedEngine) Fired() uint64 {
 
 // Stats returns the coordinator's counters so far.
 func (s *ShardedEngine) Stats() ShardedStats { return s.stats }
-
-// SetWorkers bounds the goroutine pool that executes shard windows.
-// One worker (the default) runs shards sequentially on the caller's
-// goroutine — the serial mode. More workers are woken only for windows
-// heavy enough to pay for it (windowGate). The output is identical
-// either way; the worker count is invisible to the simulation by
-// construction.
-func (s *ShardedEngine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers returns the configured pool bound.
-func (s *ShardedEngine) Workers() int { return s.workers }
 
 // Post schedules fn on shard to at delay from shard from's current
 // time. Called from inside from's window execution it buffers the
@@ -305,10 +258,8 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // horizon it returns ErrDeadlock, mirroring Engine.Run. A callback that
 // panics inside a shard window ends the run with a *ShardPanic once the
 // window is over; one that panics in the barrier phase (a drain hook or
-// a barrier task) ends it at once with a *ShardPanic naming it. Helper
-// goroutines started for parallel windows never outlive the call.
+// a barrier task) ends it at once with a *ShardPanic naming it.
 func (s *ShardedEngine) Run(horizon Time) error {
-	defer s.stopPool()
 	for s.now < horizon {
 		end := s.now + s.lookahead
 		if end > horizon {
@@ -339,30 +290,18 @@ func (s *ShardedEngine) Run(horizon Time) error {
 	return nil
 }
 
-// runWindow executes every shard from its current time to end and
-// reports false when every shard's queue was empty. Shards with no event
-// due in the window are skipped inline — their clock just advances —
-// so idle hosts cost no worker wakeup. Light windows (see windowGate)
-// run their active shards sequentially in index order on the calling
-// goroutine, as one worker always does; heavy ones are claimed off a
-// shared counter by the caller and up to workers-1 parked helpers.
-// Either way each shard's window is single-threaded and isolated, so
-// the schedule is identical.
+// runWindow executes every shard from its current time to end, in
+// index order, and reports false when every shard's queue was empty. A
+// shard with no event due in the window only has its clock advanced.
+// Each shard's window is isolated from the others', so the order cannot
+// change the schedule.
 func (s *ShardedEngine) runWindow(end Time) bool {
 	if end <= s.now {
 		return true
 	}
 	s.stats.Windows++
-	// Partition: an engine whose next event lies beyond the window
-	// would only execute `now = end` — doing that here skips the
-	// wake/park round-trip that dominates when most shards are idle.
-	// With a pool, also weigh the window: the due events of every
-	// active shard, each count capped at the gate (which cannot change
-	// the verdict below).
-	gated := s.workers > 1 && s.gate > 0
 	queued := false
-	due, busiest := 0, 0
-	active := s.active[:0]
+	s.inWindow = true
 	for i, e := range s.engines {
 		at, ok := e.NextAt()
 		queued = queued || ok
@@ -370,115 +309,34 @@ func (s *ShardedEngine) runWindow(end Time) bool {
 			e.SkipTo(end)
 			continue
 		}
-		active = append(active, i)
-		if gated {
-			n := e.dueBy(end, s.gate)
-			due += n
-			busiest = max(busiest, n)
-		}
-	}
-	s.active = active
-	if len(active) == 0 {
-		return queued
-	}
-	s.stats.ActiveShards += uint64(len(active))
-	s.inWindow = true
-	s.end = end
-	// The busiest shard runs on one worker whatever happens; the pool
-	// pays off only when the rest of the window is worth a wakeup.
-	n := min(s.workers, len(active))
-	if n <= 1 || due-busiest < s.gate {
-		s.stats.InlineWindows++
-		for _, i := range active {
-			s.runShard(i)
-		}
-	} else {
-		s.stats.ParallelWindows++
-		s.next.Store(0)
-		p := s.startPool()
-		p.busy.Add(n - 1)
-		for i := 1; i < n; i++ {
-			p.wake <- struct{}{}
-		}
-		s.claim()
-		p.busy.Wait()
+		s.stats.ActiveShards++
+		s.runShard(i, end)
 	}
 	s.inWindow = false
-	return true
-}
-
-// claim runs active shards off the shared counter until none is left.
-func (s *ShardedEngine) claim() {
-	for {
-		i := int(s.next.Add(1)) - 1
-		if i >= len(s.active) {
-			return
-		}
-		s.runShard(s.active[i])
-	}
+	return queued
 }
 
 // runShard runs shard i's window, turning a panic in one of its
-// callbacks into the window's fault rather than letting it unwind the
-// goroutine that happened to claim the shard.
-func (s *ShardedEngine) runShard(i int) {
+// callbacks into the window's fault, so the remaining active shards
+// still finish the window.
+func (s *ShardedEngine) runShard(i int, end Time) {
 	e := s.engines[i]
 	defer func() {
 		if v := recover(); v != nil {
 			s.recordPanic(i, e.Now(), v)
 		}
 	}()
-	e.RunWindow(s.end)
+	e.RunWindow(end)
 }
 
-// recordPanic keeps the lowest-indexed shard's panic of the window.
+// recordPanic keeps the window's first panic: shards run in index
+// order, so that is the lowest-indexed panicking shard.
 //
 //go:noinline
 func (s *ShardedEngine) recordPanic(shard int, at Time, v any) {
-	stack := debug.Stack()
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	if s.fault == nil || shard < s.fault.Shard {
-		s.fault = &ShardPanic{Shard: shard, At: at, Value: v, Stack: stack}
+	if s.fault == nil {
+		s.fault = &ShardPanic{Shard: shard, At: at, Value: v, Stack: debug.Stack()}
 	}
-}
-
-// startPool returns the Run's helper pool, starting workers-1 helpers
-// on first use.
-func (s *ShardedEngine) startPool() *shardPool {
-	if s.pool != nil {
-		return s.pool
-	}
-	// One buffer slot per helper: a window sends at most workers-1
-	// tokens, so the coordinator never blocks handing them out.
-	p := &shardPool{wake: make(chan struct{}, s.workers-1)}
-	p.live.Add(s.workers - 1)
-	for i := 1; i < s.workers; i++ {
-		go s.help(p)
-	}
-	s.pool = p
-	return p
-}
-
-// help is a helper's loop: each wake token is one claim pass of the
-// current window.
-func (s *ShardedEngine) help(p *shardPool) {
-	defer p.live.Done()
-	for range p.wake {
-		s.claim()
-		p.busy.Done()
-	}
-}
-
-// stopPool releases the helpers and waits for them to exit.
-func (s *ShardedEngine) stopPool() {
-	p := s.pool
-	if p == nil {
-		return
-	}
-	s.pool = nil
-	close(p.wake)
-	p.live.Wait()
 }
 
 // barrier exchanges cross-shard mail, runs the drain hooks, then runs
@@ -521,8 +379,8 @@ func (s *ShardedEngine) barrier() {
 // deliver merges every outbox and inserts the mail into the
 // destination engines. Concatenating outboxes in shard order and
 // stable-sorting by delivery time yields the canonical total order
-// (time, source shard, post order) — independent of which worker ran
-// which shard. Delivery times are strictly beyond the window just
+// (time, source shard, post order) — independent of the order in which
+// the shards ran. Delivery times are strictly beyond the window just
 // executed (the lookahead guarantees it), so insertion never schedules
 // in a destination's past.
 func (s *ShardedEngine) deliver() {

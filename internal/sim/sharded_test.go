@@ -3,43 +3,19 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
-
-// weigh queues n periodic events of period d on e, each running fn, so
-// every window that reaches their due time carries n more due events.
-// Rigs that must exercise the helper pool weigh their shards until the
-// due events outside the busiest one reach windowGate; lighter windows
-// run inline. Under -race the gate is zero and so is the extra load.
-func weigh(e *Engine, n int, d Time, fn func()) {
-	for j := 0; j < n; j++ {
-		e.Every(d, fn)
-	}
-}
-
-// gateShare is the load per shard that, spread over every shard of a
-// rig, puts windowGate due events outside the busiest one.
-func gateShare(shards int) int {
-	return (windowGate + shards - 2) / (shards - 1)
-}
 
 // shardedRig wires a ping-pong workload over n shards: every shard
 // runs a local periodic event and posts cross-shard messages that
 // re-post on arrival, exercising mailbox delivery, ordering, and the
 // window/barrier machinery. Each shard appends to its own log
-// (single-writer mid-window); logs are concatenated at the end. Every
-// shard also carries its gateShare of events per lookahead, counted
-// into its tick lines, so the windows are heavy enough to wake the
-// pool.
-func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (string, *ShardedEngine) {
+// (single-writer mid-window); logs are concatenated at the end.
+func shardedRig(t *testing.T, shards int, lookahead, horizon Time) (string, *ShardedEngine) {
 	t.Helper()
 	s := NewSharded(shards, lookahead)
-	s.SetWorkers(workers)
 	logs := make([][]string, shards)
-	load := make([]int, shards)
 	var hop func(from, to, ttl int)
 	hop = func(from, to, ttl int) {
 		s.Post(from, to, lookahead+Time(from+1)*Microsecond, func() {
@@ -51,10 +27,9 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 	}
 	for i := 0; i < shards; i++ {
 		s.Shard(i).Every(37*Microsecond+Time(i)*Microsecond, func() {
-			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v after %d loads", i, s.Shard(i).Now(), load[i]))
+			logs[i] = append(logs[i], fmt.Sprintf("%d tick at %v", i, s.Shard(i).Now()))
 		})
 		s.Shard(i).After(5*Microsecond, func() { hop(i, (i+3)%shards, 40) })
-		weigh(s.Shard(i), gateShare(shards), lookahead, func() { load[i]++ })
 	}
 	barriers := 0
 	s.OnBarrier(func(now Time) { barriers++ })
@@ -87,37 +62,121 @@ func shardedRig(t *testing.T, shards, workers int, lookahead, horizon Time) (str
 	return b.String(), s
 }
 
-// requirePool fails unless a multi-worker run sent windows through the
-// helper pool, so a serial = sharded comparison never silently turns
-// serial vs serial.
-func requirePool(t *testing.T, s *ShardedEngine) {
-	t.Helper()
-	if st := s.Stats(); s.Workers() > 1 && st.ParallelWindows == 0 {
-		t.Fatalf("workers=%d ran no parallel window (stats %+v)", s.Workers(), st)
+// TestShardedDeterministicAcrossWorkers runs the ping-pong rig once and
+// accounts for every event and every counter: each fired event is a
+// logged tick, a logged delivery or one of the shards' opening hops,
+// every merged mail item fired before the horizon, and the window
+// counters match the rig's layout. Windows run their shards inline in
+// index order, so there is no worker count left to vary;
+// TestShardedMatchesOneEngine pins the schedule itself.
+func TestShardedDeterministicAcrossWorkers(t *testing.T) {
+	const shards = 5
+	log, s := shardedRig(t, shards, 50*Microsecond, 3*Millisecond)
+	ticks, recvs := strings.Count(log, " tick at "), strings.Count(log, " recv from ")
+	if ticks == 0 || recvs == 0 {
+		t.Fatalf("rig produced no traffic:\n%s", log)
+	}
+	// Every chain makes 41 hops and ends well before the horizon.
+	if recvs != shards*41 {
+		t.Fatalf("%d deliveries, want %d", recvs, shards*41)
+	}
+	if got, want := s.Fired(), uint64(ticks+recvs+shards); got != want {
+		t.Fatalf("fired %d events, want %d ticks + %d deliveries + %d opening hops", got, ticks, recvs, shards)
+	}
+	st := s.Stats()
+	if st.Mail != uint64(recvs) {
+		t.Fatalf("stats %+v: merged %d mail items, want the %d deliveries", st, st.Mail, recvs)
+	}
+	// Each 90µs epoch splits into a 50µs window and a 40µs one, cut
+	// at the epoch's barrier: 33 epochs, then one 30µs window to 3ms.
+	if st.Windows != 67 || st.ActiveShards == 0 || st.ActiveShards > shards*st.Windows {
+		t.Fatalf("stats %+v, want 67 windows with 1..%d active shards each", st, shards)
 	}
 }
 
-// TestShardedDeterministicAcrossWorkers is the core guarantee: the
-// worker count is invisible to the simulation. Every shard's event log
-// and the total fired count must be byte-identical for any pool size.
-func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	const shards = 5
-	base, serial := shardedRig(t, shards, 1, 50*Microsecond, 3*Millisecond)
-	if !strings.Contains(base, "recv") || !strings.Contains(base, "tick") {
-		t.Fatalf("rig produced no traffic:\n%s", base)
+// TestShardedMatchesOneEngine is the layout oracle: a ping-pong rig run
+// on n shards, cross-node traffic going through Post, must give every
+// node the same log, and fire the same number of events, as the same
+// rig with every node on one plain Engine, where a post is just
+// At(now+delay). Each node runs a periodic tick that posts to the next
+// node, and relays a 40-hop chain started by every node.
+//
+// The rig keeps delivered posts off every instant at which their
+// destination has another event: ticks sit on whole microseconds, tick
+// posts 3ns and a chain's k-th hop 7k ns past one, and each chain's k-th
+// hop lands on a different node. At such a tie the two layouts may
+// legitimately differ: the sharded engine inserts mail at the barrier,
+// in (time, source shard, post order), while one engine orders by the
+// instant each event was scheduled. TestShardedMailboxOrdering pins
+// that barrier tie order instead. The test checks the restriction
+// itself, so a change to the rig cannot hide a tie.
+func TestShardedMatchesOneEngine(t *testing.T) {
+	const nodes, lookahead, horizon = 5, 50 * Microsecond, 4 * Millisecond
+	type layout struct {
+		clock func(node int) *Engine
+		post  func(from, to int, delay Time, fn func())
 	}
-	if st := serial.Stats(); st.ParallelWindows != 0 || st.InlineWindows == 0 {
-		t.Fatalf("serial run stats %+v, want inline windows only", st)
+	rig := func(l layout) [][]string {
+		logs := make([][]string, nodes)
+		note := func(node int, format string, args ...any) {
+			logs[node] = append(logs[node], fmt.Sprintf("%d ", l.clock(node).Now())+fmt.Sprintf(format, args...))
+		}
+		var hop func(from, to, ttl int)
+		hop = func(from, to, ttl int) {
+			l.post(from, to, lookahead+Time(from)*Microsecond+7*Nanosecond, func() {
+				note(to, "hop from %d, ttl %d", from, ttl)
+				if ttl > 0 {
+					hop(to, (to+3)%nodes, ttl-1)
+				}
+			})
+		}
+		for i := 0; i < nodes; i++ {
+			n := 0
+			l.clock(i).Every(31*Microsecond+Time(2*i)*Microsecond, func() {
+				n++
+				note(i, "tick %d", n)
+				to, k := (i+1)%nodes, n
+				l.post(i, to, lookahead+Time(i)*Microsecond+3*Nanosecond, func() { note(to, "tick %d of %d", k, i) })
+			})
+			l.clock(i).After(5*Microsecond, func() { hop(i, (i+1)%nodes, 40) })
+		}
+		return logs
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got, s := shardedRig(t, shards, workers, 50*Microsecond, 3*Millisecond)
-		if got != base {
-			t.Fatalf("workers=%d diverged from serial log", workers)
+
+	s := NewSharded(nodes, lookahead)
+	sharded := rig(layout{clock: s.Shard, post: s.Post})
+	if err := s.Run(horizon); err != nil {
+		t.Fatalf("sharded run: %v", err)
+	}
+	e := NewEngine()
+	one := rig(layout{
+		clock: func(int) *Engine { return e },
+		post:  func(_, _ int, delay Time, fn func()) { e.At(e.Now()+delay, fn) },
+	})
+	if err := e.Run(horizon); err != nil {
+		t.Fatalf("one-engine run: %v", err)
+	}
+
+	for i := 0; i < nodes; i++ {
+		if len(sharded[i]) < 100 {
+			t.Fatalf("node %d logged only %d events", i, len(sharded[i]))
 		}
-		if s.Fired() != serial.Fired() {
-			t.Fatalf("workers=%d fired %d events, serial fired %d", workers, s.Fired(), serial.Fired())
+		for j := 1; j < len(one[i]); j++ {
+			prev, _, _ := strings.Cut(one[i][j-1], " ")
+			at, _, _ := strings.Cut(one[i][j], " ")
+			if at == prev {
+				t.Fatalf("node %d has two events at %sns (%q, %q): the rig must avoid ties", i, at, one[i][j-1], one[i][j])
+			}
 		}
-		requirePool(t, s)
+		if got, want := strings.Join(sharded[i], "\n"), strings.Join(one[i], "\n"); got != want {
+			t.Fatalf("node %d: sharded log differs from one engine's\n--- sharded ---\n%s\n--- one engine ---\n%s", i, got, want)
+		}
+	}
+	if s.Fired() != e.Fired() {
+		t.Fatalf("sharded run fired %d events, one engine %d", s.Fired(), e.Fired())
+	}
+	if st := s.Stats(); st.Mail == 0 {
+		t.Fatalf("stats %+v: no mail crossed a barrier", st)
 	}
 }
 
@@ -219,6 +278,11 @@ func TestShardedDeadlock(t *testing.T) {
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
+	for i := 0; i < 2; i++ {
+		if got := s.Shard(i).Now(); got != 50*Microsecond {
+			t.Fatalf("shard %d at %v after deadlock, want the last barrier 50µs", i, got)
+		}
+	}
 }
 
 // TestShardedMailboxOrdering pins the canonical merge key: two posts
@@ -271,67 +335,17 @@ func TestEngineRunWindow(t *testing.T) {
 	}
 }
 
-// settled returns the goroutine count once it falls to want, or after
-// a second. A helper's last instructions run just after Run stops
-// waiting for it, so the count gets a bounded moment to settle; a
-// helper still parked on its channel never would.
-func settled(want int) int {
-	got := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
-		runtime.Gosched()
-	}
-	return got
-}
-
-// TestShardedPoolGoroutinesExit pins the pool's lifetime: helpers
-// start inside Run and are gone once it returns, on the normal path
-// and on the ErrDeadlock path alike.
-func TestShardedPoolGoroutinesExit(t *testing.T) {
-	before := runtime.NumGoroutine()
-	_, rig := shardedRig(t, 5, 4, 50*Microsecond, Millisecond)
-	requirePool(t, rig)
-	if got := settled(before); got > before {
-		t.Fatalf("goroutines after Run = %d, before = %d", got, before)
-	}
-	s := NewSharded(3, 50*Microsecond)
-	s.SetWorkers(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j <= windowGate; j++ {
-			s.Shard(i).After(30*Microsecond, func() {})
-		}
-	}
-	if err := s.Run(Millisecond); !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock", err)
-	}
-	requirePool(t, s)
-	for i := 0; i < 3; i++ {
-		if got := s.Shard(i).Now(); got != 50*Microsecond {
-			t.Fatalf("shard %d at %v after deadlock, want the last barrier 50µs", i, got)
-		}
-	}
-	if s.pool != nil {
-		t.Fatal("pool still attached after Run returned")
-	}
-	if got := settled(before); got > before {
-		t.Fatalf("goroutines after deadlocked Run = %d, before = %d", got, before)
-	}
-}
-
 // TestShardedRunTwiceMatchesSerial runs one engine to the horizon in
-// two Run calls — the pool is torn down and rebuilt in between — and
-// requires the same log as a single serial Run. The split lands on a
-// window boundary, so both schedules see the same windows.
+// two Run calls and requires the same log as a single Run. The split
+// lands on a window boundary, so both schedules see the same windows.
 func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 	const shards, horizon = 4, 2 * Millisecond
-	run := func(workers int, stops ...Time) []string {
+	run := func(stops ...Time) []string {
 		s := NewSharded(shards, 50*Microsecond)
-		s.SetWorkers(workers)
 		logs := make([][]string, shards)
-		load := make([]int, shards)
 		for i := 0; i < shards; i++ {
-			weigh(s.Shard(i), gateShare(shards), 50*Microsecond, func() { load[i]++ })
 			s.Shard(i).Every(23*Microsecond+Time(i)*Microsecond, func() {
-				logs[i] = append(logs[i], fmt.Sprintf("tick %v after %d loads", s.Shard(i).Now(), load[i]))
+				logs[i] = append(logs[i], fmt.Sprintf("tick %v", s.Shard(i).Now()))
 				s.Post(i, (i+1)%shards, 60*Microsecond, func() {
 					to := (i + 1) % shards
 					logs[to] = append(logs[to], fmt.Sprintf("recv %d at %v", i, s.Shard(to).Now()))
@@ -342,7 +356,6 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 			if err := s.Run(h); err != nil {
 				t.Fatalf("run to %v: %v", h, err)
 			}
-			requirePool(t, s)
 		}
 		var out []string
 		for _, l := range logs {
@@ -350,211 +363,85 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
-	want := strings.Join(run(1, horizon), "\n")
-	if got := strings.Join(run(2, horizon/2, horizon), "\n"); got != want {
-		t.Fatal("two pooled Runs diverged from one serial Run")
+	want := strings.Join(run(horizon), "\n")
+	if got := strings.Join(run(horizon/2, horizon), "\n"); got != want {
+		t.Fatal("two Runs diverged from one Run")
 	}
 }
 
-// TestShardedWorkersMatchSerial covers pool widths at and beyond the
-// number of active shards: with two busy shards out of six, a pool of
-// 8 never has more than two shards to claim per window.
-func TestShardedWorkersMatchSerial(t *testing.T) {
-	const shards = 6
-	rig := func(workers int) (string, uint64) {
-		s := NewSharded(shards, 50*Microsecond)
-		s.SetWorkers(workers)
-		var b [shards]strings.Builder
-		var load [shards]int
-		for _, i := range []int{1, 4} {
-			weigh(s.Shard(i), windowGate, 50*Microsecond, func() { load[i]++ })
-			s.Shard(i).Every(17*Microsecond, func() {
-				fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])
-				s.Post(i, 5-i, 50*Microsecond, func() {
-					fmt.Fprintf(&b[5-i], "%d from %d at %v\n", 5-i, i, s.Shard(5-i).Now())
-				})
-			})
-		}
-		if err := s.Run(Millisecond); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requirePool(t, s)
-		var all strings.Builder
-		for i := range b {
-			all.WriteString(b[i].String())
-		}
-		return all.String(), s.Fired()
-	}
-	base, baseFired := rig(1)
-	for _, workers := range []int{2, 4, 8} {
-		got, fired := rig(workers)
-		if got != base || fired != baseFired {
-			t.Fatalf("workers=%d diverged from serial (fired %d vs %d)", workers, fired, baseFired)
-		}
-	}
-	// The wide rig too: more shards than workers and vice versa.
-	serial, one := shardedRig(t, 3, 1, 50*Microsecond, Millisecond)
-	for _, workers := range []int{2, 4, 8} {
-		got, s := shardedRig(t, 3, workers, 50*Microsecond, Millisecond)
-		if got != serial || s.Fired() != one.Fired() {
-			t.Fatalf("3 shards, workers=%d diverged from serial", workers)
-		}
-		requirePool(t, s)
-	}
-}
-
-// TestShardedWindowAllocs pins the steady-state cost of a parallel
-// window at zero allocations: the helpers are already parked, the
-// active set and merge buffer are reused, and waking costs a channel
-// token, not a goroutine.
+// TestShardedWindowAllocs pins the steady-state cost of a window at
+// zero allocations: the merge buffer is reused, and the shards run
+// inline.
 func TestShardedWindowAllocs(t *testing.T) {
 	const lookahead = 50 * Microsecond
 	s := NewSharded(2, lookahead)
-	s.SetWorkers(2)
 	s.Shard(0).Every(lookahead/3, func() {})
 	s.Shard(1).Every(lookahead/4, func() {})
-	for i := 0; i < 2; i++ {
-		weigh(s.Shard(i), windowGate, lookahead, func() {})
-	}
 	step := func() {
 		end := s.now + lookahead
 		s.runWindow(end)
 		s.now = end
 		s.barrier()
 	}
-	step() // start the pool and size the reused buffers
-	defer s.stopPool()
-	if s.pool == nil {
-		t.Fatal("two busy shards on two workers did not start the pool")
-	}
+	step() // size the reused buffer
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
-		t.Fatalf("steady-state 2-worker window allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state window allocates %.1f/op, want 0", allocs)
 	}
-	if st := s.Stats(); st.ParallelWindows != st.Windows {
-		t.Fatalf("%d of %d windows ran on the pool, want all", st.ParallelWindows, st.Windows)
-	}
-}
-
-// gateRig runs two busy shards out of 17, each with perShard due
-// events per window plus a tick that logs its load count, and reports
-// the log and whether any barrier saw the helper pool running.
-func gateRig(t *testing.T, workers, perShard int) (string, *ShardedEngine, bool) {
-	t.Helper()
-	const lookahead = 50 * Microsecond
-	s := NewSharded(17, lookahead)
-	s.SetWorkers(workers)
-	var b [17]strings.Builder
-	var load [17]int
-	for _, i := range []int{3, 11} {
-		weigh(s.Shard(i), perShard, lookahead, func() { load[i]++ })
-		s.Shard(i).Every(lookahead/2, func() {
-			fmt.Fprintf(&b[i], "%d at %v after %d loads\n", i, s.Shard(i).Now(), load[i])
-		})
-	}
-	pooled := false
-	s.OnBarrier(func(Time) { pooled = pooled || s.pool != nil })
-	if err := s.Run(Millisecond); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	var all strings.Builder
-	for i := range b {
-		all.WriteString(b[i].String())
-	}
-	return all.String(), s, pooled
-}
-
-// TestShardedLightWindowsStayInline pins the gate's cheap side: two
-// active shards with a handful of due events each never wake a helper,
-// however many workers the engine may use.
-func TestShardedLightWindowsStayInline(t *testing.T) {
-	if windowGate == 0 {
-		t.Skip("race builds send every multi-shard window through the pool")
-	}
-	for _, workers := range []int{2, 8} {
-		_, s, pooled := gateRig(t, workers, 2)
-		st := s.Stats()
-		if pooled || st.ParallelWindows != 0 {
-			t.Fatalf("workers=%d: light windows started the pool (stats %+v)", workers, st)
-		}
-		if st.InlineWindows != st.Windows || st.ActiveShards != 2*st.Windows {
-			t.Fatalf("workers=%d: stats %+v, want every window inline with two active shards", workers, st)
-		}
-	}
-}
-
-// TestShardedHeavyWindowsUsePool pins the other side: the same rig
-// with windowGate due events per busy shard wakes the pool on every
-// window and still matches the serial log at every width.
-func TestShardedHeavyWindowsUsePool(t *testing.T) {
-	base, serial, _ := gateRig(t, 1, windowGate)
-	for _, workers := range []int{2, 4, 8} {
-		got, s, pooled := gateRig(t, workers, windowGate)
-		if got != base || s.Fired() != serial.Fired() {
-			t.Fatalf("workers=%d diverged from serial (fired %d vs %d)", workers, s.Fired(), serial.Fired())
-		}
-		if st := s.Stats(); !pooled || st.ParallelWindows != st.Windows {
-			t.Fatalf("workers=%d: stats %+v, want every window on the pool", workers, st)
-		}
+	if st := s.Stats(); st.ActiveShards != 2*st.Windows {
+		t.Fatalf("stats %+v, want both shards active in every window", st)
 	}
 }
 
 // TestShardedPanicIsError pins the failure mode of a panicking
-// callback: whichever goroutine ran the shard, Run returns the same
-// *ShardPanic naming the lowest-indexed shard that panicked in the
-// window, and no helper outlives the call.
+// callback: the other active shards still finish the window, and Run
+// returns a *ShardPanic naming the lowest-indexed shard that panicked
+// in it.
 func TestShardedPanicIsError(t *testing.T) {
 	const lookahead = 50 * Microsecond
-	run := func(workers int) (*ShardPanic, ShardedStats) {
-		s := NewSharded(4, lookahead)
-		s.SetWorkers(workers)
-		for _, i := range []int{1, 3} {
-			weigh(s.Shard(i), windowGate, lookahead, func() {})
-		}
-		s.Shard(3).At(110*Microsecond, func() { panic("boom 3") })
-		s.Shard(1).At(120*Microsecond, func() { panic(fmt.Errorf("boom %d", 1)) })
-		err := s.Run(Millisecond)
-		var p *ShardPanic
-		if !errors.As(err, &p) {
-			t.Fatalf("workers=%d: err = %v, want *ShardPanic", workers, err)
-		}
-		return p, s.Stats()
+	s := NewSharded(4, lookahead)
+	s.Shard(3).At(110*Microsecond, func() { panic("boom 3") })
+	s.Shard(1).At(120*Microsecond, func() { panic(fmt.Errorf("boom %d", 1)) })
+	finished := false
+	s.Shard(2).At(140*Microsecond, func() { finished = true })
+	err := s.Run(Millisecond)
+	var p *ShardPanic
+	if !errors.As(err, &p) {
+		t.Fatalf("err = %v, want *ShardPanic", err)
 	}
-	before := runtime.NumGoroutine()
-	want, _ := run(1)
-	if want.Shard != 1 || want.At != 120*Microsecond || want.Error() != "sim: shard 1 panicked at 120.000µs: boom 1" {
-		t.Fatalf("serial panic = %+v (%q), want shard 1 at 120µs", want, want.Error())
+	if p.Shard != 1 || p.At != 120*Microsecond || p.Error() != "sim: shard 1 panicked at 120.000µs: boom 1" {
+		t.Fatalf("panic = %+v (%q), want shard 1 at 120µs", p, p.Error())
 	}
-	if len(want.Stack) == 0 {
+	if len(p.Stack) == 0 {
 		t.Fatal("panic error carries no stack")
 	}
-	got, st := run(2)
-	if got.Error() != want.Error() || got.Shard != want.Shard || got.At != want.At || fmt.Sprint(got.Value) != fmt.Sprint(want.Value) {
-		t.Fatalf("workers=2 panic %q, serial %q", got.Error(), want.Error())
+	if !finished {
+		t.Fatal("shard 2 did not finish the window in which shard 1 panicked")
 	}
-	if st.InlineWindows != 0 || st.ParallelWindows == 0 {
-		t.Fatalf("workers=2 stats %+v, want every busy window up to the panic on the pool", st)
-	}
-	if got := settled(before); got > before {
-		t.Fatalf("goroutines after panicked Runs = %d, before = %d", got, before)
+	if got := s.Now(); got != 100*Microsecond {
+		t.Fatalf("coordinator at %v, want the barrier before the panicking window (100µs)", got)
 	}
 }
 
 // TestShardedBarrierPanicIsError pins the barrier phase's failure
 // mode: a panicking barrier task or OnBarrier hook ends Run with a
-// *ShardPanic that names the task or marks the hook, the same at one
-// and two workers, and no helper outlives the call.
+// *ShardPanic that names the task or marks the hook, and the hook's
+// barrier runs no task after the panic.
 func TestShardedBarrierPanicIsError(t *testing.T) {
 	const lookahead = 50 * Microsecond
-	run := func(workers int, hook bool) *ShardPanic {
+	for _, tc := range []struct {
+		hook bool
+		want string
+	}{
+		{false, `sim: barrier task "rebalance" panicked at 120.000µs: task boom`},
+		{true, "sim: OnBarrier hook panicked at 150.000µs: hook boom"},
+	} {
 		s := NewSharded(4, lookahead)
-		s.SetWorkers(workers)
 		for _, i := range []int{1, 3} {
-			weigh(s.Shard(i), windowGate, lookahead, func() {})
 			s.Shard(i).Every(lookahead/3, func() {})
 		}
 		ran := 0
 		s.EveryBarrier(lookahead, "tick", func() { ran++ })
-		if hook {
+		if tc.hook {
 			s.OnBarrier(func(now Time) {
 				if now == 150*Microsecond {
 					panic("hook boom")
@@ -566,37 +453,16 @@ func TestShardedBarrierPanicIsError(t *testing.T) {
 		err := s.Run(Millisecond)
 		var p *ShardPanic
 		if !errors.As(err, &p) {
-			t.Fatalf("workers=%d hook=%v: err = %v, want *ShardPanic", workers, hook, err)
+			t.Fatalf("hook=%v: err = %v, want *ShardPanic", tc.hook, err)
+		}
+		if p.Error() != tc.want || p.Shard != -1 || p.Hook != tc.hook {
+			t.Fatalf("barrier panic = %+v (%q), want %q", p, p.Error(), tc.want)
 		}
 		if len(p.Stack) == 0 {
-			t.Fatalf("workers=%d hook=%v: panic error carries no stack", workers, hook)
+			t.Fatalf("hook=%v: panic error carries no stack", tc.hook)
 		}
-		if hook && ran != 2 {
-			t.Fatalf("workers=%d: the hook's barrier ran tasks after it panicked (%d ticks)", workers, ran)
+		if tc.hook && ran != 2 {
+			t.Fatalf("the hook's barrier ran tasks after it panicked (%d ticks)", ran)
 		}
-		if st := s.Stats(); workers > 1 && st.ParallelWindows == 0 {
-			t.Fatalf("workers=%d: stats %+v, want the helper pool running", workers, st)
-		}
-		return p
-	}
-	before := runtime.NumGoroutine()
-	for _, tc := range []struct {
-		hook bool
-		want string
-	}{
-		{false, `sim: barrier task "rebalance" panicked at 120.000µs: task boom`},
-		{true, "sim: OnBarrier hook panicked at 150.000µs: hook boom"},
-	} {
-		serial := run(1, tc.hook)
-		if serial.Error() != tc.want || serial.Shard != -1 || serial.Hook != tc.hook {
-			t.Fatalf("serial barrier panic = %+v (%q), want %q", serial, serial.Error(), tc.want)
-		}
-		pooled := run(2, tc.hook)
-		if pooled.Error() != serial.Error() || pooled.Task != serial.Task || pooled.At != serial.At {
-			t.Fatalf("workers=2 barrier panic %q, serial %q", pooled.Error(), serial.Error())
-		}
-	}
-	if got := settled(before); got > before {
-		t.Fatalf("goroutines after panicked Runs = %d, before = %d", got, before)
 	}
 }

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite the golden incident files")
 
 func TestGoldenIncident(t *testing.T) {
 	v, _ := experiments.RigByName("bully")
-	_, cfg, err := experiments.ScaleRig(v.Spec, 1, 0)
+	_, cfg, err := experiments.ScaleRig(v.Spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
