@@ -13,7 +13,7 @@ GO ?= go
 # BenchmarkWriteChromeTrace; its meta records the host's core count.
 BENCH_SNAPSHOT ?= BENCH_10.json
 
-.PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale-sweep why
+.PHONY: check build vet test race determinism bench bench-compare bench-smoke report fuzz-smoke chaos examples cover blame watch attack scale-sweep why loc
 
 check: build vet race determinism examples blame watch attack scale-sweep why report
 
@@ -159,3 +159,14 @@ cover:
 	 awk -v t=$$total -v min=$(COVER_MIN) 'BEGIN { \
 	   if (t+0 < min+0) { printf "FAIL: coverage %.1f%% below floor %.1f%%\n", t, min; exit 1 } \
 	   printf "OK: coverage %.1f%% >= floor %.1f%%\n", t, min }'
+
+# Code-size counts tracked in ROADMAP.md: non-blank, non-comment,
+# non-test Go lines under internal/ and cmd/, then the flags each irs*
+# binary lists in its -help output.
+loc:
+	@printf 'go lines (internal/ + cmd/, non-test, non-blank, non-comment): '
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+	@total=0; for b in $$(cd cmd && ls -d irs*); do \
+		n=$$($(GO) run ./cmd/$$b -help 2>&1 | grep -c '^  -'); \
+		echo "flags $$b: $$n"; total=$$((total + n)); \
+	done; echo "flags total: $$total"

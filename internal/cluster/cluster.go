@@ -320,7 +320,6 @@ type Host struct {
 
 	eng     *sim.Engine        // this host's shard engine
 	checker *invariant.Checker // host-local audits (hv + resident kernels)
-	spans   *span.Tracer       // shard-local collector for finished spans
 	outbox  hostOutbox
 
 	occSeries map[occKey]*watch.Series // watchdog occupancy series, by VM and pCPU
@@ -593,9 +592,6 @@ func New(cfg Config) (*Cluster, error) {
 			name: name,
 			eng:  eng,
 		}
-		if cfg.Spans != nil {
-			host.spans = span.NewTracer()
-		}
 		c.hosts = append(c.hosts, host)
 		if c.watcher != nil {
 			c.wireWatchHost(host, hc.Trace)
@@ -718,10 +714,12 @@ func New(cfg Config) (*Cluster, error) {
 // drain runs at every barrier, before due barrier tasks: it folds each
 // host's outbox into the control plane in host order — served requests
 // into the latency histogram, SLO signal, and router bookkeeping;
-// occupancy intervals and invariant trips into the watchdog; finished
-// spans into the minting tracer. Host order then host-local completion
-// order is the canonical merge key, so the result is independent of
-// the order in which host windows run.
+// occupancy intervals and invariant trips into the watchdog. Host order
+// then host-local completion order is the canonical merge key, so the
+// result is independent of the order in which host windows run.
+// Finished spans need no fold: a span finishes on the tracer that
+// minted it, and hosts run in index order, so the tracer's finished
+// list already is in host order then host-local completion order.
 func (c *Cluster) drain(now sim.Time) {
 	for _, h := range c.hosts {
 		ob := &h.outbox
@@ -734,7 +732,6 @@ func (c *Cluster) drain(now sim.Time) {
 			if b.hd.gate != nil && !b.hd.gate.Closed() {
 				// The VM already restarted elsewhere; hand the request
 				// straight to the live generation.
-				b.hd.host.spans.Adopt(b.req.Span)
 				b.hd.gate.SubmitReq(b.req)
 			} else {
 				b.hd.carried = append(b.hd.carried, b.req)
@@ -766,7 +763,6 @@ func (c *Cluster) drain(now sim.Time) {
 			c.watcher.RecordInvariant(v.At, v.Rule, v.Detail)
 		}
 		ob.viols = ob.viols[:0]
-		c.cfg.Spans.Absorb(h.spans)
 	}
 	c.drainOccupancy()
 	if len(c.pendingViols) > 0 {

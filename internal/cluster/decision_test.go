@@ -56,7 +56,7 @@ func TestPlaceDecisionRecorded(t *testing.T) {
 
 // TestClusterDecisionLogShardInvariant pins the decision log's
 // determinism at the cluster level: two runs of one rig, each merging
-// per-shard rings at every barrier, export byte-identical logs.
+// the shards' records at every barrier, export byte-identical logs.
 func TestClusterDecisionLogShardInvariant(t *testing.T) {
 	run := func() []byte {
 		cfg := DefaultConfig()

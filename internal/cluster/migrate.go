@@ -169,9 +169,6 @@ func (c *Cluster) completeMigration(hd *VMHandle, dest *Host, snap hypervisor.VM
 	carried := hd.carried
 	hd.carried = nil
 	for _, req := range carried {
-		// The span followed the request to the source host's collector;
-		// its Finish will now happen on the destination shard.
-		dest.spans.Adopt(req.Span)
 		hd.gate.SubmitReq(req)
 	}
 	hd.migrating = false

@@ -116,7 +116,6 @@ func (c *Cluster) route(req workload.Request) {
 // and the next barrier re-routes it to the successor instance (or into
 // the migration's carried set). Runs on host's shard.
 func (c *Cluster) deliverReq(hd *VMHandle, host *Host, gate *workload.RemoteGate, req workload.Request) {
-	host.spans.Adopt(req.Span)
 	if gate.SubmitReq(req) {
 		host.outbox.delivered = append(host.outbox.delivered, hd)
 		return

@@ -14,7 +14,8 @@ import (
 // request is accounted for and every finished span conserves exactly.
 // The 10 ms service time keeps the replica queues deep enough that the
 // pre-copy does not drain them, so each switchover carries requests
-// to the destination (completeMigration's Adopt + re-submit path).
+// to the destination (completeMigration's re-submit path), where the
+// span finishes straight into the tracer that minted it.
 func TestClusterSpansConserveAcrossMigrations(t *testing.T) {
 	tr := span.NewTracer()
 	cfg := DefaultConfig()

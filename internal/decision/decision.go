@@ -6,13 +6,14 @@
 // reasons), the winner, and the scalar inputs the decision read.
 //
 // The log is built for the sharded simulation (DESIGN.md §14): each
-// shard appends to its own bounded Ring stamped with a per-ring
-// sequence number, and the coordinator merges the rings at every
-// barrier under the same canonical (time, shard, order) key the engine
-// uses for cross-shard mail — concatenate in shard index order, then a
-// stable sort by time. The merged log therefore does not depend on the
-// order in which the shards ran, which is what makes a scheduler
-// decision trail a goldenable artifact rather than a debug dump.
+// shard writes through its own Ring, which stamps a per-shard sequence
+// number and appends to the log's one pending batch, and the
+// coordinator merges that batch at every barrier under the canonical
+// (time, shard, order) key — a stable sort by time, then shard, taken
+// only when the batch is not already in that order. The merged log
+// therefore does not depend on the order in which the shards wrote,
+// which is what makes a scheduler decision trail a goldenable artifact
+// rather than a debug dump.
 //
 // When no log is attached, every hook site reduces to a nil/mask check
 // and zero allocations (see the paired benchmarks in
@@ -379,32 +380,19 @@ func (r *Record) intScore(i int) (int64, bool) {
 	return out, -exactInt < out && out < exactInt
 }
 
-// Ring is one shard's bounded decision buffer. All methods are
-// nil-safe no-ops, so hook sites pay one nil/mask check when the log
-// is off. A Ring is single-shard state: written only by its shard's
-// window execution (or barrier context) and drained only at barriers,
-// the same discipline as the cluster's host outboxes.
-//
-// The buffer grows on demand, doubling up to limit records, so a log
-// whose shards see a few decisions per barrier never allocates the
-// full bound. Route candidates live in an arena of fixed-size chunks
-// that records slice into; a chunk is never reused, so a record keeps
-// its candidates after the ring drains it.
+// Ring is one shard's writer handle on the log: it stamps the shard,
+// chooser and per-shard sequence number onto each record and appends
+// it to the log's pending batch. All methods are nil-safe no-ops, so
+// hook sites pay one nil/mask check when the log is off. Shards run one
+// after another on one goroutine, so every Ring of a log writes to the
+// one batch without coordination.
 type Ring struct {
+	log     *Log
 	mask    uint32
 	chooser string
 	shard   int
 	seq     uint64
-	buf     []Record
-	limit   int // capacity bound (Options.PerShard)
-	start   int // index of the oldest record
-	n       int
-	dropped uint64
-	arena   []Load // current chunk of route candidates
 }
-
-// arenaChunk is the number of route candidates per arena chunk.
-const arenaChunk = 1024
 
 // Wants reports whether kind k is recorded. Hook sites call this
 // before building a Record, so disabled logs never pay for candidate
@@ -414,8 +402,7 @@ func (r *Ring) Wants(k Kind) bool {
 }
 
 // Add appends rec, stamping the ring's shard, chooser, and next
-// sequence number. When the ring is full the oldest record is dropped
-// (and counted).
+// sequence number.
 func (r *Ring) Add(rec Record) {
 	if r == nil {
 		return
@@ -424,17 +411,18 @@ func (r *Ring) Add(rec Record) {
 }
 
 // Loads returns an empty candidate list with room for n replicas,
-// carved from the ring's arena, for the next AddRoute. Nil-safe.
+// carved from the log's arena, for the next AddRoute. Nil-safe.
 func (r *Ring) Loads(n int) []Load {
 	if r == nil {
 		return nil
 	}
-	if cap(r.arena)-len(r.arena) < n {
-		r.arena = make([]Load, 0, max(n, arenaChunk))
+	l := r.log
+	if cap(l.arena)-len(l.arena) < n {
+		l.arena = make([]Load, 0, max(n, arenaChunk))
 	}
-	at := len(r.arena)
-	r.arena = r.arena[:at+n]
-	return r.arena[at : at : at+n]
+	at := len(l.arena)
+	l.arena = l.arena[:at+n]
+	return l.arena[at : at : at+n]
 }
 
 // AddRoute appends a typed route record at virtual time at. A
@@ -457,39 +445,11 @@ func (r *Ring) add(rec *Record) {
 	rec.Chooser = r.chooser
 	rec.Seq = r.seq
 	r.seq++
-	if r.n == len(r.buf) {
-		if len(r.buf) < r.limit {
-			// Full but below the bound: grow. start is 0 here, since
-			// it moves only once the ring has reached its bound.
-			grown := make([]Record, min(max(2*len(r.buf), 8), r.limit))
-			copy(grown, r.buf)
-			r.buf = grown
-		} else {
-			r.start = (r.start + 1) % len(r.buf)
-			r.n--
-			r.dropped++
-		}
-	}
-	r.buf[(r.start+r.n)%len(r.buf)] = *rec
-	r.n++
-}
-
-// drain appends the ring's records (oldest first) to dst and empties
-// the ring.
-func (r *Ring) drain(dst []Record) []Record {
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.buf[(r.start+i)%len(r.buf)])
-	}
-	r.start, r.n = 0, 0
-	return dst
+	r.log.pending = append(r.log.pending, *rec)
 }
 
 // Options sizes a decision log.
 type Options struct {
-	// PerShard is each shard ring's capacity (default 4096 — with
-	// barriers every lookahead, a shard would need thousands of
-	// decisions per 250µs window to drop anything).
-	PerShard int
 	// Total bounds the merged log (default 1<<20 records); the oldest
 	// are dropped, and counted, beyond it.
 	Total int
@@ -498,9 +458,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.PerShard <= 0 {
-		o.PerShard = 4096
-	}
 	if o.Total <= 0 {
 		o.Total = 1 << 20
 	}
@@ -513,22 +470,29 @@ func (o Options) withDefaults() Options {
 // chunkLen caps the size of one merged-log chunk.
 const chunkLen = 1024
 
-// Log is the cluster-wide decision log: one Ring per shard, merged at
-// barriers into one canonically ordered record sequence.
+// arenaChunk is the number of route candidates per arena chunk.
+const arenaChunk = 1024
+
+// Log is the cluster-wide decision log: one Ring per shard, all
+// appending to one pending batch that Merge sorts into canonical order
+// at every barrier.
 //
 // The merged records live in chunks that are appended to and never
 // moved, so the log is not re-copied as it grows; past Total, dropping
 // the oldest only advances head, and a chunk is recycled once all of
-// its records are dropped.
+// its records are dropped. Route candidates live in an arena of
+// fixed-size chunks that records slice into; an arena chunk is never
+// reused, so a record keeps its candidates for the log's lifetime.
 type Log struct {
 	rings   []*Ring
+	pending []Record   // records added since the last Merge
+	arena   []Load     // current chunk of route candidates
 	chunks  [][]Record // oldest first; each chunk's len is its fill
 	head    int        // records of chunks[0] already dropped
 	n       int        // records held
 	spare   []Record   // a dropped full-size chunk, for the next one
 	total   int
 	dropped uint64
-	batch   []Record // merge scratch
 }
 
 // NewLog builds a log with shards rings.
@@ -543,10 +507,10 @@ func NewLog(shards int, opt Options) *Log {
 	l := &Log{total: opt.Total}
 	for i := 0; i < shards; i++ {
 		l.rings = append(l.rings, &Ring{
+			log:     l,
 			mask:    mask,
 			shard:   i,
 			chooser: "shard" + strconv.Itoa(i),
-			limit:   opt.PerShard,
 		})
 	}
 	return l
@@ -568,32 +532,27 @@ func (l *Log) Label(i int, chooser string) {
 	}
 }
 
-// Merge drains every shard ring into the merged log under the
-// canonical key: rings are concatenated in shard index order, then
-// stable-sorted by time — exactly the (time, shard, order) merge the
-// sharded engine applies to cross-shard mail. Called at every barrier
-// (and once after the run), where all shards are parked. Nil-safe.
+// byTimeShard orders records by time, then shard.
+func byTimeShard(a, b Record) int {
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Shard, b.Shard))
+}
+
+// Merge moves the pending batch into the merged log under the
+// canonical (time, shard, seq) key: a stable sort by time then shard,
+// since insertion order already is seq order within a shard. The key
+// needs the shard: at one barrier instant the control shard and host
+// shards write interleaved records (placement, then the boot it
+// triggers), and shard order, not write order, decides between them.
+// Called at every barrier (and once after the run). Nil-safe.
 func (l *Log) Merge() {
 	if l == nil {
 		return
 	}
-	batch := l.batch[:0]
-	for _, r := range l.rings {
-		if r.n > 0 {
-			batch = r.drain(batch)
-		}
-		if r.dropped > 0 {
-			l.dropped += r.dropped
-			r.dropped = 0
-		}
-	}
-	// Most barriers merge a few records from one ring, already in time
-	// order; sort only when the batch is not.
-	for i := 1; i < len(batch); i++ {
-		if batch[i].At < batch[i-1].At {
-			slices.SortStableFunc(batch, func(a, b Record) int { return cmp.Compare(a.At, b.At) })
-			break
-		}
+	batch := l.pending
+	// Most barriers merge a few records already in key order; sort only
+	// when the batch is not.
+	if !slices.IsSortedFunc(batch, byTimeShard) {
+		slices.SortStableFunc(batch, byTimeShard)
 	}
 	for rest := batch; len(rest) > 0; {
 		last := len(l.chunks) - 1
@@ -613,7 +572,7 @@ func (l *Log) Merge() {
 		l.n += k
 		rest = rest[k:]
 	}
-	l.batch = batch[:0]
+	l.pending = batch[:0]
 	for l.n > l.total {
 		k := min(l.n-l.total, len(l.chunks[0])-l.head)
 		l.head += k
@@ -651,7 +610,7 @@ func (l *Log) Records() []Record {
 	return l.chunks[0][l.head:]
 }
 
-// Dropped reports how many records were lost to ring or total bounds.
+// Dropped reports how many records were dropped past the Total bound.
 func (l *Log) Dropped() uint64 {
 	if l == nil {
 		return 0

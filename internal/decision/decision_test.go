@@ -32,7 +32,7 @@ func TestNilRingAndLogAreNoOps(t *testing.T) {
 }
 
 func TestRingStampsShardChooserSeq(t *testing.T) {
-	l := NewLog(3, Options{PerShard: 8})
+	l := NewLog(3, Options{})
 	l.Label(0, "ctl")
 	l.Label(2, "host1")
 	l.Ring(0).Add(rec(10, KindPlace, "a"))
@@ -54,12 +54,22 @@ func TestRingStampsShardChooserSeq(t *testing.T) {
 	}
 }
 
+// subjects joins the records' subjects with commas.
+func subjects(rs []Record) string {
+	var parts []string
+	for _, r := range rs {
+		parts = append(parts, r.Subject)
+	}
+	return strings.Join(parts, ",")
+}
+
 // TestMergeCanonicalOrder pins the determinism contract: the merged
-// order depends only on (time, shard, per-shard order), never on which
-// merge batch a record landed in.
+// order depends only on (time, shard, per-shard order) and on which
+// merge batch a record landed in, never on the order in which shards
+// wrote.
 func TestMergeCanonicalOrder(t *testing.T) {
 	build := func(splitMerges bool) []Record {
-		l := NewLog(3, Options{PerShard: 16})
+		l := NewLog(3, Options{})
 		// Equal times across shards: shard order must win.
 		l.Ring(2).Add(rec(100, KindPlace, "s2a"))
 		l.Ring(1).Add(rec(100, KindPlace, "s1a"))
@@ -75,86 +85,83 @@ func TestMergeCanonicalOrder(t *testing.T) {
 		return out
 	}
 	a, b := build(false), build(true)
-	names := func(rs []Record) string {
-		var parts []string
-		for _, r := range rs {
-			parts = append(parts, r.Subject)
-		}
-		return strings.Join(parts, ",")
-	}
-	// One merge: concat shard order [s0a][s1a s1b][s2a s2b] then stable
-	// sort by time → s1b(50) s2b(70) s0a s1a s2a (equal 100, shard order).
-	if got := names(a); got != "s1b,s2b,s0a,s1a,s2a" {
+	// One merge: stable sort by (time, shard) → s1b(50) s2b(70) s0a s1a
+	// s2a (equal 100, shard order).
+	if got := subjects(a); got != "s1b,s2b,s0a,s1a,s2a" {
 		t.Fatalf("single merge order = %s", got)
 	}
 	// Records already merged keep their place; later records sort into
 	// their own batch. The barrier schedule fixes which records share a
-	// batch independently of the worker pool, so this order is still
-	// deterministic — it just differs from the single-batch one.
-	if got := names(b); got != "s1b,s1a,s2a,s2b,s0a" {
+	// batch, so this order is still deterministic — it just differs
+	// from the single-batch one.
+	if got := subjects(b); got != "s1b,s1a,s2a,s2b,s0a" {
 		t.Fatalf("split merge order = %s", got)
 	}
 }
 
-func TestRingOverflowDropsOldest(t *testing.T) {
-	l := NewLog(1, Options{PerShard: 2})
-	r := l.Ring(0)
-	r.Add(rec(1, KindPlace, "a"))
-	r.Add(rec(2, KindPlace, "b"))
-	r.Add(rec(3, KindPlace, "c"))
+// TestMergeOrdersSameInstantByShard pins the shard half of the merge
+// key. At one barrier instant the control shard and a host shard write
+// interleaved records (a placement, then the boot it triggers), and an
+// earlier host record forces the batch to be sorted: the control
+// shard's records must come first, in their own order, whatever order
+// they were written in.
+func TestMergeOrdersSameInstantByShard(t *testing.T) {
+	const at = 10 * sim.Millisecond
+	l := NewLog(5, Options{})
+	ctl, host1, host3 := l.Ring(0), l.Ring(2), l.Ring(4)
+	ctl.Add(rec(at, KindPlace, "ctl0"))
+	host3.Add(rec(at, KindBoost, "host3"))
+	ctl.Add(rec(at, KindPlace, "ctl1"))
+	host1.Add(rec(at-sim.Microsecond, KindPreempt, "host1"))
 	l.Merge()
 	recs := l.Records()
-	if len(recs) != 2 || recs[0].Subject != "b" || recs[1].Subject != "c" {
-		t.Fatalf("overflow kept %+v", recs)
+	if got := subjects(recs); got != "host1,ctl0,ctl1,host3" {
+		t.Fatalf("merge order = %s, want host1,ctl0,ctl1,host3", got)
 	}
-	if l.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", l.Dropped())
+	if recs[1].Seq != 0 || recs[2].Seq != 1 {
+		t.Fatalf("ctl records carry seq %d, %d; want 0, 1", recs[1].Seq, recs[2].Seq)
 	}
 }
 
-// TestLazyRingMatchesEagerRing overfills a lazily grown ring across
-// several growth steps and merges, and checks Records and Dropped
-// against a model of the eagerly allocated ring: a queue of at most
-// PerShard records that drops its oldest when full.
-func TestLazyRingMatchesEagerRing(t *testing.T) {
-	const perShard = 20
-	l := NewLog(1, Options{PerShard: perShard})
+// TestLogTotalMatchesQueueModel adds bursts of records across several
+// chunk sizes and merges, and checks Records and Dropped against a
+// model of the bound: a queue of at most Total records that drops its
+// oldest when full.
+func TestLogTotalMatchesQueueModel(t *testing.T) {
+	const total = 700
+	l := NewLog(1, Options{Total: total})
 	r := l.Ring(0)
-	var merged, pending []Record
+	var model []Record
 	var dropped uint64
 	at := sim.Time(0)
-	for _, burst := range []int{3, 9, 20, 21, 57, 0, 8, 45} {
+	for _, burst := range []int{3, 90, 200, 1100, 57, 0, 800, 2100, 45} {
 		for i := 0; i < burst; i++ {
 			at++
 			r.Add(rec(at, KindRoute, "x"))
-			pending = append(pending, Record{At: at, Seq: uint64(at - 1)})
-			if len(pending) > perShard {
-				pending = pending[1:]
-				dropped++
-			}
+			model = append(model, Record{At: at, Seq: uint64(at - 1)})
 		}
 		l.Merge()
-		merged, pending = append(merged, pending...), nil
+		if over := len(model) - total; over > 0 {
+			model = model[over:]
+			dropped += uint64(over)
+		}
 		got := l.Records()
-		if len(got) != len(merged) || l.Dropped() != dropped {
+		if len(got) != len(model) || l.Dropped() != dropped {
 			t.Fatalf("after burst %d: %d records, dropped %d; want %d, dropped %d",
-				burst, len(got), l.Dropped(), len(merged), dropped)
+				burst, len(got), l.Dropped(), len(model), dropped)
 		}
 		for i := range got {
-			if got[i].At != merged[i].At || got[i].Seq != merged[i].Seq {
+			if got[i].At != model[i].At || got[i].Seq != model[i].Seq {
 				t.Fatalf("after burst %d: record %d at %v seq %d, want at %v seq %d",
-					burst, i, got[i].At, got[i].Seq, merged[i].At, merged[i].Seq)
+					burst, i, got[i].At, got[i].Seq, model[i].At, model[i].Seq)
 			}
 		}
-	}
-	if len(r.buf) != perShard {
-		t.Fatalf("ring grew to %d records, bound is %d", len(r.buf), perShard)
 	}
 }
 
 // TestNewLogAllocatesLazily bounds what a default 17-shard log (the
 // 2z8h rig's control shard plus 16 hosts) costs before any decision is
-// recorded. Eager rings cost 17 × 4096 records, about 10 MB.
+// recorded: one writer handle per shard and no record storage.
 func TestNewLogAllocatesLazily(t *testing.T) {
 	const runs = 20
 	var before, after runtime.MemStats
@@ -170,8 +177,10 @@ func TestNewLogAllocatesLazily(t *testing.T) {
 	}
 }
 
+// TestLogTotalBound drops the oldest records past Total, both across
+// merges and within one merge's batch.
 func TestLogTotalBound(t *testing.T) {
-	l := NewLog(1, Options{PerShard: 8, Total: 3})
+	l := NewLog(1, Options{Total: 3})
 	r := l.Ring(0)
 	for i := 0; i < 5; i++ {
 		r.Add(rec(sim.Time(i), KindRoute, "x"))
@@ -185,6 +194,16 @@ func TestLogTotalBound(t *testing.T) {
 	}
 	if l.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", l.Dropped())
+	}
+
+	l = NewLog(1, Options{Total: 2})
+	r = l.Ring(0)
+	r.Add(rec(1, KindPlace, "a"))
+	r.Add(rec(2, KindPlace, "b"))
+	r.Add(rec(3, KindPlace, "c"))
+	l.Merge()
+	if got := subjects(l.Records()); got != "b,c" || l.Dropped() != 1 {
+		t.Fatalf("one-batch overflow kept %s, dropped %d; want b,c, dropped 1", got, l.Dropped())
 	}
 }
 

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"runtime/debug"
-	"slices"
 )
 
 // ShardedEngine is a conservative discrete-event coordinator: N
@@ -24,12 +22,13 @@ import (
 //     cannot change what any shard computes. Posting with a shorter
 //     delay is a lookahead violation: it panics, or reports through
 //     OnViolation and is clamped to the lookahead.
-//   - Mailboxes are merged at each barrier under the canonical key
-//     (delivery time, source shard, post order) — the same trick the
-//     experiment harness uses to merge parallel jobs — and inserted
-//     into the destination engines at the barrier, so the destination
-//     sequence numbers (and hence same-instant tie-breaks) do not
-//     depend on the order in which the shards ran.
+//   - Mailboxes are delivered at each barrier in the canonical order
+//     (delivery time, source shard, post order), inserted into the
+//     destination engines then, so the destination sequence numbers
+//     (and hence same-instant tie-breaks) do not depend on the order in
+//     which the shards ran. Walking the outboxes in shard order is
+//     enough: an engine fires by (time, insertion seq), so insertion in
+//     (source shard, post order) settles every same-time tie.
 //   - Global synchronous work (control planes that legitimately read or
 //     mutate many shards at one instant) runs as barrier tasks
 //     (AtBarrier/EveryBarrier): windows truncate so a barrier lands
@@ -45,7 +44,6 @@ type ShardedEngine struct {
 
 	inWindow bool     // set while shard windows are running
 	outboxes [][]mail // per-source-shard cross-shard posts this window
-	scratch  []mail   // merge buffer reused across barriers
 
 	fault *ShardPanic // lowest-indexed shard that panicked this window
 
@@ -230,7 +228,7 @@ func (s *ShardedEngine) EveryBarrier(d Time, name string, fn func()) {
 // OnBarrier registers fn to run at every barrier, after mailbox
 // delivery and before due barrier tasks. The cluster layer drains
 // per-shard observation outboxes here (served requests, occupancy
-// intervals, finished spans) so control-plane tasks at the same
+// intervals, invariant trips) so control-plane tasks at the same
 // barrier see every shard fact up to the barrier time.
 func (s *ShardedEngine) OnBarrier(fn func(now Time)) {
 	s.onBarrier = append(s.onBarrier, fn)
@@ -376,31 +374,21 @@ func (s *ShardedEngine) barrier() {
 	}
 }
 
-// deliver merges every outbox and inserts the mail into the
-// destination engines. Concatenating outboxes in shard order and
-// stable-sorting by delivery time yields the canonical total order
-// (time, source shard, post order) — independent of the order in which
-// the shards ran. Delivery times are strictly beyond the window just
-// executed (the lookahead guarantees it), so insertion never schedules
-// in a destination's past.
+// deliver inserts every outbox's mail into the destination engines,
+// walking the outboxes in shard order and each in post order. The
+// destination fires by (delivery time, insertion seq), so this gives
+// the canonical total order (time, source shard, post order) without a
+// sort — independent of the order in which the shards ran. Delivery
+// times are strictly beyond the window just executed (the lookahead
+// guarantees it), so insertion never schedules in a destination's past.
 func (s *ShardedEngine) deliver() {
-	all := s.scratch[:0]
 	for i, ob := range s.outboxes {
-		if len(ob) > 0 {
-			all = append(all, ob...)
-			s.outboxes[i] = ob[:0]
+		for j := range ob {
+			m := &ob[j]
+			s.engines[m.to].At(m.at, m.fn)
+			m.fn = nil
 		}
+		s.stats.Mail += uint64(len(ob))
+		s.outboxes[i] = ob[:0]
 	}
-	if len(all) == 0 {
-		s.scratch = all
-		return
-	}
-	s.stats.Mail += uint64(len(all))
-	slices.SortStableFunc(all, func(a, b mail) int { return cmp.Compare(a.at, b.at) })
-	for i := range all {
-		m := &all[i]
-		s.engines[m.to].At(m.at, m.fn)
-		m.fn = nil
-	}
-	s.scratch = all[:0]
 }

@@ -285,9 +285,9 @@ func TestShardedDeadlock(t *testing.T) {
 	}
 }
 
-// TestShardedMailboxOrdering pins the canonical merge key: two posts
-// delivered to one shard at the same virtual time fire in source-shard
-// order regardless of post timing inside the window.
+// TestShardedMailboxOrdering pins the canonical delivery order: posts
+// delivered to one shard fire by time, then source shard, then post
+// order, regardless of post timing inside the window.
 func TestShardedMailboxOrdering(t *testing.T) {
 	s := NewSharded(3, 100*Microsecond)
 	var order []int
@@ -306,6 +306,32 @@ func TestShardedMailboxOrdering(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order = %v, want [1 2]", order)
+	}
+
+	// Mail is delivered unsorted, in source-shard then post order; the
+	// destination's (time, insertion) order must still give the
+	// canonical (time, source shard, post order) sequence. Shard 1
+	// posts out of time order, and shard 0, the lower index, posts
+	// last in wall-clock terms.
+	s = NewSharded(3, 100*Microsecond)
+	var fired []string
+	post := func(from int, at Time, name string) {
+		s.Post(from, 2, at-s.Shard(from).Now(), func() {
+			fired = append(fired, fmt.Sprintf("%s@%v", name, s.Shard(2).Now()))
+		})
+	}
+	s.Shard(1).After(10*Microsecond, func() {
+		post(1, 300*Microsecond, "A")
+		post(1, 200*Microsecond, "B")
+		post(1, 300*Microsecond, "C")
+	})
+	s.Shard(0).After(20*Microsecond, func() { post(0, 300*Microsecond, "D") })
+	s.EveryBarrier(500*Microsecond, "keepalive", func() {})
+	if err := s.Run(Millisecond); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got, want := strings.Join(fired, " "), "B@200.000µs D@300.000µs A@300.000µs C@300.000µs"; got != want {
+		t.Fatalf("delivery order = %s, want %s", got, want)
 	}
 }
 

@@ -261,7 +261,11 @@ func (s *Span) ConservationError() sim.Time {
 
 // Tracer mints spans and collects them as they finish. One tracer
 // serves one run; it is not safe for concurrent use (the simulation is
-// single-threaded by design).
+// single-threaded by design). In the cluster a span is minted on the
+// control shard and finishes on the host shard that serves its
+// request, straight into this tracer: shards run one after another,
+// so the finished list is in completion order within each host window
+// and host order across them.
 type Tracer struct {
 	nextID   int64
 	open     int
@@ -322,34 +326,4 @@ func (tr *Tracer) Open() int {
 		return 0
 	}
 	return tr.open
-}
-
-// Adopt re-points s at tr, so a later Finish lands in tr's collection.
-// The sharded cluster uses per-host collector tracers: a span minted on
-// the control shard is adopted by the host it is routed to (and by the
-// destination host when a migration carries it), keeping all mutation
-// shard-local; the barrier then folds finished spans back into the
-// minting tracer with Absorb. Adopt does not move open counts — the
-// minting tracer keeps the liability until Absorb settles it.
-func (tr *Tracer) Adopt(s *Span) {
-	if tr == nil || s == nil {
-		return
-	}
-	s.tracer = tr
-}
-
-// Absorb folds the spans finished on collector col back into tr, in
-// col's order: each is appended to tr's finished list, settles one open
-// span, observes OnFinish, and is re-pointed at tr. col's list is then
-// truncated, keeping its capacity for the next barrier (the open count
-// of col is untouched; collectors never mint).
-func (tr *Tracer) Absorb(col *Tracer) {
-	if tr == nil || col == nil {
-		return
-	}
-	for _, s := range col.finished {
-		s.tracer = tr
-		tr.finish(s)
-	}
-	col.finished = col.finished[:0]
 }

@@ -124,38 +124,6 @@ func TestTracerAccounting(t *testing.T) {
 	}
 }
 
-func TestAbsorbFoldsCollector(t *testing.T) {
-	tr, col := NewTracer(), NewTracer()
-	var seen []*Span
-	tr.OnFinish = func(s *Span) { seen = append(seen, s) }
-	a, b := tr.Start(us(1)), tr.Start(us(2))
-	col.Adopt(a)
-	col.Adopt(b)
-	b.Finish(us(5))
-	a.Finish(us(6))
-	if tr.Open() != 2 || len(seen) != 0 {
-		t.Fatal("a collector must not settle the minting tracer's spans")
-	}
-	tr.Absorb(col)
-	if tr.Open() != 0 || len(tr.Finished()) != 2 || tr.Finished()[0] != b || len(seen) != 2 || seen[1] != a {
-		t.Fatalf("absorb: open %d, finished %d, observed %d", tr.Open(), len(tr.Finished()), len(seen))
-	}
-	if a.tracer != tr || len(col.Finished()) != 0 || cap(col.Finished()) == 0 {
-		t.Fatal("absorb must re-point spans and truncate the collector in place")
-	}
-	// The next barrier's spans land in the kept capacity.
-	c, kept := tr.Start(us(7)), cap(col.Finished())
-	col.Adopt(c)
-	c.Finish(us(8))
-	if cap(col.Finished()) != kept {
-		t.Fatal("collector regrew instead of reusing its capacity")
-	}
-	tr.Absorb(col)
-	if tr.Open() != 0 || len(tr.Finished()) != 3 {
-		t.Fatal("second absorb lost a span")
-	}
-}
-
 // The rig's request shape fits the span's inline room: the whole
 // lifecycle is the one allocation of the span itself.
 func TestSpanLifecycleAllocatesOnce(t *testing.T) {
