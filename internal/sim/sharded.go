@@ -22,13 +22,12 @@ import (
 //     cannot change what any shard computes. Posting with a shorter
 //     delay is a lookahead violation: it panics, or reports through
 //     OnViolation and is clamped to the lookahead.
-//   - Mailboxes are delivered at each barrier in the canonical order
-//     (delivery time, source shard, post order), inserted into the
-//     destination engines then, so the destination sequence numbers
-//     (and hence same-instant tie-breaks) do not depend on the order in
-//     which the shards ran. Walking the outboxes in shard order is
-//     enough: an engine fires by (time, insertion seq), so insertion in
-//     (source shard, post order) settles every same-time tie.
+//   - Mail is inserted into the destination engines at each barrier,
+//     walking the outboxes in shard order and each in post order. An
+//     engine fires by (time, insertion seq), so mail fires in the
+//     canonical order (delivery time, source shard, post order), and
+//     the destination sequence numbers (and hence same-instant
+//     tie-breaks) do not depend on the order in which the shards ran.
 //   - Global synchronous work (control planes that legitimately read or
 //     mutate many shards at one instant) runs as barrier tasks
 //     (AtBarrier/EveryBarrier): windows truncate so a barrier lands

@@ -311,8 +311,8 @@ func TestShardedMailboxOrdering(t *testing.T) {
 	// Mail is delivered unsorted, in source-shard then post order; the
 	// destination's (time, insertion) order must still give the
 	// canonical (time, source shard, post order) sequence. Shard 1
-	// posts out of time order, and shard 0, the lower index, posts
-	// last in wall-clock terms.
+	// posts out of time order, and shard 0 posts later in virtual time
+	// than shard 1 but must still fire first at the shared instant.
 	s = NewSharded(3, 100*Microsecond)
 	var fired []string
 	post := func(from int, at Time, name string) {
