@@ -177,8 +177,7 @@ func TestNewLogAllocatesLazily(t *testing.T) {
 	}
 }
 
-// TestLogTotalBound drops the oldest records past Total, both across
-// merges and within one merge's batch.
+// TestLogTotalBound drops the oldest records past Total across merges.
 func TestLogTotalBound(t *testing.T) {
 	l := NewLog(1, Options{Total: 3})
 	r := l.Ring(0)
@@ -195,15 +194,22 @@ func TestLogTotalBound(t *testing.T) {
 	if l.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", l.Dropped())
 	}
+}
 
-	l = NewLog(1, Options{Total: 2})
-	r = l.Ring(0)
+// TestRingOverflowDropsOldest overfills Total within one merge's batch:
+// the batch keeps its newest records.
+func TestRingOverflowDropsOldest(t *testing.T) {
+	l := NewLog(1, Options{Total: 2})
+	r := l.Ring(0)
 	r.Add(rec(1, KindPlace, "a"))
 	r.Add(rec(2, KindPlace, "b"))
 	r.Add(rec(3, KindPlace, "c"))
 	l.Merge()
-	if got := subjects(l.Records()); got != "b,c" || l.Dropped() != 1 {
-		t.Fatalf("one-batch overflow kept %s, dropped %d; want b,c, dropped 1", got, l.Dropped())
+	if got := subjects(l.Records()); got != "b,c" {
+		t.Fatalf("overflow kept %s, want b,c", got)
+	}
+	if l.Dropped() != 1 {
+		t.Fatalf("dropped = %d, want 1", l.Dropped())
 	}
 }
 
