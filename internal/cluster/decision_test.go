@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/decision"
@@ -168,5 +169,72 @@ func TestRecordRouteAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, route); allocs != 0 {
 		t.Fatalf("route records allocate %v times per request, want 0", allocs)
+	}
+}
+
+// TestRouteLoadsOneWindowStale pins the router's load view: a request
+// a replica serves in window k shows in the route records' out= loads
+// from window k+1 on, and not before. The ground truth is each gate's
+// own served count, sampled at every barrier; a route record in the
+// window after barrier b must read routed-so-far minus the count at b.
+func TestRouteLoadsOneWindowStale(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hosts = 2
+	cfg.Duration = 2 * sim.Second
+	cfg.Drain = 500 * sim.Millisecond
+	cfg.VMs = []VMSpec{
+		StandardVM("srv0", KindServer, 2, 0),
+		StandardVM("srv1", KindServer, 2, 0),
+		StandardVM("ant0", KindAntagonist, 2, 0),
+	}
+	cfg.Decisions = &decision.Options{Kinds: []decision.Kind{decision.KindRoute}}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// Registered after New, so it runs after the cluster's own barrier
+	// hook, with every fact of the window just ended already folded.
+	var barriers []sim.Time
+	var served []map[string]int64
+	c.sh.OnBarrier(func(now sim.Time) {
+		m := map[string]int64{}
+		for _, hd := range c.servers {
+			for _, g := range hd.gates {
+				m[hd.instName()] += g.Served()
+			}
+		}
+		barriers = append(barriers, now)
+		served = append(served, m)
+	})
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	routed := map[string]int64{}
+	checked, sameWindow := 0, 0
+	for _, r := range c.Decisions().Records() {
+		if r.Winner == "" {
+			t.Fatalf("request held back at %v: the rig admits both replicas before the first arrival", r.At)
+		}
+		// The record's window runs from the last barrier before it.
+		j, _ := slices.BinarySearch(barriers, r.At)
+		if j == 0 || j == len(barriers) {
+			t.Fatalf("route record at %v outside the barrier grid", r.At)
+		}
+		seen := served[j-1]
+		for _, cand := range r.Candidates() {
+			want := routed[cand.Name] - seen[cand.Name]
+			if got := int64(cand.Score); got != want {
+				t.Fatalf("route at %v: %s out=%d, want %d (routed %d, served by the barrier at %v %d)",
+					r.At, cand.Name, got, want, routed[cand.Name], barriers[j-1], seen[cand.Name])
+			}
+			if served[j][cand.Name] != seen[cand.Name] {
+				sameWindow++ // a same-window view would have read lower
+			}
+			checked++
+		}
+		routed[r.Winner]++
+	}
+	if checked == 0 || sameWindow == 0 {
+		t.Fatalf("%d candidate loads checked, %d with a serve in their own window: the rig pins nothing", checked, sameWindow)
 	}
 }
