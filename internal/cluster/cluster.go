@@ -263,26 +263,9 @@ func StandardMix(servers, serverVCPUs, antagonists, antagonistVCPUs int, spacing
 	return out
 }
 
-// servedRec is one completed request, observed on the serving host's
-// shard and drained to the control plane at the next barrier.
-type servedRec struct {
-	at  sim.Time
-	lat sim.Time
-	hd  *VMHandle
-}
-
-// occRec is one pCPU occupancy interval bound for the watchdog's
-// attribution store.
-type occRec struct {
-	at   sim.Time
-	vm   string
-	pcpu string
-	dur  sim.Time
-}
-
 // occKey names one occupancy series within a host: a logical VM on a
-// pCPU. Each host caches the resolved watch series under it, so the
-// barrier drain skips the store's label-key build per record.
+// pCPU. Each host caches the resolved watch series under it, so an
+// occupancy interval skips the store's label-key build.
 type occKey struct {
 	vm, pcpu string
 }
@@ -294,23 +277,11 @@ type bounceRec struct {
 	req workload.Request
 }
 
-// hostOutbox buffers a host shard's observations for the barrier
-// drain. Each is written only by its host's window execution (or by
-// barrier context) and read only at barriers, so no locking is needed;
-// the slices are reset in place to keep the steady state allocation-
-// free.
-type hostOutbox struct {
-	served    []servedRec
-	delivered []*VMHandle
-	bounced   []bounceRec
-	occ       []occRec
-	viols     []invariant.Violation
-}
-
 // Host is one simulated machine in the rack: a full hypervisor+guest
 // stack on its own engine shard, with its own forked fault-injector
-// stream, its own invariant checker, and an outbox carrying its
-// observations to the control plane.
+// stream and its own invariant checker. A host writes what it observes
+// (served requests, deliveries, occupancy) straight into control-plane
+// state as it happens; see drain for why that is safe.
 type Host struct {
 	ID  int
 	HV  *hypervisor.Hypervisor
@@ -320,7 +291,6 @@ type Host struct {
 
 	eng     *sim.Engine        // this host's shard engine
 	checker *invariant.Checker // host-local audits (hv + resident kernels)
-	outbox  hostOutbox
 
 	occSeries map[occKey]*watch.Series // watchdog occupancy series, by VM and pCPU
 
@@ -376,12 +346,13 @@ type VMHandle struct {
 	kern *guest.Kernel
 	inst *workload.Instance
 
-	// Server-only routing state. routed and servedSeen are control-
-	// plane counters (routed++ on dispatch, servedSeen++ as served
-	// records drain), so the router's load view is the outstanding
-	// estimate routed-servedSeen — the slightly stale view a real
-	// cluster front door has. delivered is the host-side count of
-	// requests that reached a replica gate.
+	// Server-only routing state. routed counts dispatches and
+	// servedSeen completions, the latter bumped by the serving host as
+	// each request finishes. The control shard runs before the hosts in
+	// every window, so the router's outstanding estimate
+	// routed-servedSeen lags by one window — the slightly stale view a
+	// real cluster front door has. delivered counts requests that
+	// reached a replica gate.
 	gate       *workload.RemoteGate
 	gates      []*workload.RemoteGate // every generation, for conservation audits
 	carried    []workload.Request     // queued requests in transit during a switchover
@@ -469,14 +440,18 @@ type Cluster struct {
 	scaleUps     int64
 	scaleDowns   int64
 
-	// Phase SLO accounting (len(SLOPhases)+1 buckets), filled at drain.
+	// Phase SLO accounting (len(SLOPhases)+1 buckets), filled by served.
 	phaseServed []int64
 	phaseViols  []int64
 
-	// pendingViols defers cluster-level invariant violations to the
-	// next barrier drain: a violation may be recorded mid-window (a
-	// lookahead trip during routing), where the watcher — which reads
-	// every host — must not run.
+	// bounced holds requests that hit a sealed gate this window, in
+	// host order then post order; the barrier drain re-routes them.
+	bounced []bounceRec
+
+	// pendingViols defers every invariant violation, host or cluster,
+	// to the next barrier drain, in window order: a violation may be
+	// recorded mid-window, where the watcher's incident capture — which
+	// reads every host — must not run.
 	pendingViols []invariant.Violation
 }
 
@@ -636,9 +611,7 @@ func New(cfg Config) (*Cluster, error) {
 			h.checker = invariant.New(auditInterval)
 			h.checker.Observe(h.HV)
 			h.checker.Attach(h.eng)
-			h.checker.OnViolation = func(v invariant.Violation) {
-				h.outbox.viols = append(h.outbox.viols, v)
-			}
+			h.checker.OnViolation = c.checker.OnViolation
 		}
 	}
 
@@ -649,8 +622,8 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// The barrier drain: every host's observations flow to the control
-	// plane before any barrier task at the same instant runs.
+	// The barrier drain: bounces and violations are handled before any
+	// barrier task at the same instant runs.
 	c.sh.OnBarrier(c.drain)
 
 	// VM arrivals, in a stable order at equal times. Admission reads
@@ -711,94 +684,59 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// drain runs at every barrier, before due barrier tasks: it folds each
-// host's outbox into the control plane in host order — served requests
-// into the latency histogram, SLO signal, and router bookkeeping;
-// occupancy intervals and invariant trips into the watchdog. Host order
-// then host-local completion order is the canonical merge key, so the
-// result is independent of the order in which host windows run.
-// Finished spans need no fold: a span finishes on the tracer that
-// minted it, and hosts run in index order, so the tracer's finished
-// list already is in host order then host-local completion order.
-func (c *Cluster) drain(now sim.Time) {
-	for _, h := range c.hosts {
-		ob := &h.outbox
-		for _, hd := range ob.delivered {
-			hd.delivered++
-		}
-		ob.delivered = ob.delivered[:0]
-		for _, b := range ob.bounced {
-			b.hd.delivered++
-			if b.hd.gate != nil && !b.hd.gate.Closed() {
-				// The VM already restarted elsewhere; hand the request
-				// straight to the live generation.
-				b.hd.gate.SubmitReq(b.req)
-			} else {
-				b.hd.carried = append(b.hd.carried, b.req)
-			}
-		}
-		ob.bounced = ob.bounced[:0]
-		for _, r := range ob.served {
-			r.hd.servedSeen++
-			c.stats.Requests++
-			c.stats.Latency.Add(r.lat)
-			violated := c.cfg.SLO > 0 && r.lat > c.cfg.SLO
-			if violated {
-				c.sloViolations++
-			}
-			if c.phaseServed != nil {
-				pi := 0
-				for pi < len(c.cfg.SLOPhases) && r.at >= c.cfg.SLOPhases[pi] {
-					pi++
-				}
-				c.phaseServed[pi]++
-				if violated {
-					c.phaseViols[pi]++
-				}
-			}
-			c.watcher.ObserveRequest(r.at, violated)
-		}
-		ob.served = ob.served[:0]
-		for _, v := range ob.viols {
-			c.watcher.RecordInvariant(v.At, v.Rule, v.Detail)
-		}
-		ob.viols = ob.viols[:0]
+// served folds one completed request into the control plane: the
+// router's view, the latency histogram, the SLO and phase counts and
+// the watchdog's SLO signal. It runs on the serving host's shard as
+// the request finishes.
+func (c *Cluster) served(hd *VMHandle, at, lat sim.Time) {
+	hd.servedSeen++
+	c.stats.Requests++
+	c.stats.Latency.Add(lat)
+	violated := c.cfg.SLO > 0 && lat > c.cfg.SLO
+	if violated {
+		c.sloViolations++
 	}
-	c.drainOccupancy()
-	if len(c.pendingViols) > 0 {
-		for _, v := range c.pendingViols {
-			c.watcher.RecordInvariant(v.At, v.Rule, v.Detail)
+	if c.phaseServed != nil {
+		pi := 0
+		for pi < len(c.cfg.SLOPhases) && at >= c.cfg.SLOPhases[pi] {
+			pi++
 		}
-		c.pendingViols = c.pendingViols[:0]
+		c.phaseServed[pi]++
+		if violated {
+			c.phaseViols[pi]++
+		}
 	}
-	// The decision log merges under the same canonical key as the mail
-	// above: shard index order within the barrier, stable by time.
-	c.decLog.Merge()
+	c.watcher.ObserveRequest(at, violated)
 }
 
-// drainOccupancy flushes the hosts' occupancy intervals into the
-// watchdog store. Split out of drain because the watch feed re-syncs
-// occupancy accounting mid-barrier and must flush again before
-// attribution runs (see feedWatcher).
-func (c *Cluster) drainOccupancy() {
-	if c.watcher == nil {
-		return
-	}
-	for _, h := range c.hosts {
-		for _, r := range h.outbox.occ {
-			if r.dur <= 0 {
-				continue
-			}
-			key := occKey{vm: r.vm, pcpu: r.pcpu}
-			s := h.occSeries[key]
-			if s == nil {
-				s = c.watcher.OccupancySeries(h.name, r.vm, r.pcpu)
-				h.occSeries[key] = s
-			}
-			watch.ObserveOccupancy(s, r.at, r.dur)
+// drain runs at every barrier, before due barrier tasks. Hosts write
+// their facts (served, delivered, occupancy) straight into control-
+// plane state: each window runs the control shard first and then the
+// hosts in index order, so a fact written in window k is first read by
+// the router in window k+1 or by a barrier task, as if folded here, and
+// the histogram and watcher see host order, then completion order.
+// Two kinds of fact wait for the barrier. A bounce re-submits onto a
+// gate that may live on a higher-indexed host, which must not see it
+// mid-window. A violation may capture an incident, which reads every
+// host; the violations go to the watcher in window order.
+func (c *Cluster) drain(now sim.Time) {
+	for _, b := range c.bounced {
+		b.hd.delivered++
+		if b.hd.gate != nil && !b.hd.gate.Closed() {
+			// The VM already restarted elsewhere; hand the request
+			// straight to the live generation.
+			b.hd.gate.SubmitReq(b.req)
+		} else {
+			b.hd.carried = append(b.hd.carried, b.req)
 		}
-		h.outbox.occ = h.outbox.occ[:0]
 	}
+	c.bounced = c.bounced[:0]
+	for _, v := range c.pendingViols {
+		c.watcher.RecordInvariant(v.At, v.Rule, v.Detail)
+	}
+	c.pendingViols = c.pendingViols[:0]
+	// The decision log merges under the canonical (time, shard) key.
+	c.decLog.Merge()
 }
 
 // Engine exposes the control shard's engine (for tests).
@@ -877,14 +815,10 @@ func (c *Cluster) boot(hd *VMHandle, host *Host, snap *hypervisor.VMSnapshot) {
 			Threads: hd.Spec.Threads,
 			Service: cfg.Service,
 		}
-		// Nil stats: the instance keeps no latency histogram of its own.
-		// The cluster-level histogram is fed from the served records at
-		// barrier drains so its insertion order cannot depend on the
-		// order in which host windows run.
+		// Nil stats: the instance keeps no latency histogram of its own;
+		// each completion feeds the cluster-level one through served.
 		inst, gate := workload.NewRemoteServer(kern, spec, gc.Seed^0x5e12e, nil)
-		gate.OnServed = func(lat sim.Time) {
-			host.outbox.served = append(host.outbox.served, servedRec{at: kern.Now(), lat: lat, hd: hd})
-		}
+		gate.OnServed = func(lat sim.Time) { c.served(hd, kern.Now(), lat) }
 		hd.inst = inst
 		hd.gate = gate
 		hd.gates = append(hd.gates, gate)
@@ -995,7 +929,7 @@ func (c *Cluster) result() *Result {
 func (c *Cluster) Zones() int { return len(c.zones) }
 
 // Stats exposes the cluster-level server statistics (latency
-// histogram), fed at barrier drains.
+// histogram), fed as each request is served.
 func (c *Cluster) Stats() *workload.ServerStats { return c.stats }
 
 // AuditInvariants implements invariant.Source: no logical VM may be

@@ -110,18 +110,18 @@ func (c *Cluster) route(req workload.Request) {
 	})
 }
 
-// deliverReq lands one routed request on its host shard. The gate is
-// the one that was live at routing time; if a migration sealed it while
-// the request was in transit, the request bounces through the outbox
-// and the next barrier re-routes it to the successor instance (or into
-// the migration's carried set). Runs on host's shard.
+// deliverReq lands one routed request on its host shard and counts it
+// delivered. The gate is the one that was live at routing time; if a
+// migration sealed it while the request was in transit, the request
+// bounces, and the next barrier re-routes it to the successor instance
+// (or into the migration's carried set). Runs on host's shard.
 func (c *Cluster) deliverReq(hd *VMHandle, host *Host, gate *workload.RemoteGate, req workload.Request) {
 	if gate.SubmitReq(req) {
-		host.outbox.delivered = append(host.outbox.delivered, hd)
+		hd.delivered++
 		return
 	}
 	req.Span.Transition(host.eng.Now(), span.CatVMMigr)
-	host.outbox.bounced = append(host.outbox.bounced, bounceRec{hd: hd, req: req})
+	c.bounced = append(c.bounced, bounceRec{hd: hd, req: req})
 }
 
 // flushBuffered re-routes requests held back while no replica was

@@ -10,12 +10,13 @@ import (
 )
 
 // This file adapts the cluster's per-host telemetry into the online
-// watchdog (internal/watch): pCPU occupancy intervals stream in from
-// each hypervisor's deschedule choke point into the host's outbox
-// (drained at barriers — the watcher is control-plane state and must
-// never be touched mid-window), per-VM pain counters are pushed once
-// per watch epoch, and each host's bounded event log feeds the flight
-// recorder. All of it is dormant when Config.Watch is nil.
+// watchdog (internal/watch): pCPU occupancy intervals stream from each
+// hypervisor's deschedule choke point straight into the watcher's
+// store as they happen (hosts run in index order, so the store sees
+// them in host order, and nothing reads it mid-window), per-VM pain
+// counters are pushed once per watch epoch, and each host's bounded
+// event log feeds the flight recorder. All of it is dormant when
+// Config.Watch is nil.
 
 // logicalVMName strips the migration-generation suffix ("srv0#2" ->
 // "srv0") so watch signals stay continuous across live migrations.
@@ -26,17 +27,21 @@ func logicalVMName(inst string) string {
 
 // wireWatchHost connects one host's hypervisor to the watcher: the
 // occupancy observer for attribution and the event log for incident
-// bundles. The observer fires during the host's window execution, so
-// it only appends to the host-local outbox.
+// bundles. The observer fires during the host's window (or a barrier
+// sync) and rolls each interval into the host's cached series.
 func (c *Cluster) wireWatchHost(host *Host, tl *trace.Log) {
 	host.occSeries = map[occKey]*watch.Series{}
 	host.HV.SetOccupancyObserver(func(vm *hypervisor.VM, p *hypervisor.PCPU, dur sim.Time) {
-		host.outbox.occ = append(host.outbox.occ, occRec{
-			at:   host.eng.Now(),
-			vm:   logicalVMName(vm.Name),
-			pcpu: p.Name(),
-			dur:  dur,
-		})
+		if dur <= 0 {
+			return
+		}
+		key := occKey{vm: logicalVMName(vm.Name), pcpu: p.Name()}
+		s := host.occSeries[key]
+		if s == nil {
+			s = c.watcher.OccupancySeries(host.name, key.vm, key.pcpu)
+			host.occSeries[key] = s
+		}
+		watch.ObserveOccupancy(s, host.eng.Now(), dur)
 	})
 	if tl != nil {
 		c.watcher.Recorder().AddHostLog(host.Name(), tl)
@@ -59,11 +64,10 @@ func (c *Cluster) registerWatchVM(hd *VMHandle) {
 
 // feedWatcher runs at the top of every watch epoch (a barrier task, all
 // shards parked): it flushes the accruing runstate and occupancy
-// intervals on every host, drains the freshly produced occupancy
-// records into the store, then pushes each admitted VM's cumulative
-// pain (preempt-wait + steal) so the watcher can window it. Migration
-// restarts an instance's counters; the watcher's delta clamp absorbs
-// the reset.
+// intervals on every host, whose observers roll them into the store,
+// then pushes each admitted VM's cumulative pain (preempt-wait +
+// steal) so the watcher can window it. Migration restarts an
+// instance's counters; the watcher's delta clamp absorbs the reset.
 func (c *Cluster) feedWatcher(now sim.Time) {
 	for _, h := range c.hosts {
 		// Not a pure read: the fold cuts in-progress preempt waits, so
@@ -71,10 +75,6 @@ func (c *Cluster) feedWatcher(now sim.Time) {
 		h.HV.SyncRunstateAccounting()
 		h.HV.SyncOccupancyAccounting()
 	}
-	// The syncs above emitted occupancy intervals into the host
-	// outboxes after this barrier's drain already ran; flush them so
-	// attribution sees the full window.
-	c.drainOccupancy()
 	for _, hd := range c.vms {
 		if !hd.admitted || hd.vm == nil {
 			continue

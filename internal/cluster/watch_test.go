@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -155,5 +156,75 @@ func TestClusterWatchDisabledStaysNil(t *testing.T) {
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestViolationsReachWatcherAtBarrier pins violation routing: a host
+// violation and a control-plane violation tripped in one window reach
+// the watcher only at the next barrier (an incident capture reads every
+// host, so it must not run mid-window), in window order — the control
+// shard first, then the hosts — not in time order.
+func TestViolationsReachWatcherAtBarrier(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hosts = 2
+	cfg.Duration = sim.Second
+	cfg.Drain = 200 * sim.Millisecond
+	cfg.VMs = []VMSpec{
+		StandardVM("srv0", KindServer, 2, 0),
+		StandardVM("ant0", KindAntagonist, 2, 0),
+	}
+	cfg.Invariants = true
+	cfg.Watch = &watch.Config{}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.Watcher()
+	invariantIncidents := func() []string {
+		var out []string
+		for _, inc := range w.Recorder().Incidents() {
+			if inc.Reason == "invariant" {
+				out = append(out, inc.Detail)
+			}
+		}
+		return out
+	}
+	// One window (start, start+lookahead]: host 1 trips first, the
+	// control shard later, and host 1 then looks for either at the
+	// watcher while the window is still running.
+	const start = 300 * sim.Millisecond
+	host := c.hosts[1]
+	host.eng.At(start+50*sim.Microsecond, func() {
+		host.checker.Record(host.eng.Now(), "test-host", "host trip")
+	})
+	c.ctl.At(start+200*sim.Microsecond, func() {
+		c.checker.Record(c.ctl.Now(), "test-ctl", "control-plane trip")
+	})
+	midWindow := false
+	host.eng.At(start+240*sim.Microsecond, func() {
+		midWindow = true
+		if got := invariantIncidents(); len(got) != 0 {
+			t.Errorf("watcher saw %q mid-window", got)
+		}
+	})
+	var atBarrier []string
+	c.sh.OnBarrier(func(now sim.Time) {
+		if now == start+lookahead {
+			atBarrier = invariantIncidents()
+		}
+	})
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !midWindow {
+		t.Fatal("mid-window check never ran")
+	}
+	want := []string{"test-ctl: control-plane trip", "test-host: host trip"}
+	if !slices.Equal(atBarrier, want) {
+		t.Fatalf("invariant incidents at the barrier ending the window: %q, want %q", atBarrier, want)
+	}
+	if got := invariantIncidents(); !slices.Equal(got, want) || res.Violations != 2 {
+		t.Fatalf("run ended with incidents %q and %d violations, want %q and 2", got, res.Violations, want)
 	}
 }

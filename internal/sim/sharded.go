@@ -225,10 +225,10 @@ func (s *ShardedEngine) EveryBarrier(d Time, name string, fn func()) {
 }
 
 // OnBarrier registers fn to run at every barrier, after mailbox
-// delivery and before due barrier tasks. The cluster layer drains
-// per-shard observation outboxes here (served requests, occupancy
-// intervals, invariant trips) so control-plane tasks at the same
-// barrier see every shard fact up to the barrier time.
+// delivery and before due barrier tasks. The cluster layer handles
+// here the shard facts that must wait for every shard to park (bounced
+// requests, invariant trips), so control-plane tasks at the same
+// barrier see them.
 func (s *ShardedEngine) OnBarrier(fn func(now Time)) {
 	s.onBarrier = append(s.onBarrier, fn)
 }
