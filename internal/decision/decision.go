@@ -532,8 +532,10 @@ func (l *Log) Label(i int, chooser string) {
 	}
 }
 
-// byTimeShard orders records by time, then shard.
-func byTimeShard(a, b Record) int {
+// byTimeShard orders records by time, then shard. It takes pointers:
+// a Record is a few hundred bytes, and Merge checks every barrier's
+// batch with it.
+func byTimeShard(a, b *Record) int {
 	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Shard, b.Shard))
 }
 
@@ -551,8 +553,11 @@ func (l *Log) Merge() {
 	batch := l.pending
 	// Most barriers merge a few records already in key order; sort only
 	// when the batch is not.
-	if !slices.IsSortedFunc(batch, byTimeShard) {
-		slices.SortStableFunc(batch, byTimeShard)
+	for i := 1; i < len(batch); i++ {
+		if byTimeShard(&batch[i-1], &batch[i]) > 0 {
+			slices.SortStableFunc(batch, func(a, b Record) int { return byTimeShard(&a, &b) })
+			break
+		}
 	}
 	for rest := batch; len(rest) > 0; {
 		last := len(l.chunks) - 1
