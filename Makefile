@@ -161,11 +161,13 @@ cover:
 	   printf "OK: coverage %.1f%% >= floor %.1f%%\n", t, min }'
 
 # Code-size counts tracked in ROADMAP.md: non-blank, non-comment,
-# non-test Go lines under internal/ and cmd/, then the flags each irs*
-# binary lists in its -help output.
+# non-test Go lines under internal/ and cmd/, raw test-Go lines there,
+# then the flags each irs* binary lists in its -help output.
 loc:
 	@printf 'go lines (internal/ + cmd/, non-test, non-blank, non-comment): '
 	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+	@printf 'test go lines (internal/ + cmd/, raw): '
+	@find internal cmd -name '*_test.go' -exec cat {} + | wc -l
 	@total=0; for b in $$(cd cmd && ls -d irs*); do \
 		n=$$($(GO) run ./cmd/$$b -help 2>&1 | grep -c '^  -'); \
 		echo "flags $$b: $$n"; total=$$((total + n)); \
