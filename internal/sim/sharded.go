@@ -291,7 +291,9 @@ func (s *ShardedEngine) Run(horizon Time) error {
 // index order, and reports false when every shard's queue was empty. A
 // shard with no event due in the window only has its clock advanced.
 // Each shard's window is isolated from the others', so the order cannot
-// change the schedule.
+// change the schedule. Callers may still rely on it: the cluster layer
+// lets hosts write control-plane state mid-window because shard 0 runs
+// first and the hosts follow in index order.
 func (s *ShardedEngine) runWindow(end Time) bool {
 	if end <= s.now {
 		return true
