@@ -103,6 +103,7 @@ report:
 # fresh exploration per target.
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventHeapOrdering -fuzztime 5s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzShardedCoordinator -fuzztime 5s
 	$(GO) test ./internal/kv -run '^$$' -fuzz FuzzTable -fuzztime 5s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParsePlan -fuzztime 5s
 	$(GO) test ./internal/watch -run '^$$' -fuzz FuzzParseRule -fuzztime 5s
