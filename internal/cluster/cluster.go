@@ -709,7 +709,7 @@ func (c *Cluster) served(hd *VMHandle, at, lat sim.Time) {
 	c.watcher.ObserveRequest(at, violated)
 }
 
-// drain runs at every barrier, before due barrier tasks. Hosts write
+// drain runs at barriers, before due barrier tasks. Hosts write
 // their facts (served, delivered, occupancy) straight into control-
 // plane state: each window runs the control shard first and then the
 // hosts in index order, so a fact written in window k is first read by
@@ -719,7 +719,18 @@ func (c *Cluster) served(hd *VMHandle, at, lat sim.Time) {
 // gate that may live on a higher-indexed host, which must not see it
 // mid-window. A violation may capture an incident, which reads every
 // host; the violations go to the watcher in window order.
-func (c *Cluster) drain(now sim.Time) {
+//
+// The coordinator runs drain only at barriers after a window in which
+// some shard had an event due, or after a barrier phase that did work
+// (sim.ShardedEngine.OnBarrier). That is enough: a bounce comes from a
+// host event, and a violation from a host or control-plane event or
+// from the audit task, so every fact here was added in the window just
+// ended or by the barrier phase before it. Decision records follow the
+// same rule, so the merge sees what it would at every barrier. drain
+// reports work when it re-submitted a request, which schedules on a
+// host, or handed the watcher a violation.
+func (c *Cluster) drain(now sim.Time) bool {
+	worked := len(c.bounced) > 0 || len(c.pendingViols) > 0
 	for _, b := range c.bounced {
 		b.hd.delivered++
 		if b.hd.gate != nil && !b.hd.gate.Closed() {
@@ -737,6 +748,7 @@ func (c *Cluster) drain(now sim.Time) {
 	c.pendingViols = c.pendingViols[:0]
 	// The decision log merges under the canonical (time, shard) key.
 	c.decLog.Merge()
+	return worked
 }
 
 // Engine exposes the control shard's engine (for tests).

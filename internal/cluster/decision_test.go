@@ -196,7 +196,7 @@ func TestRouteLoadsOneWindowStale(t *testing.T) {
 	// hook, with every fact of the window just ended already folded.
 	var barriers []sim.Time
 	var served []map[string]int64
-	c.sh.OnBarrier(func(now sim.Time) {
+	c.sh.OnBarrier(func(now sim.Time) bool {
 		m := map[string]int64{}
 		for _, hd := range c.servers {
 			for _, g := range hd.gates {
@@ -205,6 +205,7 @@ func TestRouteLoadsOneWindowStale(t *testing.T) {
 		}
 		barriers = append(barriers, now)
 		served = append(served, m)
+		return false
 	})
 	if _, err := c.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -208,10 +208,11 @@ func TestViolationsReachWatcherAtBarrier(t *testing.T) {
 		}
 	})
 	var atBarrier []string
-	c.sh.OnBarrier(func(now sim.Time) {
+	c.sh.OnBarrier(func(now sim.Time) bool {
 		if now == start+lookahead {
 			atBarrier = invariantIncidents()
 		}
+		return false
 	})
 	res, err := c.Run()
 	if err != nil {

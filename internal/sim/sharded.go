@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
+	"slices"
 )
 
 // ShardedEngine is a conservative discrete-event coordinator: N
@@ -41,17 +43,35 @@ type ShardedEngine struct {
 	lookahead Time
 	now       Time
 
+	// due is the due-time index: due[i] is the time of shard i's
+	// earliest event, or never for an empty queue. It is exact after
+	// shard i's window and after every barrier phase that did work, and
+	// deliver lowers it for mail. Entries may only sit early (a Cancel),
+	// and a window confirms an entry against the queue before running
+	// the shard, so stale entries cost a look, never a missed event.
+	due   []Time
+	first Time // the least entry of due
+
 	inWindow bool     // set while shard windows are running
 	outboxes [][]mail // per-source-shard cross-shard posts this window
+	posters  []int    // shards whose outbox has mail, in first-post order
+	posted   int      // mail items posted this window
+
+	// worked records that the last barrier phase ran a task or a hook
+	// that reported work. Such work can leave something for the next
+	// barrier's hooks (an audit violation waiting for the drain), so
+	// the window after it is never jumped.
+	worked bool
 
 	fault *ShardPanic // lowest-indexed shard that panicked this window
 
 	stats ShardedStats
 
 	tasks   []*barrierTask
+	next    *barrierTask // earliest pending task by (at, seq), or nil
 	taskSeq uint64
 
-	onBarrier []func(now Time)
+	onBarrier []func(now Time) bool
 
 	// OnViolation, when set, receives coordination-contract violations
 	// (cross-shard posts inside the lookahead window, barrier tasks
@@ -59,6 +79,9 @@ type ShardedEngine struct {
 	// offending event is then clamped to the earliest legal time.
 	OnViolation func(name, detail string)
 }
+
+// never is the due time of an empty queue.
+const never = Time(math.MaxInt64)
 
 // mail is one cross-shard event awaiting delivery at the next barrier.
 type mail struct {
@@ -70,8 +93,10 @@ type mail struct {
 // ShardedStats counts what the coordinator did. Every counter
 // accumulates over the engine's lifetime.
 type ShardedStats struct {
-	Windows      uint64 // windows run, idle ones included
+	Windows      uint64 // windows run or jumped
+	IdleWindows  uint64 // windows jumped: no event due and no barrier work
 	ActiveShards uint64 // shard-windows with at least one event due
+	MailWindows  uint64 // windows that posted cross-shard mail
 	Mail         uint64 // cross-shard events merged and delivered at barriers
 }
 
@@ -124,6 +149,7 @@ func NewSharded(shards int, lookahead Time) *ShardedEngine {
 	}
 	s := &ShardedEngine{
 		engines:   make([]*Engine, shards),
+		due:       make([]Time, shards),
 		outboxes:  make([][]mail, shards),
 		lookahead: lookahead,
 	}
@@ -175,7 +201,12 @@ func (s *ShardedEngine) Post(from, to int, delay Time, fn func()) {
 		s.engines[to].At(at, fn)
 		return
 	}
-	s.outboxes[from] = append(s.outboxes[from], mail{at: at, to: to, fn: fn})
+	ob := s.outboxes[from]
+	if len(ob) == 0 {
+		s.posters = append(s.posters, from)
+	}
+	s.outboxes[from] = append(ob, mail{at: at, to: to, fn: fn})
+	s.posted++
 }
 
 // lookaheadViolation is the cold path of Post: fmt work happens only
@@ -204,8 +235,7 @@ func (s *ShardedEngine) AtBarrier(t Time, name string, fn func()) {
 		s.OnViolation("schedule-in-past", detail)
 		t = s.now
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: t, seq: s.taskSeq, name: name, fn: fn})
-	s.taskSeq++
+	s.addTask(&barrierTask{at: t, name: name, fn: fn})
 }
 
 // EveryBarrier schedules fn as a periodic barrier task, first firing
@@ -220,31 +250,65 @@ func (s *ShardedEngine) EveryBarrier(d Time, name string, fn func()) {
 		s.OnViolation("non-positive-period", detail)
 		return
 	}
-	s.tasks = append(s.tasks, &barrierTask{at: s.now + d, seq: s.taskSeq, period: d, name: name, fn: fn})
-	s.taskSeq++
+	s.addTask(&barrierTask{at: s.now + d, period: d, name: name, fn: fn})
 }
 
-// OnBarrier registers fn to run at every barrier, after mailbox
-// delivery and before due barrier tasks. The cluster layer handles
-// here the shard facts that must wait for every shard to park (bounced
-// requests, invariant trips), so control-plane tasks at the same
-// barrier see them.
-func (s *ShardedEngine) OnBarrier(fn func(now Time)) {
+// addTask queues bt with the next sequence number, keeping the cached
+// earliest task current.
+func (s *ShardedEngine) addTask(bt *barrierTask) {
+	bt.seq = s.taskSeq
+	s.taskSeq++
+	s.tasks = append(s.tasks, bt)
+	if s.next == nil || bt.before(s.next) {
+		s.next = bt
+	}
+}
+
+// OnBarrier registers fn to run at barriers, after mailbox delivery and
+// before due barrier tasks. The cluster layer handles here the shard
+// facts that must wait for every shard to park (bounced requests,
+// invariant trips), so control-plane tasks at the same barrier see
+// them.
+//
+// Hooks run at every barrier that ends a window in which a shard had an
+// event due, and at every barrier that follows a barrier phase that did
+// work; the coordinator jumps the others (see Run). So a hook must leave
+// nothing pending that only a shard event, a barrier task or a hook
+// reporting work did not put there. fn reports whether it did work: it
+// scheduled, cancelled or posted an event, or left something for the
+// next barrier. The coordinator then re-reads every shard's queue, and
+// runs the next window and its barrier.
+func (s *ShardedEngine) OnBarrier(fn func(now Time) bool) {
 	s.onBarrier = append(s.onBarrier, fn)
 }
 
-// nextTask returns the earliest pending barrier task by (at, seq), or
-// nil. The task list is small (a handful of control-plane timers), so
-// a linear scan beats heap bookkeeping.
-func (s *ShardedEngine) nextTask() (*barrierTask, int) {
-	var best *barrierTask
-	idx := -1
-	for i, t := range s.tasks {
-		if best == nil || t.at < best.at || (t.at == best.at && t.seq < best.seq) {
-			best, idx = t, i
+// before orders barrier tasks by (at, seq).
+func (t *barrierTask) before(u *barrierTask) bool {
+	return t.at < u.at || (t.at == u.at && t.seq < u.seq)
+}
+
+// popTask re-arms or removes bt, the earliest task, and finds the next
+// one. The task list is small (a handful of control-plane timers), so
+// a linear scan beats heap bookkeeping, and it runs only at barriers
+// that run a task.
+func (s *ShardedEngine) popTask(bt *barrierTask) {
+	if bt.period > 0 {
+		bt.at += bt.period
+		bt.seq = s.taskSeq
+		s.taskSeq++
+	} else {
+		i := slices.Index(s.tasks, bt)
+		last := len(s.tasks) - 1
+		s.tasks[i] = s.tasks[last]
+		s.tasks[last] = nil
+		s.tasks = s.tasks[:last]
+	}
+	s.next = nil
+	for _, t := range s.tasks {
+		if s.next == nil || t.before(s.next) {
+			s.next = t
 		}
 	}
-	return best, idx
 }
 
 // Run advances all shards to the horizon in conservative windows:
@@ -256,13 +320,28 @@ func (s *ShardedEngine) nextTask() (*barrierTask, int) {
 // panics inside a shard window ends the run with a *ShardPanic once the
 // window is over; one that panics in the barrier phase (a drain hook or
 // a barrier task) ends it at once with a *ShardPanic naming it.
+//
+// Windows in which no shard has an event due are jumped whole, along
+// the now + k*lookahead grid, unless the barrier phase before them did
+// work: such a window fires nothing, posts no mail, and ends at a
+// barrier with no task due, whose hooks have nothing to do (OnBarrier).
+// A jump stops short of the next due event, the next barrier task and
+// the horizon, so the windows and barriers that do work are the ones
+// every window would have given.
 func (s *ShardedEngine) Run(horizon Time) error {
+	// Work scheduled before Run bypasses the index, and may have left
+	// hooks something to do.
+	s.refreshDue()
+	s.worked = true
 	for s.now < horizon {
+		if !s.worked {
+			s.jumpIdle(horizon)
+		}
 		end := s.now + s.lookahead
 		if end > horizon {
 			end = horizon
 		}
-		bt, _ := s.nextTask()
+		bt := s.next
 		if bt != nil && bt.at < end {
 			end = bt.at
 		}
@@ -287,31 +366,76 @@ func (s *ShardedEngine) Run(horizon Time) error {
 	return nil
 }
 
-// runWindow executes every shard from its current time to end, in
-// index order, and reports false when every shard's queue was empty. A
-// shard with no event due in the window only has its clock advanced.
-// Each shard's window is isolated from the others', so the order cannot
-// change the schedule. Callers may still rely on it: the cluster layer
-// lets hosts write control-plane state mid-window because shard 0 runs
-// first and the hosts follow in index order.
+// jumpIdle advances the clock over whole idle windows: to the last
+// point now + k*lookahead strictly before the earliest due event, the
+// next barrier task and the horizon. Shard clocks are left behind; the
+// next window moves every one of them to its end. With nothing queued
+// and no task pending it jumps nothing, so the next window reports the
+// deadlock.
+func (s *ShardedEngine) jumpIdle(horizon Time) {
+	if s.first == never && s.next == nil {
+		return
+	}
+	limit := min(s.first, horizon)
+	if s.next != nil {
+		limit = min(limit, s.next.at)
+	}
+	if k := (limit - s.now - 1) / s.lookahead; k > 0 {
+		s.now += k * s.lookahead
+		s.stats.Windows += uint64(k)
+		s.stats.IdleWindows += uint64(k)
+	}
+}
+
+// nextAt returns shard i's earliest due time, or never.
+func (s *ShardedEngine) nextAt(i int) Time {
+	if at, ok := s.engines[i].NextAt(); ok {
+		return at
+	}
+	return never
+}
+
+// refreshDue rebuilds the due-time index from every shard's queue.
+func (s *ShardedEngine) refreshDue() {
+	s.first = never
+	for i := range s.due {
+		s.due[i] = s.nextAt(i)
+		s.first = min(s.first, s.due[i])
+	}
+}
+
+// runWindow executes every shard with an event due by end, in index
+// order, and advances every other shard's clock to end. It reports
+// false when every shard's queue was empty. Each shard's window is
+// isolated from the others', so the order cannot change the schedule.
+// Callers may still rely on it: the cluster layer lets hosts write
+// control-plane state mid-window because shard 0 runs first and the
+// hosts follow in index order.
 func (s *ShardedEngine) runWindow(end Time) bool {
 	if end <= s.now {
 		return true
 	}
 	s.stats.Windows++
 	queued := false
+	first := never
 	s.inWindow = true
-	for i, e := range s.engines {
-		at, ok := e.NextAt()
-		queued = queued || ok
-		if !ok || at > end {
-			e.SkipTo(end)
-			continue
+	for i, at := range s.due {
+		if at <= end {
+			at = s.nextAt(i) // the entry may sit early
 		}
-		s.stats.ActiveShards++
-		s.runShard(i, end)
+		queued = queued || at != never
+		if at > end {
+			s.engines[i].SkipTo(end)
+		} else {
+			s.stats.ActiveShards++
+			s.runShard(i, end)
+			at = s.nextAt(i)
+		}
+		s.due[i] = at
+		first = min(first, at)
 	}
 	s.inWindow = false
+	s.first = first
 	return queued
 }
 
@@ -342,9 +466,12 @@ func (s *ShardedEngine) recordPanic(shard int, at Time, v any) {
 // every barrier task due at the current time. All of it is
 // single-threaded: the shards are parked. A panicking hook or task ends
 // the phase and becomes the run's fault; one recover covers the whole
-// phase, with hook and task tracking what is running.
+// phase, with hook and task tracking what is running. A phase that did
+// work may have scheduled or cancelled events on any shard, so it ends
+// by re-reading every queue into the due-time index.
 func (s *ShardedEngine) barrier() {
 	s.deliver()
+	s.worked = false
 	task, hook := "", true
 	defer func() {
 		if v := recover(); v != nil {
@@ -352,44 +479,52 @@ func (s *ShardedEngine) barrier() {
 		}
 	}()
 	for _, fn := range s.onBarrier {
-		fn(s.now)
+		if fn(s.now) {
+			s.worked = true
+		}
 	}
 	hook = false
-	for {
-		bt, idx := s.nextTask()
-		if bt == nil || bt.at > s.now {
-			break
-		}
-		if bt.period > 0 {
-			bt.at += bt.period
-			bt.seq = s.taskSeq
-			s.taskSeq++
-		} else {
-			last := len(s.tasks) - 1
-			s.tasks[idx] = s.tasks[last]
-			s.tasks[last] = nil
-			s.tasks = s.tasks[:last]
-		}
+	for bt := s.next; bt != nil && bt.at <= s.now; bt = s.next {
+		s.popTask(bt)
+		s.worked = true
 		task = bt.name
 		bt.fn()
 	}
+	if s.worked {
+		s.refreshDue()
+	}
 }
 
-// deliver inserts every outbox's mail into the destination engines,
-// walking the outboxes in shard order and each in post order. The
-// destination fires by (delivery time, insertion seq), so this gives
-// the canonical total order (time, source shard, post order) without a
-// sort — independent of the order in which the shards ran. Delivery
-// times are strictly beyond the window just executed (the lookahead
-// guarantees it), so insertion never schedules in a destination's past.
+// deliver inserts the window's mail into the destination engines,
+// walking the outboxes that have mail in shard order and each in post
+// order. The destination fires by (delivery time, insertion seq), so
+// this gives the canonical total order (time, source shard, post
+// order) without a sort — independent of the order in which the shards
+// ran. Delivery times are strictly beyond the window just executed
+// (the lookahead guarantees it), so insertion never schedules in a
+// destination's past.
 func (s *ShardedEngine) deliver() {
-	for i, ob := range s.outboxes {
+	if s.posted == 0 {
+		return
+	}
+	s.stats.Mail += uint64(s.posted)
+	s.stats.MailWindows++
+	s.posted = 0
+	// Shards run in index order and post as themselves, so the list is
+	// sorted unless a callback posted on another shard's behalf.
+	if !slices.IsSorted(s.posters) {
+		slices.Sort(s.posters)
+	}
+	for _, i := range s.posters {
+		ob := s.outboxes[i]
 		for j := range ob {
 			m := &ob[j]
 			s.engines[m.to].At(m.at, m.fn)
+			s.due[m.to] = min(s.due[m.to], m.at)
+			s.first = min(s.first, m.at)
 			m.fn = nil
 		}
-		s.stats.Mail += uint64(len(ob))
 		s.outboxes[i] = ob[:0]
 	}
+	s.posters = s.posters[:0]
 }

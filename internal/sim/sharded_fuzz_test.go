@@ -33,12 +33,12 @@ type coordLayout struct {
 
 func liveLayout(s *ShardedEngine) coordLayout {
 	return coordLayout{clock: s.Shard, post: s.Post, coord: s, run: s.Run,
-		onBarrier: func(fn func(Time) bool) { s.OnBarrier(func(now Time) { fn(now) }) }}
+		onBarrier: s.OnBarrier}
 }
 
 func refLayout(s *refSharded) coordLayout {
 	return coordLayout{clock: s.Shard, post: s.Post, coord: s, run: s.Run,
-		onBarrier: func(fn func(Time) bool) { s.OnBarrier(func(now Time) { fn(now) }) }}
+		onBarrier: s.OnBarrier}
 }
 
 func oneEngineLayout(e *Engine) coordLayout {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func shardedRig(t *testing.T, shards int, lookahead, horizon Time) (string, *Sha
 		s.Shard(i).After(5*Microsecond, func() { hop(i, (i+3)%shards, 40) })
 	}
 	barriers := 0
-	s.OnBarrier(func(now Time) { barriers++ })
+	s.OnBarrier(func(now Time) bool { barriers++; return false })
 	s.EveryBarrier(90*Microsecond, "epoch", func() {
 		for j := range logs {
 			logs[j] = append(logs[j], fmt.Sprintf("%d epoch at %v", j, s.Now()))
@@ -89,8 +90,75 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 	// Each 90µs epoch splits into a 50µs window and a 40µs one, cut
 	// at the epoch's barrier: 33 epochs, then one 30µs window to 3ms.
-	if st.Windows != 67 || st.ActiveShards == 0 || st.ActiveShards > shards*st.Windows {
-		t.Fatalf("stats %+v, want 67 windows with 1..%d active shards each", st, shards)
+	// Every shard ticks at least every 41µs, so no window is idle.
+	want := ShardedStats{Windows: 67, IdleWindows: 0, ActiveShards: 333, MailWindows: 45, Mail: 205}
+	if st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestShardedJumpsIdleWindows walks a sparse rig window by window. A
+// two-hop chain, a barrier task off the window grid that leaves a hook
+// a note, and a late event leave most windows idle. The coordinator
+// jumps each idle span to the last grid point before the next due
+// event or task, walks the window after a barrier phase that did work,
+// and calls the hooks only at the barriers of walked windows.
+func TestShardedJumpsIdleWindows(t *testing.T) {
+	const L = 50 * Microsecond
+	s := NewSharded(3, L)
+	var fired []string
+	logf := func(shard int, what string) {
+		fired = append(fired, fmt.Sprintf("%s@%d", what, s.Shard(shard).Now()/Microsecond))
+	}
+	s.Shard(0).At(10*Microsecond, func() {
+		logf(0, "start")
+		s.Post(0, 1, 400*Microsecond, func() {
+			logf(1, "hop")
+			s.Post(1, 2, 300*Microsecond, func() { logf(2, "hop") })
+		})
+	})
+	s.Shard(0).At(990*Microsecond, func() { logf(0, "late") })
+	notes := 0
+	var calls, drained []Time
+	s.OnBarrier(func(now Time) bool {
+		calls = append(calls, now/Microsecond)
+		if notes == 0 {
+			return false
+		}
+		notes = 0
+		drained = append(drained, now/Microsecond)
+		return true
+	})
+	s.AtBarrier(525*Microsecond, "note", func() {
+		for i := 0; i < 3; i++ {
+			if got := s.Shard(i).Now(); got != s.Now() {
+				t.Errorf("shard %d at %v during the barrier at %v", i, got, s.Now())
+			}
+		}
+		notes++
+	})
+	if err := s.Run(Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(fired, " "), "start@10 hop@410 hop@710 late@990"; got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+	// Walked: (0,50] (400,450] (500,525] (525,575] (575,625] (675,725]
+	// (975,1000]; jumped: 50→400, 450→500, 625→675 and 725→975.
+	if want := []Time{50, 450, 525, 575, 625, 725, 1000}; !slices.Equal(calls, want) {
+		t.Fatalf("hooks ran at %v µs, want %v", calls, want)
+	}
+	if want := []Time{575}; !slices.Equal(drained, want) {
+		t.Fatalf("hook drained its note at %v µs, want %v", drained, want)
+	}
+	want := ShardedStats{Windows: 21, IdleWindows: 14, ActiveShards: 4, MailWindows: 2, Mail: 2}
+	if st := s.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+	for i := 0; i < 3; i++ {
+		if got := s.Shard(i).Now(); got != Millisecond {
+			t.Fatalf("shard %d stopped at %v, want 1ms", i, got)
+		}
 	}
 }
 
@@ -396,25 +464,45 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 }
 
 // TestShardedWindowAllocs pins the steady-state cost of a window at
-// zero allocations: the merge buffer is reused, and the shards run
-// inline.
+// zero allocations, walked or jumped: the outboxes and the poster list
+// are reused, the shards run inline, and a jump only moves the clock.
 func TestShardedWindowAllocs(t *testing.T) {
 	const lookahead = 50 * Microsecond
 	s := NewSharded(2, lookahead)
 	s.Shard(0).Every(lookahead/3, func() {})
-	s.Shard(1).Every(lookahead/4, func() {})
+	s.Shard(1).Every(lookahead/4, func() { s.Post(1, 0, lookahead, func() {}) })
 	step := func() {
 		end := s.now + lookahead
 		s.runWindow(end)
 		s.now = end
 		s.barrier()
 	}
-	step() // size the reused buffer
+	step() // size the reused buffers
 	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
 		t.Fatalf("steady-state window allocates %.1f/op, want 0", allocs)
 	}
-	if st := s.Stats(); st.ActiveShards != 2*st.Windows {
-		t.Fatalf("stats %+v, want both shards active in every window", st)
+	if st := s.Stats(); st.ActiveShards != 2*st.Windows || st.MailWindows != st.Windows {
+		t.Fatalf("stats %+v, want both shards active and mail in every window", st)
+	}
+
+	// A sparse rig: one event every seven windows, on the window grid.
+	// Each Run walks its first window (set-up may have left work) and
+	// the windows with the event, and jumps the rest.
+	s = NewSharded(2, lookahead)
+	s.Shard(1).Every(7*lookahead, func() {})
+	runs := uint64(0)
+	run := func() {
+		runs++
+		if err := s.Run(s.Now() + 70*lookahead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("a span of jumped windows allocates %.1f/op, want 0", allocs)
+	}
+	if st := s.Stats(); st.Windows != 70*runs || st.ActiveShards != 10*runs || st.IdleWindows != 59*runs {
+		t.Fatalf("stats %+v after %d runs, want 70 windows a run: 10 active, 59 jumped", st, runs)
 	}
 }
 
@@ -468,10 +556,11 @@ func TestShardedBarrierPanicIsError(t *testing.T) {
 		ran := 0
 		s.EveryBarrier(lookahead, "tick", func() { ran++ })
 		if tc.hook {
-			s.OnBarrier(func(now Time) {
+			s.OnBarrier(func(now Time) bool {
 				if now == 150*Microsecond {
 					panic("hook boom")
 				}
+				return false
 			})
 		} else {
 			s.AtBarrier(120*Microsecond, "rebalance", func() { panic(fmt.Errorf("task boom")) })

@@ -13,6 +13,13 @@ import (
 // OnBarrier hook and scans the whole task list. It shares nothing with
 // ShardedEngine but the Engine and the ShardPanic and ShardedStats
 // types.
+//
+// It fills ShardedStats.IdleWindows by the jump rule stated on
+// ShardedEngine.Run, window by window: a full-length window that ends
+// before the next barrier task and the horizon, in which no shard has
+// an event due, that follows a barrier phase that did no work, and
+// that is not a deadlock (some shard has a queued event, or a task is
+// pending).
 type refSharded struct {
 	engines   []*Engine
 	lookahead Time
@@ -26,7 +33,8 @@ type refSharded struct {
 	tasks   []*barrierTask
 	taskSeq uint64
 
-	onBarrier []func(now Time)
+	onBarrier []func(now Time) bool
+	worked    bool // the last barrier phase ran a task or a hook reported work
 }
 
 func newRefSharded(shards int, lookahead Time) *refSharded {
@@ -41,10 +49,10 @@ func newRefSharded(shards int, lookahead Time) *refSharded {
 	return s
 }
 
-func (s *refSharded) Shard(i int) *Engine     { return s.engines[i] }
-func (s *refSharded) Now() Time               { return s.now }
-func (s *refSharded) Stats() ShardedStats     { return s.stats }
-func (s *refSharded) OnBarrier(fn func(Time)) { s.onBarrier = append(s.onBarrier, fn) }
+func (s *refSharded) Shard(i int) *Engine          { return s.engines[i] }
+func (s *refSharded) Now() Time                    { return s.now }
+func (s *refSharded) Stats() ShardedStats          { return s.stats }
+func (s *refSharded) OnBarrier(fn func(Time) bool) { s.onBarrier = append(s.onBarrier, fn) }
 
 func (s *refSharded) Fired() uint64 {
 	var n uint64
@@ -94,6 +102,7 @@ func (s *refSharded) nextTask() (*barrierTask, int) {
 }
 
 func (s *refSharded) Run(horizon Time) error {
+	s.worked = true
 	for s.now < horizon {
 		end := s.now + s.lookahead
 		if end > horizon {
@@ -102,6 +111,9 @@ func (s *refSharded) Run(horizon Time) error {
 		bt, _ := s.nextTask()
 		if bt != nil && bt.at < end {
 			end = bt.at
+		}
+		if s.jumpable(end, horizon, bt) {
+			s.stats.IdleWindows++
 		}
 		if !s.runWindow(end) && bt == nil {
 			for _, e := range s.engines {
@@ -119,6 +131,23 @@ func (s *refSharded) Run(horizon Time) error {
 		}
 	}
 	return nil
+}
+
+// jumpable reports whether the window to end is one the jump rule
+// covers (see the type's comment).
+func (s *refSharded) jumpable(end, horizon Time, bt *barrierTask) bool {
+	if s.worked || end != s.now+s.lookahead || end >= horizon || (bt != nil && end >= bt.at) {
+		return false
+	}
+	queued := bt != nil
+	for _, e := range s.engines {
+		at, ok := e.NextAt()
+		if ok && at <= end {
+			return false
+		}
+		queued = queued || ok
+	}
+	return queued
 }
 
 func (s *refSharded) runWindow(end Time) bool {
@@ -160,8 +189,11 @@ func (s *refSharded) barrier() {
 			s.fault = &ShardPanic{Shard: -1, Task: task, Hook: hook, At: s.now, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	s.worked = false
 	for _, fn := range s.onBarrier {
-		fn(s.now)
+		if fn(s.now) {
+			s.worked = true
+		}
 	}
 	hook = false
 	for {
@@ -180,12 +212,15 @@ func (s *refSharded) barrier() {
 			s.tasks = s.tasks[:last]
 		}
 		task = bt.name
+		s.worked = true
 		bt.fn()
 	}
 }
 
 func (s *refSharded) deliver() {
+	mailed := false
 	for i, ob := range s.outboxes {
+		mailed = mailed || len(ob) > 0
 		for j := range ob {
 			m := &ob[j]
 			s.engines[m.to].At(m.at, m.fn)
@@ -193,5 +228,8 @@ func (s *refSharded) deliver() {
 		}
 		s.stats.Mail += uint64(len(ob))
 		s.outboxes[i] = ob[:0]
+	}
+	if mailed {
+		s.stats.MailWindows++
 	}
 }
