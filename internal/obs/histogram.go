@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/sim"
@@ -10,12 +11,13 @@ import (
 // Histogram is an exact distribution of virtual-time samples: it keeps
 // every sample plus a running sum, so Add, Count, Sum and Mean are
 // O(1) and Percentile/Quantiles are exact nearest-rank order
-// statistics (the samples sort in place at most once per run of adds).
-// The zero value is empty and usable; all methods are nil-safe.
+// statistics, each found by an O(n) selection that reorders the
+// samples in place. The zero value is empty and usable; all methods
+// are nil-safe.
 type Histogram struct {
 	samples []sim.Time
 	sum     sim.Time
-	sorted  bool
+	ranked  int // a 1-based rank whose sample sits in place, or 0
 }
 
 // Add records one sample.
@@ -25,7 +27,7 @@ func (h *Histogram) Add(v sim.Time) {
 	}
 	h.samples = append(h.samples, v)
 	h.sum += v
-	h.sorted = false
+	h.ranked = 0
 }
 
 // Count returns the number of samples.
@@ -68,12 +70,62 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 	if n == 0 {
 		return 0
 	}
-	if !h.sorted {
-		slices.Sort(h.samples)
-		h.sorted = true
-	}
 	rank := min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+	if h.ranked != rank {
+		selectRank(h.samples, rank-1)
+		h.ranked = rank
+	}
 	return h.samples[rank-1]
+}
+
+// selectRank reorders s so that s[k] holds the value it would hold
+// sorted, with nothing greater before it and nothing smaller after it:
+// quickselect with a median-of-three pivot, and partitions that stop
+// on equal values on both sides, so sorted runs and duplicates split
+// evenly. Past 2·log2(n) rounds it sorts what is left, which bounds
+// the worst case at a sort's.
+func selectRank(s []sim.Time, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(s[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo..j] <= pivot <= s[i..hi], and s[j+1..i-1] == pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Quantiles returns the Percentile of each p in ps (all 0 with no

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -48,10 +49,57 @@ func TestPercentileNearestRank(t *testing.T) {
 func TestPercentileAfterMoreAdds(t *testing.T) {
 	var r Histogram
 	r.Add(5)
-	_ = r.Percentile(50) // forces a sort
-	r.Add(1)             // invalidates it
+	_ = r.Percentile(50) // places the median
+	r.Add(1)             // and this may belong before it
 	if got := r.Percentile(1); got != 1 {
 		t.Fatalf("P1 = %v after re-add, want 1", got)
+	}
+}
+
+// TestPercentileMatchesSort is the differential test of the selection:
+// on every shape of input (random with many duplicates, negatives,
+// sorted, reversed, all equal, organ pipe) and sizes 1 to 2000, every
+// percentile, ranks 1 and n and p = 100 included, must equal the
+// nearest-rank sample of a sorted copy, also when queries interleave
+// with adds and repeat a rank.
+func TestPercentileMatchesSort(t *testing.T) {
+	rng := sim.NewRNG(7)
+	shapes := map[string]func(i, n int) sim.Time{
+		"random":    func(int, int) sim.Time { return sim.Time(rng.Intn(2001) - 1000) },
+		"dups":      func(int, int) sim.Time { return sim.Time(rng.Intn(4) - 2) },
+		"sorted":    func(i, _ int) sim.Time { return sim.Time(i) },
+		"reversed":  func(i, n int) sim.Time { return sim.Time(n - i) },
+		"equal":     func(int, int) sim.Time { return -3 },
+		"organpipe": func(i, n int) sim.Time { return sim.Time(min(i, n-i)) },
+	}
+	ps := []float64{0.001, 1, 25, 50, 50, 90, 95, 99, 99.9, 100}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 5, 8, 13, 100, 257, 2000} {
+			var h Histogram
+			var ref []sim.Time
+			check := func() {
+				sorted := slices.Clone(ref)
+				slices.Sort(sorted)
+				for _, p := range ps {
+					rank := min(max(int(math.Ceil(p/100*float64(len(sorted)))), 1), len(sorted))
+					if got, want := h.Percentile(p), sorted[rank-1]; got != want {
+						t.Fatalf("%s n=%d: P%v = %v, want %v (rank %d)", name, len(sorted), p, got, want, rank)
+					}
+				}
+			}
+			for i := 0; i < n; i++ {
+				v := shape(i, n)
+				h.Add(v)
+				ref = append(ref, v)
+				if i%(n/4+1) == 0 {
+					check()
+				}
+			}
+			check()
+			if h.Count() != int64(n) || h.Max() != slices.Max(ref) {
+				t.Fatalf("%s n=%d: count %d max %v after selections", name, n, h.Count(), h.Max())
+			}
+		}
 	}
 }
 
