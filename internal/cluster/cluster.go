@@ -370,6 +370,12 @@ type VMHandle struct {
 	// the monitor barrier task.
 	prevSteal float64
 	stealFrac float64
+
+	// Watchdog pain feed (feedWatcher): the SeriesPain series of the
+	// host it was resolved for, and the last cumulative push.
+	painSeries *watch.Series
+	painHost   *Host
+	lastPain   sim.Time
 }
 
 // Migrations returns how many times the VM has moved hosts.

@@ -65,9 +65,12 @@ func (c *Cluster) registerWatchVM(hd *VMHandle) {
 // feedWatcher runs at the top of every watch epoch (a barrier task, all
 // shards parked): it flushes the accruing runstate and occupancy
 // intervals on every host, whose observers roll them into the store,
-// then pushes each admitted VM's cumulative pain (preempt-wait +
-// steal) so the watcher can window it. Migration restarts an
-// instance's counters; the watcher's delta clamp absorbs the reset.
+// then pushes each admitted VM's pain (preempt-wait + steal) since the
+// last epoch so the watcher can window it. Each VM's series is
+// resolved once per placement; a migration changes its host label, so
+// the feed re-resolves then. Migration also restarts the instance's
+// counters, and the delta clamp absorbs the reset, as Watcher.FeedPain
+// does.
 func (c *Cluster) feedWatcher(now sim.Time) {
 	for _, h := range c.hosts {
 		// Not a pure read: the fold cuts in-progress preempt waits, so
@@ -79,6 +82,12 @@ func (c *Cluster) feedWatcher(now sim.Time) {
 		if !hd.admitted || hd.vm == nil {
 			continue
 		}
-		c.watcher.FeedPain(now, hd.host.Name(), hd.Spec.Name, hd.vm.TotalStealTime()+hd.vm.PreemptWait)
+		if hd.painHost != hd.host {
+			hd.painSeries = c.watcher.PainSeries(hd.host.Name(), hd.Spec.Name)
+			hd.painHost = hd.host
+		}
+		cum := hd.vm.TotalStealTime() + hd.vm.PreemptWait
+		watch.ObservePain(hd.painSeries, now, max(cum-hd.lastPain, 0))
+		hd.lastPain = cum
 	}
 }

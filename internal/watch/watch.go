@@ -138,12 +138,24 @@ func (w *Watcher) FeedPain(at sim.Time, host, vm string, cumulative sim.Time) {
 	if w == nil {
 		return
 	}
-	delta := cumulative - w.lastPain[vm]
-	if delta < 0 {
-		delta = 0
-	}
+	delta := max(cumulative-w.lastPain[vm], 0)
 	w.lastPain[vm] = cumulative
-	w.store.Observe(SeriesPain, obs.Labels{Sub: host, VM: vm}, signalTime(at), float64(delta))
+	ObservePain(w.PainSeries(host, vm), at, delta)
+}
+
+// PainSeries resolves the SeriesPain series of one (host, VM) pair,
+// creating it on first use. A feed that pushes every epoch caches the
+// result, re-resolving when the VM changes host, keeps its own
+// previous cumulative value, and calls ObservePain.
+func (w *Watcher) PainSeries(host, vm string) *Series {
+	return w.store.Resolve(SeriesPain, obs.Labels{Sub: host, VM: vm})
+}
+
+// ObservePain rolls one pain delta (the growth of a cumulative counter
+// since the previous push, clamped to zero at a counter reset) into a
+// series from PainSeries, shifted into the window it accrued in.
+func ObservePain(s *Series, at, delta sim.Time) {
+	s.Observe(signalTime(at), float64(delta))
 }
 
 // AddOccupancy rolls one occupancy interval (VM vm held pCPU pcpu for
