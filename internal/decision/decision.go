@@ -445,13 +445,24 @@ func (r *Ring) add(rec *Record) {
 	rec.Chooser = r.chooser
 	rec.Seq = r.seq
 	r.seq++
-	r.log.pending = append(r.log.pending, *rec)
+	l := r.log
+	if len(l.pending) == cap(l.pending) && l.phead > len(l.pending)/2 {
+		// Reuse the dropped prefix instead of growing.
+		k := copy(l.pending, l.pending[l.phead:])
+		l.pending = l.pending[:k]
+		l.phead = 0
+	}
+	l.pending = append(l.pending, *rec)
+	if l.n+len(l.pending)-l.phead > l.total {
+		l.dropOldest()
+	}
 }
 
 // Options sizes a decision log.
 type Options struct {
-	// Total bounds the merged log (default 1<<20 records); the oldest
-	// are dropped, and counted, beyond it.
+	// Total bounds the records held, merged and pending together
+	// (default 1<<20); adding one past it drops the oldest, and counts
+	// it. So a writer that never merges holds at most Total records.
 	Total int
 	// Kinds selects which decision kinds are recorded (empty = all).
 	Kinds []Kind
@@ -480,12 +491,16 @@ const arenaChunk = 1024
 // The merged records live in chunks that are appended to and never
 // moved, so the log is not re-copied as it grows; past Total, dropping
 // the oldest only advances head, and a chunk is recycled once all of
-// its records are dropped. Route candidates live in an arena of
+// its records are dropped. The oldest record is a merged one while any
+// is held, since the pending batch comes after the merged log; with
+// none, it is the batch's first in add order, and dropping it advances
+// phead. The batch reuses its dropped prefix once that is half of it. Route candidates live in an arena of
 // fixed-size chunks that records slice into; an arena chunk is never
 // reused, so a record keeps its candidates for the log's lifetime.
 type Log struct {
 	rings   []*Ring
-	pending []Record   // records added since the last Merge
+	pending []Record   // records added since the last Merge, from phead
+	phead   int        // records of pending already dropped
 	arena   []Load     // current chunk of route candidates
 	chunks  [][]Record // oldest first; each chunk's len is its fill
 	head    int        // records of chunks[0] already dropped
@@ -550,7 +565,7 @@ func (l *Log) Merge() {
 	if l == nil {
 		return
 	}
-	batch := l.pending
+	batch := l.pending[l.phead:]
 	// Most barriers merge a few records already in key order; sort only
 	// when the batch is not.
 	for i := 1; i < len(batch); i++ {
@@ -577,20 +592,26 @@ func (l *Log) Merge() {
 		l.n += k
 		rest = rest[k:]
 	}
-	l.pending = batch[:0]
-	for l.n > l.total {
-		k := min(l.n-l.total, len(l.chunks[0])-l.head)
-		l.head += k
-		l.n -= k
-		l.dropped += uint64(k)
-		if l.head == len(l.chunks[0]) {
-			if cap(l.chunks[0]) == chunkLen {
-				l.spare = l.chunks[0]
-			}
-			l.chunks[0] = nil
-			l.chunks = l.chunks[1:]
-			l.head = 0
+	l.pending = l.pending[:0]
+	l.phead = 0
+}
+
+// dropOldest drops the oldest record held, to keep within Total.
+func (l *Log) dropOldest() {
+	l.dropped++
+	if l.n == 0 {
+		l.phead++
+		return
+	}
+	l.head++
+	l.n--
+	if l.head == len(l.chunks[0]) {
+		if cap(l.chunks[0]) == chunkLen {
+			l.spare = l.chunks[0]
 		}
+		l.chunks[0] = nil
+		l.chunks = l.chunks[1:]
+		l.head = 0
 	}
 }
 

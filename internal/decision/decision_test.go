@@ -196,6 +196,35 @@ func TestLogTotalBound(t *testing.T) {
 	}
 }
 
+// TestUnmergedRingStaysBounded pins the Total bound on a writer that
+// never merges (one hypervisor with its own engine): the pending batch
+// holds at most Total records, its storage stays within four times
+// that (it grows by doubling until its dropped prefix is half of it),
+// every drop is counted, and a late Merge yields the newest Total
+// records in order.
+func TestUnmergedRingStaysBounded(t *testing.T) {
+	const total, adds = 1000, 100_000
+	l := NewLog(1, Options{Total: total})
+	r := l.Ring(0)
+	for i := 0; i < adds; i++ {
+		r.Add(rec(sim.Time(i), KindRoute, "x"))
+		if held := len(l.pending) - l.phead; held > total {
+			t.Fatalf("after %d adds the batch holds %d records, want at most %d", i+1, held, total)
+		}
+	}
+	if c := cap(l.pending); c > 4*total {
+		t.Fatalf("pending storage grew to %d records for a bound of %d", c, total)
+	}
+	if l.Dropped() != adds-total {
+		t.Fatalf("dropped = %d, want %d", l.Dropped(), adds-total)
+	}
+	l.Merge()
+	got := l.Records()
+	if len(got) != total || got[0].At != adds-total || got[0].Seq != adds-total || got[total-1].At != adds-1 {
+		t.Fatalf("merged %d records from %v to %v, want the newest %d", len(got), got[0].At, got[len(got)-1].At, total)
+	}
+}
+
 // TestRingOverflowDropsOldest overfills Total within one merge's batch:
 // the batch keeps its newest records.
 func TestRingOverflowDropsOldest(t *testing.T) {
