@@ -121,12 +121,12 @@ func TestShardedJumpsIdleWindows(t *testing.T) {
 	notes := 0
 	var calls, drained []Time
 	s.OnBarrier(func(now Time) bool {
-		calls = append(calls, now/Microsecond)
+		calls = append(calls, now)
 		if notes == 0 {
 			return false
 		}
 		notes = 0
-		drained = append(drained, now/Microsecond)
+		drained = append(drained, now)
 		return true
 	})
 	s.AtBarrier(525*Microsecond, "note", func() {
@@ -145,11 +145,17 @@ func TestShardedJumpsIdleWindows(t *testing.T) {
 	}
 	// Walked: (0,50] (400,450] (500,525] (525,575] (575,625] (675,725]
 	// (975,1000]; jumped: 50→400, 450→500, 625→675 and 725→975.
-	if want := []Time{50, 450, 525, 575, 625, 725, 1000}; !slices.Equal(calls, want) {
-		t.Fatalf("hooks ran at %v µs, want %v", calls, want)
+	us := func(ts ...Time) []Time {
+		for i := range ts {
+			ts[i] *= Microsecond
+		}
+		return ts
 	}
-	if want := []Time{575}; !slices.Equal(drained, want) {
-		t.Fatalf("hook drained its note at %v µs, want %v", drained, want)
+	if want := us(50, 450, 525, 575, 625, 725, 1000); !slices.Equal(calls, want) {
+		t.Fatalf("hooks ran at %v, want %v", calls, want)
+	}
+	if want := us(575); !slices.Equal(drained, want) {
+		t.Fatalf("hook drained its note at %v, want %v", drained, want)
 	}
 	want := ShardedStats{Windows: 21, IdleWindows: 14, ActiveShards: 4, MailWindows: 2, Mail: 2}
 	if st := s.Stats(); st != want {
