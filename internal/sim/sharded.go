@@ -45,10 +45,11 @@ type ShardedEngine struct {
 
 	// due is the due-time index: due[i] is the time of shard i's
 	// earliest event, or never for an empty queue. It is exact after
-	// shard i's window and after every barrier phase that did work, and
-	// deliver lowers it for mail. Entries may only sit early (a Cancel),
-	// and a window confirms an entry against the queue before running
-	// the shard, so stale entries cost a look, never a missed event.
+	// shard i's window, at the start of Run and after every barrier
+	// phase that did work, and deliver lowers it for mail. An entry can
+	// only sit early (an event cancelled from outside its shard's
+	// window without barrier work); a window then runs a shard that
+	// fires nothing, which does not count as active.
 	due   []Time
 	first Time // the least entry of due
 
@@ -416,27 +417,32 @@ func (s *ShardedEngine) runWindow(end Time) bool {
 		return true
 	}
 	s.stats.Windows++
-	queued := false
+	active := false
 	first := never
 	s.inWindow = true
 	for i, at := range s.due {
-		if at <= end {
-			at = s.nextAt(i) // the entry may sit early
-		}
-		queued = queued || at != never
+		e := s.engines[i]
 		if at > end {
-			s.engines[i].SkipTo(end)
+			e.SkipTo(end)
 		} else {
-			s.stats.ActiveShards++
+			// An entry that sat early fires nothing: count the shard
+			// active only if it fired.
+			fired := e.fired
 			s.runShard(i, end)
+			if e.fired != fired {
+				s.stats.ActiveShards++
+				active = true
+			}
 			at = s.nextAt(i)
+			s.due[i] = at
 		}
-		s.due[i] = at
 		first = min(first, at)
 	}
 	s.inWindow = false
 	s.first = first
-	return queued
+	// A shard queued at the window's start either fired in it or is
+	// still queued.
+	return active || first != never
 }
 
 // runShard runs shard i's window, turning a panic in one of its
