@@ -56,7 +56,6 @@ type ShardedEngine struct {
 	inWindow bool     // set while shard windows are running
 	outboxes [][]mail // per-source-shard cross-shard posts this window
 	posters  []int    // shards whose outbox has mail, in first-post order
-	posted   int      // mail items posted this window
 
 	// worked records that the last barrier phase ran a task or a hook
 	// that reported work. Such work can leave something for the next
@@ -207,7 +206,6 @@ func (s *ShardedEngine) Post(from, to int, delay Time, fn func()) {
 		s.posters = append(s.posters, from)
 	}
 	s.outboxes[from] = append(ob, mail{at: at, to: to, fn: fn})
-	s.posted++
 }
 
 // lookaheadViolation is the cold path of Post: fmt work happens only
@@ -510,12 +508,10 @@ func (s *ShardedEngine) barrier() {
 // (the lookahead guarantees it), so insertion never schedules in a
 // destination's past.
 func (s *ShardedEngine) deliver() {
-	if s.posted == 0 {
+	if len(s.posters) == 0 {
 		return
 	}
-	s.stats.Mail += uint64(s.posted)
 	s.stats.MailWindows++
-	s.posted = 0
 	// Shards run in index order and post as themselves, so the list is
 	// sorted unless a callback posted on another shard's behalf.
 	if !slices.IsSorted(s.posters) {
@@ -530,6 +526,7 @@ func (s *ShardedEngine) deliver() {
 			s.first = min(s.first, m.at)
 			m.fn = nil
 		}
+		s.stats.Mail += uint64(len(ob))
 		s.outboxes[i] = ob[:0]
 	}
 	s.posters = s.posters[:0]
