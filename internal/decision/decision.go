@@ -494,9 +494,10 @@ const arenaChunk = 1024
 // its records are dropped. The oldest record is a merged one while any
 // is held, since the pending batch comes after the merged log; with
 // none, it is the batch's first in add order, and dropping it advances
-// phead. The batch reuses its dropped prefix once that is half of it. Route candidates live in an arena of
-// fixed-size chunks that records slice into; an arena chunk is never
-// reused, so a record keeps its candidates for the log's lifetime.
+// phead. The batch reuses its dropped prefix once that is half of it.
+// Route candidates live in an arena of fixed-size chunks that records
+// slice into; an arena chunk is never reused, so a record keeps its
+// candidates for the log's lifetime.
 type Log struct {
 	rings   []*Ring
 	pending []Record   // records added since the last Merge, from phead
