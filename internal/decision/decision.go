@@ -453,16 +453,20 @@ func (r *Ring) add(rec *Record) {
 		l.phead = 0
 	}
 	l.pending = append(l.pending, *rec)
-	if l.n+len(l.pending)-l.phead > l.total {
-		l.dropOldest()
+	if len(l.pending)-l.phead > l.total {
+		// A writer that never merges: drop the batch's oldest now, as
+		// Merge would, so it holds at most Total records.
+		l.phead++
+		l.dropped++
 	}
 }
 
 // Options sizes a decision log.
 type Options struct {
-	// Total bounds the records held, merged and pending together
-	// (default 1<<20); adding one past it drops the oldest, and counts
-	// it. So a writer that never merges holds at most Total records.
+	// Total bounds the merged log (default 1<<20 records); the oldest
+	// are dropped, and counted, beyond it. The pending batch is held
+	// to it as records are added, so a writer that never merges keeps
+	// at most Total records too.
 	Total int
 	// Kinds selects which decision kinds are recorded (empty = all).
 	Kinds []Kind
@@ -491,13 +495,12 @@ const arenaChunk = 1024
 // The merged records live in chunks that are appended to and never
 // moved, so the log is not re-copied as it grows; past Total, dropping
 // the oldest only advances head, and a chunk is recycled once all of
-// its records are dropped. The oldest record is a merged one while any
-// is held, since the pending batch comes after the merged log; with
-// none, it is the batch's first in add order, and dropping it advances
-// phead. The batch reuses its dropped prefix once that is half of it.
-// Route candidates live in an arena of fixed-size chunks that records
-// slice into; an arena chunk is never reused, so a record keeps its
-// candidates for the log's lifetime.
+// its records are dropped. A pending batch past Total drops its oldest
+// in add order by advancing phead, which for a batch in key order is
+// the record Merge would drop, and reuses the dropped prefix once that
+// is half of it. Route candidates live in an arena of fixed-size
+// chunks that records slice into; an arena chunk is never reused, so a
+// record keeps its candidates for the log's lifetime.
 type Log struct {
 	rings   []*Ring
 	pending []Record   // records added since the last Merge, from phead
@@ -595,24 +598,19 @@ func (l *Log) Merge() {
 	}
 	l.pending = l.pending[:0]
 	l.phead = 0
-}
-
-// dropOldest drops the oldest record held, to keep within Total.
-func (l *Log) dropOldest() {
-	l.dropped++
-	if l.n == 0 {
-		l.phead++
-		return
-	}
-	l.head++
-	l.n--
-	if l.head == len(l.chunks[0]) {
-		if cap(l.chunks[0]) == chunkLen {
-			l.spare = l.chunks[0]
+	for l.n > l.total {
+		k := min(l.n-l.total, len(l.chunks[0])-l.head)
+		l.head += k
+		l.n -= k
+		l.dropped += uint64(k)
+		if l.head == len(l.chunks[0]) {
+			if cap(l.chunks[0]) == chunkLen {
+				l.spare = l.chunks[0]
+			}
+			l.chunks[0] = nil
+			l.chunks = l.chunks[1:]
+			l.head = 0
 		}
-		l.chunks[0] = nil
-		l.chunks = l.chunks[1:]
-		l.head = 0
 	}
 }
 
