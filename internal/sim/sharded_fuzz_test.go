@@ -7,17 +7,12 @@ import (
 	"testing"
 )
 
-// coordinator is what the FuzzShardedCoordinator rig drives: the live
-// ShardedEngine or the reference refSharded.
+// coordinator is the barrier side of what the FuzzShardedCoordinator
+// rig drives: the live ShardedEngine or the reference refSharded.
 type coordinator interface {
-	Shard(i int) *Engine
 	Now() Time
-	Fired() uint64
-	Stats() ShardedStats
-	Post(from, to int, delay Time, fn func())
 	AtBarrier(t Time, name string, fn func())
 	EveryBarrier(d Time, name string, fn func())
-	Run(horizon Time) error
 }
 
 // coordLayout is one way of running the rig: a coordinator, or (for
