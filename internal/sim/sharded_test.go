@@ -469,6 +469,26 @@ func TestShardedRunTwiceMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestShardedStaleDueEntryNotActive leaves a due-index entry early: a
+// shard-1 callback cancels shard 0's only event after shard 0 has run
+// its window. The next window still runs shard 0 (its entry is due)
+// but counts it active only if it fired, so ActiveShards keeps
+// counting shard-windows with an event due.
+func TestShardedStaleDueEntryNotActive(t *testing.T) {
+	const L = 50 * Microsecond
+	s := NewSharded(2, L)
+	ref := s.Shard(0).At(120*Microsecond, func() { t.Error("cancelled event fired") })
+	s.Shard(1).At(60*Microsecond, func() { s.Shard(0).Cancel(ref) })
+	s.Shard(1).At(190*Microsecond, func() {})
+	if err := s.Run(200 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	want := ShardedStats{Windows: 4, ActiveShards: 2}
+	if st := s.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
 // TestShardedWindowAllocs pins the steady-state cost of a window at
 // zero allocations, walked or jumped: the outboxes and the poster list
 // are reused, the shards run inline, and a jump only moves the clock.
