@@ -115,6 +115,7 @@ fuzz-smoke:
 	$(GO) test ./internal/decision -run '^$$' -fuzz FuzzRouteRecords -fuzztime 5s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzChromeEmit -fuzztime 5s
 	$(GO) test ./internal/span -run '^$$' -fuzz FuzzWriteChromeSpans -fuzztime 5s
+	$(GO) test ./internal/span -run '^$$' -fuzz FuzzSpanRecording -fuzztime 5s
 
 # Adversarial-tenant smoke run: the tick-evader vs every accounting
 # defense; the gate fails unless jittered ticks + exact accounting
