@@ -38,14 +38,13 @@ func (c *Cluster) recordZonePick(hd *VMHandle, st []topology.ZoneStats, zi int) 
 		Kind:    decision.KindZonePick,
 		Subject: hd.instName(),
 		Winner:  c.zones[zi].name,
-		Body: decision.Body{
-			Detail:     fmt.Sprintf("zone for %s (%d vCPUs)", hd.instName(), hd.Spec.VCPUs),
-			Candidates: cands,
-			Inputs: []decision.KV{
-				{Key: "vcpus", Val: strconv.Itoa(hd.Spec.VCPUs)},
-				{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
-				{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
-			},
+	}, decision.Body{
+		Detail:     fmt.Sprintf("zone for %s (%d vCPUs)", hd.instName(), hd.Spec.VCPUs),
+		Candidates: cands,
+		Inputs: []decision.KV{
+			{Key: "vcpus", Val: strconv.Itoa(hd.Spec.VCPUs)},
+			{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
+			{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
 		},
 	})
 }
@@ -76,15 +75,14 @@ func (c *Cluster) recordPlace(hd *VMHandle, hosts []*Host, best *Host, cap int) 
 		Kind:    decision.KindPlace,
 		Subject: hd.instName(),
 		Winner:  best.Name(),
-		Body: decision.Body{
-			Detail:     fmt.Sprintf("%s placed %s (%d vCPUs) on %s", c.cfg.Policy, hd.instName(), hd.Spec.VCPUs, best.Name()),
-			Candidates: cands,
-			Inputs: []decision.KV{
-				{Key: "policy", Val: c.cfg.Policy.String()},
-				{Key: "cap", Val: strconv.Itoa(cap)},
-				{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
-				{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
-			},
+	}, decision.Body{
+		Detail:     fmt.Sprintf("%s placed %s (%d vCPUs) on %s", c.cfg.Policy, hd.instName(), hd.Spec.VCPUs, best.Name()),
+		Candidates: cands,
+		Inputs: []decision.KV{
+			{Key: "policy", Val: c.cfg.Policy.String()},
+			{Key: "cap", Val: strconv.Itoa(cap)},
+			{Key: "pressure", Val: strconv.FormatFloat(hd.Spec.Pressure, 'f', 2, 64)},
+			{Key: "sensitive", Val: strconv.FormatBool(hd.Spec.Sensitive)},
 		},
 	})
 }
@@ -131,14 +129,13 @@ func (c *Cluster) recordScale(act string, hd *VMHandle, live int) {
 		Kind:    decision.KindAutoscale,
 		Subject: hd.Spec.Name,
 		Winner:  hd.Spec.Name,
-		Body: decision.Body{
-			Detail: fmt.Sprintf("scale %s: %s (live %d, max %d)", act, hd.Spec.Name, live, c.cfg.Autoscale.Max),
-			Inputs: []decision.KV{
-				{Key: "act", Val: act},
-				{Key: "live", Val: strconv.Itoa(live)},
-				{Key: "max", Val: strconv.Itoa(c.cfg.Autoscale.Max)},
-				{Key: "firing", Val: firing},
-			},
+	}, decision.Body{
+		Detail: fmt.Sprintf("scale %s: %s (live %d, max %d)", act, hd.Spec.Name, live, c.cfg.Autoscale.Max),
+		Inputs: []decision.KV{
+			{Key: "act", Val: act},
+			{Key: "live", Val: strconv.Itoa(live)},
+			{Key: "max", Val: strconv.Itoa(c.cfg.Autoscale.Max)},
+			{Key: "firing", Val: firing},
 		},
 	})
 }
@@ -152,17 +149,16 @@ func (c *Cluster) recordMigrate(victim *VMHandle, hot, cool *Host, cands []decis
 		Kind:    decision.KindMigrate,
 		Subject: victim.instName(),
 		Winner:  cool.Name(),
-		Body: decision.Body{
-			Detail: fmt.Sprintf("migrate %s: %s -> %s (steal %.3f > %.3f)",
-				victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, stealTrigger),
-			Candidates: cands,
-			Inputs: []decision.KV{
-				{Key: "from", Val: hot.Name()},
-				{Key: "steal", Val: strconv.FormatFloat(victim.stealFrac, 'f', 3, 64)},
-				{Key: "trigger", Val: strconv.FormatFloat(stealTrigger, 'f', 3, 64)},
-				{Key: "hot-score", Val: strconv.FormatFloat(hot.Score(), 'f', 3, 64)},
-				{Key: "threshold", Val: strconv.FormatFloat(hotThreshold, 'f', 2, 64)},
-			},
+	}, decision.Body{
+		Detail: fmt.Sprintf("migrate %s: %s -> %s (steal %.3f > %.3f)",
+			victim.instName(), hot.Name(), cool.Name(), victim.stealFrac, stealTrigger),
+		Candidates: cands,
+		Inputs: []decision.KV{
+			{Key: "from", Val: hot.Name()},
+			{Key: "steal", Val: strconv.FormatFloat(victim.stealFrac, 'f', 3, 64)},
+			{Key: "trigger", Val: strconv.FormatFloat(stealTrigger, 'f', 3, 64)},
+			{Key: "hot-score", Val: strconv.FormatFloat(hot.Score(), 'f', 3, 64)},
+			{Key: "threshold", Val: strconv.FormatFloat(hotThreshold, 'f', 2, 64)},
 		},
 	})
 }
@@ -174,12 +170,11 @@ func (c *Cluster) recordCordon(z *zoneState, dur sim.Time) {
 		Kind:    decision.KindCordon,
 		Subject: z.name,
 		Winner:  z.name,
-		Body: decision.Body{
-			Detail: fmt.Sprintf("zone %s cordoned for %v (%d hosts dark)", z.name, dur, len(z.hosts)),
-			Inputs: []decision.KV{
-				{Key: "hosts", Val: strconv.Itoa(len(z.hosts))},
-				{Key: "for", Val: dur.String()},
-			},
+	}, decision.Body{
+		Detail: fmt.Sprintf("zone %s cordoned for %v (%d hosts dark)", z.name, dur, len(z.hosts)),
+		Inputs: []decision.KV{
+			{Key: "hosts", Val: strconv.Itoa(len(z.hosts))},
+			{Key: "for", Val: dur.String()},
 		},
 	})
 }
@@ -190,9 +185,8 @@ func (c *Cluster) recordUncordon(z *zoneState) {
 		Kind:    decision.KindUncordon,
 		Subject: z.name,
 		Winner:  z.name,
-		Body: decision.Body{
-			Detail: fmt.Sprintf("zone %s restored (%d hosts resume)", z.name, len(z.hosts)),
-			Inputs: []decision.KV{{Key: "hosts", Val: strconv.Itoa(len(z.hosts))}},
-		},
+	}, decision.Body{
+		Detail: fmt.Sprintf("zone %s restored (%d hosts resume)", z.name, len(z.hosts)),
+		Inputs: []decision.KV{{Key: "hosts", Val: strconv.Itoa(len(z.hosts))}},
 	})
 }

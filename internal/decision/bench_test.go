@@ -19,7 +19,7 @@ func BenchmarkRingAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.At = sim.Time(i)
-		r.Add(rec)
+		r.Add(rec, Body{})
 		if len(l.pending) == 4096 {
 			// Stand in for a barrier's Merge without paying for it.
 			l.pending = l.pending[:0]
@@ -51,7 +51,7 @@ func BenchmarkLogMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for s := 0; s < 16; s++ {
 			rec.At = sim.Time(i*16 + s)
-			l.Ring(s).Add(rec)
+			l.Ring(s).Add(rec, Body{})
 		}
 		l.Merge()
 	}

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -158,9 +159,10 @@ type KV = obs.Arg
 
 // Body is a record's operands in rendered form: a one-line detail,
 // the candidate set and the scalar inputs. Records added with Ring.Add
-// carry one; route records added with Ring.AddRoute keep typed
-// operands instead (see Route) and render them on read, so read any
-// record through Record's accessors, not through its Body.
+// point to one in the log's arena; route records added with
+// Ring.AddRoute keep typed operands instead (see Route) and render
+// them on read, so read any record through Record's accessors, not
+// through its Body.
 type Body struct {
 	Detail     string // one-line human explanation
 	Candidates []Candidate
@@ -185,7 +187,9 @@ type Load struct {
 	Out  int64
 }
 
-// Record is one audited decision.
+// Record is one audited decision. It holds its operands by pointer,
+// so the pending batch, the merged log and its readers copy 96 bytes a
+// record (pinned by TestRecordSize).
 type Record struct {
 	At      sim.Time // virtual time of the choice
 	Shard   int      // origin shard (0 = control plane, i+1 = host i)
@@ -194,8 +198,8 @@ type Record struct {
 	Chooser string // who decided: "ctl", "host3", ...
 	Subject string // what the decision is about (VM, replica, zone)
 	Winner  string // the chosen option ("-" when nothing was chosen)
-	Body    Body   // rendered operands (empty on typed route records)
-	route   route
+	Body    *Body  // rendered operands (nil on typed route records)
+	route   *route // typed route operands, in the log's arena
 }
 
 // route holds a typed route record's operands; Subject and Winner hold
@@ -204,24 +208,34 @@ type route struct {
 	arrival  sim.Time
 	zone     string
 	loads    []Load
-	typed    bool
 	failover bool
 	held     bool
 }
 
+// noBody stands in for a record built without a Body.
+var noBody Body
+
+// body returns the record's rendered operands.
+func (r *Record) body() *Body {
+	if r.Body == nil {
+		return &noBody
+	}
+	return r.Body
+}
+
 // Detail returns the record's one-line explanation.
 func (r *Record) Detail() string {
-	if !r.route.typed {
-		return r.Body.Detail
+	if r.route == nil {
+		return r.body().Detail
 	}
 	return string(r.appendDetail(make([]byte, 0, 64)))
 }
 
 // appendDetail appends the record's detail line to b, unescaped.
 func (r *Record) appendDetail(b []byte) []byte {
-	rt := &r.route
-	if !rt.typed {
-		return append(b, r.Body.Detail...)
+	rt := r.route
+	if rt == nil {
+		return append(b, r.body().Detail...)
 	}
 	b = rt.arrival.Append(append(b, "req@"...))
 	switch {
@@ -237,16 +251,16 @@ func (r *Record) appendDetail(b []byte) []byte {
 
 // numCandidates returns the size of the candidate set.
 func (r *Record) numCandidates() int {
-	if r.route.typed {
+	if r.route != nil {
 		return len(r.route.loads)
 	}
-	return len(r.Body.Candidates)
+	return len(r.body().Candidates)
 }
 
 // candidateAt returns candidate i. A route candidate's reason is its
 // outstanding count, "out=N".
 func (r *Record) candidateAt(i int) Candidate {
-	if !r.route.typed {
+	if r.route == nil {
 		return r.Body.Candidates[i]
 	}
 	l := r.route.loads[i]
@@ -256,8 +270,8 @@ func (r *Record) candidateAt(i int) Candidate {
 // Candidates returns the candidate set. For a route record it is built
 // on each call.
 func (r *Record) Candidates() []Candidate {
-	if !r.route.typed {
-		return r.Body.Candidates
+	if r.route == nil {
+		return r.body().Candidates
 	}
 	out := make([]Candidate, len(r.route.loads))
 	for i := range out {
@@ -269,7 +283,7 @@ func (r *Record) Candidates() []Candidate {
 // candidate returns candidate i's name and score without rendering
 // its reason.
 func (r *Record) candidate(i int) (string, float64) {
-	if r.route.typed {
+	if r.route != nil {
 		return r.route.loads[i].Name, float64(r.route.loads[i].Out)
 	}
 	return r.Body.Candidates[i].Name, r.Body.Candidates[i].Score
@@ -282,10 +296,10 @@ func (r *Record) Inputs() []KV { return r.inputs(nil) }
 
 // inputs is Inputs building a route record's inputs into dst.
 func (r *Record) inputs(dst []KV) []KV {
-	rt := &r.route
+	rt := r.route
 	switch {
-	case !rt.typed:
-		return r.Body.Inputs
+	case rt == nil:
+		return r.body().Inputs
 	case rt.held:
 		return append(dst, KV{Key: "buffered", Val: "1"})
 	}
@@ -373,7 +387,7 @@ const exactInt = 1 << 53
 // intScore returns candidate i's score as an integer when it is a
 // typed route candidate's outstanding count below exactInt.
 func (r *Record) intScore(i int) (int64, bool) {
-	if !r.route.typed {
+	if r.route == nil {
 		return 0, false
 	}
 	out := r.route.loads[i].Out
@@ -401,12 +415,17 @@ func (r *Ring) Wants(k Kind) bool {
 	return r != nil && r.mask&(1<<uint(k)) != 0
 }
 
-// Add appends rec, stamping the ring's shard, chooser, and next
-// sequence number.
-func (r *Ring) Add(rec Record) {
+// Add appends rec with body as its operands, stamping the ring's
+// shard, chooser, and next sequence number. The body is copied into
+// the log's arena, so a hook site builds it on its own stack and the
+// record costs no allocation of its own.
+func (r *Ring) Add(rec Record, body Body) {
 	if r == nil {
 		return
 	}
+	b := &r.log.bodies.take(1)[0]
+	*b = body
+	rec.Body = b
 	r.add(&rec)
 }
 
@@ -416,13 +435,7 @@ func (r *Ring) Loads(n int) []Load {
 	if r == nil {
 		return nil
 	}
-	l := r.log
-	if cap(l.arena)-len(l.arena) < n {
-		l.arena = make([]Load, 0, max(n, arenaChunk))
-	}
-	at := len(l.arena)
-	l.arena = l.arena[:at+n]
-	return l.arena[at : at : at+n]
+	return r.log.loads.take(n)[:0]
 }
 
 // AddRoute appends a typed route record at virtual time at. A
@@ -431,11 +444,12 @@ func (r *Ring) AddRoute(at sim.Time, rt Route) {
 	if r == nil {
 		return
 	}
-	rec := Record{At: at, Kind: KindRoute, Subject: "-", Winner: "-",
-		route: route{arrival: rt.Arrival, zone: rt.Zone, typed: true, failover: rt.Failover, held: rt.Winner == ""}}
-	if !rec.route.held {
+	op := &r.log.routes.take(1)[0]
+	*op = route{arrival: rt.Arrival, zone: rt.Zone, failover: rt.Failover, held: rt.Winner == ""}
+	rec := Record{At: at, Kind: KindRoute, Subject: "-", Winner: "-", route: op}
+	if !op.held {
 		rec.Subject, rec.Winner = rt.Winner, rt.Winner
-		rec.route.loads = rt.Loads
+		op.loads = rt.Loads
 	}
 	r.add(&rec)
 }
@@ -485,8 +499,26 @@ func (o Options) withDefaults() Options {
 // chunkLen caps the size of one merged-log chunk.
 const chunkLen = 1024
 
-// arenaChunk is the number of route candidates per arena chunk.
-const arenaChunk = 1024
+// arenaBytes sizes one arena chunk.
+const arenaBytes = 32 << 10
+
+// arena hands out runs of T from chunks of about arenaBytes that are
+// never moved or reused: a record may point into a chunk for as long
+// as it lives, and the collector frees the chunk once no record does.
+type arena[T any] struct {
+	chunk []T // the current chunk; its len is its fill
+}
+
+// take returns the next n zeroed elements, capped at n.
+func (a *arena[T]) take(n int) []T {
+	if cap(a.chunk)-len(a.chunk) < n {
+		var zero T
+		a.chunk = make([]T, 0, max(n, arenaBytes/int(unsafe.Sizeof(zero))))
+	}
+	at := len(a.chunk)
+	a.chunk = a.chunk[:at+n]
+	return a.chunk[at : at+n : at+n]
+}
 
 // Log is the cluster-wide decision log: one Ring per shard, all
 // appending to one pending batch that Merge sorts into canonical order
@@ -498,14 +530,16 @@ const arenaChunk = 1024
 // its records are dropped. A pending batch past Total drops its oldest
 // in add order by advancing phead, which for a batch in key order is
 // the record Merge would drop, and reuses the dropped prefix once that
-// is half of it. Route candidates live in an arena of fixed-size
-// chunks that records slice into; an arena chunk is never reused, so a
-// record keeps its candidates for the log's lifetime.
+// is half of it. A record's operands live in arenas beside the log:
+// the Body of a record added with Add, and a route record's typed
+// operands and ranked candidates.
 type Log struct {
 	rings   []*Ring
-	pending []Record   // records added since the last Merge, from phead
-	phead   int        // records of pending already dropped
-	arena   []Load     // current chunk of route candidates
+	pending []Record // records added since the last Merge, from phead
+	phead   int      // records of pending already dropped
+	bodies  arena[Body]
+	routes  arena[route]
+	loads   arena[Load]
 	chunks  [][]Record // oldest first; each chunk's len is its fill
 	head    int        // records of chunks[0] already dropped
 	n       int        // records held
@@ -551,9 +585,8 @@ func (l *Log) Label(i int, chooser string) {
 	}
 }
 
-// byTimeShard orders records by time, then shard. It takes pointers:
-// a Record is a few hundred bytes, and Merge checks every barrier's
-// batch with it.
+// byTimeShard orders records by time, then shard. It takes pointers,
+// so Merge's check of every barrier's batch copies no records.
 func byTimeShard(a, b *Record) int {
 	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Shard, b.Shard))
 }

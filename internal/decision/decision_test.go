@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -18,7 +19,7 @@ func TestNilRingAndLogAreNoOps(t *testing.T) {
 	if r.Wants(KindPlace) {
 		t.Fatal("nil ring wants records")
 	}
-	r.Add(rec(0, KindPlace, "x")) // must not panic
+	r.Add(rec(0, KindPlace, "x"), Body{}) // must not panic
 
 	var l *Log
 	l.Merge()
@@ -35,9 +36,9 @@ func TestRingStampsShardChooserSeq(t *testing.T) {
 	l := NewLog(3, Options{})
 	l.Label(0, "ctl")
 	l.Label(2, "host1")
-	l.Ring(0).Add(rec(10, KindPlace, "a"))
-	l.Ring(0).Add(rec(20, KindRoute, "b"))
-	l.Ring(2).Add(rec(15, KindBoost, "c"))
+	l.Ring(0).Add(rec(10, KindPlace, "a"), Body{})
+	l.Ring(0).Add(rec(20, KindRoute, "b"), Body{})
+	l.Ring(2).Add(rec(15, KindBoost, "c"), Body{})
 	l.Merge()
 	recs := l.Records()
 	if len(recs) != 3 {
@@ -71,14 +72,14 @@ func TestMergeCanonicalOrder(t *testing.T) {
 	build := func(splitMerges bool) []Record {
 		l := NewLog(3, Options{})
 		// Equal times across shards: shard order must win.
-		l.Ring(2).Add(rec(100, KindPlace, "s2a"))
-		l.Ring(1).Add(rec(100, KindPlace, "s1a"))
-		l.Ring(1).Add(rec(50, KindPlace, "s1b"))
+		l.Ring(2).Add(rec(100, KindPlace, "s2a"), Body{})
+		l.Ring(1).Add(rec(100, KindPlace, "s1a"), Body{})
+		l.Ring(1).Add(rec(50, KindPlace, "s1b"), Body{})
 		if splitMerges {
 			l.Merge()
 		}
-		l.Ring(0).Add(rec(100, KindPlace, "s0a"))
-		l.Ring(2).Add(rec(70, KindPlace, "s2b"))
+		l.Ring(0).Add(rec(100, KindPlace, "s0a"), Body{})
+		l.Ring(2).Add(rec(70, KindPlace, "s2b"), Body{})
 		l.Merge()
 		out := make([]Record, len(l.Records()))
 		copy(out, l.Records())
@@ -109,10 +110,10 @@ func TestMergeOrdersSameInstantByShard(t *testing.T) {
 	const at = 10 * sim.Millisecond
 	l := NewLog(5, Options{})
 	ctl, host1, host3 := l.Ring(0), l.Ring(2), l.Ring(4)
-	ctl.Add(rec(at, KindPlace, "ctl0"))
-	host3.Add(rec(at, KindBoost, "host3"))
-	ctl.Add(rec(at, KindPlace, "ctl1"))
-	host1.Add(rec(at-sim.Microsecond, KindPreempt, "host1"))
+	ctl.Add(rec(at, KindPlace, "ctl0"), Body{})
+	host3.Add(rec(at, KindBoost, "host3"), Body{})
+	ctl.Add(rec(at, KindPlace, "ctl1"), Body{})
+	host1.Add(rec(at-sim.Microsecond, KindPreempt, "host1"), Body{})
 	l.Merge()
 	recs := l.Records()
 	if got := subjects(recs); got != "host1,ctl0,ctl1,host3" {
@@ -137,7 +138,7 @@ func TestLogTotalMatchesQueueModel(t *testing.T) {
 	for _, burst := range []int{3, 90, 200, 1100, 57, 0, 800, 2100, 45} {
 		for i := 0; i < burst; i++ {
 			at++
-			r.Add(rec(at, KindRoute, "x"))
+			r.Add(rec(at, KindRoute, "x"), Body{})
 			model = append(model, Record{At: at, Seq: uint64(at - 1)})
 		}
 		l.Merge()
@@ -182,7 +183,7 @@ func TestLogTotalBound(t *testing.T) {
 	l := NewLog(1, Options{Total: 3})
 	r := l.Ring(0)
 	for i := 0; i < 5; i++ {
-		r.Add(rec(sim.Time(i), KindRoute, "x"))
+		r.Add(rec(sim.Time(i), KindRoute, "x"), Body{})
 		l.Merge()
 	}
 	if len(l.Records()) != 3 {
@@ -207,7 +208,7 @@ func TestUnmergedRingStaysBounded(t *testing.T) {
 	l := NewLog(1, Options{Total: total})
 	r := l.Ring(0)
 	for i := 0; i < adds; i++ {
-		r.Add(rec(sim.Time(i), KindRoute, "x"))
+		r.Add(rec(sim.Time(i), KindRoute, "x"), Body{})
 		if held := len(l.pending) - l.phead; held > total {
 			t.Fatalf("after %d adds the batch holds %d records, want at most %d", i+1, held, total)
 		}
@@ -230,9 +231,9 @@ func TestUnmergedRingStaysBounded(t *testing.T) {
 func TestRingOverflowDropsOldest(t *testing.T) {
 	l := NewLog(1, Options{Total: 2})
 	r := l.Ring(0)
-	r.Add(rec(1, KindPlace, "a"))
-	r.Add(rec(2, KindPlace, "b"))
-	r.Add(rec(3, KindPlace, "c"))
+	r.Add(rec(1, KindPlace, "a"), Body{})
+	r.Add(rec(2, KindPlace, "b"), Body{})
+	r.Add(rec(3, KindPlace, "c"), Body{})
 	l.Merge()
 	if got := subjects(l.Records()); got != "b,c" {
 		t.Fatalf("overflow kept %s, want b,c", got)
@@ -286,7 +287,7 @@ func TestKindStringRoundTrip(t *testing.T) {
 func TestMarginAndRunnerUp(t *testing.T) {
 	r := Record{
 		Winner: "host1",
-		Body: Body{Candidates: []Candidate{
+		Body: &Body{Candidates: []Candidate{
 			{Name: "host0", Score: 0.9},
 			{Name: "host1", Score: 0.2},
 			{Name: "host2", Score: 0.5},
@@ -308,15 +309,15 @@ func TestMarginAndRunnerUp(t *testing.T) {
 }
 
 func TestTrailSelectsElasticityStory(t *testing.T) {
-	up := Record{At: 3, Kind: KindAutoscale, Body: Body{Inputs: []KV{{Key: "act", Val: "up"}}}}
-	down := Record{At: 9, Kind: KindAutoscale, Body: Body{Inputs: []KV{{Key: "act", Val: "down"}}}}
-	failover := Record{At: 2, Kind: KindRoute, Body: Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}
+	up := Record{At: 3, Kind: KindAutoscale, Body: &Body{Inputs: []KV{{Key: "act", Val: "up"}}}}
+	down := Record{At: 9, Kind: KindAutoscale, Body: &Body{Inputs: []KV{{Key: "act", Val: "down"}}}}
+	failover := Record{At: 2, Kind: KindRoute, Body: &Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}
 	recs := []Record{
 		rec(0, KindPlace, "srv0"),
 		rec(1, KindCordon, "z1"),
 		rec(1, KindRoute, "srv0"), // plain route: not a failover step
 		failover,
-		{At: 2, Kind: KindRoute, Body: Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}, // only the first counts
+		{At: 2, Kind: KindRoute, Body: &Body{Inputs: []KV{{Key: "failover", Val: "1"}}}}, // only the first counts
 		up,
 		rec(5, KindMigrate, "srv1"), // migrations are queryable, not trail steps
 		rec(6, KindUncordon, "z1"),
@@ -332,7 +333,7 @@ func TestClosestCalls(t *testing.T) {
 	mk := func(at sim.Time, winner float64, runner float64) Record {
 		return Record{
 			At: at, Kind: KindPlace, Winner: "w",
-			Body: Body{Candidates: []Candidate{{Name: "w", Score: winner}, {Name: "r", Score: runner}}},
+			Body: &Body{Candidates: []Candidate{{Name: "w", Score: winner}, {Name: "r", Score: runner}}},
 		}
 	}
 	recs := []Record{
@@ -409,5 +410,40 @@ func TestTypedRouteRendering(t *testing.T) {
 	}
 	if v, ok := recs[0].Input("failover"); !ok || v != "1" {
 		t.Errorf(`Input("failover") = %q, %v`, v, ok)
+	}
+}
+
+// TestRecordSize pins the record at 96 bytes: its operands sit behind
+// pointers, so the pending batch, the merged log and the Records join
+// copy this much a record. A field that makes it grow fails here.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Record{}) = %d, want 96", got)
+	}
+}
+
+// TestAddAllocationFree pins the enabled path at zero allocations per
+// record, amortised: Add copies the body into the log's arena, AddRoute
+// carves a route's operands and candidates from theirs, and the
+// pending batch and the merged chunks are reused at the Total bound.
+func TestAddAllocationFree(t *testing.T) {
+	l := NewLog(1, Options{Total: 1 << 12})
+	r := l.Ring(0)
+	inputs := []KV{{Key: "act", Val: "up"}}
+	at := sim.Time(0)
+	add := func() {
+		at++
+		r.Add(Record{At: at, Kind: KindAutoscale, Subject: "srv", Winner: "srv"}, Body{Detail: "scale up", Inputs: inputs})
+		loads := append(r.Loads(2), Load{Name: "srv0", Out: 1}, Load{Name: "srv1", Out: 2})
+		r.AddRoute(at, Route{Arrival: at, Zone: "z0", Winner: "srv0", Loads: loads})
+		if at%64 == 0 {
+			l.Merge()
+		}
+	}
+	for i := 0; i < 1<<13; i++ {
+		add() // past the Total bound, where merged chunks are recycled
+	}
+	if allocs := testing.AllocsPerRun(1000, add); allocs != 0 {
+		t.Fatalf("Add and AddRoute allocate %v times per pair, want 0", allocs)
 	}
 }

@@ -98,7 +98,7 @@ func appendRecord(b, text []byte, r *Record) ([]byte, []byte, error) {
 				}
 			}
 			switch {
-			case r.route.typed: // "out=N": nothing to escape
+			case r.route != nil: // "out=N": nothing to escape
 				b = append(b, ",\n          \"reason\": \"out="...)
 				b = append(strconv.AppendInt(b, r.route.loads[i].Out, 10), '"')
 			case r.Body.Candidates[i].Reason != "":

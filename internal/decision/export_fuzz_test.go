@@ -48,7 +48,7 @@ func FuzzWriteJSON(f *testing.F) {
 		}
 		r := decision.Record{
 			At: sim.Time(at), Shard: int(shape), Seq: uint64(at) * 3, Kind: decision.Kind(shape % 12),
-			Chooser: s1, Subject: pick(0, s2), Winner: pick(1, s3), Body: decision.Body{Detail: pick(2, s4)},
+			Chooser: s1, Subject: pick(0, s2), Winner: pick(1, s3), Body: &decision.Body{Detail: pick(2, s4)},
 		}
 		if shape&(1<<3) != 0 {
 			r.Body.Candidates = []decision.Candidate{{Name: s1, Score: score, Reason: pick(4, s2)}, {Name: s3, Score: -score}}
@@ -171,7 +171,7 @@ func FuzzRouteRecords(f *testing.F) {
 				t.Fatalf("record %d: subject %q, winner %q, want %q", i, r.Subject, r.Winner, w.winner)
 			}
 			plain[i] = decision.Record{At: r.At, Shard: r.Shard, Seq: r.Seq, Kind: r.Kind,
-				Chooser: r.Chooser, Subject: w.winner, Winner: w.winner, Body: b}
+				Chooser: r.Chooser, Subject: w.winner, Winner: w.winner, Body: &b}
 		}
 
 		var got, ref bytes.Buffer
@@ -242,7 +242,7 @@ func TestUntypedScoresTakeFloatPath(t *testing.T) {
 			recs = append(recs, decision.Record{
 				At: sim.Time(len(recs)) * sim.Millisecond, Kind: decision.KindPlace, Chooser: "ctl",
 				Subject: "vm", Winner: "a",
-				Body: decision.Body{Candidates: []decision.Candidate{{Name: "a", Score: score}, {Name: "b", Score: other}}},
+				Body: &decision.Body{Candidates: []decision.Candidate{{Name: "a", Score: score}, {Name: "b", Score: other}}},
 			})
 		}
 	}

@@ -15,7 +15,7 @@ func exportRecs() []Record {
 		{
 			At: 6 * sim.Second, Shard: 0, Seq: 3, Kind: KindCordon,
 			Chooser: "ctl", Subject: "z1", Winner: "z1",
-			Body: Body{
+			Body: &Body{
 				Detail: "zone outage: 8 hosts dark",
 				Inputs: []KV{{Key: "hosts", Val: "8"}},
 			},
@@ -23,7 +23,7 @@ func exportRecs() []Record {
 		{
 			At: 6*sim.Second + 250*sim.Microsecond, Shard: 0, Seq: 4, Kind: KindRoute,
 			Chooser: "ctl", Subject: "srv0", Winner: "srv0",
-			Body: Body{
+			Body: &Body{
 				Candidates: []Candidate{{Name: "srv0", Score: 3, Reason: "out=3"}, {Name: "srv2", Score: 5, Reason: "out=5"}},
 				Inputs:     []KV{{Key: "failover", Val: "1"}},
 			},

@@ -23,12 +23,11 @@ func (h *Hypervisor) recordBoost(d *decision.Ring, v *VCPU) {
 		Kind:    decision.KindBoost,
 		Subject: v.VM.Name,
 		Winner:  v.Name(),
-		Body: decision.Body{
-			Detail: fmt.Sprintf("wake boost for %s", v.Name()),
-			Inputs: []decision.KV{
-				{Key: "credits", Val: strconv.Itoa(v.credits)},
-				{Key: "grants", Val: strconv.FormatInt(v.VM.BoostGrants, 10)},
-			},
+	}, decision.Body{
+		Detail: fmt.Sprintf("wake boost for %s", v.Name()),
+		Inputs: []decision.KV{
+			{Key: "credits", Val: strconv.Itoa(v.credits)},
+			{Key: "grants", Val: strconv.FormatInt(v.VM.BoostGrants, 10)},
 		},
 	})
 }
@@ -40,15 +39,14 @@ func (h *Hypervisor) recordPreempt(d *decision.Ring, now sim.Time, p *PCPU, v *V
 		Kind:    decision.KindPreempt,
 		Subject: v.VM.Name,
 		Winner:  v.Name(),
-		Body: decision.Body{
-			Detail: fmt.Sprintf("involuntary deschedule of %s on %s (%s)", v.Name(), p.Name(), pc),
-			Inputs: []decision.KV{
-				{Key: "pcpu", Val: p.Name()},
-				{Key: "class", Val: pc.String()},
-				{Key: "prio", Val: v.prio.String()},
-				{Key: "credits", Val: strconv.Itoa(v.credits)},
-				{Key: "to", Val: disposition.String()},
-			},
+	}, decision.Body{
+		Detail: fmt.Sprintf("involuntary deschedule of %s on %s (%s)", v.Name(), p.Name(), pc),
+		Inputs: []decision.KV{
+			{Key: "pcpu", Val: p.Name()},
+			{Key: "class", Val: pc.String()},
+			{Key: "prio", Val: v.prio.String()},
+			{Key: "credits", Val: strconv.Itoa(v.credits)},
+			{Key: "to", Val: disposition.String()},
 		},
 	})
 }
