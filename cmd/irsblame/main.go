@@ -144,13 +144,13 @@ func shareLine(shares []span.CategoryShare, k int) string {
 func criticalPath(sp *span.Span, maxSegs int) string {
 	var b strings.Builder
 	segs := 0
-	for pi := range sp.Phases {
-		ph := &sp.Phases[pi]
+	for pi := 0; pi < sp.NumPhases(); pi++ {
+		ph := sp.Phase(pi)
 		if pi > 0 {
 			b.WriteByte(' ')
 		}
 		fmt.Fprintf(&b, "%s[", ph.Name)
-		for si, seg := range ph.Segments {
+		for si := 0; si < ph.Len; si++ {
 			if segs >= maxSegs {
 				fmt.Fprintf(&b, " …+%d", sp.SegmentCount()-segs)
 				segs = sp.SegmentCount()
@@ -159,11 +159,12 @@ func criticalPath(sp *span.Span, maxSegs int) string {
 			if si > 0 {
 				b.WriteString(" → ")
 			}
+			seg := sp.Segment(ph.First + si)
 			fmt.Fprintf(&b, "%s %v", seg.Cat, time.Duration(seg.Dur()))
 			segs++
 		}
 		b.WriteByte(']')
-		if segs >= maxSegs && pi < len(sp.Phases)-1 {
+		if segs >= maxSegs && pi < sp.NumPhases()-1 {
 			fmt.Fprintf(&b, " …")
 			break
 		}

@@ -196,9 +196,11 @@ func ChromeSpans(sets []span.TrackSet) ([]byte, error) {
 			events = append(events, obs.ThreadName(pid, tid, req+" (wall "+wall+")"),
 				obs.ChromeEvent{Name: req, Ph: "B", Ts: s.Start, Pid: pid, Tid: tid, Cat: "request",
 					Args: []obs.Arg{{Key: "wall", Val: wall}}})
-			for _, p := range s.Phases {
+			for pi := 0; pi < s.NumPhases(); pi++ {
+				p := s.Phase(pi)
 				events = append(events, obs.ChromeEvent{Name: p.Name, Ph: "B", Ts: p.Start, Pid: pid, Tid: tid, Cat: "phase"})
-				for _, seg := range p.Segments {
+				for k := p.First; k < p.First+p.Len; k++ {
+					seg := s.Segment(k)
 					events = append(events,
 						obs.ChromeEvent{Name: seg.Cat.String(), Ph: "B", Ts: seg.Start, Pid: pid, Tid: tid, Cat: "segment",
 							Args: []obs.Arg{{Key: "dur", Val: time.Duration(seg.Dur()).String()}}},

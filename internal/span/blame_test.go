@@ -90,7 +90,7 @@ func TestAnalyzeFlagsConservationViolations(t *testing.T) {
 	good := mkSpan(tr, us(10), us(100), 0)
 	bad := mkSpan(tr, us(20), us(100), 0)
 	// Corrupt the bad span's recorded segments behind the API's back.
-	bad.Phases[1].Segments[0].End -= us(7)
+	skewLastSegment(bad, -us(7))
 	a := Analyze([]*Span{good, bad, nil}, 0)
 	if a.Requests != 2 {
 		t.Fatalf("requests = %d, want 2 (nil skipped)", a.Requests)

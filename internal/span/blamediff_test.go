@@ -98,8 +98,8 @@ func diffSpans(rng *rand.Rand, n int) []*Span {
 			s.Transition(t, cats[rng.IntN(len(cats))])
 		}
 		s.Finish(t + us(1+rng.Int64N(2)))
-		if rng.IntN(25) == 0 && len(s.Phases[1].Segments) > 0 {
-			s.Phases[1].Segments[0].End -= sim.Time(1 + rng.IntN(5))
+		if rng.IntN(25) == 0 && s.Phase(1).Len > 0 {
+			skewLastSegment(s, -sim.Time(1+rng.IntN(5)))
 		}
 		out = append(out, s)
 		if rng.IntN(30) == 0 {

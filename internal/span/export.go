@@ -57,10 +57,11 @@ func WriteChromeSpans(w io.Writer, sets []TrackSet) error {
 			text = append(text, ')')
 			obs.PutQuoted(out, threadShape, &tr, quotedThreadName, 0, text[req:])
 			obs.PutQuoted(out, requestBegin, &tr, text[:req], s.Start, text[wall:wallEnd])
-			for pi := range s.Phases {
-				p := &s.Phases[pi]
+			for pi := 0; pi < s.NumPhases(); pi++ {
+				p := s.Phase(pi)
 				obs.Put(out, phaseBegin, &tr, p.Name, p.Start)
-				for _, seg := range p.Segments {
+				for k := p.First; k < p.First+p.Len; k++ {
+					seg := s.Segment(k)
 					// The duration follows the thread name.
 					text = obs.AppendDuration(text[:wallEnd+1], time.Duration(seg.Dur()))
 					cat := quotedCategory(seg.Cat)

@@ -95,12 +95,15 @@ type Segment struct {
 func (s Segment) Dur() sim.Time { return s.End - s.Start }
 
 // Phase is one coarse stage of a request's life (e.g. "queue" before a
-// worker binds it, "service" afterwards) holding the leaf segments that
-// tile it. Phases are the middle level of the span tree.
+// worker binds it, "service" afterwards), tiled by its leaf segments.
+// Phases are the middle level of the span tree; Span.Phase returns
+// them.
 type Phase struct {
 	Name       string
-	Start, End sim.Time
-	Segments   []Segment
+	Start, End sim.Time // End is 0 while the phase is open
+	// The phase's segments are the span's segments First through
+	// First+Len-1 (see Span.Segment).
+	First, Len int
 }
 
 // Totals is per-category accumulated time, indexed by Category.
@@ -122,31 +125,61 @@ func (t *Totals) Add(o Totals) {
 	}
 }
 
+// Inline room sized to the measured request shape: every request of
+// the outage rig has two phases (queue, service) and about 95% have
+// at most four segments.
+const (
+	inlinePhases = 2
+	inlineSegs   = 4
+)
+
 // Span is one request's causal trace: a root interval subdivided into
 // phases, each subdivided into categorized segments. All mutation
-// happens at simulation time through Transition/BeginPhase/Finish.
+// happens at simulation time through Transition/BeginPhase/Finish;
+// readers walk the tree through NumPhases, Phase and Segment, which
+// allocate nothing.
 //
-// A span is one allocation: Phases starts on the inline phases array
-// and every phase carves its Segments from the inline segs array, the
-// next phase taking the room the previous one left. A span that
-// outgrows either spills to the heap the way append does. Because
-// Phases and Segments may point into the span itself, a Span must not
-// be copied by value: a copy's slices would still alias the original.
-// Pass *Span.
+// The tree is stored compactly. Segments tile the span without gaps:
+// each one starts where the one before it ended, the first at the
+// span's start, and each phase starts where the one before it ended.
+// So a span keeps only each segment's end and category and each
+// phase's name, end and first segment, and derives every start on
+// read. Two phases and four segments fit inline (144 bytes in all,
+// pinned by TestSpanSize); a span that outgrows either keeps the rest
+// in a spill record. A tracer mints its spans from slabs.
 type Span struct {
 	ID         int64
 	Start, End sim.Time // End is 0 while the span is open
-	Phases     []Phase
 
-	cur      Category
-	curSince sim.Time
-	tracer   *Tracer
+	tracer *Tracer
+	spill  *spill
 
-	// Inline room sized to the measured request shape: every request
-	// of the outage rig has two phases (queue, service) and about 95%
-	// have at most four segments.
-	phases [2]Phase
-	segs   [4]Segment
+	names   [inlinePhases]string
+	ends    [inlinePhases]sim.Time // phase ends
+	segEnds [inlineSegs]sim.Time
+	first1  int32 // the second phase's first segment
+	nphases int32
+	nsegs   int32
+	cats    [inlineSegs]uint8
+	cur     uint8 // the category accruing
+}
+
+// spill holds what does not fit inline: the phases from the third on
+// and the segments from the fifth on.
+type spill struct {
+	phases []spillPhase
+	segs   []spillSeg
+}
+
+type spillPhase struct {
+	name  string
+	end   sim.Time
+	first int
+}
+
+type spillSeg struct {
+	end sim.Time
+	cat Category
 }
 
 // Wall returns the end-to-end latency of a finished span.
@@ -156,41 +189,138 @@ func (s *Span) Wall() sim.Time { return s.End - s.Start }
 func (s *Span) Finished() bool { return s.End != 0 }
 
 // Category returns the category currently accruing.
-func (s *Span) Category() Category { return s.cur }
+func (s *Span) Category() Category { return Category(s.cur) }
 
-// phase returns the open phase.
-func (s *Span) phase() *Phase { return &s.Phases[len(s.Phases)-1] }
+// NumPhases returns the number of phases, the open one included.
+func (s *Span) NumPhases() int { return int(s.nphases) }
 
-// closeSegment seals the accruing interval [curSince, now) under the
-// current category, coalescing with the previous segment when the
-// category repeats. Zero-length intervals vanish, so a flurry of
-// same-instant transitions costs nothing.
+// SegmentCount returns the number of leaf segments.
+func (s *Span) SegmentCount() int { return int(s.nsegs) }
+
+// Phase returns phase i, 0 <= i < NumPhases().
+func (s *Span) Phase(i int) Phase {
+	p := Phase{Start: s.Start, First: s.phaseFirst(i)}
+	if i < inlinePhases {
+		p.Name, p.End = s.names[i], s.ends[i]
+	} else {
+		sp := &s.spill.phases[i-inlinePhases]
+		p.Name, p.End = sp.name, sp.end
+	}
+	if i > 0 {
+		p.Start = s.phaseEnd(i - 1)
+	}
+	next := int(s.nsegs)
+	if i+1 < int(s.nphases) {
+		next = s.phaseFirst(i + 1)
+	}
+	p.Len = next - p.First
+	return p
+}
+
+// Segment returns segment k, 0 <= k < SegmentCount(), counting across
+// phases in time order.
+func (s *Span) Segment(k int) Segment {
+	end, cat := s.segment(k)
+	seg := Segment{Start: s.Start, End: end, Cat: cat}
+	if k > 0 {
+		seg.Start, _ = s.segment(k - 1)
+	}
+	return seg
+}
+
+// segment returns segment k's end and category.
+func (s *Span) segment(k int) (sim.Time, Category) {
+	if k < inlineSegs {
+		return s.segEnds[k], Category(s.cats[k])
+	}
+	sg := &s.spill.segs[k-inlineSegs]
+	return sg.end, sg.cat
+}
+
+// phaseFirst returns phase i's first segment.
+func (s *Span) phaseFirst(i int) int {
+	switch {
+	case i == 0:
+		return 0
+	case i == 1:
+		return int(s.first1)
+	}
+	return s.spill.phases[i-inlinePhases].first
+}
+
+// phaseEnd returns phase i's end.
+func (s *Span) phaseEnd(i int) sim.Time {
+	if i < inlinePhases {
+		return s.ends[i]
+	}
+	return s.spill.phases[i-inlinePhases].end
+}
+
+// endPhase sets the open phase's end.
+func (s *Span) endPhase(now sim.Time) {
+	if i := int(s.nphases) - 1; i < inlinePhases {
+		s.ends[i] = now
+	} else {
+		s.spill.phases[i-inlinePhases].end = now
+	}
+}
+
+// spilled returns the span's spill record, made on first use.
+func (s *Span) spilled() *spill {
+	if s.spill == nil {
+		s.spill = &spill{}
+	}
+	return s.spill
+}
+
+// closeSegment seals the accruing interval under the current category
+// at now: the interval runs from the last segment's end (the span's
+// start before the first), and it coalesces with the open phase's last
+// segment when the category repeats. Zero-length intervals vanish, so
+// a flurry of same-instant transitions costs nothing.
 func (s *Span) closeSegment(now sim.Time) {
-	if now <= s.curSince {
+	n := int(s.nsegs)
+	since := s.Start
+	if n > 0 {
+		since, _ = s.segment(n - 1)
+	}
+	if now <= since {
 		return
 	}
-	p := s.phase()
-	if n := len(p.Segments); n > 0 && p.Segments[n-1].Cat == s.cur && p.Segments[n-1].End == s.curSince {
-		p.Segments[n-1].End = now
-	} else {
-		p.Segments = append(p.Segments, Segment{Start: s.curSince, End: now, Cat: s.cur})
+	cur := Category(s.cur)
+	if n > s.phaseFirst(int(s.nphases)-1) {
+		if _, cat := s.segment(n - 1); cat == cur {
+			if n <= inlineSegs {
+				s.segEnds[n-1] = now
+			} else {
+				s.spill.segs[n-1-inlineSegs].end = now
+			}
+			return
+		}
 	}
-	s.curSince = now
+	if n < inlineSegs {
+		s.segEnds[n], s.cats[n] = now, uint8(cur)
+	} else {
+		sp := s.spilled()
+		sp.segs = append(sp.segs, spillSeg{end: now, cat: cur})
+	}
+	s.nsegs++
 }
 
 // Transition moves the span to category c at time now, closing the
 // interval accrued under the previous category. Calling it with the
 // current category is a cheap no-op; calling it on a finished span is
-// ignored (the request already left the system).
+// ignored (the request already left the system). c must be one of the
+// defined categories.
 func (s *Span) Transition(now sim.Time, c Category) {
 	if s == nil || s.Finished() {
 		return
 	}
-	if c == s.cur {
+	if c == Category(s.cur) {
 		return
 	}
 	s.closeSegment(now)
-	s.cur = c
+	s.cur = uint8(c)
 }
 
 // BeginPhase closes the open phase and starts a new one named name,
@@ -200,17 +330,15 @@ func (s *Span) BeginPhase(now sim.Time, name string, c Category) {
 		return
 	}
 	s.closeSegment(now)
-	p := s.phase()
-	p.End = now
-	// The new phase takes the segment room the closing one left. The
-	// closing phase is capped at its length, so the two never share a
-	// slot: an append to the closed phase copies instead of writing
-	// over the new phase's segments.
-	n := len(p.Segments)
-	rest := p.Segments[n:]
-	p.Segments = p.Segments[:n:n]
-	s.Phases = append(s.Phases, Phase{Name: name, Start: now, Segments: rest})
-	s.cur = c
+	s.endPhase(now)
+	if i := int(s.nphases); i < inlinePhases {
+		s.names[i], s.first1 = name, s.nsegs
+	} else {
+		sp := s.spilled()
+		sp.phases = append(sp.phases, spillPhase{name: name, first: int(s.nsegs)})
+	}
+	s.nphases++
+	s.cur = uint8(c)
 }
 
 // Finish seals the span at now and hands it to its tracer.
@@ -219,7 +347,7 @@ func (s *Span) Finish(now sim.Time) {
 		return
 	}
 	s.closeSegment(now)
-	s.phase().End = now
+	s.endPhase(now)
 	s.End = now
 	if s.End == 0 {
 		// A request served at t=0 would read as still-open; nudge the
@@ -235,21 +363,18 @@ func (s *Span) Finish(now sim.Time) {
 // Totals sums the span's segments per category.
 func (s *Span) Totals() Totals {
 	var t Totals
-	for i := range s.Phases {
-		for _, seg := range s.Phases[i].Segments {
-			t[seg.Cat] += seg.Dur()
+	at := s.Start
+	for k := 0; k < min(int(s.nsegs), inlineSegs); k++ {
+		t[s.cats[k]] += s.segEnds[k] - at
+		at = s.segEnds[k]
+	}
+	if s.spill != nil {
+		for _, sg := range s.spill.segs {
+			t[sg.cat] += sg.end - at
+			at = sg.end
 		}
 	}
 	return t
-}
-
-// SegmentCount returns the number of leaf segments.
-func (s *Span) SegmentCount() int {
-	n := 0
-	for i := range s.Phases {
-		n += len(s.Phases[i].Segments)
-	}
-	return n
 }
 
 // ConservationError returns wall latency minus the segment sum. By
@@ -266,9 +391,14 @@ func (s *Span) ConservationError() sim.Time {
 // request, straight into this tracer: shards run one after another,
 // so the finished list is in completion order within each host window
 // and host order across them.
+//
+// Spans are minted from slabs that start small and double up to
+// maxSlab spans, so a run of many requests allocates one slab per
+// maxSlab spans rather than one object per span.
 type Tracer struct {
 	nextID   int64
 	open     int
+	slab     []Span // the current slab's unminted spans
 	finished []*Span
 
 	// OnFinish, when non-nil, observes each span as it finishes (after
@@ -277,6 +407,12 @@ type Tracer struct {
 	// rescanning the full trace on every incident.
 	OnFinish func(*Span)
 }
+
+// Slab sizes, in spans: the first slab and the cap.
+const (
+	minSlab = 16
+	maxSlab = 1024
+)
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
@@ -288,17 +424,15 @@ func (tr *Tracer) Start(arrival sim.Time) *Span {
 	if tr == nil {
 		return nil
 	}
+	if len(tr.slab) == 0 {
+		tr.slab = make([]Span, min(max(tr.nextID, minSlab), maxSlab))
+	}
+	s := &tr.slab[0]
+	tr.slab = tr.slab[1:]
 	tr.nextID++
 	tr.open++
-	s := &Span{
-		ID:       tr.nextID,
-		Start:    arrival,
-		cur:      CatQueueWait,
-		curSince: arrival,
-		tracer:   tr,
-	}
-	s.phases[0] = Phase{Name: "queue", Start: arrival, Segments: s.segs[:0]}
-	s.Phases = s.phases[:1]
+	s.ID, s.Start, s.tracer = tr.nextID, arrival, tr
+	s.names[0], s.nphases, s.cur = "queue", 1, uint8(CatQueueWait)
 	return s
 }
 

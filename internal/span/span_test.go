@@ -4,6 +4,7 @@ import (
 	"io"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -32,16 +33,18 @@ func TestSpanTilesWallExactly(t *testing.T) {
 	}
 
 	// The segments of each phase tile the phase; the phases tile the span.
-	if len(s.Phases) != 2 || s.Phases[0].Name != "queue" || s.Phases[1].Name != "service" {
-		t.Fatalf("phases = %+v", s.Phases)
+	if s.NumPhases() != 2 || s.Phase(0).Name != "queue" || s.Phase(1).Name != "service" {
+		t.Fatalf("phases = %+v", spanPhases(s))
 	}
 	cursor := s.Start
-	for _, p := range s.Phases {
+	for i := 0; i < s.NumPhases(); i++ {
+		p := s.Phase(i)
 		if p.Start != cursor {
 			t.Fatalf("phase %s starts at %v, previous ended at %v", p.Name, p.Start, cursor)
 		}
 		at := p.Start
-		for _, seg := range p.Segments {
+		for k := p.First; k < p.First+p.Len; k++ {
+			seg := s.Segment(k)
 			if seg.Start != at {
 				t.Fatalf("segment gap in %s: %v != %v", p.Name, seg.Start, at)
 			}
@@ -78,7 +81,7 @@ func TestSpanCoalescesAndDropsZeroLength(t *testing.T) {
 	if n := s.SegmentCount(); n != 2 {
 		t.Fatalf("segment count = %d, want 2 (queue-wait + one coalesced service)", n)
 	}
-	svc := s.Phases[1].Segments
+	svc := spanPhases(s)[1].segments
 	if len(svc) != 1 || svc[0].Cat != CatService || svc[0].Dur() != us(30) {
 		t.Fatalf("service phase = %+v, want one 30µs service segment", svc)
 	}
@@ -92,7 +95,7 @@ func TestSpanFinishedIsSealed(t *testing.T) {
 	s.Transition(us(25), CatService)
 	s.BeginPhase(us(25), "late", CatService)
 	s.Finish(us(30))
-	if s.End != us(15) || s.Totals() != before || len(s.Phases) != 1 {
+	if s.End != us(15) || s.Totals() != before || s.NumPhases() != 1 {
 		t.Fatal("mutation after Finish changed the span")
 	}
 }
@@ -124,51 +127,75 @@ func TestTracerAccounting(t *testing.T) {
 	}
 }
 
-// The rig's request shape fits the span's inline room: the whole
-// lifecycle is the one allocation of the span itself.
-func TestSpanLifecycleAllocatesOnce(t *testing.T) {
-	tr := NewTracer()
-	lifecycle(tr, us(1)) // size the finished list
-	at := us(1000)
-	allocs := testing.AllocsPerRun(100, func() {
-		tr.finished = tr.finished[:0]
-		s := tr.Start(at)
-		s.BeginPhase(at, "service", CatKernel)
-		s.Transition(at+us(2), CatService)
-		s.Transition(at+us(30), CatPreemptWait)
-		s.Transition(at+us(50), CatService)
-		s.Finish(at + us(70))
-	})
-	if allocs != 1 {
-		t.Fatalf("span lifecycle = %v allocations, want 1", allocs)
+// TestSpanSize pins the span at 144 bytes with the rig's request shape
+// (two phases, four segments) inline. A field that makes it grow fails
+// here.
+func TestSpanSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got != 144 {
+		t.Fatalf("unsafe.Sizeof(Span{}) = %d, want 144", got)
 	}
 }
 
-// Phases carve their segments from one shared array: the next phase's
-// appends must land after the closed phase's segments, not over them.
+// The rig's request shape fits the span's inline room and spans are
+// minted from the tracer's slabs: once the slabs are full size, a
+// lifecycle allocates one slab per maxSlab spans and nothing else.
+func TestSpanLifecycleAllocatesPerSlab(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i < 4*maxSlab; i++ {
+		lifecycle(tr, us(1)) // grow the slabs and the finished list
+	}
+	const spans = 8 * maxSlab
+	at := us(1000)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < spans; i++ {
+			tr.finished = tr.finished[:0]
+			s := tr.Start(at)
+			s.BeginPhase(at, "service", CatKernel)
+			s.Transition(at+us(2), CatService)
+			s.Transition(at+us(30), CatPreemptWait)
+			s.Transition(at+us(50), CatService)
+			s.Finish(at + us(70))
+		}
+	})
+	if allocs > spans/maxSlab {
+		t.Fatalf("%d span lifecycles = %v allocations, want at most %d (one slab per %d spans)",
+			spans, allocs, spans/maxSlab, maxSlab)
+	}
+}
+
+// A closed phase keeps its segments: the next phase's segments follow
+// them and do not change them.
 func TestPhaseSegmentsDoNotAlias(t *testing.T) {
 	tr := NewTracer()
 	s := tr.Start(us(0))
 	s.Transition(us(10), CatRunqWait)
 	s.BeginPhase(us(20), "service", CatService)
-	queue := append([]Segment(nil), s.Phases[0].Segments...)
+	queue := spanPhases(s)[0].segments
 	s.Transition(us(30), CatPreemptWait)
 	s.Finish(us(40))
-	if got := s.Phases[0].Segments; !slices.Equal(got, queue) {
-		t.Fatalf("queue segments changed to %+v after the service phase appended; was %+v", got, queue)
+	phases := spanPhases(s)
+	if got := phases[0].segments; !slices.Equal(got, queue) {
+		t.Fatalf("queue segments changed to %+v after the service phase recorded; was %+v", got, queue)
 	}
-	if len(queue) != 2 || len(s.Phases[1].Segments) != 2 {
-		t.Fatalf("segments per phase = %d, %d; want 2, 2", len(queue), len(s.Phases[1].Segments))
+	if len(queue) != 2 || len(phases[1].segments) != 2 {
+		t.Fatalf("segments per phase = %d, %d; want 2, 2", len(queue), len(phases[1].segments))
 	}
-	// The closed phase is capped: appending to it must copy, not write
-	// into the service phase's slots.
-	service := slices.Clone(s.Phases[1].Segments)
-	_ = append(s.Phases[0].Segments, Segment{Start: us(60), End: us(61), Cat: CatOther})
-	if !slices.Equal(s.Phases[1].Segments, service) {
-		t.Fatalf("append to the queue phase overwrote the service phase: %+v", s.Phases[1].Segments)
+	if p := s.Phase(1); p.First != 2 || p.Len != 2 {
+		t.Fatalf("service phase holds segments %d..%d, want 2..3", p.First, p.First+p.Len-1)
 	}
 	if err := s.ConservationError(); err != 0 {
 		t.Fatalf("conservation error = %v", err)
+	}
+}
+
+// skewLastSegment moves s's last segment end by d behind the API's
+// back, which breaks conservation by exactly -d.
+func skewLastSegment(s *Span, d sim.Time) {
+	k := s.SegmentCount() - 1
+	if k < inlineSegs {
+		s.segEnds[k] += d
+	} else {
+		s.spill.segs[k-inlineSegs].end += d
 	}
 }
 
@@ -193,12 +220,12 @@ func TestSpanSpillKeepsConservation(t *testing.T) {
 			{us(30), us(40), CatService}, {us(40), us(50), CatSAWait}},
 		{{us(50), us(60), CatService}, {us(60), us(75), CatKernel}},
 	}
-	if len(s.Phases) != len(want) || s.SegmentCount() != 7 {
-		t.Fatalf("phases = %d, segments = %d; want 3 and 7", len(s.Phases), s.SegmentCount())
+	if s.NumPhases() != len(want) || s.SegmentCount() != 7 {
+		t.Fatalf("phases = %d, segments = %d; want 3 and 7", s.NumPhases(), s.SegmentCount())
 	}
-	for i, p := range s.Phases {
-		if !slices.Equal(p.Segments, want[i]) {
-			t.Fatalf("phase %s segments = %+v, want %+v", p.Name, p.Segments, want[i])
+	for i, p := range spanPhases(s) {
+		if !slices.Equal(p.segments, want[i]) {
+			t.Fatalf("phase %s segments = %+v, want %+v", p.name, p.segments, want[i])
 		}
 	}
 }

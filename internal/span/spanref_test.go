@@ -116,12 +116,17 @@ func (tr *refTracer) start(arrival sim.Time) *refSpan {
 	}
 }
 
-// spanPhases reads s's phases and their segments into the
-// reference's shape.
+// spanPhases reads s's phases and their segments through Span's
+// accessors, into the reference's shape.
 func spanPhases(s *Span) []refPhase {
 	var out []refPhase
-	for _, p := range s.Phases {
-		out = append(out, refPhase{name: p.Name, start: p.Start, end: p.End, segments: slices.Clone(p.Segments)})
+	for i := 0; i < s.NumPhases(); i++ {
+		p := s.Phase(i)
+		rp := refPhase{name: p.Name, start: p.Start, end: p.End}
+		for k := p.First; k < p.First+p.Len; k++ {
+			rp.segments = append(rp.segments, s.Segment(k))
+		}
+		out = append(out, rp)
 	}
 	return out
 }
