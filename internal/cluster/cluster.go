@@ -292,6 +292,9 @@ type Host struct {
 	eng     *sim.Engine        // this host's shard engine
 	checker *invariant.Checker // host-local audits (hv + resident kernels)
 
+	inbox   inbox  // routed requests in transit to this host
+	deliver func() // lands the inbox's oldest request; see route
+
 	occSeries map[occKey]*watch.Series // watchdog occupancy series, by VM and pCPU
 
 	committed int // placed vCPUs (bookkeeping, audited)
@@ -573,6 +576,7 @@ func New(cfg Config) (*Cluster, error) {
 			name: name,
 			eng:  eng,
 		}
+		host.deliver = func() { c.deliverNext(host) }
 		c.hosts = append(c.hosts, host)
 		if c.watcher != nil {
 			c.wireWatchHost(host, hc.Trace)

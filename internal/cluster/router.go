@@ -61,6 +61,14 @@ func (c *Cluster) nextArrival() {
 // zone (trivial with one), then the replica with the fewest
 // outstanding requests inside it (ties to the earliest admitted), and
 // post the delivery to its host's shard one transit latency out.
+//
+// The request waits in its host's inbox, and the delivery posted is
+// the host's one bound callback, which lands the inbox's oldest
+// request. That is the request it was posted for, because the control
+// shard's deliveries to one host fire in post order: a window's posts
+// are inserted at its closing barrier in post order, at most one
+// lookahead past the barrier time, and posts made in the barrier
+// phase that follows land exactly one lookahead past it, after them.
 func (c *Cluster) route(req workload.Request) {
 	z := c.zones[0]
 	failover := false
@@ -103,25 +111,59 @@ func (c *Cluster) route(req workload.Request) {
 	z.routed++
 	best.routed++
 	host := best.host
-	gate := best.gate
-	hd := best
-	c.sh.Post(ctlShard, host.ID+1, lookahead, func() {
-		c.deliverReq(hd, host, gate, req)
-	})
+	host.inbox.push(transit{hd: best, gate: best.gate, req: req})
+	c.sh.Post(ctlShard, host.ID+1, lookahead, host.deliver)
 }
 
-// deliverReq lands one routed request on its host shard and counts it
-// delivered. The gate is the one that was live at routing time; if a
-// migration sealed it while the request was in transit, the request
-// bounces, and the next barrier re-routes it to the successor instance
-// (or into the migration's carried set). Runs on host's shard.
-func (c *Cluster) deliverReq(hd *VMHandle, host *Host, gate *workload.RemoteGate, req workload.Request) {
-	if gate.SubmitReq(req) {
-		hd.delivered++
+// transit is a routed request on its way to its host: the replica and
+// the gate that was live at routing time.
+type transit struct {
+	hd   *VMHandle
+	gate *workload.RemoteGate
+	req  workload.Request
+}
+
+// inbox is a host's FIFO of requests in transit, oldest from head.
+type inbox struct {
+	q    []transit
+	head int
+}
+
+// push appends t, reusing the delivered prefix once it is half the
+// queue instead of growing.
+func (in *inbox) push(t transit) {
+	if len(in.q) == cap(in.q) && in.head > len(in.q)/2 {
+		n := copy(in.q, in.q[in.head:])
+		clear(in.q[n:])
+		in.q, in.head = in.q[:n], 0
+	}
+	in.q = append(in.q, t)
+}
+
+// pop removes and returns the oldest request in transit.
+func (in *inbox) pop() transit {
+	t := in.q[in.head]
+	in.q[in.head] = transit{}
+	if in.head++; in.head == len(in.q) {
+		in.q, in.head = in.q[:0], 0
+	}
+	return t
+}
+
+// deliverNext lands the oldest request in transit to host on its shard
+// and counts it delivered. The gate is the one that was live at
+// routing time; if a migration sealed it while the request was in
+// transit, the request bounces, and the next barrier re-routes it to
+// the successor instance (or into the migration's carried set). Runs
+// on host's shard.
+func (c *Cluster) deliverNext(host *Host) {
+	t := host.inbox.pop()
+	if t.gate.SubmitReq(t.req) {
+		t.hd.delivered++
 		return
 	}
-	req.Span.Transition(host.eng.Now(), span.CatVMMigr)
-	c.bounced = append(c.bounced, bounceRec{hd: hd, req: req})
+	t.req.Span.Transition(host.eng.Now(), span.CatVMMigr)
+	c.bounced = append(c.bounced, bounceRec{hd: t.hd, req: t.req})
 }
 
 // flushBuffered re-routes requests held back while no replica was
