@@ -418,14 +418,17 @@ func (r *Ring) Wants(k Kind) bool {
 // Add appends rec with body as its operands, stamping the ring's
 // shard, chooser, and next sequence number. The body is copied into
 // the log's arena, so a hook site builds it on its own stack and the
-// record costs no allocation of its own.
+// record costs no allocation of its own; an empty body takes no room,
+// and the record's Body is nil. rec's own Body is not read.
 func (r *Ring) Add(rec Record, body Body) {
 	if r == nil {
 		return
 	}
-	b := &r.log.bodies.take(1)[0]
-	*b = body
-	rec.Body = b
+	rec.Body = nil
+	if body.Detail != "" || body.Candidates != nil || body.Inputs != nil {
+		rec.Body = &r.log.bodies.take(1)[0]
+		*rec.Body = body
+	}
 	r.add(&rec)
 }
 

@@ -422,6 +422,29 @@ func TestRecordSize(t *testing.T) {
 	}
 }
 
+// TestAddCopiesBody holds Add to its body rules: the body is copied
+// (the caller's may change after), an empty one leaves Body nil, and
+// rec's own Body is not read.
+func TestAddCopiesBody(t *testing.T) {
+	l := NewLog(1, Options{})
+	r := l.Ring(0)
+	body := Body{Detail: "scale up", Inputs: []KV{{Key: "act", Val: "up"}}}
+	r.Add(Record{At: 1, Kind: KindAutoscale, Body: &Body{Detail: "ignored"}}, body)
+	body.Detail = "changed"
+	r.Add(Record{At: 2, Kind: KindAutoscale}, Body{})
+	l.Merge()
+	recs := l.Records()
+	if got := recs[0].Detail(); got != "scale up" || recs[0].Body == nil {
+		t.Fatalf("first record's detail = %q, want the body's as added", got)
+	}
+	if act, _ := recs[0].Input("act"); act != "up" {
+		t.Fatalf("first record's act input = %q, want up", act)
+	}
+	if recs[1].Body != nil || recs[1].Detail() != "" || recs[1].Inputs() != nil {
+		t.Fatalf("empty body stored as %+v", recs[1].Body)
+	}
+}
+
 // TestAddAllocationFree pins the enabled path at zero allocations per
 // record, amortised: Add copies the body into the log's arena, AddRoute
 // carves a route's operands and candidates from theirs, and the
