@@ -2,6 +2,7 @@ package span
 
 import (
 	"io"
+	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -146,17 +147,23 @@ func TestSpanLifecycleAllocatesPerSlab(t *testing.T) {
 	}
 	const spans = 8 * maxSlab
 	at := us(1000)
-	allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < spans; i++ {
-			tr.finished = tr.finished[:0]
-			s := tr.Start(at)
-			s.BeginPhase(at, "service", CatKernel)
-			s.Transition(at+us(2), CatService)
-			s.Transition(at+us(30), CatPreemptWait)
-			s.Transition(at+us(50), CatService)
-			s.Finish(at + us(70))
-		}
-	})
+	// The count is process-wide, so an allocation on another goroutine
+	// (the collector, the race runtime) can add to it but never take
+	// from it: keep the least of three measurements.
+	allocs := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, func() {
+			for i := 0; i < spans; i++ {
+				tr.finished = tr.finished[:0]
+				s := tr.Start(at)
+				s.BeginPhase(at, "service", CatKernel)
+				s.Transition(at+us(2), CatService)
+				s.Transition(at+us(30), CatPreemptWait)
+				s.Transition(at+us(50), CatService)
+				s.Finish(at + us(70))
+			}
+		}))
+	}
 	if allocs > spans/maxSlab {
 		t.Fatalf("%d span lifecycles = %v allocations, want at most %d (one slab per %d spans)",
 			spans, allocs, spans/maxSlab, maxSlab)
