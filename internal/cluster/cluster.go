@@ -37,7 +37,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/span"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/watch"
 	"repro/internal/workload"
 )
@@ -263,13 +262,6 @@ func StandardMix(servers, serverVCPUs, antagonists, antagonistVCPUs int, spacing
 	return out
 }
 
-// occKey names one occupancy series within a host: a logical VM on a
-// pCPU. Each host caches the resolved watch series under it, so an
-// occupancy interval skips the store's label-key build.
-type occKey struct {
-	vm, pcpu string
-}
-
 // bounceRec is a request that reached its host after the target gate
 // sealed for a migration switchover; the barrier drain re-routes it.
 type bounceRec struct {
@@ -295,7 +287,9 @@ type Host struct {
 	inbox   inbox  // routed requests in transit to this host
 	deliver func() // lands the inbox's oldest request; see route
 
-	occSeries map[occKey]*watch.Series // watchdog occupancy series, by VM and pCPU
+	// occSeries caches the watchdog occupancy series of each (VM, pCPU)
+	// cell at VMID*pcpus + pCPUID; hypervisor VM IDs are append-only.
+	occSeries []*watch.Series
 
 	committed int // placed vCPUs (bookkeeping, audited)
 	sensitive int // resident sensitive VMs
@@ -563,10 +557,10 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.TuneHV != nil {
 			cfg.TuneHV(&hc)
 		}
-		if c.watcher != nil && hc.Trace == nil {
-			// The flight recorder wants each host's recent scheduling
-			// events; a bounded ring keeps the cost flat.
-			hc.Trace = trace.NewLog(4096)
+		if c.watcher != nil {
+			// The flight recorder sizes each host's event ring to the
+			// tail a bundle shows, unless TuneHV supplied a log.
+			hc.Trace = c.watcher.Recorder().HostLog(name, hc.Trace)
 		}
 		eng := sh.Shard(i + 1)
 		host := &Host{
@@ -579,7 +573,7 @@ func New(cfg Config) (*Cluster, error) {
 		host.deliver = func() { c.deliverNext(host) }
 		c.hosts = append(c.hosts, host)
 		if c.watcher != nil {
-			c.wireWatchHost(host, hc.Trace)
+			c.wireWatchHost(host)
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/hypervisor"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/watch"
 )
 
@@ -14,9 +13,9 @@ import (
 // hypervisor's deschedule choke point straight into the watcher's
 // store as they happen (hosts run in index order, so the store sees
 // them in host order, and nothing reads it mid-window), per-VM pain
-// counters are pushed once per watch epoch, and each host's bounded
-// event log feeds the flight recorder. All of it is dormant when
-// Config.Watch is nil.
+// counters are pushed once per watch epoch, and each host's event log,
+// registered in New, feeds the flight recorder. All of it is dormant
+// when Config.Watch is nil.
 
 // logicalVMName strips the migration-generation suffix ("srv0#2" ->
 // "srv0") so watch signals stay continuous across live migrations.
@@ -25,27 +24,28 @@ func logicalVMName(inst string) string {
 	return name
 }
 
-// wireWatchHost connects one host's hypervisor to the watcher: the
-// occupancy observer for attribution and the event log for incident
-// bundles. The observer fires during the host's window (or a barrier
-// sync) and rolls each interval into the host's cached series.
-func (c *Cluster) wireWatchHost(host *Host, tl *trace.Log) {
-	host.occSeries = map[occKey]*watch.Series{}
+// wireWatchHost connects one host's hypervisor occupancy observer to
+// the watcher, for attribution. The observer fires during the host's
+// window (or a barrier sync) and rolls each interval into the host's
+// cached series of that (VM, pCPU) cell, resolving a cell once: every
+// instance of a logical VM on a pCPU shares the series.
+func (c *Cluster) wireWatchHost(host *Host) {
+	pcpus := len(host.HV.PCPUs())
 	host.HV.SetOccupancyObserver(func(vm *hypervisor.VM, p *hypervisor.PCPU, dur sim.Time) {
 		if dur <= 0 {
 			return
 		}
-		key := occKey{vm: logicalVMName(vm.Name), pcpu: p.Name()}
-		s := host.occSeries[key]
+		cell := vm.ID*pcpus + p.ID
+		if cell >= len(host.occSeries) {
+			host.occSeries = append(host.occSeries, make([]*watch.Series, (vm.ID+1)*pcpus-len(host.occSeries))...)
+		}
+		s := host.occSeries[cell]
 		if s == nil {
-			s = c.watcher.OccupancySeries(host.name, key.vm, key.pcpu)
-			host.occSeries[key] = s
+			s = c.watcher.OccupancySeries(host.name, logicalVMName(vm.Name), p.Name())
+			host.occSeries[cell] = s
 		}
 		watch.ObserveOccupancy(s, host.eng.Now(), dur)
 	})
-	if tl != nil {
-		c.watcher.Recorder().AddHostLog(host.Name(), tl)
-	}
 }
 
 // registerWatchVM records (or, after a migration, updates) one VM's

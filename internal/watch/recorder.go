@@ -28,6 +28,9 @@ type SeriesDump struct {
 }
 
 // HostEvents is one host's recent scheduling events, pre-rendered.
+// Dropped counts the events the host's ring evicted before the
+// capture; a ring the recorder sized holds only the bundle's tail, so
+// it counts every event older than Events.
 type HostEvents struct {
 	Host    string   `json:"host"`
 	Dropped uint64   `json:"dropped"`
@@ -131,13 +134,16 @@ func (rec *Recorder) ObserveSpan(s *span.Span) {
 // SpanCount returns how many spans the recorder has seen in total.
 func (rec *Recorder) SpanCount() int64 { return rec.total }
 
-// AddHostLog registers one host's bounded event log for inclusion in
-// incident bundles.
-func (rec *Recorder) AddHostLog(name string, log *trace.Log) {
+// HostLog registers one host's event log for inclusion in incident
+// bundles and returns it. A nil log gets a ring that holds exactly the
+// trailing events a bundle shows, so an always-on recorder keeps no
+// more than it can report; a caller-supplied log is registered as is.
+func (rec *Recorder) HostLog(name string, log *trace.Log) *trace.Log {
 	if log == nil {
-		return
+		log = trace.NewLog(hostEventCount)
 	}
 	rec.hosts = append(rec.hosts, recorderHost{name: name, log: log})
+	return log
 }
 
 // Incidents returns the recorded incidents in order.

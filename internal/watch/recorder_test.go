@@ -73,7 +73,7 @@ func TestIncidentBundleJSONAndTrace(t *testing.T) {
 
 	log := trace.NewLog(16)
 	log.Record(2*sim.Millisecond, trace.KindNote, "p0", "hello")
-	rec.AddHostLog("host0", log)
+	rec.HostLog("host0", log)
 
 	st := NewStore(sim.Millisecond, 8)
 	st.Observe("lat", obs.Labels{VM: "a"}, sim.Millisecond, float64(3*sim.Millisecond))
