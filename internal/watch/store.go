@@ -52,6 +52,30 @@ func (w *Window) observe(v float64) {
 	w.Sum += v
 }
 
+// merge folds window o into w; an empty o leaves w as it was.
+func (w *Window) merge(o Window) {
+	if o.Empty() {
+		return
+	}
+	if w.Count == 0 {
+		w.Start = o.Start
+		w.Min = o.Min
+		w.Max = o.Max
+	} else {
+		if o.Start < w.Start {
+			w.Start = o.Start
+		}
+		if o.Min < w.Min {
+			w.Min = o.Min
+		}
+		if o.Max > w.Max {
+			w.Max = o.Max
+		}
+	}
+	w.Count += o.Count
+	w.Sum += o.Sum
+}
+
 // Rollup merges a set of windows into one aggregate window — the
 // operation behind every multi-window SLO evaluation. It is associative
 // and commutative: min/max/sum/count combine trivially, so
@@ -60,26 +84,7 @@ func (w *Window) observe(v float64) {
 func Rollup(ws ...Window) Window {
 	var out Window
 	for _, w := range ws {
-		if w.Empty() {
-			continue
-		}
-		if out.Count == 0 {
-			out.Start = w.Start
-			out.Min = w.Min
-			out.Max = w.Max
-		} else {
-			if w.Start < out.Start {
-				out.Start = w.Start
-			}
-			if w.Min < out.Min {
-				out.Min = w.Min
-			}
-			if w.Max > out.Max {
-				out.Max = w.Max
-			}
-		}
-		out.Count += w.Count
-		out.Sum += w.Sum
+		out.merge(w)
 	}
 	return out
 }
@@ -128,19 +133,22 @@ func (s *Series) Observe(at sim.Time, v float64) {
 	s.ring[i].observe(v)
 }
 
+// firstStart returns the start of the window containing from, clamped
+// to 0: a range that cuts a window in half still sees its data.
+func (s *Series) firstStart(from sim.Time) sim.Time {
+	if from < 0 {
+		from = 0
+	}
+	return from - from%s.interval
+}
+
 // WindowsBetween returns the non-empty windows overlapping [from, to),
 // oldest first (the window containing `from` is included even when
 // `from` cuts it in half). from is clamped to 0; windows evicted from
 // the ring are simply absent.
 func (s *Series) WindowsBetween(from, to sim.Time) []Window {
-	if from < 0 {
-		from = 0
-	}
-	// Align down: the window containing `from` is included, so ranges
-	// that cut a window in half still see its data.
-	start := from - from%s.interval
 	var out []Window
-	for ws := start; ws < to; ws += s.interval {
+	for ws := s.firstStart(from); ws < to; ws += s.interval {
 		i := s.slot(ws)
 		if s.ring[i].Start == ws && !s.ring[i].Empty() {
 			out = append(out, s.ring[i])
@@ -162,9 +170,17 @@ func (s *Series) WindowAt(ws sim.Time) (Window, bool) {
 	return s.ring[i], true
 }
 
-// RollupBetween merges the windows in [from, to) into one aggregate.
+// RollupBetween merges the windows in [from, to) into one aggregate,
+// folding them in place in the order WindowsBetween lists them, so it
+// equals Rollup(s.WindowsBetween(from, to)...) and allocates nothing.
 func (s *Series) RollupBetween(from, to sim.Time) Window {
-	return Rollup(s.WindowsBetween(from, to)...)
+	var out Window
+	for ws := s.firstStart(from); ws < to; ws += s.interval {
+		if w := &s.ring[s.slot(ws)]; w.Start == ws {
+			out.merge(*w)
+		}
+	}
+	return out
 }
 
 // Store maps metric identities (name + obs labels) to windowed series,

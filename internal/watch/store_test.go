@@ -124,6 +124,36 @@ func TestRollupAssociativeProperty(t *testing.T) {
 	}
 }
 
+// TestRollupBetweenFoldsInPlace checks that RollupBetween, which folds
+// the ring in place, equals Rollup over the WindowsBetween slice bit
+// for bit (same windows, same fold order) across sparse series with
+// evicted windows and ranges that cut windows or start before 0, and
+// that the fold allocates nothing.
+func TestRollupBetweenFoldsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		s := NewSeries(sim.Millisecond, 1+rng.Intn(8))
+		for i := rng.Intn(40); i > 0; i-- {
+			s.Observe(sim.Time(rng.Intn(30_000_000)), float64(rng.Intn(1_000_000))/7)
+		}
+		from := sim.Time(rng.Intn(32_000_000)) - 2*sim.Millisecond
+		to := from + sim.Time(rng.Intn(12_000_000))
+		windowsEqual(t, s.RollupBetween(from, to), Rollup(s.WindowsBetween(from, to)...))
+	}
+
+	s := NewSeries(sim.Millisecond, 16)
+	for i := 0; i < 64; i++ {
+		s.Observe(sim.Time(i)*sim.Millisecond/2, float64(i))
+	}
+	var sink Window
+	if n := testing.AllocsPerRun(100, func() { sink = s.RollupBetween(0, 40*sim.Millisecond) }); n != 0 {
+		t.Fatalf("RollupBetween allocates %.1f times per call, want 0", n)
+	}
+	if sink.Count == 0 {
+		t.Fatal("rollup saw no windows")
+	}
+}
+
 func TestStoreObserveAndVisit(t *testing.T) {
 	st := NewStore(sim.Millisecond, 8)
 	st.Observe("lat", obs.Labels{VM: "a"}, 100, 5)
