@@ -407,6 +407,8 @@ type Cluster struct {
 	checker *invariant.Checker // cluster-level invariants, audited at barriers
 	watcher *watch.Watcher
 
+	auditVCPUs []int // AuditInvariants' per-host vCPU sums, reused per pass
+
 	// Decision audit log (nil when Config.Decisions is nil). decCtl is
 	// the control shard's ring, where every cluster-level choice lands.
 	decLog *decision.Log
@@ -955,7 +957,13 @@ func (c *Cluster) Stats() *workload.ServerStats { return c.stats }
 // to a host, or held by the router). Runs at barriers, where every
 // shard is parked.
 func (c *Cluster) AuditInvariants(report func(rule, detail string)) {
-	perHost := make([]int, len(c.hosts))
+	perHost := c.auditVCPUs
+	if len(perHost) != len(c.hosts) {
+		perHost = make([]int, len(c.hosts))
+		c.auditVCPUs = perHost
+	} else {
+		clear(perHost)
+	}
 	for _, hd := range c.vms {
 		if hd.admitted && !hd.retired {
 			perHost[hd.host.ID] += hd.Spec.VCPUs

@@ -45,3 +45,27 @@ func TestRouteAllocationFree(t *testing.T) {
 		t.Fatalf("route allocates %v times per request, want 0", allocs)
 	}
 }
+
+// TestAuditPassAllocationFree pins one clean cluster-level audit pass
+// (the checker's pass over Cluster.AuditInvariants) at zero
+// allocations: the checker binds its report callback once and the
+// per-host vCPU sums reuse a scratch slice.
+func TestAuditPassAllocationFree(t *testing.T) {
+	cfg := shortConfig()
+	cfg.Duration = 2 * sim.Second
+	cfg.Drain = sim.Second
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	now := c.sh.Now()
+	if allocs := testing.AllocsPerRun(100, func() { c.checker.AuditAt(now) }); allocs != 0 {
+		t.Fatalf("audit pass allocates %.1f times, want 0", allocs)
+	}
+	if n := c.checker.Count(); n != 0 {
+		t.Fatalf("%d violations; the pinned pass must be clean", n)
+	}
+}

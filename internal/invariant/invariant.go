@@ -46,6 +46,11 @@ type Checker struct {
 	total      int64
 	audits     int64
 
+	// now stamps the violations of the pass in progress; report, bound
+	// once in New, records through it, so a pass builds no closure.
+	now    sim.Time
+	report func(rule, detail string)
+
 	// OnViolation, when non-nil, observes every violation as it is
 	// recorded (including ones past the storage cap). The watch flight
 	// recorder subscribes here so an invariant trip dumps an incident
@@ -55,7 +60,11 @@ type Checker struct {
 
 // New creates a checker auditing at the given (positive) cadence once
 // attached.
-func New(every sim.Time) *Checker { return &Checker{every: every} }
+func New(every sim.Time) *Checker {
+	c := &Checker{every: every}
+	c.report = func(rule, detail string) { c.record(c.now, rule, detail) }
+	return c
+}
 
 // Observe registers sources to audit. Call before Attach.
 func (c *Checker) Observe(srcs ...Source) {
@@ -92,10 +101,9 @@ func (c *Checker) Audit() {
 // clock) uses this instead of Attach.
 func (c *Checker) AuditAt(now sim.Time) {
 	c.audits++
+	c.now = now
 	for _, s := range c.sources {
-		s.AuditInvariants(func(rule, detail string) {
-			c.record(now, rule, detail)
-		})
+		s.AuditInvariants(c.report)
 	}
 }
 

@@ -60,6 +60,23 @@ func TestViolationsTimestampedAndCounted(t *testing.T) {
 	}
 }
 
+// TestCleanAuditPassAllocationFree pins a clean audit pass at zero
+// allocations: the report callback is bound once, not per source per
+// pass.
+func TestCleanAuditPassAllocationFree(t *testing.T) {
+	chk := invariant.New(sim.Millisecond)
+	chk.Observe(&fakeSource{}, &fakeSource{})
+	now := sim.Time(0)
+	if n := testing.AllocsPerRun(100, func() { now++; chk.AuditAt(now) }); n != 0 {
+		t.Fatalf("clean audit pass allocates %.1f times, want 0", n)
+	}
+	chk.Observe(&fakeSource{rules: []string{"rule-a"}})
+	chk.AuditAt(7)
+	if vs := chk.Violations(); len(vs) != 1 || vs[0].At != 7 {
+		t.Fatalf("violations %+v, want one stamped 7", vs)
+	}
+}
+
 func TestEngineViolationsBridged(t *testing.T) {
 	eng := sim.NewEngine()
 	chk := invariant.New(sim.Second)
