@@ -52,7 +52,7 @@ func BenchmarkSpanLifecycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lifecycle(tr, us(int64(i)))
-		tr.finished = tr.finished[:0]
+		resetFinished(tr)
 	}
 }
 

@@ -394,12 +394,14 @@ func (s *Span) ConservationError() sim.Time {
 //
 // Spans are minted from slabs that start small and double up to
 // maxSlab spans, so a run of many requests allocates one slab per
-// maxSlab spans rather than one object per span.
+// maxSlab spans rather than one object per span. The finished list
+// grows in fixed chunks of doneChunk spans, so it is never re-copied
+// as it grows; Finished joins the chunks once when it is read.
 type Tracer struct {
-	nextID   int64
-	open     int
-	slab     []Span // the current slab's unminted spans
-	finished []*Span
+	nextID int64
+	open   int
+	slab   []Span    // the current slab's unminted spans
+	done   [][]*Span // finished spans in completion order, chunk by chunk
 
 	// OnFinish, when non-nil, observes each span as it finishes (after
 	// it is appended to the finished list). The watch flight recorder
@@ -408,10 +410,12 @@ type Tracer struct {
 	OnFinish func(*Span)
 }
 
-// Slab sizes, in spans: the first slab and the cap.
+// Slab sizes, in spans: the first slab and the cap; and the finished
+// list's chunk size.
 const (
-	minSlab = 16
-	maxSlab = 1024
+	minSlab   = 16
+	maxSlab   = 1024
+	doneChunk = 1024
 )
 
 // NewTracer returns an empty tracer.
@@ -438,19 +442,37 @@ func (tr *Tracer) Start(arrival sim.Time) *Span {
 
 func (tr *Tracer) finish(s *Span) {
 	tr.open--
-	tr.finished = append(tr.finished, s)
+	last := len(tr.done) - 1
+	if last < 0 || len(tr.done[last]) == cap(tr.done[last]) {
+		tr.done = append(tr.done, make([]*Span, 0, doneChunk))
+		last++
+	}
+	tr.done[last] = append(tr.done[last], s)
 	if tr.OnFinish != nil {
 		tr.OnFinish(s)
 	}
 }
 
 // Finished returns the collected spans in completion order. The slice
-// is owned by the tracer; callers must not mutate it.
+// is owned by the tracer; callers must not mutate it. Reading joins the
+// finished chunks into one full chunk, so a later finish starts a new
+// chunk and never writes into a slice already handed out.
 func (tr *Tracer) Finished() []*Span {
-	if tr == nil {
+	if tr == nil || len(tr.done) == 0 {
 		return nil
 	}
-	return tr.finished
+	if len(tr.done) > 1 {
+		n := 0
+		for _, c := range tr.done {
+			n += len(c)
+		}
+		all := make([]*Span, 0, n)
+		for _, c := range tr.done {
+			all = append(all, c...)
+		}
+		tr.done = append(tr.done[:0], all)
+	}
+	return tr.done[0]
 }
 
 // Open returns the number of minted spans that have not finished

@@ -137,6 +137,15 @@ func TestSpanSize(t *testing.T) {
 	}
 }
 
+// resetFinished empties the tracer's finished list and keeps its first
+// chunk, so a loop that resets after each span measures only the span.
+func resetFinished(tr *Tracer) {
+	if len(tr.done) > 0 {
+		tr.done = tr.done[:1]
+		tr.done[0] = tr.done[0][:0]
+	}
+}
+
 // The rig's request shape fits the span's inline room and spans are
 // minted from the tracer's slabs: once the slabs are full size, a
 // lifecycle allocates one slab per maxSlab spans and nothing else.
@@ -154,7 +163,7 @@ func TestSpanLifecycleAllocatesPerSlab(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		allocs = min(allocs, testing.AllocsPerRun(1, func() {
 			for i := 0; i < spans; i++ {
-				tr.finished = tr.finished[:0]
+				resetFinished(tr)
 				s := tr.Start(at)
 				s.BeginPhase(at, "service", CatKernel)
 				s.Transition(at+us(2), CatService)
@@ -167,6 +176,55 @@ func TestSpanLifecycleAllocatesPerSlab(t *testing.T) {
 	if allocs > spans/maxSlab {
 		t.Fatalf("%d span lifecycles = %v allocations, want at most %d (one slab per %d spans)",
 			spans, allocs, spans/maxSlab, maxSlab)
+	}
+}
+
+// The finished list grows chunk by chunk and Finished joins the chunks
+// in completion order; a list handed out earlier keeps its spans while
+// later ones finish.
+func TestFinishedChunksKeepCompletionOrder(t *testing.T) {
+	tr := NewTracer()
+	const n = 2*doneChunk + 3
+	open := make([]*Span, n)
+	for i := range open {
+		open[i] = tr.Start(us(int64(i)))
+	}
+	var want []*Span
+	var early []*Span
+	for i := n - 1; i >= 0; i-- { // finish in reverse mint order
+		open[i].Finish(us(int64(n + i)))
+		want = append(want, open[i])
+		if i == n-doneChunk-1 {
+			early = tr.Finished()
+		}
+	}
+	if len(tr.done) != 3 {
+		t.Fatalf("finished list holds %d chunks, want 3", len(tr.done))
+	}
+	for pass := 0; pass < 2; pass++ { // the second read finds one chunk
+		got := tr.Finished()
+		if len(got) != n {
+			t.Fatalf("read %d: Finished() = %d spans, want %d", pass, len(got), n)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("read %d: span %d is ID %d, want ID %d", pass, i, got[i].ID, want[i].ID)
+			}
+		}
+	}
+	if len(early) != doneChunk+1 {
+		t.Fatalf("early read = %d spans, want %d", len(early), doneChunk+1)
+	}
+	for i := range early {
+		if early[i] != want[i] {
+			t.Fatalf("early read changed at %d", i)
+		}
+	}
+	// Finishing after a read starts a new chunk, leaving the read intact.
+	late := tr.Start(us(1))
+	late.Finish(us(2))
+	if got := tr.Finished(); len(got) != n+1 || got[n] != late {
+		t.Fatal("span finished after a read is missing from Finished()")
 	}
 }
 
