@@ -578,6 +578,7 @@ func New(cfg Config) (*Cluster, error) {
 			c.wireWatchHost(host)
 		}
 	}
+	c.auditVCPUs = make([]int, len(c.hosts))
 
 	if err := c.buildZones(); err != nil {
 		return nil, err
@@ -958,12 +959,7 @@ func (c *Cluster) Stats() *workload.ServerStats { return c.stats }
 // shard is parked.
 func (c *Cluster) AuditInvariants(report func(rule, detail string)) {
 	perHost := c.auditVCPUs
-	if len(perHost) != len(c.hosts) {
-		perHost = make([]int, len(c.hosts))
-		c.auditVCPUs = perHost
-	} else {
-		clear(perHost)
-	}
+	clear(perHost)
 	for _, hd := range c.vms {
 		if hd.admitted && !hd.retired {
 			perHost[hd.host.ID] += hd.Spec.VCPUs
